@@ -268,7 +268,9 @@ where
         let mut out = World::new(1).run(|comm| {
             let g =
                 tripoll_graph::build_dist_graph(comm, list.as_slice().to_vec(), &vm_fn, partition);
-            g.shard().vertices().to_vec()
+            Arc::into_inner(g.into_shard())
+                .expect("the build returns the only handle to its shard")
+                .into_vertices()
         });
         Self::from_vertices(out.pop().expect("single-rank world"), partition)
     }

@@ -15,16 +15,26 @@
 //! additional memory per edge" (§4.4) that lets Push-Pull decide whether
 //! pulling `Adjm+(v)` is worthwhile.
 //!
-//! Construction ([`build_dist_graph`]) is a three-round asynchronous
-//! pipeline over the communicator:
+//! Construction ([`build_dist_graph`]) is three asynchronous rounds over
+//! the communicator around one flat CSR per rank. Every round batches
+//! its records per destination rank and ships a chunk of them as one
+//! message, so the runtime's per-record cost is paid once per chunk
+//! rather than once per edge:
 //!
 //! 1. **Scatter** — every input edge `(u,v)` is sent to `Rank(u)` as
-//!    `(u,v)` and to `Rank(v)` as `(v,u)` (symmetrization); owners sort
-//!    and deduplicate, which yields the undirected degree `d(u)`.
-//! 2. **Degree exchange** — each owner tells the owner of every neighbor
-//!    the degree of its local vertices, establishing the `<+` order.
-//! 3. **Out-degree exchange** — after orienting edges locally, `d+(v)` is
-//!    distributed the same way.
+//!    `(u,v)` and to `Rank(v)` as `(v,u)` (symmetrization); the owner
+//!    appends arriving chunks to one flat buffer. A single in-place
+//!    sort by `(u,v)`, then arrival order, with first-arrival-wins
+//!    deduplication turns the buffer into CSR rows, which yields the
+//!    undirected degree `d(u)`.
+//! 2. **Degree exchange** — walking the rows, each owner tells the owner
+//!    of every neighbor the degree of its local vertices.
+//! 3. **Out-degree exchange** — the rows are drained in id order into
+//!    the shard's vertices. Each record's neighbor key in `<+` is
+//!    resolved once: a larger neighbor becomes an out-entry, and the
+//!    owner of a smaller one — a vertex that stores `u` as a target — is
+//!    told `d+(u)`. When the round completes, `d+(v)` is filled into the
+//!    out-entries, the only records that need it.
 //!
 //! Vertex metadata is produced by a deterministic function of the vertex
 //! id supplied by the caller (generators and file loaders close over
@@ -36,9 +46,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use tripoll_ygm::hash::{FastMap, FastSet};
+use tripoll_ygm::hash::FastMap;
 use tripoll_ygm::wire::Wire;
-use tripoll_ygm::Comm;
+use tripoll_ygm::{Comm, Handler};
 
 use crate::order::OrderKey;
 use crate::partition::Partition;
@@ -90,11 +100,13 @@ pub struct LocalShard<VM, EM> {
 
 impl<VM, EM> LocalShard<VM, EM> {
     /// Assembles a shard from a set of locally-owned vertices (any
-    /// order); vertices are sorted by id and indexed. This is how
-    /// resident-graph re-sharding and snapshot loading build shards
-    /// without a communication round.
+    /// order); vertices are sorted by id (unless they already are) and
+    /// indexed. This is how resident-graph re-sharding and snapshot
+    /// loading build shards without a communication round.
     pub fn from_vertices(mut vertices: Vec<LocalVertex<VM, EM>>) -> Self {
-        vertices.sort_by_key(|v| v.id);
+        if !vertices.is_sorted_by_key(|v| v.id) {
+            vertices.sort_by_key(|v| v.id);
+        }
         let index = vertices
             .iter()
             .enumerate()
@@ -107,6 +119,11 @@ impl<VM, EM> LocalShard<VM, EM> {
     #[inline]
     pub fn vertices(&self) -> &[LocalVertex<VM, EM>] {
         &self.vertices
+    }
+
+    /// Takes the vertices out of the shard, sorted by id.
+    pub fn into_vertices(self) -> Vec<LocalVertex<VM, EM>> {
+        self.vertices
     }
 
     /// Looks up a locally-owned vertex by id.
@@ -198,6 +215,13 @@ impl<VM, EM> DistGraph<VM, EM> {
         &self.shard
     }
 
+    /// Gives up this handle's share of the shard — to take the storage
+    /// out with [`Arc::into_inner`] once no other handle is left.
+    #[inline]
+    pub fn into_shard(self) -> Arc<LocalShard<VM, EM>> {
+        self.shard
+    }
+
     /// The partitioning in use.
     #[inline]
     pub fn partition(&self) -> Partition {
@@ -235,15 +259,140 @@ impl<VM, EM> DistGraph<VM, EM> {
     }
 }
 
-/// Degree/out-degree exchange batch size: small enough to interleave,
-/// large enough to amortize the per-record varint overhead.
+/// Records per build message, in all three rounds: small enough to
+/// interleave with delivery, large enough to amortize the runtime's
+/// per-record cost (quiescence and traffic counters, handler dispatch).
 const EXCHANGE_CHUNK: usize = 512;
+
+/// One build round's outgoing records, batched per destination rank:
+/// a destination's records ship as a single `Vec<T>` message each time
+/// [`EXCHANGE_CHUNK`] of them have accumulated, and once more at
+/// [`Chunked::finish`].
+struct Chunked<'a, T: Wire> {
+    comm: &'a Comm,
+    handler: Handler<Vec<T>>,
+    batches: Vec<Vec<T>>,
+}
+
+impl<'a, T: Wire> Chunked<'a, T> {
+    fn new(comm: &'a Comm, handler: Handler<Vec<T>>) -> Self {
+        let batches = (0..comm.nranks())
+            .map(|_| Vec::with_capacity(EXCHANGE_CHUNK))
+            .collect();
+        Chunked {
+            comm,
+            handler,
+            batches,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, dst: usize, rec: T) {
+        let batch = &mut self.batches[dst];
+        batch.push(rec);
+        if batch.len() == EXCHANGE_CHUNK {
+            self.comm.send(dst, &self.handler, batch);
+            batch.clear();
+        }
+    }
+
+    fn finish(self) {
+        for (dst, batch) in self.batches.iter().enumerate() {
+            if !batch.is_empty() {
+                self.comm.send(dst, &self.handler, batch);
+            }
+        }
+    }
+}
+
+/// One scattered record at its owner: `v` is a neighbour of the local
+/// vertex `u`, and `seq` counts the records that arrived before it.
+struct Arrival<EM> {
+    u: u64,
+    v: u64,
+    seq: usize,
+    em: EM,
+}
+
+/// The symmetrized, deduplicated undirected adjacency of this rank's
+/// vertices as one flat CSR: row `i` is vertex `ids[i]` (ascending) and
+/// its records are `recs[offsets[i]..offsets[i + 1]]`, ascending by
+/// neighbour.
+struct Rows<EM> {
+    ids: Vec<u64>,
+    offsets: Vec<usize>,
+    recs: Vec<Arrival<EM>>,
+}
+
+impl<EM> Rows<EM> {
+    /// Groups scattered records. Of several records for one `(u, v)` the
+    /// first to arrive survives — on one rank that is input order, the
+    /// rule `ingest` relies on. Arrival order is part of the sort key
+    /// rather than left to a stable sort, whose scratch buffer would be
+    /// as large as the records themselves.
+    fn group(mut recs: Vec<Arrival<EM>>) -> Self {
+        recs.sort_unstable_by_key(|r| (r.u, r.v, r.seq));
+        recs.dedup_by(|later, first| (later.u, later.v) == (first.u, first.v));
+        let mut ids = Vec::new();
+        let mut offsets = Vec::new();
+        for (at, r) in recs.iter().enumerate() {
+            if ids.last() != Some(&r.u) {
+                ids.push(r.u);
+                offsets.push(at);
+            }
+        }
+        offsets.push(recs.len());
+        Rows { ids, offsets, recs }
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> std::ops::Range<usize> {
+        self.offsets[i]..self.offsets[i + 1]
+    }
+
+    /// Undirected degree `d(ids[i])`.
+    #[inline]
+    fn degree(&self, i: usize) -> u64 {
+        self.row(i).len() as u64
+    }
+
+    /// Round 2: sends `(ids[i], d(ids[i]))` to the owner of every
+    /// neighbour of row `i`, once per destination rank.
+    fn announce_degrees(
+        &self,
+        comm: &Comm,
+        partition: Partition,
+        handler: Handler<Vec<(u64, u64)>>,
+    ) {
+        let nranks = comm.nranks();
+        let mut out = Chunked::new(comm, handler);
+        // `told[dst] == i` once row `i` has been announced to `dst`.
+        let mut told = vec![usize::MAX; nranks];
+        for (i, &u) in self.ids.iter().enumerate() {
+            let mut untold = nranks;
+            for r in &self.recs[self.row(i)] {
+                let dst = partition.owner(r.v, nranks);
+                if told[dst] != i {
+                    told[dst] = i;
+                    out.push(dst, (u, self.degree(i)));
+                    untold -= 1;
+                    if untold == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        out.finish();
+    }
+}
 
 /// Builds the distributed DODGr from this rank's share of the input edge
 /// records. Collective: every rank calls with its own `local_edges`.
 ///
 /// * Input edges are undirected; direction, duplicates and self-loops are
-///   normalized away during the build.
+///   normalized away during the build. Of duplicate records for one edge
+///   the first to reach the owner supplies the metadata; on one rank
+///   that is the first in `local_edges`.
 /// * `vm_fn` must be deterministic and identical on every rank.
 pub fn build_dist_graph<VM, EM, F>(
     comm: &Comm,
@@ -258,154 +407,121 @@ where
 {
     let nranks = comm.nranks();
 
-    #[derive(Default)]
-    struct BuildState<EM> {
-        /// Undirected adjacency of locally-owned vertices (with edge meta).
-        adj: FastMap<u64, Vec<(u64, EM)>>,
-        /// Undirected degrees of every vertex referenced by a local edge.
-        deg: FastMap<u64, u64>,
-        /// DODGr out-degrees of every vertex referenced by a local edge.
-        dplus: FastMap<u64, u64>,
-    }
+    // What each round's handler fills: the flat arrival buffer of
+    // round 1, and `d(v)` / `d+(v)` of every neighbour of a local vertex.
+    let arrivals: Rc<RefCell<Vec<Arrival<EM>>>> = Rc::default();
+    let deg: Rc<RefCell<FastMap<u64, u64>>> = Rc::default();
+    let dplus: Rc<RefCell<FastMap<u64, u64>>> = Rc::default();
 
-    let st: Rc<RefCell<BuildState<EM>>> = Rc::new(RefCell::new(BuildState {
-        adj: FastMap::default(),
-        deg: FastMap::default(),
-        dplus: FastMap::default(),
-    }));
-
-    let st_edge = st.clone();
-    let h_edge = comm.register::<(u64, u64, EM), _>(move |_c, (u, v, em)| {
-        st_edge.borrow_mut().adj.entry(u).or_default().push((v, em));
+    let into = arrivals.clone();
+    let h_edge = comm.register::<Vec<(u64, u64, EM)>, _>(move |_c, chunk| {
+        let mut into = into.borrow_mut();
+        let arrived = into.len();
+        into.extend(
+            chunk
+                .into_iter()
+                .enumerate()
+                .map(|(k, (u, v, em))| Arrival {
+                    u,
+                    v,
+                    seq: arrived + k,
+                    em,
+                }),
+        );
     });
-    let st_deg = st.clone();
+    let into = deg.clone();
     let h_deg = comm.register::<Vec<(u64, u64)>, _>(move |_c, pairs| {
-        let mut s = st_deg.borrow_mut();
-        for (v, d) in pairs {
-            s.deg.insert(v, d);
-        }
+        into.borrow_mut().extend(pairs);
     });
-    let st_dplus = st.clone();
+    let into = dplus.clone();
     let h_dplus = comm.register::<Vec<(u64, u64)>, _>(move |_c, pairs| {
-        let mut s = st_dplus.borrow_mut();
-        for (v, d) in pairs {
-            s.dplus.insert(v, d);
-        }
+        into.borrow_mut().extend(pairs);
     });
 
     // Round 1: scatter both directions of every edge to the endpoint
     // owners (symmetrization on the fly).
+    let mut out = Chunked::new(comm, h_edge);
     for (u, v, em) in local_edges {
         if u == v {
             continue; // self-loops never participate in triangles
         }
-        comm.send(partition.owner(u, nranks), &h_edge, &(u, v, em.clone()));
-        comm.send(partition.owner(v, nranks), &h_edge, &(v, u, em));
+        out.push(partition.owner(u, nranks), (u, v, em.clone()));
+        out.push(partition.owner(v, nranks), (v, u, em));
     }
+    out.finish();
     comm.barrier();
 
-    // Local: canonicalize each adjacency list (sort by target, collapse
-    // parallel edges). Degrees are now final.
-    let mut adj = std::mem::take(&mut st.borrow_mut().adj);
-    for list in adj.values_mut() {
-        list.sort_by_key(|(v, _)| *v);
-        list.dedup_by(|a, b| a.0 == b.0);
-    }
+    // Local: one sort groups the arrivals by vertex and collapses
+    // parallel edges. Degrees are now final.
+    let rows = Rows::group(arrivals.take());
 
-    // Round 2: each owner announces d(v) of its local vertices to the
-    // owner of every neighbor (once per destination rank, batched).
-    exchange_per_neighbor_rank(comm, &adj, partition, nranks, &h_deg, |_, list| {
-        list.len() as u64
-    });
+    // Round 2: each owner announces d(u) of its local vertices to the
+    // owner of every neighbor.
+    rows.announce_degrees(comm, partition, h_deg);
     comm.barrier();
-    let deg = std::mem::take(&mut st.borrow_mut().deg);
+    let deg = deg.take();
 
-    // Local: orient edges by `<+`, producing d+(u) for local vertices.
-    let mut dplus_local: FastMap<u64, u64> = FastMap::default();
-    for (&u, list) in &adj {
-        let ku = OrderKey::new(u, list.len() as u64);
-        let dplus = list
-            .iter()
-            .filter(|(v, _)| ku < OrderKey::new(*v, deg[v]))
-            .count() as u64;
-        dplus_local.insert(u, dplus);
-    }
-
-    // Round 3: announce d+(v) along the same undirected neighborhoods.
-    exchange_per_neighbor_rank(comm, &adj, partition, nranks, &h_dplus, |u, _| {
-        dplus_local[&u]
-    });
-    comm.barrier();
-    let dplus = std::mem::take(&mut st.borrow_mut().dplus);
-
-    // Assemble the shard: keep out-edges only, sorted by `<+`, augmented
-    // with edge + target metadata.
-    let vertices: Vec<LocalVertex<VM, EM>> = adj
-        .into_iter()
-        .map(|(u, list)| {
-            let degree = list.len() as u64;
-            let key = OrderKey::new(u, degree);
-            let mut out: Vec<AdjEntry<VM, EM>> = list
-                .into_iter()
-                .filter_map(|(v, em)| {
-                    let kv = OrderKey::new(v, deg[&v]);
-                    (key < kv).then(|| AdjEntry {
-                        v,
-                        key: kv,
-                        dplus_v: dplus[&v],
-                        em,
-                        vm: vm_fn(v),
-                    })
-                })
-                .collect();
-            out.sort_by_key(|e| e.key);
-            LocalVertex {
-                id: u,
-                degree,
-                key,
-                meta: vm_fn(u),
-                adj: out,
+    // Local, and round 3 on the way: drain the rows, in id order, into
+    // the shard's vertices. Every record's neighbour key is resolved
+    // here, once. A larger neighbour becomes an out-entry, augmented
+    // with edge + target metadata; its `dplus_v` arrives with round 3.
+    // A smaller one stores `u` as a target, so its owner is told d+(u) —
+    // known once the row is done, hence `tell`.
+    let Rows { ids, offsets, recs } = rows;
+    let mut vertices: Vec<LocalVertex<VM, EM>> = Vec::with_capacity(ids.len());
+    let mut out = Chunked::new(comm, h_dplus);
+    let mut told = vec![usize::MAX; nranks];
+    let mut tell: Vec<usize> = Vec::new();
+    let mut recs = recs.into_iter();
+    for (i, &u) in ids.iter().enumerate() {
+        let degree = (offsets[i + 1] - offsets[i]) as u64;
+        let key = OrderKey::new(u, degree);
+        let mut adj = Vec::with_capacity(degree as usize);
+        for Arrival { v, em, .. } in recs.by_ref().take(degree as usize) {
+            let kv = OrderKey::new(v, deg[&v]);
+            if key < kv {
+                adj.push(AdjEntry {
+                    v,
+                    key: kv,
+                    dplus_v: 0,
+                    em,
+                    vm: vm_fn(v),
+                });
+            } else {
+                let dst = partition.owner(v, nranks);
+                if told[dst] != i {
+                    told[dst] = i;
+                    tell.push(dst);
+                }
             }
-        })
-        .collect();
+        }
+        for dst in tell.drain(..) {
+            out.push(dst, (u, adj.len() as u64));
+        }
+        adj.shrink_to_fit();
+        // Keys are distinct within a row, so unstable is exact.
+        adj.sort_unstable_by_key(|e| e.key);
+        vertices.push(LocalVertex {
+            id: u,
+            degree,
+            key,
+            meta: vm_fn(u),
+            adj,
+        });
+    }
+    out.finish();
+    comm.barrier();
+
+    // Local: the out-entries are the only records that need d+(v).
+    let dplus = dplus.take();
+    for e in vertices.iter_mut().flat_map(|lv| &mut lv.adj) {
+        e.dplus_v = dplus[&e.v];
+    }
 
     DistGraph {
         shard: Arc::new(LocalShard::from_vertices(vertices)),
         partition,
         nranks,
-    }
-}
-
-/// For each local vertex `u`, sends `(u, value(u))` to the owner of every
-/// neighbor of `u`, visiting each destination rank at most once per `u`.
-fn exchange_per_neighbor_rank<EM>(
-    comm: &Comm,
-    adj: &FastMap<u64, Vec<(u64, EM)>>,
-    partition: Partition,
-    nranks: usize,
-    handler: &tripoll_ygm::Handler<Vec<(u64, u64)>>,
-    value: impl Fn(u64, &Vec<(u64, EM)>) -> u64,
-) {
-    let mut batches: Vec<Vec<(u64, u64)>> = (0..nranks).map(|_| Vec::new()).collect();
-    let mut dests: FastSet<usize> = FastSet::default();
-    for (&u, list) in adj {
-        let val = value(u, list);
-        dests.clear();
-        for (v, _) in list {
-            dests.insert(partition.owner(*v, nranks));
-        }
-        for &dst in &dests {
-            batches[dst].push((u, val));
-            if batches[dst].len() >= EXCHANGE_CHUNK {
-                comm.send(dst, handler, &batches[dst]);
-                batches[dst].clear();
-            }
-        }
-    }
-    for (dst, batch) in batches.into_iter().enumerate() {
-        if !batch.is_empty() {
-            comm.send(dst, handler, &batch);
-        }
     }
 }
 
@@ -415,104 +531,177 @@ mod tests {
     use crate::edge_list::EdgeList;
     use tripoll_ygm::World;
 
-    /// Serial reference DODGr: (u -> sorted out-neighbors) from an edge set.
-    fn serial_dodgr(edges: &[(u64, u64)]) -> FastMap<u64, Vec<u64>> {
-        let canon = EdgeList::from_vec(edges.iter().map(|&(u, v)| (u, v, ())).collect::<Vec<_>>())
-            .canonicalize();
-        let mut deg: FastMap<u64, u64> = FastMap::default();
-        for (u, v, _) in canon.as_slice() {
-            *deg.entry(*u).or_insert(0) += 1;
-            *deg.entry(*v).or_insert(0) += 1;
-        }
-        let mut out: FastMap<u64, Vec<u64>> = FastMap::default();
-        for &v in deg.keys() {
-            out.entry(v).or_default();
-        }
-        for (u, v, _) in canon.as_slice() {
-            let (u, v) = (*u, *v);
-            if OrderKey::new(u, deg[&u]) < OrderKey::new(v, deg[&v]) {
-                out.entry(u).or_default().push(v);
-            } else {
-                out.entry(v).or_default().push(u);
-            }
-        }
-        for (v, list) in out.iter_mut() {
-            list.sort_by_key(|t| OrderKey::new(*t, deg[t]));
-            let _ = v;
-        }
-        out
+    type Edge = (u64, u64, u32);
+
+    fn vm(v: u64) -> u64 {
+        v * 7
     }
 
-    fn check_against_serial(edges: &[(u64, u64)], nranks: usize, partition: Partition) {
-        let expected = serial_dodgr(edges);
-        let edges_meta: Vec<(u64, u64, u32)> = edges
+    /// Direction-independent edge metadata, so that duplicate records of
+    /// one edge agree whichever reaches the owner first.
+    fn with_meta(pairs: &[(u64, u64)]) -> Vec<Edge> {
+        pairs
             .iter()
-            .map(|&(u, v)| (u, v, (u * 1000 + v) as u32))
-            .collect();
-        let list = EdgeList::from_vec(edges_meta);
+            .map(|&(u, v)| (u, v, (u.min(v) * 1000 + u.max(v)) as u32))
+            .collect()
+    }
 
-        let shards = World::new(nranks).run(|comm| {
-            let local = list.stride_for_rank(comm.rank(), comm.nranks());
-            let g = build_dist_graph(comm, local, |v| v * 7, partition);
-            // Export (id, degree, out-neighbors, meta, target metas).
-            g.shard()
-                .vertices()
-                .iter()
-                .map(|lv| {
-                    (
-                        lv.id,
-                        lv.degree,
-                        lv.adj.iter().map(|e| e.v).collect::<Vec<_>>(),
-                        lv.meta,
-                        lv.adj.iter().map(|e| e.vm).collect::<Vec<_>>(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        });
+    /// Every field of a vertex record, for `assert_eq!`.
+    type Record = (u64, u64, OrderKey, u64, Vec<(u64, OrderKey, u64, u32, u64)>);
 
-        let mut seen: FastMap<u64, Vec<u64>> = FastMap::default();
-        for (rank, shard) in shards.into_iter().enumerate() {
-            for (id, _degree, out, meta, target_metas) in shard {
-                assert_eq!(
-                    partition.owner(id, nranks),
-                    rank,
-                    "vertex {id} on wrong rank"
-                );
-                assert_eq!(meta, id * 7, "vertex metadata");
-                for (t, tm) in out.iter().zip(&target_metas) {
-                    assert_eq!(*tm, t * 7, "target metadata for {t}");
-                }
-                assert!(seen.insert(id, out).is_none(), "vertex {id} duplicated");
+    fn record(lv: &LocalVertex<u64, u32>) -> Record {
+        let adj = lv.adj.iter().map(|e| (e.v, e.key, e.dplus_v, e.em, e.vm));
+        (lv.id, lv.degree, lv.key, lv.meta, adj.collect())
+    }
+
+    /// Serial reference: the storage a build must produce, over all
+    /// ranks, by vertex id. The first record of an edge supplies its
+    /// metadata.
+    fn serial_dodgr(edges: &[Edge]) -> Vec<Record> {
+        let mut em: FastMap<(u64, u64), u32> = FastMap::default();
+        let mut nbrs: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+        for &(u, v, m) in edges {
+            if u != v && !em.contains_key(&(u.min(v), u.max(v))) {
+                em.insert((u.min(v), u.max(v)), m);
+                nbrs.entry(u).or_default().push(v);
+                nbrs.entry(v).or_default().push(u);
             }
         }
-        assert_eq!(seen.len(), expected.len(), "vertex count");
-        for (v, exp_out) in &expected {
-            assert_eq!(&seen[v], exp_out, "out-adjacency of {v}");
+        let key = |v: u64| OrderKey::new(v, nbrs[&v].len() as u64);
+        let out: FastMap<u64, Vec<u64>> = nbrs
+            .iter()
+            .map(|(&u, list)| {
+                let mut out: Vec<u64> = list.iter().copied().filter(|&v| key(u) < key(v)).collect();
+                out.sort_by_key(|&v| key(v));
+                (u, out)
+            })
+            .collect();
+        nbrs.iter()
+            .map(|(&u, list)| {
+                let adj = out[&u].iter().map(|&v| {
+                    let m = em[&(u.min(v), u.max(v))];
+                    (v, key(v), out[&v].len() as u64, m, vm(v))
+                });
+                (u, list.len() as u64, key(u), vm(u), adj.collect())
+            })
+            .collect()
+    }
+
+    /// Builds on `nranks` ranks, rank `r` contributing `share(r)`, and
+    /// compares every stored field and the entry order with the serial
+    /// reference over the concatenated shares.
+    fn check_shares(
+        share: impl Fn(usize) -> Vec<Edge> + Sync,
+        nranks: usize,
+        partition: Partition,
+    ) {
+        let all: Vec<Edge> = (0..nranks).flat_map(&share).collect();
+        let shards = World::new(nranks).run(|comm| {
+            let g = build_dist_graph(comm, share(comm.rank()), vm, partition);
+            g.shard().vertices().iter().map(record).collect::<Vec<_>>()
+        });
+        let mut got: Vec<Record> = Vec::new();
+        for (rank, shard) in shards.into_iter().enumerate() {
+            assert!(
+                shard.windows(2).all(|w| w[0].0 < w[1].0),
+                "shard in id order"
+            );
+            for rec in &shard {
+                assert_eq!(partition.owner(rec.0, nranks), rank, "owner of {}", rec.0);
+            }
+            got.extend(shard);
+        }
+        got.sort_by_key(|rec| rec.0);
+        let want = serial_dodgr(&all);
+        assert_eq!(got.len(), want.len(), "vertex count");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w, "{nranks} ranks, {partition:?}");
         }
     }
 
-    #[test]
-    fn triangle_on_various_rank_counts() {
-        for nranks in [1, 2, 3, 4] {
-            check_against_serial(&[(0, 1), (1, 2), (2, 0)], nranks, Partition::Hashed);
-        }
+    /// The input strided over the ranks, the way the drivers load it.
+    fn check_against_serial(edges: &[Edge], nranks: usize, partition: Partition) {
+        let list = EdgeList::from_vec(edges.to_vec());
+        check_shares(|rank| list.stride_for_rank(rank, nranks), nranks, partition);
     }
 
     #[test]
-    fn cyclic_partition() {
-        check_against_serial(
+    fn matches_serial_across_ranks_and_partitions() {
+        let circulant: Vec<(u64, u64)> = (0..60u64)
+            .flat_map(|i| [(i, (i + 7) % 60), (i, (i + 13) % 60), ((i * i) % 60, i)])
+            .collect();
+        let cases: [&[(u64, u64)]; 4] = [
+            &[(0, 1), (1, 2), (2, 0)],
             &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)],
-            3,
-            Partition::Cyclic,
-        );
+            // Duplicates in both directions and self-loops collapse.
+            &[(0, 1), (1, 0), (0, 1), (1, 1), (2, 2), (1, 2)],
+            &circulant,
+        ];
+        for pairs in cases {
+            for nranks in [1, 2, 3, 4, 7] {
+                for partition in [Partition::Hashed, Partition::Cyclic] {
+                    check_against_serial(&with_meta(pairs), nranks, partition);
+                }
+            }
+        }
     }
 
     #[test]
-    fn duplicates_and_loops_collapse() {
-        check_against_serial(
-            &[(0, 1), (1, 0), (0, 1), (1, 1), (2, 2), (1, 2)],
-            2,
-            Partition::Hashed,
+    fn chunk_boundaries() {
+        // A star whose hub is even and whose leaves are odd, all of it
+        // read by rank 0: under the cyclic partition of 2 ranks that is
+        // `n` scatter records from one sender to each destination and
+        // `n` degree announcements from rank 1 to rank 0. (Round 3 ships
+        // through the same `Chunked`; here it is one record.)
+        for n in [EXCHANGE_CHUNK - 1, EXCHANGE_CHUNK, EXCHANGE_CHUNK + 1] {
+            let star: Vec<(u64, u64)> = (0..n as u64).map(|i| (0, 2 * i + 1)).collect();
+            let star = with_meta(&star);
+            let share = |rank| if rank == 0 { star.clone() } else { Vec::new() };
+            check_shares(share, 2, Partition::Cyclic);
+        }
+    }
+
+    #[test]
+    fn first_duplicate_supplies_the_metadata() {
+        // On one rank arrival order is input order; `ingest` relies on
+        // the earlier record of an edge winning, whichever way it points.
+        let edges = [(1, 2, 10), (2, 1, 20), (2, 3, 30), (1, 2, 40), (3, 2, 50)];
+        check_against_serial(&edges, 1, Partition::Hashed);
+        let kept: Vec<u32> = serial_dodgr(&edges)
+            .iter()
+            .flat_map(|rec| rec.4.iter().map(|e| e.3))
+            .collect();
+        assert_eq!(kept, [10, 30]);
+    }
+
+    #[test]
+    fn build_traffic_is_chunked() {
+        // Each round ships at most one partial chunk per (sender,
+        // destination) pair on top of its full ones, and no round moves
+        // more than the 2E scatter records.
+        const EDGES: u64 = 10_000;
+        let nranks = 2;
+        let pairs: Vec<(u64, u64)> = (0..EDGES)
+            .map(|i| (i % 2_000, (i * 7 + i / 2_000 + 1) % 2_000))
+            .collect();
+        let list = EdgeList::from_vec(with_meta(&pairs));
+        let records: u64 = World::new(nranks)
+            .run(|comm| {
+                let before = comm.stats();
+                build_dist_graph(
+                    comm,
+                    list.stride_for_rank(comm.rank(), nranks),
+                    vm,
+                    Partition::Hashed,
+                );
+                comm.stats().delta(&before).records_total()
+            })
+            .into_iter()
+            .sum();
+        let bound = 3 * (2 * EDGES / EXCHANGE_CHUNK as u64 + (nranks * nranks) as u64);
+        assert!(
+            records <= bound,
+            "{records} build records, expected <= {bound}"
         );
     }
 
@@ -667,7 +856,7 @@ mod tests {
                 edges in proptest::collection::vec((0u64..40, 0u64..40), 1..120),
                 nranks in 1usize..5,
             ) {
-                check_against_serial(&edges, nranks, Partition::Hashed);
+                check_against_serial(&with_meta(&edges), nranks, Partition::Hashed);
             }
         }
     }

@@ -305,6 +305,7 @@ mod tests {
     use super::*;
     use crate::dodgr::build_dist_graph;
     use crate::edge_list::EdgeList;
+    use std::sync::Arc;
     use tripoll_ygm::World;
 
     fn sample_vertices() -> Vec<LocalVertex<u64, u32>> {
@@ -319,7 +320,7 @@ mod tests {
         let list = EdgeList::from_vec(edges);
         let mut out = World::new(1).run(move |comm| {
             let g = build_dist_graph(comm, list.as_slice().to_vec(), |v| v * 3, Partition::Hashed);
-            g.shard().vertices().to_vec()
+            Arc::into_inner(g.into_shard()).unwrap().into_vertices()
         });
         out.pop().unwrap()
     }
