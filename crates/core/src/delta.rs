@@ -33,7 +33,7 @@
 
 use std::rc::Rc;
 
-use tripoll_graph::ingest::BatchDelta;
+use tripoll_graph::ingest::{ApexDelta, BatchDelta};
 use tripoll_graph::{AdjEntry, DistGraph};
 use tripoll_ygm::wire::{encode_seq, Wire};
 use tripoll_ygm::Comm;
@@ -118,9 +118,13 @@ fn push_delta_wedges<VM, EM>(
     EM: Wire + Clone + 'static,
 {
     let mut scratch: Vec<AdjEntry<VM, EM>> = Vec::new();
-    for lv in graph.shard().vertices() {
-        let Some(ap) = plan.apexes.get(&lv.id) else {
-            continue;
+    // Walk the plan, not the shard: set-up proportional to the delta.
+    // Ascending ids, so batches leave in the shard's own vertex order.
+    let mut apexes: Vec<(u64, &ApexDelta)> = plan.apexes.iter().map(|(&p, ap)| (p, ap)).collect();
+    apexes.sort_unstable_by_key(|&(p, _)| p);
+    for (p, ap) in apexes {
+        let Some(lv) = graph.shard().get(p) else {
+            continue; // another rank's apex
         };
         // `closing` is sorted by (i, j); pairs for source index i form
         // a contiguous run found by a monotone cursor over i.

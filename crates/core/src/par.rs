@@ -421,7 +421,7 @@ where
                     slot,
                 },
             ) => {
-                let lv = &self.shard.vertices()[*slot as usize];
+                let lv = self.shard.vertex(*slot as usize);
                 let view: ColView<'_, EM> =
                     ColView::capture(&mut r).unwrap_or_else(|e| decode_err(c, e));
                 let mut metas = view.walk().metas;
@@ -452,7 +452,7 @@ where
                     slot,
                 },
             ) => {
-                let lv = &self.shard.vertices()[*slot as usize];
+                let lv = self.shard.vertex(*slot as usize);
                 let view: SeqView<'_, Candidate<EM>> =
                     SeqView::capture(&mut r).unwrap_or_else(|e| decode_err(c, e));
                 let mut walk = view.walk();
@@ -485,7 +485,7 @@ where
                 }
             }
             (TaskKind::PullCol, Ctx::Pull { slot, idx }) => {
-                let lv = &self.shard.vertices()[*slot as usize];
+                let lv = self.shard.vertex(*slot as usize);
                 let eq = &lv.adj[*idx as usize];
                 let suffix = &lv.adj[*idx as usize + 1..];
                 let view: ColView<'_, EM> =
@@ -509,7 +509,7 @@ where
                 }
             }
             (TaskKind::PullSeq, Ctx::Pull { slot, idx }) => {
-                let lv = &self.shard.vertices()[*slot as usize];
+                let lv = self.shard.vertex(*slot as usize);
                 let eq = &lv.adj[*idx as usize];
                 let suffix = &lv.adj[*idx as usize + 1..];
                 let view: SeqView<'_, Candidate<EM>> =

@@ -180,14 +180,6 @@ where
     }
 }
 
-/// The target vertex's slot in the shard (its index in the sorted
-/// vertex vector) — the compact rank-local handle the parallel replay
-/// context carries instead of a borrow into the shard.
-#[inline]
-fn slot_of<VM, EM>(g: &DistGraph<VM, EM>, q: u64) -> Option<usize> {
-    g.shard().vertices().binary_search_by_key(&q, |v| v.id).ok()
-}
-
 /// Parallel twin of [`register_push_handler_columnar_cursor`]: decode
 /// the header, capture and copy the candidate columns, enqueue one work
 /// item for the pool instead of intersecting inline.
@@ -212,10 +204,10 @@ where
         let start = r.position();
         let view: ColView<'_, EM> = ColView::capture(r)?;
         let frame = r.since(start);
-        let Some(slot) = slot_of(&g, q) else {
+        let Some(slot) = g.shard().slot_of(q) else {
             abort_unowned_push(c, &g, p, q);
         };
-        let lv = &g.shard().vertices()[slot];
+        let lv = g.shard().vertex(slot);
         c.add_work((view.len() + lv.adj.len()) as u64);
         let raw = queue.alloc_frame(frame);
         queue.push_task(
@@ -258,10 +250,10 @@ where
         let start = r.position();
         let view: SeqView<'_, Candidate<EM>> = SeqView::capture(r)?;
         let frame = r.since(start);
-        let Some(slot) = slot_of(&g, q) else {
+        let Some(slot) = g.shard().slot_of(q) else {
             abort_unowned_push(c, &g, p, q);
         };
-        let lv = &g.shard().vertices()[slot];
+        let lv = g.shard().vertex(slot);
         c.add_work((view.len() + lv.adj.len()) as u64);
         let raw = queue.alloc_frame(frame);
         queue.push_task(

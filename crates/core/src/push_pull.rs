@@ -275,7 +275,7 @@ where
     } else {
         {
             let mut s = st.borrow_mut();
-            for (slot, lv) in graph.shard().vertices().iter().enumerate() {
+            for (slot, lv) in graph.shard().vertices().enumerate() {
                 for (i, e) in lv.adj.iter().enumerate() {
                     let suffix_len = lv.adj.len() - i - 1;
                     if suffix_len == 0 {
@@ -296,7 +296,7 @@ where
             let count: u64 = run
                 .iter()
                 .map(|&(_, slot, i)| {
-                    (shard.vertices()[slot as usize].adj.len() - i as usize - 1) as u64
+                    (shard.vertex(slot as usize).adj.len() - i as usize - 1) as u64
                 })
                 .sum();
             comm.send(graph.owner(q), &dry_handler, &(q, count, my_rank));
@@ -441,7 +441,7 @@ where
                     // One frame copy shared by every resume suffix.
                     let raw = pq.alloc_frame(frame);
                     for &(_, slot, idx) in entries {
-                        let lv = &shard.vertices()[slot as usize];
+                        let lv = shard.vertex(slot as usize);
                         debug_assert_eq!(lv.adj[idx as usize].v, q);
                         let suffix = &lv.adj[idx as usize + 1..];
                         c.add_work((suffix.len() + view.len()) as u64);
@@ -467,7 +467,7 @@ where
                 if !entries.is_empty() {
                     let raw = pq.alloc_frame(frame);
                     for &(_, slot, idx) in entries {
-                        let lv = &shard.vertices()[slot as usize];
+                        let lv = shard.vertex(slot as usize);
                         debug_assert_eq!(lv.adj[idx as usize].v, q);
                         let suffix = &lv.adj[idx as usize + 1..];
                         c.add_work((suffix.len() + view.len()) as u64);
@@ -488,7 +488,7 @@ where
                 let s = st.borrow();
                 let shard = g.shard();
                 for &(_, slot, idx) in s.resume.get(q) {
-                    let lv = &shard.vertices()[slot as usize];
+                    let lv = shard.vertex(slot as usize);
                     let eq = &lv.adj[idx as usize];
                     debug_assert_eq!(eq.v, q);
                     let suffix = &lv.adj[idx as usize + 1..];
@@ -534,7 +534,7 @@ where
                 let s = st.borrow();
                 let shard = g.shard();
                 for &(_, slot, idx) in s.resume.get(q) {
-                    let lv = &shard.vertices()[slot as usize];
+                    let lv = shard.vertex(slot as usize);
                     let eq = &lv.adj[idx as usize];
                     debug_assert_eq!(eq.v, q);
                     let suffix = &lv.adj[idx as usize + 1..];
@@ -572,7 +572,7 @@ where
                 let s = st.borrow();
                 let shard = g.shard();
                 for &(_, slot, idx) in s.resume.get(q) {
-                    let lv = &shard.vertices()[slot as usize];
+                    let lv = shard.vertex(slot as usize);
                     let eq = &lv.adj[idx as usize];
                     debug_assert_eq!(eq.v, q);
                     let suffix = &lv.adj[idx as usize + 1..];
@@ -617,7 +617,7 @@ where
                 let s = st.borrow();
                 let shard = g.shard();
                 for &(_, slot, idx) in s.resume.get(q) {
-                    let lv = &shard.vertices()[slot as usize];
+                    let lv = shard.vertex(slot as usize);
                     let eq = &lv.adj[idx as usize];
                     debug_assert_eq!(eq.v, q);
                     let suffix = &lv.adj[idx as usize + 1..];

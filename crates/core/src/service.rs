@@ -19,7 +19,10 @@
 //!   oriented adjacency, `d+`) is independent of the rank count, so the
 //!   resident graph keeps one global vertex list and derives the
 //!   per-rank shards for any requested world size by the partition map
-//!   alone, with no communication. Shards are cached per rank count.
+//!   alone, with no communication. A shard is a *view*
+//!   ([`LocalShard::view`]): the indices of the rank's vertices in the
+//!   one list, which every shard of every world size shares — sharding
+//!   copies no vertex. Views are cached per rank count.
 //! * **Dry-run plan caching** — the Push-Pull dry-run is a pure
 //!   function of (graph, partition, rank count); the first Push-Pull
 //!   query at a given world size captures its plan and every later one
@@ -34,19 +37,30 @@
 //!
 //! [`ResidentGraph::ingest_batch`] appends an edge batch through
 //! [`tripoll_graph::ingest`], leaving the storage bit-identical to a
-//! from-scratch build of the concatenated input. Ingest invalidates the
-//! cached world state — per-rank shards *and* captured Push-Pull
-//! dry-run plans — and bumps the graph **epoch**. The returned
-//! [`IngestDelta`] carries that epoch plus the batch's delta-wedge
-//! plan; [`ResidentGraph::survey_delta`] surveys exactly the triangles
-//! the batch added ([`crate::delta`]), rejecting a stale delta (one
-//! from a superseded epoch) with a structured [`StaleDeltaError`].
+//! from-scratch build of the concatenated input. The batch is *staged*
+//! against the storage first — every decision, and all caller code,
+//! before the first write — so a rejected batch, or a `vm_fn` that
+//! panics, leaves the graph exactly as it was, and a no-op batch
+//! (duplicates and self-loops only) is recognised before anything is
+//! invalidated. A real batch then drops the cached world state —
+//! per-rank shard views *and* captured Push-Pull dry-run plans — and
+//! only *then* takes the vertex list mutably: with the views gone the
+//! list is normally unshared and is patched in place. Every ingest
+//! bumps the graph **epoch**; the returned [`IngestDelta`] carries that
+//! epoch plus the batch's delta-wedge plan, and
+//! [`ResidentGraph::survey_delta`] surveys exactly the triangles the
+//! batch added ([`crate::delta`]), rejecting a stale delta (one from a
+//! superseded epoch) with a structured [`StaleDeltaError`].
 //!
 //! Concurrent queries racing an ingest are safe by snapshotting: a
-//! query holds an `Arc` of the world state it started with, so it sees
-//! either the pre-ingest or the post-ingest graph in its entirety,
-//! never a torn mix. The epoch atomic is an advisory staleness check —
-//! actual publication of mutated storage happens under the state lock
+//! query holds an `Arc` of the world state it started with — and
+//! through its shard views, of the vertex list — so an ingest that
+//! finds a query in flight writes a copy of the list
+//! ([`Arc::make_mut`]) and the query finishes on the one it started
+//! with. It sees either the pre-ingest or the post-ingest graph in its
+//! entirety, never a torn mix. The epoch atomic is an advisory
+//! staleness check — actual publication of mutated storage happens
+//! under the state lock
 //! (see `docs/CONCURRENCY.md`, "ingest-epoch handoff").
 //!
 //! Environment-dependent defaults (`TRIPOLL_THREADS`, `TRIPOLL_RPN`,
@@ -60,7 +74,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tripoll_graph::ingest::{apply_edge_batch, apply_edge_batch_with, BatchDelta, ReverseIndex};
+use tripoll_graph::ingest::{BatchDelta, ReverseIndex, StagedBatch};
 use tripoll_graph::snapshot::{decode_snapshot, encode_snapshot, load_snapshot, SnapshotError};
 use tripoll_graph::{DistGraph, EdgeList, GraphError, LocalShard, LocalVertex, Partition};
 use tripoll_ygm::wire::Wire;
@@ -143,10 +157,11 @@ pub struct QueryOutcome {
     pub kernel: KernelStats,
 }
 
-/// Cached per-world-size state: the re-sharded storage and, for
-/// Push-Pull, the captured dry-run plans.
+/// Cached per-world-size state: the shard views and, for Push-Pull,
+/// the captured dry-run plans.
 struct WorldState<VM, EM> {
-    /// `shards[r]` is rank `r`'s shard at this world size.
+    /// `shards[r]` is rank `r`'s view of the vertex list at this world
+    /// size.
     shards: Vec<Arc<LocalShard<VM, EM>>>,
     /// Per-rank dry-run plans, captured by the first Push-Pull query.
     plans: OnceLock<Arc<Vec<DryRunPlan>>>,
@@ -339,8 +354,15 @@ where
         self.epoch.load(Ordering::Acquire)
     }
 
+    /// Locks the state. A poisoned lock is recovered, not propagated:
+    /// the only caller code that runs under it — an ingest's `vm_fn`
+    /// and metadata clones — runs while the batch is being staged,
+    /// before the first write, so a panic there leaves the state as the
+    /// previous holder found it.
     fn state(&self) -> std::sync::MutexGuard<'_, ResidentState<VM, EM>> {
-        self.state.lock().expect("resident state poisoned")
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// A shared handle to the current storage.
@@ -364,15 +386,14 @@ where
             .worlds
             .entry(nranks)
             .or_insert_with(|| {
-                let mut per_rank: Vec<Vec<LocalVertex<VM, EM>>> =
-                    (0..nranks).map(|_| Vec::new()).collect();
-                for v in vertices.iter() {
-                    per_rank[partition.owner(v.id, nranks)].push(v.clone());
+                let mut owned: Vec<Vec<u32>> = vec![Vec::new(); nranks];
+                for (i, v) in (0u32..).zip(vertices.iter()) {
+                    owned[partition.owner(v.id, nranks)].push(i);
                 }
                 Arc::new(WorldState {
-                    shards: per_rank
+                    shards: owned
                         .into_iter()
-                        .map(|vs| Arc::new(LocalShard::from_vertices(vs)))
+                        .map(|owned| Arc::new(LocalShard::view(vertices.clone(), owned)))
                         .collect(),
                     plans: OnceLock::new(),
                 })
@@ -392,29 +413,15 @@ where
     /// snapshot they started with), and the returned [`IngestDelta`]
     /// drives [`ResidentGraph::survey_delta`].
     pub fn ingest_batch(&self, batch: &[(u64, u64, EM)]) -> Result<IngestDelta, GraphError> {
-        let mut state = self.state();
-        let ResidentState {
-            vertices,
-            worlds,
-            rev,
-        } = &mut *state;
-        let rev = rev.get_or_insert_with(|| ReverseIndex::build(vertices));
-        let plan = apply_edge_batch(Arc::make_mut(vertices), rev, batch)?;
-        if !plan.is_empty() {
-            worlds.clear();
-        }
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        Ok(IngestDelta {
-            epoch,
-            plan: Arc::new(plan),
-        })
+        self.ingest(batch, None)
     }
 
     /// [`ResidentGraph::ingest_batch`] that admits previously-unknown
     /// vertices, creating their records with metadata from `vm_fn` —
     /// which must be the same deterministic function of the vertex id
     /// the resident storage was built with (it is consulted only for
-    /// new vertices; existing metadata is immutable under ingest).
+    /// new vertices; existing metadata is immutable under ingest). A
+    /// `vm_fn` that panics leaves the graph as it was.
     pub fn ingest_batch_with<F>(
         &self,
         batch: &[(u64, u64, EM)],
@@ -423,17 +430,34 @@ where
     where
         F: Fn(u64) -> VM,
     {
+        self.ingest(batch, Some(&vm_fn))
+    }
+
+    /// Stages the batch against the current storage and, unless it
+    /// turns out to be a no-op, commits it: drop the cached worlds —
+    /// and with them their shares of the vertex list — *then* take the
+    /// list mutably, so it is patched in place unless a query in flight
+    /// still reads it (then that query keeps the old list and the
+    /// ingest writes a copy).
+    fn ingest(
+        &self,
+        batch: &[(u64, u64, EM)],
+        admit: Option<&dyn Fn(u64) -> VM>,
+    ) -> Result<IngestDelta, GraphError> {
         let mut state = self.state();
-        let ResidentState {
-            vertices,
-            worlds,
-            rev,
-        } = &mut *state;
-        let rev = rev.get_or_insert_with(|| ReverseIndex::build(vertices));
-        let plan = apply_edge_batch_with(Arc::make_mut(vertices), rev, batch, vm_fn)?;
-        if !plan.is_empty() {
+        let staged = StagedBatch::stage(&state.vertices, batch, admit)?;
+        let plan = if staged.is_empty() {
+            BatchDelta::default()
+        } else {
+            let ResidentState {
+                vertices,
+                worlds,
+                rev,
+            } = &mut *state;
             worlds.clear();
-        }
+            let rev = rev.get_or_insert_with(|| ReverseIndex::build(vertices));
+            staged.commit(Arc::make_mut(vertices), rev)
+        };
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         Ok(IngestDelta {
             epoch,
@@ -769,14 +793,21 @@ mod tests {
         let q = ResidentQuery::new(3);
         let _ = resident.survey(&q, |_c, _tm| {});
         assert!(resident.world_state(3).plans.get().is_some());
-        // Duplicate edge: no storage change, worlds survive, epoch
-        // still advances (the delta is provably empty).
-        let delta = resident.ingest_batch(&[(0, 1, 77u32)]).unwrap();
+        // Duplicate edge and self-loop: no storage change, worlds
+        // survive, epoch still advances (the delta is provably empty).
+        // The cached world shares the vertex list, so a no-op ingest
+        // that took it mutably would have copied it.
+        let storage = resident.vertices();
+        let delta = resident.ingest_batch(&[(0, 1, 77u32), (2, 2, 78)]).unwrap();
         assert!(delta.is_empty());
         assert_eq!(resident.epoch(), 1);
         assert!(
             resident.world_state(3).plans.get().is_some(),
             "no-op ingest keeps cached worlds and plans"
+        );
+        assert!(
+            Arc::ptr_eq(&storage, &resident.vertices()),
+            "no-op ingest leaves the storage where it was"
         );
     }
 

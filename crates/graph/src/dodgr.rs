@@ -91,57 +91,112 @@ impl<VM, EM> LocalVertex<VM, EM> {
     }
 }
 
-/// All vertices owned by one rank.
+/// All vertices owned by one rank: a view over an id-sorted vertex list.
+///
+/// The list sits behind an [`Arc`] so that the shards of every rank, at
+/// every world size, can read the *same* storage: the resident tier
+/// keeps one list for the whole graph and hands each rank a
+/// [`LocalShard::view`] of the vertices it owns, copying nothing. A
+/// shard that a build or [`LocalShard::from_vertices`] produced is the
+/// view that owns its whole list.
+///
+/// A vertex's **slot** is its position among this shard's vertices in
+/// id order — the compact handle the engines store instead of a borrow.
 #[derive(Debug)]
 pub struct LocalShard<VM, EM> {
-    vertices: Vec<LocalVertex<VM, EM>>,
+    /// The id-sorted list the view reads.
+    all: Arc<Vec<LocalVertex<VM, EM>>>,
+    /// Ascending indices into `all` of this rank's vertices, by slot.
+    owned: Vec<u32>,
+    /// Vertex id → slot.
     index: FastMap<u64, u32>,
 }
 
 impl<VM, EM> LocalShard<VM, EM> {
-    /// Assembles a shard from a set of locally-owned vertices (any
-    /// order); vertices are sorted by id (unless they already are) and
-    /// indexed. This is how resident-graph re-sharding and snapshot
-    /// loading build shards without a communication round.
+    /// Assembles a shard that owns every one of `vertices` (any order);
+    /// they are sorted by id (unless they already are) and indexed. This
+    /// is how the build and snapshot loading produce shards without a
+    /// communication round.
     pub fn from_vertices(mut vertices: Vec<LocalVertex<VM, EM>>) -> Self {
         if !vertices.is_sorted_by_key(|v| v.id) {
             vertices.sort_by_key(|v| v.id);
         }
-        let index = vertices
+        let len = u32::try_from(vertices.len()).expect("a shard indexes its vertices with u32");
+        let owned = (0..len).collect();
+        Self::view(Arc::new(vertices), owned)
+    }
+
+    /// A shard of the vertices of `all` at the indices `owned`, sharing
+    /// the list instead of copying from it — resident-graph re-sharding.
+    ///
+    /// # Panics
+    /// If `owned` is not strictly ascending or indexes past the list.
+    pub fn view(all: Arc<Vec<LocalVertex<VM, EM>>>, owned: Vec<u32>) -> Self {
+        assert!(
+            owned.windows(2).all(|w| w[0] < w[1])
+                && owned.last().is_none_or(|&i| (i as usize) < all.len()),
+            "owned indices must ascend within the vertex list"
+        );
+        let index = owned
             .iter()
             .enumerate()
-            .map(|(i, v)| (v.id, i as u32))
+            .map(|(slot, &i)| (all[i as usize].id, slot as u32))
             .collect();
-        LocalShard { vertices, index }
+        LocalShard { all, owned, index }
     }
 
-    /// Vertices owned by this rank, sorted by id.
+    /// Vertices owned by this rank, in id order (slot order).
     #[inline]
-    pub fn vertices(&self) -> &[LocalVertex<VM, EM>] {
-        &self.vertices
+    pub fn vertices(&self) -> impl ExactSizeIterator<Item = &LocalVertex<VM, EM>> + Clone + '_ {
+        self.owned.iter().map(|&i| &self.all[i as usize])
     }
 
-    /// Takes the vertices out of the shard, sorted by id.
-    pub fn into_vertices(self) -> Vec<LocalVertex<VM, EM>> {
-        self.vertices
+    /// The vertex at `slot`.
+    ///
+    /// # Panics
+    /// If `slot >= self.len()`.
+    #[inline]
+    pub fn vertex(&self, slot: usize) -> &LocalVertex<VM, EM> {
+        &self.all[self.owned[slot] as usize]
+    }
+
+    /// Slot of the locally-owned vertex `id`.
+    #[inline]
+    pub fn slot_of(&self, id: u64) -> Option<usize> {
+        self.index.get(&id).map(|&slot| slot as usize)
+    }
+
+    /// Takes this rank's vertices out of the shard, sorted by id: moved
+    /// when the shard owns its whole list and is the list's only holder,
+    /// cloned otherwise.
+    pub fn into_vertices(self) -> Vec<LocalVertex<VM, EM>>
+    where
+        VM: Clone,
+        EM: Clone,
+    {
+        if self.owned.len() == self.all.len() {
+            Arc::unwrap_or_clone(self.all)
+        } else {
+            self.vertices().cloned().collect()
+        }
     }
 
     /// Looks up a locally-owned vertex by id.
     #[inline]
     pub fn get(&self, id: u64) -> Option<&LocalVertex<VM, EM>> {
-        self.index.get(&id).map(|&i| &self.vertices[i as usize])
+        self.slot_of(id).map(|slot| self.vertex(slot))
     }
 
     /// Number of vertices owned by this rank.
     #[inline]
     pub fn len(&self) -> usize {
-        self.vertices.len()
+        self.owned.len()
     }
 
     /// True when this rank owns no vertices.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty()
+        self.owned.is_empty()
     }
 }
 
@@ -598,7 +653,7 @@ mod tests {
         let all: Vec<Edge> = (0..nranks).flat_map(&share).collect();
         let shards = World::new(nranks).run(|comm| {
             let g = build_dist_graph(comm, share(comm.rank()), vm, partition);
-            g.shard().vertices().iter().map(record).collect::<Vec<_>>()
+            g.shard().vertices().map(record).collect::<Vec<_>>()
         });
         let mut got: Vec<Record> = Vec::new();
         for (rank, shard) in shards.into_iter().enumerate() {
@@ -706,6 +761,29 @@ mod tests {
     }
 
     #[test]
+    fn views_share_one_list() {
+        let pairs: Vec<(u64, u64)> = (0..20u64).map(|i| (i, (i + 3) % 20)).collect();
+        let all = World::new(1)
+            .run(|comm| build_dist_graph(comm, with_meta(&pairs), vm, Partition::Hashed))
+            .pop()
+            .unwrap();
+        let all = Arc::new(Arc::into_inner(all.into_shard()).unwrap().into_vertices());
+        let odd: Vec<u32> = (0..all.len() as u32).filter(|i| i % 2 == 1).collect();
+        let view = LocalShard::view(all.clone(), odd.clone());
+        assert_eq!(view.len(), odd.len());
+        for (slot, lv) in view.vertices().enumerate() {
+            assert!(std::ptr::eq(lv, &all[odd[slot] as usize]), "no copy");
+            assert!(std::ptr::eq(lv, view.vertex(slot)));
+            assert_eq!(view.slot_of(lv.id), Some(slot));
+            assert!(std::ptr::eq(lv, view.get(lv.id).unwrap()));
+        }
+        assert!(view.get(all[0].id).is_none(), "index 0 is another rank's");
+        let taken: Vec<Record> = view.into_vertices().iter().map(record).collect();
+        let want: Vec<Record> = odd.iter().map(|&i| record(&all[i as usize])).collect();
+        assert_eq!(taken, want);
+    }
+
+    #[test]
     fn star_graph_hub_has_no_out_edges() {
         // Star: hub 0 has the max degree, so every edge points *at* it.
         let edges: Vec<(u64, u64)> = (1..=6).map(|v| (0u64, v)).collect();
@@ -754,12 +832,7 @@ mod tests {
             let local = list.stride_for_rank(comm.rank(), comm.nranks());
             let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
             // Gather true out-degrees.
-            let mine: Vec<(u64, u64)> = g
-                .shard()
-                .vertices()
-                .iter()
-                .map(|v| (v.id, v.dplus()))
-                .collect();
+            let mine: Vec<(u64, u64)> = g.shard().vertices().map(|v| (v.id, v.dplus())).collect();
             let all: Vec<(u64, u64)> = comm.all_gather(&mine).into_iter().flatten().collect();
             let truth: FastMap<u64, u64> = all.into_iter().collect();
             for lv in g.shard().vertices() {

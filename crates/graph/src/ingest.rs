@@ -7,41 +7,69 @@
 //! [`crate::build_dist_graph`] over the concatenated input. The update
 //! skips the build's communication rounds and re-derives the degree
 //! order only for vertices the batch touches, but it is **not** local
-//! in cost: the *affected record set* it rewrites also holds every apex
-//! that stores an entry for a touched vertex, and a batch touches the
-//! hubs almost everyone points at. Measured on the benchmark's four
-//! workloads at 1 % batches (seed 42), the set is 26.6 k of 27.0 k
-//! vertices on `web_push`, 4.3 k of 4.4 k on `rmat_pull`, 36.6 k of
-//! 40.1 k on `wdc_fqdn` and 17.8 k of 19.9 k on `reddit_stream` —
-//! 91–99.9 % of all stored entries. Making the cost proportional to the
-//! batch is ROADMAP item 4. The steps:
+//! in cost: every [`AdjEntry`] carries its target's `key.degree` and
+//! `dplus_v`, a batch touches the hubs, and almost every apex stores an
+//! entry for a hub. Measured on the benchmark's four workloads at 1 %
+//! batches (seed 42), the stored entries whose annotation one batch
+//! really changes:
+//!
+//! | workload | entries re-annotated | of stored entries |
+//! |---|---|---|
+//! | `web_push` | 104 k | 207 k |
+//! | `rmat_pull` | 82 k | 90 k |
+//! | `wdc_fqdn` | 81 k | 179 k |
+//! | `reddit_stream` | 45 k | 192 k |
+//!
+//! Under this entry layout one linear pass over the storage is
+//! therefore the floor, and the update is built as exactly that: a
+//! read-only **stage** that decides everything, then a **commit** that
+//! sweeps the vertex list once, patching entries where they lie
+//! ([`StagedBatch`]). Cost proportional to the batch needs the
+//! annotations out of the entries (ROADMAP item 3). The steps, 1–5
+//! staged and 6–9 committed:
 //!
 //! 1. The batch is canonicalized exactly like the builder's scatter
 //!    round: self-loops dropped, endpoints normalized, within-batch
 //!    duplicates collapse keeping the first occurrence, and edges
 //!    already present in storage are dropped (so the *earlier* edge's
 //!    metadata survives, matching the first-arrival-wins dedup of the
-//!    builder).
-//! 2. Undirected degrees only ever grow, so `<+` keys of touched
-//!    vertices only grow: orientation flips can only move edges *out*
-//!    of a touched vertex's out-list, never into one from an untouched
-//!    vertex. The affected records are the touched vertices, flip
-//!    receivers, new-edge sources, and — via a persistent
-//!    [`ReverseIndex`] — every apex whose stored entries need their
-//!    `key`/`dplus_v` annotations patched.
-//! 3. Each affected record is rebuilt from its old entries (patched,
-//!    minus flip-outs, plus flip-ins and new edges) and re-sorted by
-//!    key — the same canonical sort by key the builder runs, so entry
-//!    order, keys, degrees, and `d+` annotations all land exactly where
-//!    a from-scratch build would put them.
+//!    builder). Strict mode rejects an unknown endpoint here.
+//! 2. Every endpoint of a new edge is *touched*: its degree grows, so
+//!    its `<+` key strictly grows. Previously-unknown endpoints get
+//!    their records staged (the only calls to `vm_fn`).
+//! 3. Because keys only grow, orientation flips can only move edges
+//!    *out* of a touched vertex's out-list, never into one from an
+//!    untouched vertex: a stored edge `t → w` becomes `w → t` iff `t`'s
+//!    new key overtakes `w`'s.
+//! 4. New edges are oriented by the new keys.
+//! 5. Steps 2–4 fold into one **patch map**: every vertex whose
+//!    annotation as a *target* changes — touched (new key), or its
+//!    out-degree moved (a flip or a new edge) — maps to its
+//!    `(key, d+)` after the batch. Flip-ins and new edges become
+//!    fully-formed entries, metadata cloned, grouped with the
+//!    flip-outs by the record whose entry *set* they change (≈ 4 k of
+//!    27–40 k records at the benchmark's batches).
+//! 6. Commit admits the staged new records into the id-sorted list,
+//! 7. keeps the [`ReverseIndex`] consistent,
+//! 8. and walks the list once. Each entry costs one probe of the patch
+//!    map; a record is re-sorted only if its entry set changed, or a
+//!    key moved *and* the order actually broke — the same canonical
+//!    order by key the builder produces, so entry order, keys, degrees
+//!    and `d+` annotations all land exactly where a from-scratch build
+//!    would put them. The list, the touched vertices and the changed
+//!    records all ascend by id, so the sweep looks nothing up.
+//! 9. Last, the [`BatchDelta`] is derived: for every apex vertex, which
+//!    out-entries are *new* and which entry-index pairs form a wedge
+//!    *closed* by a new edge between two old entries (found through the
+//!    reverse index). A delta survey generates exactly the wedges with
+//!    at least one new edge from this plan (see `tripoll-core`'s delta
+//!    engine), which is what makes
+//!    `full(G ∪ B) == full(G) + delta(G, B)` hold exactly.
 //!
-//! Alongside the storage update, the function derives a [`BatchDelta`]:
-//! for every apex vertex, which out-entries are *new* and which
-//! entry-index pairs form a wedge *closed* by a new edge between two
-//! old entries. A delta survey generates exactly the wedges with at
-//! least one new edge from this plan (see `tripoll-core`'s delta
-//! engine), which is what makes `full(G ∪ B) == full(G) + delta(G, B)`
-//! hold exactly.
+//! The split is what makes ingest **all-or-nothing**: staging takes the
+//! storage by shared reference and runs all caller code, so a rejected
+//! batch or a panicking `vm_fn` has written nothing; commit runs no
+//! caller code and cannot fail.
 //!
 //! Vertex metadata is immutable under ingest: existing vertices keep
 //! their stored `meta`, and the admitting variant
@@ -62,8 +90,7 @@ use crate::order::OrderKey;
 /// sorted apex ids `u` whose `Adjm+(u)` contains an entry for `v`.
 ///
 /// Incremental ingestion needs this to find, without a full scan, every
-/// record whose stored `key`/`dplus_v` annotations a batch invalidates,
-/// and every apex that can close a wedge over a new edge. Build it once
+/// apex that closes a wedge over a new edge. Build it once
 /// ([`ReverseIndex::build`]); [`apply_edge_batch`] keeps it consistent
 /// across batches.
 #[derive(Debug, Default, Clone)]
@@ -148,17 +175,6 @@ impl BatchDelta {
     }
 }
 
-/// How unknown endpoint vertices are handled during ingest.
-enum Admit<'a, VM> {
-    /// Reject the whole batch with [`GraphError::UnknownVertex`]
-    /// (before any mutation) if any non-self-loop edge references a
-    /// vertex with no resident record.
-    Strict,
-    /// Create records for unknown vertices, with metadata from the
-    /// deterministic function.
-    With(&'a dyn Fn(u64) -> VM),
-}
-
 /// Appends an edge batch to resident DODGr storage, **strict** on
 /// vertices: every endpoint must already have a record, otherwise the
 /// batch is rejected with [`GraphError::UnknownVertex`] and neither
@@ -177,7 +193,7 @@ where
     VM: Clone,
     EM: Clone,
 {
-    apply(vertices, rev, batch, Admit::<VM>::Strict)
+    Ok(StagedBatch::stage(vertices, batch, None)?.commit(vertices, rev))
 }
 
 /// [`apply_edge_batch`] that admits previously-unknown vertices,
@@ -196,7 +212,7 @@ where
     EM: Clone,
     F: Fn(u64) -> VM,
 {
-    apply(vertices, rev, batch, Admit::With(&vm_fn))
+    Ok(StagedBatch::stage(vertices, batch, Some(&vm_fn))?.commit(vertices, rev))
 }
 
 /// Index of `id` in the id-sorted global vertex list.
@@ -205,302 +221,373 @@ fn idx_of<VM, EM>(vertices: &[LocalVertex<VM, EM>], id: u64) -> Option<usize> {
     vertices.binary_search_by_key(&id, |v| v.id).ok()
 }
 
-/// Whether the undirected edge `{a, b}` is already stored (at whichever
-/// endpoint currently has the smaller `<+` key).
-fn edge_present<VM, EM>(vertices: &[LocalVertex<VM, EM>], a: u64, b: u64) -> bool {
-    let (Some(ia), Some(ib)) = (idx_of(vertices, a), idx_of(vertices, b)) else {
-        return false;
-    };
-    let (src, target_key) = if vertices[ia].key < vertices[ib].key {
-        (&vertices[ia], vertices[ib].key)
+/// Whether the undirected edge between two stored vertices is already
+/// stored (at whichever endpoint currently has the smaller `<+` key).
+fn edge_present<VM, EM>(x: &LocalVertex<VM, EM>, y: &LocalVertex<VM, EM>) -> bool {
+    let (src, target_key) = if x.key < y.key {
+        (x, y.key)
     } else {
-        (&vertices[ib], vertices[ia].key)
+        (y, x.key)
     };
     src.adj.binary_search_by(|e| e.key.cmp(&target_key)).is_ok()
 }
 
-fn apply<VM, EM>(
-    vertices: &mut Vec<LocalVertex<VM, EM>>,
-    rev: &mut ReverseIndex,
-    batch: &[(u64, u64, EM)],
-    admit: Admit<'_, VM>,
-) -> Result<BatchDelta, GraphError>
+/// What a batch does to the entry *set* of one record.
+struct EntryChanges<VM, EM> {
+    id: u64,
+    /// Targets of the entries that flip out, in the record's entry order.
+    removed: Vec<u64>,
+    /// Flip-ins and new edges, fully annotated.
+    added: Vec<AdjEntry<VM, EM>>,
+}
+
+/// A batch resolved against the storage it is about to change: every
+/// decision taken and all caller code — `vm_fn`, `VM::clone`,
+/// `EM::clone` — already run, nothing written yet.
+///
+/// [`StagedBatch::stage`] only reads and may fail or panic freely;
+/// [`StagedBatch::commit`] only moves what was staged into place and
+/// cannot fail. Between the two the caller may look at
+/// [`StagedBatch::is_empty`] and skip whatever a no-op batch does not
+/// need (the resident tier keeps its cached worlds and does not
+/// un-share its storage).
+pub struct StagedBatch<VM, EM> {
+    /// Canonical `(min, max)` pairs of the genuinely-new edges.
+    new_edges: Vec<(u64, u64)>,
+    /// Records of previously-unknown vertices, by id. Their entries
+    /// arrive through `changes` like everyone else's.
+    brand_new: Vec<LocalVertex<VM, EM>>,
+    /// `(id, key)` after the batch of every new-edge endpoint, by id
+    /// (the key carries the new degree).
+    touched: Vec<(u64, OrderKey)>,
+    /// Every vertex whose annotation as a *target* changes → its
+    /// `(key, d+)` after the batch.
+    patch: FastMap<u64, (OrderKey, u64)>,
+    /// The records whose entry set changes, by id.
+    changes: Vec<EntryChanges<VM, EM>>,
+    /// Apex → targets of its new-edge entries (for the delta plan).
+    new_targets: FastMap<u64, FastSet<u64>>,
+}
+
+impl<VM, EM> StagedBatch<VM, EM>
 where
     VM: Clone,
     EM: Clone,
 {
-    // ---- 1. Canonicalize + validate, before any mutation. ----------
-    // Self-loops never participate in triangles and are dropped before
-    // the unknown-vertex check (the builder never sees them either).
-    let mut new_edges: Vec<(u64, u64, EM)> = Vec::new();
-    let mut seen: FastSet<(u64, u64)> = FastSet::default();
-    for (a, b, em) in batch {
-        let (a, b) = (*a.min(b), *a.max(b));
-        if a == b {
-            continue;
-        }
-        if matches!(admit, Admit::Strict) {
-            for v in [a, b] {
-                if idx_of(vertices, v).is_none() {
-                    return Err(GraphError::UnknownVertex { vertex: v });
-                }
-            }
-        }
-        if !seen.insert((a, b)) {
-            continue; // within-batch duplicate: first occurrence wins
-        }
-        if edge_present(vertices, a, b) {
-            continue; // already stored: the earlier edge's metadata wins
-        }
-        new_edges.push((a, b, em.clone()));
-    }
-    if new_edges.is_empty() {
-        return Ok(BatchDelta::default());
-    }
-
-    // ---- 2. New degrees and keys of touched vertices. --------------
-    // Degrees only grow, so every touched key strictly grows.
-    let mut inc: FastMap<u64, u64> = FastMap::default();
-    for (a, b, _) in &new_edges {
-        *inc.entry(*a).or_insert(0) += 1;
-        *inc.entry(*b).or_insert(0) += 1;
-    }
-    let mut touched: Vec<u64> = inc.keys().copied().collect();
-    touched.sort_unstable();
-    // v -> (new degree, new key); only touched vertices appear.
-    let mut newkey: FastMap<u64, (u64, OrderKey)> = FastMap::default();
-    let mut brand_new: Vec<u64> = Vec::new();
-    for &t in &touched {
-        let old_deg = match idx_of(vertices, t) {
-            Some(i) => vertices[i].degree,
-            None => {
-                brand_new.push(t);
-                0
-            }
+    /// Resolves `batch` against `vertices` (steps 1–5 of the module
+    /// docs) without writing anything. `admit` supplies the metadata of
+    /// previously-unknown vertices; with `None` a batch that names one
+    /// is rejected with [`GraphError::UnknownVertex`].
+    pub fn stage(
+        vertices: &[LocalVertex<VM, EM>],
+        batch: &[(u64, u64, EM)],
+        admit: Option<&dyn Fn(u64) -> VM>,
+    ) -> Result<Self, GraphError> {
+        let mut staged = StagedBatch {
+            new_edges: Vec::new(),
+            brand_new: Vec::new(),
+            touched: Vec::new(),
+            patch: FastMap::default(),
+            changes: Vec::new(),
+            new_targets: FastMap::default(),
         };
-        let d = old_deg + inc[&t];
-        newkey.insert(t, (d, OrderKey::new(t, d)));
-    }
-    let key_after = |vs: &[LocalVertex<VM, EM>], v: u64| -> OrderKey {
-        match newkey.get(&v) {
-            Some(&(_, k)) => k,
-            None => vs[idx_of(vs, v).expect("stored vertex")].key,
-        }
-    };
 
-    // ---- 3. Orientation flips out of touched vertices. -------------
-    // A stored edge t→w flips to w→t iff t's grown key overtakes w's
-    // (possibly also grown) key. The reverse never happens: an edge
-    // stored at an untouched u points at keys that only grow further
-    // away.
-    let mut flip_removals: FastMap<u64, FastSet<u64>> = FastMap::default(); // source -> targets out
-    let mut additions: FastMap<u64, Vec<(u64, EM)>> = FastMap::default(); // source -> (target, em)
-    let mut rev_inserts: Vec<(u64, u64)> = Vec::new(); // (target, apex)
-    let mut rev_removals: Vec<(u64, u64)> = Vec::new();
-    for &t in &touched {
-        let Some(it) = idx_of(vertices, t) else {
-            continue; // brand-new vertex: nothing stored yet
-        };
-        let kt = newkey[&t].1;
-        // Split borrows: read t's old adjacency while probing keys.
-        for e in &vertices[it].adj {
-            let kw = match newkey.get(&e.v) {
-                Some(&(_, k)) => k,
-                None => e.key,
-            };
-            if kt > kw {
-                flip_removals.entry(t).or_default().insert(e.v);
-                additions.entry(e.v).or_default().push((t, e.em.clone()));
-                rev_removals.push((e.v, t));
-                rev_inserts.push((t, e.v));
-            }
-        }
-    }
-
-    // ---- 4. Orient and stage the new edges. ------------------------
-    // apex -> targets of its new-edge entries (for the delta plan).
-    let mut new_targets: FastMap<u64, FastSet<u64>> = FastMap::default();
-    for (a, b, em) in &new_edges {
-        let (src, dst) = if newkey[a].1 < newkey[b].1 {
-            (*a, *b)
-        } else {
-            (*b, *a)
-        };
-        additions.entry(src).or_default().push((dst, em.clone()));
-        new_targets.entry(src).or_default().insert(dst);
-        rev_inserts.push((dst, src));
-    }
-
-    // ---- 5. Final d+ of every vertex whose out-degree changes. -----
-    let mut ddelta: FastMap<u64, i64> = FastMap::default();
-    for (src, list) in &additions {
-        *ddelta.entry(*src).or_insert(0) += list.len() as i64;
-    }
-    for (src, set) in &flip_removals {
-        *ddelta.entry(*src).or_insert(0) -= set.len() as i64;
-    }
-    ddelta.retain(|_, d| *d != 0);
-    let mut final_dplus: FastMap<u64, u64> = FastMap::default();
-    for (&v, &d) in &ddelta {
-        let old = match idx_of(vertices, v) {
-            Some(i) => vertices[i].adj.len() as i64,
-            None => 0,
-        };
-        final_dplus.insert(v, (old + d) as u64);
-    }
-    let dplus_after = |vs: &[LocalVertex<VM, EM>], v: u64| -> u64 {
-        match final_dplus.get(&v) {
-            Some(&d) => d,
-            None => vs[idx_of(vs, v).expect("stored vertex")].adj.len() as u64,
-        }
-    };
-
-    // ---- 6. The affected record set R. -----------------------------
-    // Touched vertices (own degree/key fields), every source of an
-    // addition or flip-out, and — via the reverse index — every apex
-    // storing an entry whose key (target touched) or dplus_v (target's
-    // d+ changed) annotation went stale.
-    let mut rset: FastSet<u64> = FastSet::default();
-    rset.extend(touched.iter().copied());
-    rset.extend(additions.keys().copied());
-    rset.extend(flip_removals.keys().copied());
-    for &t in &touched {
-        rset.extend(rev.apexes(t).iter().copied());
-    }
-    for v in ddelta.keys() {
-        rset.extend(rev.apexes(*v).iter().copied());
-    }
-    let mut rebuild: Vec<u64> = rset.into_iter().collect();
-    rebuild.sort_unstable();
-
-    // ---- 7. Create brand-new vertex records. -----------------------
-    if !brand_new.is_empty() {
-        let Admit::With(vm_fn) = &admit else {
-            unreachable!("strict mode validated every endpoint");
-        };
-        for &v in &brand_new {
-            let (degree, key) = newkey[&v];
-            vertices.push(LocalVertex {
-                id: v,
-                degree,
-                key,
-                meta: vm_fn(v),
-                adj: Vec::new(),
-            });
-        }
-        vertices.sort_by_key(|v| v.id);
-    }
-
-    // ---- 8. Rebuild each affected record (id order). ---------------
-    // Only `adj`, `degree`, and `key` of the record itself change;
-    // `meta` of *other* records is stable, so cross-record reads during
-    // the in-place sweep are safe regardless of rebuild order.
-    for &v in &rebuild {
-        let iv = idx_of(vertices, v).expect("affected vertex exists");
-        let expected_dplus = dplus_after(vertices, v);
-        let old_adj = std::mem::take(&mut vertices[iv].adj);
-        let removed = flip_removals.get(&v);
-        let added = additions.get(&v);
-        let mut out: Vec<AdjEntry<VM, EM>> =
-            Vec::with_capacity(old_adj.len() + added.map_or(0, Vec::len));
-        for mut e in old_adj {
-            if removed.is_some_and(|s| s.contains(&e.v)) {
+        // ---- 1. Canonicalize + validate. ---------------------------
+        // Self-loops never participate in triangles and are dropped
+        // before the unknown-vertex check (the builder never sees them
+        // either).
+        let mut new_edges: Vec<(u64, u64, &EM)> = Vec::new();
+        let mut seen: FastSet<(u64, u64)> = FastSet::default();
+        for (a, b, em) in batch {
+            let (a, b) = (*a.min(b), *a.max(b));
+            if a == b {
                 continue;
             }
-            if let Some(&(_, k)) = newkey.get(&e.v) {
-                e.key = k;
-            }
-            if final_dplus.contains_key(&e.v) {
-                e.dplus_v = dplus_after(vertices, e.v);
-            }
-            out.push(e);
-        }
-        if let Some(list) = added {
-            for (tgt, em) in list {
-                let it = idx_of(vertices, *tgt).expect("addition target exists");
-                out.push(AdjEntry {
-                    v: *tgt,
-                    key: key_after(vertices, *tgt),
-                    dplus_v: dplus_after(vertices, *tgt),
-                    em: em.clone(),
-                    vm: vertices[it].meta.clone(),
-                });
-            }
-        }
-        // The builder's canonical entry order.
-        out.sort_by_key(|e| e.key);
-        debug_assert_eq!(out.len() as u64, expected_dplus, "d+ of {v}");
-        let rec = &mut vertices[iv];
-        rec.adj = out;
-        if let Some(&(d, k)) = newkey.get(&v) {
-            rec.degree = d;
-            rec.key = k;
-        }
-    }
-
-    // ---- 9. Maintain the reverse index. ----------------------------
-    for (target, apex) in rev_removals {
-        rev.remove(target, apex);
-    }
-    for (target, apex) in rev_inserts {
-        rev.insert(target, apex);
-    }
-
-    // ---- 10. Derive the delta-wedge plan. --------------------------
-    let mut apexes: FastMap<u64, ApexDelta> = FastMap::default();
-    for (&p, targets) in &new_targets {
-        let adj = &vertices[idx_of(vertices, p).expect("apex exists")].adj;
-        let new_idx: Vec<u32> = adj
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| targets.contains(&e.v))
-            .map(|(i, _)| i as u32)
-            .collect();
-        debug_assert_eq!(new_idx.len(), targets.len(), "new entries of {p}");
-        apexes.entry(p).or_default().new_idx = new_idx;
-    }
-    // Wedges closed by a new edge {a, b}: apexes storing entries for
-    // BOTH endpoints where neither entry is itself new (those wedges
-    // are already generated by the new_idx paths).
-    for (a, b, _) in &new_edges {
-        let (la, lb) = (rev.apexes(*a), rev.apexes(*b));
-        let (mut i, mut j) = (0, 0);
-        while i < la.len() && j < lb.len() {
-            match la[i].cmp(&lb[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let p = la[i];
-                    i += 1;
-                    j += 1;
-                    if new_targets
-                        .get(&p)
-                        .is_some_and(|s| s.contains(a) || s.contains(b))
-                    {
-                        continue;
+            let (ia, ib) = (idx_of(vertices, a), idx_of(vertices, b));
+            if admit.is_none() {
+                for (vertex, i) in [(a, ia), (b, ib)] {
+                    if i.is_none() {
+                        return Err(GraphError::UnknownVertex { vertex });
                     }
-                    let adj = &vertices[idx_of(vertices, p).expect("apex exists")].adj;
-                    let pos = |t: u64| {
-                        let k = key_after(vertices, t);
-                        adj.binary_search_by(|e| e.key.cmp(&k))
-                            .expect("closing entry present") as u32
-                    };
-                    let (ia, ib) = (pos(*a), pos(*b));
-                    let pair = (ia.min(ib), ia.max(ib));
-                    apexes.entry(p).or_default().closing.push(pair);
+                }
+            }
+            if !seen.insert((a, b)) {
+                continue; // within-batch duplicate: first occurrence wins
+            }
+            if let (Some(ia), Some(ib)) = (ia, ib) {
+                if edge_present(&vertices[ia], &vertices[ib]) {
+                    continue; // already stored: the earlier edge's metadata wins
+                }
+            }
+            new_edges.push((a, b, em));
+        }
+        if new_edges.is_empty() {
+            return Ok(staged);
+        }
+
+        // ---- 2. New degrees and keys of touched vertices. ----------
+        // Degrees only grow, so every touched key strictly grows. The
+        // patch map starts as (new key, old d+) of each touched vertex;
+        // steps 3 and 4 move the d+ half.
+        let mut inc: FastMap<u64, u64> = FastMap::default();
+        for &(a, b, _) in &new_edges {
+            *inc.entry(a).or_insert(0) += 1;
+            *inc.entry(b).or_insert(0) += 1;
+        }
+        let mut inc: Vec<(u64, u64)> = inc.into_iter().collect();
+        inc.sort_unstable();
+        // Indices of the touched vertices that already have a record.
+        let mut stored: Vec<usize> = Vec::new();
+        for (t, grown) in inc {
+            let at = idx_of(vertices, t);
+            let (degree, dplus) = at.map_or((0, 0), |i| (vertices[i].degree, vertices[i].dplus()));
+            let key = OrderKey::new(t, degree + grown);
+            match at {
+                Some(i) => stored.push(i),
+                None => {
+                    let vm_fn = admit.expect("strict mode validated every endpoint");
+                    staged.brand_new.push(LocalVertex {
+                        id: t,
+                        degree: key.degree,
+                        key,
+                        meta: vm_fn(t),
+                        adj: Vec::new(),
+                    });
+                }
+            }
+            staged.touched.push((t, key));
+            staged.patch.insert(t, (key, dplus));
+        }
+        let patch = &mut staged.patch;
+        let mut changes: FastMap<u64, EntryChanges<VM, EM>> = FastMap::default();
+        fn change_of<VM, EM>(
+            changes: &mut FastMap<u64, EntryChanges<VM, EM>>,
+            id: u64,
+        ) -> &mut EntryChanges<VM, EM> {
+            changes.entry(id).or_insert_with(|| EntryChanges {
+                id,
+                removed: Vec::new(),
+                added: Vec::new(),
+            })
+        }
+
+        // ---- 3. Orientation flips out of touched vertices. ---------
+        // A stored edge t→w flips to w→t iff t's grown key overtakes
+        // w's (possibly also grown) key. The reverse never happens: an
+        // edge stored at an untouched u points at keys that only grow
+        // further away. An untouched w enters the patch map here, with
+        // the key and d+ its entry at t carries. (Added entries get
+        // their `key` / `dplus_v` once the map is final.)
+        for &it in &stored {
+            let t = &vertices[it];
+            let kt = patch[&t.id].0;
+            for e in &t.adj {
+                let kw = patch.get(&e.v).map_or(e.key, |p| p.0);
+                if kt > kw {
+                    change_of(&mut changes, t.id).removed.push(e.v);
+                    change_of(&mut changes, e.v).added.push(AdjEntry {
+                        v: t.id,
+                        key: kt,
+                        dplus_v: 0,
+                        em: e.em.clone(),
+                        vm: t.meta.clone(),
+                    });
+                    patch.get_mut(&t.id).expect("touched").1 -= 1;
+                    patch.entry(e.v).or_insert((e.key, e.dplus_v)).1 += 1;
                 }
             }
         }
-    }
-    for ap in apexes.values_mut() {
-        ap.closing.sort_unstable();
+
+        // ---- 4. Orient and stage the new edges. --------------------
+        for (a, b, em) in new_edges {
+            let (src, dst) = if patch[&a].0 < patch[&b].0 {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            let vm = match idx_of(vertices, dst) {
+                Some(i) => vertices[i].meta.clone(),
+                None => {
+                    let new = &staged.brand_new;
+                    let i = new.binary_search_by_key(&dst, |v| v.id);
+                    new[i.expect("unknown endpoints were staged")].meta.clone()
+                }
+            };
+            change_of(&mut changes, src).added.push(AdjEntry {
+                v: dst,
+                key: patch[&dst].0,
+                dplus_v: 0,
+                em: em.clone(),
+                vm,
+            });
+            patch.get_mut(&src).expect("touched").1 += 1;
+            staged.new_targets.entry(src).or_default().insert(dst);
+            staged.new_edges.push((a, b));
+        }
+
+        // ---- 5. Final d+ of every added entry's target. ------------
+        staged.changes = changes.into_values().collect();
+        staged.changes.sort_unstable_by_key(|c| c.id);
+        for e in staged.changes.iter_mut().flat_map(|c| &mut c.added) {
+            e.dplus_v = patch[&e.v].1;
+        }
+        Ok(staged)
     }
 
-    Ok(BatchDelta {
-        new_edges: new_edges.into_iter().map(|(a, b, _)| (a, b)).collect(),
-        new_vertices: brand_new,
-        apexes,
-    })
+    /// True when the batch contributes nothing (all edges were
+    /// duplicates or self-loops): committing it changes no storage.
+    pub fn is_empty(&self) -> bool {
+        self.new_edges.is_empty()
+    }
+
+    /// Writes the staged batch into `vertices` — which must hold exactly
+    /// what the batch was staged against — and `rev` (steps 6–9 of the
+    /// module docs), and derives the delta-wedge plan.
+    pub fn commit(
+        self,
+        vertices: &mut Vec<LocalVertex<VM, EM>>,
+        rev: &mut ReverseIndex,
+    ) -> BatchDelta {
+        let StagedBatch {
+            new_edges,
+            brand_new,
+            touched,
+            patch,
+            changes,
+            new_targets,
+        } = self;
+        if new_edges.is_empty() {
+            return BatchDelta::default();
+        }
+
+        // ---- 6. Admit the brand-new vertex records. ----------------
+        let new_vertices: Vec<u64> = brand_new.iter().map(|v| v.id).collect();
+        if !brand_new.is_empty() {
+            vertices.extend(brand_new);
+            vertices.sort_by_key(|v| v.id);
+        }
+
+        // ---- 7. Maintain the reverse index. ------------------------
+        for c in &changes {
+            for &target in &c.removed {
+                rev.remove(target, c.id);
+            }
+            for e in &c.added {
+                rev.insert(e.v, c.id);
+            }
+        }
+
+        // ---- 8. One sweep over every record. -----------------------
+        // The list, `touched` and `changes` all ascend by id, so the
+        // two cursors find their records without a lookup.
+        let mut touched = touched.into_iter().peekable();
+        let mut changes = changes.into_iter().peekable();
+        // Re-annotates one entry; true when its key moved.
+        let repatch = |e: &mut AdjEntry<VM, EM>| match patch.get(&e.v) {
+            Some(&(key, dplus)) => {
+                let moved = e.key != key;
+                e.key = key;
+                e.dplus_v = dplus;
+                moved
+            }
+            None => false,
+        };
+        for lv in vertices.iter_mut() {
+            if let Some((_, key)) = touched.next_if(|t| t.0 == lv.id) {
+                lv.degree = key.degree;
+                lv.key = key;
+            }
+            let resort = match changes.next_if(|c| c.id == lv.id) {
+                None => {
+                    let mut moved = false;
+                    for e in &mut lv.adj {
+                        moved |= repatch(e);
+                    }
+                    // Keys only grow: most moves keep the order.
+                    moved && !lv.adj.is_sorted_by_key(|e| e.key)
+                }
+                Some(c) => {
+                    let mut out = c.removed.iter().peekable();
+                    lv.adj.retain_mut(|e| {
+                        let stays = out.next_if_eq(&&e.v).is_none();
+                        if stays {
+                            repatch(e);
+                        }
+                        stays
+                    });
+                    debug_assert!(out.peek().is_none(), "flip-outs of {}", lv.id);
+                    lv.adj.reserve_exact(c.added.len());
+                    lv.adj.extend(c.added);
+                    true
+                }
+            };
+            if resort {
+                // The builder's canonical entry order; keys are
+                // distinct within a record, so unstable is exact.
+                lv.adj.sort_unstable_by_key(|e| e.key);
+            }
+            debug_assert!(
+                patch.get(&lv.id).is_none_or(|p| p.1 == lv.dplus()),
+                "d+ of {}",
+                lv.id
+            );
+        }
+        debug_assert!(touched.peek().is_none() && changes.peek().is_none());
+
+        // ---- 9. Derive the delta-wedge plan. -----------------------
+        let mut apexes: FastMap<u64, ApexDelta> = FastMap::default();
+        for (&p, targets) in &new_targets {
+            let adj = &vertices[idx_of(vertices, p).expect("apex exists")].adj;
+            let new_idx: Vec<u32> = adj
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| targets.contains(&e.v))
+                .map(|(i, _)| i as u32)
+                .collect();
+            debug_assert_eq!(new_idx.len(), targets.len(), "new entries of {p}");
+            apexes.entry(p).or_default().new_idx = new_idx;
+        }
+        // Wedges closed by a new edge {a, b}: apexes storing entries for
+        // BOTH endpoints where neither entry is itself new (those wedges
+        // are already generated by the new_idx paths).
+        for (a, b) in &new_edges {
+            // One endpoint is often a hub everyone points at: probe the
+            // longer apex list from the shorter one.
+            let (la, lb) = (rev.apexes(*a), rev.apexes(*b));
+            let (short, long) = if la.len() <= lb.len() {
+                (la, lb)
+            } else {
+                (lb, la)
+            };
+            for &p in short {
+                if long.binary_search(&p).is_err()
+                    || new_targets
+                        .get(&p)
+                        .is_some_and(|s| s.contains(a) || s.contains(b))
+                {
+                    continue;
+                }
+                let adj = &vertices[idx_of(vertices, p).expect("apex exists")].adj;
+                let pos = |t: u64| {
+                    let k = patch[&t].0;
+                    adj.binary_search_by(|e| e.key.cmp(&k))
+                        .expect("closing entry present") as u32
+                };
+                let (ia, ib) = (pos(*a), pos(*b));
+                let pair = (ia.min(ib), ia.max(ib));
+                apexes.entry(p).or_default().closing.push(pair);
+            }
+        }
+        for ap in apexes.values_mut() {
+            ap.closing.sort_unstable();
+        }
+
+        BatchDelta {
+            new_edges,
+            new_vertices,
+            apexes,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 //! 1. **Storage**: after `ResidentGraph::ingest_batch` the resident
 //!    DODGr storage — and therefore every full survey of it — is
 //!    bit-identical to a from-scratch build + survey of the
-//!    concatenated prefix: same counts, same metadata seen by every
-//!    callback (checksummed), same merged [`KernelStats`] counters,
-//!    across engine × ranks {1,2,4,7} × rpn {1,2} × Serial/Threads(4).
+//!    concatenated prefix: the same snapshot bytes, and same counts,
+//!    same metadata seen by every callback (checksummed), same merged
+//!    [`KernelStats`] counters, across engine × ranks {1,2,4,7} ×
+//!    rpn {1,2} × Serial/Threads(4).
 //! 2. **Surveys**: the delta survey of each batch, merged additively
 //!    into a running [`SurveyDelta`], equals the full survey of the
 //!    prefix: `full(G ∪ B) == full(G) + delta(G, B)` for the count,
@@ -21,15 +22,18 @@
 //!
 //! Hostile cases ride along: empty first batches, batches referencing
 //! unknown vertices under strict ingest (structured error, graph
-//! untouched), ingest after a snapshot restart, concurrent queries
-//! racing an ingest (old or new graph, never torn), and a proptest
+//! untouched), a `vm_fn` that panics mid-batch (graph untouched and
+//! still usable), ingest after a snapshot restart, a query held in
+//! flight across an ingest (it keeps the graph it started on),
+//! concurrent queries racing an ingest (old or new graph, never torn),
+//! and a proptest
 //! sweep over random partitions of random edge lists (duplicates and
 //! self-loops included) converging to the one-shot survey.
 
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use proptest::prelude::*;
 use tripoll::core::{
@@ -271,6 +275,11 @@ fn batch_split_differential_oracle() {
                 assert_eq!(delta.epoch(), bi as u64 + 1);
                 prefix.extend(batch.iter().cloned());
                 let plist = EdgeList::from_vec(prefix.clone());
+                let oneshot = ResidentGraph::build(&plist, vm_of, Partition::Hashed);
+                assert!(
+                    resident.snapshot_bytes(3) == oneshot.snapshot_bytes(3),
+                    "storage != from-scratch storage [{gname} k={k} batch={bi}]"
+                );
                 // Rotating slice of the matrix per batch; a full sweep
                 // on the final prefix of the 5-way split (the final
                 // prefixes of all splits are the same graph).
@@ -417,16 +426,121 @@ fn ingest_after_snapshot_load_is_exact() {
         ResidentGraph::<String, String>::from_snapshot_bytes(&first.snapshot_bytes(3)).unwrap();
     let delta = restored.ingest_batch_with(&edges[half..], vm_of).unwrap();
     assert_eq!(delta.epoch(), 1, "restored graph restarts its epochs");
+    // One step further: the grown graph goes through a snapshot too.
+    let again =
+        ResidentGraph::<String, String>::from_snapshot_bytes(&restored.snapshot_bytes(2)).unwrap();
     let plist = EdgeList::from_vec(edges);
+    let oneshot = ResidentGraph::build(&plist, vm_of, Partition::Hashed);
+    assert!(
+        again.snapshot_bytes(3) == oneshot.snapshot_bytes(3),
+        "snapshot+ingest+snapshot storage != from-scratch storage"
+    );
     for (nranks, mode) in [(2, EngineMode::PushOnly), (4, EngineMode::PushPull)] {
         let q = query(nranks, mode, 2, Parallelism::Threads(4));
         let reference = run_direct(&plist, nranks, mode, q.config, q.comm.clone(), vm_of);
-        assert_eq!(
-            run_resident(&restored, &q),
-            reference,
-            "snapshot+ingest != from-scratch [{mode} n={nranks}]"
+        for (name, graph) in [("ingest", &restored), ("ingest+snapshot", &again)] {
+            assert_eq!(
+                run_resident(graph, &q),
+                reference,
+                "snapshot+{name} != from-scratch [{mode} n={nranks}]"
+            );
+        }
+    }
+}
+
+/// Hostile: a `vm_fn` that panics on one of the batch's new vertices —
+/// whichever one — leaves storage and epoch exactly as they were, and
+/// the same graph then ingests the batch and answers queries.
+#[test]
+fn panicking_vm_fn_leaves_the_graph_untouched() {
+    let edges = labeled(random_edges());
+    let resident =
+        ResidentGraph::build(&EdgeList::from_vec(edges.clone()), vm_of, Partition::Hashed);
+    let before = resident.snapshot_bytes(2);
+    let batch = labeled(vec![
+        (0, 100),
+        (100, 101),
+        (101, 1),
+        (5, 102),
+        (102, 0),
+        (3, 9),
+    ]);
+    for bad in [100u64, 101, 102] {
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            resident.ingest_batch_with(&batch, |v| {
+                assert_ne!(v, bad, "injected vm_fn failure");
+                vm_of(v)
+            })
+        }));
+        assert!(attempt.is_err(), "the injected panic reaches the caller");
+        assert_eq!(resident.epoch(), 0, "failed ingest leaves the epoch");
+        assert!(
+            resident.snapshot_bytes(2) == before,
+            "failed ingest leaves the storage [vm_fn panics on {bad}]"
         );
     }
+    let delta = resident.ingest_batch_with(&batch, vm_of).unwrap();
+    assert_eq!(delta.epoch(), 1);
+    let mut all = edges;
+    all.extend(batch);
+    let q = query(2, EngineMode::PushPull, 1, Parallelism::Serial);
+    let reference = run_direct(
+        &EdgeList::from_vec(all),
+        2,
+        EngineMode::PushPull,
+        q.config,
+        q.comm.clone(),
+        vm_of,
+    );
+    assert_eq!(run_resident(&resident, &q), reference);
+}
+
+/// A query in flight when a batch lands keeps the graph it started on
+/// (the ingest writes a copy); the next query sees the batch.
+#[test]
+fn query_in_flight_across_an_ingest_keeps_its_graph() {
+    let edges = labeled(random_edges());
+    let half = edges.len() / 2;
+    let resident = ResidentGraph::build(
+        &EdgeList::from_vec(edges[..half].to_vec()),
+        vm_of,
+        Partition::Hashed,
+    );
+    let q = query(2, EngineMode::PushOnly, 1, Parallelism::Serial);
+    let before = resident.triangle_count(&q);
+    // Every rank and the ingesting thread meet twice: once the query's
+    // world is up, and again once the batch is in.
+    let started = Barrier::new(q.nranks + 1);
+    let ingested = Barrier::new(q.nranks + 1);
+    let in_flight = std::thread::scope(|s| {
+        let query_thread = s.spawn(|| {
+            resident.run(&q, |comm, g| {
+                started.wait();
+                ingested.wait();
+                let count = Rc::new(Cell::new(0u64));
+                let c2 = count.clone();
+                survey_push_only_with(
+                    comm,
+                    g,
+                    q.config,
+                    move |_: &Comm, _: &TriangleMeta<'_, String, String>| c2.set(c2.get() + 1),
+                );
+                comm.all_reduce_sum(count.get())
+            })
+        });
+        started.wait();
+        resident
+            .ingest_batch_with(&edges[half..], vm_of)
+            .expect("ingest under a query in flight succeeds");
+        ingested.wait();
+        query_thread.join().expect("query thread panicked")
+    });
+    let after = resident.triangle_count(&q);
+    assert_ne!(before, after, "the batch adds triangles");
+    assert_eq!(in_flight, vec![before; q.nranks], "in-flight query");
+    let oneshot = ResidentGraph::build(&EdgeList::from_vec(edges), vm_of, Partition::Hashed);
+    assert_eq!(after, oneshot.triangle_count(&q), "query after the ingest");
+    assert!(resident.snapshot_bytes(2) == oneshot.snapshot_bytes(2));
 }
 
 /// Hostile: queries racing an ingest must observe some complete graph
@@ -525,6 +639,10 @@ proptest! {
         let oneshot =
             ResidentGraph::build(&EdgeList::from_vec(all), vm_num, Partition::Hashed);
         prop_assert_eq!(resident.num_vertices(), oneshot.num_vertices());
+        prop_assert!(
+            resident.snapshot_bytes(2) == oneshot.snapshot_bytes(2),
+            "storage != one-shot storage"
+        );
         for (nranks, mode) in [(2usize, EngineMode::PushOnly), (3, EngineMode::PushPull)] {
             let q = query(nranks, mode, 1, Parallelism::Serial);
             prop_assert_eq!(

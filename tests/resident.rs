@@ -13,6 +13,7 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tripoll::core::{
@@ -22,6 +23,7 @@ use tripoll::core::{
 use tripoll::graph::snapshot::{encode_snapshot, SNAPSHOT_MAGIC};
 use tripoll::graph::{build_dist_graph, EdgeList, Partition, SnapshotError};
 use tripoll::ygm::hash::hash64;
+use tripoll::ygm::wire::{Wire, WireError, WireReader};
 use tripoll::ygm::{Comm, CommConfig, World};
 
 /// One run's observable outcome: global triangle count, global
@@ -348,4 +350,69 @@ fn snapshot_differential_hostile_bytes_never_panic() {
         // structured error — both fine; a panic fails the test.
         let _ = ResidentGraph::<String, String>::from_snapshot_bytes(&m);
     }
+}
+
+/// Vertex metadata whose every clone is counted.
+#[derive(Debug)]
+struct CountedMeta(u64);
+
+static META_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+impl Clone for CountedMeta {
+    fn clone(&self) -> Self {
+        META_CLONES.fetch_add(1, Ordering::Relaxed);
+        CountedMeta(self.0)
+    }
+}
+
+impl Wire for CountedMeta {
+    const MIN_ENCODED_BYTES: usize = u64::MIN_ENCODED_BYTES;
+
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        u64::decode(r).map(CountedMeta)
+    }
+}
+
+/// Copy guard (the storage-side twin of `build_traffic_is_chunked`):
+/// sharding the resident graph for a new world size copies no vertex,
+/// and an ingest copies in proportion to its batch, not to the graph.
+#[test]
+fn resharding_shares_storage_and_ingest_copies_per_batch() {
+    const N: u64 = 2_048;
+    let edges: Vec<(u64, u64, u32)> = (0..N)
+        .flat_map(|i| [(i, (i + 1) % N, 1), (i, (i * 7 + 3) % N, 2)])
+        .collect();
+    let resident = ResidentGraph::build(&EdgeList::from_vec(edges), CountedMeta, Partition::Hashed);
+    assert!(resident.num_vertices() >= 2_000);
+    let reshard = || {
+        for nranks in [1usize, 2, 4] {
+            let owned = resident.run(&ResidentQuery::new(nranks), |_c, g| g.shard().len());
+            assert_eq!(owned.iter().sum::<usize>(), resident.num_vertices());
+        }
+    };
+
+    let built = META_CLONES.load(Ordering::Relaxed);
+    reshard();
+    let resharded = META_CLONES.load(Ordering::Relaxed);
+    assert_eq!(resharded - built, 0, "re-sharding cloned vertex metadata");
+
+    // Eight new edges, every other one to a new vertex. Each stored entry a
+    // batch creates — a new edge, or an old one it re-orients — clones
+    // its target's metadata once.
+    let batch: Vec<(u64, u64, u32)> = (0..8)
+        .map(|i| (i * 200, i * 200 + 100 + i % 2 * N, 3))
+        .collect();
+    let delta = resident.ingest_batch_with(&batch, CountedMeta).unwrap();
+    assert_eq!(delta.new_edges().len(), batch.len());
+    reshard();
+    let ingested = META_CLONES.load(Ordering::Relaxed) - resharded;
+    assert!(
+        ingested <= 16 * batch.len(),
+        "an {}-edge batch cloned vertex metadata {ingested} times",
+        batch.len()
+    );
 }
