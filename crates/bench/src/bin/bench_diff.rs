@@ -7,13 +7,11 @@
 //! Compares the deterministic perf proxies of a fresh bench run against
 //! the committed baseline and exits non-zero on a regression:
 //!
-//! * `recv_path.cursor` allocs-per-batch — the zero-copy receive
-//!   property of the interleaved cursor decoders;
-//! * `batch_layout.columnar` decode allocs-per-batch — the zero-alloc
-//!   invariant of the production columnar recv path (a zero baseline
-//!   means **any** allocation fails, not a percentage);
+//! * `batch_layout.columnar` decode allocs-per-batch — the zero-copy
+//!   receive property of the production path (a zero baseline means
+//!   **any** allocation fails, not a percentage);
 //! * `batch_layout.columnar` bytes-per-candidate — the communication
-//!   volume the SoA layout exists to shrink;
+//!   volume of the wedge-batch frame;
 //! * `intersect_kernel.compares_per_candidate` — the Auto kernel's
 //!   deterministic key-compare count per candidate, summed over the
 //!   fixed skew points (balanced, 10:1, 1000:1 and its reverse) — the
@@ -46,7 +44,7 @@
 //! compare counters are deterministic.
 //!
 //! The parser is a minimal scraper for the known
-//! `tripoll-bench-micro/v9` schema (the container vendors no JSON
+//! `tripoll-bench-micro/v10` schema (the container vendors no JSON
 //! crate); a baseline predating a gated section passes with a notice so
 //! a gate can be adopted in the same change that introduces its
 //! section.
@@ -72,18 +70,6 @@ fn number_after(s: &str, key: &str) -> Option<f64> {
     t[..end].parse().ok()
 }
 
-/// Extracts `recv_path.cursor` allocs-per-batch from one report.
-fn recv_allocs_per_batch(json: &str) -> Option<f64> {
-    let recv = after_key(json, "recv_path")?;
-    let batches = number_after(recv, "batches")?;
-    let cursor = after_key(recv, "cursor")?;
-    let allocs = number_after(cursor, "allocs")?;
-    if batches <= 0.0 {
-        return None;
-    }
-    Some(allocs / batches)
-}
-
 /// Extracts `batch_layout.columnar` decode allocs-per-batch.
 fn columnar_decode_allocs_per_batch(json: &str) -> Option<f64> {
     let layout = after_key(json, "batch_layout")?;
@@ -105,22 +91,11 @@ fn columnar_bytes_per_candidate(json: &str) -> Option<f64> {
 
 /// Extracts `intersect_kernel.compares_per_candidate` (the Auto
 /// kernel's deterministic summary, first field of its section; the
-/// per-kernel skew entries use a distinct key — and the quoted-needle
-/// match keeps `simd_compares_per_candidate` from aliasing — so this
-/// scrape cannot drift onto them).
+/// per-kernel skew entries use a distinct key, so this scrape cannot
+/// drift onto them).
 fn kernel_compares_per_candidate(json: &str) -> Option<f64> {
     let section = after_key(json, "intersect_kernel")?;
     number_after(section, "compares_per_candidate")
-}
-
-/// Extracts `intersect_kernel.simd_compares_per_candidate` — the SIMD
-/// kernel's deterministic wide-compare count per candidate, summed
-/// over the fixed skew points. Backend-independent by construction
-/// (one compare per probe group whether AVX2, SSE2 or SWAR ran), so
-/// it gates cleanly on heterogeneous CI hardware.
-fn simd_compares_per_candidate(json: &str) -> Option<f64> {
-    let section = after_key(json, "intersect_kernel")?;
-    number_after(section, "simd_compares_per_candidate")
 }
 
 /// Extracts `parallel_dispatch.parallel_compares_per_candidate` — the
@@ -235,12 +210,6 @@ fn main() -> ExitCode {
 
     let ok = [
         gate(
-            "recv-path candidate-list allocs/batch",
-            recv_allocs_per_batch(&baseline),
-            recv_allocs_per_batch(&fresh),
-            new_path,
-        ),
-        gate(
             "columnar recv-path allocs/batch",
             columnar_decode_allocs_per_batch(&baseline),
             columnar_decode_allocs_per_batch(&fresh),
@@ -256,12 +225,6 @@ fn main() -> ExitCode {
             "intersect-kernel compares/candidate",
             kernel_compares_per_candidate(&baseline),
             kernel_compares_per_candidate(&fresh),
-            new_path,
-        ),
-        gate(
-            "simd-kernel compares/candidate",
-            simd_compares_per_candidate(&baseline),
-            simd_compares_per_candidate(&fresh),
             new_path,
         ),
         gate_exact(
@@ -303,22 +266,19 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"{
-  "schema": "tripoll-bench-micro/v4",
-  "recv_path": {
+  "schema": "tripoll-bench-micro/v10",
+  "push_path": {
     "batches": 4096,
-    "materialized": {"allocs": 4096, "allocs_per_batch": 1.0},
-    "cursor": {"allocs": 0, "allocs_per_batch": 0.0000, "ns_per_batch": 687.1}
+    "materialized": {"allocs": 4096, "ns_per_batch": 700.0, "bytes": 3000000},
+    "encode_once": {"allocs": 0, "ns_per_batch": 500.0, "bytes": 3000000}
   },
   "batch_layout": {
     "batches": 4096,
     "candidates_per_batch": 64,
-    "interleaved": {"bytes": 3203072, "bytes_per_candidate": 12.219, "decode_allocs": 0},
-    "columnar": {"bytes": 2953216, "bytes_per_candidate": 11.266, "encode_allocs": 0, "decode_allocs": 0, "decode_allocs_per_batch": 0.0000, "decode_scalar_walk_ns_per_batch": 900.0, "decode_scalar_walk_allocs": 0},
-    "bytes_reduction_pct": 7.8
+    "columnar": {"bytes": 2953216, "bytes_per_candidate": 11.266, "encode_allocs": 0, "decode_allocs": 0, "decode_allocs_per_batch": 0.0000, "decode_scalar_walk_ns_per_batch": 900.0, "decode_scalar_walk_allocs": 0}
   },
   "intersect_kernel": {
     "compares_per_candidate": 3.75,
-    "simd_compares_per_candidate": 1.25,
     "block_len": 32,
     "skews": [
       {"skew": "balanced", "left": 4096, "right": 4096, "scalar": {"ns_per_candidate": 4.1, "kernel_compares_per_candidate": 2.0, "allocs": 0, "matches_per_iter": 2048}, "auto": {"ns_per_candidate": 3.0, "kernel_compares_per_candidate": 2.1, "allocs": 0, "matches_per_iter": 2048}}
@@ -365,13 +325,7 @@ mod tests {
 }"#;
 
     #[test]
-    fn extracts_cursor_allocs() {
-        assert_eq!(recv_allocs_per_batch(SAMPLE), Some(0.0));
-    }
-
-    #[test]
     fn missing_section_is_none() {
-        assert_eq!(recv_allocs_per_batch("{\"schema\": \"v1\"}"), None);
         assert_eq!(
             columnar_decode_allocs_per_batch("{\"schema\": \"v1\"}"),
             None
@@ -387,35 +341,17 @@ mod tests {
     }
 
     #[test]
-    fn extracts_simd_compares() {
-        // The quoted-needle match keeps the two summary keys apart
-        // even though one is a suffix of the other.
-        assert_eq!(simd_compares_per_candidate(SAMPLE), Some(1.25));
-        assert_eq!(simd_compares_per_candidate("{\"schema\": \"v1\"}"), None);
-        // A baseline predating the metric (this sample without the
-        // key) must scrape as None, the adoption path.
-        let pre = SAMPLE.replace("    \"simd_compares_per_candidate\": 1.25,\n", "");
-        assert_eq!(simd_compares_per_candidate(&pre), None);
-        assert_eq!(kernel_compares_per_candidate(&pre), Some(3.75));
-    }
-
-    #[test]
     fn nonzero_allocs_extracted() {
-        let s = SAMPLE.replace("\"allocs\": 0,", "\"allocs\": 2048,");
-        assert_eq!(recv_allocs_per_batch(&s), Some(0.5));
+        // The decode count, not the encode count beside it nor the
+        // push-path section's `allocs` before it.
+        let s = SAMPLE.replace("\"decode_allocs\": 0,", "\"decode_allocs\": 2048,");
+        assert_eq!(columnar_decode_allocs_per_batch(&s), Some(0.5));
     }
 
     #[test]
     fn extracts_columnar_metrics() {
         assert_eq!(columnar_decode_allocs_per_batch(SAMPLE), Some(0.0));
         assert_eq!(columnar_bytes_per_candidate(SAMPLE), Some(11.266));
-        // The interleaved object's decode_allocs must not shadow the
-        // columnar one.
-        let s = SAMPLE.replace(
-            "\"bytes_per_candidate\": 11.266, \"encode_allocs\": 0, \"decode_allocs\": 0",
-            "\"bytes_per_candidate\": 11.266, \"encode_allocs\": 0, \"decode_allocs\": 4096",
-        );
-        assert_eq!(columnar_decode_allocs_per_batch(&s), Some(1.0));
     }
 
     #[test]
@@ -467,8 +403,7 @@ mod tests {
         assert_eq!(delta_bytes_per_candidate(SAMPLE), Some(9.125));
         assert_eq!(delta_bytes_per_candidate("{\"schema\": \"v1\"}"), None);
         // A baseline predating the section scrapes as None — the
-        // adoption path for the gate introduced with the section
-        // (exactly how a committed v8 baseline passes a v9 run).
+        // adoption path for the gate introduced with the section.
         let pre = &SAMPLE[..SAMPLE.find("\"incremental_ingest\"").unwrap()];
         assert_eq!(delta_bytes_per_candidate(pre), None);
         assert_eq!(snapshot_bytes(pre), Some(44374.0));

@@ -35,15 +35,13 @@ use std::rc::Rc;
 
 use tripoll_graph::ingest::{ApexDelta, BatchDelta};
 use tripoll_graph::{AdjEntry, DistGraph};
-use tripoll_ygm::wire::{encode_seq, Wire};
-use tripoll_ygm::Comm;
+use tripoll_ygm::wire::Wire;
+use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{EngineMode, PhaseTimer, SurveyConfig, SurveyReport};
 use crate::meta::SurveyCallback;
 use crate::par::par_queue_for;
-use crate::push_common::{
-    encode_candidate, encode_candidate_columns, register_push_handler, DynCallback, PushHandler,
-};
+use crate::push_common::{encode_candidate_columns, register_push_handler, DynCallback, PushMsg};
 
 /// Runs a delta survey for one ingested batch: `callback` executes once
 /// per triangle that involves at least one edge of the batch, on the
@@ -112,7 +110,7 @@ fn push_delta_wedges<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     plan: &BatchDelta,
-    handler: &PushHandler<VM, EM>,
+    handler: &Handler<PushMsg<VM, EM>>,
 ) where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
@@ -141,30 +139,17 @@ fn push_delta_wedges<VM, EM>(
             if ap.new_idx.binary_search(&iu).is_ok() {
                 // New source edge: every wedge through it is new.
                 let suffix = &lv.adj[i + 1..];
-                match handler {
-                    PushHandler::Interleaved(h) => comm.send_encoded(
-                        dest,
-                        h,
-                        (
-                            lv.id,
-                            e.v,
-                            &lv.meta,
-                            &e.em,
-                            encode_seq(suffix, |s, buf| encode_candidate(s, buf)),
-                        ),
+                comm.send_encoded(
+                    dest,
+                    handler,
+                    (
+                        lv.id,
+                        e.v,
+                        &lv.meta,
+                        &e.em,
+                        encode_candidate_columns(suffix),
                     ),
-                    PushHandler::Columnar(h) => comm.send_encoded(
-                        dest,
-                        h,
-                        (
-                            lv.id,
-                            e.v,
-                            &lv.meta,
-                            &e.em,
-                            encode_candidate_columns(suffix),
-                        ),
-                    ),
-                }
+                );
                 continue;
             }
             // Old source edge: gather the new entries past i and the
@@ -199,30 +184,17 @@ fn push_delta_wedges<VM, EM>(
                 };
                 scratch.push(lv.adj[idx as usize].clone());
             }
-            match handler {
-                PushHandler::Interleaved(h) => comm.send_encoded(
-                    dest,
-                    h,
-                    (
-                        lv.id,
-                        e.v,
-                        &lv.meta,
-                        &e.em,
-                        encode_seq(&scratch, |s, buf| encode_candidate(s, buf)),
-                    ),
+            comm.send_encoded(
+                dest,
+                handler,
+                (
+                    lv.id,
+                    e.v,
+                    &lv.meta,
+                    &e.em,
+                    encode_candidate_columns(&scratch),
                 ),
-                PushHandler::Columnar(h) => comm.send_encoded(
-                    dest,
-                    h,
-                    (
-                        lv.id,
-                        e.v,
-                        &lv.meta,
-                        &e.em,
-                        encode_candidate_columns(&scratch),
-                    ),
-                ),
-            }
+            );
         }
     }
 }

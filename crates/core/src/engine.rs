@@ -6,19 +6,38 @@
 //! vertices) against `Adjm+(q)`. Because [`OrderKey`] equality implies
 //! vertex equality, the intersection compares keys and never hashes.
 //!
+//! # One production path, one reference
+//!
+//! A survey is configured by [`SurveyConfig`]: an [`IntersectKernel`]
+//! and a [`Parallelism`]. Candidate batches always cross the wire as
+//! columnar frames ([`tripoll_ygm::wire::encode_columns`]), and there
+//! are exactly two ways a rank consumes them:
+//!
+//! * **Production** ([`IntersectKernel::Auto`], or an explicit
+//!   [`Gallop`] / [`BlockedMerge`]): the frame is decoded in place
+//!   ([`tripoll_ygm::wire::ColCursor`]), [`intersect_col`] walks its
+//!   two key columns, and the metadata column is decoded per element on
+//!   triangle matches only. Inline on the rank thread, or queued to the
+//!   work-stealing pool when [`SurveyConfig::threads`] resolves past
+//!   one (`crate::par`).
+//! * **Reference** ([`IntersectKernel::MergeScalar`]): the frame is
+//!   materialised as an owned [`tripoll_ygm::wire::ColBatch`] and
+//!   intersected by the element-wise two-pointer merge through
+//!   [`intersect_slices`], always inline on the rank thread. It reads
+//!   the same bytes and must emit the same survey; it exists so the
+//!   differential suites (`tests/kernels.rs`) have something
+//!   deliberately naive to compare the production path against, not as
+//!   a tuning choice.
+//!
 //! # Intersection kernels
 //!
-//! *How* the two sorted sides are compared is the third engine
-//! dimension, next to [`BatchLayout`] and [`DecodePath`]: the
-//! [`IntersectKernel`] selected by [`SurveyConfig::kernel`]. All
-//! kernels emit the **identical match sequence** (same pairs, same
-//! callback order — differentially tested in `tests/kernels.rs`); they
-//! differ only in compares and decode cost per candidate:
+//! All kernels emit the **identical match sequence** (same pairs, same
+//! callback order); they differ only in compares and decode cost per
+//! candidate:
 //!
 //! * [`IntersectKernel::MergeScalar`] — the classic element-wise
-//!   two-pointer merge ([`merge_path`] / [`merge_path_stream`]): one
-//!   key compare per pointer step. The reference kernel and the
-//!   differential oracle.
+//!   two-pointer merge ([`merge_path`]): one key compare per pointer
+//!   step.
 //! * [`IntersectKernel::Gallop`] — exponential (galloping) search:
 //!   each key of the smaller side seeks its position in the larger
 //!   side by doubling probes plus a binary search, `O(s·log(L/s))`
@@ -32,45 +51,35 @@
 //!   the merge frontier) skips a whole block of misses, and keys that
 //!   do engage the merge are scanned with a tight advance loop over
 //!   the cache-resident stack run. Separating the varint-decode loop
-//!   from the compare loop is what the columnar wire layout (PR 3)
-//!   exists to enable (Pashanasangi & Seshadhri, arXiv:2106.02762,
-//!   make this locality argument).
-//! * [`IntersectKernel::Simd`] — the blocked merge with its in-block
-//!   scan vectorized: the decoded key lanes are compared against the
-//!   merge frontier in packed groups of
-//!   [`crate::simd::SIMD_GROUP_LANES`] (AVX2 or SSE2
-//!   `core::arch::x86_64` intrinsics behind runtime detection, a
-//!   portable branchless SWAR pass everywhere else — see
-//!   [`crate::simd`]), so a frontier that has passed many left-side
-//!   candidates skips them a group at a time instead of one compare
-//!   each. On the columnar path the key blocks themselves are decoded
-//!   by the SWAR varint cracker
-//!   ([`tripoll_ygm::wire::WireReader::take_varints`]).
+//!   from the compare loop is what the columnar wire layout exists to
+//!   enable (Pashanasangi & Seshadhri, arXiv:2106.02762, make this
+//!   locality argument).
 //! * [`IntersectKernel::Auto`] (production default) — per-batch
 //!   size-ratio heuristic, shape-aware. Over random-access slices
 //!   ([`IntersectKernel::select`]): gallop when either side is at
-//!   least [`GALLOP_RATIO`]× the other (`min·K < max`), the scalar
-//!   blocked merge otherwise. Over a streaming left side that must be
-//!   decoded sequentially regardless
-//!   ([`IntersectKernel::select_streaming`]): gallop only when the
-//!   *right* side is the much larger one (`left·K < right`); a much
-//!   larger left resolves to the blocked merge, whose bulk decode is
-//!   the only win available when decode cost dominates. (The SIMD
-//!   kernel's packed probes measure consistently *behind* the scalar
-//!   blocked merge at the non-gallop shapes — skip runs there are
-//!   about one lane, so every probe group pays setup for no skip —
-//!   hence `Auto` no longer resolves to it; `Simd` remains an
-//!   explicit choice.) Both lengths are known before any element is
-//!   decoded (the batch count rides in the frame header, the local
-//!   adjacency length is in storage), so selection is free and
-//!   deterministic.
+//!   least [`GALLOP_RATIO`]× the other (`min·K < max`), the blocked
+//!   merge otherwise. Over a streaming left side that must be decoded
+//!   sequentially regardless ([`IntersectKernel::select_streaming`]):
+//!   gallop only when the *right* side is the much larger one
+//!   (`left·K < right`); a much larger left resolves to the blocked
+//!   merge, whose bulk decode is the only win available when decode
+//!   cost dominates. Each arm wins somewhere — the gallop does 48×
+//!   fewer compares at 1000:1 hub skew, the blocked merge 20× fewer at
+//!   the pull phase's 1:1000 long-left shape (`BENCH_micro.json`,
+//!   `intersect_kernel`) — which is why the choice is made from the two
+//!   lengths and not left to a knob. Both lengths are known before any
+//!   element is decoded (the batch count rides in the frame header,
+//!   the local adjacency length is in storage), so selection is free
+//!   and deterministic.
 //!
 //! Every kernel tallies deterministic counters ([`KernelStats`]:
 //! compares, candidates, matches, per-kernel dispatch counts) into a
 //! thread-local, read via [`kernel_stats`] / [`kernel_stats_take`] —
 //! the bench harness gates compares-per-candidate on them and the
-//! differential suite cross-checks match counts against the scalar
-//! oracle.
+//! differential suite cross-checks match counts against the reference.
+//!
+//! [`Gallop`]: IntersectKernel::Gallop
+//! [`BlockedMerge`]: IntersectKernel::BlockedMerge
 
 use std::cell::Cell;
 use std::time::Instant;
@@ -99,63 +108,12 @@ impl std::fmt::Display for EngineMode {
     }
 }
 
-/// How the engines decode received wedge batches.
-///
-/// For a fixed [`BatchLayout`] both paths read the same bytes (senders
-/// are identical) and emit identical surveys; they differ only in
-/// receive-side cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecodePath {
-    /// Cursor-decode candidate batches **in place** from the receive
-    /// buffer: zero heap allocation per batch, candidate metadata
-    /// materialized only on triangle matches. The production default.
-    #[default]
-    Cursor,
-    /// Materialize an owned candidate batch before intersecting — the
-    /// materializing reference path, kept for differential testing of
-    /// the cursor decoders.
-    Owned,
-}
-
-/// How wedge-candidate batches are laid out on the wire.
-///
-/// The layout is a collective contract exactly like [`DecodePath`]:
-/// senders and the registered handlers must agree, so every rank runs a
-/// survey with the same value. Layouts differ in bytes (so send-side
-/// traffic fingerprints are only comparable within one layout) but the
-/// surveys they produce are identical — differentially tested in
-/// `tests/decode_paths.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchLayout {
-    /// Structure-of-arrays: three packed columns (vertices, delta-coded
-    /// degrees, metadata), so the merge-path walks only the key columns
-    /// and the metadata column is decoded per element on triangle
-    /// matches alone. Fewer bytes per candidate and the prerequisite
-    /// for a SIMD/blocked merge-path. The production default.
-    #[default]
-    Columnar,
-    /// Array-of-structures: candidates interleaved as
-    /// `(vertex, degree, meta)` tuples — the original wire format,
-    /// retained for differential testing (mirroring
-    /// [`DecodePath::Owned`] on the decode axis).
-    Interleaved,
-}
-
-impl std::fmt::Display for BatchLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchLayout::Columnar => write!(f, "Columnar"),
-            BatchLayout::Interleaved => write!(f, "Interleaved"),
-        }
-    }
-}
-
 /// Which intersection kernel compares the two sorted sides of every
-/// wedge check (see the module docs for the full taxonomy). Purely a
-/// local compute choice: unlike the other two [`SurveyConfig`] axes it
-/// moves no bytes, so any rank could pick independently — it is still
-/// carried in [`SurveyConfig`] so a survey names one reproducible
-/// configuration.
+/// wedge check (see the module docs for the full taxonomy). A local
+/// compute choice — it moves no bytes — with one structural meaning: in
+/// a [`SurveyConfig`], [`MergeScalar`] selects the *reference* receive
+/// path (materialised batch, two-pointer merge, inline) and every other
+/// value the production path.
 ///
 /// All kernels emit the identical match sequence; [`Auto`] resolves
 /// per intersection from the side lengths alone:
@@ -164,7 +122,7 @@ impl std::fmt::Display for BatchLayout {
 /// use tripoll_core::{IntersectKernel, GALLOP_RATIO};
 ///
 /// let auto = IntersectKernel::Auto;
-/// // Balanced random-access sides: the scalar blocked merge.
+/// // Balanced random-access sides: the blocked merge.
 /// assert_eq!(auto.select(1000, 1000), IntersectKernel::BlockedMerge);
 /// // Heavy skew in either direction: gallop into the larger side.
 /// assert_eq!(auto.select(10, 10 * GALLOP_RATIO + 1), IntersectKernel::Gallop);
@@ -177,6 +135,7 @@ impl std::fmt::Display for BatchLayout {
 /// ```
 ///
 /// [`Auto`]: IntersectKernel::Auto
+/// [`MergeScalar`]: IntersectKernel::MergeScalar
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntersectKernel {
     /// Per-batch size-ratio heuristic: [`IntersectKernel::Gallop`] at
@@ -188,31 +147,23 @@ pub enum IntersectKernel {
     /// [`select_streaming`]: IntersectKernel::select_streaming
     #[default]
     Auto,
-    /// Element-wise two-pointer merge — the reference kernel and the
-    /// differential oracle.
+    /// Element-wise two-pointer merge — the reference kernel. A survey
+    /// configured with it runs the reference receive path (see the
+    /// module docs), which the differential suites compare the
+    /// production path against.
     MergeScalar,
     /// Exponential-search seek through the larger side.
     Gallop,
     /// Fixed-size key blocks decoded into stack arrays, intersected
-    /// with branch-light wide compares — the scalar predecessor of
-    /// [`IntersectKernel::Simd`], retained for differential testing
-    /// and as the explicit no-intrinsics choice.
+    /// with branch-light wide compares.
     BlockedMerge,
-    /// The blocked merge with packed lane compares: key blocks are
-    /// bulk-decoded (SWAR varint cracker) and scanned in
-    /// [`crate::simd::SIMD_GROUP_LANES`]-wide groups with runtime-
-    /// detected AVX2/SSE2 intrinsics or the portable SWAR fallback
-    /// ([`crate::simd`]). Match sets and compare counters are
-    /// backend-independent.
-    Simd,
 }
 
 /// Skew ratio at which [`IntersectKernel::Auto`] switches to
 /// galloping.
 ///
 /// The contract is **shape-dependent** — the two dispatch functions
-/// apply the ratio differently, and the asymmetry is deliberate, not
-/// drift (it used to be documented as the symmetric rule only; the
+/// apply the ratio differently, and the asymmetry is deliberate (the
 /// dispatch-count tests below pin both contracts):
 ///
 /// * **Random-access sides** ([`IntersectKernel::select`]):
@@ -237,11 +188,8 @@ impl IntersectKernel {
     /// themselves. **Symmetric** in the side lengths: a skew past
     /// [`GALLOP_RATIO`] in either direction picks the gallop (it can
     /// seek into whichever side is larger); anything milder resolves
-    /// to [`IntersectKernel::BlockedMerge`], which measures ahead of
-    /// the packed-lane [`IntersectKernel::Simd`] variant at balanced
-    /// shapes (skip runs there are ~1 lane, so probe-group setup never
-    /// pays for itself). Deterministic, and both lengths are known up
-    /// front.
+    /// to [`IntersectKernel::BlockedMerge`]. Deterministic, and both
+    /// lengths are known up front.
     #[inline]
     pub fn select(self, left_len: usize, right_len: usize) -> IntersectKernel {
         match self {
@@ -292,14 +240,13 @@ impl std::fmt::Display for IntersectKernel {
             IntersectKernel::MergeScalar => write!(f, "MergeScalar"),
             IntersectKernel::Gallop => write!(f, "Gallop"),
             IntersectKernel::BlockedMerge => write!(f, "BlockedMerge"),
-            IntersectKernel::Simd => write!(f, "Simd"),
         }
     }
 }
 
 /// Intra-rank merge parallelism: how many threads a rank may use to
 /// intersect received wedge batches (the engine's merge path). This is
-/// a *local compute* axis like [`IntersectKernel`]: every setting
+/// a *local compute* choice like [`IntersectKernel`]: every setting
 /// yields bit-identical survey counts, metadata checksums, and merged
 /// [`KernelStats`], because parallel work items are reduced in batch
 /// index order, not completion order (see `docs/ARCHITECTURE.md`,
@@ -362,70 +309,51 @@ impl std::fmt::Display for Parallelism {
     }
 }
 
-/// Per-survey engine configuration: the wire layout of candidate
-/// batches, the receive decode path, the intersection kernel, and the
-/// intra-rank merge parallelism. The first two axes are collective
-/// contracts (same value on every rank); the kernel and thread count
-/// are local compute choices carried alongside them for
-/// reproducibility. The default — [`BatchLayout::Columnar`] decoded by
-/// [`DecodePath::Cursor`], intersected by [`IntersectKernel::Auto`],
-/// threaded per [`Parallelism::Env`] — is the production hot path;
-/// every other combination yields an identical survey and exists for
-/// differential testing.
+/// Per-survey engine configuration: the intersection kernel and the
+/// intra-rank merge parallelism. Neither moves a byte on the wire
+/// (candidate batches are always columnar frames), so both are local
+/// compute choices carried together so a survey names one reproducible
+/// configuration. The default — [`IntersectKernel::Auto`], threaded per
+/// [`Parallelism::Env`] — is the production path;
+/// [`IntersectKernel::MergeScalar`] selects the reference path the
+/// differential suites compare it against (see the module docs), which
+/// is always serial.
 ///
-/// Build one with the chainable `with_*` setters, or pass a bare axis
-/// value anywhere `impl Into<SurveyConfig>` is accepted (the
-/// `survey_*_with` entry points):
+/// Build one with the chainable `with_*` setters, or pass a bare
+/// [`IntersectKernel`] / [`Parallelism`] anywhere
+/// `impl Into<SurveyConfig>` is accepted (the `survey_*_with` entry
+/// points):
 ///
 /// ```
-/// use tripoll_core::{BatchLayout, DecodePath, IntersectKernel, SurveyConfig};
+/// use tripoll_core::{IntersectKernel, Parallelism, SurveyConfig};
 ///
 /// // The production configuration.
 /// let prod = SurveyConfig::new();
-/// assert_eq!(prod.layout, BatchLayout::Columnar);
-/// assert_eq!(prod.decode, DecodePath::Cursor);
 /// assert_eq!(prod.kernel, IntersectKernel::Auto);
+/// assert_eq!(prod.threads, Parallelism::Env);
 ///
-/// // Fix one axis, keep the rest default.
+/// // Fix one field, keep the other default.
 /// let gallop_only = SurveyConfig::new().with_kernel(IntersectKernel::Gallop);
 /// assert_eq!(gallop_only, SurveyConfig::from(IntersectKernel::Gallop));
 ///
-/// // A full differential-test cell.
-/// let cell = SurveyConfig::new()
-///     .with_layout(BatchLayout::Interleaved)
-///     .with_decode(DecodePath::Owned)
-///     .with_kernel(IntersectKernel::MergeScalar);
-/// assert_eq!(cell.layout, BatchLayout::Interleaved);
+/// // The reference the differential suites compare against.
+/// let reference = SurveyConfig::from(IntersectKernel::MergeScalar);
+/// assert_eq!(reference.kernel, IntersectKernel::MergeScalar);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SurveyConfig {
-    /// Wire layout of wedge-candidate batches.
-    pub layout: BatchLayout,
-    /// Receive-side decode strategy.
-    pub decode: DecodePath,
-    /// Intersection kernel for every wedge check.
+    /// Intersection kernel for every wedge check;
+    /// [`IntersectKernel::MergeScalar`] selects the reference path.
     pub kernel: IntersectKernel,
     /// Intra-rank merge parallelism (serial at `threads.resolved() <= 1`).
     pub threads: Parallelism,
 }
 
 impl SurveyConfig {
-    /// The production configuration (columnar batches, cursor decode,
-    /// auto-selected kernel, environment-resolved parallelism).
+    /// The production configuration (auto-selected kernel,
+    /// environment-resolved parallelism).
     pub fn new() -> Self {
         SurveyConfig::default()
-    }
-
-    /// This configuration with the given batch layout.
-    pub fn with_layout(mut self, layout: BatchLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// This configuration with the given decode path.
-    pub fn with_decode(mut self, decode: DecodePath) -> Self {
-        self.decode = decode;
-        self
     }
 
     /// This configuration with the given intersection kernel.
@@ -440,7 +368,7 @@ impl SurveyConfig {
         self
     }
 
-    /// Resolves every environment-dependent axis into an explicit
+    /// Resolves every environment-dependent field into an explicit
     /// value: [`Parallelism::Env`] becomes
     /// `Parallelism::Threads(resolved)`. A resident service pins its
     /// default config once at startup, so later queries never consult
@@ -452,30 +380,16 @@ impl SurveyConfig {
         }
         self
     }
-}
 
-/// A bare decode path selects that path under the default (columnar)
-/// layout.
-impl From<DecodePath> for SurveyConfig {
-    fn from(decode: DecodePath) -> Self {
-        SurveyConfig {
-            decode,
-            ..SurveyConfig::default()
-        }
+    /// Whether this configuration selects the reference receive path
+    /// (materialised batch, two-pointer merge, inline) instead of the
+    /// production one.
+    pub(crate) fn is_reference(self) -> bool {
+        self.kernel == IntersectKernel::MergeScalar
     }
 }
 
-/// A bare layout selects that layout under the default (cursor) decode.
-impl From<BatchLayout> for SurveyConfig {
-    fn from(layout: BatchLayout) -> Self {
-        SurveyConfig {
-            layout,
-            ..SurveyConfig::default()
-        }
-    }
-}
-
-/// A bare kernel selects that kernel under the default layout/decode.
+/// A bare kernel selects that kernel under the default parallelism.
 impl From<IntersectKernel> for SurveyConfig {
     fn from(kernel: IntersectKernel) -> Self {
         SurveyConfig {
@@ -486,7 +400,7 @@ impl From<IntersectKernel> for SurveyConfig {
 }
 
 /// A bare parallelism setting selects that thread count under the
-/// default layout/decode/kernel.
+/// default kernel.
 impl From<Parallelism> for SurveyConfig {
     fn from(threads: Parallelism) -> Self {
         SurveyConfig {
@@ -595,42 +509,6 @@ pub fn merge_path<L, R>(
     }
 }
 
-/// Streaming merge-path: intersects a cursor-produced left sequence
-/// against a `<+`-sorted slice without materializing the left side.
-///
-/// `next` yields left elements in strictly increasing key order (a
-/// [`tripoll_ygm::wire::SeqCursor`] or [`tripoll_ygm::wire::SeqWalk`]
-/// over a sorted candidate list); `on_match` runs for every key-equal
-/// pair and may fail (e.g. a lazy metadata decode). Returns early once
-/// `right` is exhausted — when the left side is a [`SeqCursor`] sharing
-/// a record-framing reader, the caller must then `skip_rest` so the
-/// record boundary stays intact.
-///
-/// [`SeqCursor`]: tripoll_ygm::wire::SeqCursor
-#[inline]
-pub fn merge_path_stream<L, R, E>(
-    mut next: impl FnMut() -> Option<Result<L, E>>,
-    right: &[R],
-    key_l: impl Fn(&L) -> OrderKey,
-    key_r: impl Fn(&R) -> OrderKey,
-    mut on_match: impl FnMut(L, &R) -> Result<(), E>,
-) -> Result<(), E> {
-    let mut b = 0;
-    while b < right.len() {
-        let Some(item) = next() else { break };
-        let l = item?;
-        let kl = key_l(&l);
-        while b < right.len() && key_r(&right[b]) < kl {
-            b += 1;
-        }
-        if b < right.len() && key_r(&right[b]) == kl {
-            on_match(l, &right[b])?;
-            b += 1;
-        }
-    }
-    Ok(())
-}
-
 // --------------------------------------------------------------------
 // Intersection-kernel layer — see the module docs for the taxonomy.
 // --------------------------------------------------------------------
@@ -662,10 +540,6 @@ pub struct KernelStats {
     pub gallop_runs: u64,
     /// Intersections run by the blocked-merge kernel.
     pub blocked_runs: u64,
-    /// Intersections run by the SIMD block-merge kernel. Its counters
-    /// are backend-independent: a wide group probe counts one compare
-    /// whether AVX2, SSE2 or the SWAR fallback executed it.
-    pub simd_runs: u64,
 }
 
 impl KernelStats {
@@ -676,7 +550,6 @@ impl KernelStats {
         scalar_runs: 0,
         gallop_runs: 0,
         blocked_runs: 0,
-        simd_runs: 0,
     };
 }
 
@@ -691,7 +564,6 @@ impl std::ops::AddAssign for KernelStats {
         self.scalar_runs += rhs.scalar_runs;
         self.gallop_runs += rhs.gallop_runs;
         self.blocked_runs += rhs.blocked_runs;
-        self.simd_runs += rhs.simd_runs;
     }
 }
 
@@ -737,7 +609,6 @@ fn record_kernel(resolved: IntersectKernel, compares: u64, candidates: u64, matc
             IntersectKernel::MergeScalar => s.scalar_runs += 1,
             IntersectKernel::Gallop => s.gallop_runs += 1,
             IntersectKernel::BlockedMerge => s.blocked_runs += 1,
-            IntersectKernel::Simd => s.simd_runs += 1,
             IntersectKernel::Auto => unreachable!("Auto resolves before recording"),
         }
         c.set(s);
@@ -790,88 +661,11 @@ fn gallop_seek<R>(
     hi
 }
 
-/// One [`IntersectKernel::Simd`] pass over a decoded key block: the
-/// block's `(degree, tie)` key lanes (SoA stack arrays) are merged
-/// against `right[*b..]`, with left-side lanes the frontier has passed
-/// skipped in packed groups ([`crate::simd::find_ge_lane`]) and the
-/// right side advanced by the usual tight scalar loop (its keys live
-/// inside heterogeneous elements, so there is nothing contiguous to
-/// load wide). `emit(lane, b)` runs per key-equal pair, in increasing
-/// key order; the caller has already performed (and counted) the
-/// whole-block skip check against `bkeys[len - 1]`.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn simd_block_pass<R, E>(
-    backend: crate::simd::SimdBackend,
-    kdeg: &[u64; KEY_BLOCK_LEN],
-    ktie: &[u64; KEY_BLOCK_LEN],
-    len: usize,
-    right: &[R],
-    b: &mut usize,
-    key_r: &impl Fn(&R) -> OrderKey,
-    compares: &mut u64,
-    matches: &mut u64,
-    emit: &mut impl FnMut(usize, usize) -> Result<(), E>,
-) -> Result<(), E> {
-    let mut lane = 0;
-    while lane < len && *b < right.len() {
-        let kl = OrderKey {
-            degree: kdeg[lane],
-            tie: ktie[lane],
-        };
-        // Tight advance on a register-resident key, then one equality
-        // check at the landing spot (as in the scalar blocked merge).
-        while *b < right.len() {
-            *compares += 1;
-            if key_r(&right[*b]) < kl {
-                *b += 1;
-            } else {
-                break;
-            }
-        }
-        if *b >= right.len() {
-            break;
-        }
-        *compares += 1;
-        let frontier = key_r(&right[*b]);
-        if frontier == kl {
-            emit(lane, *b)?;
-            *matches += 1;
-            *b += 1;
-            lane += 1;
-        } else {
-            // frontier > kl: no later right key can match any lane the
-            // frontier has already passed. Peek one lane (skip runs of
-            // length one dominate match-dense regions and need no
-            // packed probe); longer runs are skipped in packed groups
-            // — the scan the scalar blocked merge does lane-by-lane
-            // (two compares per skipped lane) and the SIMD kernel
-            // does SIMD_GROUP_LANES at a time.
-            lane += 1;
-            if lane < len {
-                *compares += 1;
-                if (kdeg[lane], ktie[lane]) < (frontier.degree, frontier.tie) {
-                    lane = crate::simd::find_ge_lane(
-                        backend,
-                        kdeg,
-                        ktie,
-                        lane + 1,
-                        len,
-                        frontier,
-                        compares,
-                    );
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Intersects two `<+`-sorted slices with the selected kernel,
 /// invoking `on_match` for every key-equal pair in increasing key
-/// order — the kernel-dispatching generalization of [`merge_path`]
-/// (which remains the scalar reference). Used by the materializing
-/// (`Owned`) decode paths of both engines.
+/// order — the kernel-dispatching generalization of [`merge_path`].
+/// The reference receive path of both engines runs it with
+/// [`IntersectKernel::MergeScalar`] over a materialised batch.
 pub fn intersect_slices<L, R>(
     kernel: IntersectKernel,
     left: &[L],
@@ -971,56 +765,14 @@ pub fn intersect_slices<L, R>(
                 }
             }
         }
-        IntersectKernel::Simd => {
-            let backend = crate::simd::simd_backend();
-            let mut kdeg = [0u64; KEY_BLOCK_LEN];
-            let mut ktie = [0u64; KEY_BLOCK_LEN];
-            let (mut a, mut b) = (0, 0);
-            while a < left.len() && b < right.len() {
-                let len = (left.len() - a).min(KEY_BLOCK_LEN);
-                for (i, l) in left[a..a + len].iter().enumerate() {
-                    let k = key_l(l);
-                    kdeg[i] = k.degree;
-                    ktie[i] = k.tie;
-                }
-                // One wide compare decides whether the whole block is
-                // strictly below the merge frontier.
-                compares += 1;
-                let last = OrderKey {
-                    degree: kdeg[len - 1],
-                    tie: ktie[len - 1],
-                };
-                if last >= key_r(&right[b]) {
-                    let out: Result<(), std::convert::Infallible> = simd_block_pass(
-                        backend,
-                        &kdeg,
-                        &ktie,
-                        len,
-                        right,
-                        &mut b,
-                        &key_r,
-                        &mut compares,
-                        &mut matches,
-                        &mut |lane, rb| {
-                            on_match(&left[a + lane], &right[rb]);
-                            Ok(())
-                        },
-                    );
-                    match out {
-                        Ok(()) => {}
-                    }
-                }
-                a += len;
-            }
-        }
         IntersectKernel::Auto => unreachable!("select never returns Auto"),
     }
     record_kernel(resolved, compares, left.len() as u64, matches);
 }
 
 /// Intersects the key columns of one columnar frame against a
-/// `<+`-sorted slice with the selected kernel — the production
-/// (columnar × cursor) hot path. `on_match` receives the matching
+/// `<+`-sorted slice with the selected kernel — the production hot
+/// path. `on_match` receives the matching
 /// [`ColKey`] (whose `idx` indexes the frame's metadata column) and may
 /// fail (a lazy metadata decode); key-decode errors from the frame
 /// propagate the same way. Matches are emitted in increasing key
@@ -1138,231 +890,6 @@ pub fn intersect_col<R>(
                     }
                 }
             }
-            IntersectKernel::Simd => {
-                let backend = crate::simd::simd_backend();
-                let mut block = KeyBlock::new();
-                let mut kdeg = [0u64; KEY_BLOCK_LEN];
-                let mut ktie = [0u64; KEY_BLOCK_LEN];
-                let mut b = 0;
-                while b < right.len() {
-                    let Some(res) = keys.next_block(&mut block) else {
-                        break;
-                    };
-                    res?;
-                    candidates += block.len as u64;
-                    for (i, (&v, &d)) in block
-                        .v
-                        .iter()
-                        .zip(&block.degree)
-                        .take(block.len)
-                        .enumerate()
-                    {
-                        let k = OrderKey::new(v, d);
-                        kdeg[i] = k.degree;
-                        ktie[i] = k.tie;
-                    }
-                    compares += 1;
-                    let last = OrderKey {
-                        degree: kdeg[block.len - 1],
-                        tie: ktie[block.len - 1],
-                    };
-                    if last < key_r(&right[b]) {
-                        continue;
-                    }
-                    simd_block_pass(
-                        backend,
-                        &kdeg,
-                        &ktie,
-                        block.len,
-                        right,
-                        &mut b,
-                        &key_r,
-                        &mut compares,
-                        &mut matches,
-                        &mut |lane, rb| {
-                            on_match(
-                                ColKey {
-                                    idx: block.base + lane,
-                                    v: block.v[lane],
-                                    degree: block.degree[lane],
-                                },
-                                &right[rb],
-                            )
-                        },
-                    )?;
-                }
-            }
-            IntersectKernel::Auto => unreachable!("select never returns Auto"),
-        }
-        Ok(())
-    })();
-    record_kernel(resolved, compares, candidates, matches);
-    out
-}
-
-/// Intersects a cursor-produced left stream against a `<+`-sorted
-/// slice with the selected kernel — the kernel-dispatching
-/// generalization of [`merge_path_stream`], used by the interleaved
-/// cursor decode paths. The same early-exit contract applies: once
-/// `right` is exhausted no further left elements are pulled (beyond
-/// the block the blocked kernel already buffered), so a [`SeqCursor`]
-/// caller must still `skip_rest`.
-///
-/// `L: Copy` because the blocked kernel buffers up to [`KEY_BLOCK_LEN`]
-/// decoded views in a stack array — views are borrowed byte ranges
-/// plus eager scalars, so the bound is free for every wire view in
-/// this workspace.
-///
-/// [`SeqCursor`]: tripoll_ygm::wire::SeqCursor
-pub fn intersect_stream<L: Copy, R, E>(
-    kernel: IntersectKernel,
-    left_len: usize,
-    mut next: impl FnMut() -> Option<Result<L, E>>,
-    right: &[R],
-    key_l: impl Fn(&L) -> OrderKey,
-    key_r: impl Fn(&R) -> OrderKey,
-    mut on_match: impl FnMut(L, &R) -> Result<(), E>,
-) -> Result<(), E> {
-    let resolved = kernel.select_streaming(left_len, right.len());
-    let (mut compares, mut candidates, mut matches) = (0u64, 0u64, 0u64);
-    let out = (|| {
-        match resolved {
-            IntersectKernel::MergeScalar => {
-                let mut b = 0;
-                while b < right.len() {
-                    let Some(item) = next() else { break };
-                    let l = item?;
-                    candidates += 1;
-                    let kl = key_l(&l);
-                    while b < right.len() {
-                        compares += 1;
-                        if key_r(&right[b]) < kl {
-                            b += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    if b < right.len() {
-                        compares += 1;
-                        if key_r(&right[b]) == kl {
-                            on_match(l, &right[b])?;
-                            matches += 1;
-                            b += 1;
-                        }
-                    }
-                }
-            }
-            IntersectKernel::Gallop => {
-                let mut b = 0;
-                while b < right.len() {
-                    let Some(item) = next() else { break };
-                    let l = item?;
-                    candidates += 1;
-                    let kl = key_l(&l);
-                    b = gallop_seek(right, &key_r, b, kl, &mut compares);
-                    if b < right.len() {
-                        compares += 1;
-                        if key_r(&right[b]) == kl {
-                            on_match(l, &right[b])?;
-                            matches += 1;
-                            b += 1;
-                        }
-                    }
-                }
-            }
-            IntersectKernel::BlockedMerge => {
-                let mut buf: [Option<L>; KEY_BLOCK_LEN] = [None; KEY_BLOCK_LEN];
-                let mut bkeys = [OrderKey { degree: 0, tie: 0 }; KEY_BLOCK_LEN];
-                let mut b = 0;
-                while b < right.len() {
-                    let mut len = 0;
-                    while len < KEY_BLOCK_LEN {
-                        let Some(item) = next() else { break };
-                        let l = item?;
-                        bkeys[len] = key_l(&l);
-                        buf[len] = Some(l);
-                        len += 1;
-                    }
-                    if len == 0 {
-                        break;
-                    }
-                    candidates += len as u64;
-                    compares += 1;
-                    if bkeys[len - 1] < key_r(&right[b]) {
-                        continue;
-                    }
-                    for (&kl, slot) in bkeys.iter().zip(buf.iter_mut()).take(len) {
-                        if b >= right.len() {
-                            break;
-                        }
-                        // Tight advance on a register-resident key,
-                        // then one equality check at the landing spot.
-                        while b < right.len() {
-                            compares += 1;
-                            if key_r(&right[b]) < kl {
-                                b += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        if b < right.len() {
-                            compares += 1;
-                            if key_r(&right[b]) == kl {
-                                let l = slot.take().expect("buffered block element");
-                                on_match(l, &right[b])?;
-                                matches += 1;
-                                b += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            IntersectKernel::Simd => {
-                let backend = crate::simd::simd_backend();
-                let mut buf: [Option<L>; KEY_BLOCK_LEN] = [None; KEY_BLOCK_LEN];
-                let mut kdeg = [0u64; KEY_BLOCK_LEN];
-                let mut ktie = [0u64; KEY_BLOCK_LEN];
-                let mut b = 0;
-                while b < right.len() {
-                    let mut len = 0;
-                    while len < KEY_BLOCK_LEN {
-                        let Some(item) = next() else { break };
-                        let l = item?;
-                        let k = key_l(&l);
-                        kdeg[len] = k.degree;
-                        ktie[len] = k.tie;
-                        buf[len] = Some(l);
-                        len += 1;
-                    }
-                    if len == 0 {
-                        break;
-                    }
-                    candidates += len as u64;
-                    compares += 1;
-                    let last = OrderKey {
-                        degree: kdeg[len - 1],
-                        tie: ktie[len - 1],
-                    };
-                    if last < key_r(&right[b]) {
-                        continue;
-                    }
-                    simd_block_pass(
-                        backend,
-                        &kdeg,
-                        &ktie,
-                        len,
-                        right,
-                        &mut b,
-                        &key_r,
-                        &mut compares,
-                        &mut matches,
-                        &mut |lane, rb| {
-                            let l = buf[lane].take().expect("buffered block element");
-                            on_match(l, &right[rb])
-                        },
-                    )?;
-                }
-            }
             IntersectKernel::Auto => unreachable!("select never returns Auto"),
         }
         Ok(())
@@ -1424,45 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_path_stream_matches_merge_path() {
-        // Same key spaces as merge_path_intersects, fed as a stream.
-        let all = keys(&[10, 11, 12, 13, 14, 15]);
-        let right: Vec<_> = all.iter().filter(|(v, _)| v % 2 == 0).cloned().collect();
-        let mut expected = Vec::new();
-        merge_path(&all, &right, |l| l.1, |r| r.1, |l, _| expected.push(l.0));
-        let mut it = all.iter();
-        let mut streamed = Vec::new();
-        merge_path_stream(
-            || it.next().map(|l| Ok::<_, ()>(*l)),
-            &right,
-            |l| l.1,
-            |r| r.1,
-            |l, r| {
-                assert_eq!(l.0, r.0);
-                streamed.push(l.0);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(streamed, expected);
-        assert_eq!(streamed, vec![10, 12, 14]);
-    }
-
-    #[test]
-    fn merge_path_stream_propagates_errors() {
-        let all = keys(&[1, 2, 3]);
-        let mut it = all.iter();
-        let err = merge_path_stream(
-            || it.next().map(|l| Ok::<_, &str>(*l)),
-            &all,
-            |l| l.1,
-            |r| r.1,
-            |_, _| Err("match failed"),
-        );
-        assert_eq!(err, Err("match failed"));
-    }
-
-    #[test]
     fn report_aggregation() {
         let mk = |name, secs, bytes| PhaseReport {
             name,
@@ -1492,28 +980,18 @@ mod tests {
     fn mode_display() {
         assert_eq!(EngineMode::PushOnly.to_string(), "Push-Only");
         assert_eq!(EngineMode::PushPull.to_string(), "Push-Pull");
-        assert_eq!(BatchLayout::Columnar.to_string(), "Columnar");
-        assert_eq!(BatchLayout::Interleaved.to_string(), "Interleaved");
     }
 
     #[test]
     fn survey_config_defaults_and_conversions() {
-        // Production default: columnar batches decoded in place,
-        // auto-selected kernel.
+        // Production default: auto-selected kernel, threads from the
+        // environment.
         let d = SurveyConfig::default();
-        assert_eq!(d.layout, BatchLayout::Columnar);
-        assert_eq!(d.decode, DecodePath::Cursor);
         assert_eq!(d.kernel, IntersectKernel::Auto);
+        assert_eq!(d.threads, Parallelism::Env);
         assert_eq!(SurveyConfig::new(), d);
-        // A bare axis value fixes that axis, leaving the others default.
-        assert_eq!(
-            SurveyConfig::from(DecodePath::Owned),
-            d.with_decode(DecodePath::Owned)
-        );
-        assert_eq!(
-            SurveyConfig::from(BatchLayout::Interleaved),
-            d.with_layout(BatchLayout::Interleaved)
-        );
+        assert!(!d.is_reference());
+        // A bare field value fixes that field, leaving the other default.
         assert_eq!(
             SurveyConfig::from(IntersectKernel::Gallop),
             d.with_kernel(IntersectKernel::Gallop)
@@ -1522,18 +1000,10 @@ mod tests {
             SurveyConfig::from(Parallelism::Threads(4)),
             d.with_threads(Parallelism::Threads(4))
         );
-        assert_eq!(
-            SurveyConfig::default()
-                .with_layout(BatchLayout::Interleaved)
-                .with_decode(DecodePath::Owned)
-                .with_kernel(IntersectKernel::MergeScalar),
-            SurveyConfig {
-                layout: BatchLayout::Interleaved,
-                decode: DecodePath::Owned,
-                kernel: IntersectKernel::MergeScalar,
-                threads: Parallelism::Env,
-            }
-        );
+        // Only the scalar merge selects the reference path.
+        assert!(SurveyConfig::from(IntersectKernel::MergeScalar).is_reference());
+        assert!(!SurveyConfig::from(IntersectKernel::Gallop).is_reference());
+        assert!(!SurveyConfig::from(IntersectKernel::BlockedMerge).is_reference());
     }
 
     #[test]
@@ -1551,8 +1021,7 @@ mod tests {
     #[test]
     fn auto_kernel_selection_follows_the_skew_ratio() {
         let auto = IntersectKernel::Auto;
-        // Balanced or mildly skewed sides: the scalar blocked merge
-        // (the SIMD variant measures ~9% behind it at these shapes).
+        // Balanced or mildly skewed sides: the blocked merge.
         assert_eq!(auto.select(100, 100), IntersectKernel::BlockedMerge);
         assert_eq!(auto.select(100, 799), IntersectKernel::BlockedMerge);
         assert_eq!(auto.select(799, 100), IntersectKernel::BlockedMerge);
@@ -1581,7 +1050,6 @@ mod tests {
             IntersectKernel::MergeScalar,
             IntersectKernel::Gallop,
             IntersectKernel::BlockedMerge,
-            IntersectKernel::Simd,
         ] {
             assert_eq!(k.select(1, 1_000_000), k);
             assert_eq!(k.select(5, 5), k);
@@ -1590,57 +1058,54 @@ mod tests {
 
     /// Pins the dispatch-count counters for each shape class — the
     /// executable form of the [`GALLOP_RATIO`] two-shape contract
-    /// (symmetric over slices, asymmetric over streams), so the docs
-    /// and the code cannot drift apart again.
+    /// (symmetric over slices, asymmetric over columnar frames), so the
+    /// docs and the code cannot drift apart.
     #[test]
     fn auto_dispatch_counters_pin_the_shape_contract() {
+        use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
         let mk = |n: usize| -> Vec<(u64, OrderKey)> {
             (0..n as u64).map(|v| (v, OrderKey::new(v, v))).collect()
         };
         let big = mk(900);
         let small = mk(100);
-        // Slices, balanced: the scalar blocked merge.
+        let runs = || {
+            let s = kernel_stats_take();
+            (s.scalar_runs, s.gallop_runs, s.blocked_runs)
+        };
+        // Slices, balanced: the blocked merge.
         let runs_slices = |l: &[(u64, OrderKey)], r: &[(u64, OrderKey)]| {
             let _ = kernel_stats_take();
             intersect_slices(IntersectKernel::Auto, l, r, |e| e.1, |e| e.1, |_, _| {});
-            let s = kernel_stats_take();
-            (s.scalar_runs, s.gallop_runs, s.blocked_runs, s.simd_runs)
+            runs()
         };
-        assert_eq!(runs_slices(&small, &small), (0, 0, 1, 0), "slices balanced");
+        assert_eq!(runs_slices(&small, &small), (0, 0, 1), "slices balanced");
         // Slices, heavy skew either way: gallop (symmetric contract).
-        assert_eq!(
-            runs_slices(&small, &big),
-            (0, 1, 0, 0),
-            "slices right-heavy"
-        );
-        assert_eq!(runs_slices(&big, &small), (0, 1, 0, 0), "slices left-heavy");
-        // Streams: gallop only into a much larger right (asymmetric).
-        let runs_stream = |l: &[(u64, OrderKey)], r: &[(u64, OrderKey)]| {
+        assert_eq!(runs_slices(&small, &big), (0, 1, 0), "slices right-heavy");
+        assert_eq!(runs_slices(&big, &small), (0, 1, 0), "slices left-heavy");
+        // Frames: gallop only into a much larger right (asymmetric).
+        let runs_frame = |l: &[(u64, OrderKey)], r: &[(u64, OrderKey)]| {
+            let frame = to_bytes(&ColBatch::<()>(
+                l.iter().map(|e| (e.0, e.1.degree, ())).collect(),
+            ));
+            let mut reader = WireReader::new(&frame);
+            let mut cur: ColCursor<'_, ()> = ColCursor::begin(&mut reader).expect("frame");
             let _ = kernel_stats_take();
-            let mut it = l.iter();
-            intersect_stream(
+            intersect_col(
                 IntersectKernel::Auto,
-                l.len(),
-                || it.next().map(|e| Ok::<_, ()>(*e)),
+                &mut cur.keys,
                 r,
-                |e| e.1,
                 |e| e.1,
                 |_, _| Ok(()),
             )
-            .unwrap();
-            let s = kernel_stats_take();
-            (s.scalar_runs, s.gallop_runs, s.blocked_runs, s.simd_runs)
+            .expect("intersect");
+            runs()
         };
-        assert_eq!(runs_stream(&small, &small), (0, 0, 1, 0), "stream balanced");
+        assert_eq!(runs_frame(&small, &small), (0, 0, 1), "frame balanced");
+        assert_eq!(runs_frame(&small, &big), (0, 1, 0), "frame right-heavy");
         assert_eq!(
-            runs_stream(&small, &big),
-            (0, 1, 0, 0),
-            "stream right-heavy"
-        );
-        assert_eq!(
-            runs_stream(&big, &small),
-            (0, 0, 1, 0),
-            "stream left-heavy must NOT gallop (decode-bound left)"
+            runs_frame(&big, &small),
+            (0, 0, 1),
+            "frame left-heavy must NOT gallop (decode-bound left)"
         );
     }
 

@@ -48,20 +48,17 @@ mod push_common;
 pub mod push_only;
 pub mod push_pull;
 pub mod service;
-pub mod simd;
 pub mod surveys;
 
 pub use delta::survey_delta_push;
 pub use engine::{
-    intersect_col, intersect_slices, intersect_stream, kernel_stats, kernel_stats_add,
-    kernel_stats_take, merge_path, merge_path_stream, BatchLayout, DecodePath, EngineMode,
-    IntersectKernel, KernelStats, Parallelism, PhaseReport, SurveyConfig, SurveyReport,
+    intersect_col, intersect_slices, kernel_stats, kernel_stats_add, kernel_stats_take, merge_path,
+    EngineMode, IntersectKernel, KernelStats, Parallelism, PhaseReport, SurveyConfig, SurveyReport,
     GALLOP_RATIO,
 };
 pub use meta::{SurveyCallback, TriangleMeta};
 pub use push_only::{survey_push_only, survey_push_only_with};
 pub use push_pull::{survey_push_pull, survey_push_pull_with};
 pub use service::{IngestDelta, QueryOutcome, ResidentGraph, ResidentQuery, StaleDeltaError};
-pub use simd::{simd_backend, simd_force_swar, SimdBackend, SIMD_GROUP_LANES};
 pub use surveys::delta::{SurveyDelta, SurveyDeltaSink, TriangleSample};
 pub use surveys::survey;

@@ -1,14 +1,14 @@
 //! The parallel intra-rank merge queue.
 //!
-//! When a survey runs with [`crate::engine::Parallelism`] resolving to
-//! more than one thread (and the cursor decode path), the receive
-//! handlers stop intersecting inline. Instead each arriving wedge-batch
+//! When a production-path survey runs with
+//! [`crate::engine::Parallelism`] resolving to more than one thread, the
+//! receive handlers stop intersecting inline. Instead each arriving wedge-batch
 //! envelope is split into per-batch work items — the candidate frame
 //! bytes are copied once into a queue-owned arena, paired with a raw
 //! view of the local adjacency slice they intersect against — and the
 //! items are dispatched across the persistent work-stealing pool
-//! ([`rayon::pool::global`]). Workers run exactly the serial kernels
-//! ([`intersect_col`] / [`intersect_stream`]) over their item and record
+//! ([`rayon::pool::global`]). Workers run exactly the serial kernel
+//! ([`intersect_col`]) over their item and record
 //! the resulting `(left index, right index)` match pairs; the rank
 //! thread then *replays* every item *in batch-index order*: it folds the
 //! item's [`KernelStats`] into the rank counter, re-decodes the matched
@@ -51,24 +51,22 @@ use std::rc::Rc;
 
 use rayon::pool;
 use tripoll_graph::{AdjEntry, DistGraph, LocalShard};
-use tripoll_ygm::wire::{ColView, SeqView, Wire, WireError, WireReader};
+use tripoll_ygm::wire::{ColView, Wire, WireError, WireReader};
 use tripoll_ygm::Comm;
 
 use crate::engine::{
-    intersect_col, intersect_stream, kernel_stats_add, kernel_stats_take, DecodePath,
-    IntersectKernel, KernelStats, SurveyConfig,
+    intersect_col, kernel_stats_add, kernel_stats_take, IntersectKernel, KernelStats, SurveyConfig,
 };
 use crate::meta::TriangleMeta;
-use crate::push_common::{decode_candidate_view, CandView, Candidate, DynCallback};
+use crate::push_common::DynCallback;
 
 /// Queued items at which an enqueue triggers an inline flush, bounding
 /// arena growth on ranks that receive faster than they barrier.
 const FLUSH_TASKS: usize = 128;
 
 /// The parallel queue for one survey, or `None` when the configuration
-/// takes the serial path: parallelism applies to the cursor decode path
-/// only (the `Owned` reference path stays serial for differential
-/// testing), and only when the `threads` axis resolves past one.
+/// intersects inline: the reference path always does, the production
+/// path unless `threads` resolves past one.
 pub(crate) fn par_queue_for<VM, EM>(
     graph: &DistGraph<VM, EM>,
     cb: &DynCallback<VM, EM>,
@@ -78,7 +76,7 @@ where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
-    if config.decode == DecodePath::Cursor && config.threads.is_parallel() {
+    if !config.is_reference() && config.threads.is_parallel() {
         Some(ParQueue::new(
             graph.shard().clone(),
             cb.clone(),
@@ -87,20 +85,6 @@ where
     } else {
         None
     }
-}
-
-/// Which handler enqueued the item — selects the worker-side frame walk
-/// and the rank-side metadata replay.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TaskKind {
-    /// Columnar push batch vs `Adjm+(q)`.
-    PushCol,
-    /// Interleaved push batch vs `Adjm+(q)`.
-    PushSeq,
-    /// Columnar pull delivery vs one resume suffix.
-    PullCol,
-    /// Interleaved pull delivery vs one resume suffix.
-    PullSeq,
 }
 
 /// A borrowed byte range that may cross threads. Validity is a queue
@@ -161,7 +145,6 @@ impl<T> RawSlice<T> {
 /// everything needed for the callback replay stays rank-side in the
 /// paired [`Ctx`].
 pub(crate) struct Task<VM, EM> {
-    kind: TaskKind,
     kernel: IntersectKernel,
     frame: RawBytes,
     right: RawSlice<AdjEntry<VM, EM>>,
@@ -204,54 +187,22 @@ impl<VM: Wire, EM: Wire> Task<VM, EM> {
         let base = right.as_ptr();
         let matches = &mut self.matches;
         let mut r = WireReader::new(frame);
-        match self.kind {
-            TaskKind::PushCol | TaskKind::PullCol => {
-                let view: ColView<'_, EM> = ColView::capture(&mut r)?;
-                let mut cur = view.walk();
-                intersect_col(
-                    self.kernel,
-                    &mut cur.keys,
-                    right,
-                    |e| e.key,
-                    |k, e| {
-                        // SAFETY: `e` is borrowed from the same `right`
-                        // slice `base` points at, so both pointers are
-                        // within one allocation.
-                        let ri = unsafe { (e as *const AdjEntry<VM, EM>).offset_from(base) };
-                        matches.push((k.idx as u32, ri as u32));
-                        Ok(())
-                    },
-                )
-            }
-            TaskKind::PushSeq | TaskKind::PullSeq => {
-                let view: SeqView<'_, Candidate<EM>> = SeqView::capture(&mut r)?;
-                let mut walk = view.walk();
-                let mut li = 0u32;
-                intersect_stream(
-                    self.kernel,
-                    view.len(),
-                    || {
-                        walk.next_with(|rr| {
-                            let c = decode_candidate_view::<EM>(rr)?;
-                            let out = (li, c.key);
-                            li += 1;
-                            Ok(out)
-                        })
-                    },
-                    right,
-                    |&(_, key)| key,
-                    |e| e.key,
-                    |(i, _), e| {
-                        // SAFETY: `e` is borrowed from the same `right`
-                        // slice `base` points at, so both pointers are
-                        // within one allocation.
-                        let ri = unsafe { (e as *const AdjEntry<VM, EM>).offset_from(base) };
-                        matches.push((i, ri as u32));
-                        Ok(())
-                    },
-                )
-            }
-        }
+        let view: ColView<'_, EM> = ColView::capture(&mut r)?;
+        let mut cur = view.walk();
+        intersect_col(
+            self.kernel,
+            &mut cur.keys,
+            right,
+            |e| e.key,
+            |k, e| {
+                // SAFETY: `e` is borrowed from the same `right` slice
+                // `base` points at, so both pointers are within one
+                // allocation.
+                let ri = unsafe { (e as *const AdjEntry<VM, EM>).offset_from(base) };
+                matches.push((k.idx as u32, ri as u32));
+                Ok(())
+            },
+        )
     }
 }
 
@@ -329,14 +280,12 @@ where
     pub(crate) fn push_task(
         &self,
         c: &Comm,
-        kind: TaskKind,
         frame: RawBytes,
         right: &[AdjEntry<VM, EM>],
         ctx: Ctx<VM, EM>,
     ) {
         let matches = self.spare_matches.borrow_mut().pop().unwrap_or_default();
         self.tasks.borrow_mut().push(Task {
-            kind,
             kernel: self.kernel,
             frame,
             right: RawSlice::of(right),
@@ -410,21 +359,17 @@ where
         let mut r = WireReader::new(frame);
         let decode_err =
             |c: &Comm, e: WireError| -> ! { c.abort(format_args!("parallel merge replay: {e}")) };
-        match (task.kind, ctx) {
-            (
-                TaskKind::PushCol,
-                Ctx::Push {
-                    p,
-                    q,
-                    meta_p,
-                    meta_pq,
-                    slot,
-                },
-            ) => {
+        let view: ColView<'_, EM> = ColView::capture(&mut r).unwrap_or_else(|e| decode_err(c, e));
+        let mut metas = view.walk().metas;
+        match ctx {
+            Ctx::Push {
+                p,
+                q,
+                meta_p,
+                meta_pq,
+                slot,
+            } => {
                 let lv = self.shard.vertex(*slot as usize);
-                let view: ColView<'_, EM> =
-                    ColView::capture(&mut r).unwrap_or_else(|e| decode_err(c, e));
-                let mut metas = view.walk().metas;
                 for &(li, ri) in &task.matches {
                     let e = &lv.adj[ri as usize];
                     let meta_pr = metas.get(li as usize).unwrap_or_else(|e| decode_err(c, e));
@@ -442,55 +387,10 @@ where
                     (self.cb)(c, &tm);
                 }
             }
-            (
-                TaskKind::PushSeq,
-                Ctx::Push {
-                    p,
-                    q,
-                    meta_p,
-                    meta_pq,
-                    slot,
-                },
-            ) => {
-                let lv = self.shard.vertex(*slot as usize);
-                let view: SeqView<'_, Candidate<EM>> =
-                    SeqView::capture(&mut r).unwrap_or_else(|e| decode_err(c, e));
-                let mut walk = view.walk();
-                let mut cand: Option<CandView<'_, EM>> = None;
-                let mut decoded = 0u32;
-                for &(li, ri) in &task.matches {
-                    while decoded <= li {
-                        cand = Some(
-                            walk.next_with(decode_candidate_view::<EM>)
-                                .expect("match index within captured sequence")
-                                .unwrap_or_else(|e| decode_err(c, e)),
-                        );
-                        decoded += 1;
-                    }
-                    let cv = cand.expect("at least one candidate decoded");
-                    let meta_pr = cv.em.get().unwrap_or_else(|e| decode_err(c, e));
-                    let e = &lv.adj[ri as usize];
-                    let tm = TriangleMeta {
-                        p: *p,
-                        q: *q,
-                        r: e.v,
-                        meta_p,
-                        meta_q: &lv.meta,
-                        meta_r: &e.vm,
-                        meta_pq,
-                        meta_pr: &meta_pr,
-                        meta_qr: &e.em,
-                    };
-                    (self.cb)(c, &tm);
-                }
-            }
-            (TaskKind::PullCol, Ctx::Pull { slot, idx }) => {
+            Ctx::Pull { slot, idx } => {
                 let lv = self.shard.vertex(*slot as usize);
                 let eq = &lv.adj[*idx as usize];
                 let suffix = &lv.adj[*idx as usize + 1..];
-                let view: ColView<'_, EM> =
-                    ColView::capture(&mut r).unwrap_or_else(|e| decode_err(c, e));
-                let mut metas = view.walk().metas;
                 for &(li, ri) in &task.matches {
                     let s_entry = &suffix[ri as usize];
                     let meta_qr = metas.get(li as usize).unwrap_or_else(|e| decode_err(c, e));
@@ -508,43 +408,6 @@ where
                     (self.cb)(c, &tm);
                 }
             }
-            (TaskKind::PullSeq, Ctx::Pull { slot, idx }) => {
-                let lv = self.shard.vertex(*slot as usize);
-                let eq = &lv.adj[*idx as usize];
-                let suffix = &lv.adj[*idx as usize + 1..];
-                let view: SeqView<'_, Candidate<EM>> =
-                    SeqView::capture(&mut r).unwrap_or_else(|e| decode_err(c, e));
-                let mut walk = view.walk();
-                let mut cand: Option<CandView<'_, EM>> = None;
-                let mut decoded = 0u32;
-                for &(li, ri) in &task.matches {
-                    while decoded <= li {
-                        cand = Some(
-                            walk.next_with(decode_candidate_view::<EM>)
-                                .expect("match index within captured sequence")
-                                .unwrap_or_else(|e| decode_err(c, e)),
-                        );
-                        decoded += 1;
-                    }
-                    let cv = cand.expect("at least one candidate decoded");
-                    let meta_qr = cv.em.get().unwrap_or_else(|e| decode_err(c, e));
-                    let s_entry = &suffix[ri as usize];
-                    let tm = TriangleMeta {
-                        p: lv.id,
-                        q: eq.v,
-                        r: s_entry.v,
-                        meta_p: &lv.meta,
-                        meta_q: &eq.vm,
-                        meta_r: &s_entry.vm,
-                        meta_pq: &eq.em,
-                        meta_pr: &s_entry.em,
-                        meta_qr: &meta_qr,
-                    };
-                    (self.cb)(c, &tm);
-                }
-            }
-            // Task kinds and contexts are enqueued in lockstep.
-            _ => unreachable!("task kind / replay context mismatch"),
         }
     }
 }

@@ -10,32 +10,21 @@
 //! already in `Adjm+(q)`'s entry for `r` (it is deliberately *not*
 //! transmitted).
 //!
-//! # Layout-generic, zero-copy on both ends of the wire
+//! # Zero-copy on both ends of the wire
 //!
-//! The candidate batch crosses the wire in one of two [`BatchLayout`]s,
-//! and the machinery here is generic over that axis:
+//! The candidate suffix serializes as three packed columns straight
+//! from `Adjm+(p)` storage ([`encode_candidate_columns`]); the
+//! production handler intersects by walking only the two key columns
+//! ([`ColCursor`]), and the metadata column is decoded per element
+//! exclusively on triangle matches. The frame is fully consumed at
+//! capture, so early exits leave no record-framing debt. With a merge
+//! queue the same handler copies the validated frame and enqueues it
+//! for the pool instead of intersecting inline ([`crate::par`]).
 //!
-//! * **Columnar** (production default): the suffix serializes as three
-//!   packed columns straight from `Adjm+(p)` storage
-//!   ([`encode_candidate_columns`]); the receiving handler intersects
-//!   by walking only the two key columns ([`ColCursor`]), and the
-//!   metadata column is decoded per element exclusively on triangle
-//!   matches — the [`tripoll_ygm::wire::Lazy`] decode-on-match idea
-//!   promoted from per-record to per-column. The frame is fully
-//!   consumed at capture, so early exits leave no record-framing debt.
-//! * **Interleaved**: candidates as `(r, d(r), meta)` tuples via
-//!   [`encode_seq`], received through a [`SeqCursor`] with per-record
-//!   [`Lazy`] metadata — the original layout, retained for
-//!   differential testing.
-//!
-//! On the orthogonal [`DecodePath`] axis, each layout also has a
-//! materializing `Owned` reference handler; all four combinations emit
-//! identical surveys. The intersection itself dispatches through the
-//! configured [`IntersectKernel`] (scalar merge, galloping search,
-//! blocked branch-light merge, or the SIMD block merge with
-//! runtime-detected packed compares — see [`crate::engine`] and
-//! [`crate::simd`]), a third axis that every handler threads through
-//! to the kernel layer.
+//! The reference handler ([`SurveyConfig::is_reference`]) reads the
+//! same bytes as an owned [`ColBatch`] and runs the two-pointer merge
+//! over it; it must emit the identical survey and exists for the
+//! differential suites to compare the production path against.
 //!
 //! A push that arrives for a vertex its receiving rank does not own can
 //! only mean ownership disagreement between ranks (a partition bug, not
@@ -45,83 +34,22 @@
 use std::rc::Rc;
 
 use tripoll_graph::{AdjEntry, DistGraph, OrderKey};
-use tripoll_ygm::wire::{
-    encode_columns, encode_seq, ColBatch, ColCursor, ColView, Lazy, SeqCursor, SeqView, Wire,
-    WireEncode, WireError, WireReader,
-};
+use tripoll_ygm::wire::{encode_columns, ColBatch, ColCursor, ColView, Wire, WireEncode};
 use tripoll_ygm::{Comm, Handler};
 
-use crate::engine::{
-    intersect_col, intersect_slices, intersect_stream, BatchLayout, DecodePath, IntersectKernel,
-    SurveyConfig,
-};
+use crate::engine::{intersect_col, intersect_slices, IntersectKernel, SurveyConfig};
 use crate::meta::TriangleMeta;
-use crate::par::{Ctx, ParQueue, TaskKind};
+use crate::par::{Ctx, ParQueue};
 
 /// Type-erased survey callback held by engine handlers.
 pub(crate) type DynCallback<VM, EM> = Rc<dyn Fn(&Comm, &TriangleMeta<'_, VM, EM>)>;
 
-/// One candidate `r` vertex inside a push: `(r, d(r), meta(p, r))`.
-///
-/// `d(r)` rides along so the receiver can reconstruct `r`'s [`OrderKey`]
-/// without a lookup; `meta(r)` is intentionally absent (see module docs).
-pub(crate) type Candidate<EM> = (u64, u64, EM);
-
-/// An interleaved wedge batch: `(p, q, meta(p), meta(p,q), candidates)`.
-pub(crate) type PushMsg<VM, EM> = (u64, u64, VM, EM, Vec<Candidate<EM>>);
-
-/// A columnar wedge batch: same fields, candidates as a [`ColBatch`]
-/// (vertex column, delta-coded degree column, metadata column).
-pub(crate) type PushMsgCol<VM, EM> = (u64, u64, VM, EM, ColBatch<EM>);
-
-/// The registered push handler, keyed by the batch layout its wire type
-/// encodes. Senders must route through the matching arm — the enum
-/// makes mixing layouts a compile-time impossibility rather than a
-/// decode error on a remote rank.
-pub(crate) enum PushHandler<VM, EM> {
-    /// Handler for [`PushMsg`] (interleaved candidates).
-    Interleaved(Handler<PushMsg<VM, EM>>),
-    /// Handler for [`PushMsgCol`] (columnar candidates).
-    Columnar(Handler<PushMsgCol<VM, EM>>),
-}
-
-/// A [`Candidate`] decoded in place: eager identity and sort key, lazy
-/// metadata (materialized only for triangle matches).
-pub(crate) struct CandView<'a, EM> {
-    /// Candidate vertex `r`.
-    pub v: u64,
-    /// `r`'s position in the `<+` order.
-    pub key: OrderKey,
-    /// Captured-but-undecoded `meta(p, r)`.
-    pub em: Lazy<'a, EM>,
-}
-
-// Manual impls (a derive would bound `EM`): the view is two scalars
-// plus a borrowed byte range, freely copyable — which is what lets the
-// blocked intersection kernel buffer views in a stack array.
-impl<EM> Clone for CandView<'_, EM> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<EM> Copy for CandView<'_, EM> {}
-
-/// Decodes one [`Candidate`]'s wire bytes as a [`CandView`] — the
-/// borrowed mirror of [`encode_candidate`]; must stay in lockstep with
-/// the [`Candidate`] type.
-#[inline]
-pub(crate) fn decode_candidate_view<'a, EM: Wire>(
-    r: &mut WireReader<'a>,
-) -> Result<CandView<'a, EM>, WireError> {
-    let v = u64::decode(r)?;
-    let degree = u64::decode(r)?;
-    let em = Lazy::capture(r)?;
-    Ok(CandView {
-        v,
-        key: OrderKey::new(v, degree),
-        em,
-    })
-}
+/// A wedge batch: `(p, q, meta(p), meta(p,q), candidates)`, the
+/// candidates `(r, d(r), meta(p, r))` as a [`ColBatch`] (vertex column,
+/// delta-coded degree column, metadata column). `d(r)` rides along so
+/// the receiver can reconstruct `r`'s [`OrderKey`] without a lookup;
+/// `meta(r)` is intentionally absent (see module docs).
+pub(crate) type PushMsg<VM, EM> = (u64, u64, VM, EM, ColBatch<EM>);
 
 /// Raises the structured partition-disagreement abort for a push whose
 /// target vertex is not owned by the receiving rank. The sender of a
@@ -137,63 +65,48 @@ fn abort_unowned_push<VM, EM>(c: &Comm, g: &DistGraph<VM, EM>, p: u64, q: u64) -
     ))
 }
 
-/// Registers the push handler for the configured layout and decode
-/// path: intersect candidates with `Adjm+(q)` and run the callback on
-/// every triangle. Collective (handler registration, so every rank must
-/// pass the same layout/decode `config`; the `threads` axis behind
-/// `queue` is a local choice — it changes the handler body, not the
-/// wire contract, so ranks may mix serial and parallel merge paths).
+/// Registers the push handler: intersect candidates with `Adjm+(q)` and
+/// run the callback on every triangle. Collective (handler
+/// registration); `config` and `queue` only choose the handler *body* —
+/// every body reads the same wire type, so ranks may mix them.
 ///
-/// With a `queue` (the parallel merge path, cursor decode only) the
-/// handlers validate and copy the candidate frame, then enqueue a work
-/// item instead of intersecting inline — see [`crate::par`].
+/// With a `queue` (the parallel merge path) the handler validates and
+/// copies the candidate frame, then enqueues a work item instead of
+/// intersecting inline — see [`crate::par`].
 pub(crate) fn register_push_handler<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     cb: DynCallback<VM, EM>,
     config: SurveyConfig,
     queue: Option<Rc<ParQueue<VM, EM>>>,
-) -> PushHandler<VM, EM>
+) -> Handler<PushMsg<VM, EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
-    match (config.layout, config.decode, queue) {
-        (BatchLayout::Columnar, DecodePath::Cursor, Some(pq)) => {
-            PushHandler::Columnar(register_push_handler_columnar_cursor_par(comm, graph, pq))
-        }
-        (BatchLayout::Interleaved, DecodePath::Cursor, Some(pq)) => {
-            PushHandler::Interleaved(register_push_handler_cursor_par(comm, graph, pq))
-        }
-        (BatchLayout::Columnar, DecodePath::Cursor, None) => PushHandler::Columnar(
-            register_push_handler_columnar_cursor(comm, graph, cb, config.kernel),
-        ),
-        (BatchLayout::Columnar, DecodePath::Owned, _) => PushHandler::Columnar(
-            register_push_handler_columnar_owned(comm, graph, cb, config.kernel),
-        ),
-        (BatchLayout::Interleaved, DecodePath::Cursor, None) => {
-            PushHandler::Interleaved(register_push_handler_cursor(comm, graph, cb, config.kernel))
-        }
-        (BatchLayout::Interleaved, DecodePath::Owned, _) => {
-            PushHandler::Interleaved(register_push_handler_owned(comm, graph, cb, config.kernel))
-        }
+    if config.is_reference() {
+        return register_push_handler_reference(comm, graph, cb);
+    }
+    match queue {
+        Some(pq) => register_push_handler_queued(comm, graph, pq),
+        None => register_push_handler_serial(comm, graph, cb, config.kernel),
     }
 }
 
-/// Parallel twin of [`register_push_handler_columnar_cursor`]: decode
-/// the header, capture and copy the candidate columns, enqueue one work
-/// item for the pool instead of intersecting inline.
-fn register_push_handler_columnar_cursor_par<VM, EM>(
+/// Queued twin of [`register_push_handler_serial`]: decode the header,
+/// capture and copy the candidate columns, enqueue one work item for
+/// the pool instead of intersecting inline.
+fn register_push_handler_queued<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     queue: Rc<ParQueue<VM, EM>>,
-) -> Handler<PushMsgCol<VM, EM>>
+) -> Handler<PushMsg<VM, EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
     let g = graph.clone();
-    comm.register_borrowed::<PushMsgCol<VM, EM>, _>(move |c, r| {
+    comm.register_borrowed::<PushMsg<VM, EM>, _>(move |c, r| {
         let p = u64::decode(r)?;
         let q = u64::decode(r)?;
         let meta_p = VM::decode(r)?;
@@ -212,53 +125,6 @@ where
         let raw = queue.alloc_frame(frame);
         queue.push_task(
             c,
-            TaskKind::PushCol,
-            raw,
-            &lv.adj,
-            Ctx::Push {
-                p,
-                q,
-                meta_p,
-                meta_pq,
-                slot: slot as u32,
-            },
-        );
-        queue.maybe_flush(c);
-        Ok(())
-    })
-}
-
-/// Parallel twin of [`register_push_handler_cursor`] (interleaved
-/// layout): capture the candidate sequence's extent, copy it, enqueue.
-fn register_push_handler_cursor_par<VM, EM>(
-    comm: &Comm,
-    graph: &DistGraph<VM, EM>,
-    queue: Rc<ParQueue<VM, EM>>,
-) -> Handler<PushMsg<VM, EM>>
-where
-    VM: Wire + Clone + 'static,
-    EM: Wire + Clone + 'static,
-{
-    let g = graph.clone();
-    comm.register_borrowed::<PushMsg<VM, EM>, _>(move |c, r| {
-        let p = u64::decode(r)?;
-        let q = u64::decode(r)?;
-        let meta_p = VM::decode(r)?;
-        let meta_pq = EM::decode(r)?;
-        // The skip-walk capture consumes the whole sequence, so record
-        // framing is intact and `since` covers prefix plus elements.
-        let start = r.position();
-        let view: SeqView<'_, Candidate<EM>> = SeqView::capture(r)?;
-        let frame = r.since(start);
-        let Some(slot) = g.shard().slot_of(q) else {
-            abort_unowned_push(c, &g, p, q);
-        };
-        let lv = g.shard().vertex(slot);
-        c.add_work((view.len() + lv.adj.len()) as u64);
-        let raw = queue.alloc_frame(frame);
-        queue.push_task(
-            c,
-            TaskKind::PushSeq,
             raw,
             &lv.adj,
             Ctx::Push {
@@ -277,18 +143,18 @@ where
 /// The production receive handler: capture the columnar frame, run the
 /// configured intersection kernel over the key columns, decode
 /// metadata on match only.
-fn register_push_handler_columnar_cursor<VM, EM>(
+fn register_push_handler_serial<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     cb: DynCallback<VM, EM>,
     kernel: IntersectKernel,
-) -> Handler<PushMsgCol<VM, EM>>
+) -> Handler<PushMsg<VM, EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
     let g = graph.clone();
-    comm.register_borrowed::<PushMsgCol<VM, EM>, _>(move |c, r| {
+    comm.register_borrowed::<PushMsg<VM, EM>, _>(move |c, r| {
         let p = u64::decode(r)?;
         let q = u64::decode(r)?;
         let meta_p = VM::decode(r)?;
@@ -332,27 +198,26 @@ where
     })
 }
 
-/// Materializing reference handler for the columnar layout: decode the
-/// owned [`ColBatch`], then intersect — differential-testing mirror of
-/// the column cursors.
-fn register_push_handler_columnar_owned<VM, EM>(
+/// The reference handler: decode the owned [`ColBatch`], then run the
+/// two-pointer merge over it — what the differential suites compare the
+/// column cursors and the size-selected kernels against.
+fn register_push_handler_reference<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     cb: DynCallback<VM, EM>,
-    kernel: IntersectKernel,
-) -> Handler<PushMsgCol<VM, EM>>
+) -> Handler<PushMsg<VM, EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
     let g = graph.clone();
-    comm.register::<PushMsgCol<VM, EM>, _>(move |c, (p, q, meta_p, meta_pq, batch)| {
+    comm.register::<PushMsg<VM, EM>, _>(move |c, (p, q, meta_p, meta_pq, batch)| {
         let Some(lv) = g.shard().get(q) else {
             abort_unowned_push(c, &g, p, q);
         };
         c.add_work((batch.0.len() + lv.adj.len()) as u64);
         intersect_slices(
-            kernel,
+            IntersectKernel::MergeScalar,
             &batch.0,
             &lv.adj,
             |cand| OrderKey::new(cand.0, cand.1),
@@ -375,119 +240,10 @@ where
     })
 }
 
-/// The interleaved zero-copy receive handler: the configured kernel
-/// runs directly over the wire bytes through a [`SeqCursor`] (see
-/// module docs).
-fn register_push_handler_cursor<VM, EM>(
-    comm: &Comm,
-    graph: &DistGraph<VM, EM>,
-    cb: DynCallback<VM, EM>,
-    kernel: IntersectKernel,
-) -> Handler<PushMsg<VM, EM>>
-where
-    VM: Wire + Clone + 'static,
-    EM: Wire + Clone + 'static,
-{
-    let g = graph.clone();
-    comm.register_borrowed::<PushMsg<VM, EM>, _>(move |c, r| {
-        let p = u64::decode(r)?;
-        let q = u64::decode(r)?;
-        let meta_p = VM::decode(r)?;
-        let meta_pq = EM::decode(r)?;
-        let mut cands = SeqCursor::begin_typed::<Candidate<EM>>(r)?;
-        let Some(lv) = g.shard().get(q) else {
-            abort_unowned_push(c, &g, p, q);
-        };
-        // The intersection visits both lists once: that is the
-        // wedge-check work (kernel-independent by design).
-        c.add_work((cands.len() + lv.adj.len()) as u64);
-        intersect_stream(
-            kernel,
-            cands.len(),
-            || cands.next_with(decode_candidate_view::<EM>),
-            &lv.adj,
-            |cand| cand.key,
-            |e| e.key,
-            |cand, e| {
-                debug_assert_eq!(cand.v, e.v, "OrderKey equality implies vertex equality");
-                let meta_pr = cand.em.get()?;
-                let tm = TriangleMeta {
-                    p,
-                    q,
-                    r: e.v,
-                    meta_p: &meta_p,
-                    meta_q: &lv.meta,
-                    meta_r: &e.vm,
-                    meta_pq: &meta_pq,
-                    meta_pr: &meta_pr,
-                    meta_qr: &e.em,
-                };
-                cb(c, &tm);
-                Ok(())
-            },
-        )?;
-        // Adjm+(q) exhausted before the batch: restore record framing.
-        cands.skip_rest::<Candidate<EM>>()
-    })
-}
-
-/// The materializing reference handler for the interleaved layout,
-/// kept for differential testing against the cursor path.
-fn register_push_handler_owned<VM, EM>(
-    comm: &Comm,
-    graph: &DistGraph<VM, EM>,
-    cb: DynCallback<VM, EM>,
-    kernel: IntersectKernel,
-) -> Handler<PushMsg<VM, EM>>
-where
-    VM: Wire + Clone + 'static,
-    EM: Wire + Clone + 'static,
-{
-    let g = graph.clone();
-    comm.register::<PushMsg<VM, EM>, _>(move |c, (p, q, meta_p, meta_pq, candidates)| {
-        let Some(lv) = g.shard().get(q) else {
-            abort_unowned_push(c, &g, p, q);
-        };
-        c.add_work((candidates.len() + lv.adj.len()) as u64);
-        intersect_slices(
-            kernel,
-            &candidates,
-            &lv.adj,
-            |cand| OrderKey::new(cand.0, cand.1),
-            |e| e.key,
-            |cand, e| {
-                let tm = TriangleMeta {
-                    p,
-                    q,
-                    r: e.v,
-                    meta_p: &meta_p,
-                    meta_q: &lv.meta,
-                    meta_r: &e.vm,
-                    meta_pq: &meta_pq,
-                    meta_pr: &cand.2,
-                    meta_qr: &e.em,
-                };
-                cb(c, &tm);
-            },
-        );
-    })
-}
-
-/// Appends one candidate's interleaved wire image — byte-identical to
-/// the [`Candidate`] tuple `(s.v, s.key.degree, s.em)` that the
-/// receiving handler decodes. Must stay in lockstep with the
-/// [`Candidate`] type.
-#[inline]
-pub(crate) fn encode_candidate<VM, EM: Wire>(s: &AdjEntry<VM, EM>, buf: &mut Vec<u8>) {
-    s.v.encode(buf);
-    s.key.degree.encode(buf);
-    s.em.encode(buf);
-}
-
 /// The columnar projection of an adjacency slice: serializes the
 /// candidate batch as three packed columns straight from `Adjm+`
-/// storage, byte-identical to the [`ColBatch`] the receiving handler
-/// is keyed on. The degree column delta-codes for free here because
+/// storage, byte-identical to the [`ColBatch`] the receiving handlers
+/// are keyed on. The degree column delta-codes for free here because
 /// the slice is `<+`-sorted, so degrees are monotone non-decreasing.
 #[inline]
 pub(crate) fn encode_candidate_columns<VM, EM: Wire>(
@@ -500,14 +256,14 @@ pub(crate) fn encode_candidate_columns<VM, EM: Wire>(
 /// target is not excluded by `skip` (Push-Only passes `|_| false`;
 /// Push-Pull skips targets that will be pulled instead).
 ///
-/// Encode-once hot path for either layout: the candidate suffix
-/// serializes **directly** from the `Adjm+(p)` storage slice, and
-/// `meta(p)` / `meta(p,q)` are encoded by reference — no candidate
-/// materialization and no metadata clones per batch.
+/// Encode-once hot path: the candidate suffix serializes **directly**
+/// from the `Adjm+(p)` storage slice, and `meta(p)` / `meta(p,q)` are
+/// encoded by reference — no candidate materialization and no metadata
+/// clones per batch.
 pub(crate) fn push_wedge_batches<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
-    handler: &PushHandler<VM, EM>,
+    handler: &Handler<PushMsg<VM, EM>>,
     mut skip: impl FnMut(u64) -> bool,
 ) where
     VM: Wire + Clone + 'static,
@@ -524,30 +280,17 @@ pub(crate) fn push_wedge_batches<VM, EM>(
             }
             let dest = graph.owner(e.v);
             let suffix = &lv.adj[i + 1..];
-            match handler {
-                PushHandler::Interleaved(h) => comm.send_encoded(
-                    dest,
-                    h,
-                    (
-                        lv.id,
-                        e.v,
-                        &lv.meta,
-                        &e.em,
-                        encode_seq(suffix, |s, buf| encode_candidate(s, buf)),
-                    ),
+            comm.send_encoded(
+                dest,
+                handler,
+                (
+                    lv.id,
+                    e.v,
+                    &lv.meta,
+                    &e.em,
+                    encode_candidate_columns(suffix),
                 ),
-                PushHandler::Columnar(h) => comm.send_encoded(
-                    dest,
-                    h,
-                    (
-                        lv.id,
-                        e.v,
-                        &lv.meta,
-                        &e.em,
-                        encode_candidate_columns(suffix),
-                    ),
-                ),
-            }
+            );
         }
     }
 }

@@ -22,8 +22,8 @@ use crate::push_common::{push_wedge_batches, register_push_handler, DynCallback}
 ///
 /// Collective: every rank calls with the same graph and an equivalent
 /// callback. Returns this rank's [`SurveyReport`]. Runs the production
-/// [`SurveyConfig`] (columnar batches, cursor decode); see
-/// [`survey_push_only_with`] to select the configuration explicitly.
+/// [`SurveyConfig`]; see [`survey_push_only_with`] to select the
+/// configuration explicitly.
 pub fn survey_push_only<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -38,11 +38,10 @@ where
 }
 
 /// [`survey_push_only`] with an explicit [`SurveyConfig`] (or a bare
-/// [`crate::engine::BatchLayout`] / [`crate::engine::DecodePath`] /
-/// [`crate::engine::IntersectKernel`], via `Into`) — the layout and
-/// decode axes are part of the collective contract (same value on
-/// every rank); the kernel is a local compute choice. The non-default
-/// combinations exist for differential testing.
+/// [`crate::engine::IntersectKernel`] / [`crate::engine::Parallelism`],
+/// via `Into`). Both fields are local compute choices;
+/// [`crate::engine::IntersectKernel::MergeScalar`] selects the reference
+/// path the differential suites compare against.
 pub fn survey_push_only_with<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -164,7 +163,7 @@ mod tests {
     }
 
     fn misrouted_push(config: SurveyConfig) {
-        use crate::push_common::{register_push_handler, PushHandler};
+        use crate::push_common::register_push_handler;
         use tripoll_ygm::wire::ColBatch;
         // A push handler is registered normally, then one wedge batch is
         // deliberately sent to the rank that does NOT own its target:
@@ -180,14 +179,7 @@ mod tests {
             if comm.rank() == 0 {
                 let q = 0u64;
                 let wrong = (g.owner(q) + 1) % comm.nranks();
-                match &h {
-                    PushHandler::Interleaved(h) => {
-                        comm.send(wrong, h, &(1u64, q, (), (), Vec::<(u64, u64, ())>::new()));
-                    }
-                    PushHandler::Columnar(h) => {
-                        comm.send(wrong, h, &(1u64, q, (), (), ColBatch::<()>::default()));
-                    }
-                }
+                comm.send(wrong, &h, &(1u64, q, (), (), ColBatch::<()>::default()));
             }
             comm.barrier();
         });
@@ -202,13 +194,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "vertex ownership disagrees across ranks")]
     fn misrouted_push_aborts_cleanly_owned() {
-        misrouted_push(SurveyConfig::from(crate::engine::DecodePath::Owned));
-    }
-
-    #[test]
-    #[should_panic(expected = "vertex ownership disagrees across ranks")]
-    fn misrouted_push_aborts_cleanly_interleaved() {
-        misrouted_push(SurveyConfig::from(crate::engine::BatchLayout::Interleaved));
+        misrouted_push(SurveyConfig::from(
+            crate::engine::IntersectKernel::MergeScalar,
+        ));
     }
 
     #[test]

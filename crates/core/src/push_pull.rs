@@ -22,56 +22,44 @@
 //!    `Rank(p)` (where, by the storage design of §4.2, all six metadata
 //!    values are already resident).
 //!
-//! Like the push path, the pull delivery is layout-generic
-//! ([`crate::engine::BatchLayout`]): columnar deliveries are captured
-//! once as a [`ColView`] (three bounded takes) and re-walked per resume
-//! suffix with metadata decoded only on matches; interleaved deliveries
-//! use the [`SeqView`] skip-walk capture.
+//! Like a pushed batch, a pull delivery is a columnar frame: it is
+//! captured once as a [`ColView`] (three bounded takes) and re-walked
+//! per resume suffix with metadata decoded only on matches.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use tripoll_graph::{DistGraph, OrderKey};
 use tripoll_ygm::hash::{FastMap, FastSet};
-use tripoll_ygm::wire::{encode_seq, ColBatch, ColCursor, ColView, SeqView, Wire};
+use tripoll_ygm::wire::{ColBatch, ColCursor, ColView, Wire};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{
-    intersect_col, intersect_slices, intersect_stream, BatchLayout, DecodePath, EngineMode,
-    PhaseTimer, SurveyConfig, SurveyReport,
+    intersect_col, intersect_slices, EngineMode, IntersectKernel, PhaseTimer, SurveyConfig,
+    SurveyReport,
 };
 use crate::meta::{SurveyCallback, TriangleMeta};
-use crate::par::{par_queue_for, Ctx, ParQueue, TaskKind};
+use crate::par::{par_queue_for, Ctx, ParQueue};
 use crate::push_common::{
-    decode_candidate_view, encode_candidate, encode_candidate_columns, push_wedge_batches,
-    register_push_handler, Candidate, DynCallback,
+    encode_candidate_columns, push_wedge_batches, register_push_handler, DynCallback,
 };
 
 /// Dry-run record: `(q, planned candidate count, source rank)`.
 type DryRunMsg = (u64, u64, u32);
-/// Interleaved pull delivery: `(q, Adjm+(q) projected to (r, d(r), meta(q,r)))`.
-type PullMsg<EM> = (u64, Vec<Candidate<EM>>);
-/// Columnar pull delivery: same projection as three packed columns.
-type PullMsgCol<EM> = (u64, ColBatch<EM>);
-
-/// The registered pull handler, keyed by the delivery's batch layout
-/// (mirror of [`crate::push_common::PushHandler`]).
-enum PullHandler<EM> {
-    Interleaved(Handler<PullMsg<EM>>),
-    Columnar(Handler<PullMsgCol<EM>>),
-}
+/// Pull delivery: `(q, Adjm+(q) projected to (r, d(r), meta(q,r)))`,
+/// the projection as three packed columns.
+type PullMsg<EM> = (u64, ColBatch<EM>);
 
 /// Dry-run resume pointers, grouped by wedge target.
 ///
 /// The paper's "pointers to efficiently iterate over source vertices
 /// stored locally" (§4.4). Stored as **one** `(q, slot, index)` vector
-/// sorted by `q` — runs of equal `q` are contiguous — instead of the
-/// former pair of hash maps (`planned` counts plus per-target pointer
-/// vectors): building it is a push per wedge target plus one sort with
-/// no per-target allocation, the planned candidate count is derived
-/// from a run when the dry-run record is sent (so no second map), a
-/// target's pointers are found by binary search, and the post-dry-run
-/// veto filtering is an in-place `retain`.
+/// sorted by `q` — runs of equal `q` are contiguous — rather than a map
+/// per target: building it is a push per wedge target plus one sort
+/// with no per-target allocation, the planned candidate count is
+/// derived from a run when the dry-run record is sent (so no second
+/// map), a target's pointers are found by binary search, and the
+/// post-dry-run veto filtering is an in-place `retain`.
 #[derive(Default)]
 struct ResumePlan {
     /// `(q, vertex slot, adjacency index)`, sorted by `q` after
@@ -100,8 +88,7 @@ impl ResumePlan {
     }
 
     /// The resume pointers recorded for `q` (empty if none). Binary
-    /// search over the sealed vector — the lookup the former hash map
-    /// provided, without its per-target allocations.
+    /// search over the sealed vector.
     fn get(&self, q: u64) -> &[(u64, u32, u32)] {
         let start = self.entries.partition_point(|e| e.0 < q);
         let end = start + self.entries[start..].partition_point(|e| e.0 == q);
@@ -117,12 +104,12 @@ impl ResumePlan {
 /// A captured dry-run outcome, reusable across queries.
 ///
 /// The dry-run is a pure function of the graph content, the partition,
-/// and the rank count — it does not depend on any [`SurveyConfig`]
-/// axis. A resident graph therefore captures the plan on the first
-/// Push-Pull query at a given rank count and replays it (zero dry-run
-/// traffic) for every later query at that count, with bit-identical
-/// results: the replay prefills exactly the veto set, pull list, and
-/// post-veto resume pointers the fresh dry-run would have produced.
+/// and the rank count — it does not depend on the [`SurveyConfig`]. A
+/// resident graph therefore captures the plan on the first Push-Pull
+/// query at a given rank count and replays it (zero dry-run traffic)
+/// for every later query at that count, with bit-identical results: the
+/// replay prefills exactly the veto set, pull list, and post-veto
+/// resume pointers the fresh dry-run would have produced.
 ///
 /// Plans are per-rank: rank `r`'s plan is only valid on rank `r` of a
 /// world with the same rank count over the same shards.
@@ -173,8 +160,8 @@ struct PpState {
 /// Runs a Push-Pull triangle survey; `callback` executes once per
 /// triangle, on `Rank(q)` for pushed wedges and on `Rank(p)` for pulled
 /// ones. Collective. Returns this rank's [`SurveyReport`]. Runs the
-/// production [`SurveyConfig`] (columnar batches, cursor decode); see
-/// [`survey_push_pull_with`] to select the configuration explicitly.
+/// production [`SurveyConfig`]; see [`survey_push_pull_with`] to select
+/// the configuration explicitly.
 pub fn survey_push_pull<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -189,9 +176,9 @@ where
 }
 
 /// [`survey_push_pull`] with an explicit [`SurveyConfig`] (or a bare
-/// [`BatchLayout`] / [`DecodePath`], via `Into`) — the configuration is
-/// part of the collective contract (same value on every rank). The
-/// non-default combinations exist for differential testing.
+/// [`IntersectKernel`] / [`crate::engine::Parallelism`], via `Into`).
+/// Both fields are local compute choices; [`IntersectKernel::MergeScalar`]
+/// selects the reference path the differential suites compare against.
 pub fn survey_push_pull_with<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -287,8 +274,7 @@ where
             s.resume.seal();
         }
         // One dry-run record per run; the planned candidate count is
-        // recomputed from the run's pointers (suffix lengths), which is
-        // exactly what the retired `planned` hash map used to store.
+        // the sum of the suffix lengths its pointers name.
         let s = st.borrow();
         let shard = graph.shard();
         let my_rank = comm.rank() as u32;
@@ -360,23 +346,14 @@ where
                 .get(q)
                 .expect("pull-granted vertex must be locally owned");
             // Encode-once fan-out: the `Adjm+(q)` projection serializes
-            // straight from graph storage exactly once (in the survey's
-            // batch layout), and the encoded record is memcpy'd to
+            // straight from graph storage exactly once, and the encoded
+            // record is memcpy'd to
             // every granted rank. Under node aggregation the comm layer
             // tightens this further: granted ranks sharing a remote node
             // receive one multicast section — the adjacency crosses the
             // wire once per *node* and the gateway fans it out.
             let dests = ranks.iter().map(|&src| src as usize);
-            match &pull_handler {
-                PullHandler::Interleaved(h) => comm.send_to_many(
-                    dests,
-                    h,
-                    (q, encode_seq(&lv.adj, |e, buf| encode_candidate(e, buf))),
-                ),
-                PullHandler::Columnar(h) => {
-                    comm.send_to_many(dests, h, (q, encode_candidate_columns(&lv.adj)))
-                }
-            }
+            comm.send_to_many(dests, &pull_handler, (q, encode_candidate_columns(&lv.adj)));
         }
     }
     comm.barrier();
@@ -395,23 +372,19 @@ where
     }
 }
 
-/// Registers the pull-delivery handler for the configured layout and
-/// decode path. Collective (same `config` on every rank).
+/// Registers the pull-delivery handler. Collective (handler
+/// registration); `config` and `queue` only choose the handler body —
+/// every body reads the same wire type.
 ///
 /// One arriving `Adjm+(q)` projection is intersected against **every**
-/// resume suffix recorded for `q`. The columnar cursor path captures
-/// the frame's column extents once ([`ColView`], three bounded takes)
-/// and re-walks the key columns per suffix, decoding `meta(q,r)` only
-/// for triangle matches; the interleaved cursor path does the same
-/// through a [`SeqView`] (one skip-walk capture, [`tripoll_ygm::wire::Lazy`]
-/// per-candidate metadata). The owned paths materialize the projection
-/// and are the differential-testing references.
-///
-/// With a `queue` (parallel merge path, cursor decode only) the handler
+/// resume suffix recorded for `q`. The production body captures the
+/// frame's column extents once ([`ColView`], three bounded takes) and
+/// re-walks the key columns per suffix, decoding `meta(q,r)` only for
+/// triangle matches. With a `queue` (parallel merge path) it instead
 /// copies the delivered frame once and enqueues one work item per
 /// resume suffix — empty suffixes included, so the per-suffix kernel
-/// accounting matches the serial path exactly — instead of
-/// intersecting inline.
+/// accounting matches the inline path exactly. The reference body
+/// materializes the projection and runs the two-pointer merge.
 fn register_pull_handler<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -419,233 +392,118 @@ fn register_pull_handler<VM, EM>(
     cb: DynCallback<VM, EM>,
     config: SurveyConfig,
     queue: &Option<Rc<ParQueue<VM, EM>>>,
-) -> PullHandler<EM>
+) -> Handler<PullMsg<EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
     let kernel = config.kernel;
-    match (config.layout, config.decode, queue.clone()) {
-        (BatchLayout::Columnar, DecodePath::Cursor, Some(pq)) => {
-            let g = graph.clone();
-            PullHandler::Columnar(comm.register_borrowed::<PullMsgCol<EM>, _>(move |c, r| {
-                let q = u64::decode(r)?;
-                let start = r.position();
-                let view: ColView<'_, EM> = ColView::capture(r)?;
-                let frame = r.since(start);
-                st.borrow_mut().pulled += 1;
-                let s = st.borrow();
-                let shard = g.shard();
-                let entries = s.resume.get(q);
-                if !entries.is_empty() {
-                    // One frame copy shared by every resume suffix.
-                    let raw = pq.alloc_frame(frame);
-                    for &(_, slot, idx) in entries {
-                        let lv = shard.vertex(slot as usize);
-                        debug_assert_eq!(lv.adj[idx as usize].v, q);
-                        let suffix = &lv.adj[idx as usize + 1..];
-                        c.add_work((suffix.len() + view.len()) as u64);
-                        pq.push_task(c, TaskKind::PullCol, raw, suffix, Ctx::Pull { slot, idx });
-                    }
-                }
-                drop(s);
-                pq.maybe_flush(c);
-                Ok(())
-            }))
-        }
-        (BatchLayout::Interleaved, DecodePath::Cursor, Some(pq)) => {
-            let g = graph.clone();
-            PullHandler::Interleaved(comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
-                let q = u64::decode(r)?;
-                let start = r.position();
-                let view: SeqView<'_, Candidate<EM>> = SeqView::capture(r)?;
-                let frame = r.since(start);
-                st.borrow_mut().pulled += 1;
-                let s = st.borrow();
-                let shard = g.shard();
-                let entries = s.resume.get(q);
-                if !entries.is_empty() {
-                    let raw = pq.alloc_frame(frame);
-                    for &(_, slot, idx) in entries {
-                        let lv = shard.vertex(slot as usize);
-                        debug_assert_eq!(lv.adj[idx as usize].v, q);
-                        let suffix = &lv.adj[idx as usize + 1..];
-                        c.add_work((suffix.len() + view.len()) as u64);
-                        pq.push_task(c, TaskKind::PullSeq, raw, suffix, Ctx::Pull { slot, idx });
-                    }
-                }
-                drop(s);
-                pq.maybe_flush(c);
-                Ok(())
-            }))
-        }
-        (BatchLayout::Columnar, DecodePath::Cursor, None) => {
-            let g = graph.clone();
-            PullHandler::Columnar(comm.register_borrowed::<PullMsgCol<EM>, _>(move |c, r| {
-                let q = u64::decode(r)?;
-                let view: ColView<'_, EM> = ColView::capture(r)?;
-                st.borrow_mut().pulled += 1;
-                let s = st.borrow();
-                let shard = g.shard();
-                for &(_, slot, idx) in s.resume.get(q) {
+    let g = graph.clone();
+    if config.is_reference() {
+        return comm.register::<PullMsg<EM>, _>(move |c, (q, batch)| {
+            st.borrow_mut().pulled += 1;
+            let s = st.borrow();
+            let shard = g.shard();
+            for &(_, slot, idx) in s.resume.get(q) {
+                let lv = shard.vertex(slot as usize);
+                let eq = &lv.adj[idx as usize];
+                debug_assert_eq!(eq.v, q);
+                let suffix = &lv.adj[idx as usize + 1..];
+                c.add_work((suffix.len() + batch.0.len()) as u64);
+                intersect_slices(
+                    IntersectKernel::MergeScalar,
+                    suffix,
+                    &batch.0,
+                    |s| s.key,
+                    |pe| OrderKey::new(pe.0, pe.1),
+                    |s_entry, pe| {
+                        let tm = TriangleMeta {
+                            p: lv.id,
+                            q,
+                            r: s_entry.v,
+                            meta_p: &lv.meta,
+                            meta_q: &eq.vm,
+                            meta_r: &s_entry.vm,
+                            meta_pq: &eq.em,
+                            meta_pr: &s_entry.em,
+                            meta_qr: &pe.2,
+                        };
+                        cb(c, &tm);
+                    },
+                );
+            }
+        });
+    }
+    match queue.clone() {
+        Some(pq) => comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
+            let q = u64::decode(r)?;
+            let start = r.position();
+            let view: ColView<'_, EM> = ColView::capture(r)?;
+            let frame = r.since(start);
+            st.borrow_mut().pulled += 1;
+            let s = st.borrow();
+            let shard = g.shard();
+            let entries = s.resume.get(q);
+            if !entries.is_empty() {
+                // One frame copy shared by every resume suffix.
+                let raw = pq.alloc_frame(frame);
+                for &(_, slot, idx) in entries {
                     let lv = shard.vertex(slot as usize);
-                    let eq = &lv.adj[idx as usize];
-                    debug_assert_eq!(eq.v, q);
+                    debug_assert_eq!(lv.adj[idx as usize].v, q);
                     let suffix = &lv.adj[idx as usize + 1..];
                     c.add_work((suffix.len() + view.len()) as u64);
-                    let ColCursor {
-                        mut keys,
-                        mut metas,
-                    } = view.walk();
-                    intersect_col(
-                        kernel,
-                        &mut keys,
-                        suffix,
-                        |s_entry| s_entry.key,
-                        |k, s_entry| {
-                            debug_assert_eq!(
-                                k.v, s_entry.v,
-                                "OrderKey equality implies vertex equality"
-                            );
-                            let meta_qr = metas.get(k.idx)?;
-                            let tm = TriangleMeta {
-                                p: lv.id,
-                                q,
-                                r: s_entry.v,
-                                meta_p: &lv.meta,
-                                meta_q: &eq.vm,
-                                meta_r: &s_entry.vm,
-                                meta_pq: &eq.em,
-                                meta_pr: &s_entry.em,
-                                meta_qr: &meta_qr,
-                            };
-                            cb(c, &tm);
-                            Ok(())
-                        },
-                    )?;
+                    pq.push_task(c, raw, suffix, Ctx::Pull { slot, idx });
                 }
-                Ok(())
-            }))
-        }
-        (BatchLayout::Columnar, DecodePath::Owned, _) => {
-            let g = graph.clone();
-            PullHandler::Columnar(comm.register::<PullMsgCol<EM>, _>(move |c, (q, batch)| {
-                st.borrow_mut().pulled += 1;
-                let s = st.borrow();
-                let shard = g.shard();
-                for &(_, slot, idx) in s.resume.get(q) {
-                    let lv = shard.vertex(slot as usize);
-                    let eq = &lv.adj[idx as usize];
-                    debug_assert_eq!(eq.v, q);
-                    let suffix = &lv.adj[idx as usize + 1..];
-                    c.add_work((suffix.len() + batch.0.len()) as u64);
-                    intersect_slices(
-                        kernel,
-                        suffix,
-                        &batch.0,
-                        |s| s.key,
-                        |pe| OrderKey::new(pe.0, pe.1),
-                        |s_entry, pe| {
-                            let tm = TriangleMeta {
-                                p: lv.id,
-                                q,
-                                r: s_entry.v,
-                                meta_p: &lv.meta,
-                                meta_q: &eq.vm,
-                                meta_r: &s_entry.vm,
-                                meta_pq: &eq.em,
-                                meta_pr: &s_entry.em,
-                                meta_qr: &pe.2,
-                            };
-                            cb(c, &tm);
-                        },
-                    );
-                }
-            }))
-        }
-        (BatchLayout::Interleaved, DecodePath::Cursor, None) => {
-            let g = graph.clone();
-            PullHandler::Interleaved(comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
-                let q = u64::decode(r)?;
-                let view: SeqView<'_, Candidate<EM>> = SeqView::capture(r)?;
-                st.borrow_mut().pulled += 1;
-                let s = st.borrow();
-                let shard = g.shard();
-                for &(_, slot, idx) in s.resume.get(q) {
-                    let lv = shard.vertex(slot as usize);
-                    let eq = &lv.adj[idx as usize];
-                    debug_assert_eq!(eq.v, q);
-                    let suffix = &lv.adj[idx as usize + 1..];
-                    c.add_work((suffix.len() + view.len()) as u64);
-                    let mut walk = view.walk();
-                    intersect_stream(
-                        kernel,
-                        view.len(),
-                        || walk.next_with(decode_candidate_view::<EM>),
-                        suffix,
-                        |pe| pe.key,
-                        |s_entry| s_entry.key,
-                        |pe, s_entry| {
-                            debug_assert_eq!(
-                                pe.v, s_entry.v,
-                                "OrderKey equality implies vertex equality"
-                            );
-                            let meta_qr = pe.em.get()?;
-                            let tm = TriangleMeta {
-                                p: lv.id,
-                                q,
-                                r: s_entry.v,
-                                meta_p: &lv.meta,
-                                meta_q: &eq.vm,
-                                meta_r: &s_entry.vm,
-                                meta_pq: &eq.em,
-                                meta_pr: &s_entry.em,
-                                meta_qr: &meta_qr,
-                            };
-                            cb(c, &tm);
-                            Ok(())
-                        },
-                    )?;
-                }
-                Ok(())
-            }))
-        }
-        (BatchLayout::Interleaved, DecodePath::Owned, _) => {
-            let g = graph.clone();
-            PullHandler::Interleaved(comm.register::<PullMsg<EM>, _>(move |c, (q, pulled_adj)| {
-                st.borrow_mut().pulled += 1;
-                let s = st.borrow();
-                let shard = g.shard();
-                for &(_, slot, idx) in s.resume.get(q) {
-                    let lv = shard.vertex(slot as usize);
-                    let eq = &lv.adj[idx as usize];
-                    debug_assert_eq!(eq.v, q);
-                    let suffix = &lv.adj[idx as usize + 1..];
-                    c.add_work((suffix.len() + pulled_adj.len()) as u64);
-                    intersect_slices(
-                        kernel,
-                        suffix,
-                        &pulled_adj,
-                        |s| s.key,
-                        |pe| OrderKey::new(pe.0, pe.1),
-                        |s_entry, pe| {
-                            let tm = TriangleMeta {
-                                p: lv.id,
-                                q,
-                                r: s_entry.v,
-                                meta_p: &lv.meta,
-                                meta_q: &eq.vm,
-                                meta_r: &s_entry.vm,
-                                meta_pq: &eq.em,
-                                meta_pr: &s_entry.em,
-                                meta_qr: &pe.2,
-                            };
-                            cb(c, &tm);
-                        },
-                    );
-                }
-            }))
-        }
+            }
+            drop(s);
+            pq.maybe_flush(c);
+            Ok(())
+        }),
+        None => comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
+            let q = u64::decode(r)?;
+            let view: ColView<'_, EM> = ColView::capture(r)?;
+            st.borrow_mut().pulled += 1;
+            let s = st.borrow();
+            let shard = g.shard();
+            for &(_, slot, idx) in s.resume.get(q) {
+                let lv = shard.vertex(slot as usize);
+                let eq = &lv.adj[idx as usize];
+                debug_assert_eq!(eq.v, q);
+                let suffix = &lv.adj[idx as usize + 1..];
+                c.add_work((suffix.len() + view.len()) as u64);
+                let ColCursor {
+                    mut keys,
+                    mut metas,
+                } = view.walk();
+                intersect_col(
+                    kernel,
+                    &mut keys,
+                    suffix,
+                    |s_entry| s_entry.key,
+                    |k, s_entry| {
+                        debug_assert_eq!(
+                            k.v, s_entry.v,
+                            "OrderKey equality implies vertex equality"
+                        );
+                        let meta_qr = metas.get(k.idx)?;
+                        let tm = TriangleMeta {
+                            p: lv.id,
+                            q,
+                            r: s_entry.v,
+                            meta_p: &lv.meta,
+                            meta_q: &eq.vm,
+                            meta_r: &s_entry.vm,
+                            meta_pq: &eq.em,
+                            meta_pr: &s_entry.em,
+                            meta_qr: &meta_qr,
+                        };
+                        cb(c, &tm);
+                        Ok(())
+                    },
+                )?;
+            }
+            Ok(())
+        }),
     }
 }
 
@@ -794,9 +652,9 @@ mod tests {
     fn metadata_correct_in_pull_path() {
         // Same hub construction as above so the pull path executes, with
         // content-addressed metadata validated inside the callback —
-        // once per layout, so both the ColView and SeqView re-walks are
-        // covered.
-        for layout in [BatchLayout::Columnar, BatchLayout::Interleaved] {
+        // on the production path (the ColView re-walk) and on the
+        // reference it is compared against.
+        for kernel in [IntersectKernel::Auto, IntersectKernel::MergeScalar] {
             let k = 16u64;
             let h1 = 500;
             let h2 = 501;
@@ -817,7 +675,7 @@ mod tests {
                 let g = build_dist_graph(comm, local, |v| v * 31 + 7, Partition::Hashed);
                 let seen = Rc::new(Cell::new(0u64));
                 let seen2 = seen.clone();
-                let report = survey_push_pull_with(comm, &g, layout, move |_c, tm| {
+                let report = survey_push_pull_with(comm, &g, kernel, move |_c, tm| {
                     assert_eq!(*tm.meta_p, tm.p * 31 + 7);
                     assert_eq!(*tm.meta_q, tm.q * 31 + 7);
                     assert_eq!(*tm.meta_r, tm.r * 31 + 7);
@@ -828,9 +686,9 @@ mod tests {
                 });
                 (comm.all_reduce_sum(seen.get()), report.pulled_vertices)
             });
-            assert_eq!(out[0].0, k, "layout {layout}");
+            assert_eq!(out[0].0, k, "kernel {kernel}");
             let pulled: u64 = out.iter().map(|(_, p)| p).sum();
-            assert!(pulled > 0, "test must exercise the pull path ({layout})");
+            assert!(pulled > 0, "test must exercise the pull path ({kernel})");
         }
     }
 

@@ -9,9 +9,8 @@
 //! held behind [`Arc`] as immutable shared state, and every query
 //! spins up a fresh per-query comm world — its own simulated ranks,
 //! its own [`CommConfig`] — against the shared storage. Concurrent
-//! queries with different layout × decode × kernel × threads settings
-//! run against one resident graph with bit-identical results to the
-//! from-scratch path.
+//! queries with different kernel × threads settings run against one
+//! resident graph with bit-identical results to the from-scratch path.
 //!
 //! Three mechanisms make the "load once, serve many" shape real:
 //!
@@ -100,11 +99,14 @@ use crate::push_pull::{survey_push_pull_planned, DryRunPlan, PlanMode};
 pub struct ResidentQuery {
     /// Simulated ranks of the per-query world.
     pub nranks: usize,
-    /// Engine configuration (layout × decode × kernel × threads).
+    /// Engine configuration (kernel × threads).
     pub config: SurveyConfig,
     /// Communicator configuration of the per-query world.
     pub comm: CommConfig,
-    /// Which survey engine runs the query.
+    /// Which survey engine runs a *full* survey
+    /// ([`ResidentGraph::survey`]). Delta surveys
+    /// ([`ResidentGraph::survey_delta`]) do not read it: they always
+    /// push, and report [`EngineMode::PushOnly`].
     pub mode: EngineMode,
 }
 
@@ -606,6 +608,12 @@ where
     /// and a [`StaleDeltaError`] is returned. The epoch check and the
     /// world-state fetch happen under one state lock, so the surveyed
     /// snapshot is exactly the one `delta`'s ingest produced.
+    ///
+    /// `query.mode` applies to full surveys only and is not read here:
+    /// the pull side has no analogue for the sparse wedge set of a
+    /// batch ([`crate::delta`]), so a delta survey always pushes and
+    /// every returned [`SurveyReport::mode`] is
+    /// [`EngineMode::PushOnly`], whichever engine the query names.
     pub fn survey_delta<F>(
         &self,
         delta: &IngestDelta,
@@ -654,7 +662,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BatchLayout, DecodePath, IntersectKernel};
+    use crate::engine::IntersectKernel;
 
     fn triangle_list() -> EdgeList<u32> {
         EdgeList::from_vec(vec![
@@ -709,14 +717,11 @@ mod tests {
         assert!(q.comm.overlap_flush.is_some(), "overlap pinned");
         let q = q
             .with_threads(Parallelism::Threads(3))
-            .with_config(
-                SurveyConfig::new()
-                    .with_layout(BatchLayout::Interleaved)
-                    .with_decode(DecodePath::Owned)
-                    .with_kernel(IntersectKernel::Gallop),
-            )
+            .with_config(SurveyConfig::new().with_kernel(IntersectKernel::Gallop))
             .with_mode(EngineMode::PushOnly);
-        assert_eq!(q.config.layout, BatchLayout::Interleaved);
+        assert_eq!(q.config.kernel, IntersectKernel::Gallop);
+        // `with_config` replaces the whole configuration, threads included.
+        assert_eq!(q.config.threads, Parallelism::Env);
         assert_eq!(q.mode, EngineMode::PushOnly);
     }
 

@@ -449,11 +449,11 @@ impl Comm {
     ///
     /// The closure receives the envelope's [`WireReader`] positioned at
     /// the start of one `M`-encoded record and must consume **exactly**
-    /// that record's bytes (use [`crate::wire::SeqCursor`] /
-    /// [`crate::wire::SeqView`] / [`crate::wire::Lazy`] to walk
-    /// sequences without materializing them; `SeqCursor::skip_rest`
-    /// restores the record boundary after an early exit). Returning an
-    /// error aborts the rank like a failed owned decode would.
+    /// that record's bytes ([`crate::wire::ColCursor`] /
+    /// [`crate::wire::ColView`] capture a whole columnar frame up
+    /// front, so a walk may stop anywhere; [`Wire::skip`] steps past a
+    /// value that is not needed). Returning an error aborts the rank
+    /// like a failed owned decode would.
     ///
     /// Sends target it exactly like an owned handler: `M` is the wire
     /// type the senders encode (or match via [`WireEncode`]). Must be
@@ -506,7 +506,7 @@ impl Comm {
     /// Sends a record whose payload is appended by a [`WireEncode`]
     /// value — the encode-once path. `enc`'s byte image must match the
     /// handler's message type `M` (see the `wire` module docs); borrowed
-    /// tuples and [`crate::wire::encode_seq`] projections serialize
+    /// tuples and [`crate::wire::encode_columns`] projections serialize
     /// straight from application storage with no intermediate `M`.
     pub fn send_encoded<M: Wire, E: WireEncode>(&self, dest: Rank, h: &Handler<M>, enc: E) {
         debug_assert!(
@@ -1525,20 +1525,17 @@ mod tests {
 
     #[test]
     fn borrowed_handler_decodes_in_place_and_counts() {
-        use crate::wire::SeqCursor;
         // Rank 0 sends (tag, candidate list) records; the receiver
-        // consumes them through a streaming cursor with no owned
-        // message, and the new counters reflect the in-place decode.
+        // walks them off the envelope reader with no owned message, and
+        // the in-place counters reflect the decode.
         let nranks = 2;
         let stats = World::new(nranks).run_with_stats(|comm| {
             let sum = Rc::new(Cell::new(0u64));
             let sum2 = sum.clone();
             let h = comm.register_borrowed::<(u64, Vec<u64>), _>(move |_c, r| {
-                let tag = u64::decode(r)?;
-                let mut cur = SeqCursor::begin(r)?;
-                let mut acc = tag;
-                while let Some(v) = cur.next_value::<u64>() {
-                    acc += v?;
+                let mut acc = u64::decode(r)?;
+                for _ in 0..r.take_varint()? {
+                    acc += u64::decode(r)?;
                 }
                 sum2.set(sum2.get() + acc);
                 Ok(())
@@ -1567,8 +1564,7 @@ mod tests {
     fn borrowed_and_owned_handlers_share_envelopes() {
         // Records for both handler kinds interleave in one buffer; the
         // borrowed handler must leave the reader exactly at the next
-        // record (exercised by skip_rest after a partial walk).
-        use crate::wire::SeqCursor;
+        // record (exercised by skipping the rest after a partial walk).
         let out: Vec<(u64, u64)> = World::new(2).run(|comm| {
             let owned_sum = Rc::new(Cell::new(0u64));
             let borrowed_sum = Rc::new(Cell::new(0u64));
@@ -1578,12 +1574,13 @@ mod tests {
                 os.set(os.get() + v);
             });
             let h_borrowed = comm.register_borrowed::<Vec<u64>, _>(move |_c, r| {
-                let mut cur = SeqCursor::begin(r)?;
                 // Consume only the first element, then skip the rest.
-                if let Some(v) = cur.next_value::<u64>() {
-                    bs.set(bs.get() + v?);
+                let len = r.take_varint()?;
+                bs.set(bs.get() + u64::decode(r)?);
+                for _ in 1..len {
+                    u64::skip(r)?;
                 }
-                cur.skip_rest::<u64>()
+                Ok(())
             });
             let dest = (comm.rank() + 1) % comm.nranks();
             for i in 0..10u64 {

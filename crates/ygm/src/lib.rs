@@ -20,9 +20,8 @@
 //! * [`wire::Wire`] is the serialization layer (the `cereal` stand-in):
 //!   varint-packed, length-prefixed, allocation-checked decoding, with
 //!   borrowed mirrors on both ends — [`wire::WireEncode`] for
-//!   encode-once sends, [`wire::WireDecode`] views ([`wire::SeqCursor`]
-//!   / [`wire::SeqView`] / [`wire::Lazy`]) for zero-copy receive via
-//!   [`Comm::register_borrowed`], and a columnar (SoA) batch frame
+//!   encode-once sends, in-place decoding off the receive buffer via
+//!   [`Comm::register_borrowed`] — and a columnar (SoA) batch frame
 //!   ([`wire::ColBatch`] / [`wire::encode_columns`] /
 //!   [`wire::ColCursor`] / [`wire::ColView`]) whose key columns are
 //!   walked during intersection while metadata decodes on match only.
@@ -82,9 +81,6 @@ pub mod prelude {
     pub use crate::cost::CostModel;
     pub use crate::hash::{hash64, FastMap, FastSet};
     pub use crate::stats::CommStats;
-    pub use crate::wire::{
-        ColBatch, ColCursor, ColView, Lazy, SeqCursor, SeqView, Wire, WireDecode, WireEncode,
-        WireError, WireReader,
-    };
+    pub use crate::wire::{ColBatch, ColCursor, ColView, Wire, WireEncode, WireError, WireReader};
     pub use crate::world::{World, WorldOutput};
 }

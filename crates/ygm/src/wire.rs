@@ -23,19 +23,18 @@
 //!
 //! [`Wire`] requires an owned value, which forces a sender that holds its
 //! payload scattered across graph storage (an adjacency slice, a metadata
-//! field behind a reference) to first materialize an owned message — the
-//! `O(d²)` per-vertex `Vec` + clone churn the TriPoll hot path used to
-//! pay. [`WireEncode`] is the write-only, borrowed counterpart: anything
+//! field behind a reference) to first materialize an owned message —
+//! `O(d²)` per-vertex `Vec` + clone churn on the TriPoll hot path.
+//! [`WireEncode`] is the write-only, borrowed counterpart: anything
 //! implementing it can append a wire image **byte-identical** to some
 //! `Wire` type's encoding, straight from borrowed data.
 //!
 //! * references `&T` to any `T: Wire` encode as `T` does;
 //! * owned primitives encode as themselves (so mixed tuples work);
 //! * tuples of `WireEncode` values encode like tuples of the owned types;
-//! * [`SliceSeq`] encodes a `&[T]` byte-identically to `Vec<T>`;
-//! * [`encode_seq`] encodes a *projection* of a slice byte-identically to
-//!   `Vec<U>` without materializing any `U` — each element writes its
-//!   fields through a closure.
+//! * [`encode_columns`] encodes a *projection* of a slice byte-identically
+//!   to a [`ColBatch`] without materializing any element — each column
+//!   streams through a closure (see the columnar section below).
 //!
 //! A handler registered for `M: Wire` can therefore be fed by
 //! `Comm::send_encoded` / `Comm::send_to_many` with a `WireEncode` value
@@ -48,26 +47,13 @@
 //!
 //! [`Wire::decode`] mirrors `Wire::encode`'s owned-value contract: it
 //! materializes the message, which for a sequence-carrying record means
-//! re-allocating exactly the sorted bytes that just arrived. The
-//! receive-side mirror of [`WireEncode`] is [`WireDecode`]: a *view*
-//! over the receive buffer, decoded in place with lifetime tied to the
-//! buffer. The building blocks:
-//!
-//! * [`Wire::skip`] advances a reader past one encoded value without
-//!   materializing it (bounds-only walks for strings, fixed widths and
-//!   length-prefixed containers);
-//! * [`SeqCursor`] streams a length-prefixed sequence off a shared
-//!   reader, one element at a time — the consumer advances the record
-//!   framing itself, so a sorted candidate list can be zipped against
-//!   local storage with **zero** heap allocation;
-//! * [`SeqView`] captures a sequence's byte extent (one cheap skip
-//!   walk) so it can be re-iterated via [`SeqView::walk`] — for
-//!   receivers that intersect one batch against many local lists;
-//! * [`Lazy`] captures a single value's byte range and decodes it only
-//!   if the consumer actually asks ([`Lazy::get`]) — metadata riding
-//!   along with every candidate is paid for only on a triangle match;
-//! * `&str` / `&[u8]` views decode length-prefixed payloads without
-//!   copying them out of the buffer.
+//! re-allocating exactly the sorted bytes that just arrived. A handler
+//! registered with `Comm::register_borrowed` instead receives the
+//! [`WireReader`] positioned at its record and decodes in place: eager
+//! scalars with [`Wire::decode`], values it does not need with
+//! [`Wire::skip`] (a bounds-only walk past one encoded value), and the
+//! candidate batch through the columnar views below, which borrow from
+//! the receive buffer for the duration of the handler call.
 //!
 //! Every length prefix read by this layer (and by the owned container
 //! decoders) is validated against the bytes remaining in the cursor
@@ -76,9 +62,9 @@
 //!
 //! # Columnar (SoA) sequences: the wedge-batch frame
 //!
-//! The interleaved sequence layouts above ship a candidate batch as
-//! `n × (vertex, degree, meta)` tuples. The columnar frame stores the
-//! same batch as three packed columns instead — better varint locality
+//! A `Vec` of candidates would ship a batch as `n × (vertex, degree,
+//! meta)` tuples. The columnar frame stores the same batch as three
+//! packed columns instead — better varint locality
 //! (like values compress alike and prefetch alike), fewer bytes per
 //! candidate (the degree column is delta-coded), and a receive side
 //! that can intersect on the key columns while leaving the metadata
@@ -96,11 +82,10 @@
 //! ```
 //!
 //! Each column carries its **byte length**, so capturing a whole frame
-//! is three bounded `take`s — no element walk, unlike [`SeqView`] —
-//! and a consumer that exits the merge early leaves no framing debt
-//! (the record was fully consumed at capture; contrast
-//! [`SeqCursor::skip_rest`]). Hardening mirrors the interleaved path,
-//! applied per column: `n` is rejected if it exceeds the bytes
+//! is three bounded `take`s — no element walk — and a consumer that
+//! exits the merge early leaves no framing debt (the record was fully
+//! consumed at capture). Hardening mirrors the owned container
+//! decoders, applied per column: `n` is rejected if it exceeds the bytes
 //! remaining ([`WireError::SeqOverrun`] — every vertex varint costs at
 //! least one byte), each byte-length prefix is validated against the
 //! bytes remaining before its column is sliced, each column must hold
@@ -253,8 +238,8 @@ impl<'a> WireReader<'a> {
 
     /// The bytes consumed since `start` (a previously saved
     /// [`WireReader::position`]). Borrowed from the underlying buffer,
-    /// so the slice outlives the reader — the primitive underneath
-    /// [`Lazy`] and [`SeqView`].
+    /// so the slice outlives the reader — how a handler captures the
+    /// bytes of a frame it has just validated.
     #[inline]
     pub fn since(&self, start: usize) -> &'a [u8] {
         &self.buf[start..self.pos]
@@ -779,9 +764,9 @@ impl_wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 /// [`Wire::encode`] output of some owned message type; the receiving
 /// handler decodes with that owned type's [`Wire::decode`]. The codec
 /// itself guarantees the identity for the impls in this module; adapter
-/// closures passed to [`encode_seq`] must uphold it for their element
-/// projection (encode exactly the fields, in order, that the owned
-/// element type encodes).
+/// closures passed to [`encode_columns`] must uphold it for their
+/// element projection (encode exactly the fields the owned element type
+/// encodes).
 pub trait WireEncode {
     /// Appends the wire image to `buf`.
     fn encode_wire(&self, buf: &mut Vec<u8>);
@@ -840,427 +825,6 @@ impl_wire_encode_tuple!(A: 0, B: 1, C: 2);
 impl_wire_encode_tuple!(A: 0, B: 1, C: 2, D: 3);
 impl_wire_encode_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 impl_wire_encode_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
-
-/// Encodes a borrowed slice byte-identically to `Vec<T>`: length varint,
-/// then each element.
-pub struct SliceSeq<'a, T>(pub &'a [T]);
-
-impl<T: Wire> WireEncode for SliceSeq<'_, T> {
-    #[inline]
-    fn encode_wire(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.0.len() as u64);
-        for item in self.0 {
-            item.encode(buf);
-        }
-    }
-}
-
-/// Encodes a projection of a borrowed slice byte-identically to the
-/// `Vec` of projected elements, without materializing any of them.
-///
-/// `write` receives each source element and the output buffer, and must
-/// append exactly the bytes the projected element type would encode —
-/// e.g. for a candidate `(v, degree, meta)` projection of an adjacency
-/// entry: `e.v.encode(buf); e.key.degree.encode(buf); e.em.encode(buf)`.
-pub struct EncodeSeq<'a, T, F> {
-    items: &'a [T],
-    write: F,
-}
-
-/// Builds an [`EncodeSeq`] over `items`.
-pub fn encode_seq<T, F: Fn(&T, &mut Vec<u8>)>(items: &[T], write: F) -> EncodeSeq<'_, T, F> {
-    EncodeSeq { items, write }
-}
-
-impl<T, F: Fn(&T, &mut Vec<u8>)> WireEncode for EncodeSeq<'_, T, F> {
-    #[inline]
-    fn encode_wire(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.items.len() as u64);
-        for item in self.items {
-            (self.write)(item, buf);
-        }
-    }
-}
-
-/// Read-only, borrowed wire decoding (see the module docs) — the
-/// decode-side mirror of [`WireEncode`].
-///
-/// Implementors are **views** over a receive buffer with lifetime `'a`:
-/// decoding consumes the same bytes the corresponding owned
-/// [`Wire::decode`] would, but keeps references into the buffer instead
-/// of copying payloads out. Owned primitives implement it too (decoding
-/// as themselves), so mixed tuples of eager scalars and borrowed views
-/// decode in one call.
-pub trait WireDecode<'a>: Sized {
-    /// Reads one view from `r`, borrowing from the underlying buffer.
-    fn decode_borrowed(r: &mut WireReader<'a>) -> Result<Self, WireError>;
-}
-
-macro_rules! impl_wire_decode_owned {
-    ($($t:ty),*) => {$(
-        impl<'a> WireDecode<'a> for $t {
-            #[inline]
-            fn decode_borrowed(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-                <$t as Wire>::decode(r)
-            }
-        }
-    )*};
-}
-
-impl_wire_decode_owned!(
-    (),
-    bool,
-    u8,
-    u16,
-    u32,
-    u64,
-    usize,
-    i8,
-    i16,
-    i32,
-    i64,
-    isize,
-    f32,
-    f64,
-    String
-);
-
-macro_rules! impl_wire_decode_tuple {
-    ($($name:ident : $idx:tt),+) => {
-        impl<'a, $($name: WireDecode<'a>),+> WireDecode<'a> for ($($name,)+) {
-            #[inline]
-            fn decode_borrowed(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-                Ok(($($name::decode_borrowed(r)?,)+))
-            }
-        }
-    };
-}
-
-impl_wire_decode_tuple!(A: 0);
-impl_wire_decode_tuple!(A: 0, B: 1);
-impl_wire_decode_tuple!(A: 0, B: 1, C: 2);
-impl_wire_decode_tuple!(A: 0, B: 1, C: 2, D: 3);
-impl_wire_decode_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
-impl_wire_decode_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
-
-/// Zero-copy string view: decodes the bytes a `String` encoded, but
-/// borrows them from the receive buffer (UTF-8 validated, not copied).
-impl<'a> WireDecode<'a> for &'a str {
-    #[inline]
-    fn decode_borrowed(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let len = check_seq_len::<u8>(r.take_varint()?, r)?;
-        let start = r.position();
-        r.take(len)?;
-        std::str::from_utf8(r.since(start)).map_err(|_| WireError::InvalidUtf8)
-    }
-}
-
-/// Zero-copy byte-slice view, byte-compatible with `Vec<u8>` (whose
-/// elements encode raw, so the payload is contiguous).
-impl<'a> WireDecode<'a> for &'a [u8] {
-    #[inline]
-    fn decode_borrowed(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let len = check_seq_len::<u8>(r.take_varint()?, r)?;
-        let start = r.position();
-        r.take(len)?;
-        Ok(r.since(start))
-    }
-}
-
-/// A captured-but-undecoded value: the byte range of one `T` on the
-/// wire, skipped past structurally and decoded only if [`Lazy::get`] is
-/// called. This is how per-candidate metadata rides through the
-/// merge-path for free — it is materialized only for actual matches.
-pub struct Lazy<'a, T> {
-    bytes: &'a [u8],
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
-// Manual impls: a `Lazy` is a borrowed byte range, copyable regardless
-// of whether `T` itself is (a derive would wrongly bound `T: Copy`).
-impl<T> Clone for Lazy<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for Lazy<'_, T> {}
-
-impl<'a, T: Wire> WireDecode<'a> for Lazy<'a, T> {
-    #[inline]
-    fn decode_borrowed(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let start = r.position();
-        T::skip(r)?;
-        Ok(Lazy {
-            bytes: r.since(start),
-            _marker: std::marker::PhantomData,
-        })
-    }
-}
-
-impl<'a, T: Wire> Lazy<'a, T> {
-    /// Captures one `T`'s byte range off `r` (alias of
-    /// [`WireDecode::decode_borrowed`] for call-site clarity).
-    #[inline]
-    pub fn capture(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        Self::decode_borrowed(r)
-    }
-
-    /// Decodes the captured value. Structure was validated by the skip
-    /// at capture time; this can still fail on value-level checks
-    /// (UTF-8, discriminants, integer ranges).
-    #[inline]
-    pub fn get(&self) -> Result<T, WireError> {
-        from_bytes(self.bytes)
-    }
-
-    /// The captured wire bytes.
-    #[inline]
-    pub fn raw(&self) -> &'a [u8] {
-        self.bytes
-    }
-}
-
-/// Streaming cursor over a length-prefixed sequence, sharing the
-/// caller's reader — the zero-allocation receive path for a sequence
-/// consumed in a single sweep (TriPoll's sorted candidate lists).
-///
-/// [`SeqCursor::begin`] validates the length prefix against the bytes
-/// remaining, then each element is decoded (or skipped) **in place**,
-/// advancing the shared reader. Because the reader frames subsequent
-/// records in the same envelope, a consumer that stops early must call
-/// [`SeqCursor::skip_rest`] so the record boundary stays intact.
-///
-/// Elements must occupy at least one byte on the wire (true for every
-/// sequence this runtime ships); zero-sized element sequences must use
-/// the owned `Vec` decode.
-pub struct SeqCursor<'r, 'a> {
-    r: &'r mut WireReader<'a>,
-    remaining: usize,
-    /// Set once an element decode fails: the shared reader is then
-    /// stranded mid-element, so no further framing can be trusted.
-    poisoned: bool,
-}
-
-impl<'r, 'a> SeqCursor<'r, 'a> {
-    /// Reads and validates the length prefix; the cursor is positioned
-    /// at the first element. The cursor is untyped, so the shared
-    /// length policy is applied with the 1-byte-per-element floor;
-    /// call sites that know the element type should prefer
-    /// [`SeqCursor::begin_typed`] for the tighter up-front bound.
-    pub fn begin(r: &'r mut WireReader<'a>) -> Result<Self, WireError> {
-        let claimed = r.take_varint()?;
-        let remaining = check_seq_len_min(claimed, 1, r)?;
-        Ok(SeqCursor {
-            remaining,
-            r,
-            poisoned: false,
-        })
-    }
-
-    /// [`SeqCursor::begin`] with the length prefix validated against
-    /// `T::MIN_ENCODED_BYTES` — the same bound the owned `Vec<T>`
-    /// decode applies, so both decode paths reject a given corrupt
-    /// frame at the same point with the same error.
-    pub fn begin_typed<T: Wire>(r: &'r mut WireReader<'a>) -> Result<Self, WireError> {
-        let claimed = r.take_varint()?;
-        let remaining = check_seq_len::<T>(claimed, r)?;
-        Ok(SeqCursor {
-            remaining,
-            r,
-            poisoned: false,
-        })
-    }
-
-    /// Elements not yet consumed.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.remaining
-    }
-
-    /// True when every element has been consumed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
-    }
-
-    /// Decodes the next element through `f`, which must consume exactly
-    /// one element's bytes (the decode-side mirror of [`encode_seq`]'s
-    /// write closure). Returns `None` once the sequence is exhausted.
-    ///
-    /// An element decode error **poisons** the cursor: the shared
-    /// reader is stranded mid-element, so a later [`SeqCursor::skip_rest`]
-    /// reports the corruption instead of silently misframing the
-    /// records that follow.
-    #[inline]
-    pub fn next_with<T>(
-        &mut self,
-        f: impl FnOnce(&mut WireReader<'a>) -> Result<T, WireError>,
-    ) -> Option<Result<T, WireError>> {
-        if self.poisoned || self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let out = f(self.r);
-        if out.is_err() {
-            self.poisoned = true;
-        }
-        Some(out)
-    }
-
-    /// Decodes the next element as an owned `T`.
-    #[inline]
-    pub fn next_value<T: Wire>(&mut self) -> Option<Result<T, WireError>> {
-        self.next_with(T::decode)
-    }
-
-    /// Decodes up to `out.len()` elements into `out` through `f` — the
-    /// wire-level block primitive for interleaved sequences, mirroring
-    /// [`ColKeys::next_block`] for consumers that hold the cursor
-    /// directly and want a block of decoded views to scan without a
-    /// decode call inside the compare loop. (The engine's streaming
-    /// blocked kernel buffers through its generic element closure
-    /// instead, so it can serve [`SeqWalk`] and cursors alike.)
-    /// Returns the number decoded (`0` once the sequence is exhausted;
-    /// the final call yields the remainder tail). Slots past the
-    /// returned count are left untouched.
-    ///
-    /// An element decode error poisons the cursor exactly as
-    /// [`SeqCursor::next_with`] does, and no partially decoded block is
-    /// exposed: the error is returned instead of a count.
-    pub fn next_block_with<T>(
-        &mut self,
-        out: &mut [Option<T>],
-        mut f: impl FnMut(&mut WireReader<'a>) -> Result<T, WireError>,
-    ) -> Result<usize, WireError> {
-        if self.poisoned {
-            return Ok(0);
-        }
-        let take = out.len().min(self.remaining);
-        for slot in out.iter_mut().take(take) {
-            match f(self.r) {
-                Ok(v) => *slot = Some(v),
-                Err(e) => {
-                    self.poisoned = true;
-                    self.remaining = 0;
-                    return Err(e);
-                }
-            }
-            self.remaining -= 1;
-        }
-        Ok(take)
-    }
-
-    /// Skips every unconsumed element (cheap bounds-only walk), leaving
-    /// the shared reader at the record boundary. Errors if a prior
-    /// element decode failed — the boundary is unrecoverable then.
-    pub fn skip_rest<T: Wire>(mut self) -> Result<(), WireError> {
-        if self.poisoned {
-            return Err(WireError::InvalidValue(
-                "sequence cursor poisoned by an element decode error",
-            ));
-        }
-        while self.remaining > 0 {
-            T::skip(self.r)?;
-            self.remaining -= 1;
-        }
-        Ok(())
-    }
-}
-
-/// A captured length-prefixed sequence: one cheap skip-walk records the
-/// byte extent, after which the elements can be re-iterated any number
-/// of times via [`SeqView::walk`] — for receivers that intersect one
-/// arriving batch against several local lists (the pull delivery).
-pub struct SeqView<'a, T> {
-    bytes: &'a [u8],
-    len: usize,
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<'a, T: Wire> WireDecode<'a> for SeqView<'a, T> {
-    fn decode_borrowed(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let len = check_seq_len::<T>(r.take_varint()?, r)?;
-        let start = r.position();
-        for _ in 0..len {
-            T::skip(r)?;
-        }
-        Ok(SeqView {
-            bytes: r.since(start),
-            len,
-            _marker: std::marker::PhantomData,
-        })
-    }
-}
-
-impl<'a, T: Wire> SeqView<'a, T> {
-    /// Captures one sequence off `r` (alias of
-    /// [`WireDecode::decode_borrowed`] for call-site clarity).
-    #[inline]
-    pub fn capture(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        Self::decode_borrowed(r)
-    }
-
-    /// Number of elements in the sequence.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the sequence has no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// A fresh walk over the captured elements.
-    #[inline]
-    pub fn walk(&self) -> SeqWalk<'a, T> {
-        SeqWalk {
-            r: WireReader::new(self.bytes),
-            remaining: self.len,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-/// One pass over a [`SeqView`]'s elements. Unlike [`SeqCursor`] it owns
-/// its reader (the captured range), so it can be dropped mid-walk
-/// without disturbing any record framing.
-pub struct SeqWalk<'a, T> {
-    r: WireReader<'a>,
-    remaining: usize,
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<'a, T: Wire> SeqWalk<'a, T> {
-    /// Elements not yet consumed by this walk.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Decodes the next element through `f` (one element's bytes,
-    /// exactly). Returns `None` once the walk is exhausted.
-    #[inline]
-    pub fn next_with<U>(
-        &mut self,
-        f: impl FnOnce(&mut WireReader<'a>) -> Result<U, WireError>,
-    ) -> Option<Result<U, WireError>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(f(&mut self.r))
-    }
-}
-
-impl<'a, T: Wire> Iterator for SeqWalk<'a, T> {
-    type Item = Result<T, WireError>;
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_with(T::decode)
-    }
-}
 
 // --------------------------------------------------------------------
 // Columnar (SoA) sequences — see the module docs for the frame layout.
@@ -1396,10 +960,10 @@ fn capture_cols<'a, T: Wire>(r: &mut WireReader<'a>) -> Result<ColExtents<'a>, W
 }
 
 /// An owned `(u64, u64, T)` batch with the **columnar** wire image —
-/// the SoA counterpart of `Vec<(u64, u64, T)>` (which encodes
-/// interleaved). This is the message type columnar handlers are keyed
-/// on and the reference decode path for differential testing; the hot
-/// send path never materializes one (see [`encode_columns`]).
+/// the SoA counterpart of `Vec<(u64, u64, T)>` (which encodes tuple
+/// by tuple). This is the message type the wedge-batch handlers are
+/// keyed on and the reference decode path for differential testing; the
+/// hot send path never materializes one (see [`encode_columns`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ColBatch<T>(pub Vec<(u64, u64, T)>);
 
@@ -1461,8 +1025,8 @@ pub struct ColumnSeq<'a, S, FV, FD, FM> {
 
 /// Builds a [`ColumnSeq`] over `items`: `v` and `d` project the two key
 /// columns, `m` appends one element's metadata encoding (exactly the
-/// bytes the owned element type would encode — the same adapter
-/// contract as [`encode_seq`]).
+/// bytes the owned element type would encode — the [`WireEncode`]
+/// adapter contract).
 ///
 /// The encoding is byte-identical to the [`ColBatch`] of the projected
 /// tuples, so the receiving handler can stay keyed on the owned type
@@ -1534,7 +1098,7 @@ pub struct ColKey {
 
 /// Lockstep walk of the two key columns — the only bytes the merge-path
 /// intersection touches. A decode error exhausts the walk (the column
-/// readers are stranded mid-element), mirroring [`SeqCursor`] poisoning.
+/// readers are stranded mid-element).
 pub struct ColKeys<'a> {
     v: WireReader<'a>,
     d: WireReader<'a>,
@@ -1712,10 +1276,9 @@ impl Iterator for ColKeys<'_> {
 /// column's *byte extent* was bounds-checked at capture (it can never
 /// be over-read), but elements behind the last index actually requested
 /// are not even structurally walked, so value-level corruption hiding
-/// there goes unreported — one step lazier than the interleaved path's
-/// [`Lazy`], which skip-walks every element's structure. The owned
-/// [`ColBatch`] decode, which materializes everything, is the strict
-/// reference: it rejects any column not consumed byte-budget exactly.
+/// there goes unreported. The owned [`ColBatch`] decode, which
+/// materializes everything, is the strict reference: it rejects any
+/// column not consumed byte-budget exactly.
 pub struct ColMetas<'a, T> {
     r: WireReader<'a>,
     pos: usize,
@@ -1737,7 +1300,7 @@ impl<T: Wire> ColMetas<'_, T> {
     /// An element skip/decode error **poisons** the reader — it is
     /// stranded mid-element, so a later request reports the corruption
     /// instead of decoding from a misaligned offset (the same
-    /// convention as [`SeqCursor`] and [`ColKeys`] poisoning).
+    /// convention as [`ColKeys`] exhausting its walk).
     pub fn get(&mut self, idx: usize) -> Result<T, WireError> {
         if self.poisoned {
             return Err(WireError::InvalidValue(
@@ -1773,8 +1336,8 @@ impl<T: Wire> ColMetas<'_, T> {
 
 /// Single-pass decode of one columnar frame. [`ColCursor::begin`]
 /// captures the whole frame off the shared envelope reader (three
-/// bounded takes), so unlike [`SeqCursor`] there is no framing debt: a
-/// consumer may stop anywhere and the next record still decodes.
+/// bounded takes), so there is no framing debt: a consumer may stop
+/// anywhere and the next record still decodes.
 ///
 /// The two halves are independent fields so the key walk and the lazy
 /// meta reads can be borrowed by different closures of one merge-path
@@ -1826,9 +1389,8 @@ impl<'a, T: Wire> ColCursor<'a, T> {
     }
 }
 
-/// A captured columnar frame that can be walked any number of times —
-/// the columnar counterpart of [`SeqView`], but captured with three
-/// bounded takes instead of an O(n) skip walk.
+/// A captured columnar frame that can be walked any number of times,
+/// captured with three bounded takes (no element walk).
 pub struct ColView<'a, T> {
     n: usize,
     vcol: &'a [u8],
@@ -1837,8 +1399,11 @@ pub struct ColView<'a, T> {
     _marker: std::marker::PhantomData<fn() -> T>,
 }
 
-impl<'a, T: Wire> WireDecode<'a> for ColView<'a, T> {
-    fn decode_borrowed(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+impl<'a, T: Wire> ColView<'a, T> {
+    /// Captures one frame off `r`, validating its structure and leaving
+    /// `r` at the end of the frame.
+    #[inline]
+    pub fn capture(r: &mut WireReader<'a>) -> Result<Self, WireError> {
         let (n, vcol, dcol, mcol) = capture_cols::<T>(r)?;
         Ok(ColView {
             n,
@@ -1847,15 +1412,6 @@ impl<'a, T: Wire> WireDecode<'a> for ColView<'a, T> {
             mcol,
             _marker: std::marker::PhantomData,
         })
-    }
-}
-
-impl<'a, T: Wire> ColView<'a, T> {
-    /// Captures one frame off `r` (alias of
-    /// [`WireDecode::decode_borrowed`] for call-site clarity).
-    #[inline]
-    pub fn capture(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        Self::decode_borrowed(r)
     }
 
     /// Number of elements in the frame.
@@ -1875,17 +1431,6 @@ impl<'a, T: Wire> ColView<'a, T> {
     pub fn walk(&self) -> ColCursor<'a, T> {
         ColCursor::from_cols(self.n, self.vcol, self.dcol, self.mcol)
     }
-}
-
-/// Convenience: decode a borrowed view that must consume the whole
-/// buffer — the [`WireDecode`] mirror of [`from_bytes`].
-pub fn view_bytes<'a, T: WireDecode<'a>>(bytes: &'a [u8]) -> Result<T, WireError> {
-    let mut r = WireReader::new(bytes);
-    let v = T::decode_borrowed(&mut r)?;
-    if !r.is_empty() {
-        return Err(WireError::InvalidValue("trailing bytes after view"));
-    }
-    Ok(v)
 }
 
 /// Convenience: encode a value into a fresh buffer.
@@ -2160,45 +1705,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_seq_matches_vec_encoding() {
-        let owned: Vec<u64> = vec![0, 1, 127, 128, 16_384, u64::MAX];
-        let mut via_vec = Vec::new();
-        owned.encode(&mut via_vec);
-        let mut via_slice = Vec::new();
-        SliceSeq(&owned[..]).encode_wire(&mut via_slice);
-        assert_eq!(via_vec, via_slice);
-    }
-
-    #[test]
-    fn encode_seq_matches_projected_vec_encoding() {
-        let adj: Vec<FakeAdjEntry> = (0..20)
-            .map(|i| FakeAdjEntry {
-                v: i * 1000,
-                degree: i,
-                em: i ^ 0xff,
-            })
-            .collect();
-        // Old path: materialize the candidate vector, encode it.
-        let candidates: Vec<(u64, u64, u64)> = adj.iter().map(|e| (e.v, e.degree, e.em)).collect();
-        let mut via_vec = Vec::new();
-        candidates.encode(&mut via_vec);
-        // New path: stream straight from the borrowed entries.
-        let mut via_seq = Vec::new();
-        encode_seq(&adj, |e: &FakeAdjEntry, buf| {
-            e.v.encode(buf);
-            e.degree.encode(buf);
-            e.em.encode(buf);
-        })
-        .encode_wire(&mut via_seq);
-        assert_eq!(via_vec, via_seq);
-        // And the bytes decode back through the owned type.
-        assert_eq!(
-            from_bytes::<Vec<(u64, u64, u64)>>(&via_seq).unwrap(),
-            candidates
-        );
-    }
-
-    #[test]
     fn borrowed_tuple_matches_owned_tuple_encoding() {
         let meta = "edge-meta".to_string();
         let owned = (7u64, 9u64, meta.clone(), true);
@@ -2253,18 +1759,6 @@ mod tests {
     }
 
     #[test]
-    fn hostile_seq_cursor_prefix_rejected() {
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 1u64 << 50);
-        buf.push(7);
-        let mut r = WireReader::new(&buf);
-        assert!(matches!(
-            SeqCursor::begin(&mut r),
-            Err(WireError::SeqOverrun { .. })
-        ));
-    }
-
-    #[test]
     fn zero_sized_element_sequences_still_roundtrip() {
         // `()` encodes zero bytes; the length check must not misfire.
         roundtrip(vec![(); 300]);
@@ -2312,139 +1806,6 @@ mod tests {
         check(&m);
     }
 
-    #[test]
-    fn str_view_borrows_without_copying() {
-        let owned = "zero-copy payload".to_string();
-        let bytes = to_bytes(&owned);
-        let view: &str = view_bytes(&bytes).expect("view");
-        assert_eq!(view, owned);
-        // The view points into the encoded buffer itself.
-        let payload_start = bytes.len() - owned.len();
-        assert!(std::ptr::eq(view.as_bytes(), &bytes[payload_start..]));
-    }
-
-    #[test]
-    fn byte_slice_view_matches_vec_u8() {
-        let owned: Vec<u8> = (0..=255).collect();
-        let bytes = to_bytes(&owned);
-        let view: &[u8] = view_bytes(&bytes).expect("view");
-        assert_eq!(view, &owned[..]);
-    }
-
-    #[test]
-    fn lazy_defers_decoding_and_validation() {
-        let bytes = to_bytes(&(1u64, "meta".to_string(), 2u64));
-        let mut r = WireReader::new(&bytes);
-        let a = u64::decode(&mut r).unwrap();
-        let lazy: Lazy<'_, String> = Lazy::capture(&mut r).unwrap();
-        let b = u64::decode(&mut r).unwrap();
-        assert!(r.is_empty(), "capture consumed exactly the string");
-        assert_eq!((a, b), (1, 2));
-        assert_eq!(lazy.get().unwrap(), "meta");
-        // Invalid UTF-8 is caught at get() time, not capture time.
-        let mut evil = Vec::new();
-        put_varint(&mut evil, 2);
-        evil.extend_from_slice(&[0xff, 0xfe]);
-        let mut r = WireReader::new(&evil);
-        let lazy: Lazy<'_, String> = Lazy::capture(&mut r).unwrap();
-        assert_eq!(lazy.get(), Err(WireError::InvalidUtf8));
-    }
-
-    #[test]
-    fn seq_cursor_streams_what_vec_decodes() {
-        let owned: Vec<(u64, u64, u64)> = (0..50).map(|i| (i, i * 7, i ^ 3)).collect();
-        let bytes = to_bytes(&owned);
-        let mut r = WireReader::new(&bytes);
-        let mut cur = SeqCursor::begin(&mut r).unwrap();
-        assert_eq!(cur.len(), owned.len());
-        let mut streamed = Vec::new();
-        while let Some(item) = cur.next_value::<(u64, u64, u64)>() {
-            streamed.push(item.unwrap());
-        }
-        assert!(r.is_empty(), "cursor consumed the whole sequence");
-        assert_eq!(streamed, owned);
-    }
-
-    #[test]
-    fn seq_cursor_skip_rest_reaches_record_boundary() {
-        // Two records back to back; consume half of the first sequence,
-        // skip the rest, and the second record must decode cleanly.
-        let first: Vec<(u64, String)> = (0..10).map(|i| (i, format!("m{i}"))).collect();
-        let mut buf = to_bytes(&first);
-        99u64.encode(&mut buf);
-        let mut r = WireReader::new(&buf);
-        let mut cur = SeqCursor::begin(&mut r).unwrap();
-        for _ in 0..4 {
-            cur.next_value::<(u64, String)>().unwrap().unwrap();
-        }
-        cur.skip_rest::<(u64, String)>().unwrap();
-        assert_eq!(u64::decode(&mut r).unwrap(), 99);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn seq_cursor_element_error_poisons_skip_rest() {
-        // Sequence of 3 strings whose second element is truncated
-        // mid-payload: after the failed decode the reader sits inside
-        // the broken element, so skip_rest must refuse rather than
-        // "skip" from a garbage offset and pretend framing survived.
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 3); // claims 3 elements
-        "ok".to_string().encode(&mut buf);
-        put_varint(&mut buf, 50); // element 2: claims 50 bytes...
-        buf.extend_from_slice(b"short"); // ...but only 5 follow
-        let mut r = WireReader::new(&buf);
-        let mut cur = SeqCursor::begin(&mut r).unwrap();
-        assert_eq!(cur.next_value::<String>().unwrap().unwrap(), "ok");
-        assert!(cur.next_value::<String>().unwrap().is_err());
-        assert!(
-            cur.next_value::<String>().is_none(),
-            "poisoned cursor stops"
-        );
-        assert!(matches!(
-            cur.skip_rest::<String>(),
-            Err(WireError::InvalidValue(_))
-        ));
-    }
-
-    #[test]
-    fn seq_view_is_reiterable() {
-        let owned: Vec<(u64, u64)> = (0..20).map(|i| (i, i + 1)).collect();
-        let mut buf = to_bytes(&(7u64, owned.clone()));
-        buf.push(0x55); // trailing byte outside the message
-        let mut r = WireReader::new(&buf[..buf.len() - 1]);
-        let q = u64::decode(&mut r).unwrap();
-        let view: SeqView<'_, (u64, u64)> = SeqView::capture(&mut r).unwrap();
-        assert_eq!(q, 7);
-        assert!(r.is_empty(), "capture advanced past the sequence");
-        assert_eq!(view.len(), owned.len());
-        for _pass in 0..3 {
-            let walked: Vec<(u64, u64)> = view.walk().map(|e| e.unwrap()).collect();
-            assert_eq!(walked, owned);
-        }
-        // Partial walks are fine: the view owns its range.
-        {
-            let mut w = view.walk();
-            w.next();
-        }
-        assert_eq!(view.walk().count(), owned.len());
-    }
-
-    #[test]
-    fn borrowed_tuple_view_decodes_push_shaped_message() {
-        // The wedge-batch shape: eager scalars, then a candidate list.
-        let cands: Vec<(u64, u64, u64)> = (0..16).map(|i| (i * 3, i + 1, i)).collect();
-        let owned = (5u64, 9u64, "vertex-meta".to_string(), cands.clone());
-        let bytes = to_bytes(&owned);
-        let mut r = WireReader::new(&bytes);
-        let (p, q, meta, view): (u64, u64, &str, SeqView<'_, (u64, u64, u64)>) =
-            WireDecode::decode_borrowed(&mut r).unwrap();
-        assert!(r.is_empty());
-        assert_eq!((p, q, meta), (5, 9, "vertex-meta"));
-        let walked: Vec<(u64, u64, u64)> = view.walk().map(|e| e.unwrap()).collect();
-        assert_eq!(walked, cands);
-    }
-
     /// The candidate projection used by columnar tests: byte-identity
     /// between the borrowed encoder and the owned `ColBatch`.
     fn encode_cols_of(adj: &[FakeAdjEntry], buf: &mut Vec<u8>) {
@@ -2477,16 +1838,16 @@ mod tests {
     fn columnar_beats_interleaved_on_sorted_batches() {
         // The communication claim itself: same candidates, fewer bytes,
         // because the monotone degree column delta-codes to one byte per
-        // element while the interleaved layout re-pays the full varint.
+        // element while a `Vec` of tuples re-pays the full varint.
         let cands: Vec<(u64, u64, u64)> =
             (0..64).map(|i| (hashish(i), 5000 + i * 7, i % 7)).collect();
-        let interleaved = to_bytes(&cands);
+        let tuples = to_bytes(&cands);
         let columnar = to_bytes(&ColBatch(cands));
         assert!(
-            columnar.len() < interleaved.len(),
-            "columnar {} >= interleaved {}",
+            columnar.len() < tuples.len(),
+            "columnar {} >= tuple-by-tuple {}",
             columnar.len(),
-            interleaved.len()
+            tuples.len()
         );
     }
 
@@ -2875,42 +2236,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_cursor_block_decode_matches_scalar_and_poisons() {
-        // Interleaved mirror: next_block_with yields the same elements
-        // as next_with, in runs of the block size plus a remainder.
-        let owned: Vec<(u64, u64)> = (0..45u64).map(|i| (hashish(i), i)).collect();
-        let bytes = to_bytes(&owned);
-        let mut r = WireReader::new(&bytes);
-        let mut cur = SeqCursor::begin_typed::<(u64, u64)>(&mut r).unwrap();
-        let mut got = Vec::new();
-        loop {
-            let mut block: [Option<(u64, u64)>; 16] = [None; 16];
-            let k = cur
-                .next_block_with(&mut block, <(u64, u64)>::decode)
-                .unwrap();
-            if k == 0 {
-                break;
-            }
-            assert!(k == 16 || cur.is_empty(), "only the tail is short");
-            got.extend(block[..k].iter().map(|s| s.unwrap()));
-        }
-        assert_eq!(got, owned);
-        assert!(r.is_empty(), "block walk consumed the exact extent");
-        // An element error poisons the cursor: further block reads
-        // yield zero and skip_rest refuses.
-        let mut bad = Vec::new();
-        put_varint(&mut bad, 3);
-        bad.push(1); // element 0 ok
-        bad.extend_from_slice(&[0xff; 11]); // element 1: varint overflow
-        let mut r = WireReader::new(&bad);
-        let mut cur = SeqCursor::begin_typed::<u64>(&mut r).unwrap();
-        let mut block: [Option<u64>; 4] = [None; 4];
-        assert!(cur.next_block_with(&mut block, u64::decode).is_err());
-        assert_eq!(cur.next_block_with(&mut block, u64::decode), Ok(0));
-        assert!(cur.skip_rest::<u64>().is_err(), "poisoned framing");
-    }
-
-    #[test]
     fn zero_element_frame_with_nonempty_columns_rejected_everywhere() {
         // n = 0 means there is nothing to walk, so walk-time budget
         // checks never run — the capture itself must reject smuggled
@@ -3021,34 +2346,6 @@ mod tests {
             }
 
             #[test]
-            fn slice_seq_identical_to_vec(v in proptest::collection::vec(any::<u64>(), 0..64)) {
-                let mut via_vec = Vec::new();
-                v.encode(&mut via_vec);
-                let mut via_slice = Vec::new();
-                SliceSeq(&v[..]).encode_wire(&mut via_slice);
-                prop_assert_eq!(via_vec, via_slice);
-            }
-
-            #[test]
-            fn encode_seq_identical_to_projected_vec(
-                v in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..64)
-            ) {
-                // The borrowed projection of a candidate batch must be
-                // byte-identical to the owned Vec<Candidate> it replaced.
-                let mut via_vec = Vec::new();
-                v.encode(&mut via_vec);
-                let mut via_seq = Vec::new();
-                encode_seq(&v, |c: &(u64, u64, u64), buf| {
-                    c.0.encode(buf);
-                    c.1.encode(buf);
-                    c.2.encode(buf);
-                })
-                .encode_wire(&mut via_seq);
-                prop_assert_eq!(&via_vec, &via_seq);
-                prop_assert_eq!(from_bytes::<Vec<(u64, u64, u64)>>(&via_seq).unwrap(), v);
-            }
-
-            #[test]
             fn skip_position_matches_decode_position(
                 v in proptest::collection::vec((any::<u64>(), ".*"), 0..32)
             ) {
@@ -3061,38 +2358,11 @@ mod tests {
             }
 
             #[test]
-            fn cursor_and_view_agree_with_owned_decode(
-                v in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..64)
-            ) {
-                let bytes = to_bytes(&v);
-                // Streaming cursor.
-                let mut r = WireReader::new(&bytes);
-                let mut cur = SeqCursor::begin(&mut r).unwrap();
-                let mut streamed = Vec::new();
-                while let Some(item) = cur.next_value::<(u64, u64, u64)>() {
-                    streamed.push(item.unwrap());
-                }
-                prop_assert!(r.is_empty());
-                prop_assert_eq!(&streamed, &v);
-                // Captured view.
-                let mut r = WireReader::new(&bytes);
-                let view: SeqView<'_, (u64, u64, u64)> = SeqView::capture(&mut r).unwrap();
-                prop_assert!(r.is_empty());
-                let walked: Vec<(u64, u64, u64)> =
-                    view.walk().map(|e| e.unwrap()).collect();
-                prop_assert_eq!(&walked, &v);
-            }
-
-            #[test]
             fn skip_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
                 let mut r = WireReader::new(&bytes);
                 let _ = Vec::<(u64, String)>::skip(&mut r);
                 let mut r = WireReader::new(&bytes);
                 let _ = <(u32, bool, f64)>::skip(&mut r);
-                let mut r = WireReader::new(&bytes);
-                if let Ok(cur) = SeqCursor::begin(&mut r) {
-                    let _ = cur.skip_rest::<(u64, String)>();
-                }
             }
 
             #[test]
@@ -3171,18 +2441,20 @@ mod tests {
                 p in any::<u64>(),
                 q in any::<u64>(),
                 meta in ".*",
-                cands in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..32)
+                cands in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..32)
             ) {
                 // Shape of a full wedge-batch message, owned vs borrowed.
-                let owned = (p, q, meta.clone(), cands.clone());
+                let owned = (p, q, meta.clone(), ColBatch(cands.clone()));
                 let mut via_owned = Vec::new();
                 owned.encode(&mut via_owned);
                 let mut via_borrowed = Vec::new();
-                (p, q, &meta, encode_seq(&cands, |c: &(u64, u64), buf| {
-                    c.0.encode(buf);
-                    c.1.encode(buf);
-                }))
-                .encode_wire(&mut via_borrowed);
+                (
+                    p,
+                    q,
+                    &meta,
+                    encode_columns(&cands, |c| c.0, |c| c.1, |c, buf| c.2.encode(buf)),
+                )
+                    .encode_wire(&mut via_borrowed);
                 prop_assert_eq!(via_owned, via_borrowed);
             }
         }

@@ -73,9 +73,9 @@ pub mod prelude {
     pub use tripoll_core::surveys::max_edge_label::max_edge_label_distribution;
     pub use tripoll_core::{
         survey, survey_delta_push, survey_push_only, survey_push_only_with, survey_push_pull,
-        survey_push_pull_with, BatchLayout, DecodePath, EngineMode, IngestDelta, QueryOutcome,
-        ResidentGraph, ResidentQuery, StaleDeltaError, SurveyConfig, SurveyDelta, SurveyDeltaSink,
-        SurveyReport, TriangleMeta, TriangleSample,
+        survey_push_pull_with, EngineMode, IngestDelta, QueryOutcome, ResidentGraph, ResidentQuery,
+        StaleDeltaError, SurveyConfig, SurveyDelta, SurveyDeltaSink, SurveyReport, TriangleMeta,
+        TriangleSample,
     };
     pub use tripoll_gen::{
         rmat_edges, web_graph, DatasetSize, RedditConfig, RmatConfig, WebGraphConfig,

@@ -154,7 +154,6 @@ where
                 scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
                 gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
                 blocked_runs: comm.all_reduce_sum(ks.blocked_runs),
-                simd_runs: comm.all_reduce_sum(ks.simd_runs),
             },
         }
     });
@@ -332,16 +331,29 @@ fn merged_deltas_match_full_survey_accumulators() {
         let mut running = SurveyDelta::default();
         for batch in edges.chunks(chunk) {
             let delta = resident.ingest_batch_with(batch, vm_num).unwrap();
-            let sink = SurveyDeltaSink::new();
-            let s2 = sink.clone();
-            resident
-                .survey_delta(
-                    &delta,
-                    &query(2, EngineMode::PushOnly, 1, Parallelism::Serial),
-                    move |_c, tm| s2.record(sample_of(tm)),
-                )
-                .expect("delta is current");
-            running.merge(&sink.take());
+            // `ResidentQuery::mode` applies to full surveys only: a
+            // delta always pushes and says so, whichever engine the
+            // query names, and accumulates the same triangles.
+            let [pushed, named_pull] = [EngineMode::PushOnly, EngineMode::PushPull].map(|mode| {
+                let sink = SurveyDeltaSink::new();
+                let s2 = sink.clone();
+                let outcomes = resident
+                    .survey_delta(
+                        &delta,
+                        &query(2, mode, 1, Parallelism::Serial),
+                        move |_c, tm| s2.record(sample_of(tm)),
+                    )
+                    .expect("delta is current");
+                for o in &outcomes {
+                    assert_eq!(o.report.mode, EngineMode::PushOnly, "query named {mode}");
+                }
+                sink.take()
+            });
+            assert_eq!(
+                pushed, named_pull,
+                "delta must not depend on the query's mode"
+            );
+            running.merge(&pushed);
             for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
                 let full =
                     full_accumulation(&resident, &query(3, mode, 2, Parallelism::Threads(2)));

@@ -1,187 +1,134 @@
-//! Differential tests of the intersection-kernel layer.
+//! Differential tests of the production path against the reference.
 //!
-//! The kernel ([`IntersectKernel`]) is the third engine dimension next
-//! to [`BatchLayout`] and [`DecodePath`], and its contract is strict:
-//! every kernel emits the **identical match sequence** — same pairs,
-//! same callback order — as the scalar merge oracle, on every layout,
-//! decode path, engine and rank count. Two layers of evidence:
+//! A survey runs one of two receive paths (see `tripoll::core::engine`):
+//! the **production** path — columnar frames decoded in place, the
+//! kernel `Auto` picks from the two side lengths (or an explicit
+//! `Gallop` / `BlockedMerge`) — or the **reference**
+//! ([`IntersectKernel::MergeScalar`]): the same bytes materialised as an
+//! owned batch and intersected by the two-pointer merge. The contract is
+//! strict: every kernel emits the **identical match sequence** — same
+//! pairs, same callback order — as the reference, on every engine and
+//! rank count. Two layers of evidence:
 //!
-//! * **Survey matrix** — full kernel × layout × decode × engine ×
-//!   {1,2,4,7}-rank surveys on string-metadata graphs: triangle
-//!   counts, metadata checksums and the kernels' deterministic match
-//!   counters must all agree with the `MergeScalar` oracle run.
+//! * **Surveys** — production kernels × engine × {1,2,4,7}-rank
+//!   surveys on string-metadata graphs (random, shared-hub, the Table 4
+//!   topologies, proptest-generated): triangle counts, six-value
+//!   metadata checksums, the kernels' deterministic match counters and
+//!   the send-side traffic fingerprint (both paths read the same bytes)
+//!   must all agree with the reference run.
 //! * **Kernel fuzz** — the kernels run directly (no engines) over
 //!   random sorted lists and adversarial shapes (empty sides,
 //!   all-equal keys, hub-scale 1000:1 skew, near-miss off-by-one
-//!   keys), on slices, on columnar frames ([`intersect_col`], which
-//!   exercises the `ColKeys` block decode) and on streams, asserting
-//!   the exact ordered match set of [`merge_path`].
+//!   keys), on slices ([`intersect_slices`]) and on columnar frames
+//!   ([`intersect_col`], which exercises the `ColKeys` block decode),
+//!   asserting the exact ordered match set of [`merge_path`].
 
-use std::cell::Cell;
-use std::rc::Rc;
+mod common;
 
+use common::{hub_graph, labeled, random_graph, run_survey};
 use proptest::prelude::*;
 use tripoll::core::{
-    intersect_col, intersect_slices, intersect_stream, kernel_stats, kernel_stats_take, merge_path,
-    simd_backend, simd_force_swar, survey_push_only_with, survey_push_pull_with, BatchLayout,
-    DecodePath, EngineMode, IntersectKernel, SimdBackend, SurveyConfig,
+    intersect_col, intersect_slices, kernel_stats, kernel_stats_take, merge_path, EngineMode,
+    IntersectKernel, SurveyConfig,
 };
-use tripoll::graph::{build_dist_graph, EdgeList, OrderKey, Partition};
-use tripoll::ygm::hash::hash64;
+use tripoll::gen::table4_suite;
+use tripoll::graph::{EdgeList, OrderKey};
+use tripoll::prelude::DatasetSize;
 use tripoll::ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
-use tripoll::ygm::World;
 
-const KERNELS: [IntersectKernel; 5] = [
+/// The kernels of the production path: what `Auto` resolves to, plus
+/// `Auto` itself.
+const PRODUCTION: [IntersectKernel; 3] = [
+    IntersectKernel::Auto,
+    IntersectKernel::Gallop,
+    IntersectKernel::BlockedMerge,
+];
+
+const KERNELS: [IntersectKernel; 4] = [
     IntersectKernel::MergeScalar,
     IntersectKernel::Gallop,
     IntersectKernel::BlockedMerge,
-    IntersectKernel::Simd,
     IntersectKernel::Auto,
 ];
 
-const LAYOUT_DECODE: [(BatchLayout, DecodePath); 4] = [
-    (BatchLayout::Columnar, DecodePath::Cursor),
-    (BatchLayout::Columnar, DecodePath::Owned),
-    (BatchLayout::Interleaved, DecodePath::Cursor),
-    (BatchLayout::Interleaved, DecodePath::Owned),
-];
+const ENGINES: [EngineMode; 2] = [EngineMode::PushOnly, EngineMode::PushPull];
 
 // ------------------------------------------------------------------
-// Survey-level matrix
+// Survey-level differential
 // ------------------------------------------------------------------
 
-/// One run's observable outcome per rank: global triangle count,
-/// global metadata checksum, and the global kernel counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Outcome {
-    count: u64,
-    checksum: u64,
-    compares: u64,
-    candidates: u64,
-    matches: u64,
-}
-
-/// Runs one survey with string metadata, folding all six metadata
-/// values of every triangle into the checksum and harvesting each
-/// rank's kernel counters after the run.
-fn run_survey(
+/// Runs `list` through the reference and through the production path
+/// under each of `kernels`, and asserts every production run agrees
+/// with the reference on every rank: count, checksum, match counter,
+/// send-side fingerprint, and the in-place decode accounting that tells
+/// the two receive paths apart. Returns the triangle count.
+fn assert_production_matches_reference(
     list: &EdgeList<String>,
     nranks: usize,
     mode: EngineMode,
-    config: SurveyConfig,
-) -> Vec<Outcome> {
-    World::new(nranks).run(|comm| {
-        let local = list.stride_for_rank(comm.rank(), comm.nranks());
-        let g = build_dist_graph(comm, local, |v| format!("v{v}"), Partition::Hashed);
-        let _ = kernel_stats_take(); // fresh counters for this rank
-        let count = Rc::new(Cell::new(0u64));
-        let sum = Rc::new(Cell::new(0u64));
-        let (c2, s2) = (count.clone(), sum.clone());
-        let cb = move |_c: &tripoll::ygm::Comm,
-                       tm: &tripoll::core::TriangleMeta<'_, String, String>| {
-            c2.set(c2.get() + 1);
-            let mut h = hash64(tm.p) ^ hash64(tm.q).rotate_left(1) ^ hash64(tm.r).rotate_left(2);
-            for (i, m) in [
-                tm.meta_p, tm.meta_q, tm.meta_r, tm.meta_pq, tm.meta_pr, tm.meta_qr,
-            ]
-            .iter()
-            .enumerate()
-            {
-                for b in m.bytes() {
-                    h = h.rotate_left(7) ^ hash64(u64::from(b) + i as u64);
-                }
-            }
-            s2.set(s2.get() + (h & 0xffff_ffff));
-        };
-        match mode {
-            EngineMode::PushOnly => survey_push_only_with(comm, &g, config, cb),
-            EngineMode::PushPull => survey_push_pull_with(comm, &g, config, cb),
-        };
-        let ks = kernel_stats_take();
-        Outcome {
-            count: comm.all_reduce_sum(count.get()),
-            checksum: comm.all_reduce_sum(sum.get()),
-            compares: comm.all_reduce_sum(ks.compares),
-            candidates: comm.all_reduce_sum(ks.candidates),
-            matches: comm.all_reduce_sum(ks.matches),
-        }
-    })
-}
-
-fn labeled(edges: Vec<(u64, u64)>) -> EdgeList<String> {
-    EdgeList::from_vec(
-        edges
-            .into_iter()
-            .map(|(u, v)| (u, v, format!("e{}-{}", u.min(v), u.max(v))))
-            .collect(),
-    )
-}
-
-/// A deterministic dense-ish random graph (the general case).
-fn random_graph() -> EdgeList<String> {
-    let mut edges = Vec::new();
-    for u in 0..32u64 {
-        for v in (u + 1)..32 {
-            if (u * 7919 + v * 104_729) % 4 == 0 {
-                edges.push((u, v));
+    kernels: &[IntersectKernel],
+    ctx: &str,
+) -> u64 {
+    let reference = run_survey(list, nranks, mode, IntersectKernel::MergeScalar.into());
+    for kernel in kernels {
+        let runs = run_survey(list, nranks, mode, (*kernel).into());
+        for (rank, (o, r)) in runs.iter().zip(reference.iter()).enumerate() {
+            let ctx = format!("{ctx} {mode} n={nranks} {kernel} rank {rank}");
+            assert_eq!(o.count, r.count, "triangle count [{ctx}]");
+            assert_eq!(o.checksum, r.checksum, "metadata checksum [{ctx}]");
+            // Every kernel emits exactly the reference's match set, and
+            // each match is one triangle callback.
+            assert_eq!(o.stats.matches, r.stats.matches, "match counter [{ctx}]");
+            assert_eq!(o.stats.matches, o.count, "matches are triangles [{ctx}]");
+            // Same frames on the wire, whoever decodes them.
+            assert_eq!(o.fingerprint, r.fingerprint, "send fingerprint [{ctx}]");
+            assert_eq!(o.bytes_encoded, r.bytes_encoded, "bytes encoded [{ctx}]");
+            // The reference materialises every batch and only ever runs
+            // the scalar merge; the production path never does either.
+            assert_eq!(r.borrowed, 0, "reference must not decode in place [{ctx}]");
+            assert_eq!(r.stats.gallop_runs + r.stats.blocked_runs, 0, "[{ctx}]");
+            assert_eq!(o.stats.scalar_runs, 0, "reference leaked [{ctx}]");
+            if o.count > 0 {
+                // A triangle needs a received wedge batch or pull
+                // delivery, all of which production decodes in place.
+                assert!(o.borrowed > 0, "production must decode in place [{ctx}]");
             }
         }
     }
-    labeled(edges)
+    reference[0].count
 }
 
-/// The shared-hub construction that forces the Push-Pull pull phase to
-/// carry triangles (the re-walked `ColView`/`SeqView` kernel sites)
-/// and yields skewed intersections for the heuristic.
-fn hub_graph() -> EdgeList<String> {
-    let k = 24u64;
-    let (h1, h2) = (1000, 1001);
-    let mut edges = vec![(h1, h2)];
-    for sv in 0..k {
-        edges.push((sv, h1));
-        edges.push((sv, h2));
-    }
-    labeled(edges)
-}
-
-/// The full matrix: kernel × layout × decode × engine × {1,2,4,7}
-/// ranks, with `MergeScalar` on each layout/decode cell as the oracle.
-/// Counts, checksums and the kernels' match counters must agree
-/// everywhere.
+/// Production kernels × engine × {1,2,4,7} ranks against the reference,
+/// on the general random graph and on the shared-hub graph whose
+/// triangles all ride the pull phase.
 #[test]
 fn kernel_matrix_agrees_with_the_scalar_oracle() {
     for (gname, list) in [("random", random_graph()), ("hub", hub_graph())] {
         for nranks in [1usize, 2, 4, 7] {
-            for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
-                let oracle = run_survey(
+            for mode in ENGINES {
+                let count =
+                    assert_production_matches_reference(&list, nranks, mode, &PRODUCTION, gname);
+                assert!(count > 0, "{gname} must contain triangles");
+            }
+        }
+    }
+}
+
+/// The Table 4 suite at tiny scale, both engines, 1/2/4/7 ranks: the
+/// default configuration against the reference.
+#[test]
+fn tab4_topologies_production_matches_reference() {
+    for ds in table4_suite(DatasetSize::Tiny, 42) {
+        let list = labeled(ds.edges.clone());
+        for nranks in [1usize, 2, 4, 7] {
+            for mode in ENGINES {
+                assert_production_matches_reference(
                     &list,
                     nranks,
                     mode,
-                    SurveyConfig::default().with_kernel(IntersectKernel::MergeScalar),
+                    &[IntersectKernel::Auto],
+                    ds.name,
                 );
-                assert!(oracle[0].count > 0, "{gname} must contain triangles");
-                for (layout, decode) in LAYOUT_DECODE {
-                    for kernel in KERNELS {
-                        let config = SurveyConfig {
-                            layout,
-                            decode,
-                            kernel,
-                            ..SurveyConfig::default()
-                        };
-                        let runs = run_survey(&list, nranks, mode, config);
-                        for (rank, (o, r)) in runs.iter().zip(oracle.iter()).enumerate() {
-                            let ctx =
-                                format!("{gname} {mode} n={nranks} {layout} {decode:?} {kernel} rank {rank}");
-                            assert_eq!(o.count, r.count, "triangle count [{ctx}]");
-                            assert_eq!(o.checksum, r.checksum, "metadata checksum [{ctx}]");
-                            // Kernel-layer cross-check: every kernel
-                            // emits exactly the oracle's match set, and
-                            // each match is one triangle callback.
-                            assert_eq!(o.matches, r.matches, "kernel match counter [{ctx}]");
-                            assert_eq!(o.matches, o.count, "matches are triangles [{ctx}]");
-                        }
-                    }
-                }
             }
         }
     }
@@ -198,7 +145,7 @@ fn kernel_counters_are_deterministic() {
         let b = run_survey(&list, 4, EngineMode::PushPull, config);
         assert_eq!(a, b, "kernel {kernel} counters must be reproducible");
         assert!(
-            a[0].compares > 0 && a[0].candidates > 0,
+            a[0].stats.compares > 0 && a[0].stats.candidates > 0,
             "kernel {kernel} ran"
         );
     }
@@ -225,9 +172,8 @@ fn oracle_matches(left: &[(u64, OrderKey)], right: &[(u64, OrderKey)]) -> Vec<(u
 }
 
 /// Asserts every kernel reproduces the oracle's ordered match list on
-/// all three kernel entry points: slices, the columnar frame walk
-/// (which exercises the `ColKeys` block decode under `BlockedMerge`),
-/// and the generic stream.
+/// both kernel entry points: slices and the columnar frame walk (which
+/// exercises the `ColKeys` block decode under `BlockedMerge`).
 fn assert_kernels_match(left_vals: &[u64], right_vals: &[u64], ctx: &str) {
     let left = entries(left_vals);
     let right = entries(right_vals);
@@ -277,24 +223,6 @@ fn assert_kernels_match(left_vals: &[u64], right_vals: &[u64], ctx: &str) {
         )
         .expect("columnar intersect");
         assert_eq!(got, oracle, "columnar, kernel {kernel} [{ctx}]");
-
-        // Stream.
-        let mut it = left.iter();
-        let mut got = Vec::new();
-        intersect_stream(
-            kernel,
-            left.len(),
-            || it.next().map(|l| Ok::<_, ()>(*l)),
-            &right,
-            |l| l.1,
-            |r| r.1,
-            |l, r| {
-                got.push((l.0, r.0));
-                Ok(())
-            },
-        )
-        .expect("stream intersect");
-        assert_eq!(got, oracle, "stream, kernel {kernel} [{ctx}]");
     }
 }
 
@@ -363,119 +291,6 @@ fn gallop_beats_scalar_compares_at_heavy_skew() {
     assert_eq!((s.gallop_runs, s.scalar_runs, s.blocked_runs), (1, 0, 0));
 }
 
-/// Serializes every test that reads or writes the process-global
-/// forced-SWAR flag: without it, one test's guard drop could un-force
-/// the flag while another test is mid-differential (silently running
-/// its "forced" pass on the native backend), and backend-restore
-/// assertions could observe the other test's state.
-static SWAR_FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Holds [`SWAR_FLAG_LOCK`] for the test's whole body and restores the
-/// SIMD backend override when dropped, so a failing assertion cannot
-/// leave the forced-SWAR flag set for later tests.
-struct SwarTestLock(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
-impl SwarTestLock {
-    fn acquire() -> Self {
-        // A panic in the other serialized test poisons the lock; the
-        // flag is restored by its guard's Drop either way, so the
-        // poison itself carries no state worth failing over.
-        let guard = SWAR_FLAG_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        SwarTestLock(guard)
-    }
-}
-
-/// Forces the SWAR backend for a scope (the lock must already be held
-/// via [`SwarTestLock`]).
-struct SwarGuard;
-impl SwarGuard {
-    fn force() -> Self {
-        simd_force_swar(true);
-        assert_eq!(simd_backend(), SimdBackend::Swar, "force knob must stick");
-        SwarGuard
-    }
-}
-impl Drop for SwarGuard {
-    fn drop(&mut self) {
-        simd_force_swar(false);
-    }
-}
-
-/// The SIMD kernel must behave identically with the intrinsics
-/// disabled: same ordered match sets, and bit-identical deterministic
-/// `KernelStats` whether AVX2/SSE2 ran or the portable SWAR fallback
-/// did. (The force knob is process-global, but it is safe against the
-/// concurrently running tests in this binary precisely because of the
-/// property asserted here: backends change how a probe group is
-/// compared, never what is counted or matched.)
-#[test]
-fn forced_swar_matches_native_backend() {
-    let _lock = SwarTestLock::acquire();
-    let native = simd_backend();
-    // Deterministic counter capture of one Simd run over all three
-    // entry points, at a mixed-skew shape that exercises group skips,
-    // matches and misses.
-    let run_all = |ctx: &str| -> tripoll::core::KernelStats {
-        let left: Vec<u64> = (0..400u64).map(|i| i * 3).collect();
-        let right: Vec<u64> = (0..900u64).map(|i| i * 2).collect();
-        let _ = kernel_stats_take();
-        assert_kernels_match(&left, &right, ctx);
-        assert_kernels_match(&right, &left, ctx);
-        assert_kernels_match(&[7; 100], &[7; 40], ctx);
-        kernel_stats_take()
-    };
-    let with_native = run_all("native backend");
-    let with_swar = {
-        let _guard = SwarGuard::force();
-        run_all("forced swar")
-    };
-    assert_eq!(
-        with_native, with_swar,
-        "KernelStats must not depend on the SIMD backend (native = {native})"
-    );
-    assert!(with_native.simd_runs > 0, "the Simd kernel must have run");
-    assert_eq!(simd_backend(), native, "guard must restore the backend");
-}
-
-/// Survey-level forced-SWAR differential: a full Simd-kernel survey
-/// (both engines) must produce the oracle's counts, checksums and
-/// match counters with the intrinsics disabled.
-#[test]
-fn forced_swar_surveys_agree_with_the_oracle() {
-    let _lock = SwarTestLock::acquire();
-    let list = hub_graph();
-    for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
-        let oracle = run_survey(
-            &list,
-            4,
-            mode,
-            SurveyConfig::default().with_kernel(IntersectKernel::MergeScalar),
-        );
-        let native = run_survey(
-            &list,
-            4,
-            mode,
-            SurveyConfig::default().with_kernel(IntersectKernel::Simd),
-        );
-        let swar = {
-            let _guard = SwarGuard::force();
-            run_survey(
-                &list,
-                4,
-                mode,
-                SurveyConfig::default().with_kernel(IntersectKernel::Simd),
-            )
-        };
-        assert_eq!(native, swar, "{mode}: backend must not change any outcome");
-        for (rank, (n, o)) in native.iter().zip(oracle.iter()).enumerate() {
-            assert_eq!(n.count, o.count, "{mode} rank {rank} count");
-            assert_eq!(n.checksum, o.checksum, "{mode} rank {rank} checksum");
-            assert_eq!(n.matches, o.matches, "{mode} rank {rank} matches");
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// Random sorted `u64` lists with random skew: gallop and blocked
@@ -494,5 +309,26 @@ proptest! {
             _ => (lv, rv),
         };
         assert_kernels_match(&lv, &rv, &format!("proptest skew={skew}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+    /// Random graphs with string metadata: the default configuration
+    /// against the reference, either engine, 1–4 ranks.
+    #[test]
+    fn random_string_metadata_graphs_production_matches_reference(
+        edges in proptest::collection::vec((0u64..40, 0u64..40), 1..120),
+        nranks in 1usize..5,
+        push_pull in any::<bool>(),
+    ) {
+        let mode = if push_pull { EngineMode::PushPull } else { EngineMode::PushOnly };
+        assert_production_matches_reference(
+            &labeled(edges),
+            nranks,
+            mode,
+            &[IntersectKernel::Auto],
+            "proptest",
+        );
     }
 }

@@ -1,34 +1,29 @@
 //! Differential tests of the multi-threaded intra-rank merge path.
 //!
-//! The `threads` axis ([`Parallelism`]) routes received wedge batches
-//! and pull deliveries through the persistent work-stealing pool
-//! instead of intersecting them inline, and its contract is strict
-//! determinism: a parallel survey must be **observationally identical**
-//! to the serial one — same triangle counts, same metadata seen by
-//! every callback, and bit-identical merged [`KernelStats`] (the
-//! per-worker tallies are reduced in batch-index order, so even the
-//! compare counters cannot drift). Three layers of evidence:
+//! [`Parallelism`] routes received wedge batches and pull deliveries
+//! through the persistent work-stealing pool instead of intersecting
+//! them inline, and its contract is strict determinism: a parallel
+//! survey must be **observationally identical** to the serial one —
+//! same triangle counts, same metadata seen by every callback, and
+//! bit-identical merged [`KernelStats`] (the per-worker tallies are
+//! reduced in batch-index order, so even the compare counters cannot
+//! drift). Three layers of evidence:
 //!
 //! * **Thread sweep** — serial vs {1, 2, 4, 8} threads × both engines
 //!   × {1, 2, 4, 7} ranks on random and hub graphs.
-//! * **Config spot matrix** — every kernel × layout × decode cell at 4
-//!   threads (the owned-decode cells document the designed serial
-//!   fallback: the parallel path only exists for cursor decode).
+//! * **Kernel spot matrix** — every kernel at 4 threads against its
+//!   serial twin (the reference cell documents the designed serial
+//!   fallback: the queued path only exists on the production path).
 //! * **Stealing stress** — repeated runs with many tiny batches and
 //!   more ranks than cores, so partial flushes, barrier-drain flushes
 //!   and cross-worker stealing all occur, asserting run-to-run
 //!   stability.
 
-use std::cell::Cell;
-use std::rc::Rc;
+mod common;
 
-use tripoll::core::{
-    kernel_stats_take, survey_push_only_with, survey_push_pull_with, BatchLayout, DecodePath,
-    EngineMode, IntersectKernel, KernelStats, Parallelism, SurveyConfig,
-};
-use tripoll::graph::{build_dist_graph, EdgeList, Partition};
-use tripoll::ygm::hash::hash64;
-use tripoll::ygm::{CommConfig, World};
+use common::{hub_graph, labeled, random_graph, run_survey, run_survey_with_comm};
+use tripoll::core::{EngineMode, IntersectKernel, KernelStats, Parallelism, SurveyConfig};
+use tripoll::ygm::CommConfig;
 
 const THREADS: [Parallelism; 4] = [
     Parallelism::Threads(1),
@@ -37,117 +32,10 @@ const THREADS: [Parallelism; 4] = [
     Parallelism::Threads(8),
 ];
 
-/// One run's observable outcome per rank: global triangle count, global
-/// metadata checksum, and the globally summed merged kernel counters —
-/// every field of [`KernelStats`], so a parallel run that dispatched
-/// through a different kernel arm or double-counted a batch fails even
-/// if its match totals happen to agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Outcome {
-    count: u64,
-    checksum: u64,
-    stats: KernelStats,
-}
-
-/// Runs one survey with string metadata, folding all six metadata
-/// values of every triangle into the checksum and harvesting each
-/// rank's merged kernel counters after the run.
-fn run_survey(
-    list: &EdgeList<String>,
-    nranks: usize,
-    mode: EngineMode,
-    config: SurveyConfig,
-) -> Vec<Outcome> {
-    run_survey_with_comm(list, nranks, mode, config, CommConfig::default())
-}
-
-/// [`run_survey`] with an explicit communicator configuration, for the
-/// node-aggregation (`ranks_per_node`) and overlapped-flush axes.
-fn run_survey_with_comm(
-    list: &EdgeList<String>,
-    nranks: usize,
-    mode: EngineMode,
-    config: SurveyConfig,
-    comm_config: CommConfig,
-) -> Vec<Outcome> {
-    World::new(nranks).with_config(comm_config).run(|comm| {
-        let local = list.stride_for_rank(comm.rank(), comm.nranks());
-        let g = build_dist_graph(comm, local, |v| format!("v{v}"), Partition::Hashed);
-        let _ = kernel_stats_take(); // fresh counters for this rank
-        let count = Rc::new(Cell::new(0u64));
-        let sum = Rc::new(Cell::new(0u64));
-        let (c2, s2) = (count.clone(), sum.clone());
-        let cb = move |_c: &tripoll::ygm::Comm,
-                       tm: &tripoll::core::TriangleMeta<'_, String, String>| {
-            c2.set(c2.get() + 1);
-            let mut h = hash64(tm.p) ^ hash64(tm.q).rotate_left(1) ^ hash64(tm.r).rotate_left(2);
-            for (i, m) in [
-                tm.meta_p, tm.meta_q, tm.meta_r, tm.meta_pq, tm.meta_pr, tm.meta_qr,
-            ]
-            .iter()
-            .enumerate()
-            {
-                for b in m.bytes() {
-                    h = h.rotate_left(7) ^ hash64(u64::from(b) + i as u64);
-                }
-            }
-            s2.set(s2.get() + (h & 0xffff_ffff));
-        };
-        match mode {
-            EngineMode::PushOnly => survey_push_only_with(comm, &g, config, cb),
-            EngineMode::PushPull => survey_push_pull_with(comm, &g, config, cb),
-        };
-        let ks = kernel_stats_take();
-        Outcome {
-            count: comm.all_reduce_sum(count.get()),
-            checksum: comm.all_reduce_sum(sum.get()),
-            stats: KernelStats {
-                compares: comm.all_reduce_sum(ks.compares),
-                candidates: comm.all_reduce_sum(ks.candidates),
-                matches: comm.all_reduce_sum(ks.matches),
-                scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
-                gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
-                blocked_runs: comm.all_reduce_sum(ks.blocked_runs),
-                simd_runs: comm.all_reduce_sum(ks.simd_runs),
-            },
-        }
-    })
-}
-
-fn labeled(edges: Vec<(u64, u64)>) -> EdgeList<String> {
-    EdgeList::from_vec(
-        edges
-            .into_iter()
-            .map(|(u, v)| (u, v, format!("e{}-{}", u.min(v), u.max(v))))
-            .collect(),
-    )
-}
-
-/// A deterministic dense-ish random graph (the general case).
-fn random_graph() -> EdgeList<String> {
-    let mut edges = Vec::new();
-    for u in 0..32u64 {
-        for v in (u + 1)..32 {
-            if (u * 7919 + v * 104_729) % 4 == 0 {
-                edges.push((u, v));
-            }
-        }
-    }
-    labeled(edges)
-}
-
-/// The shared-hub construction that forces the Push-Pull pull phase to
-/// carry triangles, so the parallel pull-delivery enqueue (one work
-/// item per resume suffix, shared frame) is differentially tested.
-fn hub_graph() -> EdgeList<String> {
-    let k = 24u64;
-    let (h1, h2) = (1000, 1001);
-    let mut edges = vec![(h1, h2)];
-    for sv in 0..k {
-        edges.push((sv, h1));
-        edges.push((sv, h2));
-    }
-    labeled(edges)
+/// What a parallel run must reproduce of its serial twin on every rank:
+/// count, checksum and every merged kernel counter.
+fn results(runs: &[common::Outcome]) -> Vec<(u64, u64, KernelStats)> {
+    runs.iter().map(common::Outcome::result).collect()
 }
 
 /// Serial vs every thread count, both engines, {1,2,4,7} ranks, random
@@ -184,48 +72,28 @@ fn parallel_surveys_are_bit_identical_to_serial() {
     }
 }
 
-/// Every kernel × layout × decode cell at 4 threads against its serial
-/// twin. The cursor cells run the parallel merge queue; the owned cells
-/// document the designed fallback (no parallel path exists for the
-/// materializing decode, so they must — trivially — agree too).
+/// Every kernel at 4 threads against its serial twin. The production
+/// kernels run the parallel merge queue; the reference cell documents
+/// the designed fallback (no queued path exists for the materializing
+/// decode, so it must — trivially — agree too).
 #[test]
 fn parallel_config_matrix_agrees_with_serial() {
-    const LAYOUT_DECODE: [(BatchLayout, DecodePath); 4] = [
-        (BatchLayout::Columnar, DecodePath::Cursor),
-        (BatchLayout::Columnar, DecodePath::Owned),
-        (BatchLayout::Interleaved, DecodePath::Cursor),
-        (BatchLayout::Interleaved, DecodePath::Owned),
-    ];
-    const KERNELS: [IntersectKernel; 5] = [
+    const KERNELS: [IntersectKernel; 4] = [
         IntersectKernel::MergeScalar,
         IntersectKernel::Gallop,
         IntersectKernel::BlockedMerge,
-        IntersectKernel::Simd,
         IntersectKernel::Auto,
     ];
     let list = hub_graph();
     for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
-        for (layout, decode) in LAYOUT_DECODE {
-            for kernel in KERNELS {
-                let base = SurveyConfig {
-                    layout,
-                    decode,
-                    kernel,
-                    threads: Parallelism::Serial,
-                };
-                let serial = run_survey(&list, 4, mode, base);
-                let parallel = run_survey(
-                    &list,
-                    4,
-                    mode,
-                    SurveyConfig {
-                        threads: Parallelism::Threads(4),
-                        ..base
-                    },
-                );
-                let ctx = format!("{mode} {layout} {decode:?} {kernel}");
-                assert_eq!(parallel, serial, "parallel != serial [{ctx}]");
-            }
+        for kernel in KERNELS {
+            let base = SurveyConfig {
+                kernel,
+                threads: Parallelism::Serial,
+            };
+            let serial = run_survey(&list, 4, mode, base);
+            let parallel = run_survey(&list, 4, mode, base.with_threads(Parallelism::Threads(4)));
+            assert_eq!(parallel, serial, "parallel != serial [{mode} {kernel}]");
         }
     }
 }
@@ -311,11 +179,11 @@ fn node_aggregation_and_overlap_are_bit_identical() {
                             ..Default::default()
                         },
                     );
-                    for (rank, (o, r)) in runs.iter().zip(reference.iter()).enumerate() {
-                        let ctx =
-                            format!("{mode} rpn={rpn} overlap={overlap} {threads} rank {rank}");
-                        assert_eq!(o, r, "survey outcome diverged [{ctx}]");
-                    }
+                    assert_eq!(
+                        results(&runs),
+                        results(&reference),
+                        "survey outcome diverged [{mode} rpn={rpn} overlap={overlap} {threads}]"
+                    );
                 }
             }
         }

@@ -91,7 +91,6 @@ fn run_direct(
                 scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
                 gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
                 blocked_runs: comm.all_reduce_sum(ks.blocked_runs),
-                simd_runs: comm.all_reduce_sum(ks.simd_runs),
             },
         }
     });
@@ -120,7 +119,6 @@ fn run_resident(resident: &ResidentGraph<String, String>, query: &ResidentQuery)
         stats.scalar_runs += o.kernel.scalar_runs;
         stats.gallop_runs += o.kernel.gallop_runs;
         stats.blocked_runs += o.kernel.blocked_runs;
-        stats.simd_runs += o.kernel.simd_runs;
     }
     let (count, checksum) = *acc.lock().unwrap();
     Outcome {
