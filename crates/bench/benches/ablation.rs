@@ -12,11 +12,6 @@
 //!    makes cheap partitionings palatable; both should land close.
 //! 3. **Counting-set cache** (§4.1.4): sweep the write-back cache
 //!    capacity and show how it trades records on the wire for memory.
-//! 4. **Node-level aggregation** (§5.4): the paper attributes its
-//!    256-node regression to small-message blowup across 18.8M rank
-//!    pairs and prescribes "extra aggregation of messages at the level
-//!    of compute nodes"; this sweep turns that remedy on and shows the
-//!    network envelope count collapsing at constant payload.
 
 use tripoll_analysis::{fmt_bytes, fmt_secs, Table};
 use tripoll_bench::{seed, size};
@@ -52,7 +47,6 @@ fn main() {
         let out = World::new(nranks)
             .with_config(CommConfig {
                 flush_threshold: Some(threshold),
-                ..Default::default()
             })
             .run_with_stats(|comm| {
                 let local = list.stride_for_rank(comm.rank(), comm.nranks());
@@ -120,41 +114,4 @@ fn main() {
     }
     println!("{}", cache_table.render());
     println!("Expected: a larger write-back cache absorbs repeated keys, cutting the\nrecords the counting set puts on the wire (§4.1.4).\n");
-
-    // --- 4. Node-level aggregation (the §5.4 remedy) -----------------------
-    let mut node_table = Table::new(
-        "Ablation 4: ranks per simulated node (Push-Pull count, 8 ranks)",
-        &[
-            "ranks/node",
-            "network envelopes",
-            "network payload",
-            "modeled time",
-        ],
-    );
-    for ranks_per_node in [1usize, 2, 4, 8] {
-        let out = World::new(8)
-            .with_config(CommConfig {
-                ranks_per_node,
-                ..Default::default()
-            })
-            .run_with_stats(|comm| {
-                let local = list.stride_for_rank(comm.rank(), comm.nranks());
-                let g: DistGraph<bool, ()> =
-                    build_dist_graph(comm, local, |_| false, Partition::Hashed);
-                triangle_count(comm, &g, EngineMode::PushPull).0
-            });
-        let total = out.total_stats();
-        node_table.row(&[
-            ranks_per_node.to_string(),
-            total.envelopes_remote.to_string(),
-            fmt_bytes(total.bytes_remote),
-            fmt_secs(model.phase_time(&out.stats)),
-        ]);
-    }
-    println!("{}", node_table.render());
-    println!(
-        "Expected: bundling a node's sections into one envelope divides the\n\
-         network message count (the α term) — the paper's prescription for\n\
-         the 6144-rank small-message regime (§5.4)."
-    );
 }

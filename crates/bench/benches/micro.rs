@@ -5,7 +5,7 @@
 //! and encode/decode cost, and an instrumented survey run.
 //!
 //! Besides the human-readable lines, the harness writes
-//! `BENCH_micro.json` (schema `tripoll-bench-micro/v10`) so successive
+//! `BENCH_micro.json` (schema `tripoll-bench-micro/v11`) so successive
 //! PRs can track the perf trajectory mechanically: kernel ns/iter,
 //! bytes sent, envelope counts, allocation-count proxies for the push
 //! (encode) and columnar receive (decode) paths, the intersection-kernel
@@ -13,17 +13,14 @@
 //! skews, with deterministic compare counters), the SWAR varint-crack
 //! ns/key proxy, the parallel batch-dispatch scaling (ns/batch at
 //! 1/2/4 threads plus the 4-thread survey's merged compare counters),
-//! the node-aggregation fan-out (pull bytes/candidate at rpn 1 vs 4,
-//! multicast savings, overlapped-vs-inline flush handoff), the
-//! resident service's snapshot-restart trade (cold ingest vs snapshot
+//! the resident service's snapshot-restart trade (cold ingest vs snapshot
 //! load, resident vs from-scratch query dispatch), the incremental
 //! ingest trade (delta survey vs full recount at 1% and 10% batch
 //! sizes, with the delta's wire bytes per candidate), and wall time.
 //! CI diffs the columnar receive allocation proxy and bytes/candidate,
 //! the Auto kernel's compares/candidate, the parallel survey's
 //! merged compares/candidate (0% drift — the deterministic-reduction
-//! invariant), the multicast fan-out's bytes/candidate, the
-//! deterministic snapshot byte size, and the delta survey's
+//! invariant), the deterministic snapshot byte size, and the delta survey's
 //! bytes/candidate against the committed baseline (`bench_diff`).
 
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
@@ -45,7 +42,7 @@ use tripoll_ygm::wire::{
     encode_columns, from_bytes, put_varint, to_bytes, ColBatch, ColCursor, KeyBlock, Wire,
     WireEncode, WireReader, KEY_BLOCK_LEN,
 };
-use tripoll_ygm::{CommConfig, World};
+use tripoll_ygm::World;
 
 /// Counts heap allocations so the push-path comparison can report an
 /// allocation proxy alongside wall time.
@@ -949,141 +946,6 @@ fn compare_parallel_dispatch() -> ParallelDispatch {
     }
 }
 
-/// Node-aggregation scale: vertices whose candidate projection is
-/// fanned out, destination ranks per fan-out (one remote node), and
-/// candidates per projection — the §4.4 pull-delivery shape.
-const NA_VERTS: usize = 256;
-const NA_FANOUT: usize = 4;
-const NA_CANDS: usize = 128;
-/// Sends timed per overlap setting in the flush-handoff comparison.
-const NA_SENDS: usize = 8192;
-
-/// Measurement of the node-aggregation machinery: the pull fan-out's
-/// wire bytes per delivered candidate with per-rank copies (rpn = 1)
-/// vs multicast sections (rpn = 4), plus the overlapped-vs-inline
-/// transport handoff timing.
-struct NodeAggRun {
-    flat_bytes_remote: u64,
-    agg_bytes_remote: u64,
-    flat_bytes_per_candidate: f64,
-    agg_bytes_per_candidate: f64,
-    records_multicast: u64,
-    multicast_bytes_saved: u64,
-    inline_ns_per_send: f64,
-    overlap_ns_per_send: f64,
-}
-
-/// Emulates the §4.4 pull fan-out at the comm layer: rank 0 sends each
-/// vertex's candidate projection to every rank of one remote node via
-/// `send_to_many`, at rpn = 1 (per-rank payload copies) vs rpn = 4
-/// (one multicast section per node). The gated metric is the rpn = 4
-/// wire bytes per delivered candidate — deterministic, since every
-/// byte is counted at send time. The overlapped-flush handoff is timed
-/// as wall-clock context (not gated; on a single-core host the
-/// transport worker cannot actually run in parallel).
-fn compare_node_aggregation() -> NodeAggRun {
-    let fan_out = |rpn: usize| {
-        let config = CommConfig {
-            ranks_per_node: rpn,
-            overlap_flush: Some(false),
-            ..Default::default()
-        };
-        World::new(8).with_config(config).run_with_stats(|comm| {
-            let h = comm.register::<(u64, Vec<(u64, u64, u64)>), _>(|_c, _msg| {});
-            if comm.rank() == 0 {
-                for q in 0..NA_VERTS as u64 {
-                    let cands: Vec<(u64, u64, u64)> = (0..NA_CANDS as u64)
-                        .map(|i| (hash64(q * 131 + i), 4096 + i * 3, i % 7))
-                        .collect();
-                    comm.send_to_many(4..4 + NA_FANOUT, &h, &(q, cands));
-                }
-            }
-            comm.barrier();
-        })
-    };
-    let flat = fan_out(1);
-    let agg = fan_out(4);
-    let delivered = (NA_VERTS * NA_FANOUT) as u64;
-    assert_eq!(flat.total_stats().handlers_run, delivered);
-    assert_eq!(agg.total_stats().handlers_run, delivered);
-    let per_cand = |bytes: u64| bytes as f64 / (delivered as usize * NA_CANDS) as f64;
-    let (f0, a0) = (flat.stats[0], agg.stats[0]);
-    let run = NodeAggRun {
-        flat_bytes_remote: f0.bytes_remote,
-        agg_bytes_remote: a0.bytes_remote,
-        flat_bytes_per_candidate: per_cand(f0.bytes_remote),
-        agg_bytes_per_candidate: per_cand(a0.bytes_remote),
-        records_multicast: a0.records_multicast,
-        multicast_bytes_saved: a0.multicast_bytes_saved,
-        inline_ns_per_send: flush_handoff_ns(false),
-        overlap_ns_per_send: flush_handoff_ns(true),
-    };
-    println!(
-        "node_aggregation/pull_fanout_rpn1         {:>12.3} B/cand  {:>10} bytes",
-        run.flat_bytes_per_candidate, run.flat_bytes_remote
-    );
-    println!(
-        "node_aggregation/pull_fanout_rpn4         {:>12.3} B/cand  {:>10} bytes  {:>8} multicast records  {:>10} bytes saved",
-        run.agg_bytes_per_candidate,
-        run.agg_bytes_remote,
-        run.records_multicast,
-        run.multicast_bytes_saved
-    );
-    if run.agg_bytes_remote >= run.flat_bytes_remote {
-        println!(
-            "WARNING: multicast fan-out did not shrink the wire ({} vs {})",
-            run.agg_bytes_remote, run.flat_bytes_remote
-        );
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "node_aggregation/flush_inline             {:>12.1} ns/send",
-        run.inline_ns_per_send
-    );
-    println!(
-        "node_aggregation/flush_overlapped         {:>12.1} ns/send  ({:+.1}%)",
-        run.overlap_ns_per_send,
-        100.0 * (run.overlap_ns_per_send / run.inline_ns_per_send - 1.0)
-    );
-    if run.overlap_ns_per_send >= run.inline_ns_per_send && cores < 4 {
-        println!(
-            "WARNING: overlapped flush did not beat inline on this {cores}-core host — \
-             the transport worker needs a spare core to pipeline; treat as context, not signal"
-        );
-    }
-    run
-}
-
-/// Times the encode-side cost of one `send` (including its share of
-/// flush handoffs) with the transport stage on or off.
-fn flush_handoff_ns(overlap: bool) -> f64 {
-    let config = CommConfig {
-        flush_threshold: Some(4096),
-        ranks_per_node: 1,
-        overlap_flush: Some(overlap),
-    };
-    let out = World::new(2).with_config(config).run(|comm| {
-        let h = comm.register::<Vec<u64>, _>(|_c, _v| {});
-        if comm.rank() == 0 {
-            let payload = vec![u64::MAX; 64]; // ~644 B/record: flush every ~7 sends
-            for _ in 0..NA_SENDS / 8 {
-                comm.send(1, &h, &payload); // warm-up: prime buffers + pool
-            }
-            let start = Instant::now();
-            for _ in 0..NA_SENDS {
-                comm.send(1, &h, &payload);
-            }
-            let ns = start.elapsed().as_nanos() as f64 / NA_SENDS as f64;
-            comm.barrier();
-            ns
-        } else {
-            comm.barrier();
-            0.0
-        }
-    });
-    out[0]
-}
-
 /// Synthetic dry-run input: `verts` local vertices, each with `deg`
 /// wedge targets spread over a hashed id space.
 fn dry_run_adjacency(verts: usize, deg: usize) -> Vec<Vec<u64>> {
@@ -1411,13 +1273,12 @@ fn write_json(
     kernel_cpc: f64,
     crack: &CrackRun,
     pd: &ParallelDispatch,
-    na: &NodeAggRun,
     snap: &SnapshotRestartRun,
     inc: &IncrementalIngestRun,
     surveys: &[SurveyRun],
 ) {
     let mut j = String::from("{\n");
-    j.push_str("  \"schema\": \"tripoll-bench-micro/v10\",\n");
+    j.push_str("  \"schema\": \"tripoll-bench-micro/v11\",\n");
 
     j.push_str("  \"kernels\": [\n");
     for (i, k) in kernels.iter().enumerate() {
@@ -1527,24 +1388,6 @@ fn write_json(
         pd_threads.join(",\n      "),
     ));
 
-    // The gated metric (`multicast_bytes_per_candidate`, the rpn = 4
-    // pull fan-out's wire bytes per delivered candidate) leads the
-    // section for the minimal scraper; the flush-handoff timings are
-    // wall-clock context and deliberately not gated.
-    j.push_str(&format!(
-        "  \"node_aggregation\": {{\n    \"multicast_bytes_per_candidate\": {:.3},\n    \"flat_bytes_per_candidate\": {:.3},\n    \"verts\": {NA_VERTS},\n    \"fanout\": {NA_FANOUT},\n    \"candidates_per_vertex\": {NA_CANDS},\n    \"flat_bytes_remote\": {},\n    \"aggregated_bytes_remote\": {},\n    \"records_multicast\": {},\n    \"multicast_bytes_saved\": {},\n    \"bytes_reduction_pct\": {:.1},\n    \"flush_inline_ns_per_send\": {:.1},\n    \"flush_overlap_ns_per_send\": {:.1},\n    \"host_cores\": {}\n  }},\n",
-        na.agg_bytes_per_candidate,
-        na.flat_bytes_per_candidate,
-        na.flat_bytes_remote,
-        na.agg_bytes_remote,
-        na.records_multicast,
-        na.multicast_bytes_saved,
-        100.0 * (1.0 - na.agg_bytes_remote as f64 / na.flat_bytes_remote as f64),
-        na.inline_ns_per_send,
-        na.overlap_ns_per_send,
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    ));
-
     // The gated metric (`snapshot_bytes`, deterministic for a fixed
     // graph + format version) leads the section for the minimal
     // scraper; ingest/load/query timings are wall-clock context and
@@ -1644,7 +1487,6 @@ fn main() {
     let (kernel_skews, kernel_cpc) = compare_intersect_kernels();
     let crack = compare_varint_crack();
     let pd = compare_parallel_dispatch();
-    let na = compare_node_aggregation();
     let snap = compare_snapshot_restart();
     let inc = compare_incremental_ingest();
 
@@ -1679,7 +1521,6 @@ fn main() {
         kernel_cpc,
         &crack,
         &pd,
-        &na,
         &snap,
         &inc,
         &surveys,

@@ -21,11 +21,6 @@
 //!   directions: the parallel reduction is defined to be bit-identical
 //!   to serial, so any drift is a broken stats merge, not a perf
 //!   change.
-//! * `node_aggregation.multicast_bytes_per_candidate` — the rpn = 4
-//!   pull fan-out's wire bytes per delivered candidate, every byte
-//!   counted at send time. This is the payload-dedup half of the §5.4
-//!   node aggregation: a regression means `send_to_many` went back to
-//!   copying the projection once per co-node rank.
 //! * `snapshot_restart.snapshot_bytes` — the resident service's
 //!   snapshot size for the fixed survey graph. Deterministic for a
 //!   given format version; growth means the binary format got fatter
@@ -44,7 +39,7 @@
 //! compare counters are deterministic.
 //!
 //! The parser is a minimal scraper for the known
-//! `tripoll-bench-micro/v10` schema (the container vendors no JSON
+//! `tripoll-bench-micro/v11` schema (the container vendors no JSON
 //! crate); a baseline predating a gated section passes with a notice so
 //! a gate can be adopted in the same change that introduces its
 //! section.
@@ -105,14 +100,6 @@ fn kernel_compares_per_candidate(json: &str) -> Option<f64> {
 fn parallel_compares_per_candidate(json: &str) -> Option<f64> {
     let section = after_key(json, "parallel_dispatch")?;
     number_after(section, "parallel_compares_per_candidate")
-}
-
-/// Extracts `node_aggregation.multicast_bytes_per_candidate` — the
-/// rpn = 4 pull fan-out's wire bytes per delivered candidate (the
-/// section's first field; the flat rpn = 1 twin uses a distinct key).
-fn multicast_bytes_per_candidate(json: &str) -> Option<f64> {
-    let section = after_key(json, "node_aggregation")?;
-    number_after(section, "multicast_bytes_per_candidate")
 }
 
 /// Extracts `snapshot_restart.snapshot_bytes` — the resident service's
@@ -234,12 +221,6 @@ fn main() -> ExitCode {
             new_path,
         ),
         gate(
-            "multicast fan-out bytes/candidate",
-            multicast_bytes_per_candidate(&baseline),
-            multicast_bytes_per_candidate(&fresh),
-            new_path,
-        ),
-        gate(
             "resident snapshot bytes",
             snapshot_bytes(&baseline),
             snapshot_bytes(&fresh),
@@ -266,7 +247,7 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"{
-  "schema": "tripoll-bench-micro/v10",
+  "schema": "tripoll-bench-micro/v11",
   "push_path": {
     "batches": 4096,
     "materialized": {"allocs": 4096, "ns_per_batch": 700.0, "bytes": 3000000},
@@ -293,18 +274,6 @@ mod tests {
       {"threads": 1, "ns_per_batch": 9000.0, "speedup": 1.00},
       {"threads": 4, "ns_per_batch": 2500.0, "speedup": 3.60}
     ]
-  },
-  "node_aggregation": {
-    "multicast_bytes_per_candidate": 2.577,
-    "flat_bytes_per_candidate": 10.055,
-    "verts": 256,
-    "fanout": 4,
-    "flat_bytes_remote": 1317888,
-    "aggregated_bytes_remote": 337664,
-    "records_multicast": 1024,
-    "multicast_bytes_saved": 980224,
-    "flush_inline_ns_per_send": 300.0,
-    "flush_overlap_ns_per_send": 280.0
   },
   "snapshot_restart": {
     "snapshot_bytes": 44374,
@@ -366,19 +335,6 @@ mod tests {
         // A baseline predating the section scrapes as None (adoption).
         let pre = &SAMPLE[..SAMPLE.find("\"parallel_dispatch\"").unwrap()];
         assert_eq!(parallel_compares_per_candidate(pre), None);
-    }
-
-    #[test]
-    fn extracts_multicast_bytes() {
-        // The section's gated summary, not the flat rpn=1 twin (its
-        // key contains this one as a suffix, but the quoted-needle
-        // match keeps them apart) and not batch_layout's
-        // bytes_per_candidate (the section anchor skips past it).
-        assert_eq!(multicast_bytes_per_candidate(SAMPLE), Some(2.577));
-        assert_eq!(multicast_bytes_per_candidate("{\"schema\": \"v1\"}"), None);
-        // A baseline predating the section scrapes as None (adoption).
-        let pre = &SAMPLE[..SAMPLE.find("\"node_aggregation\"").unwrap()];
-        assert_eq!(multicast_bytes_per_candidate(pre), None);
     }
 
     #[test]

@@ -347,11 +347,7 @@ where
                 .expect("pull-granted vertex must be locally owned");
             // Encode-once fan-out: the `Adjm+(q)` projection serializes
             // straight from graph storage exactly once, and the encoded
-            // record is memcpy'd to
-            // every granted rank. Under node aggregation the comm layer
-            // tightens this further: granted ranks sharing a remote node
-            // receive one multicast section — the adjacency crosses the
-            // wire once per *node* and the gateway fans it out.
+            // record is memcpy'd to every granted rank.
             let dests = ranks.iter().map(|&src| src as usize);
             comm.send_to_many(dests, &pull_handler, (q, encode_candidate_columns(&lv.adj)));
         }

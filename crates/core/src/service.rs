@@ -62,9 +62,8 @@
 //! under the state lock
 //! (see `docs/CONCURRENCY.md`, "ingest-epoch handoff").
 //!
-//! Environment-dependent defaults (`TRIPOLL_THREADS`, `TRIPOLL_RPN`,
-//! `TRIPOLL_OVERLAP`) are **pinned** when a [`ResidentQuery`] is
-//! constructed: each query carries fully explicit settings, so two
+//! The one environment-dependent default (`TRIPOLL_THREADS`) is
+//! **pinned** when a [`ResidentQuery`] is constructed: each query carries fully explicit settings, so two
 //! concurrent queries with different thread counts never share (or
 //! race on) a process-global default.
 
@@ -90,11 +89,9 @@ use crate::push_pull::{survey_push_pull_planned, DryRunPlan, PlanMode};
 /// One query against a [`ResidentGraph`]: the world size plus fully
 /// explicit engine and communicator settings.
 ///
-/// [`ResidentQuery::new`] resolves every environment-dependent default
-/// up front ([`SurveyConfig::pinned`], [`CommConfig::pinned`]), so a
-/// query's behavior is a function of its fields alone — the resident
-/// service only falls back to the (cached, once-per-process)
-/// environment read through those pinned defaults.
+/// [`ResidentQuery::new`] resolves the environment-dependent thread
+/// count up front ([`SurveyConfig::pinned`]), so a query's behavior is
+/// a function of its fields alone.
 #[derive(Debug, Clone)]
 pub struct ResidentQuery {
     /// Simulated ranks of the per-query world.
@@ -113,13 +110,12 @@ pub struct ResidentQuery {
 impl ResidentQuery {
     /// A query over `nranks` simulated ranks with pinned defaults:
     /// Push-Pull engine, production [`SurveyConfig`] with the thread
-    /// count resolved to an explicit value, default [`CommConfig`]
-    /// with the overlap setting resolved likewise.
+    /// count resolved to an explicit value, default [`CommConfig`].
     pub fn new(nranks: usize) -> Self {
         ResidentQuery {
             nranks,
             config: SurveyConfig::new().pinned(),
-            comm: CommConfig::default().pinned(),
+            comm: CommConfig::default(),
             mode: EngineMode::PushPull,
         }
     }
@@ -714,7 +710,6 @@ mod tests {
             !matches!(q.config.threads, Parallelism::Env),
             "pinned query must not depend on the environment"
         );
-        assert!(q.comm.overlap_flush.is_some(), "overlap pinned");
         let q = q
             .with_threads(Parallelism::Threads(3))
             .with_config(SurveyConfig::new().with_kernel(IntersectKernel::Gallop))

@@ -1,7 +1,6 @@
 //! Model-checked concurrency tests for the shipping protocols: the
-//! work-stealing pool's dispatch/completion discipline, the quiescence
-//! barrier's deferred-work seam, and the overlapped transport stage's
-//! staging/drain/shutdown protocol.
+//! work-stealing pool's dispatch/completion discipline and the
+//! quiescence barrier's deferred-work seam.
 //!
 //! These compile only under `RUSTFLAGS="--cfg tripoll_model"`, where
 //! the `tripoll-sync` facade swaps std primitives for the instrumented
@@ -22,7 +21,6 @@ use rayon::pool::ThreadPool;
 use tripoll_modelcheck::cell::RaceCell;
 use tripoll_modelcheck::thread;
 use tripoll_modelcheck::{check, Config};
-use tripoll_ygm::overlap::DrainStage;
 use tripoll_ygm::quiesce::Quiescence;
 
 /// The steal-half deque: every index of a batch executes exactly once,
@@ -140,77 +138,6 @@ fn drain_hook_inside_barrier_reaches_quiescence() {
     assert!(
         stats.exhausted,
         "DFS must exhaust the drain-hook space at this bound ({} schedules)",
-        stats.schedules
-    );
-}
-
-/// The overlapped-transport seam: an envelope staged in the [`DrainStage`]
-/// while a quiescence barrier is in progress. The send-side counted the
-/// record (`record_sent`) *before* staging — exactly the comm layer's
-/// order — so the barrier must not release until the transport worker
-/// has delivered the envelope and the receive side retired it
-/// (`record_done`). The post-barrier read of the delivery's effect
-/// races if any interleaving lets the barrier overtake the in-flight
-/// envelope.
-#[test]
-fn quiescence_holds_through_in_flight_transport() {
-    let stats = check(Config::with_bound(2), || {
-        let q = Arc::new(Quiescence::new());
-        let stage = Arc::new(DrainStage::<u32>::new());
-        let data = Arc::new(RaceCell::new(0u32));
-        // Send side: count the record, then stage its envelope for the
-        // transport worker (record_sent strictly before visibility).
-        q.record_sent();
-        stage.push(42);
-        let (s2, q2, d2) = (stage.clone(), q.clone(), data.clone());
-        let worker = thread::spawn(move || {
-            s2.worker_loop(|v| {
-                // "Delivery": the receive side runs the handler and
-                // retires the record.
-                d2.with_mut(|slot| *slot = v);
-                q2.record_done();
-            });
-        });
-        q.barrier(1, || false);
-        assert_eq!(
-            data.get(),
-            42,
-            "barrier released while the envelope was still in transport"
-        );
-        stage.shutdown();
-        worker.join().unwrap();
-        assert!(stage.is_idle(), "worker exited with in-flight items");
-    });
-    assert!(
-        stats.exhausted,
-        "DFS must exhaust the transport space at this bound ({} schedules)",
-        stats.schedules
-    );
-}
-
-/// Teardown of the overlapped transport: items staged before shutdown
-/// are delivered, never dropped, across every shutdown/worker
-/// interleaving — the invariant `Comm::drop` relies on when it joins
-/// the transport worker while envelopes may still be queued.
-#[test]
-fn transport_shutdown_never_drops_staged_items() {
-    let stats = check(Config::with_bound(2), || {
-        let stage = Arc::new(DrainStage::<u32>::new());
-        let count = Arc::new(RaceCell::new(0u32));
-        stage.push(1);
-        stage.push(2);
-        let (s2, c2) = (stage.clone(), count.clone());
-        let worker = thread::spawn(move || {
-            s2.worker_loop(|_| c2.with_mut(|v| *v += 1));
-        });
-        stage.shutdown();
-        worker.join().unwrap();
-        assert_eq!(count.get(), 2, "shutdown dropped a staged envelope");
-        assert!(stage.is_idle());
-    });
-    assert!(
-        stats.exhausted,
-        "DFS must exhaust the shutdown space at this bound ({} schedules)",
         stats.schedules
     );
 }

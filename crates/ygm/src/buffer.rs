@@ -133,33 +133,6 @@ impl SendBuffer {
         bytes.len()
     }
 
-    /// Appends one multicast record: a pre-encoded record (handler id
-    /// included) prefixed by its destination set, framed as
-    /// `[ndests][offset]*ndests [len][record bytes]` (all varints). The
-    /// offsets are node-local rank offsets and must be strictly
-    /// increasing — the gateway validates that before expanding.
-    ///
-    /// Counts `offsets.len()` records (one delivery per destination),
-    /// and returns the bytes appended — the whole point is that this is
-    /// far less than `offsets.len() * record.len()`.
-    #[inline]
-    pub fn push_multicast(&mut self, offsets: &[u32], record: &[u8]) -> usize {
-        debug_assert!(offsets.len() >= 2, "multicast needs at least two dests");
-        debug_assert!(
-            offsets.windows(2).all(|w| w[0] < w[1]),
-            "multicast offsets must be strictly increasing"
-        );
-        let before = self.data.len();
-        put_varint(&mut self.data, offsets.len() as u64);
-        for &off in offsets {
-            put_varint(&mut self.data, u64::from(off));
-        }
-        put_varint(&mut self.data, record.len() as u64);
-        self.data.extend_from_slice(record);
-        self.records += offsets.len() as u64;
-        self.data.len() - before
-    }
-
     /// Bytes currently buffered.
     #[inline]
     pub fn len(&self) -> usize {
@@ -290,31 +263,6 @@ mod tests {
             assert_eq!(r.take_varint().unwrap(), 9);
             assert_eq!(<(u64, u64)>::decode(&mut r).unwrap(), (1, 2));
         }
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn push_multicast_frames_dest_set_then_record() {
-        let mut origin = SendBuffer::new();
-        origin.push_record(9, &(1u64, 2u64));
-        let (record, _) = origin.drain();
-
-        let mut b = SendBuffer::new();
-        let n = b.push_multicast(&[0, 2, 3], &record);
-        // One delivery counted per destination, bytes far below 3 copies.
-        assert_eq!(b.records(), 3);
-        assert_eq!(b.len(), n);
-        assert!(n < 3 * record.len() + 1);
-
-        let (data, _) = b.drain();
-        let mut r = WireReader::new(&data);
-        assert_eq!(r.take_varint().unwrap(), 3);
-        assert_eq!(r.take_varint().unwrap(), 0);
-        assert_eq!(r.take_varint().unwrap(), 2);
-        assert_eq!(r.take_varint().unwrap(), 3);
-        let len = r.take_varint().unwrap() as usize;
-        assert_eq!(len, record.len());
-        assert_eq!(r.take(len).unwrap(), &record[..]);
         assert!(r.is_empty());
     }
 

@@ -9,8 +9,10 @@
 //!   binary and register the same handlers in the same order, so a small
 //!   integer handler id plays the same role.
 //! * **Message buffering** (§4.1.1): [`Comm::send`] appends to a
-//!   per-destination [`SendBuffer`]; buffers move to the transport only
-//!   when they cross the configured threshold or at a flush point.
+//!   per-destination [`SendBuffer`]; a buffer moves to its destination's
+//!   channel, inline on the sending rank, when it crosses the one flush
+//!   threshold every destination shares (see [`CommConfig`]) or at a
+//!   flush point.
 //! * **Serialization** (§4.1.2): payloads are [`Wire`]-encoded bytes, so
 //!   heterogeneous records (adjacency lists, strings, counter updates)
 //!   interleave freely in one buffer.
@@ -31,10 +33,9 @@ use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::buffer::{BufferPool, SendBuffer};
-use crate::overlap::DrainStage;
 use crate::quiesce::Quiescence;
 use crate::stats::RankCounters;
-use crate::wire::{put_varint, varint_len, Wire, WireEncode, WireError, WireReader};
+use crate::wire::{put_varint, Wire, WireEncode, WireError, WireReader};
 
 /// Index of a simulated MPI rank.
 pub type Rank = usize;
@@ -45,146 +46,37 @@ pub type Rank = usize;
 pub(crate) const POISON_MSG: &str = "peer rank panicked; aborting barrier";
 
 /// Tuning knobs for the communicator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CommConfig {
     /// Buffer size (bytes) at which a destination buffer is shipped.
     ///
     /// `None` (the default) resolves **adaptively** at world
-    /// construction into a *per-destination-class* policy derived from
-    /// the cost model's α·β product: remote destinations get
-    /// [`crate::cost::CostModel::adaptive_flush_threshold`] (scaled by
-    /// the *node* count, from the tiny-world 8 KiB floor up to YGM's
-    /// real-cluster ~MB buffers — a fixed threshold would degenerate
-    /// into the §5.4 small-message blowup as the world grows), while
-    /// same-node destinations flush at the shallow
-    /// [`crate::cost::CostModel::local_flush_threshold`] (no `α` to
-    /// amortize, so records reach local handlers sooner). `Some(bytes)`
-    /// is the explicit override for **both** classes, used by tests and
-    /// the ablation study.
+    /// construction to [`crate::cost::CostModel::adaptive_flush_threshold`]
+    /// for the world's rank count: from the tiny-world 8 KiB floor up to
+    /// YGM's real-cluster ~MB buffers, since a fixed threshold would
+    /// degenerate into the §5.4 small-message blowup as the world grows.
+    /// Every destination, this rank included, flushes at that one
+    /// threshold. `Some(bytes)` is the explicit override, used by tests
+    /// and the ablation study.
     pub flush_threshold: Option<usize>,
-    /// Simulated ranks per compute node for **node-level aggregation**
-    /// (the §5.4 remedy for small-message blowup at scale: "extra
-    /// aggregation of messages at the level of compute nodes").
-    ///
-    /// With a value > 1, buffers bound for the ranks of one remote node
-    /// ship as a *single* bundled envelope to that node's gateway rank,
-    /// which re-distributes the sections locally (free of network
-    /// cost), and `send_to_many` fan-outs to co-node destinations
-    /// encode their payload **once** on the wire as a multicast section
-    /// the gateway expands. The default reads the `TRIPOLL_RPN`
-    /// environment variable (CI reruns the suite with it set), falling
-    /// back to `1` — every rank its own node, as in the paper's
-    /// measured configuration.
-    pub ranks_per_node: usize,
-    /// Whether the transport handoff of a buffer flush runs on a
-    /// dedicated per-rank transport worker (**overlapped flush**, see
-    /// [`crate::overlap`]) instead of inline on the encode path.
-    ///
-    /// `None` (the default) reads the `TRIPOLL_OVERLAP` environment
-    /// variable (`0`/`false`/`off` disable), falling back to **on**:
-    /// encode and transport pipeline, and no observable counter or
-    /// delivery semantics change either way. Single-rank worlds never
-    /// spawn the worker.
-    pub overlap_flush: Option<bool>,
-}
-
-impl Default for CommConfig {
-    fn default() -> Self {
-        CommConfig {
-            flush_threshold: None,
-            ranks_per_node: env_ranks_per_node(),
-            overlap_flush: None,
-        }
-    }
-}
-
-/// Resolves the default node width from `TRIPOLL_RPN` (min 1).
-///
-/// Read once per process and cached: a long-lived service must not see
-/// its per-query defaults drift if something mutates the environment
-/// mid-run. Queries that want a different width set
-/// [`CommConfig::ranks_per_node`] explicitly (see [`CommConfig::pinned`]).
-fn env_ranks_per_node() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("TRIPOLL_RPN")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(1, |v| v.max(1))
-    })
-}
-
-/// Resolves the default overlapped-flush setting from `TRIPOLL_OVERLAP`.
-fn env_overlap_flush() -> bool {
-    match std::env::var("TRIPOLL_OVERLAP") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-        Err(_) => true,
-    }
 }
 
 impl CommConfig {
-    /// The *remote-destination* threshold a world of `nranks` ranks will
-    /// run with: the explicit override if set, otherwise the cost
-    /// model's adaptive default (which scales with the node count under
-    /// this config's `ranks_per_node`).
+    /// The flush threshold a world of `nranks` ranks will run with: the
+    /// explicit override if set, otherwise the cost model's adaptive
+    /// default.
     pub fn effective_flush_threshold(&self, nranks: usize) -> usize {
-        self.flush_threshold.unwrap_or_else(|| {
-            crate::cost::CostModel::default().adaptive_flush_threshold(nranks, self.ranks_per_node)
-        })
-    }
-
-    /// The *same-node-destination* threshold: the explicit override if
-    /// set, otherwise the cost model's shallow local default.
-    pub fn effective_local_flush_threshold(&self) -> usize {
         self.flush_threshold
-            .unwrap_or_else(|| crate::cost::CostModel::default().local_flush_threshold())
+            .unwrap_or_else(|| crate::cost::CostModel::default().adaptive_flush_threshold(nranks))
     }
-
-    /// Whether this config runs with the overlapped transport stage
-    /// (explicit setting, or the `TRIPOLL_OVERLAP` default).
-    pub fn effective_overlap_flush(&self) -> bool {
-        self.overlap_flush.unwrap_or_else(env_overlap_flush)
-    }
-
-    /// Resolves every environment-dependent default into an explicit
-    /// value, so the config's behavior no longer depends on when the
-    /// environment is read. Resident services pin the config once at
-    /// startup; each query then carries fully explicit settings.
-    pub fn pinned(mut self) -> Self {
-        self.overlap_flush = Some(self.effective_overlap_flush());
-        // `ranks_per_node` was already resolved (via the cached env
-        // read) when the config was constructed; `flush_threshold`
-        // stays `None` deliberately — its adaptive default depends on
-        // the per-query world size, not on the environment.
-        self
-    }
-}
-
-/// One tagged section of a node-level bundle.
-pub(crate) enum Section {
-    /// Records for one specific rank of the gateway's node.
-    Direct(u32, Vec<u8>),
-    /// Multicast records for *several* ranks of the gateway's node:
-    /// a concatenation of `[ndests][offset]*ndests [len][record bytes]`
-    /// frames (see [`SendBuffer::push_multicast`]), each payload
-    /// appearing once on the wire. The gateway validates the framing
-    /// structurally and expands it to per-rank record streams.
-    Multicast(Vec<u8>),
-}
-
-/// One shipped message: the unit that would be a single MPI message.
-pub(crate) enum Envelope {
-    /// Records for the receiving rank itself.
-    Direct(Vec<u8>),
-    /// Node-level aggregate: tagged sections for the ranks of the
-    /// gateway's node; the gateway re-distributes them.
-    Bundle(Vec<Section>),
 }
 
 /// State shared by all ranks of a world.
 pub(crate) struct Shared {
     pub(crate) nranks: usize,
-    pub(crate) senders: Vec<Sender<Envelope>>,
+    /// One channel per rank; each message is one drained send buffer —
+    /// the unit that would be a single MPI message.
+    pub(crate) senders: Vec<Sender<Vec<u8>>>,
     /// The pending-record counter and generation barrier (extracted so
     /// the shipping protocol runs under the model checker — see
     /// [`crate::quiesce`]).
@@ -196,7 +88,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new(nranks: usize, senders: Vec<Sender<Envelope>>) -> Self {
+    pub(crate) fn new(nranks: usize, senders: Vec<Sender<Vec<u8>>>) -> Self {
         Shared {
             nranks,
             senders,
@@ -238,19 +130,11 @@ impl<M> Handler<M> {
 pub struct Comm {
     rank: Rank,
     shared: Arc<Shared>,
-    config: CommConfig,
-    /// The remote-destination flush threshold, resolved against the
-    /// world size at construction (adaptive unless overridden).
+    /// The flush threshold, resolved against the world size at
+    /// construction (adaptive unless overridden).
     flush_threshold: usize,
-    /// The same-node-destination flush threshold (shallow adaptive
-    /// default, or the same explicit override).
-    local_flush_threshold: usize,
-    rx: Receiver<Envelope>,
+    rx: Receiver<Vec<u8>>,
     outbufs: RefCell<Vec<SendBuffer>>,
-    /// One multicast buffer per remote node (empty vec when
-    /// `ranks_per_node == 1`): `send_to_many` appends a fan-out payload
-    /// here **once** per destination node instead of once per rank.
-    node_bufs: RefCell<Vec<SendBuffer>>,
     handlers: RefCell<Vec<DynHandler>>,
     /// Buffer tails whose next record's handler is not yet registered.
     deferred: RefCell<Vec<Vec<u8>>>,
@@ -259,31 +143,12 @@ pub struct Comm {
     /// vectors this rank has finished dispatching.
     pool: RefCell<BufferPool>,
     /// Scratch for `send_to_many`: one record is encoded here once, then
-    /// memcpy'd (or multicast) into destination buffers.
+    /// memcpy'd into destination buffers.
     scratch: RefCell<Vec<u8>>,
-    /// Scratch for `send_to_many`'s destination list (sorted for node
-    /// run detection without allocating per call).
-    dest_scratch: RefCell<Vec<Rank>>,
-    /// Scratch for one multicast record's node-local offsets.
-    offset_scratch: RefCell<Vec<u32>>,
-    /// The overlapped transport stage and its worker thread; `None`
-    /// when overlapped flush is off (or the world has one rank), in
-    /// which case envelope handoff runs inline on the encode path.
-    transport: Option<TransportWorker>,
     /// Invoked while this rank spins in `barrier()`: lets an engine
     /// drain work it deferred past handler return (see `defer_work`).
     /// Returns true if it made progress.
     drain_hook: RefCell<Option<DrainHook>>,
-}
-
-/// The overlapped-flush transport worker: a [`DrainStage`] the encode
-/// path pushes `(dest, envelope)` pairs into, drained by a dedicated
-/// thread that performs the channel sends. Joined on `Comm` drop after
-/// a stage shutdown, so no envelope is ever lost. See
-/// [`crate::overlap`] for the protocol and its quiescence argument.
-struct TransportWorker {
-    stage: Arc<DrainStage<(Rank, Envelope)>>,
-    handle: Option<tripoll_sync::thread::JoinHandle<()>>,
 }
 
 /// A barrier-spin progress callback (see [`Comm::set_drain_hook`]).
@@ -299,57 +164,25 @@ impl Comm {
         rank: Rank,
         shared: Arc<Shared>,
         config: CommConfig,
-        rx: Receiver<Envelope>,
+        rx: Receiver<Vec<u8>>,
     ) -> Self {
         let nranks = shared.nranks;
         let flush_threshold = config.effective_flush_threshold(nranks);
-        let local_flush_threshold = config.effective_local_flush_threshold();
         // A buffer flushes shortly past the threshold, so anything much
         // larger is a one-off oversized record — not worth keeping
         // resident. 4x leaves slack for big trailing records.
         let pool_buffer_cap = flush_threshold.saturating_mul(4).max(64 * 1024);
-        let rpn = config.ranks_per_node.max(1);
-        let nnodes = if rpn > 1 { nranks.div_ceil(rpn) } else { 0 };
-        let transport = if config.effective_overlap_flush() && nranks > 1 {
-            let stage = Arc::new(DrainStage::new());
-            let worker_stage = Arc::clone(&stage);
-            let senders = shared.senders.clone();
-            let handle = tripoll_sync::thread::Builder::new()
-                .name(format!("tripoll-transport-{rank}"))
-                .spawn(move || {
-                    worker_stage.worker_loop(|(dest, env): (Rank, Envelope)| {
-                        // A failed send means the receiver already tore
-                        // down — only possible on the poisoned-abort
-                        // path, where dropping the envelope is correct
-                        // (the root-cause panic is already propagating).
-                        let _ = senders[dest].send(env);
-                    });
-                })
-                .expect("spawn transport worker");
-            Some(TransportWorker {
-                stage,
-                handle: Some(handle),
-            })
-        } else {
-            None
-        };
         Comm {
             rank,
             shared,
-            config,
             flush_threshold,
-            local_flush_threshold,
             rx,
             outbufs: RefCell::new((0..nranks).map(|_| SendBuffer::new()).collect()),
-            node_bufs: RefCell::new((0..nnodes).map(|_| SendBuffer::new()).collect()),
             handlers: RefCell::new(Vec::new()),
             deferred: RefCell::new(Vec::new()),
             in_dispatch: Cell::new(false),
             pool: RefCell::new(BufferPool::new(POOL_BUFFERS, pool_buffer_cap)),
             scratch: RefCell::new(Vec::new()),
-            dest_scratch: RefCell::new(Vec::new()),
-            offset_scratch: RefCell::new(Vec::new()),
-            transport,
             drain_hook: RefCell::new(None),
         }
     }
@@ -366,35 +199,11 @@ impl Comm {
         self.shared.nranks
     }
 
-    /// The communicator configuration in effect.
-    pub fn config(&self) -> &CommConfig {
-        &self.config
-    }
-
-    /// The *remote-destination* flush threshold this world runs with
-    /// (adaptive default resolved, or the explicit override).
+    /// The flush threshold this world runs with (adaptive default
+    /// resolved, or the explicit override).
     #[inline]
     pub fn flush_threshold(&self) -> usize {
         self.flush_threshold
-    }
-
-    /// The *same-node-destination* flush threshold (shallow adaptive
-    /// default resolved, or the same explicit override). Same-node
-    /// buffers pay no per-message latency, so they flush earlier.
-    #[inline]
-    pub fn local_flush_threshold(&self) -> usize {
-        self.local_flush_threshold
-    }
-
-    /// The flush threshold applying to one destination rank under the
-    /// per-destination policy.
-    #[inline]
-    fn threshold_for(&self, dest: Rank) -> usize {
-        if self.node_of(dest) == self.node_of(self.rank) {
-            self.local_flush_threshold
-        } else {
-            self.flush_threshold
-        }
     }
 
     /// Live counters for this rank.
@@ -509,6 +318,57 @@ impl Comm {
     /// tuples and [`crate::wire::encode_columns`] projections serialize
     /// straight from application storage with no intermediate `M`.
     pub fn send_encoded<M: Wire, E: WireEncode>(&self, dest: Rank, h: &Handler<M>, enc: E) {
+        let bytes = self.buffer_record(dest, |buf| {
+            buf.push_record_with(h.id, |out| enc.encode_wire(out))
+        });
+        let counters = self.counters();
+        counters.records_encoded.fetch_add(1, Ordering::Relaxed);
+        counters
+            .bytes_encoded
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// Sends one record to several destinations: the payload is encoded
+    /// **once** into scratch, then memcpy'd into each destination's
+    /// buffer. This is the §4.4 pull-delivery pattern — one `Adjm+(q)`
+    /// projection fanned out to every granted rank — without
+    /// re-serializing (or re-materializing) the projection per rank.
+    ///
+    /// A destination listed twice receives the record twice.
+    ///
+    /// Counter contract: each destination is accounted a full record in
+    /// `records_*` / `bytes_*`; `records_encoded` rises by one and
+    /// `bytes_encoded` by one record's bytes.
+    pub fn send_to_many<M, E, I>(&self, dests: I, h: &Handler<M>, enc: E)
+    where
+        M: Wire,
+        E: WireEncode,
+        I: IntoIterator<Item = Rank>,
+    {
+        let mut dests = dests.into_iter().peekable();
+        if dests.peek().is_none() {
+            return;
+        }
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.clear();
+        put_varint(&mut scratch, u64::from(h.id));
+        enc.encode_wire(&mut scratch);
+
+        let counters = self.counters();
+        counters.records_encoded.fetch_add(1, Ordering::Relaxed);
+        counters
+            .bytes_encoded
+            .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+        for dest in dests {
+            self.buffer_record(dest, |buf| buf.push_raw(&scratch));
+        }
+    }
+
+    /// Appends one record to `dest`'s buffer through `push` (which
+    /// returns the bytes it appended), accounts it as a local or remote
+    /// delivery, and ships the buffer once it crosses the flush
+    /// threshold. Returns the record's bytes.
+    fn buffer_record(&self, dest: Rank, push: impl FnOnce(&mut SendBuffer) -> usize) -> usize {
         debug_assert!(
             dest < self.nranks(),
             "send to rank {dest} of {}",
@@ -518,223 +378,27 @@ impl Comm {
         // so the quiescence barrier can never observe a transient zero.
         // (Ordering rationale lives on `Quiescence::record_sent`.)
         self.shared.q.record_sent();
-
         let counters = self.counters();
-        let ship = {
+        let (bytes, ship) = {
             let mut bufs = self.outbufs.borrow_mut();
             let buf = &mut bufs[dest];
-            let bytes = buf.push_record_with(h.id, |out| enc.encode_wire(out));
-            counters.records_encoded.fetch_add(1, Ordering::Relaxed);
-            counters
-                .bytes_encoded
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            // "Local" means it never touches the network: self-sends
-            // always, and intra-node peers when node aggregation models
-            // multiple ranks per node.
-            if self.node_of(dest) == self.node_of(self.rank) {
-                counters.records_local.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .bytes_local
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
+            let bytes = push(buf);
+            let (records, wire_bytes) = if dest == self.rank {
+                (&counters.records_local, &counters.bytes_local)
             } else {
-                counters.records_remote.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .bytes_remote
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-            }
-            if buf.should_flush(self.threshold_for(dest)) {
-                Some(self.drain_pooled(buf))
-            } else {
-                None
-            }
+                (&counters.records_remote, &counters.bytes_remote)
+            };
+            records.fetch_add(1, Ordering::Relaxed);
+            wire_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            let ship = buf
+                .should_flush(self.flush_threshold)
+                .then(|| self.drain_pooled(buf));
+            (bytes, ship)
         };
         if let Some((data, _records)) = ship {
             self.ship(dest, data);
         }
-    }
-
-    /// Sends one record to several destinations: the payload is encoded
-    /// **once** into scratch, then fanned out. This is the §4.4
-    /// pull-delivery pattern — one `Adjm+(q)` projection fanned out to
-    /// every granted rank — without re-serializing (or
-    /// re-materializing) the projection per rank.
-    ///
-    /// Fan-out is node-aware: with `ranks_per_node > 1`, destinations
-    /// sharing a *remote* node receive the payload through a single
-    /// multicast frame in that node's bundle section — the bytes go on
-    /// the wire once, with a compact destination-set header, and the
-    /// node's gateway expands them locally. Other destinations (local
-    /// peers, lone remote ranks) get a per-rank memcpy as before.
-    ///
-    /// Counter contract: each destination is accounted a full record;
-    /// `bytes_remote`/`bytes_local` reflect the *actual wire bytes*
-    /// (so a multicast shrinks `bytes_remote`), with the forgone copy
-    /// volume in `multicast_bytes_saved` and the deliveries served by
-    /// multicast in `records_multicast`. `records_encoded` rises by one
-    /// and `bytes_encoded` by one record's bytes.
-    pub fn send_to_many<M, E, I>(&self, dests: I, h: &Handler<M>, enc: E)
-    where
-        M: Wire,
-        E: WireEncode,
-        I: IntoIterator<Item = Rank>,
-    {
-        let mut dest_scratch = self.dest_scratch.borrow_mut();
-        dest_scratch.clear();
-        dest_scratch.extend(dests);
-        if dest_scratch.is_empty() {
-            return;
-        }
-        if cfg!(debug_assertions) {
-            for &dest in dest_scratch.iter() {
-                debug_assert!(
-                    dest < self.nranks(),
-                    "send to rank {dest} of {}",
-                    self.nranks()
-                );
-            }
-        }
-
-        let mut scratch = self.scratch.borrow_mut();
-        scratch.clear();
-        put_varint(&mut scratch, u64::from(h.id));
-        enc.encode_wire(&mut scratch);
-
-        let counters = self.counters();
-        // One encode serves every destination; the rest are copies (or
-        // one multicast frame per destination node).
-        counters.records_encoded.fetch_add(1, Ordering::Relaxed);
-        counters
-            .bytes_encoded
-            .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-
-        let rpn = self.config.ranks_per_node.max(1);
-        if rpn > 1 {
-            // Group destinations into node runs. Callers' lists carry
-            // no semantic order (fire-and-forget deliveries), so the
-            // sort is free to reorder them.
-            dest_scratch.sort_unstable();
-        }
-        let my_node = self.node_of(self.rank);
-        let mut i = 0;
-        while i < dest_scratch.len() {
-            let node = self.node_of(dest_scratch[i]);
-            let mut j = i + 1;
-            while j < dest_scratch.len() && self.node_of(dest_scratch[j]) == node {
-                j += 1;
-            }
-            let run = &dest_scratch[i..j];
-            // Sorted + strictly increasing ⇒ no duplicate destinations
-            // (a duplicated rank must get two deliveries, which one
-            // destination-set header cannot express).
-            let unique = run.windows(2).all(|w| w[0] < w[1]);
-            if rpn > 1 && node != my_node && run.len() >= 2 && unique {
-                self.multicast_to_node(node, run, &scratch);
-            } else {
-                for &dest in run {
-                    self.fanout_unicast(dest, &scratch);
-                }
-            }
-            i = j;
-        }
-    }
-
-    /// One `send_to_many` delivery via the per-rank memcpy path.
-    fn fanout_unicast(&self, dest: Rank, record: &[u8]) {
-        let counters = self.counters();
-        // Same pre-visibility argument as `send_encoded`.
-        self.shared.q.record_sent();
-        let ship = {
-            let mut bufs = self.outbufs.borrow_mut();
-            let buf = &mut bufs[dest];
-            let bytes = buf.push_raw(record);
-            if self.node_of(dest) == self.node_of(self.rank) {
-                counters.records_local.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .bytes_local
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-            } else {
-                counters.records_remote.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .bytes_remote
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-            }
-            if buf.should_flush(self.threshold_for(dest)) {
-                Some(self.drain_pooled(buf))
-            } else {
-                None
-            }
-        };
-        if let Some((data, _records)) = ship {
-            self.ship(dest, data);
-        }
-    }
-
-    /// One `send_to_many` run of co-node remote destinations, delivered
-    /// through the node's multicast buffer: the record goes on the wire
-    /// once with a destination-set header. Falls back to per-rank
-    /// copies when the header would not pay for itself (tiny records to
-    /// few destinations).
-    fn multicast_to_node(&self, node: usize, run: &[Rank], record: &[u8]) {
-        let k = run.len();
-        let lo = self.gateway_of(node);
-        let mut offsets = self.offset_scratch.borrow_mut();
-        offsets.clear();
-        offsets.extend(run.iter().map(|&d| (d - lo) as u32));
-        // Exact frame overhead: [ndests][offset]*k [len] varints.
-        let header: usize = varint_len(k as u64)
-            + offsets
-                .iter()
-                .map(|&o| varint_len(u64::from(o)))
-                .sum::<usize>()
-            + varint_len(record.len() as u64);
-        if header + record.len() >= k * record.len() {
-            // Copies are cheaper (or equal): k tiny records cost less
-            // than one header + payload.
-            drop(offsets);
-            for &dest in run {
-                self.fanout_unicast(dest, record);
-            }
-            return;
-        }
-        let counters = self.counters();
-        // One pending record per *delivery*, raised before the frame
-        // becomes visible — same pre-visibility argument as
-        // `send_encoded`, applied k times.
-        for _ in 0..k {
-            self.shared.q.record_sent();
-        }
-        let ship = {
-            let mut node_bufs = self.node_bufs.borrow_mut();
-            let buf = &mut node_bufs[node];
-            let bytes = buf.push_multicast(&offsets, record);
-            debug_assert_eq!(bytes, header + record.len());
-            counters
-                .records_remote
-                .fetch_add(k as u64, Ordering::Relaxed);
-            counters
-                .bytes_remote
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-            counters
-                .records_multicast
-                .fetch_add(k as u64, Ordering::Relaxed);
-            counters
-                .multicast_bytes_saved
-                .fetch_add((k * record.len() - bytes) as u64, Ordering::Relaxed);
-            if buf.should_flush(self.flush_threshold) {
-                Some(self.drain_pooled(buf))
-            } else {
-                None
-            }
-        };
-        if let Some((data, _records)) = ship {
-            self.counters()
-                .envelopes_remote
-                .fetch_add(1, Ordering::Relaxed);
-            self.send_envelope(
-                self.gateway_of(node),
-                Envelope::Bundle(vec![Section::Multicast(data)]),
-            );
-        }
+        bytes
     }
 
     /// Drains `buf`, restarting it from the recycled-allocation pool.
@@ -749,125 +413,28 @@ impl Comm {
         out
     }
 
-    /// Compute node of a rank under the configured node width.
-    #[inline]
-    fn node_of(&self, rank: Rank) -> usize {
-        rank / self.config.ranks_per_node.max(1)
-    }
-
-    /// The rank that receives bundled envelopes for a node.
-    #[inline]
-    fn gateway_of(&self, node: usize) -> Rank {
-        node * self.config.ranks_per_node.max(1)
-    }
-
-    /// Hands one envelope to the transport: through the overlapped
-    /// drain stage when it is active (so the channel send runs on the
-    /// transport worker, off the encode path), inline otherwise.
-    /// Self-sends always go inline — they land in this rank's own
-    /// receive queue, so there is nothing to overlap.
-    fn send_envelope(&self, dest: Rank, env: Envelope) {
-        if dest != self.rank {
-            if let Some(t) = &self.transport {
-                t.stage.push((dest, env));
-                return;
-            }
-        }
-        self.shared.senders[dest]
-            .send(env)
-            .expect("receiver alive while world is running");
-    }
-
-    /// Ships one drained buffer to `dest`, via the destination node's
-    /// gateway when node-level aggregation is active.
+    /// Hands one drained buffer to `dest`'s channel.
     fn ship(&self, dest: Rank, data: Vec<u8>) {
         let counters = self.counters();
         if dest == self.rank {
             counters.envelopes_local.fetch_add(1, Ordering::Relaxed);
-            self.send_envelope(dest, Envelope::Direct(data));
-            return;
-        }
-        if self.config.ranks_per_node > 1 && self.node_of(dest) != self.node_of(self.rank) {
-            // A lone over-threshold buffer still travels as a (single
-            // section) bundle so the gateway accounting stays uniform.
-            let gateway = self.gateway_of(self.node_of(dest));
-            counters.envelopes_remote.fetch_add(1, Ordering::Relaxed);
-            self.send_envelope(
-                gateway,
-                Envelope::Bundle(vec![Section::Direct(dest as u32, data)]),
-            );
-            return;
-        }
-        if self.node_of(dest) == self.node_of(self.rank) {
-            counters.envelopes_local.fetch_add(1, Ordering::Relaxed);
         } else {
             counters.envelopes_remote.fetch_add(1, Ordering::Relaxed);
         }
-        self.send_envelope(dest, Envelope::Direct(data));
+        self.shared.senders[dest]
+            .send(data)
+            .expect("receiver alive while world is running");
     }
 
     /// Flushes every non-empty destination buffer to the transport.
-    ///
-    /// One loop over node sections covers every configuration. Buffers
-    /// for this rank's own node (which, with `ranks_per_node == 1`, is
-    /// just this rank) and for any single-rank node ship as direct
-    /// envelopes; with node-level aggregation, all buffers bound for one
-    /// remote multi-rank node leave as a *single* bundled envelope to
-    /// that node's gateway — the envelope-count reduction the paper
-    /// prescribes for the 6144-rank regime (§5.4).
     pub fn flush_all(&self) {
-        let rpn = self.config.ranks_per_node.max(1);
-        let nnodes = self.nranks().div_ceil(rpn);
-        let my_node = self.node_of(self.rank);
-        for node in 0..nnodes {
-            let lo = node * rpn;
-            let hi = ((node + 1) * rpn).min(self.nranks());
-            if rpn == 1 || node == my_node {
-                // Direct delivery: every rank of this section gets its
-                // own envelope. `ship` classifies local vs remote and
-                // handles the (rpn > 1, foreign node) single-buffer
-                // bundle case — unreachable here since that is the
-                // aggregated branch below.
-                for dest in lo..hi {
-                    let drained = {
-                        let mut bufs = self.outbufs.borrow_mut();
-                        if bufs[dest].is_empty() {
-                            None
-                        } else {
-                            Some(self.drain_pooled(&mut bufs[dest]))
-                        }
-                    };
-                    if let Some((data, _records)) = drained {
-                        self.ship(dest, data);
-                    }
-                }
-                continue;
-            }
-            // Remote multi-rank node: bundle every non-empty per-rank
-            // section plus the node's multicast section into one
-            // envelope for the node's gateway.
-            let sections: Vec<Section> = {
+        for dest in 0..self.nranks() {
+            let drained = {
                 let mut bufs = self.outbufs.borrow_mut();
-                let mut sections = Vec::new();
-                for d in lo..hi {
-                    if !bufs[d].is_empty() {
-                        sections.push(Section::Direct(d as u32, self.drain_pooled(&mut bufs[d]).0));
-                    }
-                }
-                drop(bufs);
-                let mut node_bufs = self.node_bufs.borrow_mut();
-                if !node_bufs[node].is_empty() {
-                    sections.push(Section::Multicast(
-                        self.drain_pooled(&mut node_bufs[node]).0,
-                    ));
-                }
-                sections
+                (!bufs[dest].is_empty()).then(|| self.drain_pooled(&mut bufs[dest]))
             };
-            if !sections.is_empty() {
-                self.counters()
-                    .envelopes_remote
-                    .fetch_add(1, Ordering::Relaxed);
-                self.send_envelope(self.gateway_of(node), Envelope::Bundle(sections));
+            if let Some((data, _records)) = drained {
+                self.ship(dest, data);
             }
         }
     }
@@ -892,41 +459,8 @@ impl Comm {
         for data in deferred {
             worked |= self.dispatch_bytes(data);
         }
-        while let Ok(env) = self.rx.try_recv() {
-            match env {
-                Envelope::Direct(data) => worked |= self.dispatch_bytes(data),
-                Envelope::Bundle(sections) => {
-                    // Gateway duty: keep our own sections, forward the
-                    // rest over the (free) intra-node transport, and
-                    // expand multicast sections to per-rank streams.
-                    for section in sections {
-                        match section {
-                            Section::Direct(dest, data) => {
-                                let dest = dest as usize;
-                                if dest == self.rank {
-                                    worked |= self.dispatch_bytes(data);
-                                } else {
-                                    debug_assert_eq!(
-                                        self.node_of(dest),
-                                        self.node_of(self.rank),
-                                        "bundle section for a foreign node"
-                                    );
-                                    self.counters()
-                                        .envelopes_local
-                                        .fetch_add(1, Ordering::Relaxed);
-                                    self.shared.senders[dest]
-                                        .send(Envelope::Direct(data))
-                                        .expect("receiver alive while world is running");
-                                    worked = true;
-                                }
-                            }
-                            Section::Multicast(data) => {
-                                worked |= self.expand_multicast(data);
-                            }
-                        }
-                    }
-                }
-            }
+        while let Ok(data) = self.rx.try_recv() {
+            worked |= self.dispatch_bytes(data);
         }
         worked
     }
@@ -979,94 +513,6 @@ impl Comm {
         // instead of the allocator.
         self.pool.borrow_mut().put(data);
         executed
-    }
-
-    /// Gateway expansion of one multicast section: validates the whole
-    /// section **structurally before any handler runs** (every frame's
-    /// destination set and length prefix), copies each record into a
-    /// per-rank stream, then dispatches this rank's stream and forwards
-    /// the rest over the free intra-node transport. Any framing defect
-    /// — truncation, empty or non-increasing destination set, an offset
-    /// outside this node's rank range, a length prefix past the buffer
-    /// — aborts the world with the structural [`WireError`] as the root
-    /// cause; handler code never sees bytes from a corrupt section.
-    fn expand_multicast(&self, data: Vec<u8>) -> bool {
-        let rpn = self.config.ranks_per_node.max(1);
-        let lo = self.gateway_of(self.node_of(self.rank));
-        let width = rpn.min(self.nranks() - lo);
-        debug_assert_eq!(lo, self.rank, "multicast section not at the gateway");
-        // Per-offset expansion streams, built from recycled envelope
-        // allocations. An offset's stream is created lazily on its
-        // first record.
-        let mut streams: Vec<Option<Vec<u8>>> = Vec::with_capacity(width);
-        streams.resize_with(width, || None);
-        let mut offsets = self.offset_scratch.borrow_mut();
-        let mut r = WireReader::new(&data);
-        let walk = (|| -> Result<(), WireError> {
-            while !r.is_empty() {
-                let ndests = r.take_varint()?;
-                if ndests == 0 || ndests > width as u64 {
-                    return Err(WireError::BadDestSet {
-                        value: ndests,
-                        node_width: width,
-                    });
-                }
-                offsets.clear();
-                let mut prev: Option<u64> = None;
-                for _ in 0..ndests {
-                    let off = r.take_varint()?;
-                    if off >= width as u64 || prev.is_some_and(|p| off <= p) {
-                        return Err(WireError::BadDestSet {
-                            value: off,
-                            node_width: width,
-                        });
-                    }
-                    prev = Some(off);
-                    offsets.push(off as u32);
-                }
-                let len = r.take_varint()?;
-                if len > r.remaining() as u64 {
-                    return Err(WireError::SeqOverrun {
-                        claimed: len,
-                        remaining: r.remaining(),
-                    });
-                }
-                let record = r.take(len as usize)?;
-                for &off in offsets.iter() {
-                    let stream =
-                        streams[off as usize].get_or_insert_with(|| self.pool.borrow_mut().take());
-                    stream.extend_from_slice(record);
-                }
-            }
-            Ok(())
-        })();
-        drop(offsets);
-        if let Err(e) = walk {
-            self.abort(format_args!("corrupt multicast section: {e}"));
-        }
-        self.pool.borrow_mut().put(data);
-        let mut worked = false;
-        let mut own: Option<Vec<u8>> = None;
-        for (off, stream) in streams.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
-            if lo + off == self.rank {
-                // Defer our own stream so forwards leave first: peers
-                // start their (possibly long) dispatch sooner.
-                own = Some(stream);
-            } else {
-                self.counters()
-                    .envelopes_local
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared.senders[lo + off]
-                    .send(Envelope::Direct(stream))
-                    .expect("receiver alive while world is running");
-                worked = true;
-            }
-        }
-        if let Some(own) = own {
-            worked |= self.dispatch_bytes(own);
-        }
-        worked
     }
 
     /// Quiescence barrier (YGM `comm.barrier()`).
@@ -1146,22 +592,6 @@ impl Comm {
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
         &self.shared
-    }
-}
-
-impl Drop for Comm {
-    fn drop(&mut self) {
-        if let Some(t) = self.transport.take() {
-            // The worker drains every staged envelope before exiting
-            // (`worker_loop` only returns on empty + shutdown), so no
-            // envelope is lost; the join makes the rank's teardown
-            // happen-after all of its transport effects.
-            t.stage.shutdown();
-            if let Some(handle) = t.handle {
-                let _ = handle.join();
-            }
-            debug_assert!(t.stage.is_idle(), "transport worker exited with work");
-        }
     }
 }
 
@@ -1284,8 +714,6 @@ mod tests {
     fn small_threshold_forces_many_envelopes() {
         let config = CommConfig {
             flush_threshold: Some(4),
-            ranks_per_node: 1, // pin: the remote/local split below assumes it
-            ..Default::default()
         };
         let stats = World::new(2).with_config(config).run_with_stats(|comm| {
             let h = comm.register::<u64, _>(|_c, _v| {});
@@ -1310,8 +738,6 @@ mod tests {
     fn large_threshold_aggregates() {
         let config = CommConfig {
             flush_threshold: Some(1 << 20),
-            ranks_per_node: 1, // pin: the remote/local split below assumes it
-            ..Default::default()
         };
         let stats = World::new(2).with_config(config).run_with_stats(|comm| {
             let h = comm.register::<u64, _>(|_c, _v| {});
@@ -1332,27 +758,18 @@ mod tests {
         // Default config: the resolved threshold follows the cost
         // model's nranks scaling (tiny worlds sit on the 8 KiB floor).
         for nranks in [1usize, 2, 4] {
-            let config = CommConfig::default();
-            let expect = config.effective_flush_threshold(nranks);
+            let expect = CommConfig::default().effective_flush_threshold(nranks);
             let got = World::new(nranks).run(|comm| comm.flush_threshold());
             assert_eq!(got, vec![expect; nranks], "nranks={nranks}");
             assert_eq!(
                 expect,
-                crate::cost::CostModel::default()
-                    .adaptive_flush_threshold(nranks, config.ranks_per_node)
+                crate::cost::CostModel::default().adaptive_flush_threshold(nranks)
             );
         }
-        // The same-node threshold resolves to the shallow local default
-        // and sits at or below the remote one.
-        let locals = World::new(2).run(|comm| comm.local_flush_threshold());
-        let expect_local = CommConfig::default().effective_local_flush_threshold();
-        assert_eq!(locals, vec![expect_local; 2]);
-        assert!(expect_local <= CommConfig::default().effective_flush_threshold(2));
         // Explicit override wins regardless of world size.
         let got = World::new(3)
             .with_config(CommConfig {
                 flush_threshold: Some(999),
-                ..Default::default()
             })
             .run(|comm| comm.flush_threshold());
         assert_eq!(got, vec![999; 3]);
@@ -1427,26 +844,20 @@ mod tests {
         // receive it exactly once, every delivery is a full record on
         // the wire, but only ONE encode is performed.
         let nranks = 4;
-        let config = CommConfig {
-            ranks_per_node: 1, // pin: the remote/local split below assumes it
-            ..Default::default()
-        };
-        let stats = World::new(nranks)
-            .with_config(config)
-            .run_with_stats(|comm| {
-                let got = Rc::new(RefCell::new(Vec::new()));
-                let got2 = got.clone();
-                let h = comm.register::<(u64, Vec<u64>), _>(move |_c, msg| {
-                    got2.borrow_mut().push(msg);
-                });
-                if comm.rank() == 0 {
-                    let payload = (99u64, vec![1u64, 2, 3]);
-                    comm.send_to_many(0..comm.nranks(), &h, &payload);
-                }
-                comm.barrier();
-                assert_eq!(got.borrow().len(), 1, "rank {}", comm.rank());
-                assert_eq!(got.borrow()[0], (99, vec![1, 2, 3]));
+        let stats = World::new(nranks).run_with_stats(|comm| {
+            let got = Rc::new(RefCell::new(Vec::new()));
+            let got2 = got.clone();
+            let h = comm.register::<(u64, Vec<u64>), _>(move |_c, msg| {
+                got2.borrow_mut().push(msg);
             });
+            if comm.rank() == 0 {
+                let payload = (99u64, vec![1u64, 2, 3]);
+                comm.send_to_many(0..comm.nranks(), &h, &payload);
+            }
+            comm.barrier();
+            assert_eq!(got.borrow().len(), 1, "rank {}", comm.rank());
+            assert_eq!(got.borrow()[0], (99, vec![1, 2, 3]));
+        });
         let s0 = stats.stats[0];
         assert_eq!(s0.records_encoded, 1, "one encode serves all destinations");
         assert_eq!(s0.records_total(), nranks as u64);
@@ -1507,7 +918,6 @@ mod tests {
         // envelope allocations.
         let config = CommConfig {
             flush_threshold: Some(256),
-            ..Default::default()
         };
         let stats = World::new(2).with_config(config).run_with_stats(|comm| {
             let h = comm.register::<Vec<u64>, _>(|_c, _v| {});
@@ -1597,134 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_fanout_encodes_payload_once_on_the_wire() {
-        // Rank 0 fans one (sizable) record out to every rank of a
-        // remote node: the payload must cross the wire once, inside a
-        // multicast section the gateway expands, and the counters must
-        // make the saving observable.
-        let nranks = 8;
-        let config = CommConfig {
-            ranks_per_node: 4,
-            ..Default::default()
-        };
-        let stats = World::new(nranks)
-            .with_config(config)
-            .run_with_stats(|comm| {
-                let got = Rc::new(RefCell::new(Vec::new()));
-                let got2 = got.clone();
-                let h = comm.register::<(u64, Vec<u64>), _>(move |_c, msg| {
-                    got2.borrow_mut().push(msg);
-                });
-                if comm.rank() == 0 {
-                    let payload = (7u64, (0..32u64).collect::<Vec<_>>());
-                    comm.send_to_many(4..8, &h, &payload);
-                }
-                comm.barrier();
-                if comm.rank() >= 4 {
-                    assert_eq!(got.borrow().len(), 1, "rank {}", comm.rank());
-                    assert_eq!(got.borrow()[0].0, 7);
-                    assert_eq!(got.borrow()[0].1.len(), 32);
-                } else {
-                    assert!(got.borrow().is_empty(), "rank {}", comm.rank());
-                }
-            });
-        let s0 = stats.stats[0];
-        assert_eq!(s0.records_encoded, 1);
-        assert_eq!(s0.records_remote, 4);
-        assert_eq!(s0.records_multicast, 4, "all four deliveries multicast");
-        assert!(s0.multicast_bytes_saved > 0);
-        // Wire bytes + forgone copies account exactly for the four
-        // per-rank copies the old path would have made.
-        assert_eq!(
-            s0.bytes_remote + s0.multicast_bytes_saved,
-            4 * s0.bytes_encoded
-        );
-        // The payload crossed the network once: well under two copies.
-        assert!(s0.bytes_remote < 2 * s0.bytes_encoded);
-    }
-
-    #[test]
-    fn multicast_fanout_matches_unicast_loop_deliveries() {
-        // Receivers cannot tell a multicast fan-out from a loop of
-        // sends: same records delivered, same decoded values — only the
-        // wire volume differs.
-        let config = CommConfig {
-            ranks_per_node: 3,
-            ..Default::default()
-        };
-        let run = |fanout: bool| {
-            let config = config.clone();
-            World::new(7)
-                .with_config(config)
-                .run_with_stats(move |comm| {
-                    let sum = Rc::new(Cell::new(0u64));
-                    let sum2 = sum.clone();
-                    let h = comm.register::<Vec<u64>, _>(move |_c, v| {
-                        sum2.set(sum2.get() + v.iter().sum::<u64>());
-                    });
-                    if comm.rank() == 0 {
-                        let payload: Vec<u64> = (0..64).collect();
-                        if fanout {
-                            comm.send_to_many(0..comm.nranks(), &h, &payload);
-                        } else {
-                            for dest in 0..comm.nranks() {
-                                comm.send(dest, &h, &payload);
-                            }
-                        }
-                    }
-                    comm.barrier();
-                    sum.get()
-                })
-        };
-        let with_fanout = run(true);
-        let with_loop = run(false);
-        assert_eq!(with_fanout.results, with_loop.results);
-        let (f0, l0) = (with_fanout.stats[0], with_loop.stats[0]);
-        assert_eq!(f0.records_total(), l0.records_total());
-        // Nodes 1 ({3,4,5}) and 2 ({6}) are remote to rank 0: the
-        // 3-rank run multicasts, the lone rank 6 stays unicast.
-        assert_eq!(f0.records_multicast, 3);
-        assert!(
-            f0.bytes_remote < l0.bytes_remote,
-            "multicast must shrink wire bytes: {} vs {}",
-            f0.bytes_remote,
-            l0.bytes_remote
-        );
-        assert_eq!(f0.bytes_remote + f0.multicast_bytes_saved, l0.bytes_remote);
-    }
-
-    #[test]
-    fn tiny_multicast_falls_back_to_per_rank_copies() {
-        // A record so small the destination-set header would not pay
-        // for itself ships as per-rank copies even on a co-node run.
-        let config = CommConfig {
-            ranks_per_node: 4,
-            ..Default::default()
-        };
-        let stats = World::new(8).with_config(config).run_with_stats(|comm| {
-            let seen = Rc::new(Cell::new(0u64));
-            let seen2 = seen.clone();
-            let h = comm.register::<u64, _>(move |_c, v| {
-                seen2.set(seen2.get() + v);
-            });
-            if comm.rank() == 0 {
-                comm.send_to_many(4..6, &h, 1u64);
-            }
-            comm.barrier();
-            if comm.rank() == 4 || comm.rank() == 5 {
-                assert_eq!(seen.get(), 1);
-            }
-        });
-        let s0 = stats.stats[0];
-        assert_eq!(s0.records_remote, 2);
-        assert_eq!(
-            s0.records_multicast, 0,
-            "header would cost more than it saves"
-        );
-        assert_eq!(s0.multicast_bytes_saved, 0);
-    }
-
-    #[test]
     fn empty_send_to_many_is_a_no_op() {
         let stats = World::new(2).run_with_stats(|comm| {
             let h = comm.register::<u64, _>(|_c, _v| {});
@@ -1738,88 +1020,47 @@ mod tests {
     }
 
     #[test]
-    fn same_node_destinations_flush_earlier_than_remote() {
-        // The per-destination policy: ~3 KB to a same-node peer crosses
-        // the shallow local threshold (one mid-stream flush plus the
-        // barrier flush), while the same volume to a remote node stays
-        // below the node-scaled threshold (barrier flush only).
-        let config = CommConfig {
-            flush_threshold: None, // adaptive: the policy under test
-            ranks_per_node: 2,
-            ..Default::default()
-        };
-        let stats = World::new(4).with_config(config).run_with_stats(|comm| {
-            assert!(comm.local_flush_threshold() < comm.flush_threshold());
+    fn every_destination_flushes_at_one_threshold() {
+        // ~3 KB to this rank and the same to a peer both stay below the
+        // adaptive threshold: each buffer ships once, at the barrier.
+        let stats = World::new(2).run_with_stats(|comm| {
             let h = comm.register::<Vec<u64>, _>(|_c, _v| {});
             if comm.rank() == 0 {
                 for _ in 0..12 {
                     // ~253 bytes per record (25 max-width varints).
+                    comm.send(0, &h, &vec![u64::MAX; 25]);
                     comm.send(1, &h, &vec![u64::MAX; 25]);
-                    comm.send(2, &h, &vec![u64::MAX; 25]);
                 }
             }
             comm.barrier();
         });
         let s0 = stats.stats[0];
-        assert_eq!(
-            s0.envelopes_local, 2,
-            "local buffer must flush mid-stream then at the barrier"
-        );
-        assert_eq!(
-            s0.envelopes_remote, 1,
-            "remote buffer aggregates until the barrier"
-        );
         assert_eq!(s0.bytes_local, s0.bytes_remote);
+        assert!(s0.bytes_local > 2048, "volume {}", s0.bytes_local);
+        assert_eq!(s0.envelopes_local, 1, "self buffer ships at the barrier");
+        assert_eq!(s0.envelopes_remote, 1, "peer buffer ships at the barrier");
     }
 
     #[test]
-    fn overlapped_flush_is_invisible_to_counters() {
-        // Same program with the transport stage on and off: identical
-        // results and identical deterministic counters (the overlap
-        // changes *when* the channel send runs, never what is sent).
-        let run = |overlap: bool| {
-            let config = CommConfig {
-                ranks_per_node: 2,
-                overlap_flush: Some(overlap),
-                ..Default::default()
-            };
-            World::new(4)
-                .with_config(config)
-                .run_with_stats(move |comm| {
-                    let sum = Rc::new(Cell::new(0u64));
-                    let sum2 = sum.clone();
-                    let h = comm.register::<u64, _>(move |_c, v| {
-                        sum2.set(sum2.get() + v);
-                    });
-                    for round in 0..3u64 {
-                        for dest in 0..comm.nranks() {
-                            comm.send(dest, &h, &(round + comm.rank() as u64));
-                        }
-                        comm.send_to_many(0..comm.nranks(), &h, 100 + round);
-                        comm.barrier();
-                    }
-                    sum.get()
-                })
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.results, off.results);
-        for (rank, (a, b)) in on.stats.iter().zip(off.stats.iter()).enumerate() {
-            assert_eq!(a.records_remote, b.records_remote, "rank {rank}");
-            assert_eq!(a.records_local, b.records_local, "rank {rank}");
-            assert_eq!(a.bytes_remote, b.bytes_remote, "rank {rank}");
-            assert_eq!(a.bytes_local, b.bytes_local, "rank {rank}");
-            assert_eq!(a.envelopes_remote, b.envelopes_remote, "rank {rank}");
-            assert_eq!(a.records_encoded, b.records_encoded, "rank {rank}");
-            assert_eq!(a.bytes_encoded, b.bytes_encoded, "rank {rank}");
-            assert_eq!(a.records_multicast, b.records_multicast, "rank {rank}");
-            assert_eq!(
-                a.multicast_bytes_saved, b.multicast_bytes_saved,
-                "rank {rank}"
-            );
-            assert_eq!(a.handlers_run, b.handlers_run, "rank {rank}");
-            assert_eq!(a.barriers, b.barriers, "rank {rank}");
-        }
+    fn send_to_many_repeated_destination_delivers_twice() {
+        // A destination listed twice gets two deliveries of the one
+        // encoded record, exactly like two sends.
+        let stats = World::new(3).run_with_stats(|comm| {
+            let seen = Rc::new(Cell::new(0u64));
+            let seen2 = seen.clone();
+            let h = comm.register::<u64, _>(move |_c, v| {
+                seen2.set(seen2.get() + v);
+            });
+            if comm.rank() == 0 {
+                comm.send_to_many([2, 1, 2], &h, 5u64);
+            }
+            comm.barrier();
+            assert_eq!(seen.get(), [0, 5, 10][comm.rank()], "rank {}", comm.rank());
+        });
+        let s0 = stats.stats[0];
+        assert_eq!(s0.records_encoded, 1);
+        assert_eq!(s0.records_remote, 3);
+        assert_eq!(s0.bytes_remote, 3 * s0.bytes_encoded);
     }
 
     /// Extracts a panic payload's message.
@@ -1829,101 +1070,6 @@ mod tests {
             .copied()
             .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
             .unwrap_or("<non-string panic>")
-    }
-
-    /// Injects `section` as a raw multicast section at rank 0 (the
-    /// gateway of node 0 under `ranks_per_node: 2`) and asserts the
-    /// world aborts with a structural wire error — before any handler
-    /// runs (the registered handler panics with its own marker if it is
-    /// ever invoked, which would change the propagated message).
-    fn expect_structural_abort(section: Vec<u8>, expected: &str) {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let config = CommConfig {
-                ranks_per_node: 2,
-                ..Default::default()
-            };
-            World::new(2).with_config(config).run(|comm| {
-                let _h =
-                    comm.register::<u64, _>(|_c, _v| panic!("handler ran on a corrupt section"));
-                if comm.rank() == 1 {
-                    // Keep the barrier from releasing until the gateway
-                    // has actually examined the hostile section.
-                    comm.shared().q.record_sent();
-                    comm.shared().senders[0]
-                        .send(Envelope::Bundle(vec![Section::Multicast(section.clone())]))
-                        .expect("world alive");
-                }
-                comm.barrier();
-            });
-        }));
-        let err = result.expect_err("corrupt section must abort the world");
-        let msg = panic_message(&err);
-        assert!(
-            msg.contains("corrupt multicast section"),
-            "wrong abort: {msg}"
-        );
-        assert!(msg.contains(expected), "expected {expected:?} in: {msg}");
-    }
-
-    #[test]
-    fn multicast_zero_destination_section_fails_structurally() {
-        expect_structural_abort(vec![0x00], "destination set is invalid");
-    }
-
-    #[test]
-    fn multicast_oversized_destination_count_fails_structurally() {
-        // ndests = 7 on a 2-rank node.
-        expect_structural_abort(vec![0x07], "destination set is invalid");
-    }
-
-    #[test]
-    fn multicast_truncated_destination_list_fails_structurally() {
-        // Claims 2 destinations, provides 1.
-        expect_structural_abort(vec![0x02, 0x00], "unexpected end of wire buffer");
-    }
-
-    #[test]
-    fn multicast_duplicate_offsets_fail_structurally() {
-        expect_structural_abort(vec![0x02, 0x01, 0x01], "destination set is invalid");
-    }
-
-    #[test]
-    fn multicast_decreasing_offsets_fail_structurally() {
-        expect_structural_abort(vec![0x02, 0x01, 0x00], "destination set is invalid");
-    }
-
-    #[test]
-    fn multicast_out_of_range_offset_fails_structurally() {
-        // Offset 5 on a 2-rank node.
-        expect_structural_abort(vec![0x01, 0x05], "destination set is invalid");
-    }
-
-    #[test]
-    fn multicast_length_overrun_fails_structurally() {
-        // One destination, record length claims 200 bytes, none follow.
-        expect_structural_abort(
-            vec![0x01, 0x00, 0xc8, 0x01],
-            "sequence length prefix claims 200",
-        );
-    }
-
-    #[test]
-    fn every_truncation_of_a_valid_section_fails_structurally() {
-        // Hostile-framing sweep: build one valid multicast frame, then
-        // replay every strict non-empty prefix. Cutting anywhere —
-        // inside a varint, the offset list, the length, or the record
-        // bytes — must surface as a structural abort, never a handler
-        // invocation and never a hang.
-        let mut origin = SendBuffer::new();
-        origin.push_record(0, &(11u64, 222u64));
-        let (record, _) = origin.drain();
-        let mut buf = SendBuffer::new();
-        buf.push_multicast(&[0, 1], &record);
-        let (frame, _) = buf.drain();
-        assert!(frame.len() >= 6);
-        for cut in 1..frame.len() {
-            expect_structural_abort(frame[..cut].to_vec(), "corrupt multicast section");
-        }
     }
 
     /// Injects `bytes` as a raw direct envelope at rank 0 and asserts
@@ -1937,7 +1083,7 @@ mod tests {
                 if comm.rank() == 1 {
                     comm.shared().q.record_sent();
                     comm.shared().senders[0]
-                        .send(Envelope::Direct(bytes.clone()))
+                        .send(bytes.clone())
                         .expect("world alive");
                 }
                 comm.barrier();

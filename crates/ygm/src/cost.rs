@@ -21,6 +21,9 @@
 //! ~32 Gbit/s ≈ 4 GB/s per node, ~1.3 µs MPI latency). The *absolute*
 //! numbers are not meaningful — the *ratios* between algorithm variants
 //! and rank counts are, which is what the paper's figures report.
+//!
+//! The same `α·β` product sizes the communicator's send buffers: see
+//! [`CostModel::adaptive_flush_threshold`].
 
 use crate::stats::CommStats;
 
@@ -62,35 +65,22 @@ impl CostModel {
         (self.latency_per_message * self.bandwidth_bytes_per_sec) as usize
     }
 
-    /// The adaptive flush threshold for *remote* destinations in a world
-    /// of `nranks` ranks at `ranks_per_node` ranks per simulated compute
-    /// node (the resolution of [`crate::CommConfig`]'s
-    /// `flush_threshold: None`).
+    /// The adaptive flush threshold of a world of `nranks` ranks (the
+    /// resolution of [`crate::CommConfig`]'s `flush_threshold: None`),
+    /// applied to every destination buffer, self included.
     ///
     /// Rationale: a fixed phase volume splits across more destination
     /// buffers as the world grows, so each buffer fills slower and a
     /// fixed threshold degenerates into the §5.4 small-message blowup.
-    /// With node aggregation, envelopes coalesce per *node* (one bundle
-    /// per remote node), so the count that must stay flat scales with
-    /// the node count, not the rank count — scaling by `nranks` at
-    /// rpn > 1 would over-buffer by the node width. The threshold is
-    /// floored at the `α·β` break-even (never below the tiny-world
-    /// 8 KiB default) and capped at 1 MiB — the order of YGM's
-    /// real-cluster buffers — so per-rank buffer memory stays bounded.
-    pub fn adaptive_flush_threshold(&self, nranks: usize, ranks_per_node: usize) -> usize {
-        let nnodes = nranks.max(1).div_ceil(ranks_per_node.max(1));
-        let per_node = self.latency_bandwidth_product().saturating_mul(nnodes);
-        per_node.clamp(8 * 1024, 1 << 20)
-    }
-
-    /// The flush threshold for *same-node* destinations (self-sends and
-    /// intra-node peers under aggregation). These cost no `α`, so there
-    /// is nothing to amortize by deep buffering — a shallow threshold
-    /// (a quarter of the `α·β` break-even, clamped to [2 KiB, 64 KiB])
-    /// delivers records to local handlers sooner and keeps resident
-    /// buffer memory low without changing modeled network time at all.
-    pub fn local_flush_threshold(&self) -> usize {
-        (self.latency_bandwidth_product() / 4).clamp(2 * 1024, 64 * 1024)
+    /// The threshold therefore scales with the rank count, floored at
+    /// the `α·β` break-even (never below the tiny-world 8 KiB default)
+    /// and capped at 1 MiB — the order of YGM's real-cluster buffers —
+    /// so per-rank buffer memory stays bounded.
+    pub fn adaptive_flush_threshold(&self, nranks: usize) -> usize {
+        let per_rank = self
+            .latency_bandwidth_product()
+            .saturating_mul(nranks.max(1));
+        per_rank.clamp(8 * 1024, 1 << 20)
     }
 
     /// Modeled time for one rank's traffic.
@@ -176,62 +166,20 @@ mod tests {
     fn adaptive_threshold_scales_and_clamps() {
         let m = CostModel::catalyst_like();
         // Catalyst-like α·β ≈ 5.2 KB, so tiny worlds sit on the 8 KiB floor.
-        assert_eq!(m.adaptive_flush_threshold(0, 1), 8 * 1024);
-        assert_eq!(m.adaptive_flush_threshold(1, 1), 8 * 1024);
+        assert_eq!(m.adaptive_flush_threshold(0), 8 * 1024);
+        assert_eq!(m.adaptive_flush_threshold(1), 8 * 1024);
         // Growth is monotone in the rank count...
         let mut last = 0;
         for nranks in [2, 4, 16, 64, 256, 4096] {
-            let t = m.adaptive_flush_threshold(nranks, 1);
+            let t = m.adaptive_flush_threshold(nranks);
             assert!(t >= last, "threshold shrank at nranks={nranks}");
             last = t;
         }
         // ...tracks α·β·nranks in the mid range...
-        let t4 = m.adaptive_flush_threshold(4, 1);
+        let t4 = m.adaptive_flush_threshold(4);
         assert_eq!(t4, m.latency_bandwidth_product() * 4);
         // ...and caps at the 1 MiB buffer bound.
-        assert_eq!(m.adaptive_flush_threshold(1 << 20, 1), 1 << 20);
-    }
-
-    #[test]
-    fn adaptive_threshold_scales_with_nodes_not_ranks() {
-        let m = CostModel::catalyst_like();
-        // With node aggregation, envelopes coalesce per node: 64 ranks at
-        // 4 per node behave like 16 single-rank nodes.
-        assert_eq!(
-            m.adaptive_flush_threshold(64, 4),
-            m.adaptive_flush_threshold(16, 1)
-        );
-        // A partial last node still counts as a node.
-        assert_eq!(
-            m.adaptive_flush_threshold(7, 3),
-            m.adaptive_flush_threshold(3, 1)
-        );
-        // rpn <= 1 (or 0) degenerates to the per-rank scaling.
-        assert_eq!(
-            m.adaptive_flush_threshold(64, 0),
-            m.adaptive_flush_threshold(64, 1)
-        );
-        // Wider nodes never raise the threshold.
-        for rpn in [1usize, 2, 4, 8, 24] {
-            assert!(m.adaptive_flush_threshold(256, rpn) <= m.adaptive_flush_threshold(256, 1));
-        }
-    }
-
-    #[test]
-    fn local_threshold_is_shallow_and_clamped() {
-        let m = CostModel::catalyst_like();
-        let local = m.local_flush_threshold();
-        // Local flushes pay no α: threshold sits well below the remote one.
-        assert!(local < m.adaptive_flush_threshold(1, 1));
-        assert!((2 * 1024..=64 * 1024).contains(&local));
-        // A degenerate model still yields a usable threshold.
-        let zero = CostModel {
-            latency_per_message: 0.0,
-            bandwidth_bytes_per_sec: 1.0,
-            per_record_cost: 0.0,
-            per_work_unit: 0.0,
-        };
-        assert_eq!(zero.local_flush_threshold(), 2 * 1024);
+        assert_eq!(m.adaptive_flush_threshold(1 << 20), 1 << 20);
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub mod comm;
 pub mod container;
 pub mod cost;
 pub mod hash;
-pub mod overlap;
 pub mod quiesce;
 pub mod stats;
 pub mod wire;

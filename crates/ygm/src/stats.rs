@@ -6,10 +6,9 @@
 //! first-class: every record, every buffer flush ("MPI message") and every
 //! payload byte is counted at the moment it leaves a rank.
 //!
-//! Counters are split into *remote* (traffic that would cross the
-//! network) and *local* (self-sends and — when node-level aggregation
-//! models several ranks per compute node — intra-node peers; the runtime
-//! still routes these through the message queue but they cost no network
+//! Counters are split into *remote* (traffic to other ranks, which
+//! would cross the network) and *local* (self-sends; the runtime still
+//! routes these through the message queue but they cost no network
 //! traffic). The cost model prices remote traffic only; the Table 4
 //! "communication volume" experiment reports totals, since on the
 //! paper's 24-rank-per-node clusters rank-to-rank payloads are ordinary
@@ -61,12 +60,6 @@ pub struct RankCounters {
     /// payload volume that *skipped the owned-message materialization*,
     /// not a strict never-copied guarantee per byte.
     pub bytes_decoded_in_place: AtomicU64,
-    /// Record deliveries served by a node-multicast section: the payload
-    /// went on the wire once and the gateway fanned it out locally.
-    pub records_multicast: AtomicU64,
-    /// Wire bytes saved by multicast sections versus appending the
-    /// encoded record once per destination rank.
-    pub multicast_bytes_saved: AtomicU64,
 }
 
 impl RankCounters {
@@ -87,8 +80,7 @@ impl RankCounters {
             pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
             records_borrowed: self.records_borrowed.load(Ordering::Relaxed),
             bytes_decoded_in_place: self.bytes_decoded_in_place.load(Ordering::Relaxed),
-            records_multicast: self.records_multicast.load(Ordering::Relaxed),
-            multicast_bytes_saved: self.multicast_bytes_saved.load(Ordering::Relaxed),
+            records_multicast: 0,
         }
     }
 }
@@ -124,10 +116,10 @@ pub struct CommStats {
     pub records_borrowed: u64,
     /// Record bytes consumed by in-place (borrowed) handlers.
     pub bytes_decoded_in_place: u64,
-    /// Record deliveries served by a node-multicast section.
+    /// Always 0: the transport has no multicast path. The field stays
+    /// only because the end-to-end benchmark (`benchmark/src/layers.rs`)
+    /// reads it and reports it as `ygm.comm.records_multicast`.
     pub records_multicast: u64,
-    /// Wire bytes saved by multicast sections versus per-rank copies.
-    pub multicast_bytes_saved: u64,
 }
 
 impl CommStats {
@@ -165,12 +157,7 @@ impl CommStats {
             bytes_decoded_in_place: self
                 .bytes_decoded_in_place
                 .saturating_sub(earlier.bytes_decoded_in_place),
-            records_multicast: self
-                .records_multicast
-                .saturating_sub(earlier.records_multicast),
-            multicast_bytes_saved: self
-                .multicast_bytes_saved
-                .saturating_sub(earlier.multicast_bytes_saved),
+            records_multicast: 0,
         }
     }
 
@@ -191,8 +178,7 @@ impl CommStats {
             pool_reuses: self.pool_reuses + other.pool_reuses,
             records_borrowed: self.records_borrowed + other.records_borrowed,
             bytes_decoded_in_place: self.bytes_decoded_in_place + other.bytes_decoded_in_place,
-            records_multicast: self.records_multicast + other.records_multicast,
-            multicast_bytes_saved: self.multicast_bytes_saved + other.multicast_bytes_saved,
+            records_multicast: 0,
         }
     }
 

@@ -141,15 +141,6 @@ pub enum WireError {
         /// Bytes that remained in the buffer.
         remaining: usize,
     },
-    /// A multicast destination set was structurally invalid: empty,
-    /// non-strictly-increasing, or naming a node-local offset outside
-    /// the receiving node's rank range.
-    BadDestSet {
-        /// The offending offset (or destination count).
-        value: u64,
-        /// Ranks on the receiving node.
-        node_width: usize,
-    },
 }
 
 impl fmt::Display for WireError {
@@ -166,11 +157,6 @@ impl fmt::Display for WireError {
                 f,
                 "sequence length prefix claims {claimed} elements, more than the {remaining} \
                  remaining bytes could hold"
-            ),
-            WireError::BadDestSet { value, node_width } => write!(
-                f,
-                "multicast destination set is invalid: offset/count {value} on a node of \
-                 {node_width} ranks"
             ),
         }
     }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::unbounded;
 
-use crate::comm::{Comm, CommConfig, Envelope, Shared};
+use crate::comm::{Comm, CommConfig, Shared};
 use crate::stats::CommStats;
 
 /// Results of a world run plus the per-rank communication statistics.
@@ -87,7 +87,7 @@ impl World {
     {
         let nranks = self.nranks;
         let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..nranks).map(|_| unbounded::<Envelope>()).unzip();
+            (0..nranks).map(|_| unbounded::<Vec<u8>>()).unzip();
         let shared = Arc::new(Shared::new(nranks, senders));
         let config = self.config.clone();
         let f = &f;
@@ -174,13 +174,7 @@ mod tests {
 
     #[test]
     fn stats_are_per_rank() {
-        // Pin ranks_per_node: the remote counts below assume every peer
-        // is on its own node (TRIPOLL_RPN would reclassify rank 1).
-        let config = CommConfig {
-            ranks_per_node: 1,
-            ..Default::default()
-        };
-        let out = World::new(3).with_config(config).run_with_stats(|comm| {
+        let out = World::new(3).run_with_stats(|comm| {
             let h = comm.register::<u64, _>(|_c, _v| {});
             if comm.rank() == 0 {
                 comm.send(1, &h, &42u64);

@@ -61,7 +61,6 @@ fn container_storm() {
     // threshold, interleaving three handler types in shared buffers.
     let config = CommConfig {
         flush_threshold: Some(48),
-        ..Default::default()
     };
     let out = World::new(5).with_config(config).run_with_stats(|comm| {
         let map = DistMap::<u64, u64>::new_with_merge(comm, |a, b| *a += b);
@@ -157,86 +156,5 @@ fn large_payloads_cross_intact() {
     });
     for lens in out {
         assert_eq!(lens, vec![100_000]);
-    }
-}
-
-#[test]
-fn node_aggregation_preserves_semantics() {
-    // Same all-to-all program, every node width: identical results.
-    for ranks_per_node in [1usize, 2, 3, 4, 8] {
-        let config = CommConfig {
-            ranks_per_node,
-            ..Default::default()
-        };
-        let out = World::new(8).with_config(config).run(|comm| {
-            let sum = Rc::new(Cell::new(0u64));
-            let sum2 = sum.clone();
-            let h = comm.register::<u64, _>(move |_c, v| {
-                sum2.set(sum2.get() + v);
-            });
-            for dest in 0..comm.nranks() {
-                comm.send(dest, &h, &(comm.rank() as u64 + 1));
-            }
-            comm.barrier();
-            comm.all_reduce_sum(sum.get())
-        });
-        // 8 senders x 8 receivers x avg 4.5 = 288 per rank; global 8x.
-        assert_eq!(out, vec![8 * 36; 8], "ranks_per_node={ranks_per_node}");
-    }
-}
-
-#[test]
-fn node_aggregation_reduces_remote_envelopes() {
-    // The paper's §5.4 fix: with 4 ranks per simulated node, buffers to a
-    // remote node coalesce into one envelope — remote envelope count must
-    // drop by roughly the node width.
-    let run = |ranks_per_node: usize| {
-        let config = CommConfig {
-            ranks_per_node,
-            ..Default::default()
-        };
-        World::new(8)
-            .with_config(config)
-            .run_with_stats(|comm| {
-                let h = comm.register::<u64, _>(|_c, _v| {});
-                for round in 0..50u64 {
-                    for dest in 0..comm.nranks() {
-                        comm.send(dest, &h, &round);
-                    }
-                    comm.barrier();
-                }
-            })
-            .total_stats()
-    };
-    let flat = run(1);
-    let aggregated = run(4);
-    assert_eq!(flat.records_total(), aggregated.records_total());
-    assert!(
-        aggregated.envelopes_remote * 2 < flat.envelopes_remote,
-        "aggregation should cut remote envelopes: {} vs {}",
-        aggregated.envelopes_remote,
-        flat.envelopes_remote
-    );
-}
-
-#[test]
-fn node_aggregation_with_odd_world_size() {
-    // 7 ranks, 3 per node: the last node is partial; gateways at 0, 3, 6.
-    let config = CommConfig {
-        ranks_per_node: 3,
-        ..Default::default()
-    };
-    let out = World::new(7).with_config(config).run(|comm| {
-        let set = DistCountingSet::<u64>::new(comm);
-        for k in 0..20u64 {
-            set.increment(comm, k);
-        }
-        set.gather(comm)
-    });
-    for gathered in out {
-        assert_eq!(gathered.len(), 20);
-        for (_, c) in gathered {
-            assert_eq!(c, 7);
-        }
     }
 }

@@ -1,5 +1,5 @@
 //! Shared support of the differential suites (`kernels`, `parallel`,
-//! `node_aggregation`, `production_path`): the string-metadata graphs
+//! `production_path`): the string-metadata graphs
 //! they survey and one survey runner that harvests everything any of
 //! them compares. Each suite uses a subset, hence the `dead_code` allow.
 
@@ -14,7 +14,7 @@ use tripoll::core::{
 };
 use tripoll::graph::{build_dist_graph, EdgeList, Partition};
 use tripoll::ygm::hash::hash64;
-use tripoll::ygm::{Comm, CommConfig, World};
+use tripoll::ygm::{Comm, World};
 
 /// The deterministic send-side fingerprint of one rank's survey run.
 /// Send-side traffic is compared per phase; `handlers_run` and `work`
@@ -54,18 +54,6 @@ impl Fingerprint {
             grants: r.pull_grants,
         }
     }
-
-    /// The per-phase record volume — remote/local classification and
-    /// byte counts stripped. This is what node aggregation is allowed
-    /// to reshape: at rpn > 1 intra-node records reclassify local and
-    /// multicast sections dedup payload bytes, but each phase still
-    /// delivers exactly the same records.
-    pub fn phase_record_totals(&self) -> Vec<(&'static str, u64)> {
-        self.phases
-            .iter()
-            .map(|&(name, rr, rl, _, _)| (name, rr + rl))
-            .collect()
-    }
 }
 
 /// One run's observable outcome on one rank. Everything but the
@@ -91,14 +79,6 @@ pub struct Outcome {
     pub fingerprint: Fingerprint,
 }
 
-impl Outcome {
-    /// What every configuration of one survey must agree on, whatever
-    /// it does to the wire: count, checksum and the kernel counters.
-    pub fn result(&self) -> (u64, u64, KernelStats) {
-        (self.count, self.checksum, self.stats)
-    }
-}
-
 /// Runs one survey with string metadata. The checksum folds all six
 /// metadata values of every triangle, so any divergence in what a
 /// callback observes — not just how many times it ran — fails the
@@ -109,19 +89,7 @@ pub fn run_survey(
     mode: EngineMode,
     config: SurveyConfig,
 ) -> Vec<Outcome> {
-    run_survey_with_comm(list, nranks, mode, config, CommConfig::default())
-}
-
-/// [`run_survey`] with an explicit communicator configuration, for the
-/// node-aggregation (`ranks_per_node`) and overlapped-flush axes.
-pub fn run_survey_with_comm(
-    list: &EdgeList<String>,
-    nranks: usize,
-    mode: EngineMode,
-    config: SurveyConfig,
-    comm_config: CommConfig,
-) -> Vec<Outcome> {
-    World::new(nranks).with_config(comm_config).run(|comm| {
+    World::new(nranks).run(|comm| {
         let local = list.stride_for_rank(comm.rank(), comm.nranks());
         let g = build_dist_graph(comm, local, |v| format!("v{v}"), Partition::Hashed);
         let _ = kernel_stats_take(); // fresh counters for this rank
@@ -170,7 +138,7 @@ pub fn run_survey_with_comm(
 }
 
 /// An edge list whose edge metadata names the edge, over `v{id}` vertex
-/// metadata (see [`run_survey_with_comm`]).
+/// metadata (see [`run_survey`]).
 pub fn labeled(edges: Vec<(u64, u64)>) -> EdgeList<String> {
     EdgeList::from_vec(
         edges

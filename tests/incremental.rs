@@ -8,17 +8,17 @@
 //!    concatenated prefix: the same snapshot bytes, and same counts,
 //!    same metadata seen by every callback (checksummed), same merged
 //!    [`KernelStats`] counters, across engine × ranks {1,2,4,7} ×
-//!    rpn {1,2} × Serial/Threads(4).
+//!    Serial/Threads(4).
 //! 2. **Surveys**: the delta survey of each batch, merged additively
 //!    into a running [`SurveyDelta`], equals the full survey of the
 //!    prefix: `full(G ∪ B) == full(G) + delta(G, B)` for the count,
 //!    local counts, degree triples, and closure times.
 //!
-//! The full 32-combination setting matrix is too slow to cross with
+//! The full 16-combination setting matrix is too slow to cross with
 //! every (graph, split, batch) triple, so each batch checks a rotating
 //! deterministic slice of the matrix — every combination is exercised
 //! against several prefixes across the test — and selected final
-//! prefixes sweep all 32.
+//! prefixes sweep all 16.
 //!
 //! Hostile cases ride along: empty first batches, batches referencing
 //! unknown vertices under strict ingest (structured error, graph
@@ -45,7 +45,7 @@ use tripoll::gen::edge_batches;
 use tripoll::graph::{build_dist_graph, EdgeList, GraphError, Partition};
 use tripoll::ygm::hash::hash64;
 use tripoll::ygm::wire::Wire;
-use tripoll::ygm::{Comm, CommConfig, World};
+use tripoll::ygm::{Comm, World};
 
 /// One run's observable outcome: global triangle count, global
 /// metadata checksum, and the globally summed kernel counters.
@@ -121,14 +121,13 @@ fn run_direct<VM, EM>(
     nranks: usize,
     mode: EngineMode,
     config: SurveyConfig,
-    comm_config: CommConfig,
     vm_fn: fn(u64) -> VM,
 ) -> Outcome
 where
     VM: Wire + Clone + Send + Sync + std::fmt::Debug + 'static,
     EM: Wire + Clone + Send + Sync + std::fmt::Debug + 'static,
 {
-    let out = World::new(nranks).with_config(comm_config).run(|comm| {
+    let out = World::new(nranks).run(|comm| {
         let local = list.stride_for_rank(comm.rank(), comm.nranks());
         let g = build_dist_graph(comm, local, vm_fn, Partition::Hashed);
         let _ = kernel_stats_take();
@@ -221,29 +220,20 @@ fn hub_edges() -> Vec<(u64, u64)> {
     edges
 }
 
-fn query(nranks: usize, mode: EngineMode, rpn: usize, threads: Parallelism) -> ResidentQuery {
+fn query(nranks: usize, mode: EngineMode, threads: Parallelism) -> ResidentQuery {
     ResidentQuery::new(nranks)
         .with_mode(mode)
         .with_threads(threads)
-        .with_comm(
-            CommConfig {
-                ranks_per_node: rpn,
-                ..Default::default()
-            }
-            .pinned(),
-        )
 }
 
-/// The full setting matrix: engine × ranks {1,2,4,7} × rpn {1,2} ×
-/// Serial/Threads(4) — 32 combinations.
-fn combos() -> Vec<(usize, EngineMode, usize, Parallelism)> {
+/// The full setting matrix: engine × ranks {1,2,4,7} ×
+/// Serial/Threads(4) — 16 combinations.
+fn combos() -> Vec<(usize, EngineMode, Parallelism)> {
     let mut out = Vec::new();
     for &nranks in &[1usize, 2, 4, 7] {
         for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
-            for &rpn in &[1usize, 2] {
-                for threads in [Parallelism::Serial, Parallelism::Threads(4)] {
-                    out.push((nranks, mode, rpn, threads));
-                }
+            for threads in [Parallelism::Serial, Parallelism::Threads(4)] {
+                out.push((nranks, mode, threads));
             }
         }
     }
@@ -290,15 +280,14 @@ fn batch_split_differential_oracle() {
                         .collect()
                 };
                 for ci in picks {
-                    let (nranks, mode, rpn, threads) = combos[ci];
-                    let q = query(nranks, mode, rpn, threads);
-                    let reference =
-                        run_direct(&plist, nranks, mode, q.config, q.comm.clone(), vm_of);
+                    let (nranks, mode, threads) = combos[ci];
+                    let q = query(nranks, mode, threads);
+                    let reference = run_direct(&plist, nranks, mode, q.config, vm_of);
                     let got = run_resident(&resident, &q);
                     assert_eq!(
                         got, reference,
                         "incremental != from-scratch [{gname} k={k} batch={bi} \
-                         {mode} n={nranks} rpn={rpn} {threads:?}]"
+                         {mode} n={nranks} {threads:?}]"
                     );
                 }
             }
@@ -340,7 +329,7 @@ fn merged_deltas_match_full_survey_accumulators() {
                 let outcomes = resident
                     .survey_delta(
                         &delta,
-                        &query(2, mode, 1, Parallelism::Serial),
+                        &query(2, mode, Parallelism::Serial),
                         move |_c, tm| s2.record(sample_of(tm)),
                     )
                     .expect("delta is current");
@@ -355,8 +344,7 @@ fn merged_deltas_match_full_survey_accumulators() {
             );
             running.merge(&pushed);
             for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
-                let full =
-                    full_accumulation(&resident, &query(3, mode, 2, Parallelism::Threads(2)));
+                let full = full_accumulation(&resident, &query(3, mode, Parallelism::Threads(2)));
                 assert_eq!(full.count(), running.count(), "count [k={k} {mode}]");
                 assert_eq!(full, running, "accumulators diverged [k={k} {mode}]");
                 assert_eq!(full.local_counts(), running.local_counts());
@@ -383,13 +371,12 @@ fn empty_first_batch_is_harmless() {
     let d2 = resident.ingest_batch_with(&[], vm_of).unwrap();
     assert!(d2.is_empty());
     assert_eq!(resident.epoch(), 3);
-    let q = query(2, EngineMode::PushPull, 1, Parallelism::Serial);
+    let q = query(2, EngineMode::PushPull, Parallelism::Serial);
     let reference = run_direct(
         &EdgeList::from_vec(edges),
         2,
         EngineMode::PushPull,
         q.config,
-        q.comm.clone(),
         vm_of,
     );
     assert_eq!(run_resident(&resident, &q), reference);
@@ -410,7 +397,7 @@ fn unknown_vertex_rejection_stays_structured() {
     let edges = labeled(random_edges());
     let resident =
         ResidentGraph::build(&EdgeList::from_vec(edges.clone()), vm_of, Partition::Hashed);
-    let q = query(2, EngineMode::PushOnly, 1, Parallelism::Serial);
+    let q = query(2, EngineMode::PushOnly, Parallelism::Serial);
     let before = run_resident(&resident, &q);
     let bad = vec![
         (0u64, 1u64, "dup".to_string()),
@@ -448,8 +435,8 @@ fn ingest_after_snapshot_load_is_exact() {
         "snapshot+ingest+snapshot storage != from-scratch storage"
     );
     for (nranks, mode) in [(2, EngineMode::PushOnly), (4, EngineMode::PushPull)] {
-        let q = query(nranks, mode, 2, Parallelism::Threads(4));
-        let reference = run_direct(&plist, nranks, mode, q.config, q.comm.clone(), vm_of);
+        let q = query(nranks, mode, Parallelism::Threads(4));
+        let reference = run_direct(&plist, nranks, mode, q.config, vm_of);
         for (name, graph) in [("ingest", &restored), ("ingest+snapshot", &again)] {
             assert_eq!(
                 run_resident(graph, &q),
@@ -495,13 +482,12 @@ fn panicking_vm_fn_leaves_the_graph_untouched() {
     assert_eq!(delta.epoch(), 1);
     let mut all = edges;
     all.extend(batch);
-    let q = query(2, EngineMode::PushPull, 1, Parallelism::Serial);
+    let q = query(2, EngineMode::PushPull, Parallelism::Serial);
     let reference = run_direct(
         &EdgeList::from_vec(all),
         2,
         EngineMode::PushPull,
         q.config,
-        q.comm.clone(),
         vm_of,
     );
     assert_eq!(run_resident(&resident, &q), reference);
@@ -518,7 +504,7 @@ fn query_in_flight_across_an_ingest_keeps_its_graph() {
         vm_of,
         Partition::Hashed,
     );
-    let q = query(2, EngineMode::PushOnly, 1, Parallelism::Serial);
+    let q = query(2, EngineMode::PushOnly, Parallelism::Serial);
     let before = resident.triangle_count(&q);
     // Every rank and the ingesting thread meet twice: once the query's
     // world is up, and again once the batch is in.
@@ -566,20 +552,10 @@ fn concurrent_queries_racing_ingest_see_whole_graphs() {
 
     // Valid observable counts: every prefix of whole batches.
     let mut valid = vec![0u64]; // before the first batch lands
-    let q = query(2, EngineMode::PushOnly, 1, Parallelism::Serial);
+    let q = query(2, EngineMode::PushOnly, Parallelism::Serial);
     for j in 1..=batches.len() {
         let plist = EdgeList::from_vec(edges[..(j * chunk).min(edges.len())].to_vec());
-        valid.push(
-            run_direct(
-                &plist,
-                2,
-                EngineMode::PushOnly,
-                q.config,
-                q.comm.clone(),
-                vm_of,
-            )
-            .count,
-        );
+        valid.push(run_direct(&plist, 2, EngineMode::PushOnly, q.config, vm_of).count);
     }
 
     let resident: Arc<ResidentGraph<String, String>> =
@@ -637,7 +613,7 @@ proptest! {
             resident
                 .survey_delta(
                     &delta,
-                    &query(2, EngineMode::PushOnly, 1, Parallelism::Serial),
+                    &query(2, EngineMode::PushOnly, Parallelism::Serial),
                     move |_c, tm| s2.record(sample_of(tm)),
                 )
                 .expect("freshest delta is never stale");
@@ -656,7 +632,7 @@ proptest! {
             "storage != one-shot storage"
         );
         for (nranks, mode) in [(2usize, EngineMode::PushOnly), (3, EngineMode::PushPull)] {
-            let q = query(nranks, mode, 1, Parallelism::Serial);
+            let q = query(nranks, mode, Parallelism::Serial);
             prop_assert_eq!(
                 run_resident(&resident, &q),
                 run_resident(&oneshot, &q),
@@ -665,7 +641,7 @@ proptest! {
         }
         let full = full_accumulation(
             &resident,
-            &query(2, EngineMode::PushOnly, 1, Parallelism::Serial),
+            &query(2, EngineMode::PushOnly, Parallelism::Serial),
         );
         prop_assert_eq!(full, running, "merged deltas != full accumulation");
     }

@@ -3,19 +3,16 @@
 //! Every literal below was recorded at the commit *before* the
 //! configuration matrix was collapsed to this one path, so a change
 //! that moves a byte on the wire, a record, a key compare or the kernel
-//! `Auto` resolves to fails here first. `ranks_per_node` is set
-//! explicitly: node aggregation legitimately reshapes the wire, and the
-//! `TRIPOLL_RPN` rerun must read the same numbers. `TRIPOLL_THREADS` is
+//! `Auto` resolves to fails here first. `TRIPOLL_THREADS` is
 //! deliberately left to the environment — the queued receive path
 //! merges kernel tallies in batch order, so it must read them too.
 
 mod common;
 
-use common::{hub_graph, labeled, run_survey_with_comm};
+use common::{hub_graph, labeled, run_survey};
 use tripoll::core::{EngineMode, KernelStats, SurveyConfig};
 use tripoll::gen::{rmat_edges, RmatConfig};
 use tripoll::graph::EdgeList;
-use tripoll::ygm::CommConfig;
 
 /// One pinned run: `(engine, ranks, compares, candidates, gallop_runs,
 /// blocked_runs, bytes_encoded, records)`. Push-Pull's rows differ per
@@ -27,16 +24,7 @@ fn assert_pinned(gname: &str, list: &EdgeList<String>, count: u64, checksum: u64
     for &(mode, nranks, compares, candidates, gallop_runs, blocked_runs, bytes_encoded, records) in
         pins
     {
-        let runs = run_survey_with_comm(
-            list,
-            nranks,
-            mode,
-            SurveyConfig::default(),
-            CommConfig {
-                ranks_per_node: 1,
-                ..Default::default()
-            },
-        );
+        let runs = run_survey(list, nranks, mode, SurveyConfig::default());
         let o = &runs[0];
         let ctx = format!("{gname} {mode} n={nranks}");
         assert_eq!(o.count, count, "triangle count [{ctx}]");

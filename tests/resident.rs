@@ -6,7 +6,7 @@
 //! strict: a resident query must be **observationally identical** to
 //! the from-scratch `survey_*_with` path — same triangle counts, same
 //! metadata seen by every callback, bit-identical merged
-//! [`KernelStats`] — across engine × ranks {1,2,4,7} × rpn {1,2},
+//! [`KernelStats`] — across engine × ranks {1,2,4,7},
 //! whether the resident graph came from ingest or from a
 //! saved-then-loaded snapshot. Hostile snapshot bytes must always
 //! surface as structured errors, never panics.
@@ -24,7 +24,7 @@ use tripoll::graph::snapshot::{encode_snapshot, SNAPSHOT_MAGIC};
 use tripoll::graph::{build_dist_graph, EdgeList, Partition, SnapshotError};
 use tripoll::ygm::hash::hash64;
 use tripoll::ygm::wire::{Wire, WireError, WireReader};
-use tripoll::ygm::{Comm, CommConfig, World};
+use tripoll::ygm::{Comm, World};
 
 /// One run's observable outcome: global triangle count, global
 /// metadata checksum, and the globally summed kernel counters.
@@ -63,9 +63,8 @@ fn run_direct(
     nranks: usize,
     mode: EngineMode,
     config: SurveyConfig,
-    comm_config: CommConfig,
 ) -> Outcome {
-    let out = World::new(nranks).with_config(comm_config).run(|comm| {
+    let out = World::new(nranks).run(|comm| {
         let local = list.stride_for_rank(comm.rank(), comm.nranks());
         let g = build_dist_graph(comm, local, vm_of, Partition::Hashed);
         let _ = kernel_stats_take();
@@ -163,22 +162,15 @@ fn hub_graph() -> EdgeList<String> {
     labeled(edges)
 }
 
-fn query(nranks: usize, mode: EngineMode, rpn: usize) -> ResidentQuery {
+fn query(nranks: usize, mode: EngineMode) -> ResidentQuery {
     ResidentQuery::new(nranks)
         .with_mode(mode)
         .with_threads(Parallelism::Threads(2))
-        .with_comm(
-            CommConfig {
-                ranks_per_node: rpn,
-                ..Default::default()
-            }
-            .pinned(),
-        )
 }
 
 /// The acceptance matrix: resident surveys — direct **and** via a
 /// saved-then-loaded snapshot — bit-identical to the from-scratch path
-/// across engine × ranks {1,2,4,7} × rpn {1,2}.
+/// across engine × ranks {1,2,4,7}.
 #[test]
 fn snapshot_differential_resident_matches_from_scratch() {
     for (gname, list) in [("random", random_graph()), ("hub", hub_graph())] {
@@ -188,22 +180,20 @@ fn snapshot_differential_resident_matches_from_scratch() {
                 .expect("own snapshot must load");
         for nranks in [1usize, 2, 4, 7] {
             for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
-                for rpn in [1usize, 2] {
-                    let q = query(nranks, mode, rpn);
-                    let reference = run_direct(&list, nranks, mode, q.config, q.comm.clone());
-                    assert!(reference.count > 0, "{gname} must contain triangles");
-                    let ctx = format!("{gname} {mode} n={nranks} rpn={rpn}");
-                    assert_eq!(
-                        run_resident(&resident, &q),
-                        reference,
-                        "resident != from-scratch [{ctx}]"
-                    );
-                    assert_eq!(
-                        run_resident(&restored, &q),
-                        reference,
-                        "snapshot-restored != from-scratch [{ctx}]"
-                    );
-                }
+                let q = query(nranks, mode);
+                let reference = run_direct(&list, nranks, mode, q.config);
+                assert!(reference.count > 0, "{gname} must contain triangles");
+                let ctx = format!("{gname} {mode} n={nranks}");
+                assert_eq!(
+                    run_resident(&resident, &q),
+                    reference,
+                    "resident != from-scratch [{ctx}]"
+                );
+                assert_eq!(
+                    run_resident(&restored, &q),
+                    reference,
+                    "snapshot-restored != from-scratch [{ctx}]"
+                );
             }
         }
     }
@@ -215,20 +205,14 @@ fn snapshot_differential_resident_matches_from_scratch() {
 fn snapshot_differential_plan_replay_is_bit_identical() {
     let list = hub_graph();
     let resident = ResidentGraph::build(&list, vm_of, Partition::Hashed);
-    let q = query(4, EngineMode::PushPull, 1);
+    let q = query(4, EngineMode::PushPull);
     let first = run_resident(&resident, &q);
     // Replay twice — once with the same config, once with a different
     // engine configuration (the plan is config-independent).
     let again = run_resident(&resident, &q);
     assert_eq!(first, again, "replayed query diverged");
-    let serial = query(4, EngineMode::PushPull, 1).with_threads(Parallelism::Serial);
-    let reference = run_direct(
-        &list,
-        4,
-        EngineMode::PushPull,
-        serial.config,
-        serial.comm.clone(),
-    );
+    let serial = query(4, EngineMode::PushPull).with_threads(Parallelism::Serial);
+    let reference = run_direct(&list, 4, EngineMode::PushPull, serial.config);
     assert_eq!(run_resident(&resident, &serial), reference);
     let replay_outcomes = resident.survey(&q, |_c, _tm| {});
     for o in &replay_outcomes {
@@ -241,38 +225,23 @@ fn snapshot_differential_plan_replay_is_bit_identical() {
     }
 }
 
-/// Two *concurrent* queries with different thread counts and node
-/// widths against one resident graph: each must match its own direct
+/// Two *concurrent* queries with different thread counts and world
+/// sizes against one resident graph: each must match its own direct
 /// reference — queries carry explicit settings and never share a
 /// process-global env default.
 #[test]
 fn concurrent_queries_with_different_configs_do_not_interfere() {
     let list = random_graph();
     let resident = Arc::new(ResidentGraph::build(&list, vm_of, Partition::Hashed));
-    let q_serial = ResidentQuery::new(2)
-        .with_threads(Parallelism::Serial)
-        .with_comm(CommConfig::default().pinned());
-    let q_wide = query(4, EngineMode::PushOnly, 2).with_threads(Parallelism::Threads(4));
+    let q_serial = ResidentQuery::new(2).with_threads(Parallelism::Serial);
+    let q_wide = query(4, EngineMode::PushOnly).with_threads(Parallelism::Threads(4));
     assert!(
         !matches!(q_serial.config.threads, Parallelism::Env),
         "ResidentQuery::new must pin the thread axis"
     );
-    assert!(q_serial.comm.overlap_flush.is_some(), "overlap pinned");
 
-    let ref_serial = run_direct(
-        &list,
-        2,
-        EngineMode::PushPull,
-        q_serial.config,
-        q_serial.comm.clone(),
-    );
-    let ref_wide = run_direct(
-        &list,
-        4,
-        EngineMode::PushOnly,
-        q_wide.config,
-        q_wide.comm.clone(),
-    );
+    let ref_serial = run_direct(&list, 2, EngineMode::PushPull, q_serial.config);
+    let ref_wide = run_direct(&list, 4, EngineMode::PushOnly, q_wide.config);
 
     let mut joins = Vec::new();
     for _ in 0..2 {
