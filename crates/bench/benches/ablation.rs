@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of three substrate design choices the paper makes (§4.1,
+//! §4.2); `docs/ARCHITECTURE.md` describes the flush policy.
 //!
 //! Not a paper table — these sweeps justify the substrate's knobs:
 //!

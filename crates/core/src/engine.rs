@@ -65,8 +65,9 @@
 //!   merge, whose bulk decode is the only win available when decode
 //!   cost dominates. Each arm wins somewhere — the gallop does 48×
 //!   fewer compares at 1000:1 hub skew, the blocked merge 20× fewer at
-//!   the pull phase's 1:1000 long-left shape (`BENCH_micro.json`,
-//!   `intersect_kernel`) — which is why the choice is made from the two
+//!   the pull phase's 1:1000 long-left shape (the `micro` bench's
+//!   `intersect_kernel` section; `Auto`'s compare counts are pinned in
+//!   `tests/kernels.rs`) — which is why the choice is made from the two
 //!   lengths and not left to a knob. Both lengths are known before any
 //!   element is decoded (the batch count rides in the frame header,
 //!   the local adjacency length is in storage), so selection is free
@@ -75,8 +76,8 @@
 //! Every kernel tallies deterministic counters ([`KernelStats`]:
 //! compares, candidates, matches, per-kernel dispatch counts) into a
 //! thread-local, read via [`kernel_stats`] / [`kernel_stats_take`] —
-//! the bench harness gates compares-per-candidate on them and the
-//! differential suite cross-checks match counts against the reference.
+//! the tier-1 tests pin compare counts to literals and the differential
+//! suite cross-checks match counts against the reference.
 //!
 //! [`Gallop`]: IntersectKernel::Gallop
 //! [`BlockedMerge`]: IntersectKernel::BlockedMerge

@@ -126,9 +126,11 @@ impl ResidentQuery {
         self
     }
 
-    /// This query with the given engine configuration.
+    /// This query with the given engine configuration, pinned
+    /// ([`SurveyConfig::pinned`]) like the one [`ResidentQuery::new`]
+    /// starts from.
     pub fn with_config(mut self, config: SurveyConfig) -> Self {
-        self.config = config;
+        self.config = config.pinned();
         self
     }
 
@@ -715,8 +717,12 @@ mod tests {
             .with_config(SurveyConfig::new().with_kernel(IntersectKernel::Gallop))
             .with_mode(EngineMode::PushOnly);
         assert_eq!(q.config.kernel, IntersectKernel::Gallop);
-        // `with_config` replaces the whole configuration, threads included.
-        assert_eq!(q.config.threads, Parallelism::Env);
+        // `with_config` replaces the whole configuration, threads
+        // included, and pins what it is given.
+        assert_eq!(
+            q.config.threads,
+            Parallelism::Threads(Parallelism::Env.resolved() as u32)
+        );
         assert_eq!(q.mode, EngineMode::PushOnly);
     }
 

@@ -22,6 +22,10 @@
 //!   keys), on slices ([`intersect_slices`]) and on columnar frames
 //!   ([`intersect_col`], which exercises the `ColKeys` block decode),
 //!   asserting the exact ordered match set of [`merge_path`].
+//!
+//! Besides agreement, `Auto`'s key-compare counts at four fixed degree
+//! skews are pinned to literals: the work the gallop and blocked arms
+//! exist to avoid.
 
 mod common;
 
@@ -259,7 +263,8 @@ fn adversarial_shapes_match_the_oracle() {
 
 /// At hub-scale skew the gallop kernel must do strictly fewer compares
 /// than the scalar merge — the deterministic inequality the Auto
-/// heuristic banks on (and the bench gate tracks).
+/// heuristic banks on (and `auto_compares_at_four_skews_are_pinned`
+/// pins).
 #[test]
 fn gallop_beats_scalar_compares_at_heavy_skew() {
     let small = entries(&(0..16u64).map(|i| i * 1000 + 1).collect::<Vec<_>>());
@@ -289,6 +294,55 @@ fn gallop_beats_scalar_compares_at_heavy_skew() {
     );
     let s = kernel_stats();
     assert_eq!((s.gallop_runs, s.scalar_runs, s.blocked_runs), (1, 0, 0));
+}
+
+/// The Auto kernel's exact key compares over one columnar frame at four
+/// degree skews: balanced, 10:1, 1000:1 (hub adjacency on the right)
+/// and its reverse (the pull phase's long-left shape). The denser side
+/// holds every even value; the sparser side spreads across it,
+/// alternating hits and off-by-one misses. In total 22 375 compares
+/// over 68 672 candidates: 0.3258 per candidate.
+#[test]
+fn auto_compares_at_four_skews_are_pinned() {
+    for (ctx, left_n, right_n, compares, matches) in [
+        ("balanced", 4096u64, 4096u64, 10_366u64, 2048u64),
+        ("10:1", 512, 5120, 4_601, 256),
+        ("1000:1", 64, 64_000, 1_325, 32),
+        ("1:1000", 64_000, 64, 6_083, 32),
+    ] {
+        let (dense_n, sparse_n) = (left_n.max(right_n), left_n.min(right_n));
+        let dense: Vec<u64> = (0..dense_n).map(|i| 2 * i).collect();
+        let step = 2 * (dense_n / sparse_n);
+        let sparse: Vec<u64> = (0..sparse_n).map(|i| i * step + i % 2).collect();
+        let (left, right) = if right_n >= left_n {
+            (sparse, dense)
+        } else {
+            (dense, sparse)
+        };
+        let right = entries(&right);
+        let frame = to_bytes(&ColBatch::<u64>(
+            left.iter()
+                .enumerate()
+                .map(|(i, &v)| (v, v, i as u64))
+                .collect(),
+        ));
+        let mut r = WireReader::new(&frame);
+        let ColCursor {
+            mut keys,
+            mut metas,
+        }: ColCursor<'_, u64> = ColCursor::begin(&mut r).expect("frame");
+        let _ = kernel_stats_take();
+        intersect_col(
+            IntersectKernel::Auto,
+            &mut keys,
+            &right,
+            |e| e.1,
+            |k, _| metas.get(k.idx).map(drop),
+        )
+        .expect("intersect");
+        let s = kernel_stats_take();
+        assert_eq!((s.compares, s.matches), (compares, matches), "[{ctx}]");
+    }
 }
 
 proptest! {

@@ -9,7 +9,8 @@
 //! [`KernelStats`] — across engine × ranks {1,2,4,7},
 //! whether the resident graph came from ingest or from a
 //! saved-then-loaded snapshot. Hostile snapshot bytes must always
-//! surface as structured errors, never panics.
+//! surface as structured errors, never panics, and the snapshot size of
+//! a fixed R-MAT graph is pinned to the byte.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -20,6 +21,7 @@ use tripoll::core::{
     kernel_stats_take, survey_push_only_with, survey_push_pull_with, EngineMode, KernelStats,
     Parallelism, ResidentGraph, ResidentQuery, SurveyConfig,
 };
+use tripoll::gen::{rmat_edges, RmatConfig};
 use tripoll::graph::snapshot::{encode_snapshot, SNAPSHOT_MAGIC};
 use tripoll::graph::{build_dist_graph, EdgeList, Partition, SnapshotError};
 use tripoll::ygm::hash::hash64;
@@ -258,6 +260,18 @@ fn concurrent_queries_with_different_configs_do_not_interfere() {
         );
         assert_eq!(wide, ref_wide, "wide query diverged under concurrency");
     }
+}
+
+/// The snapshot of a scale-10 Graph500 R-MAT graph (seed 42, unit
+/// metadata) in four sections is exactly 44 374 bytes: growth means the
+/// binary format got fatter.
+#[test]
+fn rmat_snapshot_size_is_pinned() {
+    let edges = rmat_edges(&RmatConfig::graph500(10, 42));
+    let list =
+        EdgeList::from_vec(edges.into_iter().map(|(u, v)| (u, v, ())).collect()).canonicalize();
+    let resident: ResidentGraph<(), ()> = ResidentGraph::build(&list, |_| (), Partition::Hashed);
+    assert_eq!(resident.snapshot_bytes(4).len(), 44_374);
 }
 
 /// Hostile-snapshot fuzz sweep: every strict prefix of a valid

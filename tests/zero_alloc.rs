@@ -1,0 +1,223 @@
+//! Zero-allocation floors of the wedge-batch hot path, counted exactly.
+//!
+//! A counting global allocator tallies every heap allocation and
+//! reallocation into a thread-local counter, so the tests of this binary
+//! may run in parallel without seeing each other's allocations. The
+//! workload is a stream of 4 096 wedge batches of 64 hub-scale
+//! candidates each: ids spread by hash (multi-byte varints, as
+//! scrambled R-MAT ids are) and degrees in the thousands (two-byte
+//! varints raw, one-byte deltas in the columnar degree column).
+//!
+//! After one warm-up pass the steady state allocates nothing: encoding
+//! into a [`SendBuffer`] that restarts from a [`BufferPool`], capturing
+//! each frame with [`ColCursor::begin`], intersecting it under
+//! [`IntersectKernel::Auto`], and decoding the metadata of every match
+//! with `ColMetas::get`. The frame's exact byte count is pinned too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tripoll::core::{intersect_col, IntersectKernel};
+use tripoll::graph::OrderKey;
+use tripoll::ygm::buffer::{BufferPool, SendBuffer};
+use tripoll::ygm::hash::hash64;
+use tripoll::ygm::wire::{encode_columns, ColCursor, Wire, WireEncode, WireReader};
+
+/// Delegates to [`System`], counting allocations on the calling thread.
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations and reallocations made by this thread. `const`
+    /// initialised and free of drop glue, so the allocator may touch it
+    /// at any point of a thread's life without allocating itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged, so
+// each `GlobalAlloc` contract the caller upholds is upheld for `System`;
+// the counter bump touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: `layout` is forwarded to `System.alloc` verbatim.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    // SAFETY: `ptr` came from this allocator, i.e. from `System`, and
+    // is returned to it with the caller's `layout`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    // SAFETY: all arguments are forwarded to `System.realloc` verbatim.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns the allocations this thread made inside it.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+const BATCHES: usize = 4096;
+const CANDIDATES: usize = 64;
+/// Stand-in for the communicator's flush threshold.
+const FLUSH_BYTES: usize = 1 << 20;
+/// Bytes of the 4 096-batch frame stream: 11.812 per candidate.
+const STREAM_BYTES: usize = 3_096_321;
+
+/// One stored adjacency entry: target id, degree, edge metadata.
+struct Entry {
+    v: u64,
+    degree: u64,
+    em: u64,
+}
+
+/// The 64 candidates every wedge batch carries, in `<+` order.
+fn hub_adjacency() -> Vec<Entry> {
+    (0..CANDIDATES as u64)
+        .map(|i| Entry {
+            v: hash64(i),
+            degree: 4096 + i * 3,
+            em: i % 7,
+        })
+        .collect()
+}
+
+/// Encodes wedge batch `b`, `(p, q, meta_p, meta_pq, candidates)`, as
+/// the production sender does: candidate columns stream straight from
+/// the adjacency slice.
+fn encode_batch(b: usize, adj: &[Entry], out: &mut Vec<u8>) {
+    let candidates = encode_columns(adj, |e| e.v, |e| e.degree, |e, out| e.em.encode(out));
+    (b as u64, b as u64 + 1, &42u64, &7u64, candidates).encode_wire(out);
+}
+
+/// The payload of one envelope carrying every batch, handler ids excluded.
+fn push_stream(adj: &[Entry]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for b in 0..BATCHES {
+        encode_batch(b, adj, &mut out);
+    }
+    out
+}
+
+/// Pushes every batch as a record into `buf`, flushing into `pool` at
+/// the threshold; returns the record bytes written.
+fn push_batches(adj: &[Entry], buf: &mut SendBuffer, pool: &mut BufferPool) -> usize {
+    let mut total = 0;
+    for b in 0..BATCHES {
+        total += buf.push_record_with(3, |out| encode_batch(b, adj, out));
+        if buf.len() > FLUSH_BYTES {
+            let (data, _) = buf.drain_pooled(pool);
+            pool.put(data);
+        }
+    }
+    total
+}
+
+/// The receiver's stored adjacency: every other candidate of the hub
+/// batch, each candidate followed by a near-miss key, in `<+` order.
+fn stored_adjacency() -> Vec<(u64, OrderKey)> {
+    let mut out = Vec::new();
+    for e in hub_adjacency() {
+        if e.degree % 2 == 0 {
+            out.push((e.v, OrderKey::new(e.v, e.degree)));
+        }
+        out.push((!e.v, OrderKey::new(!e.v, e.degree + 1)));
+    }
+    out
+}
+
+/// How far [`receive`] takes each batch.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// Decode the header and capture the frame with `ColCursor::begin`.
+    Capture,
+    /// Also intersect the candidates under `IntersectKernel::Auto`.
+    Intersect,
+    /// Also decode every match's metadata with `ColMetas::get`.
+    MetaOnMatch,
+}
+
+/// Walks every batch of `stream` as a receiving rank does, as far as
+/// `stage`; returns a checksum of what it read and the match count.
+fn receive(stream: &[u8], right: &[(u64, OrderKey)], stage: Stage) -> (u64, u64) {
+    let mut r = WireReader::new(stream);
+    let (mut acc, mut matches) = (0u64, 0u64);
+    while !r.is_empty() {
+        for _ in 0..4 {
+            acc = acc.wrapping_add(u64::decode(&mut r).expect("header"));
+        }
+        let ColCursor {
+            mut keys,
+            mut metas,
+        } = ColCursor::<u64>::begin(&mut r).expect("frame");
+        if let Stage::Capture = stage {
+            continue;
+        }
+        intersect_col(
+            IntersectKernel::Auto,
+            &mut keys,
+            right,
+            |e| e.1,
+            |k, e| {
+                acc = acc.wrapping_add(e.0);
+                matches += 1;
+                if let Stage::MetaOnMatch = stage {
+                    acc = acc.wrapping_add(metas.get(k.idx)?);
+                }
+                Ok(())
+            },
+        )
+        .expect("intersect");
+    }
+    (acc, matches)
+}
+
+#[test]
+fn hub_frame_bytes_are_pinned() {
+    assert_eq!(push_stream(&hub_adjacency()).len(), STREAM_BYTES);
+}
+
+#[test]
+fn steady_state_encode_allocates_nothing() {
+    let adj = hub_adjacency();
+    let mut buf = SendBuffer::new();
+    let mut pool = BufferPool::new(8, FLUSH_BYTES * 4);
+    // The warm-up pass grows the buffers the measured pass recycles.
+    push_batches(&adj, &mut buf, &mut pool);
+    let (data, _) = buf.drain_pooled(&mut pool);
+    pool.put(data);
+    let (allocs, bytes) = allocs_in(|| push_batches(&adj, &mut buf, &mut pool));
+    assert_eq!(allocs, 0, "encoding {BATCHES} batches allocated");
+    // One handler-id byte per record on top of the frame stream.
+    assert_eq!(bytes, STREAM_BYTES + BATCHES);
+}
+
+#[test]
+fn receive_path_allocates_nothing() {
+    let stream = push_stream(&hub_adjacency());
+    let right = stored_adjacency();
+    for (stage, matches) in [
+        (Stage::Capture, 0),
+        (Stage::Intersect, BATCHES as u64 * 32),
+        (Stage::MetaOnMatch, BATCHES as u64 * 32),
+    ] {
+        let warm = receive(&stream, &right, stage);
+        let (allocs, got) = allocs_in(|| receive(&stream, &right, stage));
+        assert_eq!(got, warm, "{stage:?} is deterministic");
+        assert_eq!(got.1, matches, "{stage:?} matches");
+        assert_eq!(allocs, 0, "{stage:?} allocated over {BATCHES} batches");
+    }
+}
