@@ -226,8 +226,13 @@ where
     let st_dry = st.clone();
     let g_dry = graph.clone();
     let dry_handler = comm.register::<DryRunMsg, _>(move |c, (q, count, src)| {
-        let dplus_q = g_dry.shard().get(q).map_or(0, |lv| lv.dplus());
-        if dplus_q < count {
+        let Some(lv) = g_dry.shard().get(q) else {
+            c.abort(format_args!(
+                "dry-run record for vertex {q} from rank {src} arrived on a rank that does not \
+                 own {q} — vertex ownership disagrees across ranks; aborting survey"
+            ));
+        };
+        if lv.dplus() < count {
             let mut s = st_dry.borrow_mut();
             s.pull_list.entry(q).or_default().push(src);
             s.grants += 1;
@@ -686,6 +691,29 @@ mod tests {
             let pulled: u64 = out.iter().map(|(_, p)| p).sum();
             assert!(pulled > 0, "test must exercise the pull path ({kernel})");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "dry-run record for vertex")]
+    fn misrouted_dry_run_aborts_cleanly() {
+        // Both ranks store a hashed build, but rank 1 routes by the
+        // cyclic map: some of its dry-run records reach a rank that does
+        // not own their target, which must abort the survey naming the
+        // vertex and sender instead of granting a pull nobody can serve.
+        let mut edges = Vec::new();
+        for u in 0..12u64 {
+            for v in (u + 1)..12 {
+                edges.push((u, v, ()));
+            }
+        }
+        let list = EdgeList::from_vec(edges);
+        World::new(2).run(|comm| {
+            let local = list.stride_for_rank(comm.rank(), comm.nranks());
+            let built = build_dist_graph(comm, local, |_| (), Partition::Hashed);
+            let partition = [Partition::Hashed, Partition::Cyclic][comm.rank()];
+            let g = DistGraph::from_parts(built.shard().clone(), partition, comm.nranks());
+            survey_push_pull(comm, &g, |_c, _tm| {});
+        });
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! * **Snapshots** — [`ResidentGraph::save_snapshot`] /
 //!   [`ResidentGraph::load_snapshot`] persist the storage in the
 //!   versioned binary format of [`tripoll_graph::snapshot`], so a
-//!   restart is O(read) instead of re-ingest + three build rounds.
+//!   restart is O(read) instead of re-ingest + two build rounds.
 //!
 //! # Incremental ingestion
 //!
@@ -140,9 +140,10 @@ impl ResidentQuery {
         self
     }
 
-    /// This query with the given merge parallelism.
+    /// This query with the given merge parallelism, pinned like
+    /// [`ResidentQuery::with_config`].
     pub fn with_threads(mut self, threads: Parallelism) -> Self {
-        self.config = self.config.with_threads(threads);
+        self.config = self.config.with_threads(threads).pinned();
         self
     }
 }
@@ -712,6 +713,11 @@ mod tests {
             !matches!(q.config.threads, Parallelism::Env),
             "pinned query must not depend on the environment"
         );
+        let pinned = Parallelism::Threads(Parallelism::Env.resolved() as u32);
+        assert_eq!(
+            q.clone().with_threads(Parallelism::Env).config.threads,
+            pinned
+        );
         let q = q
             .with_threads(Parallelism::Threads(3))
             .with_config(SurveyConfig::new().with_kernel(IntersectKernel::Gallop))
@@ -719,10 +725,7 @@ mod tests {
         assert_eq!(q.config.kernel, IntersectKernel::Gallop);
         // `with_config` replaces the whole configuration, threads
         // included, and pins what it is given.
-        assert_eq!(
-            q.config.threads,
-            Parallelism::Threads(Parallelism::Env.resolved() as u32)
-        );
+        assert_eq!(q.config.threads, pinned);
         assert_eq!(q.mode, EngineMode::PushOnly);
     }
 

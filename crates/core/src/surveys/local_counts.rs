@@ -90,7 +90,11 @@ where
     let (tri, report) = vertex_triangle_counts(comm, graph, mode);
     let tri: std::collections::HashMap<u64, u64> = tri.into_iter().collect();
     // Degrees live with the owners; gather (id, degree) pairs.
-    let mine: Vec<(u64, u64)> = graph.shard().vertices().map(|v| (v.id, v.degree)).collect();
+    let mine: Vec<(u64, u64)> = graph
+        .shard()
+        .vertices()
+        .map(|v| (v.id, v.degree()))
+        .collect();
     let mut out: Vec<(u64, f64)> = comm
         .all_gather(&mine)
         .into_iter()

@@ -10,14 +10,19 @@
 //!
 //! where `Adj+(u)` keeps only neighbors *larger* than `u` in the degree
 //! order `<+` (§3), sorted ascending by that order. Each entry also
-//! carries the target's undirected degree (which defines its `<+` key)
-//! and its DODGr out-degree `d+(v)` — the "small constant amount of
-//! additional memory per edge" (§4.4) that lets Push-Pull decide whether
-//! pulling `Adjm+(v)` is worthwhile.
+//! carries the target's undirected degree, which defines its `<+` key.
 //!
-//! Construction ([`build_dist_graph`]) is three asynchronous rounds over
-//! the communicator around one flat CSR per rank. Every round batches
-//! its records per destination rank and ships a chunk of them as one
+//! This storage deliberately departs from the paper's in one respect:
+//! the paper also stores the target's DODGr out-degree `d+(v)` on every
+//! edge (§4.4), so that Push-Pull can decide whether pulling `Adjm+(v)`
+//! is worthwhile. Here that decision is taken by `Rank(v)` itself, which
+//! answers each dry-run record from its own `|Adjm+(v)|` (see
+//! `tripoll-core`'s `push_pull`), and no message carries `d+(v)`; an
+//! entry therefore does not store it.
+//!
+//! Construction ([`build_dist_graph`]) is two asynchronous rounds over
+//! the communicator around one flat CSR per rank. Both rounds batch
+//! their records per destination rank and ship a chunk of them as one
 //! message, so the runtime's per-record cost is paid once per chunk
 //! rather than once per edge:
 //!
@@ -28,18 +33,15 @@
 //!    deduplication turns the buffer into CSR rows, which yields the
 //!    undirected degree `d(u)`.
 //! 2. **Degree exchange** — walking the rows, each owner tells the owner
-//!    of every neighbor the degree of its local vertices.
-//! 3. **Out-degree exchange** — the rows are drained in id order into
-//!    the shard's vertices. Each record's neighbor key in `<+` is
-//!    resolved once: a larger neighbor becomes an out-entry, and the
-//!    owner of a smaller one — a vertex that stores `u` as a target — is
-//!    told `d+(u)`. When the round completes, `d+(v)` is filled into the
-//!    out-entries, the only records that need it.
+//!    of every neighbor the degree of its local vertices. The rows are
+//!    then drained in id order into the shard's vertices. Each record's
+//!    neighbor key in `<+` is resolved once: a larger neighbor becomes an
+//!    out-entry, and a smaller one is skipped.
 //!
 //! Vertex metadata is produced by a deterministic function of the vertex
 //! id supplied by the caller (generators and file loaders close over
 //! their attribute tables), so `meta(v)` can be materialized on any rank
-//! without a fourth exchange; it is still *stored* per edge, reproducing
+//! without a third exchange; it is still *stored* per edge, reproducing
 //! the paper's `O(|E|)` vertex-metadata storage trade-off.
 
 use std::cell::RefCell;
@@ -60,8 +62,6 @@ pub struct AdjEntry<VM, EM> {
     pub v: u64,
     /// Target's position in the `<+` order — the merge-path sort key.
     pub key: OrderKey,
-    /// Target's DODGr out-degree `d+(v)` (Push-Pull decisions).
-    pub dplus_v: u64,
     /// Edge metadata `meta(u, v)`.
     pub em: EM,
     /// Target vertex metadata `meta(v)` (the paper's O(|E|) storage).
@@ -73,9 +73,7 @@ pub struct AdjEntry<VM, EM> {
 pub struct LocalVertex<VM, EM> {
     /// Vertex id.
     pub id: u64,
-    /// Undirected degree `d(u)`.
-    pub degree: u64,
-    /// This vertex's position in the `<+` order.
+    /// This vertex's position in the `<+` order; it carries `d(u)`.
     pub key: OrderKey,
     /// Vertex metadata `meta(u)`.
     pub meta: VM,
@@ -84,6 +82,12 @@ pub struct LocalVertex<VM, EM> {
 }
 
 impl<VM, EM> LocalVertex<VM, EM> {
+    /// Undirected degree `d(u)`.
+    #[inline]
+    pub fn degree(&self) -> u64 {
+        self.key.degree
+    }
+
     /// DODGr out-degree `d+(u)`.
     #[inline]
     pub fn dplus(&self) -> u64 {
@@ -290,9 +294,9 @@ impl<VM, EM> DistGraph<VM, EM> {
             ..Default::default()
         };
         for v in self.shard.vertices() {
-            s.directed_edges += v.degree;
+            s.directed_edges += v.degree();
             s.dodgr_edges += v.dplus();
-            s.max_degree = s.max_degree.max(v.degree);
+            s.max_degree = s.max_degree.max(v.degree());
             s.max_out_degree = s.max_out_degree.max(v.dplus());
             let d = v.dplus();
             s.wedges += d * d.saturating_sub(1) / 2;
@@ -314,7 +318,7 @@ impl<VM, EM> DistGraph<VM, EM> {
     }
 }
 
-/// Records per build message, in all three rounds: small enough to
+/// Records per build message, in both rounds: small enough to
 /// interleave with delivery, large enough to amortize the runtime's
 /// per-record cost (quiescence and traffic counters, handler dispatch).
 const EXCHANGE_CHUNK: usize = 512;
@@ -463,10 +467,9 @@ where
     let nranks = comm.nranks();
 
     // What each round's handler fills: the flat arrival buffer of
-    // round 1, and `d(v)` / `d+(v)` of every neighbour of a local vertex.
+    // round 1, and `d(v)` of every neighbour of a local vertex.
     let arrivals: Rc<RefCell<Vec<Arrival<EM>>>> = Rc::default();
     let deg: Rc<RefCell<FastMap<u64, u64>>> = Rc::default();
-    let dplus: Rc<RefCell<FastMap<u64, u64>>> = Rc::default();
 
     let into = arrivals.clone();
     let h_edge = comm.register::<Vec<(u64, u64, EM)>, _>(move |_c, chunk| {
@@ -486,10 +489,6 @@ where
     });
     let into = deg.clone();
     let h_deg = comm.register::<Vec<(u64, u64)>, _>(move |_c, pairs| {
-        into.borrow_mut().extend(pairs);
-    });
-    let into = dplus.clone();
-    let h_dplus = comm.register::<Vec<(u64, u64)>, _>(move |_c, pairs| {
         into.borrow_mut().extend(pairs);
     });
 
@@ -516,17 +515,13 @@ where
     comm.barrier();
     let deg = deg.take();
 
-    // Local, and round 3 on the way: drain the rows, in id order, into
-    // the shard's vertices. Every record's neighbour key is resolved
-    // here, once. A larger neighbour becomes an out-entry, augmented
-    // with edge + target metadata; its `dplus_v` arrives with round 3.
-    // A smaller one stores `u` as a target, so its owner is told d+(u) —
-    // known once the row is done, hence `tell`.
+    // Local: drain the rows, in id order, into the shard's vertices.
+    // Every record's neighbour key is resolved here, once. A larger
+    // neighbour becomes an out-entry, augmented with edge + target
+    // metadata; a smaller one stores `u` as its own target and is
+    // skipped.
     let Rows { ids, offsets, recs } = rows;
     let mut vertices: Vec<LocalVertex<VM, EM>> = Vec::with_capacity(ids.len());
-    let mut out = Chunked::new(comm, h_dplus);
-    let mut told = vec![usize::MAX; nranks];
-    let mut tell: Vec<usize> = Vec::new();
     let mut recs = recs.into_iter();
     for (i, &u) in ids.iter().enumerate() {
         let degree = (offsets[i + 1] - offsets[i]) as u64;
@@ -538,39 +533,20 @@ where
                 adj.push(AdjEntry {
                     v,
                     key: kv,
-                    dplus_v: 0,
                     em,
                     vm: vm_fn(v),
                 });
-            } else {
-                let dst = partition.owner(v, nranks);
-                if told[dst] != i {
-                    told[dst] = i;
-                    tell.push(dst);
-                }
             }
-        }
-        for dst in tell.drain(..) {
-            out.push(dst, (u, adj.len() as u64));
         }
         adj.shrink_to_fit();
         // Keys are distinct within a row, so unstable is exact.
         adj.sort_unstable_by_key(|e| e.key);
         vertices.push(LocalVertex {
             id: u,
-            degree,
             key,
             meta: vm_fn(u),
             adj,
         });
-    }
-    out.finish();
-    comm.barrier();
-
-    // Local: the out-entries are the only records that need d+(v).
-    let dplus = dplus.take();
-    for e in vertices.iter_mut().flat_map(|lv| &mut lv.adj) {
-        e.dplus_v = dplus[&e.v];
     }
 
     DistGraph {
@@ -602,11 +578,11 @@ mod tests {
     }
 
     /// Every field of a vertex record, for `assert_eq!`.
-    type Record = (u64, u64, OrderKey, u64, Vec<(u64, OrderKey, u64, u32, u64)>);
+    type Record = (u64, OrderKey, u64, Vec<(u64, OrderKey, u32, u64)>);
 
     fn record(lv: &LocalVertex<u64, u32>) -> Record {
-        let adj = lv.adj.iter().map(|e| (e.v, e.key, e.dplus_v, e.em, e.vm));
-        (lv.id, lv.degree, lv.key, lv.meta, adj.collect())
+        let adj = lv.adj.iter().map(|e| (e.v, e.key, e.em, e.vm));
+        (lv.id, lv.key, lv.meta, adj.collect())
     }
 
     /// Serial reference: the storage a build must produce, over all
@@ -623,21 +599,15 @@ mod tests {
             }
         }
         let key = |v: u64| OrderKey::new(v, nbrs[&v].len() as u64);
-        let out: FastMap<u64, Vec<u64>> = nbrs
-            .iter()
+        nbrs.iter()
             .map(|(&u, list)| {
                 let mut out: Vec<u64> = list.iter().copied().filter(|&v| key(u) < key(v)).collect();
                 out.sort_by_key(|&v| key(v));
-                (u, out)
-            })
-            .collect();
-        nbrs.iter()
-            .map(|(&u, list)| {
-                let adj = out[&u].iter().map(|&v| {
+                let adj = out.into_iter().map(|v| {
                     let m = em[&(u.min(v), u.max(v))];
-                    (v, key(v), out[&v].len() as u64, m, vm(v))
+                    (v, key(v), m, vm(v))
                 });
-                (u, list.len() as u64, key(u), vm(u), adj.collect())
+                (u, key(u), vm(u), adj.collect())
             })
             .collect()
     }
@@ -706,8 +676,7 @@ mod tests {
         // A star whose hub is even and whose leaves are odd, all of it
         // read by rank 0: under the cyclic partition of 2 ranks that is
         // `n` scatter records from one sender to each destination and
-        // `n` degree announcements from rank 1 to rank 0. (Round 3 ships
-        // through the same `Chunked`; here it is one record.)
+        // `n` degree announcements from rank 1 to rank 0.
         for n in [EXCHANGE_CHUNK - 1, EXCHANGE_CHUNK, EXCHANGE_CHUNK + 1] {
             let star: Vec<(u64, u64)> = (0..n as u64).map(|i| (0, 2 * i + 1)).collect();
             let star = with_meta(&star);
@@ -724,7 +693,7 @@ mod tests {
         check_against_serial(&edges, 1, Partition::Hashed);
         let kept: Vec<u32> = serial_dodgr(&edges)
             .iter()
-            .flat_map(|rec| rec.4.iter().map(|e| e.3))
+            .flat_map(|rec| rec.3.iter().map(|e| e.2))
             .collect();
         assert_eq!(kept, [10, 30]);
     }
@@ -753,7 +722,7 @@ mod tests {
             })
             .into_iter()
             .sum();
-        let bound = 3 * (2 * EDGES / EXCHANGE_CHUNK as u64 + (nranks * nranks) as u64);
+        let bound = 2 * (2 * EDGES / EXCHANGE_CHUNK as u64 + (nranks * nranks) as u64);
         assert!(
             records <= bound,
             "{records} build records, expected <= {bound}"
@@ -813,35 +782,20 @@ mod tests {
     }
 
     #[test]
-    fn dplus_annotations_match_owners() {
-        // Every AdjEntry.dplus_v must equal the actual out-degree of the
-        // target vertex, wherever it lives.
-        let edges = [
-            (0u64, 1u64),
-            (0, 2),
-            (0, 3),
-            (1, 2),
-            (1, 3),
-            (2, 3),
-            (3, 4),
-            (4, 5),
-        ];
-        let out = World::new(4).run(|comm| {
-            let list =
-                EdgeList::from_vec(edges.iter().map(|&(u, v)| (u, v, ())).collect::<Vec<_>>());
-            let local = list.stride_for_rank(comm.rank(), comm.nranks());
-            let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
-            // Gather true out-degrees.
-            let mine: Vec<(u64, u64)> = g.shard().vertices().map(|v| (v.id, v.dplus())).collect();
-            let all: Vec<(u64, u64)> = comm.all_gather(&mine).into_iter().flatten().collect();
-            let truth: FastMap<u64, u64> = all.into_iter().collect();
-            for lv in g.shard().vertices() {
-                for e in &lv.adj {
-                    assert_eq!(e.dplus_v, truth[&e.v], "dplus of {} at {}", e.v, lv.id);
-                }
-            }
-        });
-        assert_eq!(out.len(), 4);
+    fn build_is_two_rounds() {
+        // Scatter, then degree exchange: one barrier each, whatever the
+        // world size.
+        let pairs: Vec<(u64, u64)> = (0..40u64).map(|i| (i, (i * 7 + 3) % 40)).collect();
+        let list = EdgeList::from_vec(with_meta(&pairs));
+        for nranks in [1, 2, 4] {
+            let barriers = World::new(nranks).run(|comm| {
+                let before = comm.stats();
+                let local = list.stride_for_rank(comm.rank(), nranks);
+                build_dist_graph(comm, local, vm, Partition::Hashed);
+                comm.stats().delta(&before).barriers
+            });
+            assert_eq!(barriers, vec![2; nranks], "{nranks} ranks");
+        }
     }
 
     #[test]

@@ -7,18 +7,17 @@
 //! [`crate::build_dist_graph`] over the concatenated input. The update
 //! skips the build's communication rounds and re-derives the degree
 //! order only for vertices the batch touches, but it is **not** local
-//! in cost: every [`AdjEntry`] carries its target's `key.degree` and
-//! `dplus_v`, a batch touches the hubs, and almost every apex stores an
-//! entry for a hub. Measured on the benchmark's four workloads at 1 %
-//! batches (seed 42), the stored entries whose annotation one batch
-//! really changes:
+//! in cost: every [`AdjEntry`] carries its target's `key.degree`, a
+//! batch touches the hubs, and almost every apex stores an entry for a
+//! hub. Measured on the benchmark's four workloads at 1 % batches
+//! (seed 42), the stored entries whose key one batch really changes:
 //!
-//! | workload | entries re-annotated | of stored entries |
+//! | workload | entries re-keyed | of stored entries |
 //! |---|---|---|
-//! | `web_push` | 104 k | 207 k |
-//! | `rmat_pull` | 82 k | 90 k |
-//! | `wdc_fqdn` | 81 k | 179 k |
-//! | `reddit_stream` | 45 k | 192 k |
+//! | `web_push` | 93 k | 205 k |
+//! | `rmat_pull` | 76 k | 90 k |
+//! | `wdc_fqdn` | 74 k | 177 k |
+//! | `reddit_stream` | 21 k | 190 k |
 //!
 //! Under this entry layout one linear pass over the storage is
 //! therefore the floor, and the update is built as exactly that: a
@@ -42,10 +41,9 @@
 //!    untouched vertex: a stored edge `t → w` becomes `w → t` iff `t`'s
 //!    new key overtakes `w`'s.
 //! 4. New edges are oriented by the new keys.
-//! 5. Steps 2–4 fold into one **patch map**: every vertex whose
-//!    annotation as a *target* changes — touched (new key), or its
-//!    out-degree moved (a flip or a new edge) — maps to its
-//!    `(key, d+)` after the batch. Flip-ins and new edges become
+//! 5. Steps 2–4 fold into one **patch map** from every touched vertex
+//!    — exactly the vertices whose annotation as a *target* changes —
+//!    to its key after the batch. Flip-ins and new edges become
 //!    fully-formed entries, metadata cloned, grouped with the
 //!    flip-outs by the record whose entry *set* they change (≈ 4 k of
 //!    27–40 k records at the benchmark's batches).
@@ -54,10 +52,10 @@
 //! 8. and walks the list once. Each entry costs one probe of the patch
 //!    map; a record is re-sorted only if its entry set changed, or a
 //!    key moved *and* the order actually broke — the same canonical
-//!    order by key the builder produces, so entry order, keys, degrees
-//!    and `d+` annotations all land exactly where a from-scratch build
-//!    would put them. The list, the touched vertices and the changed
-//!    records all ascend by id, so the sweep looks nothing up.
+//!    order by key the builder produces, so entry order, keys and
+//!    degrees all land exactly where a from-scratch build would put
+//!    them. The list, the touched vertices and the changed records all
+//!    ascend by id, so the sweep looks no record up.
 //! 9. Last, the [`BatchDelta`] is derived: for every apex vertex, which
 //!    out-entries are *new* and which entry-index pairs form a wedge
 //!    *closed* by a new edge between two old entries (found through the
@@ -260,9 +258,9 @@ pub struct StagedBatch<VM, EM> {
     /// `(id, key)` after the batch of every new-edge endpoint, by id
     /// (the key carries the new degree).
     touched: Vec<(u64, OrderKey)>,
-    /// Every vertex whose annotation as a *target* changes → its
-    /// `(key, d+)` after the batch.
-    patch: FastMap<u64, (OrderKey, u64)>,
+    /// `touched` as a map — exactly the vertices whose annotation as a
+    /// *target* changes, each to its key after the batch.
+    patch: FastMap<u64, OrderKey>,
     /// The records whose entry set changes, by id.
     changes: Vec<EntryChanges<VM, EM>>,
     /// Apex → targets of its new-edge entries (for the delta plan).
@@ -326,9 +324,7 @@ where
         }
 
         // ---- 2. New degrees and keys of touched vertices. ----------
-        // Degrees only grow, so every touched key strictly grows. The
-        // patch map starts as (new key, old d+) of each touched vertex;
-        // steps 3 and 4 move the d+ half.
+        // Degrees only grow, so every touched key strictly grows.
         let mut inc: FastMap<u64, u64> = FastMap::default();
         for &(a, b, _) in &new_edges {
             *inc.entry(a).or_insert(0) += 1;
@@ -340,7 +336,7 @@ where
         let mut stored: Vec<usize> = Vec::new();
         for (t, grown) in inc {
             let at = idx_of(vertices, t);
-            let (degree, dplus) = at.map_or((0, 0), |i| (vertices[i].degree, vertices[i].dplus()));
+            let degree = at.map_or(0, |i| vertices[i].degree());
             let key = OrderKey::new(t, degree + grown);
             match at {
                 Some(i) => stored.push(i),
@@ -348,7 +344,6 @@ where
                     let vm_fn = admit.expect("strict mode validated every endpoint");
                     staged.brand_new.push(LocalVertex {
                         id: t,
-                        degree: key.degree,
                         key,
                         meta: vm_fn(t),
                         adj: Vec::new(),
@@ -356,9 +351,9 @@ where
                 }
             }
             staged.touched.push((t, key));
-            staged.patch.insert(t, (key, dplus));
+            staged.patch.insert(t, key);
         }
-        let patch = &mut staged.patch;
+        let patch = &staged.patch;
         let mut changes: FastMap<u64, EntryChanges<VM, EM>> = FastMap::default();
         fn change_of<VM, EM>(
             changes: &mut FastMap<u64, EntryChanges<VM, EM>>,
@@ -375,32 +370,27 @@ where
         // A stored edge t→w flips to w→t iff t's grown key overtakes
         // w's (possibly also grown) key. The reverse never happens: an
         // edge stored at an untouched u points at keys that only grow
-        // further away. An untouched w enters the patch map here, with
-        // the key and d+ its entry at t carries. (Added entries get
-        // their `key` / `dplus_v` once the map is final.)
+        // further away.
         for &it in &stored {
             let t = &vertices[it];
-            let kt = patch[&t.id].0;
+            let kt = patch[&t.id];
             for e in &t.adj {
-                let kw = patch.get(&e.v).map_or(e.key, |p| p.0);
+                let kw = patch.get(&e.v).copied().unwrap_or(e.key);
                 if kt > kw {
                     change_of(&mut changes, t.id).removed.push(e.v);
                     change_of(&mut changes, e.v).added.push(AdjEntry {
                         v: t.id,
                         key: kt,
-                        dplus_v: 0,
                         em: e.em.clone(),
                         vm: t.meta.clone(),
                     });
-                    patch.get_mut(&t.id).expect("touched").1 -= 1;
-                    patch.entry(e.v).or_insert((e.key, e.dplus_v)).1 += 1;
                 }
             }
         }
 
         // ---- 4. Orient and stage the new edges. --------------------
         for (a, b, em) in new_edges {
-            let (src, dst) = if patch[&a].0 < patch[&b].0 {
+            let (src, dst) = if patch[&a] < patch[&b] {
                 (a, b)
             } else {
                 (b, a)
@@ -415,22 +405,17 @@ where
             };
             change_of(&mut changes, src).added.push(AdjEntry {
                 v: dst,
-                key: patch[&dst].0,
-                dplus_v: 0,
+                key: patch[&dst],
                 em: em.clone(),
                 vm,
             });
-            patch.get_mut(&src).expect("touched").1 += 1;
             staged.new_targets.entry(src).or_default().insert(dst);
             staged.new_edges.push((a, b));
         }
 
-        // ---- 5. Final d+ of every added entry's target. ------------
+        // ---- 5. The changed records, by id. ------------------------
         staged.changes = changes.into_values().collect();
         staged.changes.sort_unstable_by_key(|c| c.id);
-        for e in staged.changes.iter_mut().flat_map(|c| &mut c.added) {
-            e.dplus_v = patch[&e.v].1;
-        }
         Ok(staged)
     }
 
@@ -482,19 +467,17 @@ where
         // two cursors find their records without a lookup.
         let mut touched = touched.into_iter().peekable();
         let mut changes = changes.into_iter().peekable();
-        // Re-annotates one entry; true when its key moved.
+        // Re-keys one entry; true when its target was touched, so that
+        // its key moved.
         let repatch = |e: &mut AdjEntry<VM, EM>| match patch.get(&e.v) {
-            Some(&(key, dplus)) => {
-                let moved = e.key != key;
+            Some(&key) => {
                 e.key = key;
-                e.dplus_v = dplus;
-                moved
+                true
             }
             None => false,
         };
         for lv in vertices.iter_mut() {
             if let Some((_, key)) = touched.next_if(|t| t.0 == lv.id) {
-                lv.degree = key.degree;
                 lv.key = key;
             }
             let resort = match changes.next_if(|c| c.id == lv.id) {
@@ -526,11 +509,6 @@ where
                 // distinct within a record, so unstable is exact.
                 lv.adj.sort_unstable_by_key(|e| e.key);
             }
-            debug_assert!(
-                patch.get(&lv.id).is_none_or(|p| p.1 == lv.dplus()),
-                "d+ of {}",
-                lv.id
-            );
         }
         debug_assert!(touched.peek().is_none() && changes.peek().is_none());
 
@@ -569,7 +547,7 @@ where
                 }
                 let adj = &vertices[idx_of(vertices, p).expect("apex exists")].adj;
                 let pos = |t: u64| {
-                    let k = patch[&t].0;
+                    let k = patch[&t];
                     adj.binary_search_by(|e| e.key.cmp(&k))
                         .expect("closing entry present") as u32
                 };
@@ -628,14 +606,13 @@ mod tests {
         assert_eq!(got.len(), want.len(), "vertex count");
         for (g, w) in got.iter().zip(want) {
             assert_eq!(g.id, w.id);
-            assert_eq!(g.degree, w.degree, "degree of {}", g.id);
             assert_eq!(g.key, w.key, "key of {}", g.id);
             assert_eq!(g.meta, w.meta, "meta of {}", g.id);
             assert_eq!(g.adj.len(), w.adj.len(), "d+ of {}", g.id);
             for (a, b) in g.adj.iter().zip(&w.adj) {
                 assert_eq!(
-                    (a.v, a.key, a.dplus_v, a.em, a.vm),
-                    (b.v, b.key, b.dplus_v, b.em, b.vm),
+                    (a.v, a.key, a.em, a.vm),
+                    (b.v, b.key, b.em, b.vm),
                     "entry of {}",
                     g.id
                 );

@@ -2,12 +2,12 @@
 //!
 //! A snapshot captures everything needed to reconstitute resident graph
 //! storage in O(read) time — no re-ingest, no symmetrization, no
-//! degree/out-degree exchange rounds. The layout reuses the varint wire
-//! machinery of `tripoll-ygm`:
+//! degree exchange round. The layout reuses the varint wire machinery
+//! of `tripoll-ygm`:
 //!
 //! ```text
 //! magic[8] = "TPLSNAP\0"
-//! varint   schema version          (currently 1)
+//! varint   schema version          (currently 2)
 //! u8       partition tag           (0 = Cyclic, 1 = Hashed)
 //! varint   section count
 //! varint   total vertex count      (cross-checked after decode)
@@ -23,10 +23,12 @@
 //!       repeated adjacency entry:
 //!         varint  target id v
 //!         varint  target degree d(v)       (rebuilds the target key)
-//!         varint  target out-degree d+(v)
 //!         EM      edge metadata
 //!         VM      target vertex metadata
 //! ```
+//!
+//! Version 1 also stored each target's out-degree `d+(v)`, which no
+//! reader used; it is refused as [`SnapshotError::UnsupportedVersion`].
 //!
 //! Order keys are *not* stored: `OrderKey::new(v, degree)` is a pure
 //! function of `(id, degree)`, so they are rebuilt on load and then
@@ -49,7 +51,7 @@ use crate::partition::Partition;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPLSNAP\0";
 
 /// Schema version written by this build.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// A structural defect in snapshot bytes.
 #[derive(Debug)]
@@ -179,13 +181,12 @@ pub fn encode_snapshot<VM: Wire, EM: Wire>(
         put_varint(&mut body, mine.clone().count() as u64);
         for lv in mine {
             put_varint(&mut body, lv.id);
-            put_varint(&mut body, lv.degree);
+            put_varint(&mut body, lv.degree());
             lv.meta.encode(&mut body);
             put_varint(&mut body, lv.adj.len() as u64);
             for e in &lv.adj {
                 put_varint(&mut body, e.v);
                 put_varint(&mut body, e.key.degree);
-                put_varint(&mut body, e.dplus_v);
                 e.em.encode(&mut body);
                 e.vm.encode(&mut body);
             }
@@ -238,7 +239,6 @@ pub fn decode_snapshot<VM: Wire, EM: Wire>(
             for _ in 0..dplus {
                 let v = s.take_varint()?;
                 let deg_v = s.take_varint()?;
-                let dplus_v = s.take_varint()?;
                 let em = EM::decode(&mut s)?;
                 let vm = VM::decode(&mut s)?;
                 let kv = OrderKey::new(v, deg_v);
@@ -246,21 +246,9 @@ pub fn decode_snapshot<VM: Wire, EM: Wire>(
                     return Err(SnapshotError::AdjacencyOrder { vertex: id });
                 }
                 prev = kv;
-                adj.push(AdjEntry {
-                    v,
-                    key: kv,
-                    dplus_v,
-                    em,
-                    vm,
-                });
+                adj.push(AdjEntry { v, key: kv, em, vm });
             }
-            vertices.push(LocalVertex {
-                id,
-                degree,
-                key,
-                meta,
-                adj,
-            });
+            vertices.push(LocalVertex { id, key, meta, adj });
         }
         if !s.is_empty() {
             return Err(SnapshotError::TrailingBytes);
@@ -329,15 +317,11 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.id, y.id);
-            assert_eq!(x.degree, y.degree);
             assert_eq!(x.key, y.key);
             assert_eq!(x.meta, y.meta);
             assert_eq!(x.adj.len(), y.adj.len());
             for (p, q) in x.adj.iter().zip(&y.adj) {
-                assert_eq!(
-                    (p.v, p.key, p.dplus_v, p.em, p.vm),
-                    (q.v, q.key, q.dplus_v, q.em, q.vm)
-                );
+                assert_eq!((p.v, p.key, p.em, p.vm), (q.v, q.key, q.em, q.vm));
             }
         }
     }
@@ -383,12 +367,15 @@ mod tests {
             decode_snapshot::<u64, u32>(&wrong),
             Err(SnapshotError::BadMagic)
         ));
-        // Version byte follows the 8-byte magic; bump it past v1.
-        bytes[8] = 9;
-        assert!(matches!(
-            decode_snapshot::<u64, u32>(&bytes),
-            Err(SnapshotError::UnsupportedVersion(9))
-        ));
+        // The version byte follows the 8-byte magic: a future version
+        // and the retired version 1 are both refused.
+        for version in [9, 1] {
+            bytes[8] = version;
+            assert!(matches!(
+                decode_snapshot::<u64, u32>(&bytes),
+                Err(SnapshotError::UnsupportedVersion(v)) if v == u64::from(version)
+            ));
+        }
     }
 
     #[test]

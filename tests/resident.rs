@@ -263,7 +263,7 @@ fn concurrent_queries_with_different_configs_do_not_interfere() {
 }
 
 /// The snapshot of a scale-10 Graph500 R-MAT graph (seed 42, unit
-/// metadata) in four sections is exactly 44 374 bytes: growth means the
+/// metadata) in four sections is exactly 34 700 bytes: growth means the
 /// binary format got fatter.
 #[test]
 fn rmat_snapshot_size_is_pinned() {
@@ -271,7 +271,7 @@ fn rmat_snapshot_size_is_pinned() {
     let list =
         EdgeList::from_vec(edges.into_iter().map(|(u, v)| (u, v, ())).collect()).canonicalize();
     let resident: ResidentGraph<(), ()> = ResidentGraph::build(&list, |_| (), Partition::Hashed);
-    assert_eq!(resident.snapshot_bytes(4).len(), 44_374);
+    assert_eq!(resident.snapshot_bytes(4).len(), 34_700);
 }
 
 /// Hostile-snapshot fuzz sweep: every strict prefix of a valid
