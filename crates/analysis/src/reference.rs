@@ -58,7 +58,7 @@ pub fn enumerate_triangles(csr: &Csr, mut f: impl FnMut(u64, u64, u64)) {
     }
 }
 
-/// Counts triangles (parallel over pivot vertices).
+/// Counts triangles (one merge pass per pivot vertex).
 pub fn triangle_count(csr: &Csr) -> u64 {
     let n = csr.num_vertices();
     let key = |v: usize| OrderKey::new(csr.original_id(v), csr.degree(v) as u64);

@@ -1,11 +1,9 @@
-//! Wall-clock context for three open design questions, printed to
+//! Wall-clock context for two open design questions, printed to
 //! stdout:
 //!
 //! * `intersect_kernel` — ns and key compares per candidate of every
 //!   intersection kernel over a columnar frame at four degree skews
 //!   (where the `Auto` boundary should sit);
-//! * `parallel_dispatch` — ns per batch of the work-stealing batch
-//!   dispatch at 1, 2 and 4 threads (whether `Parallelism` pays);
 //! * `incremental_ingest` — a delta survey against a full recount after
 //!   a 1 % and a 10 % batch (whether the delta needs a pull side).
 //!
@@ -22,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rayon::pool::ThreadPool;
 use tripoll_core::{
     intersect_col, kernel_stats_take, merge_path, IntersectKernel, ResidentGraph, ResidentQuery,
 };
@@ -119,71 +116,6 @@ fn compare_intersect_kernels() {
     }
 }
 
-/// Batches per parallel-dispatch measurement pass.
-const PD_BATCHES: usize = 256;
-/// Candidates per batch — hub scale, where batch parallelism pays.
-const PD_CANDS: usize = 512;
-/// Right-side (stored adjacency) length per batch.
-const PD_RIGHT: usize = 16_384;
-/// Timed passes over the full batch set per thread count.
-const PD_PASSES: usize = 8;
-
-/// Scaling of the work-stealing batch dispatch: the same hub-scale
-/// batch set (columnar candidate frames intersected against a stored
-/// adjacency, the production task shape) processed by dedicated pools
-/// of 1, 2 and 4 threads.
-fn compare_parallel_dispatch() {
-    let right: Vec<(u64, OrderKey)> = (0..PD_RIGHT as u64)
-        .map(|i| (2 * i, OrderKey::new(2 * i, 2 * i)))
-        .collect();
-    let step = 2 * (PD_RIGHT / PD_CANDS) as u64;
-    // (frame, checksum) per batch. Alternating hits and off-by-one
-    // misses, phase-shifted per batch so frames are distinct.
-    let mut tasks: Vec<(Vec<u8>, u64)> = (0..PD_BATCHES as u64)
-        .map(|b| {
-            let keys: Vec<(u64, u64, u64)> = (0..PD_CANDS as u64)
-                .map(|i| {
-                    let v = i * step + ((i + b) % 2);
-                    (v, v, i)
-                })
-                .collect();
-            (to_bytes(&ColBatch::<u64>(keys)), 0)
-        })
-        .collect();
-    let process = |t: &mut (Vec<u8>, u64)| {
-        t.1 = intersect_frame(IntersectKernel::Auto, &t.0, &right).0;
-    };
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut reference: Option<u64> = None;
-    let mut t1_ns = 0.0;
-    for t in [1usize, 2, 4] {
-        // A dedicated pool per thread count (the caller participates,
-        // so `t` threads = `t - 1` workers), sidestepping the global
-        // pool's host-dependent width.
-        let pool = ThreadPool::new(t - 1);
-        pool.run_mut(&mut tasks, process); // warm-up
-        let checksum: u64 = tasks.iter().map(|task| task.1).sum();
-        assert_eq!(
-            *reference.get_or_insert(checksum),
-            checksum,
-            "dispatch diverged at {t} threads"
-        );
-        let start = Instant::now();
-        for _ in 0..PD_PASSES {
-            pool.run_mut(&mut tasks, process);
-        }
-        let ns = start.elapsed().as_nanos() as f64 / (PD_PASSES * PD_BATCHES) as f64;
-        if t == 1 {
-            t1_ns = ns;
-        }
-        println!(
-            "parallel_dispatch/threads_{t}                {ns:>10.1} ns/batch  {:>5.2}x  ({cores} host cores)",
-            t1_ns / ns
-        );
-    }
-}
-
 /// Streaming appends: after a 1 % / 10 % batch lands on a scale-10
 /// R-MAT graph, surveying only the delta wedges against recounting the
 /// whole graph.
@@ -238,6 +170,5 @@ fn compare_incremental_ingest() {
 
 fn main() {
     compare_intersect_kernels();
-    compare_parallel_dispatch();
     compare_incremental_ingest();
 }

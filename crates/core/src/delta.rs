@@ -20,7 +20,7 @@
 //!
 //! Each wedge with ≥ 1 new edge is generated exactly once, and every
 //! batch goes through the **same** wire encoding, registered handlers,
-//! intersection kernels, and parallel dispatch as a full survey — a
+//! and intersection kernels as a full survey — a
 //! delta survey is indistinguishable from a full one on the receiving
 //! side, so callbacks, metadata colocation, and [`KernelStats`]
 //! accounting all behave identically.
@@ -40,7 +40,6 @@ use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{EngineMode, PhaseTimer, SurveyConfig, SurveyReport};
 use crate::meta::SurveyCallback;
-use crate::par::par_queue_for;
 use crate::push_common::{encode_candidate_columns, register_push_handler, DynCallback, PushMsg};
 
 /// Runs a delta survey for one ingested batch: `callback` executes once
@@ -75,20 +74,12 @@ where
 {
     let config = config.into();
     let cb: DynCallback<VM, EM> = Rc::new(callback);
-    let queue = par_queue_for(graph, &cb, config);
-    let handler = register_push_handler(comm, graph, cb, config, queue.clone());
-    if let Some(q) = &queue {
-        let q2 = q.clone();
-        comm.set_drain_hook(move |c| q2.flush(c));
-    }
+    let handler = register_push_handler(comm, graph, cb, config);
 
     let timer = PhaseTimer::begin(comm, "delta-push");
     push_delta_wedges(comm, graph, plan, &handler);
     comm.barrier();
     let phase = timer.end();
-    if queue.is_some() {
-        comm.clear_drain_hook();
-    }
 
     SurveyReport {
         mode: EngineMode::PushOnly,

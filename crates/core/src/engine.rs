@@ -8,8 +8,8 @@
 //!
 //! # One production path, one reference
 //!
-//! A survey is configured by [`SurveyConfig`]: an [`IntersectKernel`]
-//! and a [`Parallelism`]. Candidate batches always cross the wire as
+//! A survey is configured by [`SurveyConfig`], which names an
+//! [`IntersectKernel`]. Candidate batches always cross the wire as
 //! columnar frames ([`tripoll_ygm::wire::encode_columns`]), and there
 //! are exactly two ways a rank consumes them:
 //!
@@ -17,17 +17,14 @@
 //!   [`Gallop`] / [`BlockedMerge`]): the frame is decoded in place
 //!   ([`tripoll_ygm::wire::ColCursor`]), [`intersect_col`] walks its
 //!   two key columns, and the metadata column is decoded per element on
-//!   triangle matches only. Inline on the rank thread, or queued to the
-//!   work-stealing pool when [`SurveyConfig::threads`] resolves past
-//!   one (`crate::par`).
+//!   triangle matches only.
 //! * **Reference** ([`IntersectKernel::MergeScalar`]): the frame is
 //!   materialised as an owned [`tripoll_ygm::wire::ColBatch`] and
 //!   intersected by the element-wise two-pointer merge through
-//!   [`intersect_slices`], always inline on the rank thread. It reads
-//!   the same bytes and must emit the same survey; it exists so the
-//!   differential suites (`tests/kernels.rs`) have something
-//!   deliberately naive to compare the production path against, not as
-//!   a tuning choice.
+//!   [`intersect_slices`]. It reads the same bytes and must emit the
+//!   same survey; it exists so the differential suites
+//!   (`tests/kernels.rs`) have something deliberately naive to compare
+//!   the production path against, not as a tuning choice.
 //!
 //! # Intersection kernels
 //!
@@ -245,95 +242,29 @@ impl std::fmt::Display for IntersectKernel {
     }
 }
 
-/// Intra-rank merge parallelism: how many threads a rank may use to
-/// intersect received wedge batches (the engine's merge path). This is
-/// a *local compute* choice like [`IntersectKernel`]: every setting
-/// yields bit-identical survey counts, metadata checksums, and merged
-/// [`KernelStats`], because parallel work items are reduced in batch
-/// index order, not completion order (see `docs/ARCHITECTURE.md`,
-/// threading model).
+/// Per-survey engine configuration: the intersection kernel. It moves
+/// no byte on the wire (candidate batches are always columnar frames),
+/// so it is a local compute choice, named here so a survey carries one
+/// reproducible configuration. The default, [`IntersectKernel::Auto`],
+/// is the production path; [`IntersectKernel::MergeScalar`] selects
+/// the reference path the differential suites compare it against (see
+/// the module docs).
 ///
-/// The worker threads come from the process-wide persistent
-/// work-stealing pool (`rayon::pool::global()`); per-survey settings
-/// only decide whether a rank *routes* merge work through it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Resolve the thread count from the `TRIPOLL_THREADS` environment
-    /// variable at survey time (read once per process). Unset, empty,
-    /// unparsable, `0`, or `1` all mean serial. The production default:
-    /// CI forces the parallel path through every existing suite by
-    /// exporting `TRIPOLL_THREADS=4`.
-    #[default]
-    Env,
-    /// Always the serial merge path, regardless of environment.
-    Serial,
-    /// Use up to this many threads (the calling rank participates, so
-    /// `Threads(4)` is the rank plus up to three pool workers).
-    /// `Threads(0)` and `Threads(1)` are the serial path.
-    Threads(u32),
-}
-
-impl Parallelism {
-    /// The effective thread count: `1` means the serial path, `n > 1`
-    /// routes merge batches through the shared pool with up to `n`
-    /// lanes (capped by pool size at dispatch).
-    pub fn resolved(self) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => (n as usize).max(1),
-            Parallelism::Env => {
-                static ENV: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-                *ENV.get_or_init(|| {
-                    std::env::var("TRIPOLL_THREADS")
-                        .ok()
-                        .and_then(|v| v.trim().parse::<usize>().ok())
-                        .unwrap_or(1)
-                        .max(1)
-                })
-            }
-        }
-    }
-
-    /// Whether this setting resolves to the parallel merge path.
-    pub fn is_parallel(self) -> bool {
-        self.resolved() > 1
-    }
-}
-
-impl std::fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Parallelism::Env => write!(f, "Env({})", self.resolved()),
-            Parallelism::Serial => write!(f, "Serial"),
-            Parallelism::Threads(n) => write!(f, "Threads({n})"),
-        }
-    }
-}
-
-/// Per-survey engine configuration: the intersection kernel and the
-/// intra-rank merge parallelism. Neither moves a byte on the wire
-/// (candidate batches are always columnar frames), so both are local
-/// compute choices carried together so a survey names one reproducible
-/// configuration. The default — [`IntersectKernel::Auto`], threaded per
-/// [`Parallelism::Env`] — is the production path;
-/// [`IntersectKernel::MergeScalar`] selects the reference path the
-/// differential suites compare it against (see the module docs), which
-/// is always serial.
+/// A survey runs on its rank's thread alone: the rank is the unit of
+/// parallelism, as in the paper, and a wider survey adds ranks.
 ///
-/// Build one with the chainable `with_*` setters, or pass a bare
-/// [`IntersectKernel`] / [`Parallelism`] anywhere
-/// `impl Into<SurveyConfig>` is accepted (the `survey_*_with` entry
-/// points):
+/// Build one with [`SurveyConfig::with_kernel`], or pass a bare
+/// [`IntersectKernel`] anywhere `impl Into<SurveyConfig>` is accepted
+/// (the `survey_*_with` entry points):
 ///
 /// ```
-/// use tripoll_core::{IntersectKernel, Parallelism, SurveyConfig};
+/// use tripoll_core::{IntersectKernel, SurveyConfig};
 ///
 /// // The production configuration.
 /// let prod = SurveyConfig::new();
 /// assert_eq!(prod.kernel, IntersectKernel::Auto);
-/// assert_eq!(prod.threads, Parallelism::Env);
 ///
-/// // Fix one field, keep the other default.
+/// // An explicit kernel.
 /// let gallop_only = SurveyConfig::new().with_kernel(IntersectKernel::Gallop);
 /// assert_eq!(gallop_only, SurveyConfig::from(IntersectKernel::Gallop));
 ///
@@ -346,13 +277,10 @@ pub struct SurveyConfig {
     /// Intersection kernel for every wedge check;
     /// [`IntersectKernel::MergeScalar`] selects the reference path.
     pub kernel: IntersectKernel,
-    /// Intra-rank merge parallelism (serial at `threads.resolved() <= 1`).
-    pub threads: Parallelism,
 }
 
 impl SurveyConfig {
-    /// The production configuration (auto-selected kernel,
-    /// environment-resolved parallelism).
+    /// The production configuration (auto-selected kernel).
     pub fn new() -> Self {
         SurveyConfig::default()
     }
@@ -363,51 +291,18 @@ impl SurveyConfig {
         self
     }
 
-    /// This configuration with the given merge parallelism.
-    pub fn with_threads(mut self, threads: Parallelism) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Resolves every environment-dependent field into an explicit
-    /// value: [`Parallelism::Env`] becomes
-    /// `Parallelism::Threads(resolved)`. A resident service pins its
-    /// default config once at startup, so later queries never consult
-    /// (or race on) the process environment — each query carries fully
-    /// explicit settings.
-    pub fn pinned(mut self) -> Self {
-        if let Parallelism::Env = self.threads {
-            self.threads = Parallelism::Threads(self.threads.resolved() as u32);
-        }
-        self
-    }
-
     /// Whether this configuration selects the reference receive path
-    /// (materialised batch, two-pointer merge, inline) instead of the
+    /// (materialised batch, two-pointer merge) instead of the
     /// production one.
     pub(crate) fn is_reference(self) -> bool {
         self.kernel == IntersectKernel::MergeScalar
     }
 }
 
-/// A bare kernel selects that kernel under the default parallelism.
+/// A bare kernel selects that kernel.
 impl From<IntersectKernel> for SurveyConfig {
     fn from(kernel: IntersectKernel) -> Self {
-        SurveyConfig {
-            kernel,
-            ..SurveyConfig::default()
-        }
-    }
-}
-
-/// A bare parallelism setting selects that thread count under the
-/// default kernel.
-impl From<Parallelism> for SurveyConfig {
-    fn from(threads: Parallelism) -> Self {
-        SurveyConfig {
-            threads,
-            ..SurveyConfig::default()
-        }
+        SurveyConfig { kernel }
     }
 }
 
@@ -581,19 +476,6 @@ pub fn kernel_stats() -> KernelStats {
 /// Reads and resets this thread's accumulated [`KernelStats`].
 pub fn kernel_stats_take() -> KernelStats {
     KERNEL_STATS.with(|c| c.replace(KernelStats::ZERO))
-}
-
-/// Adds `delta` into this thread's accumulated [`KernelStats`]. The
-/// parallel merge path uses this to fold per-work-item stats (taken on
-/// the worker thread that ran the item) back into the owning rank's
-/// counter in batch-index order, keeping the merged tallies
-/// bit-identical to a serial run.
-pub fn kernel_stats_add(delta: KernelStats) {
-    KERNEL_STATS.with(|c| {
-        let mut s = c.get();
-        s += delta;
-        c.set(s);
-    });
 }
 
 /// Flushes one intersection's local tallies into the thread counter —
@@ -985,38 +867,20 @@ mod tests {
 
     #[test]
     fn survey_config_defaults_and_conversions() {
-        // Production default: auto-selected kernel, threads from the
-        // environment.
+        // Production default: the auto-selected kernel.
         let d = SurveyConfig::default();
         assert_eq!(d.kernel, IntersectKernel::Auto);
-        assert_eq!(d.threads, Parallelism::Env);
         assert_eq!(SurveyConfig::new(), d);
         assert!(!d.is_reference());
-        // A bare field value fixes that field, leaving the other default.
+        // A bare kernel converts to the config that names it.
         assert_eq!(
             SurveyConfig::from(IntersectKernel::Gallop),
             d.with_kernel(IntersectKernel::Gallop)
-        );
-        assert_eq!(
-            SurveyConfig::from(Parallelism::Threads(4)),
-            d.with_threads(Parallelism::Threads(4))
         );
         // Only the scalar merge selects the reference path.
         assert!(SurveyConfig::from(IntersectKernel::MergeScalar).is_reference());
         assert!(!SurveyConfig::from(IntersectKernel::Gallop).is_reference());
         assert!(!SurveyConfig::from(IntersectKernel::BlockedMerge).is_reference());
-    }
-
-    #[test]
-    fn parallelism_resolves_deterministically() {
-        assert_eq!(Parallelism::Serial.resolved(), 1);
-        assert!(!Parallelism::Serial.is_parallel());
-        assert_eq!(Parallelism::Threads(0).resolved(), 1);
-        assert_eq!(Parallelism::Threads(1).resolved(), 1);
-        assert_eq!(Parallelism::Threads(4).resolved(), 4);
-        assert!(Parallelism::Threads(4).is_parallel());
-        // Env resolves to >= 1 whatever the environment says.
-        assert!(Parallelism::Env.resolved() >= 1);
     }
 
     #[test]

@@ -43,7 +43,6 @@
 pub mod delta;
 pub mod engine;
 pub mod meta;
-mod par;
 mod push_common;
 pub mod push_only;
 pub mod push_pull;
@@ -52,9 +51,8 @@ pub mod surveys;
 
 pub use delta::survey_delta_push;
 pub use engine::{
-    intersect_col, intersect_slices, kernel_stats, kernel_stats_add, kernel_stats_take, merge_path,
-    EngineMode, IntersectKernel, KernelStats, Parallelism, PhaseReport, SurveyConfig, SurveyReport,
-    GALLOP_RATIO,
+    intersect_col, intersect_slices, kernel_stats, kernel_stats_take, merge_path, EngineMode,
+    IntersectKernel, KernelStats, PhaseReport, SurveyConfig, SurveyReport, GALLOP_RATIO,
 };
 pub use meta::{SurveyCallback, TriangleMeta};
 pub use push_only::{survey_push_only, survey_push_only_with};

@@ -17,9 +17,7 @@
 //! production handler intersects by walking only the two key columns
 //! ([`ColCursor`]), and the metadata column is decoded per element
 //! exclusively on triangle matches. The frame is fully consumed at
-//! capture, so early exits leave no record-framing debt. With a merge
-//! queue the same handler copies the validated frame and enqueues it
-//! for the pool instead of intersecting inline ([`crate::par`]).
+//! capture, so early exits leave no record-framing debt.
 //!
 //! The reference handler ([`SurveyConfig::is_reference`]) reads the
 //! same bytes as an owned [`ColBatch`] and runs the two-pointer merge
@@ -34,12 +32,11 @@
 use std::rc::Rc;
 
 use tripoll_graph::{AdjEntry, DistGraph, OrderKey};
-use tripoll_ygm::wire::{encode_columns, ColBatch, ColCursor, ColView, Wire, WireEncode};
+use tripoll_ygm::wire::{encode_columns, ColBatch, ColCursor, Wire, WireEncode};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{intersect_col, intersect_slices, IntersectKernel, SurveyConfig};
 use crate::meta::TriangleMeta;
-use crate::par::{Ctx, ParQueue};
 
 /// Type-erased survey callback held by engine handlers.
 pub(crate) type DynCallback<VM, EM> = Rc<dyn Fn(&Comm, &TriangleMeta<'_, VM, EM>)>;
@@ -67,83 +64,29 @@ fn abort_unowned_push<VM, EM>(c: &Comm, g: &DistGraph<VM, EM>, p: u64, q: u64) -
 
 /// Registers the push handler: intersect candidates with `Adjm+(q)` and
 /// run the callback on every triangle. Collective (handler
-/// registration); `config` and `queue` only choose the handler *body* —
-/// every body reads the same wire type, so ranks may mix them.
-///
-/// With a `queue` (the parallel merge path) the handler validates and
-/// copies the candidate frame, then enqueues a work item instead of
-/// intersecting inline — see [`crate::par`].
+/// registration); `config` only chooses the handler *body* — both
+/// bodies read the same wire type, so ranks may mix them.
 pub(crate) fn register_push_handler<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     cb: DynCallback<VM, EM>,
     config: SurveyConfig,
-    queue: Option<Rc<ParQueue<VM, EM>>>,
 ) -> Handler<PushMsg<VM, EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
     if config.is_reference() {
-        return register_push_handler_reference(comm, graph, cb);
+        register_push_handler_reference(comm, graph, cb)
+    } else {
+        register_push_handler_production(comm, graph, cb, config.kernel)
     }
-    match queue {
-        Some(pq) => register_push_handler_queued(comm, graph, pq),
-        None => register_push_handler_serial(comm, graph, cb, config.kernel),
-    }
-}
-
-/// Queued twin of [`register_push_handler_serial`]: decode the header,
-/// capture and copy the candidate columns, enqueue one work item for
-/// the pool instead of intersecting inline.
-fn register_push_handler_queued<VM, EM>(
-    comm: &Comm,
-    graph: &DistGraph<VM, EM>,
-    queue: Rc<ParQueue<VM, EM>>,
-) -> Handler<PushMsg<VM, EM>>
-where
-    VM: Wire + Clone + 'static,
-    EM: Wire + Clone + 'static,
-{
-    let g = graph.clone();
-    comm.register_borrowed::<PushMsg<VM, EM>, _>(move |c, r| {
-        let p = u64::decode(r)?;
-        let q = u64::decode(r)?;
-        let meta_p = VM::decode(r)?;
-        let meta_pq = EM::decode(r)?;
-        // Structure-validate and fully consume the frame (bounded
-        // column takes), exactly like the serial capture, then copy the
-        // consumed bytes into the queue's arena.
-        let start = r.position();
-        let view: ColView<'_, EM> = ColView::capture(r)?;
-        let frame = r.since(start);
-        let Some(slot) = g.shard().slot_of(q) else {
-            abort_unowned_push(c, &g, p, q);
-        };
-        let lv = g.shard().vertex(slot);
-        c.add_work((view.len() + lv.adj.len()) as u64);
-        let raw = queue.alloc_frame(frame);
-        queue.push_task(
-            c,
-            raw,
-            &lv.adj,
-            Ctx::Push {
-                p,
-                q,
-                meta_p,
-                meta_pq,
-                slot: slot as u32,
-            },
-        );
-        queue.maybe_flush(c);
-        Ok(())
-    })
 }
 
 /// The production receive handler: capture the columnar frame, run the
 /// configured intersection kernel over the key columns, decode
 /// metadata on match only.
-fn register_push_handler_serial<VM, EM>(
+fn register_push_handler_production<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     cb: DynCallback<VM, EM>,

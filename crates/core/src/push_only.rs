@@ -14,7 +14,6 @@ use tripoll_ygm::Comm;
 
 use crate::engine::{EngineMode, PhaseTimer, SurveyConfig, SurveyReport};
 use crate::meta::SurveyCallback;
-use crate::par::par_queue_for;
 use crate::push_common::{push_wedge_batches, register_push_handler, DynCallback};
 
 /// Runs a Push-Only triangle survey; `callback` executes once per
@@ -38,8 +37,8 @@ where
 }
 
 /// [`survey_push_only`] with an explicit [`SurveyConfig`] (or a bare
-/// [`crate::engine::IntersectKernel`] / [`crate::engine::Parallelism`],
-/// via `Into`). Both fields are local compute choices;
+/// [`crate::engine::IntersectKernel`], via `Into`). The kernel is a
+/// local compute choice;
 /// [`crate::engine::IntersectKernel::MergeScalar`] selects the reference
 /// path the differential suites compare against.
 pub fn survey_push_only_with<VM, EM, F>(
@@ -55,20 +54,12 @@ where
 {
     let config = config.into();
     let cb: DynCallback<VM, EM> = Rc::new(callback);
-    let queue = par_queue_for(graph, &cb, config);
-    let handler = register_push_handler(comm, graph, cb, config, queue.clone());
-    if let Some(q) = &queue {
-        let q2 = q.clone();
-        comm.set_drain_hook(move |c| q2.flush(c));
-    }
+    let handler = register_push_handler(comm, graph, cb, config);
 
     let timer = PhaseTimer::begin(comm, "push");
     push_wedge_batches(comm, graph, &handler, |_| false);
     comm.barrier();
     let phase = timer.end();
-    if queue.is_some() {
-        comm.clear_drain_hook();
-    }
 
     SurveyReport {
         mode: EngineMode::PushOnly,
@@ -175,7 +166,7 @@ mod tests {
             let local = list.stride_for_rank(comm.rank(), comm.nranks());
             let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
             let cb: crate::push_common::DynCallback<(), ()> = Rc::new(|_c, _tm| {});
-            let h = register_push_handler(comm, &g, cb, config, None);
+            let h = register_push_handler(comm, &g, cb, config);
             if comm.rank() == 0 {
                 let q = 0u64;
                 let wrong = (g.owner(q) + 1) % comm.nranks();

@@ -39,7 +39,6 @@ use crate::engine::{
     SurveyReport,
 };
 use crate::meta::{SurveyCallback, TriangleMeta};
-use crate::par::{par_queue_for, Ctx, ParQueue};
 use crate::push_common::{
     encode_candidate_columns, push_wedge_batches, register_push_handler, DynCallback,
 };
@@ -176,9 +175,9 @@ where
 }
 
 /// [`survey_push_pull`] with an explicit [`SurveyConfig`] (or a bare
-/// [`IntersectKernel`] / [`crate::engine::Parallelism`], via `Into`).
-/// Both fields are local compute choices; [`IntersectKernel::MergeScalar`]
-/// selects the reference path the differential suites compare against.
+/// [`IntersectKernel`], via `Into`). The kernel is a local compute
+/// choice; [`IntersectKernel::MergeScalar`] selects the reference path
+/// the differential suites compare against.
 pub fn survey_push_pull_with<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -212,11 +211,10 @@ where
 {
     let cb: DynCallback<VM, EM> = Rc::new(callback);
     let st = Rc::new(RefCell::new(PpState::default()));
-    let queue = par_queue_for(graph, &cb, config);
 
     // Handler registration order is part of the SPMD contract: all four
     // registrations below happen on every rank in this exact order.
-    let push_handler = register_push_handler(comm, graph, cb.clone(), config, queue.clone());
+    let push_handler = register_push_handler(comm, graph, cb.clone(), config);
 
     let st_veto = st.clone();
     let veto_handler = comm.register::<u64, _>(move |_c, q| {
@@ -241,14 +239,7 @@ where
         }
     });
 
-    let pull_handler = register_pull_handler(comm, graph, st.clone(), cb.clone(), config, &queue);
-    if let Some(q) = &queue {
-        // Queued merge work is drained inside every quiescence barrier:
-        // the hook flushes pending batches to the pool, and the deferred
-        // work counter keeps the barrier from completing early.
-        let q2 = q.clone();
-        comm.set_drain_hook(move |c| q2.flush(c));
-    }
+    let pull_handler = register_pull_handler(comm, graph, st.clone(), cb, config);
 
     // --- Phase 1: Push vs Pull Dry-Run -------------------------------
     let timer = PhaseTimer::begin(comm, "dry-run");
@@ -359,9 +350,6 @@ where
     }
     comm.barrier();
     let pull_phase = timer.end();
-    if queue.is_some() {
-        comm.clear_drain_hook();
-    }
 
     let s = st.borrow();
     SurveyReport {
@@ -374,25 +362,21 @@ where
 }
 
 /// Registers the pull-delivery handler. Collective (handler
-/// registration); `config` and `queue` only choose the handler body —
-/// every body reads the same wire type.
+/// registration); `config` only chooses the handler body — both bodies
+/// read the same wire type.
 ///
 /// One arriving `Adjm+(q)` projection is intersected against **every**
 /// resume suffix recorded for `q`. The production body captures the
 /// frame's column extents once ([`ColView`], three bounded takes) and
 /// re-walks the key columns per suffix, decoding `meta(q,r)` only for
-/// triangle matches. With a `queue` (parallel merge path) it instead
-/// copies the delivered frame once and enqueues one work item per
-/// resume suffix — empty suffixes included, so the per-suffix kernel
-/// accounting matches the inline path exactly. The reference body
-/// materializes the projection and runs the two-pointer merge.
+/// triangle matches. The reference body materializes the projection
+/// and runs the two-pointer merge.
 fn register_pull_handler<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     st: Rc<RefCell<PpState>>,
     cb: DynCallback<VM, EM>,
     config: SurveyConfig,
-    queue: &Option<Rc<ParQueue<VM, EM>>>,
 ) -> Handler<PullMsg<EM>>
 where
     VM: Wire + Clone + 'static,
@@ -435,77 +419,48 @@ where
             }
         });
     }
-    match queue.clone() {
-        Some(pq) => comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
-            let q = u64::decode(r)?;
-            let start = r.position();
-            let view: ColView<'_, EM> = ColView::capture(r)?;
-            let frame = r.since(start);
-            st.borrow_mut().pulled += 1;
-            let s = st.borrow();
-            let shard = g.shard();
-            let entries = s.resume.get(q);
-            if !entries.is_empty() {
-                // One frame copy shared by every resume suffix.
-                let raw = pq.alloc_frame(frame);
-                for &(_, slot, idx) in entries {
-                    let lv = shard.vertex(slot as usize);
-                    debug_assert_eq!(lv.adj[idx as usize].v, q);
-                    let suffix = &lv.adj[idx as usize + 1..];
-                    c.add_work((suffix.len() + view.len()) as u64);
-                    pq.push_task(c, raw, suffix, Ctx::Pull { slot, idx });
-                }
-            }
-            drop(s);
-            pq.maybe_flush(c);
-            Ok(())
-        }),
-        None => comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
-            let q = u64::decode(r)?;
-            let view: ColView<'_, EM> = ColView::capture(r)?;
-            st.borrow_mut().pulled += 1;
-            let s = st.borrow();
-            let shard = g.shard();
-            for &(_, slot, idx) in s.resume.get(q) {
-                let lv = shard.vertex(slot as usize);
-                let eq = &lv.adj[idx as usize];
-                debug_assert_eq!(eq.v, q);
-                let suffix = &lv.adj[idx as usize + 1..];
-                c.add_work((suffix.len() + view.len()) as u64);
-                let ColCursor {
-                    mut keys,
-                    mut metas,
-                } = view.walk();
-                intersect_col(
-                    kernel,
-                    &mut keys,
-                    suffix,
-                    |s_entry| s_entry.key,
-                    |k, s_entry| {
-                        debug_assert_eq!(
-                            k.v, s_entry.v,
-                            "OrderKey equality implies vertex equality"
-                        );
-                        let meta_qr = metas.get(k.idx)?;
-                        let tm = TriangleMeta {
-                            p: lv.id,
-                            q,
-                            r: s_entry.v,
-                            meta_p: &lv.meta,
-                            meta_q: &eq.vm,
-                            meta_r: &s_entry.vm,
-                            meta_pq: &eq.em,
-                            meta_pr: &s_entry.em,
-                            meta_qr: &meta_qr,
-                        };
-                        cb(c, &tm);
-                        Ok(())
-                    },
-                )?;
-            }
-            Ok(())
-        }),
-    }
+    comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
+        let q = u64::decode(r)?;
+        let view: ColView<'_, EM> = ColView::capture(r)?;
+        st.borrow_mut().pulled += 1;
+        let s = st.borrow();
+        let shard = g.shard();
+        for &(_, slot, idx) in s.resume.get(q) {
+            let lv = shard.vertex(slot as usize);
+            let eq = &lv.adj[idx as usize];
+            debug_assert_eq!(eq.v, q);
+            let suffix = &lv.adj[idx as usize + 1..];
+            c.add_work((suffix.len() + view.len()) as u64);
+            let ColCursor {
+                mut keys,
+                mut metas,
+            } = view.walk();
+            intersect_col(
+                kernel,
+                &mut keys,
+                suffix,
+                |s_entry| s_entry.key,
+                |k, s_entry| {
+                    debug_assert_eq!(k.v, s_entry.v, "OrderKey equality implies vertex equality");
+                    let meta_qr = metas.get(k.idx)?;
+                    let tm = TriangleMeta {
+                        p: lv.id,
+                        q,
+                        r: s_entry.v,
+                        meta_p: &lv.meta,
+                        meta_q: &eq.vm,
+                        meta_r: &s_entry.vm,
+                        meta_pq: &eq.em,
+                        meta_pr: &s_entry.em,
+                        meta_qr: &meta_qr,
+                    };
+                    cb(c, &tm);
+                    Ok(())
+                },
+            )?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

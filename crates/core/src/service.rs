@@ -9,8 +9,9 @@
 //! held behind [`Arc`] as immutable shared state, and every query
 //! spins up a fresh per-query comm world — its own simulated ranks,
 //! its own [`CommConfig`] — against the shared storage. Concurrent
-//! queries with different kernel × threads settings run against one
-//! resident graph with bit-identical results to the from-scratch path.
+//! queries with different world sizes, engines and kernels run against
+//! one resident graph with bit-identical results to the from-scratch
+//! path.
 //!
 //! Three mechanisms make the "load once, serve many" shape real:
 //!
@@ -61,11 +62,6 @@
 //! staleness check — actual publication of mutated storage happens
 //! under the state lock
 //! (see `docs/CONCURRENCY.md`, "ingest-epoch handoff").
-//!
-//! The one environment-dependent default (`TRIPOLL_THREADS`) is
-//! **pinned** when a [`ResidentQuery`] is constructed: each query carries fully explicit settings, so two
-//! concurrent queries with different thread counts never share (or
-//! race on) a process-global default.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -79,24 +75,19 @@ use tripoll_ygm::wire::Wire;
 use tripoll_ygm::{Comm, CommConfig, World, WorldOutput};
 
 use crate::delta::survey_delta_push;
-use crate::engine::{
-    kernel_stats_take, EngineMode, KernelStats, Parallelism, SurveyConfig, SurveyReport,
-};
+use crate::engine::{kernel_stats_take, EngineMode, KernelStats, SurveyConfig, SurveyReport};
 use crate::meta::TriangleMeta;
 use crate::push_only::survey_push_only_with;
 use crate::push_pull::{survey_push_pull_planned, DryRunPlan, PlanMode};
 
 /// One query against a [`ResidentGraph`]: the world size plus fully
-/// explicit engine and communicator settings.
-///
-/// [`ResidentQuery::new`] resolves the environment-dependent thread
-/// count up front ([`SurveyConfig::pinned`]), so a query's behavior is
+/// explicit engine and communicator settings, so a query's behavior is
 /// a function of its fields alone.
 #[derive(Debug, Clone)]
 pub struct ResidentQuery {
     /// Simulated ranks of the per-query world.
     pub nranks: usize,
-    /// Engine configuration (kernel × threads).
+    /// Engine configuration (the intersection kernel).
     pub config: SurveyConfig,
     /// Communicator configuration of the per-query world.
     pub comm: CommConfig,
@@ -108,13 +99,13 @@ pub struct ResidentQuery {
 }
 
 impl ResidentQuery {
-    /// A query over `nranks` simulated ranks with pinned defaults:
-    /// Push-Pull engine, production [`SurveyConfig`] with the thread
-    /// count resolved to an explicit value, default [`CommConfig`].
+    /// A query over `nranks` simulated ranks with the defaults:
+    /// Push-Pull engine, production [`SurveyConfig`], default
+    /// [`CommConfig`].
     pub fn new(nranks: usize) -> Self {
         ResidentQuery {
             nranks,
-            config: SurveyConfig::new().pinned(),
+            config: SurveyConfig::new(),
             comm: CommConfig::default(),
             mode: EngineMode::PushPull,
         }
@@ -126,24 +117,15 @@ impl ResidentQuery {
         self
     }
 
-    /// This query with the given engine configuration, pinned
-    /// ([`SurveyConfig::pinned`]) like the one [`ResidentQuery::new`]
-    /// starts from.
+    /// This query with the given engine configuration.
     pub fn with_config(mut self, config: SurveyConfig) -> Self {
-        self.config = config.pinned();
+        self.config = config;
         self
     }
 
     /// This query with the given communicator configuration.
     pub fn with_comm(mut self, comm: CommConfig) -> Self {
         self.comm = comm;
-        self
-    }
-
-    /// This query with the given merge parallelism, pinned like
-    /// [`ResidentQuery::with_config`].
-    pub fn with_threads(mut self, threads: Parallelism) -> Self {
-        self.config = self.config.with_threads(threads).pinned();
         self
     }
 }
@@ -153,8 +135,8 @@ impl ResidentQuery {
 pub struct QueryOutcome {
     /// The rank's phase/traffic report.
     pub report: SurveyReport,
-    /// Intersection-kernel counters accumulated by this rank during
-    /// the query (worker-thread contributions already folded in).
+    /// Intersection-kernel counters accumulated by this rank's thread
+    /// during the query.
     pub kernel: KernelStats,
 }
 
@@ -709,23 +691,13 @@ mod tests {
     #[test]
     fn queries_carry_explicit_settings() {
         let q = ResidentQuery::new(2);
-        assert!(
-            !matches!(q.config.threads, Parallelism::Env),
-            "pinned query must not depend on the environment"
-        );
-        let pinned = Parallelism::Threads(Parallelism::Env.resolved() as u32);
-        assert_eq!(
-            q.clone().with_threads(Parallelism::Env).config.threads,
-            pinned
-        );
+        assert_eq!(q.nranks, 2);
+        assert_eq!(q.config, SurveyConfig::new());
+        assert_eq!(q.mode, EngineMode::PushPull);
         let q = q
-            .with_threads(Parallelism::Threads(3))
             .with_config(SurveyConfig::new().with_kernel(IntersectKernel::Gallop))
             .with_mode(EngineMode::PushOnly);
         assert_eq!(q.config.kernel, IntersectKernel::Gallop);
-        // `with_config` replaces the whole configuration, threads
-        // included, and pins what it is given.
-        assert_eq!(q.config.threads, pinned);
         assert_eq!(q.mode, EngineMode::PushOnly);
     }
 

@@ -7,8 +7,9 @@
 //! (a,b,c,d) probabilities, Graph500-style parameters by default, and
 //! optional vertex scrambling so vertex id gives no locality hint.
 //!
-//! Generation is deterministic in `seed` and data-parallel (each chunk of
-//! edges derives its own stream from the seed).
+//! Generation is deterministic in `seed` and chunked: each chunk of
+//! edges derives its own stream from the seed, so the output does not
+//! depend on how the chunks are scheduled.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

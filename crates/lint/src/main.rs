@@ -15,11 +15,15 @@
 //! 3. **missing-docs-heuristic** — top-level `pub` items in crates
 //!    still at `#![warn(missing_docs)]` (where the compiler will not
 //!    fail the build) must have a doc comment.
+//! 4. **env-free-survey-stack** — no `std::env::var` (or `var_os` /
+//!    `vars`) in the library sources of the survey stack
+//!    (`crates/{ygm,graph,core,sync}/src`): every setting of a survey
+//!    is an explicit argument, never an environment knob.
 //!
 //! The scanner is token-level, not a parser: it splits each line into
 //! code and comment text, neutralizing string/char literals and
 //! handling nested block comments and raw strings, which is exactly
-//! enough precision for the three checks above.
+//! enough precision for the four checks above.
 //!
 //! Usage: `cargo run -p tripoll-lint -- --workspace` from the
 //! repository root. Exits nonzero if any finding is reported.
@@ -92,6 +96,7 @@ fn main() {
             seen_ordering_files.push(rel.clone());
         }
         check_orderings(&rel, &counts, &allowlist, &mut findings);
+        check_env_free(&rel, &lines, &mut findings);
         if workspace && warn_only_crate_root(path).is_some() {
             check_missing_docs(&rel, &lines, &mut findings);
         }
@@ -621,6 +626,35 @@ fn check_missing_docs(file: &str, lines: &[Line], findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
+// Check 4: env-free-survey-stack
+// ---------------------------------------------------------------------
+
+/// Library source trees that may not read the process environment.
+const ENV_FREE_SRC: [&str; 4] = [
+    "crates/ygm/src/",
+    "crates/graph/src/",
+    "crates/core/src/",
+    "crates/sync/src/",
+];
+
+fn check_env_free(file: &str, lines: &[Line], findings: &mut Vec<Finding>) {
+    let path = file.trim_start_matches("./");
+    if !ENV_FREE_SRC.iter().any(|dir| path.starts_with(dir)) {
+        return;
+    }
+    for (idx, line) in lines.iter().enumerate() {
+        if line.code.contains("env::var") {
+            findings.push(Finding {
+                file: file.into(),
+                line: idx + 1,
+                rule: "env-free-survey-stack",
+                msg: "environment read in the survey stack: take the setting as an argument".into(),
+            });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
@@ -737,6 +771,43 @@ mod tests {
         );
         assert_eq!(f.len(), 1);
         assert!(f[0].to_string().contains("pub fn b"));
+    }
+
+    fn env_findings(file: &str, src: &str) -> usize {
+        let mut f = Vec::new();
+        check_env_free(file, &scan(src), &mut f);
+        f.len()
+    }
+
+    #[test]
+    fn env_read_in_the_survey_stack_is_flagged() {
+        let read = "let n = std::env::var(\"KNOB\").ok();\n";
+        for file in [
+            "crates/core/src/engine.rs",
+            "./crates/ygm/src/comm.rs",
+            "crates/graph/src/dodgr.rs",
+            "crates/sync/src/lib.rs",
+        ] {
+            assert_eq!(env_findings(file, read), 1, "{file}");
+        }
+        assert_eq!(
+            env_findings(
+                "crates/core/src/a.rs",
+                "use std::env;\nlet v = env::var_os(\"K\");\n"
+            ),
+            1
+        );
+        // Out of scope: generators and harnesses, tests, examples.
+        for file in [
+            "crates/gen/src/datasets.rs",
+            "crates/bench/src/lib.rs",
+            "crates/core/tests/model.rs",
+        ] {
+            assert_eq!(env_findings(file, read), 0, "{file}");
+        }
+        // Prose, literals and other `env` items do not count.
+        let benign = "// std::env::var is banned here\nlet s = \"env::var\";\nlet d = std::env::temp_dir();\n";
+        assert_eq!(env_findings("crates/core/src/a.rs", benign), 0);
     }
 
     #[test]

@@ -1,113 +1,45 @@
 //! Offline stand-in for the subset of `rayon` this workspace uses.
 //!
 //! The container has no crates.io access, so this shim provides the
-//! rayon method names with **real parallelism** built on the
-//! persistent work-stealing [`pool`] (spawned once per process, reused
-//! by every call): `into_par_iter` pipelines execute their adapters
-//! eagerly over contiguous chunks dispatched to the pool (results
-//! concatenated in order), and `par_sort_unstable*` partitions on the
-//! calling thread via `select_nth_unstable_by`, then sorts the
-//! segments on the pool. Small inputs skip the dispatch machinery
-//! entirely and run sequentially, so tiny call sites pay nothing.
+//! rayon method names its three callers need — `into_par_iter` with
+//! `map` / `flat_map_iter` / `collect` / `sum`, and
+//! `par_sort_unstable` — executed **sequentially** on the calling
+//! thread. In this workspace a rank is already a thread, so the rank
+//! is the unit of parallelism; nothing here adds a second layer.
 //!
-//! Closure and item bounds mirror real rayon (`Fn + Sync`, items
-//! `Send`), so swapping the real crate back in is a one-line Cargo.toml
-//! change. Two deliberate deviations, both safe for this workspace's
-//! call sites: adapters are eager (each `map`/`filter` materializes a
-//! `Vec`, costing memory proportional to the intermediate stage), and
-//! the *stable* `par_sort` remains sequential.
-
-use std::cmp::Ordering;
-
-pub mod pool;
+//! Every adapter preserves input order, so results are identical to
+//! real rayon's for these call sites. Closure and item bounds mirror
+//! real rayon (`Fn + Sync`, items `Send`), so swapping the real crate
+//! back in is a one-line Cargo.toml change.
 
 /// The rayon prelude: traits that add `par_*` methods.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelSliceMut};
 }
 
-/// Inputs shorter than this run sequentially: even with the persistent
-/// pool, dispatch costs a lock round-trip and a wakeup, so parallelism
-/// only pays past a few thousand elements of per-item work.
-const SEQ_CUTOFF: usize = 1024;
-
-/// Sub-slices shorter than this sort sequentially.
-const SORT_SEQ_CUTOFF: usize = 4096;
-
-/// Splits `items` into contiguous chunks (one per pool thread), runs
-/// `run` on each across the pool, and concatenates the results in
-/// chunk order (so every adapter preserves input order). Worker panics
-/// propagate with their original payload.
-fn chunked<T: Send, B: Send>(items: Vec<T>, run: impl Fn(Vec<T>) -> Vec<B> + Sync) -> Vec<B> {
-    let pool = pool::global();
-    if pool.workers() == 0 || items.len() < SEQ_CUTOFF {
-        return run(items);
-    }
-    let nchunks = pool.workers() + 1;
-    let chunk_len = items.len().div_ceil(nchunks);
-    let mut slots: Vec<(Vec<T>, Vec<B>)> = Vec::with_capacity(nchunks);
-    let mut rest = items;
-    while rest.len() > chunk_len {
-        let tail = rest.split_off(chunk_len);
-        slots.push((std::mem::replace(&mut rest, tail), Vec::new()));
-    }
-    slots.push((rest, Vec::new()));
-    pool.run_mut(&mut slots, |slot| {
-        slot.1 = run(std::mem::take(&mut slot.0));
-    });
-    let mut out = Vec::new();
-    for (_, part) in slots {
-        out.extend(part);
-    }
-    out
-}
-
-/// A materialized parallel iterator: adapters execute eagerly over
-/// scoped-thread chunks, preserving element order.
+/// A materialized "parallel" iterator: adapters execute eagerly, in
+/// order, on the calling thread.
 pub struct Par<T>(Vec<T>);
 
 impl<T: Send> Par<T> {
-    /// Maps each item (in parallel past the cutoff).
+    /// Maps each item.
     pub fn map<B, F>(self, f: F) -> Par<B>
     where
         B: Send,
         F: Fn(T) -> B + Sync,
     {
-        Par(chunked(self.0, |chunk| chunk.into_iter().map(&f).collect()))
-    }
-
-    /// Filters items.
-    pub fn filter<F>(self, f: F) -> Par<T>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        Par(chunked(self.0, |chunk| {
-            chunk.into_iter().filter(&f).collect()
-        }))
+        Par(self.0.into_iter().map(f).collect())
     }
 
     /// Flat-maps each item through a serial iterator (rayon's
-    /// `flat_map_iter`): the produced iterators are consumed on the
-    /// worker that ran the closure.
+    /// `flat_map_iter`).
     pub fn flat_map_iter<U, F>(self, f: F) -> Par<U::Item>
     where
         U: IntoIterator,
         U::Item: Send,
         F: Fn(T) -> U + Sync,
     {
-        Par(chunked(self.0, |chunk| {
-            chunk.into_iter().flat_map(&f).collect()
-        }))
-    }
-
-    /// Flat-maps each item (rayon's `flat_map`).
-    pub fn flat_map<U, F>(self, f: F) -> Par<U::Item>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.flat_map_iter(f)
+        Par(self.0.into_iter().flat_map(f).collect())
     }
 
     /// Collects into a container.
@@ -115,69 +47,12 @@ impl<T: Send> Par<T> {
         self.0.into_iter().collect()
     }
 
-    /// Sums the items (chunk partials, then a fold of the partials —
-    /// rayon's `Sum<T> + Sum<S>` shape).
+    /// Sums the items.
     pub fn sum<S>(self) -> S
     where
         S: std::iter::Sum<T> + std::iter::Sum<S> + Send,
     {
-        chunked(self.0, |chunk| vec![chunk.into_iter().sum::<S>()])
-            .into_iter()
-            .sum()
-    }
-
-    /// Counts the items.
-    pub fn count(self) -> usize {
-        self.0.len()
-    }
-
-    /// Runs `f` on each item.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(T) + Sync,
-    {
-        chunked(self.0, |chunk| {
-            chunk.into_iter().for_each(&f);
-            Vec::<()>::new()
-        });
-    }
-
-    /// Folds chunks from `identity` and combines the partials (rayon's
-    /// identity + associative-operator reduce).
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> T
-    where
-        ID: Fn() -> T + Sync,
-        OP: Fn(T, T) -> T + Sync,
-    {
-        chunked(self.0, |chunk| {
-            vec![chunk.into_iter().fold(identity(), &op)]
-        })
-        .into_iter()
-        .fold(identity(), &op)
-    }
-
-    /// Largest item.
-    pub fn max(self) -> Option<T>
-    where
-        T: Ord,
-    {
-        chunked(self.0, |chunk| {
-            chunk.into_iter().max().into_iter().collect()
-        })
-        .into_iter()
-        .max()
-    }
-
-    /// Smallest item.
-    pub fn min(self) -> Option<T>
-    where
-        T: Ord,
-    {
-        chunked(self.0, |chunk| {
-            chunk.into_iter().min().into_iter().collect()
-        })
-        .into_iter()
-        .min()
+        self.0.into_iter().sum()
     }
 }
 
@@ -196,59 +71,12 @@ impl<T: IntoIterator> IntoParallelIterator for T {
     }
 }
 
-/// Parallel quicksort on the persistent pool: partition around median
-/// elements with the standard library's `select_nth_unstable_by`
-/// (O(n), in place, safe) on the calling thread until there are about
-/// two segments per pool thread, then sort the disjoint segments
-/// across the pool. Pivot elements land in their final position during
-/// partitioning and are excluded from the segment sorts.
-fn par_qsort<T, F>(v: &mut [T], cmp: &F)
-where
-    T: Send,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let pool = pool::global();
-    if v.len() <= SORT_SEQ_CUTOFF || pool.workers() == 0 {
-        v.sort_unstable_by(|a, b| cmp(a, b));
-        return;
-    }
-    let target = (pool.workers() + 1) * 2;
-    let mut pending: Vec<&mut [T]> = vec![v];
-    let mut segments: Vec<&mut [T]> = Vec::with_capacity(target);
-    while let Some(s) = pending.pop() {
-        if s.len() <= SORT_SEQ_CUTOFF || segments.len() + pending.len() + 2 > target {
-            segments.push(s);
-            continue;
-        }
-        let mid = s.len() / 2;
-        let (lo, _pivot, hi) = s.select_nth_unstable_by(mid, |a, b| cmp(a, b));
-        pending.push(lo);
-        pending.push(hi);
-    }
-    pool.run_mut(&mut segments, |seg| seg.sort_unstable_by(|a, b| cmp(a, b)));
-}
-
 /// Slice sorting with rayon's `par_sort*` names.
 pub trait ParallelSliceMut<T> {
-    /// Unstable parallel sort.
+    /// Unstable sort.
     fn par_sort_unstable(&mut self)
     where
         T: Ord + Send;
-    /// Unstable parallel sort by key.
-    fn par_sort_unstable_by_key<K, F>(&mut self, f: F)
-    where
-        T: Send,
-        K: Ord,
-        F: Fn(&T) -> K + Sync;
-    /// Unstable parallel sort by comparator.
-    fn par_sort_unstable_by<F>(&mut self, f: F)
-    where
-        T: Send,
-        F: Fn(&T, &T) -> Ordering + Sync;
-    /// Stable sort (sequential in this shim).
-    fn par_sort(&mut self)
-    where
-        T: Ord;
 }
 
 impl<T> ParallelSliceMut<T> for [T] {
@@ -256,35 +84,13 @@ impl<T> ParallelSliceMut<T> for [T] {
     where
         T: Ord + Send,
     {
-        par_qsort(self, &|a: &T, b: &T| a.cmp(b));
-    }
-    fn par_sort_unstable_by_key<K, F>(&mut self, f: F)
-    where
-        T: Send,
-        K: Ord,
-        F: Fn(&T) -> K + Sync,
-    {
-        par_qsort(self, &|a: &T, b: &T| f(a).cmp(&f(b)));
-    }
-    fn par_sort_unstable_by<F>(&mut self, f: F)
-    where
-        T: Send,
-        F: Fn(&T, &T) -> Ordering + Sync,
-    {
-        par_qsort(self, &f);
-    }
-    fn par_sort(&mut self)
-    where
-        T: Ord,
-    {
-        self.sort();
+        self.sort_unstable();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::*;
 
     #[test]
     fn par_pipeline_matches_serial() {
@@ -307,105 +113,26 @@ mod tests {
 
     #[test]
     fn large_pipeline_preserves_order_and_results() {
-        // Large enough to cross SEQ_CUTOFF, so the chunked path runs.
         let n = 100_000u64;
         let out: Vec<u64> = (0..n)
             .into_par_iter()
             .map(|x| x.wrapping_mul(2654435761))
-            .filter(|x| x % 3 != 0)
             .collect();
-        let expect: Vec<u64> = (0..n)
-            .map(|x| x.wrapping_mul(2654435761))
-            .filter(|x| x % 3 != 0)
-            .collect();
+        let expect: Vec<u64> = (0..n).map(|x| x.wrapping_mul(2654435761)).collect();
         assert_eq!(out, expect);
         let sum: u64 = (0..n).into_par_iter().map(|x| x % 97).sum();
         let expect_sum: u64 = (0..n).map(|x| x % 97).sum();
         assert_eq!(sum, expect_sum);
-        assert_eq!((0..n).into_par_iter().max(), Some(n - 1));
-        assert_eq!((0..n).into_par_iter().min(), Some(0));
-        let reduced = (0..n)
-            .into_par_iter()
-            .reduce(|| 0u64, |a, b| a.wrapping_add(b));
-        assert_eq!(reduced, (0..n).sum::<u64>());
     }
 
     #[test]
     fn large_sorts_match_std() {
-        let mk =
-            |n: u64| -> Vec<u64> { (0..n).map(|i| i.wrapping_mul(0x9e3779b97f4a7c15)).collect() };
-        // Crosses SORT_SEQ_CUTOFF: the parallel quicksort path.
-        let mut a = mk(200_000);
+        let mut a: Vec<u64> = (0..200_000u64)
+            .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15))
+            .collect();
         let mut b = a.clone();
         a.par_sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-
-        let mut a = mk(50_000);
-        let mut b = a.clone();
-        a.par_sort_unstable_by(|x, y| y.cmp(x));
-        b.sort_unstable_by(|x, y| y.cmp(x));
-        assert_eq!(a, b);
-
-        let mut a = mk(50_000);
-        let mut b = a.clone();
-        a.par_sort_unstable_by_key(|x| x % 1000);
-        b.sort_unstable_by_key(|x| x % 1000);
-        // Unstable by-key: compare as multisets per key bucket.
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn work_actually_spreads_across_threads() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        if pool::global().workers() < 2 {
-            // On a 1-core box the caller can legitimately drain both
-            // chunks before the lone worker is scheduled; the pool's
-            // own sleep-based test covers cross-thread execution there.
-            return;
-        }
-        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        (0..10_000u64).into_par_iter().for_each(|_| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-        });
-        assert!(
-            seen.lock().unwrap().len() >= 2,
-            "chunked for_each ran on one thread"
-        );
-    }
-
-    #[test]
-    fn nested_parallel_calls_do_not_deadlock() {
-        // A parallel pipeline whose per-item work itself calls
-        // `par_sort_unstable` (both layers cross their cutoffs, so both
-        // genuinely dispatch to the shared pool).
-        let sums: Vec<u64> = (0..SEQ_CUTOFF as u64 * 2)
-            .into_par_iter()
-            .map(|i| {
-                if i % 1024 == 0 {
-                    let mut v: Vec<u64> = (0..(SORT_SEQ_CUTOFF as u64 * 2))
-                        .map(|j| j.wrapping_mul(0x9e3779b97f4a7c15) ^ i)
-                        .collect();
-                    v.par_sort_unstable();
-                    v[0]
-                } else {
-                    i
-                }
-            })
-            .collect();
-        assert_eq!(sums.len(), SEQ_CUTOFF * 2);
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            (0..10_000u64).into_par_iter().for_each(|i| {
-                assert!(i < 9_999, "deliberate worker panic");
-            });
-        });
-        assert!(result.is_err());
     }
 }

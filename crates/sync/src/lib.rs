@@ -6,22 +6,17 @@
 //! to exactly the code they had before. Under `--cfg tripoll_model`
 //! (injected via `RUSTFLAGS` by the model-test CI job; see
 //! `docs/CONCURRENCY.md`) the same paths resolve to the instrumented
-//! types from `tripoll-modelcheck`, so the runtime's real mutexes,
-//! condvars, atomics, and thread spawns become schedule points of the
-//! bounded-exhaustive model checker — the code under test is the
-//! shipping code, not a transliteration.
+//! types from `tripoll-modelcheck`, so the runtime's real atomics and
+//! spin-loop yields become schedule points of the bounded-exhaustive
+//! model checker — the code under test is the shipping code, not a
+//! transliteration.
 //!
-//! Deliberately **not** switched: `Arc`, `OnceLock`, and
-//! `available_parallelism` (no scheduling decisions worth exploring),
-//! plus everything in crates that never runs inside a model closure.
+//! The facade carries exactly what the quiescence protocol
+//! (`tripoll_ygm::quiesce`) uses. Deliberately **not** switched: `Arc`
+//! and `OnceLock` (no scheduling decisions worth exploring), plus
+//! everything in crates that never runs inside a model closure.
 
 #![deny(missing_docs)]
-
-#[cfg(not(tripoll_model))]
-pub use std::sync::{Condvar, Mutex, MutexGuard};
-
-#[cfg(tripoll_model)]
-pub use tripoll_modelcheck::sync::{Condvar, Mutex, MutexGuard};
 
 /// Atomic types and `Ordering`: std's in normal builds, instrumented
 /// under `--cfg tripoll_model`.
@@ -29,18 +24,18 @@ pub mod atomic {
     pub use std::sync::atomic::Ordering;
 
     #[cfg(not(tripoll_model))]
-    pub use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize};
+    pub use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize};
 
     #[cfg(tripoll_model)]
-    pub use tripoll_modelcheck::sync::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize};
+    pub use tripoll_modelcheck::sync::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize};
 }
 
-/// Thread spawning and yielding: std's in normal builds, the model
-/// scheduler's under `--cfg tripoll_model`.
+/// Spin-loop yielding: std's in normal builds, the model scheduler's
+/// under `--cfg tripoll_model`.
 pub mod thread {
     #[cfg(not(tripoll_model))]
-    pub use std::thread::{spawn, yield_now, Builder, JoinHandle};
+    pub use std::thread::yield_now;
 
     #[cfg(tripoll_model)]
-    pub use tripoll_modelcheck::thread::{spawn, yield_now, Builder, JoinHandle};
+    pub use tripoll_modelcheck::thread::yield_now;
 }

@@ -145,14 +145,7 @@ pub struct Comm {
     /// Scratch for `send_to_many`: one record is encoded here once, then
     /// memcpy'd into destination buffers.
     scratch: RefCell<Vec<u8>>,
-    /// Invoked while this rank spins in `barrier()`: lets an engine
-    /// drain work it deferred past handler return (see `defer_work`).
-    /// Returns true if it made progress.
-    drain_hook: RefCell<Option<DrainHook>>,
 }
-
-/// A barrier-spin progress callback (see [`Comm::set_drain_hook`]).
-type DrainHook = Rc<dyn Fn(&Comm) -> bool>;
 
 /// Drained send-buffer vectors retained per rank. Bounds pooled memory
 /// near `POOL_BUFFERS × flush_threshold` while covering the steady-state
@@ -183,7 +176,6 @@ impl Comm {
             in_dispatch: Cell::new(false),
             pool: RefCell::new(BufferPool::new(POOL_BUFFERS, pool_buffer_cap)),
             scratch: RefCell::new(Vec::new()),
-            drain_hook: RefCell::new(None),
         }
     }
 
@@ -528,11 +520,11 @@ impl Comm {
         );
         self.flush_all();
         // The rendezvous itself lives in `Quiescence::barrier`; this
-        // closure is one poll-and-drain progress step, flushing any
-        // sends the drained work produced.
+        // closure is one poll progress step, flushing any sends the
+        // executed handlers produced.
         self.shared.q.barrier(self.nranks(), || {
             self.check_poison();
-            if self.poll() | self.run_drain_hook() {
+            if self.poll() {
                 self.flush_all();
                 true
             } else {
@@ -540,47 +532,6 @@ impl Comm {
             }
         });
         self.counters().barriers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Registers the barrier drain hook. The hook runs on this rank's
-    /// thread whenever the rank spins inside `barrier()`; it should
-    /// drain any engine-side deferred work (typically paired with
-    /// [`Comm::defer_work`]) and return true if it made progress, in
-    /// which case the barrier flushes any sends the drained work
-    /// produced and keeps polling. Replaces any previous hook.
-    pub fn set_drain_hook(&self, hook: impl Fn(&Comm) -> bool + 'static) {
-        *self.drain_hook.borrow_mut() = Some(Rc::new(hook));
-    }
-
-    /// Removes the barrier drain hook, if any.
-    pub fn clear_drain_hook(&self) {
-        *self.drain_hook.borrow_mut() = None;
-    }
-
-    fn run_drain_hook(&self) -> bool {
-        // Cloned out of the RefCell so the hook itself may install or
-        // clear hooks without re-entrant borrow panics.
-        let hook = self.drain_hook.borrow().clone();
-        match hook {
-            Some(hook) => hook(self),
-            None => false,
-        }
-    }
-
-    /// Counts one unit of engine-deferred work against the quiescence
-    /// barrier, exactly as an in-flight record would be counted: no
-    /// barrier releases until [`Comm::deferred_done`] balances it.
-    /// Engines that queue decoded work past handler return (e.g. the
-    /// parallel merge path) pair this with a drain hook so the barrier
-    /// both waits for and actively drains the queue.
-    pub fn defer_work(&self) {
-        self.shared.q.record_sent();
-    }
-
-    /// Balances one [`Comm::defer_work`] after the deferred unit has
-    /// fully executed (including any records it sent being counted).
-    pub fn deferred_done(&self) {
-        self.shared.q.record_done();
     }
 
     #[inline]

@@ -14,9 +14,9 @@
 //! `lint/orderings.toml`)
 //!
 //! * `pending` (**quiescence-pending-counter**): records sent but not
-//!   yet fully processed, summed over all ranks, plus engine-deferred
-//!   work units. Increments happen *before* the record becomes visible
-//!   anywhere; decrements happen *after* the record's handler ran.
+//!   yet fully processed, summed over all ranks. Increments happen
+//!   *before* the record becomes visible anywhere; decrements happen
+//!   *after* the record's handler ran.
 //!   AcqRel on the increments/decrements suffices: the Release half of
 //!   each decrement orders the record's execution before it, and the
 //!   barrier's SeqCst read acquires the whole chain (read-modify-writes
@@ -127,8 +127,8 @@ impl Quiescence {
     }
 
     /// The quiescence barrier rendezvous. `progress` is the caller's
-    /// poll-and-drain step: it must make message progress (dispatch
-    /// received records, run drain hooks, flush what they produced),
+    /// poll step: it must make message progress (dispatch received
+    /// records, flush what their handlers produced),
     /// return whether anything happened, and panic if the world is
     /// poisoned. The last arrival drives `progress` until the world is
     /// quiescent (`pending == 0` with nothing left to poll), then

@@ -222,15 +222,6 @@ impl<'a> WireReader<'a> {
         Ok(b)
     }
 
-    /// The bytes consumed since `start` (a previously saved
-    /// [`WireReader::position`]). Borrowed from the underlying buffer,
-    /// so the slice outlives the reader — how a handler captures the
-    /// bytes of a frame it has just validated.
-    #[inline]
-    pub fn since(&self, start: usize) -> &'a [u8] {
-        &self.buf[start..self.pos]
-    }
-
     /// Advances past one LEB128 varint without assembling its value.
     #[inline]
     pub fn skip_varint(&mut self) -> Result<(), WireError> {

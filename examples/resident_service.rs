@@ -9,13 +9,12 @@
 //! the server shape instead: ingest an R-MAT graph **once** into a
 //! [`ResidentGraph`], save it as a versioned binary snapshot, restart
 //! from the snapshot in O(read), and then serve a stream of queries —
-//! different world sizes, engines, and thread counts — against the
-//! same shared storage. Repeat Push-Pull queries at a world size
+//! different world sizes and engines — against the same shared
+//! storage. Repeat Push-Pull queries at a world size
 //! replay the cached dry-run plan with zero dry-run traffic.
 
 use std::time::Instant;
 
-use tripoll::core::Parallelism;
 use tripoll::prelude::*;
 
 fn main() {
@@ -59,20 +58,17 @@ fn main() {
 
     // ---- Serve many queries against the shared storage ---------------
     println!("Serving queries against the restored graph:");
-    for (nranks, mode, threads) in [
-        (2, EngineMode::PushOnly, Parallelism::Serial),
-        (4, EngineMode::PushPull, Parallelism::Serial),
-        (4, EngineMode::PushPull, Parallelism::Threads(4)), // replays the cached plan
-        (7, EngineMode::PushPull, Parallelism::Threads(2)),
+    for (nranks, mode) in [
+        (2, EngineMode::PushOnly),
+        (4, EngineMode::PushPull),
+        (4, EngineMode::PushPull), // replays the cached plan
+        (7, EngineMode::PushPull),
     ] {
-        let q = ResidentQuery::new(nranks)
-            .with_mode(mode)
-            .with_threads(threads);
+        let q = ResidentQuery::new(nranks).with_mode(mode);
         let t = Instant::now();
         let count = restored.triangle_count(&q);
         println!(
-            "  {mode} on {nranks} ranks ({:?} merge): {count} triangles in {:.1?}",
-            threads,
+            "  {mode} on {nranks} ranks: {count} triangles in {:.1?}",
             t.elapsed()
         );
     }

@@ -1,7 +1,6 @@
-//! Shared support of the differential suites (`kernels`, `parallel`,
-//! `production_path`): the string-metadata graphs
-//! they survey and one survey runner that harvests everything any of
-//! them compares. Each suite uses a subset, hence the `dead_code` allow.
+//! Shared support of the differential suites (`kernels`,
+//! `production_path`): the string-metadata graphs they survey and one
+//! survey runner that harvests everything any of them compares. Each suite uses a subset, hence the `dead_code` allow.
 
 #![allow(dead_code)]
 
@@ -162,8 +161,8 @@ pub fn random_graph() -> EdgeList<String> {
 }
 
 /// The shared-hub construction that forces the Push-Pull pull phase to
-/// carry the triangles (the re-walked `ColView` kernel site, one queued
-/// work item per resume suffix) and yields skewed intersections for the
+/// carry the triangles (the re-walked `ColView` kernel site, one walk
+/// per resume suffix) and yields skewed intersections for the
 /// size-ratio heuristic. One triangle per source vertex.
 pub fn hub_graph() -> EdgeList<String> {
     let (h1, h2) = (1000, 1001);

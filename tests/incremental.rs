@@ -7,8 +7,7 @@
 //!    bit-identical to a from-scratch build + survey of the
 //!    concatenated prefix: the same snapshot bytes, and same counts,
 //!    same metadata seen by every callback (checksummed), same merged
-//!    [`KernelStats`] counters, across engine × ranks {1,2,4,7} ×
-//!    Serial/Threads(4).
+//!    [`KernelStats`] counters, across engine × ranks {1,2,4,7}.
 //! 2. **Surveys**: the delta survey of each batch, merged additively
 //!    into a running [`SurveyDelta`], equals the full survey of the
 //!    prefix: `full(G ∪ B) == full(G) + delta(G, B)` for the count,
@@ -17,11 +16,11 @@
 //! The delta survey's wire bytes and kernel candidates for a 1 % batch
 //! on a fixed R-MAT graph are pinned to literals.
 //!
-//! The full 16-combination setting matrix is too slow to cross with
+//! The full 8-combination setting matrix is too slow to cross with
 //! every (graph, split, batch) triple, so each batch checks a rotating
 //! deterministic slice of the matrix — every combination is exercised
 //! against several prefixes across the test — and selected final
-//! prefixes sweep all 16.
+//! prefixes sweep all 8.
 //!
 //! Hostile cases ride along: empty first batches, batches referencing
 //! unknown vertices under strict ingest (structured error, graph
@@ -41,8 +40,8 @@ use std::sync::{Arc, Barrier, Mutex};
 use proptest::prelude::*;
 use tripoll::core::{
     kernel_stats_take, survey_push_only_with, survey_push_pull_with, EngineMode, KernelStats,
-    Parallelism, ResidentGraph, ResidentQuery, SurveyConfig, SurveyDelta, SurveyDeltaSink,
-    TriangleMeta, TriangleSample,
+    ResidentGraph, ResidentQuery, SurveyConfig, SurveyDelta, SurveyDeltaSink, TriangleMeta,
+    TriangleSample,
 };
 use tripoll::gen::{edge_batches, rmat_edges, RmatConfig};
 use tripoll::graph::{build_dist_graph, EdgeList, GraphError, Partition};
@@ -223,21 +222,16 @@ fn hub_edges() -> Vec<(u64, u64)> {
     edges
 }
 
-fn query(nranks: usize, mode: EngineMode, threads: Parallelism) -> ResidentQuery {
-    ResidentQuery::new(nranks)
-        .with_mode(mode)
-        .with_threads(threads)
+fn query(nranks: usize, mode: EngineMode) -> ResidentQuery {
+    ResidentQuery::new(nranks).with_mode(mode)
 }
 
-/// The full setting matrix: engine × ranks {1,2,4,7} ×
-/// Serial/Threads(4) — 16 combinations.
-fn combos() -> Vec<(usize, EngineMode, Parallelism)> {
+/// The full setting matrix: ranks {1,2,4,7} × engine — 8 combinations.
+fn combos() -> Vec<(usize, EngineMode)> {
     let mut out = Vec::new();
     for &nranks in &[1usize, 2, 4, 7] {
         for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
-            for threads in [Parallelism::Serial, Parallelism::Threads(4)] {
-                out.push((nranks, mode, threads));
-            }
+            out.push((nranks, mode));
         }
     }
     out
@@ -283,14 +277,14 @@ fn batch_split_differential_oracle() {
                         .collect()
                 };
                 for ci in picks {
-                    let (nranks, mode, threads) = combos[ci];
-                    let q = query(nranks, mode, threads);
+                    let (nranks, mode) = combos[ci];
+                    let q = query(nranks, mode);
                     let reference = run_direct(&plist, nranks, mode, q.config, vm_of);
                     let got = run_resident(&resident, &q);
                     assert_eq!(
                         got, reference,
                         "incremental != from-scratch [{gname} k={k} batch={bi} \
-                         {mode} n={nranks} {threads:?}]"
+                         {mode} n={nranks}]"
                     );
                 }
             }
@@ -330,11 +324,9 @@ fn merged_deltas_match_full_survey_accumulators() {
                 let sink = SurveyDeltaSink::new();
                 let s2 = sink.clone();
                 let outcomes = resident
-                    .survey_delta(
-                        &delta,
-                        &query(2, mode, Parallelism::Serial),
-                        move |_c, tm| s2.record(sample_of(tm)),
-                    )
+                    .survey_delta(&delta, &query(2, mode), move |_c, tm| {
+                        s2.record(sample_of(tm))
+                    })
                     .expect("delta is current");
                 for o in &outcomes {
                     assert_eq!(o.report.mode, EngineMode::PushOnly, "query named {mode}");
@@ -347,7 +339,7 @@ fn merged_deltas_match_full_survey_accumulators() {
             );
             running.merge(&pushed);
             for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
-                let full = full_accumulation(&resident, &query(3, mode, Parallelism::Threads(2)));
+                let full = full_accumulation(&resident, &query(3, mode));
                 assert_eq!(full.count(), running.count(), "count [k={k} {mode}]");
                 assert_eq!(full, running, "accumulators diverged [k={k} {mode}]");
                 assert_eq!(full.local_counts(), running.local_counts());
@@ -411,7 +403,7 @@ fn empty_first_batch_is_harmless() {
     let d2 = resident.ingest_batch_with(&[], vm_of).unwrap();
     assert!(d2.is_empty());
     assert_eq!(resident.epoch(), 3);
-    let q = query(2, EngineMode::PushPull, Parallelism::Serial);
+    let q = query(2, EngineMode::PushPull);
     let reference = run_direct(
         &EdgeList::from_vec(edges),
         2,
@@ -437,7 +429,7 @@ fn unknown_vertex_rejection_stays_structured() {
     let edges = labeled(random_edges());
     let resident =
         ResidentGraph::build(&EdgeList::from_vec(edges.clone()), vm_of, Partition::Hashed);
-    let q = query(2, EngineMode::PushOnly, Parallelism::Serial);
+    let q = query(2, EngineMode::PushOnly);
     let before = run_resident(&resident, &q);
     let bad = vec![
         (0u64, 1u64, "dup".to_string()),
@@ -475,7 +467,7 @@ fn ingest_after_snapshot_load_is_exact() {
         "snapshot+ingest+snapshot storage != from-scratch storage"
     );
     for (nranks, mode) in [(2, EngineMode::PushOnly), (4, EngineMode::PushPull)] {
-        let q = query(nranks, mode, Parallelism::Threads(4));
+        let q = query(nranks, mode);
         let reference = run_direct(&plist, nranks, mode, q.config, vm_of);
         for (name, graph) in [("ingest", &restored), ("ingest+snapshot", &again)] {
             assert_eq!(
@@ -522,7 +514,7 @@ fn panicking_vm_fn_leaves_the_graph_untouched() {
     assert_eq!(delta.epoch(), 1);
     let mut all = edges;
     all.extend(batch);
-    let q = query(2, EngineMode::PushPull, Parallelism::Serial);
+    let q = query(2, EngineMode::PushPull);
     let reference = run_direct(
         &EdgeList::from_vec(all),
         2,
@@ -544,7 +536,7 @@ fn query_in_flight_across_an_ingest_keeps_its_graph() {
         vm_of,
         Partition::Hashed,
     );
-    let q = query(2, EngineMode::PushOnly, Parallelism::Serial);
+    let q = query(2, EngineMode::PushOnly);
     let before = resident.triangle_count(&q);
     // Every rank and the ingesting thread meet twice: once the query's
     // world is up, and again once the batch is in.
@@ -592,7 +584,7 @@ fn concurrent_queries_racing_ingest_see_whole_graphs() {
 
     // Valid observable counts: every prefix of whole batches.
     let mut valid = vec![0u64]; // before the first batch lands
-    let q = query(2, EngineMode::PushOnly, Parallelism::Serial);
+    let q = query(2, EngineMode::PushOnly);
     for j in 1..=batches.len() {
         let plist = EdgeList::from_vec(edges[..(j * chunk).min(edges.len())].to_vec());
         valid.push(run_direct(&plist, 2, EngineMode::PushOnly, q.config, vm_of).count);
@@ -653,7 +645,7 @@ proptest! {
             resident
                 .survey_delta(
                     &delta,
-                    &query(2, EngineMode::PushOnly, Parallelism::Serial),
+                    &query(2, EngineMode::PushOnly),
                     move |_c, tm| s2.record(sample_of(tm)),
                 )
                 .expect("freshest delta is never stale");
@@ -672,7 +664,7 @@ proptest! {
             "storage != one-shot storage"
         );
         for (nranks, mode) in [(2usize, EngineMode::PushOnly), (3, EngineMode::PushPull)] {
-            let q = query(nranks, mode, Parallelism::Serial);
+            let q = query(nranks, mode);
             prop_assert_eq!(
                 run_resident(&resident, &q),
                 run_resident(&oneshot, &q),
@@ -681,7 +673,7 @@ proptest! {
         }
         let full = full_accumulation(
             &resident,
-            &query(2, EngineMode::PushOnly, Parallelism::Serial),
+            &query(2, EngineMode::PushOnly),
         );
         prop_assert_eq!(full, running, "merged deltas != full accumulation");
     }

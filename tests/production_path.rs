@@ -3,9 +3,7 @@
 //! Every literal below was recorded at the commit *before* the
 //! configuration matrix was collapsed to this one path, so a change
 //! that moves a byte on the wire, a record, a key compare or the kernel
-//! `Auto` resolves to fails here first. `TRIPOLL_THREADS` is
-//! deliberately left to the environment — the queued receive path
-//! merges kernel tallies in batch order, so it must read them too.
+//! `Auto` resolves to fails here first.
 
 mod common;
 

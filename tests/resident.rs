@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tripoll::core::{
-    kernel_stats_take, survey_push_only_with, survey_push_pull_with, EngineMode, KernelStats,
-    Parallelism, ResidentGraph, ResidentQuery, SurveyConfig,
+    kernel_stats_take, survey_push_only_with, survey_push_pull_with, EngineMode, IntersectKernel,
+    KernelStats, ResidentGraph, ResidentQuery, SurveyConfig,
 };
 use tripoll::gen::{rmat_edges, RmatConfig};
 use tripoll::graph::snapshot::{encode_snapshot, SNAPSHOT_MAGIC};
@@ -38,7 +38,7 @@ struct Outcome {
 }
 
 /// Folds one triangle's ids and all six metadata values into a
-/// commutative checksum contribution (same folding as tests/parallel.rs).
+/// commutative checksum contribution.
 fn triangle_hash(tm: &tripoll::core::TriangleMeta<'_, String, String>) -> u64 {
     let mut h = hash64(tm.p) ^ hash64(tm.q).rotate_left(1) ^ hash64(tm.r).rotate_left(2);
     for (i, m) in [
@@ -165,9 +165,7 @@ fn hub_graph() -> EdgeList<String> {
 }
 
 fn query(nranks: usize, mode: EngineMode) -> ResidentQuery {
-    ResidentQuery::new(nranks)
-        .with_mode(mode)
-        .with_threads(Parallelism::Threads(2))
+    ResidentQuery::new(nranks).with_mode(mode)
 }
 
 /// The acceptance matrix: resident surveys — direct **and** via a
@@ -213,9 +211,10 @@ fn snapshot_differential_plan_replay_is_bit_identical() {
     // engine configuration (the plan is config-independent).
     let again = run_resident(&resident, &q);
     assert_eq!(first, again, "replayed query diverged");
-    let serial = query(4, EngineMode::PushPull).with_threads(Parallelism::Serial);
-    let reference = run_direct(&list, 4, EngineMode::PushPull, serial.config);
-    assert_eq!(run_resident(&resident, &serial), reference);
+    let gallop =
+        query(4, EngineMode::PushPull).with_config(SurveyConfig::from(IntersectKernel::Gallop));
+    let reference = run_direct(&list, 4, EngineMode::PushPull, gallop.config);
+    assert_eq!(run_resident(&resident, &gallop), reference);
     let replay_outcomes = resident.survey(&q, |_c, _tm| {});
     for o in &replay_outcomes {
         assert_eq!(o.report.phases[0].name, "dry-run");
@@ -227,36 +226,31 @@ fn snapshot_differential_plan_replay_is_bit_identical() {
     }
 }
 
-/// Two *concurrent* queries with different thread counts and world
-/// sizes against one resident graph: each must match its own direct
-/// reference — queries carry explicit settings and never share a
-/// process-global env default.
+/// Two *concurrent* queries with different world sizes and engines
+/// against one resident graph: each must match its own direct
+/// reference — queries carry explicit settings and share no state.
 #[test]
 fn concurrent_queries_with_different_configs_do_not_interfere() {
     let list = random_graph();
     let resident = Arc::new(ResidentGraph::build(&list, vm_of, Partition::Hashed));
-    let q_serial = ResidentQuery::new(2).with_threads(Parallelism::Serial);
-    let q_wide = query(4, EngineMode::PushOnly).with_threads(Parallelism::Threads(4));
-    assert!(
-        !matches!(q_serial.config.threads, Parallelism::Env),
-        "ResidentQuery::new must pin the thread axis"
-    );
+    let q_narrow = ResidentQuery::new(2);
+    let q_wide = query(4, EngineMode::PushOnly);
 
-    let ref_serial = run_direct(&list, 2, EngineMode::PushPull, q_serial.config);
+    let ref_narrow = run_direct(&list, 2, EngineMode::PushPull, q_narrow.config);
     let ref_wide = run_direct(&list, 4, EngineMode::PushOnly, q_wide.config);
 
     let mut joins = Vec::new();
     for _ in 0..2 {
-        let (r, qs, qw) = (resident.clone(), q_serial.clone(), q_wide.clone());
+        let (r, qn, qw) = (resident.clone(), q_narrow.clone(), q_wide.clone());
         joins.push(std::thread::spawn(move || {
-            (run_resident(&r, &qs), run_resident(&r, &qw))
+            (run_resident(&r, &qn), run_resident(&r, &qw))
         }));
     }
     for j in joins {
-        let (serial, wide) = j.join().expect("query thread panicked");
+        let (narrow, wide) = j.join().expect("query thread panicked");
         assert_eq!(
-            serial, ref_serial,
-            "serial query diverged under concurrency"
+            narrow, ref_narrow,
+            "narrow query diverged under concurrency"
         );
         assert_eq!(wide, ref_wide, "wide query diverged under concurrency");
     }
