@@ -24,4 +24,4 @@ pub use hist::{ceil_log2, Histogram, JointHistogram};
 pub use ktruss::{truss_decomposition, TrussDecomposition};
 pub use louvain::{louvain, louvain_labeled, LouvainResult};
 pub use reference::{enumerate_triangles, triangle_count};
-pub use table::{fmt_bytes, fmt_secs, Table};
+pub use table::Table;

@@ -1,8 +1,7 @@
 //! Column-aligned text tables for experiment output.
 //!
-//! The benchmark harness prints the paper's tables (Table 1, 2, 3, 4) as
-//! plain text; this tiny renderer keeps columns aligned and provides a
-//! CSV escape hatch for plotting.
+//! The examples print their results as plain text; this tiny renderer
+//! keeps columns aligned and provides a CSV escape hatch for plotting.
 
 use std::fmt::Write as _;
 
@@ -108,35 +107,6 @@ impl Table {
     }
 }
 
-/// Formats a byte count as a human-friendly `GB`/`MB`/`KB` string with
-/// two decimals, matching the units of the paper's Table 4.
-pub fn fmt_bytes(bytes: u64) -> String {
-    const KB: f64 = 1024.0;
-    const MB: f64 = KB * 1024.0;
-    const GB: f64 = MB * 1024.0;
-    let b = bytes as f64;
-    if b >= GB {
-        format!("{:.2} GB", b / GB)
-    } else if b >= MB {
-        format!("{:.2} MB", b / MB)
-    } else if b >= KB {
-        format!("{:.2} KB", b / KB)
-    } else {
-        format!("{bytes} B")
-    }
-}
-
-/// Formats seconds with adaptive precision (`ms` below one second).
-pub fn fmt_secs(secs: f64) -> String {
-    if secs < 1.0 {
-        format!("{:.1} ms", secs * 1e3)
-    } else if secs < 100.0 {
-        format!("{secs:.2} s")
-    } else {
-        format!("{secs:.0} s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,21 +138,6 @@ mod tests {
         t.row(&["a,b".to_string(), "1".to_string()]);
         let csv = t.to_csv();
         assert_eq!(csv, "name,value\n\"a,b\",1\n");
-    }
-
-    #[test]
-    fn byte_formatting() {
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(2048), "2.00 KB");
-        assert_eq!(fmt_bytes(3 * 1024 * 1024), "3.00 MB");
-        assert_eq!(fmt_bytes(5 * 1024 * 1024 * 1024), "5.00 GB");
-    }
-
-    #[test]
-    fn secs_formatting() {
-        assert_eq!(fmt_secs(0.0123), "12.3 ms");
-        assert_eq!(fmt_secs(2.5), "2.50 s");
-        assert_eq!(fmt_secs(456.7), "457 s");
     }
 
     #[test]

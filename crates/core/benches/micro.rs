@@ -13,7 +13,7 @@
 //! `tests/incremental.rs`.
 //!
 //! ```text
-//! cargo bench -p tripoll-bench --bench micro
+//! cargo bench -p tripoll-core --bench micro
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};

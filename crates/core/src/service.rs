@@ -7,11 +7,10 @@
 //! build + dry-run from scratch on every call. A [`ResidentGraph`]
 //! inverts that: the partitioned DODGr storage is built **once** and
 //! held behind [`Arc`] as immutable shared state, and every query
-//! spins up a fresh per-query comm world — its own simulated ranks,
-//! its own [`CommConfig`] — against the shared storage. Concurrent
-//! queries with different world sizes, engines and kernels run against
-//! one resident graph with bit-identical results to the from-scratch
-//! path.
+//! spins up a fresh per-query comm world — its own simulated ranks —
+//! against the shared storage. Concurrent queries with different world
+//! sizes, engines and kernels run against one resident graph with
+//! bit-identical results to the from-scratch path.
 //!
 //! Three mechanisms make the "load once, serve many" shape real:
 //!
@@ -72,7 +71,7 @@ use tripoll_graph::ingest::{BatchDelta, ReverseIndex, StagedBatch};
 use tripoll_graph::snapshot::{decode_snapshot, encode_snapshot, load_snapshot, SnapshotError};
 use tripoll_graph::{DistGraph, EdgeList, GraphError, LocalShard, LocalVertex, Partition};
 use tripoll_ygm::wire::Wire;
-use tripoll_ygm::{Comm, CommConfig, World, WorldOutput};
+use tripoll_ygm::{Comm, World, WorldOutput};
 
 use crate::delta::survey_delta_push;
 use crate::engine::{kernel_stats_take, EngineMode, KernelStats, SurveyConfig, SurveyReport};
@@ -81,16 +80,14 @@ use crate::push_only::survey_push_only_with;
 use crate::push_pull::{survey_push_pull_planned, DryRunPlan, PlanMode};
 
 /// One query against a [`ResidentGraph`]: the world size plus fully
-/// explicit engine and communicator settings, so a query's behavior is
-/// a function of its fields alone.
+/// explicit engine settings, so a query's behavior is a function of its
+/// fields alone.
 #[derive(Debug, Clone)]
 pub struct ResidentQuery {
     /// Simulated ranks of the per-query world.
     pub nranks: usize,
     /// Engine configuration (the intersection kernel).
     pub config: SurveyConfig,
-    /// Communicator configuration of the per-query world.
-    pub comm: CommConfig,
     /// Which survey engine runs a *full* survey
     /// ([`ResidentGraph::survey`]). Delta surveys
     /// ([`ResidentGraph::survey_delta`]) do not read it: they always
@@ -100,13 +97,11 @@ pub struct ResidentQuery {
 
 impl ResidentQuery {
     /// A query over `nranks` simulated ranks with the defaults:
-    /// Push-Pull engine, production [`SurveyConfig`], default
-    /// [`CommConfig`].
+    /// Push-Pull engine and production [`SurveyConfig`].
     pub fn new(nranks: usize) -> Self {
         ResidentQuery {
             nranks,
             config: SurveyConfig::new(),
-            comm: CommConfig::default(),
             mode: EngineMode::PushPull,
         }
     }
@@ -120,12 +115,6 @@ impl ResidentQuery {
     /// This query with the given engine configuration.
     pub fn with_config(mut self, config: SurveyConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// This query with the given communicator configuration.
-    pub fn with_comm(mut self, comm: CommConfig) -> Self {
-        self.comm = comm;
         self
     }
 }
@@ -470,16 +459,11 @@ where
         F: Fn(&Comm, &DistGraph<VM, EM>) -> R + Sync,
     {
         let ws = self.world_state(query.nranks);
-        World::new(query.nranks)
-            .with_config(query.comm.clone())
-            .run_with_stats(|comm| {
-                let g = DistGraph::from_parts(
-                    ws.shards[comm.rank()].clone(),
-                    self.partition,
-                    query.nranks,
-                );
-                f(comm, &g)
-            })
+        World::new(query.nranks).run_with_stats(|comm| {
+            let g =
+                DistGraph::from_parts(ws.shards[comm.rank()].clone(), self.partition, query.nranks);
+            f(comm, &g)
+        })
     }
 
     /// Runs `f` against an already-fetched world state (a storage
@@ -489,16 +473,11 @@ where
         R: Send,
         F: Fn(&Comm, &DistGraph<VM, EM>) -> R + Sync,
     {
-        World::new(query.nranks)
-            .with_config(query.comm.clone())
-            .run(|comm| {
-                let g = DistGraph::from_parts(
-                    ws.shards[comm.rank()].clone(),
-                    self.partition,
-                    query.nranks,
-                );
-                f(comm, &g)
-            })
+        World::new(query.nranks).run(|comm| {
+            let g =
+                DistGraph::from_parts(ws.shards[comm.rank()].clone(), self.partition, query.nranks);
+            f(comm, &g)
+        })
     }
 
     /// Runs a triangle survey in a fresh per-query world against the

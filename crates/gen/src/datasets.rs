@@ -15,67 +15,32 @@
 //! | Web Data Commons 2012| page-level web at largest scale + FQDN strings | web model, largest preset |
 //! | Reddit               | temporal comment graph, bursty timestamps    | reddit model |
 //!
-//! Every stand-in is deterministic in its seed, so experiments are
-//! reproducible run-to-run.
+//! The real graphs' published statistics (Table 1; `|E|` counts directed
+//! edges after symmetrization):
+//!
+//! | Paper graph          | `|V|`  | `|E|`  | `|T|`  | `d_max` | `d_max+` |
+//! |----------------------|--------|--------|--------|---------|----------|
+//! | LiveJournal          | 4.85M  | 69.0M  | 286M   | 20 333  | 686      |
+//! | Friendster           | 66M    | 3.6B   | 4.2B   | 5 214   | 868      |
+//! | Twitter              | 42M    | 2.4B   | 34.8B  | 3.0M    | 4 102    |
+//! | uk-2007-05           | 106M   | 6.6B   | 286.7B | 975K    | 5 704    |
+//! | web-cc12-hostgraph   | 101M   | 3.8B   | 415B   | 3.0M    | 10 654   |
+//! | Web Data Commons 2012| 3.56B  | 224.5B | 9.65T  | 95M     | 10 683   |
+//! | Reddit               | 835M   | 9.4B   | 88.1B  | 1.70M   | 3 301    |
+//!
+//! Every stand-in has a vertex count on the order of 1.5k and is
+//! deterministic in its seed, so experiments are reproducible
+//! run-to-run.
 
 use tripoll_graph::EdgeList;
 
 use crate::reddit::{reddit_edges, RedditConfig};
-use crate::rmat::{rmat_edges, RmatConfig};
 use crate::social::{community_social_edges, CommunityConfig, CrossModel};
 use crate::webgraph::{web_graph, WebGraph, WebGraphConfig};
 
-/// Scale presets for the stand-ins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetSize {
-    /// ~1.5k vertices — unit/integration tests.
-    Tiny,
-    /// ~12k vertices — default benchmark size.
-    Small,
-    /// ~48k vertices — heavier benchmark runs.
-    Medium,
-}
-
-impl DatasetSize {
-    /// Base vertex count of the preset.
-    pub fn vertices(&self) -> u64 {
-        match self {
-            DatasetSize::Tiny => 1_500,
-            DatasetSize::Small => 12_000,
-            DatasetSize::Medium => 48_000,
-        }
-    }
-
-    /// Reads `TRIPOLL_BENCH_SIZE` (`tiny`/`small`/`medium`), defaulting
-    /// to `Small`.
-    pub fn from_env() -> Self {
-        match std::env::var("TRIPOLL_BENCH_SIZE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "tiny" => DatasetSize::Tiny,
-            "medium" => DatasetSize::Medium,
-            _ => DatasetSize::Small,
-        }
-    }
-}
-
-/// Stats of the real dataset, quoted from Table 1 for side-by-side
-/// reporting.
-#[derive(Debug, Clone, Copy)]
-pub struct PaperStats {
-    /// `|V|` as printed in Table 1.
-    pub vertices: &'static str,
-    /// `|E|` (directed, post-symmetrization).
-    pub edges: &'static str,
-    /// `|T|` triangle count.
-    pub triangles: &'static str,
-    /// Maximum degree.
-    pub dmax: &'static str,
-    /// Maximum DODGr out-degree.
-    pub dmax_plus: &'static str,
-}
+/// Base vertex count of every stand-in: small enough that a debug-build
+/// test surveys one in well under a second.
+const BASE_VERTICES: u64 = 1_500;
 
 /// A topology-only dataset stand-in.
 #[derive(Debug, Clone)]
@@ -84,8 +49,6 @@ pub struct TopoDataset {
     pub name: &'static str,
     /// Undirected edge records (not yet canonicalized).
     pub edges: Vec<(u64, u64)>,
-    /// The real dataset's published statistics.
-    pub paper: PaperStats,
 }
 
 impl TopoDataset {
@@ -96,8 +59,8 @@ impl TopoDataset {
 }
 
 /// LiveJournal stand-in (paper: 4.85M vertices, 69M edges, 286M triangles).
-pub fn livejournal_like(size: DatasetSize, seed: u64) -> TopoDataset {
-    let v = size.vertices();
+pub fn livejournal_like(seed: u64) -> TopoDataset {
+    let v = BASE_VERTICES;
     TopoDataset {
         name: "LiveJournal",
         edges: community_social_edges(&CommunityConfig {
@@ -108,20 +71,13 @@ pub fn livejournal_like(size: DatasetSize, seed: u64) -> TopoDataset {
             cross: CrossModel::ChungLu { exponent: 2.5 },
             seed,
         }),
-        paper: PaperStats {
-            vertices: "4.85M",
-            edges: "69.0M",
-            triangles: "286M",
-            dmax: "20333",
-            dmax_plus: "686",
-        },
     }
 }
 
 /// Friendster stand-in (66M vertices, 3.6B edges; mild hubs — the graph
 /// where the Push-Pull dry-run does not pay for itself in Table 4).
-pub fn friendster_like(size: DatasetSize, seed: u64) -> TopoDataset {
-    let v = size.vertices();
+pub fn friendster_like(seed: u64) -> TopoDataset {
+    let v = BASE_VERTICES;
     TopoDataset {
         name: "Friendster",
         edges: community_social_edges(&CommunityConfig {
@@ -132,19 +88,12 @@ pub fn friendster_like(size: DatasetSize, seed: u64) -> TopoDataset {
             cross: CrossModel::Uniform,
             seed,
         }),
-        paper: PaperStats {
-            vertices: "66M",
-            edges: "3.6B",
-            triangles: "4.2B",
-            dmax: "5214",
-            dmax_plus: "868",
-        },
     }
 }
 
 /// Twitter stand-in (42M vertices, 2.4B edges, d_max 3M — extreme hubs).
-pub fn twitter_like(size: DatasetSize, seed: u64) -> TopoDataset {
-    let v = size.vertices();
+pub fn twitter_like(seed: u64) -> TopoDataset {
+    let v = BASE_VERTICES;
     TopoDataset {
         name: "Twitter",
         edges: community_social_edges(&CommunityConfig {
@@ -155,20 +104,13 @@ pub fn twitter_like(size: DatasetSize, seed: u64) -> TopoDataset {
             cross: CrossModel::ChungLu { exponent: 2.2 },
             seed,
         }),
-        paper: PaperStats {
-            vertices: "42M",
-            edges: "2.4B",
-            triangles: "34.8B",
-            dmax: "3.0M",
-            dmax_plus: "4102",
-        },
     }
 }
 
 /// uk-2007-05 stand-in (106M vertices, 6.6B edges, 286.7B triangles —
 /// domain-local crawl).
-pub fn uk2007_like(size: DatasetSize, seed: u64) -> WebGraph {
-    let v = size.vertices();
+pub fn uk2007_like(seed: u64) -> WebGraph {
+    let v = BASE_VERTICES;
     web_graph(&WebGraphConfig {
         domains: (v / 45).max(8),
         pages_per_domain_mean: 34,
@@ -181,8 +123,8 @@ pub fn uk2007_like(size: DatasetSize, seed: u64) -> WebGraph {
 
 /// web-cc12-hostgraph stand-in (101M hosts, 3.8B edges, 415B triangles,
 /// d_max 3.0M — the Push-Pull best case of Table 4).
-pub fn webcc12_like(size: DatasetSize, seed: u64) -> WebGraph {
-    let v = size.vertices();
+pub fn webcc12_like(seed: u64) -> WebGraph {
+    let v = BASE_VERTICES;
     web_graph(&WebGraphConfig {
         domains: (v / 10).max(8),
         pages_per_domain_mean: 8,
@@ -195,8 +137,8 @@ pub fn webcc12_like(size: DatasetSize, seed: u64) -> WebGraph {
 
 /// Web Data Commons 2012 stand-in (3.56B pages, 224.5B edges, 9.65T
 /// triangles; FQDN strings on every vertex).
-pub fn wdc_like(size: DatasetSize, seed: u64) -> WebGraph {
-    let v = size.vertices();
+pub fn wdc_like(seed: u64) -> WebGraph {
+    let v = BASE_VERTICES;
     web_graph(&WebGraphConfig {
         domains: (v / 20).max(10),
         pages_per_domain_mean: 15,
@@ -208,8 +150,8 @@ pub fn wdc_like(size: DatasetSize, seed: u64) -> WebGraph {
 }
 
 /// Reddit stand-in (835M authors, 9.4B deduplicated edges, timestamps).
-pub fn reddit_like(size: DatasetSize, seed: u64) -> EdgeList<u64> {
-    let v = size.vertices();
+pub fn reddit_like(seed: u64) -> EdgeList<u64> {
+    let v = BASE_VERTICES;
     reddit_edges(&RedditConfig {
         users: v,
         comments: v * 12,
@@ -218,70 +160,31 @@ pub fn reddit_like(size: DatasetSize, seed: u64) -> EdgeList<u64> {
     })
 }
 
-/// Paper stats for the Reddit graph (for Table 1 reporting).
-pub fn reddit_paper_stats() -> PaperStats {
-    PaperStats {
-        vertices: "835M",
-        edges: "9.4B",
-        triangles: "88.1B",
-        dmax: "1.70M",
-        dmax_plus: "3301",
-    }
-}
-
-/// R-MAT weak-scaling instance: one paper "scale-24 per node" unit,
-/// shrunk to `base_scale` per rank.
-pub fn rmat_weak_scaling(base_scale: u32, ranks: usize, seed: u64) -> Vec<(u64, u64)> {
-    let scale = base_scale + (ranks as f64).log2().round() as u32;
-    rmat_edges(&RmatConfig::graph500(scale, seed))
-}
-
 /// The four graphs of the paper's Table 2 comparison.
-pub fn table2_suite(size: DatasetSize, seed: u64) -> Vec<TopoDataset> {
+pub fn table2_suite(seed: u64) -> Vec<TopoDataset> {
     vec![
-        livejournal_like(size, seed),
-        friendster_like(size, seed + 1),
-        twitter_like(size, seed + 2),
+        livejournal_like(seed),
+        friendster_like(seed + 1),
+        twitter_like(seed + 2),
         TopoDataset {
             name: "Web Data Commons",
-            edges: wdc_like(size, seed + 3).edges,
-            paper: PaperStats {
-                vertices: "3.56B",
-                edges: "224.5B",
-                triangles: "9.65T",
-                dmax: "95M",
-                dmax_plus: "10683",
-            },
+            edges: wdc_like(seed + 3).edges,
         },
     ]
 }
 
 /// The four graphs of the paper's strong-scaling studies (Fig. 4, Tab. 4).
-pub fn table4_suite(size: DatasetSize, seed: u64) -> Vec<TopoDataset> {
+pub fn table4_suite(seed: u64) -> Vec<TopoDataset> {
     vec![
-        friendster_like(size, seed + 1),
-        twitter_like(size, seed + 2),
+        friendster_like(seed + 1),
+        twitter_like(seed + 2),
         TopoDataset {
             name: "uk-2007-05",
-            edges: uk2007_like(size, seed + 4).edges,
-            paper: PaperStats {
-                vertices: "106M",
-                edges: "6.6B",
-                triangles: "286.7B",
-                dmax: "975K",
-                dmax_plus: "5704",
-            },
+            edges: uk2007_like(seed + 4).edges,
         },
         TopoDataset {
             name: "web-cc12-hostgraph",
-            edges: webcc12_like(size, seed + 5).edges,
-            paper: PaperStats {
-                vertices: "101M",
-                edges: "3.8B",
-                triangles: "415B",
-                dmax: "3.0M",
-                dmax_plus: "10654",
-            },
+            edges: webcc12_like(seed + 5).edges,
         },
     ]
 }
@@ -299,12 +202,12 @@ mod tests {
 
     #[test]
     fn suites_have_expected_members() {
-        let t2 = table2_suite(DatasetSize::Tiny, 1);
+        let t2 = table2_suite(1);
         assert_eq!(
             t2.iter().map(|d| d.name).collect::<Vec<_>>(),
             vec!["LiveJournal", "Friendster", "Twitter", "Web Data Commons"]
         );
-        let t4 = table4_suite(DatasetSize::Tiny, 1);
+        let t4 = table4_suite(1);
         assert_eq!(
             t4.iter().map(|d| d.name).collect::<Vec<_>>(),
             vec!["Friendster", "Twitter", "uk-2007-05", "web-cc12-hostgraph"]
@@ -314,8 +217,8 @@ mod tests {
     #[test]
     fn twitter_hubs_dwarf_friendster_hubs() {
         // The defining contrast of the paper's dataset mix.
-        let tw = twitter_like(DatasetSize::Tiny, 3);
-        let fr = friendster_like(DatasetSize::Tiny, 3);
+        let tw = twitter_like(3);
+        let fr = friendster_like(3);
         let (tw_dmax, tw_n) = dmax_of(&tw.edges);
         let (fr_dmax, fr_n) = dmax_of(&fr.edges);
         let tw_ratio = tw_dmax as f64 / tw_n as f64;
@@ -328,7 +231,7 @@ mod tests {
 
     #[test]
     fn all_standins_have_triangles() {
-        for d in table2_suite(DatasetSize::Tiny, 7) {
+        for d in table2_suite(7) {
             let t = tripoll_analysis::triangle_count(&Csr::from_edges(&d.edges));
             assert!(t > 50, "{} has only {t} triangles", d.name);
         }
@@ -336,32 +239,16 @@ mod tests {
 
     #[test]
     fn deterministic_by_seed() {
-        let a = livejournal_like(DatasetSize::Tiny, 9);
-        let b = livejournal_like(DatasetSize::Tiny, 9);
+        let a = livejournal_like(9);
+        let b = livejournal_like(9);
         assert_eq!(a.edges, b.edges);
-        let c = livejournal_like(DatasetSize::Tiny, 10);
+        let c = livejournal_like(10);
         assert_ne!(a.edges, c.edges);
     }
 
     #[test]
-    fn rmat_weak_scaling_grows_with_ranks() {
-        let one = rmat_weak_scaling(8, 1, 5);
-        let four = rmat_weak_scaling(8, 4, 5);
-        assert_eq!(four.len(), 4 * one.len());
-    }
-
-    #[test]
-    fn size_from_env_defaults_small() {
-        // Note: don't set the env var here (tests run in parallel); only
-        // check the default path.
-        if std::env::var("TRIPOLL_BENCH_SIZE").is_err() {
-            assert_eq!(DatasetSize::from_env(), DatasetSize::Small);
-        }
-    }
-
-    #[test]
     fn edge_list_canonicalizes() {
-        let d = livejournal_like(DatasetSize::Tiny, 2);
+        let d = livejournal_like(2);
         let list = d.edge_list();
         // No duplicates, no self-loops, canonical orientation.
         for w in list.as_slice().windows(2) {

@@ -12,8 +12,8 @@
 //!   and the Fig. 8 survey.
 //! * [`reddit`] — a bursty temporal comment graph with timestamps for
 //!   the closure-time survey (§5.7, Fig. 6).
-//! * [`datasets`] — named, size-preset stand-ins plus the suites used by
-//!   each table/figure of the evaluation.
+//! * [`datasets`] — named stand-ins plus the suites used by each
+//!   table/figure of the evaluation.
 //! * [`stream`] — random edge lists pre-cut into ingest batches for the
 //!   incremental-survey property tests.
 
@@ -27,8 +27,8 @@ pub mod stream;
 pub mod webgraph;
 
 pub use datasets::{
-    friendster_like, livejournal_like, reddit_like, rmat_weak_scaling, table2_suite, table4_suite,
-    twitter_like, uk2007_like, wdc_like, webcc12_like, DatasetSize, PaperStats, TopoDataset,
+    friendster_like, livejournal_like, reddit_like, table2_suite, table4_suite, twitter_like,
+    uk2007_like, wdc_like, webcc12_like, TopoDataset,
 };
 pub use reddit::{reddit_comments, reddit_edges, RedditConfig, REDDIT_EPOCH};
 pub use rmat::{rmat_edges, RmatConfig};

@@ -56,8 +56,7 @@ pub struct CommConfig {
     /// YGM's real-cluster ~MB buffers, since a fixed threshold would
     /// degenerate into the §5.4 small-message blowup as the world grows.
     /// Every destination, this rank included, flushes at that one
-    /// threshold. `Some(bytes)` is the explicit override, used by tests
-    /// and the ablation study.
+    /// threshold. `Some(bytes)` is the explicit override, used by tests.
     pub flush_threshold: Option<usize>,
 }
 

@@ -20,7 +20,7 @@ fn main() {
         .unwrap_or(4);
 
     println!("Generating a Web-Data-Commons-like page graph with FQDN metadata...");
-    let web = tripoll::gen::wdc_like(DatasetSize::Tiny, 42);
+    let web = tripoll::gen::wdc_like(42);
     let edges = EdgeList::from_vec(
         web.edges
             .iter()
@@ -66,6 +66,16 @@ fn main() {
         louvain.num_communities(),
         louvain.modularity
     );
+    // Fig. 8's library community: the planted library domains cluster.
+    let community_of = |name: &str| communities.iter().find(|(n, _)| n == name).map(|(_, c)| *c);
+    let libs = (
+        community_of("lib0.edu.example"),
+        community_of("lib1.edu.example"),
+    );
+    assert!(
+        libs.0.is_some() && libs.0 == libs.1,
+        "library domains should share a Louvain community: {libs:?}"
+    );
 
     // The Fig. 8 slice: who shares triangles with the hub?
     let hub = "amazon.example";
@@ -75,6 +85,12 @@ fn main() {
         *weight.entry(a.as_str()).or_insert(0) += c;
         *weight.entry(b.as_str()).or_insert(0) += c;
     }
+    for planted in ["amazon.co.example", "abebooks.example"] {
+        assert!(
+            weight.contains_key(planted),
+            "{planted} shares no triangle with {hub}"
+        );
+    }
     let mut table = Table::new(
         format!("Top FQDNs co-occurring in triangles with \"{hub}\""),
         &["FQDN", "weight", "community"],
@@ -82,11 +98,7 @@ fn main() {
     let mut rows: Vec<(&str, u64)> = weight.into_iter().collect();
     rows.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
     for (name, w) in rows.into_iter().take(15) {
-        let com = communities
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| c.to_string())
-            .unwrap_or_else(|| "-".into());
+        let com = community_of(name).map_or_else(|| "-".into(), |c| c.to_string());
         table.row(&[name.to_string(), w.to_string(), com]);
     }
     println!("{}", table.render());

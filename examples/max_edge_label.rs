@@ -23,7 +23,7 @@ fn main() {
         .unwrap_or(4);
 
     println!("Generating a labeled social graph...");
-    let topo = tripoll::gen::livejournal_like(DatasetSize::Tiny, 7);
+    let topo = tripoll::gen::livejournal_like(7);
     // Edge label: deterministic "interaction strength" 0..4.
     let edges = EdgeList::from_vec(
         topo.edges

@@ -23,7 +23,7 @@ fn main() {
         .unwrap_or(4);
 
     println!("Generating a web-like graph (dense domains -> dense trusses)...");
-    let web = tripoll::gen::webcc12_like(DatasetSize::Tiny, 3);
+    let web = tripoll::gen::webcc12_like(3);
     let edges = EdgeList::from_vec(
         web.edges
             .iter()

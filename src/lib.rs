@@ -50,8 +50,8 @@
 //! ```
 //!
 //! See `examples/` for the paper's flagship analyses (Reddit closure
-//! times, the FQDN survey) and `crates/bench/benches/` for the harness
-//! that regenerates every table and figure of the evaluation.
+//! times, the FQDN survey) and `tests/paper_tables.rs` for the paper's
+//! communication tables, pinned as exact counts.
 
 pub use tripoll_analysis as analysis;
 pub use tripoll_baselines as baselines;
@@ -77,9 +77,7 @@ pub mod prelude {
         StaleDeltaError, SurveyConfig, SurveyDelta, SurveyDeltaSink, SurveyReport, TriangleMeta,
         TriangleSample,
     };
-    pub use tripoll_gen::{
-        rmat_edges, web_graph, DatasetSize, RedditConfig, RmatConfig, WebGraphConfig,
-    };
+    pub use tripoll_gen::{rmat_edges, web_graph, RedditConfig, RmatConfig, WebGraphConfig};
     pub use tripoll_graph::{
         build_dist_graph, from_directed_edges, load_snapshot, save_snapshot, DistGraph, EdgeList,
         GraphError, Partition, Provenance, SnapshotError,

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use tripoll::analysis;
-use tripoll::gen::{self, DatasetSize};
+use tripoll::gen;
 use tripoll::graph::{build_dist_graph, Csr, EdgeList, Partition};
 use tripoll::prelude::*;
 
@@ -27,7 +27,7 @@ fn distributed_count(edges: &[(u64, u64)], nranks: usize, mode: EngineMode) -> u
 
 #[test]
 fn all_dataset_standins_match_oracle() {
-    for ds in gen::table2_suite(DatasetSize::Tiny, 11) {
+    for ds in gen::table2_suite(11) {
         let expect = oracle(&ds.edges);
         assert!(expect > 0, "{} has no triangles", ds.name);
         for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
@@ -43,7 +43,7 @@ fn all_dataset_standins_match_oracle() {
 
 #[test]
 fn counts_invariant_across_rank_counts_and_partitions() {
-    let ds = gen::webcc12_like(DatasetSize::Tiny, 3);
+    let ds = gen::webcc12_like(3);
     let expect = oracle(&ds.edges);
     let list = EdgeList::from_vec(
         ds.edges
@@ -68,7 +68,7 @@ fn every_triangle_reported_exactly_once() {
     // Gather the (p, q, r) id triples from every rank's callbacks and
     // compare against the oracle's enumeration as *sets with
     // multiplicity*.
-    let ds = gen::livejournal_like(DatasetSize::Tiny, 5);
+    let ds = gen::livejournal_like(5);
     let csr = Csr::from_edges(&ds.edges);
     let mut expected: Vec<(u64, u64, u64)> = Vec::new();
     analysis::enumerate_triangles(&csr, |p, q, r| {

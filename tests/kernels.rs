@@ -37,7 +37,6 @@ use tripoll::core::{
 };
 use tripoll::gen::table4_suite;
 use tripoll::graph::{EdgeList, OrderKey};
-use tripoll::prelude::DatasetSize;
 use tripoll::ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
 
 /// The kernels of the production path: what `Auto` resolves to, plus
@@ -122,7 +121,7 @@ fn kernel_matrix_agrees_with_the_scalar_oracle() {
 /// default configuration against the reference.
 #[test]
 fn tab4_topologies_production_matches_reference() {
-    for ds in table4_suite(DatasetSize::Tiny, 42) {
+    for ds in table4_suite(42) {
         let list = labeled(ds.edges.clone());
         for nranks in [1usize, 2, 4, 7] {
             for mode in ENGINES {

@@ -3,14 +3,14 @@
 //! rank count, and match a serial recomputation.
 
 use tripoll::analysis::{self, ceil_log2, JointHistogram};
-use tripoll::gen::{self, DatasetSize};
+use tripoll::gen;
 use tripoll::graph::{build_dist_graph, Csr, EdgeList, Partition};
 use tripoll::prelude::*;
 use tripoll_ygm::hash::FastMap;
 
 #[test]
 fn closure_survey_matches_serial_on_reddit_standin() {
-    let edges = gen::reddit_like(DatasetSize::Tiny, 9);
+    let edges = gen::reddit_like(9);
 
     // Serial recomputation.
     let ts: FastMap<(u64, u64), u64> = edges
@@ -29,6 +29,23 @@ fn closure_survey_matches_serial_on_reddit_standin() {
     });
     assert!(expect.total() > 100, "stand-in should be triangle-rich");
 
+    // Fig. 6's shape: wedges open fast, triangles close late — the mean
+    // close bucket exceeds the mean open bucket, and at least a fifth of
+    // the triangles close 4x (two buckets) or more after they opened.
+    let mean_bucket =
+        |h: &Histogram| h.iter().map(|(b, c)| b as f64 * c as f64).sum::<f64>() / h.total() as f64;
+    let (open_mean, close_mean) = (
+        mean_bucket(&expect.marginal_x()),
+        mean_bucket(&expect.marginal_y()),
+    );
+    assert!(close_mean > open_mean, "{close_mean} <= {open_mean}");
+    let slow: u64 = expect
+        .iter()
+        .filter(|&((open, close), _)| close >= open + 2)
+        .map(|(_, c)| c)
+        .sum();
+    assert!(5 * slow >= expect.total(), "{slow} of {}", expect.total());
+
     for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
         for nranks in [1, 4] {
             let out = World::new(nranks).run(|comm| {
@@ -46,7 +63,7 @@ fn closure_survey_matches_serial_on_reddit_standin() {
 
 #[test]
 fn fqdn_survey_engines_agree_and_find_planted_structure() {
-    let web = gen::wdc_like(DatasetSize::Tiny, 13);
+    let web = gen::wdc_like(13);
     let list = EdgeList::from_vec(
         web.edges
             .iter()
@@ -87,7 +104,7 @@ fn fqdn_survey_engines_agree_and_find_planted_structure() {
 
 #[test]
 fn degree_triples_sum_to_triangle_count() {
-    let ds = gen::livejournal_like(DatasetSize::Tiny, 21);
+    let ds = gen::livejournal_like(21);
     let expect = analysis::triangle_count(&Csr::from_edges(&ds.edges));
     let list = EdgeList::from_vec(
         ds.edges
@@ -120,7 +137,7 @@ fn custom_callback_with_counting_set_composes_with_engine_traffic() {
     // The §4.1.4 composability claim: a user survey may drive its own
     // distributed counting set from inside the callback, interleaving
     // counting-set flushes with triangle identification messages.
-    let ds = gen::friendster_like(DatasetSize::Tiny, 2);
+    let ds = gen::friendster_like(2);
     let expect = analysis::triangle_count(&Csr::from_edges(&ds.edges));
     let list = EdgeList::from_vec(
         ds.edges
@@ -145,7 +162,7 @@ fn custom_callback_with_counting_set_composes_with_engine_traffic() {
 
 #[test]
 fn survey_reports_are_consistent() {
-    let ds = gen::webcc12_like(DatasetSize::Tiny, 4);
+    let ds = gen::webcc12_like(4);
     let list = EdgeList::from_vec(
         ds.edges
             .iter()

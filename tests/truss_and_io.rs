@@ -2,14 +2,14 @@
 //! and survey inputs round-trip through the file format.
 
 use tripoll::analysis::{self, truss_decomposition};
-use tripoll::gen::{self, DatasetSize};
+use tripoll::gen;
 use tripoll::graph::{build_dist_graph, io, Csr, EdgeList, Partition};
 use tripoll::prelude::*;
 use tripoll_ygm::hash::FastMap;
 
 #[test]
 fn distributed_edge_supports_match_serial_truss_inputs() {
-    let ds = gen::livejournal_like(DatasetSize::Tiny, 8);
+    let ds = gen::livejournal_like(8);
     let csr = Csr::from_edges(&ds.edges);
 
     // Serial supports: triangles per edge via the oracle enumerator.
@@ -40,7 +40,7 @@ fn distributed_edge_supports_match_serial_truss_inputs() {
 #[test]
 fn truss_decomposition_on_distributed_standin() {
     // The §1 pipeline: survey the graph distributed, decompose serially.
-    let ds = gen::webcc12_like(DatasetSize::Tiny, 6);
+    let ds = gen::webcc12_like(6);
     let csr = Csr::from_edges(&ds.edges);
     let d = truss_decomposition(&csr);
     assert!(d.max_k >= 4, "web stand-in should have dense trusses");
@@ -74,7 +74,7 @@ fn truss_decomposition_on_distributed_standin() {
 fn survey_inputs_roundtrip_through_files() {
     // Write the Reddit stand-in to disk, read it back, and get the exact
     // same closure-time distribution.
-    let edges = gen::reddit_like(DatasetSize::Tiny, 12);
+    let edges = gen::reddit_like(12);
     let dir = std::env::temp_dir().join("tripoll-roundtrip-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("reddit.tsv");
