@@ -56,7 +56,9 @@ fn intersect_frame(kernel: IntersectKernel, frame: &[u8], right: &[(u64, OrderKe
 
 /// Every kernel over a columnar frame (keys decoded off the wire, right
 /// side in storage) at four degree skews: balanced, 10:1, 1000:1 and
-/// its reverse, the pull phase's long-left shape.
+/// its reverse, a long streaming left side. The push phase streams the
+/// candidate batch as the left side; the pull phase intersects against
+/// decoded keys and no longer runs the streaming shape.
 fn compare_intersect_kernels() {
     for (name, left_n, right_n) in [
         ("balanced", 4096usize, 4096usize),

@@ -15,9 +15,12 @@
 //!
 //! * **Production** ([`IntersectKernel::Auto`], or an explicit
 //!   [`Gallop`] / [`BlockedMerge`]): the frame is decoded in place
-//!   ([`tripoll_ygm::wire::ColCursor`]), [`intersect_col`] walks its
-//!   two key columns, and the metadata column is decoded per element on
-//!   triangle matches only.
+//!   ([`tripoll_ygm::wire::ColCursor`]) and the metadata column is
+//!   decoded per element on triangle matches only. A pushed batch is
+//!   streamed: [`intersect_col`] walks its two key columns. A pulled
+//!   `Adjm+(q)` is intersected against several resume suffixes, so
+//!   its key columns are decoded once per delivery and each suffix
+//!   runs [`intersect_slices`] against the decoded keys.
 //! * **Reference** ([`IntersectKernel::MergeScalar`]): the frame is
 //!   materialised as an owned [`tripoll_ygm::wire::ColBatch`] and
 //!   intersected by the element-wise two-pointer merge through
@@ -62,10 +65,12 @@
 //!   merge, whose bulk decode is the only win available when decode
 //!   cost dominates. Each arm wins somewhere — the gallop does 48×
 //!   fewer compares at 1000:1 hub skew, the blocked merge 20× fewer at
-//!   the pull phase's 1:1000 long-left shape (the `micro` bench's
+//!   a 1:1000 long streaming left side (the `micro` bench's
 //!   `intersect_kernel` section; `Auto`'s compare counts are pinned in
 //!   `tests/kernels.rs`) — which is why the choice is made from the two
-//!   lengths and not left to a knob. Both lengths are known before any
+//!   lengths and not left to a knob. Only a pushed batch can be a
+//!   streaming left side; the pull phase decodes its keys first and
+//!   resolves through `select`. Both lengths are known before any
 //!   element is decoded (the batch count rides in the frame header,
 //!   the local adjacency length is in storage), so selection is free
 //!   and deterministic.
@@ -169,10 +174,11 @@ pub enum IntersectKernel {
 ///   because the gallop seeks into whichever side is larger.
 /// * **Streaming left sides** ([`IntersectKernel::select_streaming`]):
 ///   *asymmetric* — gallop only when `|left|·K < |right|`. A streaming
-///   left side (a wire cursor) must be decoded sequentially regardless
-///   of kernel, so a much larger *left* gains nothing from seeking and
-///   resolves to the blocked merge, whose bulk decode is the only
-///   lever when decode cost dominates.
+///   left side (a pushed batch's wire cursor) must be decoded
+///   sequentially regardless of kernel, so a much larger *left* gains
+///   nothing from seeking and resolves to the blocked merge, whose
+///   bulk decode is the only lever when decode cost dominates. The
+///   pull phase decodes its keys first and resolves through `select`.
 ///
 /// At ratio `K` the merge walks `max ≥ K·min` keys while galloping
 /// costs about `min·(2·log₂(max/min)+2)` compares; `K = 8` is where
@@ -215,7 +221,8 @@ impl IntersectKernel {
     /// *left* resolves to [`IntersectKernel::BlockedMerge`] instead —
     /// its bulk decode is the only lever when the decode itself
     /// dominates. See [`GALLOP_RATIO`] for the full two-shape
-    /// contract.
+    /// contract. In production only the push handler's
+    /// [`intersect_col`] calls it.
     #[inline]
     pub fn select_streaming(self, left_len: usize, right_len: usize) -> IntersectKernel {
         match self {

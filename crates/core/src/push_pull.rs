@@ -22,21 +22,23 @@
 //!    `Rank(p)` (where, by the storage design of §4.2, all six metadata
 //!    values are already resident).
 //!
-//! Like a pushed batch, a pull delivery is a columnar frame: it is
-//! captured once as a [`ColView`] (three bounded takes) and re-walked
-//! per resume suffix with metadata decoded only on matches.
+//! Like a pushed batch, a pull delivery is a columnar frame. It is
+//! captured once as a [`ColView`] (three bounded takes) and its two key
+//! columns are decoded once, into a rank-owned slice of
+//! `(OrderKey, frame index)`. Every resume suffix is then intersected
+//! against that slice, both sides random-access, so the kernel can
+//! gallop in either direction; `meta(q,r)` is decoded only on matches.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use tripoll_graph::{DistGraph, OrderKey};
 use tripoll_ygm::hash::{FastMap, FastSet};
-use tripoll_ygm::wire::{ColBatch, ColCursor, ColView, Wire};
+use tripoll_ygm::wire::{ColBatch, ColKeys, ColView, KeyBlock, Wire, WireError};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{
-    intersect_col, intersect_slices, EngineMode, IntersectKernel, PhaseTimer, SurveyConfig,
-    SurveyReport,
+    intersect_slices, EngineMode, IntersectKernel, PhaseTimer, SurveyConfig, SurveyReport,
 };
 use crate::meta::{SurveyCallback, TriangleMeta};
 use crate::push_common::{
@@ -154,6 +156,9 @@ struct PpState {
     pulled: u64,
     /// Pull requests this rank granted.
     grants: u64,
+    /// The key columns of the pull delivery being served, decoded once
+    /// and shared by every resume suffix (see [`decode_frame_keys`]).
+    frame_keys: Vec<(OrderKey, usize)>,
 }
 
 /// Runs a Push-Pull triangle survey; `callback` executes once per
@@ -367,10 +372,12 @@ where
 ///
 /// One arriving `Adjm+(q)` projection is intersected against **every**
 /// resume suffix recorded for `q`. The production body captures the
-/// frame's column extents once ([`ColView`], three bounded takes) and
-/// re-walks the key columns per suffix, decoding `meta(q,r)` only for
-/// triangle matches. The reference body materializes the projection
-/// and runs the two-pointer merge.
+/// frame's column extents once ([`ColView`], three bounded takes),
+/// decodes its key columns once per delivery ([`decode_frame_keys`])
+/// and runs [`intersect_slices`] with each suffix `Adjm+(p)[idx+1..]`
+/// as the left side, decoding `meta(q,r)` only for triangle matches.
+/// The reference body materializes the projection and runs the
+/// two-pointer merge.
 fn register_pull_handler<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -422,45 +429,77 @@ where
     comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
         let q = u64::decode(r)?;
         let view: ColView<'_, EM> = ColView::capture(r)?;
-        st.borrow_mut().pulled += 1;
-        let s = st.borrow();
+        let mut s = st.borrow_mut();
+        s.pulled += 1;
+        let PpState {
+            resume, frame_keys, ..
+        } = &mut *s;
+        decode_frame_keys(&mut view.walk().keys, frame_keys)?;
+        let frame_keys = &frame_keys[..];
         let shard = g.shard();
-        for &(_, slot, idx) in s.resume.get(q) {
+        for &(_, slot, idx) in resume.get(q) {
             let lv = shard.vertex(slot as usize);
             let eq = &lv.adj[idx as usize];
             debug_assert_eq!(eq.v, q);
             let suffix = &lv.adj[idx as usize + 1..];
             c.add_work((suffix.len() + view.len()) as u64);
-            let ColCursor {
-                mut keys,
-                mut metas,
-            } = view.walk();
-            intersect_col(
+            let mut metas = view.walk().metas;
+            let mut failed = None;
+            intersect_slices(
                 kernel,
-                &mut keys,
                 suffix,
+                frame_keys,
                 |s_entry| s_entry.key,
-                |k, s_entry| {
-                    debug_assert_eq!(k.v, s_entry.v, "OrderKey equality implies vertex equality");
-                    let meta_qr = metas.get(k.idx)?;
-                    let tm = TriangleMeta {
-                        p: lv.id,
-                        q,
-                        r: s_entry.v,
-                        meta_p: &lv.meta,
-                        meta_q: &eq.vm,
-                        meta_r: &s_entry.vm,
-                        meta_pq: &eq.em,
-                        meta_pr: &s_entry.em,
-                        meta_qr: &meta_qr,
-                    };
-                    cb(c, &tm);
-                    Ok(())
+                |&(k, _)| k,
+                |s_entry, &(_, i)| {
+                    if failed.is_some() {
+                        return;
+                    }
+                    match metas.get(i) {
+                        Ok(meta_qr) => cb(
+                            c,
+                            &TriangleMeta {
+                                p: lv.id,
+                                q,
+                                r: s_entry.v,
+                                meta_p: &lv.meta,
+                                meta_q: &eq.vm,
+                                meta_r: &s_entry.vm,
+                                meta_pq: &eq.em,
+                                meta_pr: &s_entry.em,
+                                meta_qr: &meta_qr,
+                            },
+                        ),
+                        Err(e) => failed = Some(e),
+                    }
                 },
-            )?;
+            );
+            if let Some(e) = failed {
+                return Err(e);
+            }
         }
         Ok(())
     })
+}
+
+/// Decodes a pulled frame's two key columns, whole, into `out` as one
+/// `(OrderKey, frame index)` per element. `out` is cleared, not
+/// reallocated, so a rank's deliveries share one buffer. Walking to the
+/// last element enforces the key columns' byte budget: a truncated or
+/// over-long key column fails here, before any suffix is intersected.
+fn decode_frame_keys(
+    keys: &mut ColKeys<'_>,
+    out: &mut Vec<(OrderKey, usize)>,
+) -> Result<(), WireError> {
+    out.clear();
+    let mut block = KeyBlock::new();
+    while let Some(res) = keys.next_block(&mut block) {
+        res?;
+        out.extend(
+            (0..block.len).map(|i| (OrderKey::new(block.v[i], block.degree[i]), block.base + i)),
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -606,30 +645,45 @@ mod tests {
 
     #[test]
     fn metadata_correct_in_pull_path() {
-        // Same hub construction as above so the pull path executes, with
-        // content-addressed metadata validated inside the callback —
-        // on the production path (the ColView re-walk) and on the
-        // reference it is compared against.
-        for kernel in [IntersectKernel::Auto, IntersectKernel::MergeScalar] {
-            let k = 16u64;
-            let h1 = 500;
-            let h2 = 501;
-            let mut edges = vec![(h1, h2)];
-            for sv in 0..k {
-                edges.push((sv, h1));
-                edges.push((sv, h2));
+        // One pulled q whose Adjm+(q) has five entries r0..r4, ordered
+        // by their distinct degrees 50..54 (padded with leaves) so r_j
+        // sits at frame index j. Each of 40 apexes (degree 2) closes one
+        // triangle with q and r_{1 + i % 4}: matches land at the four
+        // non-zero frame indices, and ColMetas::get must skip to each.
+        // Every rank hosts more than five apexes aimed at q, so every
+        // rank pulls Adjm+(q) and every triangle comes from the pull.
+        let q = 500u64;
+        let r = |j: u64| 600 + j;
+        let mut edges = Vec::new();
+        for i in 0..40u64 {
+            edges.push((i, q));
+            edges.push((i, r(1 + i % 4)));
+        }
+        let mut leaf = 10_000u64;
+        for j in 0..5u64 {
+            edges.push((q, r(j)));
+            let matched = if j == 0 { 0 } else { 10 };
+            for _ in 0..(50 + j - 1 - matched) {
+                edges.push((r(j), leaf));
+                leaf += 1;
             }
-            let em_of = |u: u64, v: u64| (u.min(v) << 20) | u.max(v);
-            let list = EdgeList::from_vec(
-                edges
-                    .iter()
-                    .map(|&(u, v)| (u, v, em_of(u, v)))
-                    .collect::<Vec<_>>(),
-            );
-            let out = World::new(2).run(|comm| {
+        }
+        let em_of = |u: u64, v: u64| (u.min(v) << 20) | u.max(v);
+        let list = EdgeList::from_vec(
+            edges
+                .iter()
+                .map(|&(u, v)| (u, v, em_of(u, v)))
+                .collect::<Vec<_>>(),
+        );
+        let run = |kernel: IntersectKernel, nranks: usize| {
+            World::new(nranks).run(|comm| {
                 let local = list.stride_for_rank(comm.rank(), comm.nranks());
                 let g = build_dist_graph(comm, local, |v| v * 31 + 7, Partition::Hashed);
-                let seen = Rc::new(Cell::new(0u64));
+                if let Some(lv) = g.shard().get(q) {
+                    let adj: Vec<u64> = lv.adj.iter().map(|e| e.v).collect();
+                    assert_eq!(adj, (0..5).map(r).collect::<Vec<_>>());
+                }
+                let seen = Rc::new(Cell::new((0u64, 0u64)));
                 let seen2 = seen.clone();
                 let report = survey_push_pull_with(comm, &g, kernel, move |_c, tm| {
                     assert_eq!(*tm.meta_p, tm.p * 31 + 7);
@@ -638,14 +692,123 @@ mod tests {
                     assert_eq!(*tm.meta_pq, em_of(tm.p, tm.q));
                     assert_eq!(*tm.meta_pr, em_of(tm.p, tm.r));
                     assert_eq!(*tm.meta_qr, em_of(tm.q, tm.r));
-                    seen2.set(seen2.get() + 1);
+                    let (n, sum) = seen2.get();
+                    seen2.set((
+                        n + 1,
+                        sum ^ (tm.p << 40 | tm.r << 20).wrapping_add(*tm.meta_qr),
+                    ));
                 });
-                (comm.all_reduce_sum(seen.get()), report.pulled_vertices)
-            });
-            assert_eq!(out[0].0, k, "kernel {kernel}");
-            let pulled: u64 = out.iter().map(|(_, p)| p).sum();
-            assert!(pulled > 0, "test must exercise the pull path ({kernel})");
+                let (n, sum) = seen.get();
+                let pulled = comm.all_reduce_sum(report.pulled_vertices);
+                (
+                    comm.all_reduce_sum(n),
+                    comm.all_reduce(sum, |a, b| a ^ b),
+                    pulled,
+                )
+            })[0]
+        };
+        for nranks in [1, 2, 3] {
+            let reference = run(IntersectKernel::MergeScalar, nranks);
+            assert_eq!(reference.0, 40, "one triangle per apex (n={nranks})");
+            // Every rank pulls q; Rank(q) also pulls the empty Adjm+(r_j)
+            // of r0..r3, whose wedges (q, r_j, r_k>j) are q's own.
+            assert_eq!(
+                reference.2,
+                nranks as u64 + 4,
+                "every rank pulls q (n={nranks})"
+            );
+            for kernel in [
+                IntersectKernel::Auto,
+                IntersectKernel::Gallop,
+                IntersectKernel::BlockedMerge,
+            ] {
+                assert_eq!(
+                    run(kernel, nranks),
+                    reference,
+                    "kernel {kernel}, n={nranks}"
+                );
+            }
         }
+    }
+
+    /// Delivers one pull frame whose key columns `mangle` corrupts to a
+    /// directly registered production pull handler. The frame's first
+    /// key matches the resume suffix and every later key lies past it,
+    /// so a kernel that stopped at the suffix's end would never reach
+    /// the corruption; the callback panics if the survey emits anything.
+    fn hostile_pull(mangle: fn(&mut Vec<u8>, &mut Vec<u8>)) {
+        use crate::push_common::DynCallback;
+        use tripoll_ygm::wire::{put_varint, WireEncode};
+        struct Raw(Vec<u8>);
+        impl WireEncode for Raw {
+            fn encode_wire(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.0);
+            }
+        }
+        let mut edges = Vec::new();
+        for u in 0..8u64 {
+            for v in (u + 1)..8 {
+                edges.push((u, v, ()));
+            }
+        }
+        let list = EdgeList::from_vec(edges);
+        World::new(2).run(|comm| {
+            let local = list.stride_for_rank(comm.rank(), comm.nranks());
+            let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
+            let st = Rc::new(RefCell::new(PpState::default()));
+            let cb: DynCallback<(), ()> =
+                Rc::new(|_c, _tm| panic!("callback ran on a corrupt pull frame"));
+            let h = register_pull_handler(comm, &g, st.clone(), cb, SurveyConfig::default());
+            if comm.rank() == 0 {
+                let (slot, lv) = g
+                    .shard()
+                    .vertices()
+                    .enumerate()
+                    .find(|(_, lv)| lv.adj.len() >= 2)
+                    .expect("K8 has a vertex with two out-neighbours");
+                let (q, r) = (&lv.adj[0], &lv.adj[1]);
+                st.borrow_mut().resume.push(q.v, slot as u32, 0);
+                let mut keys = vec![(r.v, r.key.degree)];
+                keys.extend((0..63).map(|i| (i, (1 << 40) + i)));
+                let (mut vcol, mut dcol) = (Vec::new(), Vec::new());
+                let mut prev = 0;
+                for (i, &(v, d)) in keys.iter().enumerate() {
+                    put_varint(&mut vcol, v);
+                    // Degrees ascend, so each zigzag delta is 2·delta.
+                    put_varint(&mut dcol, if i == 0 { d } else { 2 * (d - prev) });
+                    prev = d;
+                }
+                mangle(&mut vcol, &mut dcol);
+                let mut frame = Vec::new();
+                put_varint(&mut frame, q.v);
+                put_varint(&mut frame, keys.len() as u64);
+                for col in [&vcol, &dcol] {
+                    put_varint(&mut frame, col.len() as u64);
+                    frame.extend_from_slice(col);
+                }
+                put_varint(&mut frame, 0); // the unit meta column
+                comm.send_encoded(0, &h, Raw(frame));
+            }
+            comm.barrier();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "failed to decode message in place")]
+    fn pull_frame_with_trailing_key_bytes_aborts() {
+        hostile_pull(|vcol, _| vcol.push(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "failed to decode message in place")]
+    fn pull_frame_with_truncated_vertex_column_aborts() {
+        hostile_pull(|vcol, _| *vcol.last_mut().unwrap() |= 0x80);
+    }
+
+    #[test]
+    #[should_panic(expected = "failed to decode message in place")]
+    fn pull_frame_with_truncated_degree_column_aborts() {
+        hostile_pull(|_, dcol| *dcol.last_mut().unwrap() |= 0x80);
     }
 
     #[test]

@@ -110,8 +110,9 @@
 //! * [`ColCursor`] — single-pass decode: [`ColKeys`] walks the two key
 //!   columns in lockstep while [`ColMetas`] advances the meta column
 //!   lazily, only as far as the indices actually requested.
-//! * [`ColView`] — a captured frame that can be re-walked any number
-//!   of times (the pull delivery's one-batch-many-suffixes pattern).
+//! * [`ColView`] — a captured frame that can be walked any number of
+//!   times (a pull delivery decodes its keys once, then walks its meta
+//!   column once per resume suffix).
 
 use std::collections::HashMap;
 use std::fmt;

@@ -161,9 +161,10 @@ pub fn random_graph() -> EdgeList<String> {
 }
 
 /// The shared-hub construction that forces the Push-Pull pull phase to
-/// carry the triangles (the re-walked `ColView` kernel site, one walk
-/// per resume suffix) and yields skewed intersections for the
-/// size-ratio heuristic. One triangle per source vertex.
+/// carry the triangles (the pulled key columns, decoded once per
+/// delivery and intersected against every resume suffix) and yields
+/// skewed intersections for the size-ratio heuristic. One triangle per
+/// source vertex.
 pub fn hub_graph() -> EdgeList<String> {
     let (h1, h2) = (1000, 1001);
     let mut edges = vec![(h1, h2)];

@@ -297,7 +297,7 @@ fn gallop_beats_scalar_compares_at_heavy_skew() {
 
 /// The Auto kernel's exact key compares over one columnar frame at four
 /// degree skews: balanced, 10:1, 1000:1 (hub adjacency on the right)
-/// and its reverse (the pull phase's long-left shape). The denser side
+/// and its reverse (a long streaming left side). The denser side
 /// holds every even value; the sparser side spreads across it,
 /// alternating hits and off-by-one misses. In total 22 375 compares
 /// over 68 672 candidates: 0.3258 per candidate.

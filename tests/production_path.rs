@@ -1,16 +1,24 @@
 //! Pins the production path byte for byte and compare for compare.
 //!
-//! Every literal below was recorded at the commit *before* the
-//! configuration matrix was collapsed to this one path, so a change
-//! that moves a byte on the wire, a record, a key compare or the kernel
-//! `Auto` resolves to fails here first.
+//! A change that moves a byte on the wire, a record, a key compare or
+//! the kernel `Auto` resolves to fails here first.
+//!
+//! The Push-Only rows, and every `bytes_encoded` and `records` value,
+//! were recorded at the commit *before* the configuration matrix was
+//! collapsed to this one path. The Push-Pull kernel counters were
+//! re-recorded when the pull handler began decoding a pulled
+//! `Adjm+(q)` once per delivery instead of once per resume suffix: each
+//! wedge is now intersected exactly once, pushed or pulled, so on these
+//! graphs they equal the Push-Only row's counters at every rank count.
 
 mod common;
+
+use std::collections::HashMap;
 
 use common::{hub_graph, labeled, run_survey};
 use tripoll::core::{EngineMode, KernelStats, SurveyConfig};
 use tripoll::gen::{rmat_edges, RmatConfig};
-use tripoll::graph::EdgeList;
+use tripoll::graph::{dodgr_less, EdgeList};
 
 /// One pinned run: `(engine, ranks, compares, candidates, gallop_runs,
 /// blocked_runs, bytes_encoded, records)`. Push-Pull's rows differ per
@@ -58,9 +66,9 @@ fn rmat_is_pinned() {
             (PushOnly, 1, 35_690, 13_123, 24, 1_593, 170_560, 1_617),
             (PushOnly, 2, 35_690, 13_123, 24, 1_593, 170_560, 1_617),
             (PushOnly, 4, 35_690, 13_123, 24, 1_593, 170_560, 1_617),
-            (PushPull, 1, 41_486, 19_136, 0, 1_617, 15_104, 201),
-            (PushPull, 2, 41_312, 18_939, 1, 1_616, 17_276, 362),
-            (PushPull, 4, 40_915, 18_503, 5, 1_612, 22_880, 635),
+            (PushPull, 1, 35_690, 13_123, 24, 1_593, 15_104, 201),
+            (PushPull, 2, 35_690, 13_123, 24, 1_593, 17_276, 362),
+            (PushPull, 4, 35_690, 13_123, 24, 1_593, 22_880, 635),
         ],
     );
 }
@@ -82,4 +90,46 @@ fn shared_hub_is_pinned() {
             (PushPull, 4, 72, 24, 0, 24, 41, 8),
         ],
     );
+}
+
+/// `Σ_p C(d+(p), 2)` of a canonical edge list, computed from the list
+/// alone: each edge is an out-edge of its `<+`-smaller endpoint, and
+/// every pair of out-neighbours of `p` is one wedge.
+fn wedges(list: &EdgeList<String>) -> u64 {
+    let mut degree: HashMap<u64, u64> = HashMap::new();
+    for &(u, v, _) in list.as_slice() {
+        *degree.entry(u).or_default() += 1;
+        *degree.entry(v).or_default() += 1;
+    }
+    let mut dplus: HashMap<u64, u64> = HashMap::new();
+    for &(u, v, _) in list.as_slice() {
+        let p = if dodgr_less(u, degree[&u], v, degree[&v]) {
+            u
+        } else {
+            v
+        };
+        *dplus.entry(p).or_default() += 1;
+    }
+    dplus.values().map(|&d| d * (d - 1) / 2).sum()
+}
+
+/// No pulled candidate is decoded twice: whether a wedge is pushed or
+/// pulled, the production Push-Pull path visits each candidate at most
+/// once, so its kernel candidates never exceed the wedge count.
+#[test]
+fn no_pulled_candidate_is_decoded_twice() {
+    let rmat = labeled(rmat_edges(&RmatConfig::graph500(8, 42))).canonicalize();
+    for (gname, list) in [("rmat", rmat), ("hub", hub_graph())] {
+        let wedges = wedges(&list);
+        for nranks in [1, 2, 4] {
+            let runs = run_survey(&list, nranks, EngineMode::PushPull, SurveyConfig::default());
+            let pulled: u64 = runs.iter().map(|o| o.fingerprint.pulled).sum();
+            assert!(pulled > 0, "{gname} n={nranks} must exercise the pull path");
+            let candidates = runs[0].stats.candidates;
+            assert!(
+                candidates <= wedges,
+                "{gname} n={nranks}: {candidates} candidates for {wedges} wedges"
+            );
+        }
+    }
 }
