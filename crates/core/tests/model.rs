@@ -1,5 +1,6 @@
 //! Model-checked concurrency tests for the shipping quiescence
-//! protocol: the pending-record counter and the generation barrier.
+//! protocol: the pending-record counter, published once per envelope
+//! through `Quiescence::publish`, and the generation barrier.
 //!
 //! These compile only under `RUSTFLAGS="--cfg tripoll_model"`, where
 //! the `tripoll-sync` facade swaps std primitives for the instrumented
@@ -32,11 +33,11 @@ fn quiescence_barrier_waits_for_deferred_work() {
     let stats = check(Config::with_bound(2), || {
         let q = Arc::new(Quiescence::new());
         let data = Arc::new(RaceCell::new(0u32));
-        q.record_sent(); // a send: counted before anyone enters
+        q.publish(1); // a ship: counted before anyone enters
         let (q2, d2) = (q.clone(), data.clone());
         let h = thread::spawn(move || {
             d2.with_mut(|v| *v = 42); // the record's handler runs
-            q2.record_done(); // Release publishes its effects
+            q2.publish(-1); // the dispatch's Release publishes its effects
             q2.barrier(2, || false);
         });
         q.barrier(2, || false);
@@ -64,7 +65,7 @@ fn progress_step_inside_barrier_reaches_quiescence() {
     let stats = check(Config::with_bound(2), || {
         let q = Arc::new(Quiescence::new());
         let data = Arc::new(RaceCell::new(0u32));
-        q.record_sent(); // a record is in flight before the barrier
+        q.publish(1); // a record is in flight before the barrier
         let (q2, d2) = (q.clone(), data.clone());
         let h = thread::spawn(move || {
             q2.barrier(2, || false);
@@ -77,7 +78,7 @@ fn progress_step_inside_barrier_reaches_quiescence() {
             }
             drained = true;
             data.with_mut(|v| *v = 7); // `poll` runs the record's handler
-            q.record_done();
+            q.publish(-1);
             true
         });
         data.with(|v| assert_eq!(*v, 7));
@@ -90,21 +91,72 @@ fn progress_step_inside_barrier_reaches_quiescence() {
     );
 }
 
-/// Regression: the AcqRel on `record_done` is load-bearing. The only
-/// edge from a waiter's progress step to the driver's release is the
-/// pending decrement's Release half — the waiter already passed the
+/// A progress step whose envelope publishes nothing: a waiter's step
+/// retires one record and its handler sends a chained one, so the
+/// step's net balance is 0 and `publish(0)` is a no-op — no Release
+/// edge leaves that step. A later step retires the chained record with
+/// `publish(-1)`, whose Release (program order after both writes)
+/// must carry both steps' effects to the last arrival's post-barrier reads.
+#[test]
+fn chained_send_with_zero_net_balance_reaches_quiescence() {
+    let stats = check(Config::with_bound(2), || {
+        let q = Arc::new(Quiescence::new());
+        let first = Arc::new(RaceCell::new(0u32));
+        let chained = Arc::new(RaceCell::new(0u32));
+        q.publish(1); // one record is in flight before the barrier
+        let (q2, f2, c2) = (q.clone(), first.clone(), chained.clone());
+        let h = thread::spawn(move || {
+            let mut step = 0;
+            q2.barrier(2, || {
+                step += 1;
+                match step {
+                    1 => {
+                        // The record's handler runs and sends a chained
+                        // record: +1 - 1 = 0.
+                        f2.with_mut(|v| *v = 7);
+                        q2.publish(0);
+                        true
+                    }
+                    2 => {
+                        c2.with_mut(|v| *v = 9); // the chained handler runs
+                        q2.publish(-1);
+                        true
+                    }
+                    _ => false,
+                }
+            });
+        });
+        q.barrier(2, || false);
+        assert_eq!(first.get(), 7, "barrier released before the first record");
+        assert_eq!(
+            chained.get(),
+            9,
+            "barrier released before the chained record"
+        );
+        h.join().unwrap();
+    });
+    assert!(
+        stats.exhausted,
+        "DFS must exhaust the chained-send space at this bound ({} schedules)",
+        stats.schedules
+    );
+}
+
+/// Regression: the AcqRel on `publish` is load-bearing. The only edge
+/// from a waiter's progress step to the last arrival's release is the
+/// dispatch-end publish's Release half — the waiter already passed the
 /// (SeqCst) arrival counter *before* its step ran, so that edge cannot
-/// carry the step's effects. Downgrading the decrement to Relaxed
-/// severs it, and the checker reports the driver's post-barrier read
-/// as a data race. (If someone "optimizes" the ordering, this test
-/// fails by not panicking.)
+/// carry the step's effects. Downgrading the publish to Relaxed severs
+/// it, and the checker reports the last arrival's post-barrier read as a
+/// data race. (If someone "optimizes" the ordering, this test fails by
+/// not panicking.)
 #[test]
 #[should_panic(expected = "data race")]
-fn quiescence_relaxed_decrement_races() {
+fn publish_relaxed_races() {
     check(Config::with_bound(2), || {
         let q = Arc::new(Quiescence::new());
         let data = Arc::new(RaceCell::new(0u32));
-        q.record_sent();
+        q.publish(1);
         let (q2, d2) = (q.clone(), data.clone());
         let h = thread::spawn(move || {
             let mut drained = false;
@@ -114,7 +166,7 @@ fn quiescence_relaxed_decrement_races() {
                 }
                 drained = true;
                 d2.with_mut(|v| *v = 7);
-                q2.record_done_relaxed(); // BUG under test: no Release half
+                q2.publish_relaxed(-1); // BUG under test: no Release half
                 true
             });
         });

@@ -23,10 +23,17 @@
 //! send further messages (the `visit`-chains of vertex-centric
 //! algorithms); the pending-record counter makes such chains count toward
 //! quiescence.
+//!
+//! The per-record bookkeeping is rank-local plain arithmetic, as YGM's
+//! buffering intends (§4.1.1: pay the transport per envelope, not per
+//! record). A rank keeps its traffic counters in cells and its pending
+//! balance — records sent minus records finished — in one more, and
+//! publishes that balance to the world's shared count once per shipped
+//! envelope and once per dispatched envelope (see
+//! [`Quiescence::publish`]).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
@@ -34,7 +41,7 @@ use parking_lot::Mutex;
 
 use crate::buffer::{BufferPool, SendBuffer};
 use crate::quiesce::Quiescence;
-use crate::stats::RankCounters;
+use crate::stats::{CommStats, RankCounters};
 use crate::wire::{put_varint, Wire, WireEncode, WireError, WireReader};
 
 /// Index of a simulated MPI rank.
@@ -80,8 +87,6 @@ pub(crate) struct Shared {
     /// the shipping protocol runs under the model checker — see
     /// [`crate::quiesce`]).
     pub(crate) q: Quiescence,
-    /// Per-rank communication counters.
-    pub(crate) counters: Vec<RankCounters>,
     /// Scratch slots for collectives (one per rank).
     pub(crate) slots: Vec<Mutex<Vec<u8>>>,
 }
@@ -92,7 +97,6 @@ impl Shared {
             nranks,
             senders,
             q: Quiescence::new(),
-            counters: (0..nranks).map(|_| RankCounters::default()).collect(),
             slots: (0..nranks).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
@@ -144,6 +148,12 @@ pub struct Comm {
     /// Scratch for `send_to_many`: one record is encoded here once, then
     /// memcpy'd into destination buffers.
     scratch: RefCell<Vec<u8>>,
+    /// Records this rank sent minus records it finished since its last
+    /// [`Quiescence::publish`]; published once per shipped and once per
+    /// dispatched envelope.
+    unpublished: Cell<i64>,
+    /// This rank's communication counters.
+    counters: RankCounters,
 }
 
 /// Drained send-buffer vectors retained per rank. Bounds pooled memory
@@ -175,6 +185,8 @@ impl Comm {
             in_dispatch: Cell::new(false),
             pool: RefCell::new(BufferPool::new(POOL_BUFFERS, pool_buffer_cap)),
             scratch: RefCell::new(Vec::new()),
+            unpublished: Cell::new(0),
+            counters: RankCounters::default(),
         }
     }
 
@@ -197,15 +209,23 @@ impl Comm {
         self.flush_threshold
     }
 
-    /// Live counters for this rank.
-    #[inline]
-    pub fn counters(&self) -> &RankCounters {
-        &self.shared.counters[self.rank]
+    /// Snapshot of this rank's communication statistics.
+    pub fn stats(&self) -> CommStats {
+        self.counters.snapshot()
     }
 
-    /// Snapshot of this rank's communication statistics.
-    pub fn stats(&self) -> crate::stats::CommStats {
-        self.counters().snapshot()
+    /// Ends this rank's run: publishes whatever it counted but never
+    /// shipped or finished, so records sent after the last barrier show
+    /// up in the world's shutdown check, and returns the final stats.
+    pub(crate) fn finish(&self) -> CommStats {
+        self.publish();
+        self.stats()
+    }
+
+    /// Publishes this rank's unpublished record balance.
+    #[inline]
+    fn publish(&self) {
+        self.shared.q.publish(self.unpublished.replace(0));
     }
 
     /// Records `units` of application compute (e.g. wedge-check
@@ -213,7 +233,7 @@ impl Comm {
     /// modeled runtimes; wall-clock is unaffected.
     #[inline]
     pub fn add_work(&self, units: u64) {
-        self.counters().work.fetch_add(units, Ordering::Relaxed);
+        RankCounters::add(&self.counters.work, units);
     }
 
     /// Registers a message handler and returns its typed id.
@@ -273,11 +293,12 @@ impl Comm {
                     comm.rank()
                 );
             }
-            let counters = comm.counters();
-            counters.records_borrowed.fetch_add(1, Ordering::Relaxed);
-            counters
-                .bytes_decoded_in_place
-                .fetch_add((r.position() - start) as u64, Ordering::Relaxed);
+            let counters = &comm.counters;
+            RankCounters::add(&counters.records_borrowed, 1);
+            RankCounters::add(
+                &counters.bytes_decoded_in_place,
+                (r.position() - start) as u64,
+            );
         }));
         Handler {
             id,
@@ -312,11 +333,8 @@ impl Comm {
         let bytes = self.buffer_record(dest, |buf| {
             buf.push_record_with(h.id, |out| enc.encode_wire(out))
         });
-        let counters = self.counters();
-        counters.records_encoded.fetch_add(1, Ordering::Relaxed);
-        counters
-            .bytes_encoded
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        RankCounters::add(&self.counters.records_encoded, 1);
+        RankCounters::add(&self.counters.bytes_encoded, bytes as u64);
     }
 
     /// Sends one record to several destinations: the payload is encoded
@@ -345,11 +363,8 @@ impl Comm {
         put_varint(&mut scratch, u64::from(h.id));
         enc.encode_wire(&mut scratch);
 
-        let counters = self.counters();
-        counters.records_encoded.fetch_add(1, Ordering::Relaxed);
-        counters
-            .bytes_encoded
-            .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+        RankCounters::add(&self.counters.records_encoded, 1);
+        RankCounters::add(&self.counters.bytes_encoded, scratch.len() as u64);
         for dest in dests {
             self.buffer_record(dest, |buf| buf.push_raw(&scratch));
         }
@@ -365,11 +380,10 @@ impl Comm {
             "send to rank {dest} of {}",
             self.nranks()
         );
-        // Count the record as pending *before* it becomes visible anywhere,
-        // so the quiescence barrier can never observe a transient zero.
-        // (Ordering rationale lives on `Quiescence::record_sent`.)
-        self.shared.q.record_sent();
-        let counters = self.counters();
+        // Count the record as pending locally; `ship` publishes the
+        // count before the record becomes visible anywhere.
+        self.unpublished.set(self.unpublished.get() + 1);
+        let counters = &self.counters;
         let (bytes, ship) = {
             let mut bufs = self.outbufs.borrow_mut();
             let buf = &mut bufs[dest];
@@ -379,8 +393,8 @@ impl Comm {
             } else {
                 (&counters.records_remote, &counters.bytes_remote)
             };
-            records.fetch_add(1, Ordering::Relaxed);
-            wire_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            RankCounters::add(records, 1);
+            RankCounters::add(wire_bytes, bytes as u64);
             let ship = buf
                 .should_flush(self.flush_threshold)
                 .then(|| self.drain_pooled(buf));
@@ -399,19 +413,24 @@ impl Comm {
         let before = pool.reuses();
         let out = buf.drain_pooled(&mut pool);
         if pool.reuses() > before {
-            self.counters().pool_reuses.fetch_add(1, Ordering::Relaxed);
+            RankCounters::add(&self.counters.pool_reuses, 1);
         }
         out
     }
 
-    /// Hands one drained buffer to `dest`'s channel.
+    /// Hands one drained buffer to `dest`'s channel, publishing this
+    /// rank's record balance first so the envelope's records are
+    /// counted before any receiver can see them. From inside a handler
+    /// that balance may be partial, even negative: it then also retires
+    /// the envelope records whose handlers already ran.
     fn ship(&self, dest: Rank, data: Vec<u8>) {
-        let counters = self.counters();
-        if dest == self.rank {
-            counters.envelopes_local.fetch_add(1, Ordering::Relaxed);
+        let envelopes = if dest == self.rank {
+            &self.counters.envelopes_local
         } else {
-            counters.envelopes_remote.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.counters.envelopes_remote
+        };
+        RankCounters::add(envelopes, 1);
+        self.publish();
         self.shared.senders[dest]
             .send(data)
             .expect("receiver alive while world is running");
@@ -492,12 +511,13 @@ impl Comm {
             };
             handler(self, &mut reader);
             executed = true;
-            self.counters().handlers_run.fetch_add(1, Ordering::Relaxed);
-            // The decrement's Release half is what lets a barrier that
-            // reads 0 synchronize with this record's execution — see
-            // `Quiescence::record_done`.
-            self.shared.q.record_done();
+            RankCounters::add(&self.counters.handlers_run, 1);
+            self.unpublished.set(self.unpublished.get() - 1);
         }
+        // One publish retires the envelope: its Release half is what
+        // lets a barrier that reads 0 synchronize with these handlers —
+        // see `Quiescence::publish`.
+        self.publish();
         self.in_dispatch.set(was);
         // Recycle the envelope allocation into this rank's send pool:
         // steady-state flushes then restart from received capacity
@@ -530,7 +550,7 @@ impl Comm {
                 false
             }
         });
-        self.counters().barriers.fetch_add(1, Ordering::Relaxed);
+        RankCounters::add(&self.counters.barriers, 1);
     }
 
     #[inline]
@@ -549,7 +569,7 @@ impl Comm {
 mod tests {
     use super::*;
     use crate::world::World;
-    use std::sync::atomic::AtomicU64 as StdAtomicU64;
+    use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};
 
     #[test]
     fn ping_all_to_all() {
@@ -600,7 +620,7 @@ mod tests {
                 comm.send(1 % comm.nranks(), &h, &25u64);
             }
             comm.barrier();
-            comm.counters().snapshot().handlers_run
+            comm.stats().handlers_run
         });
         assert_eq!(arrived.load(Ordering::SeqCst), 1);
         let total_handlers: u64 = results.iter().sum();
@@ -1031,7 +1051,7 @@ mod tests {
             World::new(2).run(|comm| {
                 let _h = comm.register::<u64, _>(|_c, _v| panic!("handler ran on corrupt bytes"));
                 if comm.rank() == 1 {
-                    comm.shared().q.record_sent();
+                    comm.shared().q.publish(1);
                     comm.shared().senders[0]
                         .send(bytes.clone())
                         .expect("world alive");

@@ -14,16 +14,17 @@
 //! `lint/orderings.toml`)
 //!
 //! * `pending` (**quiescence-pending-counter**): records sent but not
-//!   yet fully processed, summed over all ranks. Increments happen
-//!   *before* the record becomes visible anywhere; decrements happen
-//!   *after* the record's handler ran.
-//!   AcqRel on the increments/decrements suffices: the Release half of
-//!   each decrement orders the record's execution before it, and the
+//!   yet fully processed, summed over all ranks. A rank counts its own
+//!   sends and finished records in a plain local balance and publishes
+//!   it here once per envelope: when it ships one (before the envelope
+//!   is visible to any receiver) and when it finishes dispatching one
+//!   (after every handler of it ran). AcqRel on the publish suffices:
+//!   its Release half orders the finished handlers before it, and the
 //!   barrier's SeqCst read acquires the whole chain (read-modify-writes
 //!   continue a release sequence), so a barrier that observes 0 has
 //!   synchronized with every completed record. The model test
-//!   `quiescence_relaxed_decrement_races` demonstrates that downgrading
-//!   the decrement to Relaxed breaks exactly this edge.
+//!   `publish_relaxed_races` demonstrates that downgrading the publish
+//!   to Relaxed breaks exactly this edge.
 //! * `barrier_count` / `barrier_gen` (**barrier-generation**): the
 //!   rendezvous. The last arrival drives the world to quiescence, then
 //!   resets the count *before* advancing the generation — ranks can
@@ -41,8 +42,8 @@ use tripoll_sync::thread::yield_now;
 /// Shared quiescence state for one world. See the module docs for the
 /// protocol; [`Comm`](crate::Comm) methods delegate here.
 pub struct Quiescence {
-    /// Records sent but not yet fully processed, summed over all
-    /// ranks (may transiently exceed the true count, never undershoot).
+    /// Records sent but not yet fully processed, summed over the
+    /// balances the ranks have published (see [`Quiescence::publish`]).
     pending: AtomicI64,
     /// Ranks currently inside `barrier()`.
     barrier_count: AtomicUsize,
@@ -69,45 +70,46 @@ impl Quiescence {
         }
     }
 
-    /// Counts a record as pending. Must be called *before* the record
-    /// becomes visible to any receiver, so the barrier can never
-    /// observe a transient zero.
+    /// Adds one rank's unpublished record balance to the shared count:
+    /// the records it sent minus the records it finished since its last
+    /// publish. A rank publishes in `Comm::ship` *before* the envelope
+    /// enters a channel, and at the end of each dispatched envelope
+    /// *after* every handler of it ran, so one RMW covers a whole
+    /// envelope. A zero balance publishes nothing.
     ///
-    /// Ordering: AcqRel suffices for the per-record counter. The
-    /// quiescence invariant needs (a) each increment to precede the
-    /// record's enqueue — program order here, made visible to the
-    /// receiver by the channel's release/acquire handoff — and (b)
-    /// each decrement to follow the record's execution, which the
-    /// Release half of [`Quiescence::record_done`]'s AcqRel gives the
-    /// barrier's SeqCst read. No cross-variable total order is
-    /// required outside the barrier itself, which keeps its SeqCst
-    /// load.
+    /// Why the count stays safe (see `docs/CONCURRENCY.md`): every
+    /// record is counted no later than the ship that makes it visible,
+    /// and retired no earlier than its handler ran, so a publish at any
+    /// such point can only overcount. The shared count undershoots the
+    /// truth only while some rank holds sends it counted locally but
+    /// has not published; that rank is either not yet in the barrier,
+    /// or in the middle of dispatching an envelope whose own records
+    /// still count as pending.
+    ///
+    /// Ordering: AcqRel. The Release half orders the finished handlers'
+    /// effects (and the sends they made) before the update, RMWs
+    /// continue the release sequence, and the barrier's SeqCst read
+    /// acquires the whole chain, so a barrier that observes 0 has
+    /// synchronized with every completed record. The model test
+    /// `publish_relaxed_races` shows that a Relaxed publish breaks
+    /// exactly this edge.
     #[inline]
-    pub fn record_sent(&self) {
-        self.pending.fetch_add(1, Ordering::AcqRel);
+    pub fn publish(&self, delta: i64) {
+        if delta != 0 {
+            self.pending.fetch_add(delta, Ordering::AcqRel);
+        }
     }
 
-    /// Balances one [`Quiescence::record_sent`] after the record's
-    /// handler has run.
-    ///
-    /// Ordering: AcqRel — the Release half orders the record's
-    /// execution (and any sends the handler performed, whose
-    /// increments precede this decrement in program order) before the
-    /// decrement, so a barrier that reads 0 has synchronized with
-    /// every completed record.
-    #[inline]
-    pub fn record_done(&self) {
-        self.pending.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// [`Quiescence::record_done`] with the ordering deliberately
+    /// [`Quiescence::publish`] with the ordering deliberately
     /// downgraded to Relaxed — **for the model-checker regression test
     /// only**, which proves the AcqRel above is load-bearing: with
-    /// Relaxed the decrement stops publishing the handler's work to
-    /// the barrier's read and the checker reports a data race.
+    /// Relaxed the publish stops carrying the handlers' work to the
+    /// barrier's read and the checker reports a data race.
     #[cfg(tripoll_model)]
-    pub fn record_done_relaxed(&self) {
-        self.pending.fetch_sub(1, Ordering::Relaxed);
+    pub fn publish_relaxed(&self, delta: i64) {
+        if delta != 0 {
+            self.pending.fetch_add(delta, Ordering::Relaxed);
+        }
     }
 
     /// Current pending count (diagnostics and shutdown asserts).

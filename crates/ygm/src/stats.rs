@@ -14,72 +14,80 @@
 //! paper's 24-rank-per-node clusters rank-to-rank payloads are ordinary
 //! MPI volume wherever they land.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Live per-rank counters, updated by the owning rank and readable by any
-/// thread (the world driver snapshots them between phases).
+/// Live per-rank counters. Only the owning rank's thread touches them
+/// (they live in its [`Comm`](crate::Comm), which is not `Send`), so
+/// they are plain cells; the rank hands its final [`CommStats`] to the
+/// [`World`](crate::World) through the thread join.
 #[derive(Debug, Default)]
-pub struct RankCounters {
+pub(crate) struct RankCounters {
     /// Application-level records sent to other ranks.
-    pub records_remote: AtomicU64,
+    pub(crate) records_remote: Cell<u64>,
     /// Application-level records a rank sent to itself.
-    pub records_local: AtomicU64,
+    pub(crate) records_local: Cell<u64>,
     /// Buffer flushes to other ranks — each one would be an MPI message.
-    pub envelopes_remote: AtomicU64,
+    pub(crate) envelopes_remote: Cell<u64>,
     /// Buffer flushes to self.
-    pub envelopes_local: AtomicU64,
+    pub(crate) envelopes_local: Cell<u64>,
     /// Payload bytes shipped to other ranks.
-    pub bytes_remote: AtomicU64,
+    pub(crate) bytes_remote: Cell<u64>,
     /// Payload bytes shipped to self.
-    pub bytes_local: AtomicU64,
+    pub(crate) bytes_local: Cell<u64>,
     /// Handler invocations executed on this rank.
-    pub handlers_run: AtomicU64,
+    pub(crate) handlers_run: Cell<u64>,
     /// Application-declared work units (e.g. wedge-check comparisons)
     /// performed on this rank — the compute term of the cost model.
-    pub work: AtomicU64,
+    pub(crate) work: Cell<u64>,
     /// Quiescence barriers this rank has completed.
-    pub barriers: AtomicU64,
+    pub(crate) barriers: Cell<u64>,
     /// Encode operations performed (one per `send`/`send_encoded`, one
     /// per `send_to_many` regardless of destination count). With
     /// fan-out, `records_total - records_encoded` deliveries were served
     /// by memcpy of already-encoded bytes.
-    pub records_encoded: AtomicU64,
+    pub(crate) records_encoded: Cell<u64>,
     /// Bytes produced by the wire encoder. `bytes_total - bytes_encoded`
     /// bytes were delivered without re-encoding (fan-out copies).
-    pub bytes_encoded: AtomicU64,
+    pub(crate) bytes_encoded: Cell<u64>,
     /// Send-buffer drains whose replacement allocation came from the
     /// recycled-buffer pool instead of the allocator.
-    pub pool_reuses: AtomicU64,
+    pub(crate) pool_reuses: Cell<u64>,
     /// Records decoded **in place** from the receive buffer (zero-copy
     /// receive handlers). `handlers_run - records_borrowed` records
     /// were materialized through owned decode.
-    pub records_borrowed: AtomicU64,
+    pub(crate) records_borrowed: Cell<u64>,
     /// Record bytes consumed by in-place (borrowed) handlers. A
     /// borrowed handler may still decode individual header fields to
     /// owned values (e.g. string vertex metadata), so this measures the
     /// payload volume that *skipped the owned-message materialization*,
     /// not a strict never-copied guarantee per byte.
-    pub bytes_decoded_in_place: AtomicU64,
+    pub(crate) bytes_decoded_in_place: Cell<u64>,
 }
 
 impl RankCounters {
+    /// Adds `n` to one counter.
+    #[inline]
+    pub(crate) fn add(counter: &Cell<u64>, n: u64) {
+        counter.set(counter.get() + n);
+    }
+
     /// Takes a point-in-time snapshot.
-    pub fn snapshot(&self) -> CommStats {
+    pub(crate) fn snapshot(&self) -> CommStats {
         CommStats {
-            records_remote: self.records_remote.load(Ordering::Relaxed),
-            records_local: self.records_local.load(Ordering::Relaxed),
-            envelopes_remote: self.envelopes_remote.load(Ordering::Relaxed),
-            envelopes_local: self.envelopes_local.load(Ordering::Relaxed),
-            bytes_remote: self.bytes_remote.load(Ordering::Relaxed),
-            bytes_local: self.bytes_local.load(Ordering::Relaxed),
-            handlers_run: self.handlers_run.load(Ordering::Relaxed),
-            work: self.work.load(Ordering::Relaxed),
-            barriers: self.barriers.load(Ordering::Relaxed),
-            records_encoded: self.records_encoded.load(Ordering::Relaxed),
-            bytes_encoded: self.bytes_encoded.load(Ordering::Relaxed),
-            pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
-            records_borrowed: self.records_borrowed.load(Ordering::Relaxed),
-            bytes_decoded_in_place: self.bytes_decoded_in_place.load(Ordering::Relaxed),
+            records_remote: self.records_remote.get(),
+            records_local: self.records_local.get(),
+            envelopes_remote: self.envelopes_remote.get(),
+            envelopes_local: self.envelopes_local.get(),
+            bytes_remote: self.bytes_remote.get(),
+            bytes_local: self.bytes_local.get(),
+            handlers_run: self.handlers_run.get(),
+            work: self.work.get(),
+            barriers: self.barriers.get(),
+            records_encoded: self.records_encoded.get(),
+            bytes_encoded: self.bytes_encoded.get(),
+            pool_reuses: self.pool_reuses.get(),
+            records_borrowed: self.records_borrowed.get(),
+            bytes_decoded_in_place: self.bytes_decoded_in_place.get(),
             records_multicast: 0,
         }
     }
@@ -197,8 +205,8 @@ mod tests {
     #[test]
     fn snapshot_reflects_counters() {
         let c = RankCounters::default();
-        c.records_remote.fetch_add(3, Ordering::Relaxed);
-        c.bytes_remote.fetch_add(100, Ordering::Relaxed);
+        RankCounters::add(&c.records_remote, 3);
+        RankCounters::add(&c.bytes_remote, 100);
         let s = c.snapshot();
         assert_eq!(s.records_remote, 3);
         assert_eq!(s.bytes_remote, 100);

@@ -92,36 +92,39 @@ impl World {
         let config = self.config.clone();
         let f = &f;
 
-        let mut outcomes: Vec<Option<std::thread::Result<R>>> = (0..nranks).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut joins = Vec::with_capacity(nranks);
-            for (rank, rx) in receivers.into_iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let config = config.clone();
-                joins.push(scope.spawn(move || {
-                    let comm = Comm::new(rank, Arc::clone(&shared), config, rx);
-                    let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
-                    if result.is_err() {
-                        // Wake peers stuck in barriers before unwinding.
-                        shared.q.poison();
-                    }
-                    result
-                }));
-            }
-            for (rank, join) in joins.into_iter().enumerate() {
+        // Each rank thread hands back its outcome and its final stats
+        // (a rank that panicked included) through the join.
+        let (outcomes, stats): (Vec<std::thread::Result<R>>, Vec<CommStats>) =
+            std::thread::scope(|scope| {
+                let joins: Vec<_> = receivers
+                    .into_iter()
+                    .enumerate()
+                    .map(|(rank, rx)| {
+                        let shared = Arc::clone(&shared);
+                        let config = config.clone();
+                        scope.spawn(move || {
+                            let comm = Comm::new(rank, Arc::clone(&shared), config, rx);
+                            let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
+                            if result.is_err() {
+                                // Wake peers stuck in barriers before unwinding.
+                                shared.q.poison();
+                            }
+                            (result, comm.finish())
+                        })
+                    })
+                    .collect();
                 // The thread itself never panics (the program panic was
                 // caught inside), so join() is infallible in practice.
-                outcomes[rank] = Some(join.join().expect("rank thread join"));
-            }
-        });
-
-        let stats: Vec<CommStats> = shared.counters.iter().map(|c| c.snapshot()).collect();
+                joins
+                    .into_iter()
+                    .map(|join| join.join().expect("rank thread join"))
+                    .unzip()
+            });
 
         let mut results = Vec::with_capacity(nranks);
         let mut panics = Vec::new();
-        for outcome in outcomes.into_iter() {
-            match outcome.expect("every rank produced an outcome") {
+        for outcome in outcomes {
+            match outcome {
                 Ok(r) => results.push(r),
                 Err(payload) => panics.push(payload),
             }
@@ -197,6 +200,22 @@ mod tests {
                 panic!("rank 1 says no");
             }
             comm.barrier();
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "missing barrier")]
+    fn send_after_last_barrier_is_reported() {
+        // The record stays in rank 0's send buffer, counted only in its
+        // local balance; the rank's exit publishes it, so the shutdown
+        // check still sees it.
+        World::new(2).run(|comm| {
+            let h = comm.register::<u64, _>(|_c, _v| {});
+            comm.barrier();
+            if comm.rank() == 0 {
+                comm.send(1, &h, &7u64);
+            }
         });
     }
 

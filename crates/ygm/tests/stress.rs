@@ -158,3 +158,81 @@ fn large_payloads_cross_intact() {
         assert_eq!(lens, vec![100_000]);
     }
 }
+
+#[test]
+fn every_record_ships_from_inside_a_handler() {
+    // At a one-byte flush threshold every send ships its own envelope,
+    // so each handler that sends ships mid-envelope and publishes a
+    // partial, possibly negative, pending balance. Relay chains and
+    // two-level fan-outs must still complete inside every barrier, and
+    // the traffic totals must be exact.
+    const ROUNDS: u64 = 4;
+    for nranks in [4usize, 16] {
+        let config = CommConfig {
+            flush_threshold: Some(1),
+        };
+        let out = World::new(nranks)
+            .with_config(config)
+            .run_with_stats(|comm| {
+                let ends = Rc::new(Cell::new(0u64));
+                let leaves = Rc::new(Cell::new(0u64));
+                let relay: Rc<RefCell<Option<Handler<u64>>>> = Rc::new(RefCell::new(None));
+
+                let (ends2, relay2) = (ends.clone(), relay.clone());
+                let h_relay = comm.register::<u64, _>(move |c: &Comm, hops| {
+                    if hops == 0 {
+                        ends2.set(ends2.get() + 1);
+                    } else {
+                        let h = relay2.borrow().expect("set");
+                        c.send((c.rank() + 1) % c.nranks(), &h, &(hops - 1));
+                    }
+                });
+                let leaves2 = leaves.clone();
+                let h_leaf = comm.register::<u64, _>(move |_c, _v| {
+                    leaves2.set(leaves2.get() + 1);
+                });
+                let h_fan = comm.register::<u64, _>(move |c: &Comm, v| {
+                    let me = c.rank();
+                    c.send_to_many([me, (me + 1) % c.nranks()], &h_leaf, v);
+                });
+                *relay.borrow_mut() = Some(h_relay);
+
+                let mut per_round = Vec::new();
+                for round in 0..ROUNDS {
+                    let hops = 20 + comm.rank() as u64;
+                    comm.send((comm.rank() + 1) % comm.nranks(), &h_relay, &hops);
+                    comm.send_to_many(0..comm.nranks(), &h_fan, round);
+                    comm.barrier();
+                    per_round.push((ends.get(), leaves.get()));
+                }
+                per_round
+            });
+
+        let n = nranks as u64;
+        for round in 0..ROUNDS as usize {
+            let ends: u64 = out.results.iter().map(|r| r[round].0).sum();
+            let leaves: u64 = out.results.iter().map(|r| r[round].1).sum();
+            let done = round as u64 + 1;
+            assert_eq!(ends, n * done, "nranks={nranks} round={round}: chains");
+            assert_eq!(
+                leaves,
+                2 * n * n * done,
+                "nranks={nranks} round={round}: leaves"
+            );
+        }
+
+        // Per round: chain r has 21 + r records, all remote; each of the
+        // n fan-outs reaches every rank (1 local, n - 1 remote) and each
+        // of those n * n deliveries sends one local and one remote leaf.
+        let chain_records: u64 = (0..n).map(|r| 21 + r).sum();
+        let local = ROUNDS * (n + n * n);
+        let remote = ROUNDS * (chain_records + n * (n - 1) + n * n);
+        let total = out.total_stats();
+        assert_eq!(total.records_local, local, "nranks={nranks}");
+        assert_eq!(total.records_remote, remote, "nranks={nranks}");
+        assert_eq!(total.handlers_run, local + remote, "nranks={nranks}");
+        assert_eq!(total.envelopes_local, local, "nranks={nranks}");
+        assert_eq!(total.envelopes_remote, remote, "nranks={nranks}");
+        assert_eq!(total.barriers, ROUNDS * n, "nranks={nranks}");
+    }
+}
