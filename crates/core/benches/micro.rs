@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tripoll_core::{
-    intersect_col, kernel_stats_take, merge_path, IntersectKernel, ResidentGraph, ResidentQuery,
+    intersect_slices, kernel_stats_take, merge_path, IntersectKernel, ResidentGraph, ResidentQuery,
 };
 use tripoll_graph::{EdgeList, OrderKey, Partition};
 use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
@@ -30,36 +30,48 @@ use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
 const KERNEL_ITERS: usize = 64;
 
 /// Intersects one columnar frame of `left` against `right` under
-/// `kernel`, decoding metadata on match as production does; returns a
-/// checksum and the match count.
-fn intersect_frame(kernel: IntersectKernel, frame: &[u8], right: &[(u64, OrderKey)]) -> (u64, u64) {
+/// `kernel` as production does: the key columns are decoded whole into
+/// `cands`, reused across calls, then intersected as a slice, and
+/// metadata is decoded on match; returns a checksum and the match
+/// count.
+fn intersect_frame(
+    kernel: IntersectKernel,
+    frame: &[u8],
+    right: &[(u64, OrderKey)],
+    cands: &mut Vec<(OrderKey, usize)>,
+) -> (u64, u64) {
     let mut r = WireReader::new(frame);
-    let ColCursor {
-        mut keys,
-        mut metas,
-    }: ColCursor<'_, u64> = ColCursor::begin(&mut r).expect("frame");
+    let ColCursor { keys, mut metas }: ColCursor<'_, u64> =
+        ColCursor::begin(&mut r).expect("frame");
+    cands.clear();
+    for k in keys {
+        let k = k.expect("key columns");
+        cands.push((OrderKey::new(k.v, k.degree), k.idx));
+    }
     let (mut acc, mut matches) = (0u64, 0u64);
-    intersect_col(
+    intersect_slices(
         kernel,
-        &mut keys,
+        cands,
         right,
+        |&(k, _)| k,
         |e| e.1,
-        |k, e| {
-            acc = acc.wrapping_add(metas.get(k.idx)?).wrapping_add(e.0);
+        |&(_, i), e| {
+            acc = acc
+                .wrapping_add(metas.get(i).expect("meta"))
+                .wrapping_add(e.0);
             matches += 1;
-            Ok(())
         },
-    )
-    .expect("intersect");
+    );
     (acc, matches)
 }
 
 /// Every kernel over a columnar frame (keys decoded off the wire, right
 /// side in storage) at four degree skews: balanced, 10:1, 1000:1 and
-/// its reverse, a long streaming left side. The push phase streams the
-/// candidate batch as the left side; the pull phase intersects against
-/// decoded keys and no longer runs the streaming shape.
+/// its reverse, a long frame against a short adjacency. Both receive
+/// handlers decode a frame's keys before intersecting, so `Auto`
+/// resolves every shape by the one symmetric rule.
 fn compare_intersect_kernels() {
+    let mut cands = Vec::new();
     for (name, left_n, right_n) in [
         ("balanced", 4096usize, 4096usize),
         ("skew_10_1", 512, 5120),
@@ -97,13 +109,13 @@ fn compare_intersect_kernels() {
             ("blocked", IntersectKernel::BlockedMerge),
             ("auto", IntersectKernel::Auto),
         ] {
-            let (_, warm_matches) = intersect_frame(kernel, &frame, &right);
+            let (_, warm_matches) = intersect_frame(kernel, &frame, &right, &mut cands);
             assert_eq!(warm_matches, expected, "kernel {kname} disagrees at {name}");
             let _ = kernel_stats_take();
             let mut acc = 0u64;
             let start = Instant::now();
             for _ in 0..KERNEL_ITERS {
-                acc = acc.wrapping_add(intersect_frame(kernel, &frame, &right).0);
+                acc = acc.wrapping_add(intersect_frame(kernel, &frame, &right, &mut cands).0);
             }
             let ns = start.elapsed().as_nanos() as f64;
             std::hint::black_box(acc);

@@ -14,13 +14,13 @@
 //! are exactly two ways a rank consumes them:
 //!
 //! * **Production** ([`IntersectKernel::Auto`], or an explicit
-//!   [`Gallop`] / [`BlockedMerge`]): the frame is decoded in place
-//!   ([`tripoll_ygm::wire::ColCursor`]) and the metadata column is
+//!   [`Gallop`] / [`BlockedMerge`]): the frame is captured in place
+//!   ([`tripoll_ygm::wire::ColCursor`]), its two key columns are decoded
+//!   once, whole, into a rank-owned `(OrderKey, frame index)` slice,
+//!   and [`intersect_slices`] runs against it; the metadata column is
 //!   decoded per element on triangle matches only. A pushed batch is
-//!   streamed: [`intersect_col`] walks its two key columns. A pulled
-//!   `Adjm+(q)` is intersected against several resume suffixes, so
-//!   its key columns are decoded once per delivery and each suffix
-//!   runs [`intersect_slices`] against the decoded keys.
+//!   the slice's left side against `Adjm+(q)`; a pulled `Adjm+(q)` is
+//!   the right side of every resume suffix it serves.
 //! * **Reference** ([`IntersectKernel::MergeScalar`]): the frame is
 //!   materialised as an owned [`tripoll_ygm::wire::ColBatch`] and
 //!   intersected by the element-wise two-pointer merge through
@@ -32,8 +32,7 @@
 //! # Intersection kernels
 //!
 //! All kernels emit the **identical match sequence** (same pairs, same
-//! callback order); they differ only in compares and decode cost per
-//! candidate:
+//! callback order); they differ only in compares per candidate:
 //!
 //! * [`IntersectKernel::MergeScalar`] — the classic element-wise
 //!   two-pointer merge ([`merge_path`]): one key compare per pointer
@@ -44,36 +43,23 @@
 //!   compares instead of `O(L)`. Wins exactly when the sides are
 //!   skewed (`|small|·K < |large|` — a low-degree candidate batch
 //!   against a hub adjacency), loses slightly on balanced sides.
-//! * [`IntersectKernel::BlockedMerge`] — decodes fixed-size key
-//!   blocks ([`tripoll_ygm::wire::KeyBlock`], [`KEY_BLOCK_LEN`] keys)
-//!   from the columnar key columns into stack arrays and intersects
-//!   block-by-block: one *wide* compare (the block's last key against
-//!   the merge frontier) skips a whole block of misses, and keys that
-//!   do engage the merge are scanned with a tight advance loop over
-//!   the cache-resident stack run. Separating the varint-decode loop
-//!   from the compare loop is what the columnar wire layout exists to
-//!   enable (Pashanasangi & Seshadhri, arXiv:2106.02762, make this
-//!   locality argument).
-//! * [`IntersectKernel::Auto`] (production default) — per-batch
-//!   size-ratio heuristic, shape-aware. Over random-access slices
-//!   ([`IntersectKernel::select`]): gallop when either side is at
-//!   least [`GALLOP_RATIO`]× the other (`min·K < max`), the blocked
-//!   merge otherwise. Over a streaming left side that must be decoded
-//!   sequentially regardless ([`IntersectKernel::select_streaming`]):
-//!   gallop only when the *right* side is the much larger one
-//!   (`left·K < right`); a much larger left resolves to the blocked
-//!   merge, whose bulk decode is the only win available when decode
-//!   cost dominates. Each arm wins somewhere — the gallop does 48×
-//!   fewer compares at 1000:1 hub skew, the blocked merge 20× fewer at
-//!   a 1:1000 long streaming left side (the `micro` bench's
+//! * [`IntersectKernel::BlockedMerge`] — walks the left side in
+//!   blocks of [`KEY_BLOCK_LEN`] keys: one *wide* compare (the block's
+//!   last key against the merge frontier) skips a whole block of
+//!   misses, and keys that do engage the merge are scanned with a tight
+//!   advance loop.
+//! * [`IntersectKernel::Auto`] (production default) — one rule,
+//!   [`IntersectKernel::select`]: gallop when either side is at least
+//!   [`GALLOP_RATIO`]× the other (`min·K < max`), the blocked merge
+//!   otherwise. Both sides are random-access slices by the time a
+//!   kernel runs (a frame's keys are decoded first, whole), so the
+//!   gallop can seek into whichever side is larger and no streaming
+//!   left side remains. Each arm wins somewhere — the gallop does 48×
+//!   fewer compares at 1000:1 hub skew (the `micro` bench's
 //!   `intersect_kernel` section; `Auto`'s compare counts are pinned in
 //!   `tests/kernels.rs`) — which is why the choice is made from the two
-//!   lengths and not left to a knob. Only a pushed batch can be a
-//!   streaming left side; the pull phase decodes its keys first and
-//!   resolves through `select`. Both lengths are known before any
-//!   element is decoded (the batch count rides in the frame header,
-//!   the local adjacency length is in storage), so selection is free
-//!   and deterministic.
+//!   lengths and not left to a knob. Both lengths are known before any
+//!   key is compared, so selection is free and deterministic.
 //!
 //! Every kernel tallies deterministic counters ([`KernelStats`]:
 //! compares, candidates, matches, per-kernel dispatch counts) into a
@@ -89,7 +75,6 @@ use std::time::Instant;
 
 use tripoll_graph::OrderKey;
 use tripoll_ygm::stats::CommStats;
-use tripoll_ygm::wire::{ColKey, ColKeys, KeyBlock, WireError, KEY_BLOCK_LEN};
 use tripoll_ygm::Comm;
 
 /// Which TriPoll algorithm to run.
@@ -130,9 +115,6 @@ impl std::fmt::Display for EngineMode {
 /// // Heavy skew in either direction: gallop into the larger side.
 /// assert_eq!(auto.select(10, 10 * GALLOP_RATIO + 1), IntersectKernel::Gallop);
 /// assert_eq!(auto.select(10 * GALLOP_RATIO + 1, 10), IntersectKernel::Gallop);
-/// // A streaming (decode-bound) left side only gallops into a much
-/// // larger right; the reverse skew stays on the blocked merge.
-/// assert_eq!(auto.select_streaming(1000, 10), IntersectKernel::BlockedMerge);
 /// // Explicit kernels always resolve to themselves.
 /// assert_eq!(IntersectKernel::Gallop.select(5, 5), IntersectKernel::Gallop);
 /// ```
@@ -143,11 +125,8 @@ impl std::fmt::Display for EngineMode {
 pub enum IntersectKernel {
     /// Per-batch size-ratio heuristic: [`IntersectKernel::Gallop`] at
     /// heavy skew, else [`IntersectKernel::BlockedMerge`] — see
-    /// [`IntersectKernel::select`] / [`select_streaming`] for the
-    /// exact (and deliberately asymmetric) contracts. The production
-    /// default.
-    ///
-    /// [`select_streaming`]: IntersectKernel::select_streaming
+    /// [`IntersectKernel::select`] for the exact contract. The
+    /// production default.
     #[default]
     Auto,
     /// Element-wise two-pointer merge — the reference kernel. A survey
@@ -157,28 +136,15 @@ pub enum IntersectKernel {
     MergeScalar,
     /// Exponential-search seek through the larger side.
     Gallop,
-    /// Fixed-size key blocks decoded into stack arrays, intersected
-    /// with branch-light wide compares.
+    /// Fixed-size blocks of the left side, skipped with one wide
+    /// compare each when they lie below the merge frontier.
     BlockedMerge,
 }
 
 /// Skew ratio at which [`IntersectKernel::Auto`] switches to
-/// galloping.
-///
-/// The contract is **shape-dependent** — the two dispatch functions
-/// apply the ratio differently, and the asymmetry is deliberate (the
-/// dispatch-count tests below pin both contracts):
-///
-/// * **Random-access sides** ([`IntersectKernel::select`]):
-///   *symmetric* — gallop when `min(|l|,|r|)·K < max(|l|,|r|)`,
-///   because the gallop seeks into whichever side is larger.
-/// * **Streaming left sides** ([`IntersectKernel::select_streaming`]):
-///   *asymmetric* — gallop only when `|left|·K < |right|`. A streaming
-///   left side (a pushed batch's wire cursor) must be decoded
-///   sequentially regardless of kernel, so a much larger *left* gains
-///   nothing from seeking and resolves to the blocked merge, whose
-///   bulk decode is the only lever when decode cost dominates. The
-///   pull phase decodes its keys first and resolves through `select`.
+/// galloping: [`IntersectKernel::select`] gallops when
+/// `min(|l|,|r|)·K < max(|l|,|r|)`, symmetric because the gallop seeks
+/// into whichever side is larger.
 ///
 /// At ratio `K` the merge walks `max ≥ K·min` keys while galloping
 /// costs about `min·(2·log₂(max/min)+2)` compares; `K = 8` is where
@@ -186,10 +152,14 @@ pub enum IntersectKernel {
 /// 2 = 8 compares) breaks even with the walk it skips.
 pub const GALLOP_RATIO: usize = 8;
 
+/// Keys per block of [`IntersectKernel::BlockedMerge`]: the width one
+/// wide compare skips when a whole block of the left side lies below
+/// the merge frontier.
+pub const KEY_BLOCK_LEN: usize = 32;
+
 impl IntersectKernel {
-    /// Resolves [`IntersectKernel::Auto`] for one intersection over
-    /// two *random-access* sides (slices); explicit kernels return
-    /// themselves. **Symmetric** in the side lengths: a skew past
+    /// Resolves [`IntersectKernel::Auto`] for one intersection of two
+    /// slices; explicit kernels return themselves. **Symmetric** in the side lengths: a skew past
     /// [`GALLOP_RATIO`] in either direction picks the gallop (it can
     /// seek into whichever side is larger); anything milder resolves
     /// to [`IntersectKernel::BlockedMerge`]. Deterministic, and both
@@ -204,30 +174,6 @@ impl IntersectKernel {
                     (right_len, left_len)
                 };
                 if small.saturating_mul(GALLOP_RATIO) < large {
-                    IntersectKernel::Gallop
-                } else {
-                    IntersectKernel::BlockedMerge
-                }
-            }
-            k => k,
-        }
-    }
-
-    /// Resolves [`IntersectKernel::Auto`] for a *streaming* left side
-    /// (a wire cursor that must be decoded sequentially regardless of
-    /// kernel). **Asymmetric**, unlike [`IntersectKernel::select`]:
-    /// galloping only pays when it seeks into a much larger **right**
-    /// side (`left·`[`GALLOP_RATIO`]` < right`), so a much larger
-    /// *left* resolves to [`IntersectKernel::BlockedMerge`] instead —
-    /// its bulk decode is the only lever when the decode itself
-    /// dominates. See [`GALLOP_RATIO`] for the full two-shape
-    /// contract. In production only the push handler's
-    /// [`intersect_col`] calls it.
-    #[inline]
-    pub fn select_streaming(self, left_len: usize, right_len: usize) -> IntersectKernel {
-        match self {
-            IntersectKernel::Auto => {
-                if left_len.saturating_mul(GALLOP_RATIO) < right_len {
                     IntersectKernel::Gallop
                 } else {
                     IntersectKernel::BlockedMerge
@@ -422,9 +368,9 @@ pub fn merge_path<L, R>(
 /// * `compares` — key comparisons performed (three-way compares,
 ///   gallop probes and binary-search steps, block-skip checks and the
 ///   equality check after a gallop each count one);
-/// * `candidates` — left-side elements decoded or visited (blocked
-///   kernels decode whole blocks, so this may exceed what the scalar
-///   kernel touches before an early exit);
+/// * `candidates` — left-side elements, all of them whichever kernel
+///   runs (a pushed frame's keys are decoded whole, so every wedge
+///   counts exactly once);
 /// * `matches` — key-equal pairs emitted, identical across kernels by
 ///   the differential contract;
 /// * `*_runs` — intersections dispatched per resolved kernel (what
@@ -433,7 +379,7 @@ pub fn merge_path<L, R>(
 pub struct KernelStats {
     /// Key comparisons performed.
     pub compares: u64,
-    /// Left-side elements decoded or visited.
+    /// Left-side elements of every intersection.
     pub candidates: u64,
     /// Key-equal pairs emitted.
     pub matches: u64,
@@ -660,134 +606,6 @@ pub fn intersect_slices<L, R>(
     record_kernel(resolved, compares, left.len() as u64, matches);
 }
 
-/// Intersects the key columns of one columnar frame against a
-/// `<+`-sorted slice with the selected kernel — the production hot
-/// path. `on_match` receives the matching
-/// [`ColKey`] (whose `idx` indexes the frame's metadata column) and may
-/// fail (a lazy metadata decode); key-decode errors from the frame
-/// propagate the same way. Matches are emitted in increasing key
-/// order, identically across kernels.
-///
-/// The blocked kernel is where the columnar layout pays: keys are
-/// decoded [`KEY_BLOCK_LEN`] at a time into stack arrays
-/// ([`KeyBlock`]) so the varint-decode loop and the branch-light
-/// compare loop each run tight over contiguous memory.
-pub fn intersect_col<R>(
-    kernel: IntersectKernel,
-    keys: &mut ColKeys<'_>,
-    right: &[R],
-    key_r: impl Fn(&R) -> OrderKey,
-    mut on_match: impl FnMut(ColKey, &R) -> Result<(), WireError>,
-) -> Result<(), WireError> {
-    let resolved = kernel.select_streaming(keys.remaining(), right.len());
-    let (mut compares, mut candidates, mut matches) = (0u64, 0u64, 0u64);
-    let out = (|| {
-        match resolved {
-            IntersectKernel::MergeScalar => {
-                let mut b = 0;
-                while b < right.len() {
-                    let Some(k) = keys.next_key() else { break };
-                    let k = k?;
-                    candidates += 1;
-                    let kl = OrderKey::new(k.v, k.degree);
-                    while b < right.len() {
-                        compares += 1;
-                        if key_r(&right[b]) < kl {
-                            b += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    if b < right.len() {
-                        compares += 1;
-                        if key_r(&right[b]) == kl {
-                            on_match(k, &right[b])?;
-                            matches += 1;
-                            b += 1;
-                        }
-                    }
-                }
-            }
-            IntersectKernel::Gallop => {
-                let mut b = 0;
-                while b < right.len() {
-                    let Some(k) = keys.next_key() else { break };
-                    let k = k?;
-                    candidates += 1;
-                    let kl = OrderKey::new(k.v, k.degree);
-                    b = gallop_seek(right, &key_r, b, kl, &mut compares);
-                    if b < right.len() {
-                        compares += 1;
-                        if key_r(&right[b]) == kl {
-                            on_match(k, &right[b])?;
-                            matches += 1;
-                            b += 1;
-                        }
-                    }
-                }
-            }
-            IntersectKernel::BlockedMerge => {
-                let mut block = KeyBlock::new();
-                let mut bkeys = [OrderKey { degree: 0, tie: 0 }; KEY_BLOCK_LEN];
-                let mut b = 0;
-                while b < right.len() {
-                    let Some(res) = keys.next_block(&mut block) else {
-                        break;
-                    };
-                    res?;
-                    candidates += block.len as u64;
-                    for ((k, &v), &d) in bkeys
-                        .iter_mut()
-                        .zip(&block.v)
-                        .zip(&block.degree)
-                        .take(block.len)
-                    {
-                        *k = OrderKey::new(v, d);
-                    }
-                    compares += 1;
-                    if bkeys[block.len - 1] < key_r(&right[b]) {
-                        continue;
-                    }
-                    for (i, &kl) in bkeys.iter().enumerate().take(block.len) {
-                        if b >= right.len() {
-                            break;
-                        }
-                        // Tight advance on a register-resident key,
-                        // then one equality check at the landing spot.
-                        while b < right.len() {
-                            compares += 1;
-                            if key_r(&right[b]) < kl {
-                                b += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        if b < right.len() {
-                            compares += 1;
-                            if key_r(&right[b]) == kl {
-                                on_match(
-                                    ColKey {
-                                        idx: block.base + i,
-                                        v: block.v[i],
-                                        degree: block.degree[i],
-                                    },
-                                    &right[b],
-                                )?;
-                                matches += 1;
-                                b += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            IntersectKernel::Auto => unreachable!("select never returns Auto"),
-        }
-        Ok(())
-    })();
-    record_kernel(resolved, compares, candidates, matches);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,22 +719,6 @@ mod tests {
         assert_eq!(auto.select(100, 801), IntersectKernel::Gallop);
         assert_eq!(auto.select(801, 100), IntersectKernel::Gallop);
         assert_eq!(auto.select(0, 1), IntersectKernel::Gallop);
-        // Streaming left side: gallop only into a much larger right; a
-        // much larger (decode-bound) left resolves to the blocked
-        // merge.
-        assert_eq!(auto.select_streaming(100, 801), IntersectKernel::Gallop);
-        assert_eq!(
-            auto.select_streaming(801, 100),
-            IntersectKernel::BlockedMerge
-        );
-        assert_eq!(
-            auto.select_streaming(100, 100),
-            IntersectKernel::BlockedMerge
-        );
-        assert_eq!(
-            IntersectKernel::MergeScalar.select_streaming(1, 1_000_000),
-            IntersectKernel::MergeScalar
-        );
         // Explicit kernels resolve to themselves at any skew.
         for k in [
             IntersectKernel::MergeScalar,
@@ -928,10 +730,10 @@ mod tests {
         }
     }
 
-    /// Pins the dispatch-count counters for each shape class — the
-    /// executable form of the [`GALLOP_RATIO`] two-shape contract
-    /// (symmetric over slices, asymmetric over columnar frames), so the
-    /// docs and the code cannot drift apart.
+    /// Pins the dispatch-count counters of the one [`GALLOP_RATIO`]
+    /// rule, symmetric in the side lengths, so the docs and the code
+    /// cannot drift apart. A frame's keys are decoded before they are
+    /// intersected, so a frame on either side resolves like a slice.
     #[test]
     fn auto_dispatch_counters_pin_the_shape_contract() {
         use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
@@ -940,45 +742,30 @@ mod tests {
         };
         let big = mk(900);
         let small = mk(100);
-        let runs = || {
+        let runs = |l: &[(u64, OrderKey)], r: &[(u64, OrderKey)]| {
+            let _ = kernel_stats_take();
+            intersect_slices(IntersectKernel::Auto, l, r, |e| e.1, |e| e.1, |_, _| {});
             let s = kernel_stats_take();
             (s.scalar_runs, s.gallop_runs, s.blocked_runs)
         };
-        // Slices, balanced: the blocked merge.
-        let runs_slices = |l: &[(u64, OrderKey)], r: &[(u64, OrderKey)]| {
-            let _ = kernel_stats_take();
-            intersect_slices(IntersectKernel::Auto, l, r, |e| e.1, |e| e.1, |_, _| {});
-            runs()
-        };
-        assert_eq!(runs_slices(&small, &small), (0, 0, 1), "slices balanced");
-        // Slices, heavy skew either way: gallop (symmetric contract).
-        assert_eq!(runs_slices(&small, &big), (0, 1, 0), "slices right-heavy");
-        assert_eq!(runs_slices(&big, &small), (0, 1, 0), "slices left-heavy");
-        // Frames: gallop only into a much larger right (asymmetric).
-        let runs_frame = |l: &[(u64, OrderKey)], r: &[(u64, OrderKey)]| {
+        assert_eq!(runs(&small, &small), (0, 0, 1), "balanced");
+        assert_eq!(runs(&small, &big), (0, 1, 0), "right-heavy");
+        assert_eq!(runs(&big, &small), (0, 1, 0), "left-heavy");
+        // The same sides as decoded frames: the same dispatch.
+        let decoded = |l: &[(u64, OrderKey)]| -> Vec<(u64, OrderKey)> {
             let frame = to_bytes(&ColBatch::<()>(
                 l.iter().map(|e| (e.0, e.1.degree, ())).collect(),
             ));
             let mut reader = WireReader::new(&frame);
-            let mut cur: ColCursor<'_, ()> = ColCursor::begin(&mut reader).expect("frame");
-            let _ = kernel_stats_take();
-            intersect_col(
-                IntersectKernel::Auto,
-                &mut cur.keys,
-                r,
-                |e| e.1,
-                |_, _| Ok(()),
-            )
-            .expect("intersect");
-            runs()
+            let cur: ColCursor<'_, ()> = ColCursor::begin(&mut reader).expect("frame");
+            cur.keys
+                .map(|k| k.map(|k| (k.v, OrderKey::new(k.v, k.degree))))
+                .collect::<Result<_, _>>()
+                .expect("keys")
         };
-        assert_eq!(runs_frame(&small, &small), (0, 0, 1), "frame balanced");
-        assert_eq!(runs_frame(&small, &big), (0, 1, 0), "frame right-heavy");
-        assert_eq!(
-            runs_frame(&big, &small),
-            (0, 0, 1),
-            "frame left-heavy must NOT gallop (decode-bound left)"
-        );
+        assert_eq!(runs(&decoded(&small), &small), (0, 0, 1), "frame balanced");
+        assert_eq!(runs(&decoded(&small), &big), (0, 1, 0), "frame right-heavy");
+        assert_eq!(runs(&decoded(&big), &small), (0, 1, 0), "frame left-heavy");
     }
 
     #[test]

@@ -10,14 +10,23 @@
 //! already in `Adjm+(q)`'s entry for `r` (it is deliberately *not*
 //! transmitted).
 //!
-//! # Zero-copy on both ends of the wire
+//! # Encode once per apex, decode once per frame
 //!
-//! The candidate suffix serializes as three packed columns straight
-//! from `Adjm+(p)` storage ([`encode_candidate_columns`]); the
-//! production handler intersects by walking only the two key columns
-//! ([`ColCursor`]), and the metadata column is decoded per element
-//! exclusively on triangle matches. The frame is fully consumed at
-//! capture, so early exits leave no record-framing debt.
+//! Every batch an apex `p` pushes is a suffix of the same `Adjm+(p)`,
+//! so the sender encodes that list's three columns once per apex
+//! ([`ColSuffixes`], filled from the apex's first pushed suffix into
+//! scratch reused across apexes) and emits each batch's frame by
+//! copying byte suffixes. The frame is byte-identical to
+//! [`encode_candidate_columns`] over the same suffix.
+//!
+//! The production handler captures the frame in place ([`ColCursor`]),
+//! decodes its two key columns whole into a reused `(OrderKey, frame
+//! index)` buffer ([`decode_frame_keys`], the same decoder the pull
+//! handler uses), and runs [`intersect_slices`] against `Adjm+(q)`;
+//! the metadata column is decoded per element on triangle matches
+//! only. Decoding every key enforces the key columns' byte budget
+//! whatever `Adjm+(q)` holds, and the frame is fully consumed at
+//! capture, so the record framing is intact wherever the merge stops.
 //!
 //! The reference handler ([`SurveyConfig::is_reference`]) reads the
 //! same bytes as an owned [`ColBatch`] and runs the two-pointer merge
@@ -29,13 +38,16 @@
 //! a data race); the handler raises a structured [`Comm::abort`] naming
 //! the sending rank instead of unwinding mid-dispatch with a bare panic.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use tripoll_graph::{AdjEntry, DistGraph, OrderKey};
-use tripoll_ygm::wire::{encode_columns, ColBatch, ColCursor, Wire, WireEncode};
+use tripoll_ygm::wire::{
+    encode_columns, ColBatch, ColCursor, ColKeys, ColSuffixes, Wire, WireEncode, WireError,
+};
 use tripoll_ygm::{Comm, Handler};
 
-use crate::engine::{intersect_col, intersect_slices, IntersectKernel, SurveyConfig};
+use crate::engine::{intersect_slices, IntersectKernel, SurveyConfig};
 use crate::meta::TriangleMeta;
 
 /// Type-erased survey callback held by engine handlers.
@@ -83,9 +95,9 @@ where
     }
 }
 
-/// The production receive handler: capture the columnar frame, run the
-/// configured intersection kernel over the key columns, decode
-/// metadata on match only.
+/// The production receive handler: capture the columnar frame, decode
+/// its key columns whole, intersect them with `Adjm+(q)` under the
+/// configured kernel, decode metadata on match only.
 fn register_push_handler_production<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -97,6 +109,10 @@ where
     EM: Wire + Clone + 'static,
 {
     let g = graph.clone();
+    // The decoded key columns of the frame being served, reused across
+    // frames. Taken out while in use, so a re-entrant dispatch would
+    // decode into a fresh buffer instead of the one being read.
+    let frame_keys: Cell<Vec<(OrderKey, usize)>> = Cell::default();
     comm.register_borrowed::<PushMsg<VM, EM>, _>(move |c, r| {
         let p = u64::decode(r)?;
         let q = u64::decode(r)?;
@@ -104,40 +120,51 @@ where
         let meta_pq = EM::decode(r)?;
         // The frame is fully consumed here (bounded column takes), so
         // record framing is intact no matter where the merge stops.
-        let cur: ColCursor<'_, EM> = ColCursor::begin(r)?;
+        let ColCursor {
+            mut keys,
+            mut metas,
+        } = ColCursor::<'_, EM>::begin(r)?;
         let Some(lv) = g.shard().get(q) else {
             abort_unowned_push(c, &g, p, q);
         };
         // The intersection visits both lists once: that is the
         // wedge-check work (kernel-independent by design).
-        c.add_work((cur.len() + lv.adj.len()) as u64);
-        let ColCursor {
-            mut keys,
-            mut metas,
-        } = cur;
-        intersect_col(
-            kernel,
-            &mut keys,
-            &lv.adj,
-            |e| e.key,
-            |k, e| {
-                debug_assert_eq!(k.v, e.v, "OrderKey equality implies vertex equality");
-                let meta_pr = metas.get(k.idx)?;
-                let tm = TriangleMeta {
-                    p,
-                    q,
-                    r: e.v,
-                    meta_p: &meta_p,
-                    meta_q: &lv.meta,
-                    meta_r: &e.vm,
-                    meta_pq: &meta_pq,
-                    meta_pr: &meta_pr,
-                    meta_qr: &e.em,
-                };
-                cb(c, &tm);
-                Ok(())
-            },
-        )
+        c.add_work((keys.remaining() + lv.adj.len()) as u64);
+        let mut cands = frame_keys.take();
+        let mut out = decode_frame_keys(&mut keys, &mut cands);
+        if out.is_ok() {
+            intersect_slices(
+                kernel,
+                &cands,
+                &lv.adj,
+                |&(k, _)| k,
+                |e| e.key,
+                |&(_, i), e| {
+                    if out.is_err() {
+                        return;
+                    }
+                    match metas.get(i) {
+                        Ok(meta_pr) => cb(
+                            c,
+                            &TriangleMeta {
+                                p,
+                                q,
+                                r: e.v,
+                                meta_p: &meta_p,
+                                meta_q: &lv.meta,
+                                meta_r: &e.vm,
+                                meta_pq: &meta_pq,
+                                meta_pr: &meta_pr,
+                                meta_qr: &e.em,
+                            },
+                        ),
+                        Err(err) => out = Err(err),
+                    }
+                },
+            );
+        }
+        frame_keys.set(cands);
+        out
     })
 }
 
@@ -195,12 +222,33 @@ pub(crate) fn encode_candidate_columns<VM, EM: Wire>(
     encode_columns(adj, |s| s.v, |s| s.key.degree, |s, buf| s.em.encode(buf))
 }
 
+/// Decodes a frame's two key columns, whole, into `out` as one
+/// `(OrderKey, frame index)` per element — the one frame decoder of
+/// both receive handlers. `out` is cleared, not reallocated, so a
+/// rank's frames share one buffer. Walking to the last element enforces
+/// the key columns' byte budget: a truncated or over-long key column
+/// fails here, before any key is intersected.
+pub(crate) fn decode_frame_keys(
+    keys: &mut ColKeys<'_>,
+    out: &mut Vec<(OrderKey, usize)>,
+) -> Result<(), WireError> {
+    out.clear();
+    out.reserve(keys.remaining());
+    for k in keys {
+        let k = k?;
+        out.push((OrderKey::new(k.v, k.degree), k.idx));
+    }
+    Ok(())
+}
+
 /// Iterates this rank's vertices and pushes every wedge batch whose
 /// target is not excluded by `skip` (Push-Only passes `|_| false`;
 /// Push-Pull skips targets that will be pulled instead).
 ///
-/// Encode-once hot path: the candidate suffix serializes **directly**
-/// from the `Adjm+(p)` storage slice, and `meta(p)` / `meta(p,q)` are
+/// Encode-once hot path: `Adjm+(p)`'s columns are encoded once per
+/// apex, from its first pushed suffix on, straight from storage into
+/// one [`ColSuffixes`] reused across apexes; each batch's frame is a
+/// copy of byte suffixes of that encoding. `meta(p)` / `meta(p,q)` are
 /// encoded by reference — no candidate materialization and no metadata
 /// clones per batch.
 pub(crate) fn push_wedge_batches<VM, EM>(
@@ -212,7 +260,10 @@ pub(crate) fn push_wedge_batches<VM, EM>(
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
+    let mut cols = ColSuffixes::new();
     for lv in graph.shard().vertices() {
+        // Index in `Adjm+(p)` of `cols`' first element, once filled.
+        let mut filled_from = None;
         for (i, e) in lv.adj.iter().enumerate() {
             // The last out-neighbor has an empty suffix: no wedges.
             if i + 1 >= lv.adj.len() {
@@ -221,18 +272,15 @@ pub(crate) fn push_wedge_batches<VM, EM>(
             if skip(e.v) {
                 continue;
             }
-            let dest = graph.owner(e.v);
-            let suffix = &lv.adj[i + 1..];
+            let from = *filled_from.get_or_insert_with(|| {
+                let suffix = &lv.adj[i + 1..];
+                cols.fill(suffix, |s| s.v, |s| s.key.degree, |s, buf| s.em.encode(buf));
+                i + 1
+            });
             comm.send_encoded(
-                dest,
+                graph.owner(e.v),
                 handler,
-                (
-                    lv.id,
-                    e.v,
-                    &lv.meta,
-                    &e.em,
-                    encode_candidate_columns(suffix),
-                ),
+                (lv.id, e.v, &lv.meta, &e.em, cols.suffix(i + 1 - from)),
             );
         }
     }

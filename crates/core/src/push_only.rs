@@ -190,6 +190,44 @@ mod tests {
         ));
     }
 
+    /// A pushed frame's key columns are validated whole, not only as
+    /// far as the merge walks: a frame with a trailing vertex-column
+    /// byte, sent to a `q` whose `Adjm+(q)` is empty, still fails.
+    #[test]
+    #[should_panic(expected = "columnar byte budget mismatch")]
+    fn push_frame_with_trailing_key_bytes_aborts() {
+        use crate::push_common::register_push_handler;
+        use tripoll_ygm::wire::{put_varint, WireEncode};
+        struct Raw(Vec<u8>);
+        impl WireEncode for Raw {
+            fn encode_wire(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.0);
+            }
+        }
+        let edges = [(0u64, 1u64), (1, 2), (2, 0)];
+        let list = EdgeList::from_vec(edges.iter().map(|&(u, v)| (u, v, ())).collect::<Vec<_>>());
+        World::new(1).run(|comm| {
+            let local = list.stride_for_rank(comm.rank(), comm.nranks());
+            let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
+            let cb: crate::push_common::DynCallback<(), ()> =
+                Rc::new(|_c, _tm| panic!("callback ran on a corrupt push frame"));
+            let h = register_push_handler(comm, &g, cb, SurveyConfig::default());
+            let q = g
+                .shard()
+                .vertices()
+                .find(|lv| lv.adj.is_empty())
+                .expect("the <+-largest vertex has no out-neighbours")
+                .id;
+            // (p, q, (), (), frame): n = 1, vertex column [5, 7].
+            let mut frame = Vec::new();
+            for v in [0, q, 1, 2, 5, 7, 1, 3, 0] {
+                put_varint(&mut frame, v);
+            }
+            comm.send_encoded(0, &h, Raw(frame));
+            comm.barrier();
+        });
+    }
+
     #[test]
     fn explicit_kernels_count_like_the_default() {
         use crate::engine::IntersectKernel;

@@ -34,7 +34,7 @@ use std::rc::Rc;
 
 use tripoll_graph::{DistGraph, OrderKey};
 use tripoll_ygm::hash::{FastMap, FastSet};
-use tripoll_ygm::wire::{ColBatch, ColKeys, ColView, KeyBlock, Wire, WireError};
+use tripoll_ygm::wire::{ColBatch, ColView, Wire};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{
@@ -42,7 +42,8 @@ use crate::engine::{
 };
 use crate::meta::{SurveyCallback, TriangleMeta};
 use crate::push_common::{
-    encode_candidate_columns, push_wedge_batches, register_push_handler, DynCallback,
+    decode_frame_keys, encode_candidate_columns, push_wedge_batches, register_push_handler,
+    DynCallback,
 };
 
 /// Dry-run record: `(q, planned candidate count, source rank)`.
@@ -480,26 +481,6 @@ where
         }
         Ok(())
     })
-}
-
-/// Decodes a pulled frame's two key columns, whole, into `out` as one
-/// `(OrderKey, frame index)` per element. `out` is cleared, not
-/// reallocated, so a rank's deliveries share one buffer. Walking to the
-/// last element enforces the key columns' byte budget: a truncated or
-/// over-long key column fails here, before any suffix is intersected.
-fn decode_frame_keys(
-    keys: &mut ColKeys<'_>,
-    out: &mut Vec<(OrderKey, usize)>,
-) -> Result<(), WireError> {
-    out.clear();
-    let mut block = KeyBlock::new();
-    while let Some(res) = keys.next_block(&mut block) {
-        res?;
-        out.extend(
-            (0..block.len).map(|i| (OrderKey::new(block.v[i], block.degree[i]), block.base + i)),
-        );
-    }
-    Ok(())
 }
 
 #[cfg(test)]

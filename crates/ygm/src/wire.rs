@@ -34,7 +34,9 @@
 //! * tuples of `WireEncode` values encode like tuples of the owned types;
 //! * [`encode_columns`] encodes a *projection* of a slice byte-identically
 //!   to a [`ColBatch`] without materializing any element — each column
-//!   streams through a closure (see the columnar section below).
+//!   streams through a closure (see the columnar section below), and
+//!   [`ColSuffixes::suffix`] does the same for any suffix of a list
+//!   encoded once.
 //!
 //! A handler registered for `M: Wire` can therefore be fed by
 //! `Comm::send_encoded` / `Comm::send_to_many` with a `WireEncode` value
@@ -107,6 +109,10 @@
 //!   storage, byte-identical to [`ColBatch`], with the meta column
 //!   staged through a capacity-capped thread-local scratch (zero
 //!   steady-state allocation).
+//! * [`ColSuffixes`] — one list's columns encoded once, with per-element
+//!   offsets, so the frame of any suffix is a copy of byte suffixes
+//!   (a wedge apex ships many nested suffixes of one list),
+//!   byte-identical to [`encode_columns`] over that suffix.
 //! * [`ColCursor`] — single-pass decode: [`ColKeys`] walks the two key
 //!   columns in lockstep while [`ColMetas`] advances the meta column
 //!   lazily, only as far as the indices actually requested.
@@ -282,48 +288,6 @@ impl<'a> WireReader<'a> {
                 return Err(WireError::VarintOverflow);
             }
         }
-    }
-
-    /// Bulk-decodes exactly `out.len()` LEB128 varints into `out` — the
-    /// block primitive underneath [`ColKeys::next_block`]. The hot loop
-    /// keeps a local cursor and cracks each varint from one
-    /// little-endian `u64` load (`crack_word`: find the terminator
-    /// byte with a single SWAR pass over the continuation bits, then
-    /// shift-and-mask the 7-bit payload lanes together); buffer tails
-    /// and 9–10-byte varints fall back to the scalar decoder, so the
-    /// accepted byte strings, values and errors are identical to
-    /// `out.len()` calls of [`take_varint`](WireReader::take_varint).
-    ///
-    /// On an error the reader is left where the scalar decoder left it
-    /// (mid-varint); callers are expected to poison their walk, as
-    /// [`ColKeys`] does.
-    pub fn take_varints(&mut self, out: &mut [u64]) -> Result<(), WireError> {
-        let buf = self.buf;
-        let mut pos = self.pos;
-        for slot in out.iter_mut() {
-            if let Some(&b0) = buf.get(pos) {
-                // One-byte varints (delta-coded degree columns are
-                // almost nothing else) skip the crack entirely.
-                if b0 & 0x80 == 0 {
-                    *slot = u64::from(b0);
-                    pos += 1;
-                    continue;
-                }
-                if let Some(word) = buf.get(pos..pos + 8) {
-                    let w = u64::from_le_bytes(word.try_into().unwrap());
-                    if let Some((v, len)) = crack_word(w) {
-                        *slot = v;
-                        pos += len;
-                        continue;
-                    }
-                }
-            }
-            self.pos = pos;
-            *slot = self.take_varint_scalar()?;
-            pos = self.pos;
-        }
-        self.pos = pos;
-        Ok(())
     }
 }
 
@@ -1061,6 +1025,166 @@ where
     }
 }
 
+/// Where one element of a [`ColSuffixes`] encoding starts in each
+/// column, and its raw degree (the degree column's head whenever a
+/// suffix starts at this element).
+#[derive(Debug, Clone, Copy)]
+struct SuffixMark {
+    v: usize,
+    d: usize,
+    m: usize,
+    degree: u64,
+}
+
+/// One list's three columns, encoded once, from which the frame of any
+/// suffix is emitted by copying byte suffixes — the encoder for a
+/// sender that ships many nested suffixes of one list (a wedge apex
+/// ships `d+ − 1` suffixes of its `Adjm+(p)`).
+///
+/// The vertex and meta columns of a suffix are byte suffixes of the
+/// whole list's. The degree column is too, apart from its head: a
+/// suffix starting at element `j` carries `j`'s raw degree, then the
+/// stored deltas of elements `j + 1..`. [`ColSuffixes::fill`] keeps each
+/// element's column offsets and raw degree, so [`ColSuffixes::suffix`]
+/// costs three length prefixes, one raw degree and three copies.
+/// Every suffix is byte-identical to [`encode_columns`] over the same
+/// elements, hence to their [`ColBatch`]:
+///
+/// ```
+/// use tripoll_ygm::wire::{encode_columns, ColSuffixes, WireEncode};
+///
+/// let adj = [(7u64, 3u64, 40u32), (19, 3, 41), (4, 5, 42)];
+/// let mut cols = ColSuffixes::new();
+/// cols.fill(&adj, |e| e.0, |e| e.1, |e, buf| buf.push(e.2 as u8));
+/// for j in 0..=adj.len() {
+///     let (mut once, mut fresh) = (Vec::new(), Vec::new());
+///     cols.suffix(j).encode_wire(&mut once);
+///     encode_columns(&adj[j..], |e| e.0, |e| e.1, |e, buf| buf.push(e.2 as u8))
+///         .encode_wire(&mut fresh);
+///     assert_eq!(once, fresh);
+/// }
+/// ```
+///
+/// The buffers are cleared, not freed, by each fill, so one
+/// `ColSuffixes` reused across lists allocates only while it grows.
+#[derive(Debug, Default)]
+pub struct ColSuffixes {
+    vcol: Vec<u8>,
+    /// Zigzag degree deltas of elements `1..`; element 0 has none.
+    dcol: Vec<u8>,
+    mcol: Vec<u8>,
+    /// One mark per element, then one at the three column ends.
+    marks: Vec<SuffixMark>,
+}
+
+impl ColSuffixes {
+    /// An empty encoder; every fill reuses its buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Encodes the three columns of `items` once, replacing the last
+    /// fill. `v`, `d` and `m` are [`encode_columns`]'s projections.
+    pub fn fill<S>(
+        &mut self,
+        items: &[S],
+        v: impl Fn(&S) -> u64,
+        d: impl Fn(&S) -> u64,
+        m: impl Fn(&S, &mut Vec<u8>),
+    ) {
+        self.vcol.clear();
+        self.dcol.clear();
+        self.mcol.clear();
+        self.marks.clear();
+        let mut prev = 0u64;
+        for (i, item) in items.iter().enumerate() {
+            let degree = d(item);
+            self.marks.push(SuffixMark {
+                v: self.vcol.len(),
+                d: self.dcol.len(),
+                m: self.mcol.len(),
+                degree,
+            });
+            put_varint(&mut self.vcol, v(item));
+            if i > 0 {
+                put_varint(
+                    &mut self.dcol,
+                    zigzag_encode(degree.wrapping_sub(prev) as i64),
+                );
+            }
+            prev = degree;
+            m(item, &mut self.mcol);
+        }
+        self.marks.push(SuffixMark {
+            v: self.vcol.len(),
+            d: self.dcol.len(),
+            m: self.mcol.len(),
+            degree: 0,
+        });
+    }
+
+    /// Elements of the last fill (0 before the first).
+    pub fn len(&self) -> usize {
+        self.marks.len().saturating_sub(1)
+    }
+
+    /// True when the last fill held no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The frame of elements `j..` of the last fill; `j == len()` is
+    /// the empty frame.
+    ///
+    /// # Panics
+    ///
+    /// If `j > len()`.
+    pub fn suffix(&self, j: usize) -> ColSuffix<'_> {
+        assert!(
+            j <= self.len(),
+            "suffix {j} of a {}-element list",
+            self.len()
+        );
+        ColSuffix { cols: self, j }
+    }
+}
+
+/// The frame of one suffix of a [`ColSuffixes`] encoding, built by
+/// [`ColSuffixes::suffix`].
+#[derive(Debug, Clone, Copy)]
+pub struct ColSuffix<'a> {
+    cols: &'a ColSuffixes,
+    j: usize,
+}
+
+impl WireEncode for ColSuffix<'_> {
+    fn encode_wire(&self, buf: &mut Vec<u8>) {
+        let ColSuffixes {
+            vcol,
+            dcol,
+            mcol,
+            marks,
+        } = self.cols;
+        put_varint(buf, (self.cols.len() - self.j) as u64);
+        // The end mark is the last; a nonempty suffix has one before it.
+        let &[head, next, ..] = &marks[self.j..] else {
+            // The empty frame: three zero byte-length prefixes.
+            buf.extend_from_slice(&[0, 0, 0]);
+            return;
+        };
+        let vbytes = &vcol[head.v..];
+        put_varint(buf, vbytes.len() as u64);
+        buf.extend_from_slice(vbytes);
+        let deltas = &dcol[next.d..];
+        put_varint(buf, (varint_len(head.degree) + deltas.len()) as u64);
+        put_varint(buf, head.degree);
+        buf.extend_from_slice(deltas);
+        let mbytes = &mcol[head.m..];
+        put_varint(buf, mbytes.len() as u64);
+        buf.extend_from_slice(mbytes);
+    }
+}
+
 /// One element of the key columns: its batch index plus the two eagerly
 /// decoded key values. The metadata at `idx` is fetched separately —
 /// and only on demand — through [`ColMetas::get`].
@@ -1121,114 +1245,6 @@ impl ColKeys<'_> {
             Ok(k) => {
                 self.prev = k.degree;
                 self.idx += 1;
-            }
-            Err(_) => self.idx = self.n,
-        }
-        Some(out)
-    }
-}
-
-/// Number of key pairs one [`ColKeys::next_block`] call decodes (the
-/// final block of a frame is the remainder tail, `frame len %
-/// KEY_BLOCK_LEN` elements long).
-///
-/// 32 keeps a [`KeyBlock`] (two `u64` arrays) at 512 bytes — small
-/// enough to live in L1 beside the merge target, big enough that the
-/// varint-decode loop and the compare loop amortize their setup.
-pub const KEY_BLOCK_LEN: usize = 32;
-
-/// One decoded run of a columnar frame's key columns: fixed-size stack
-/// arrays a blocked intersection kernel can scan with branch-light
-/// compares, no per-element decode call in the compare loop.
-///
-/// Filled by [`ColKeys::next_block`]; only the prefix `..len` is valid
-/// (`len == KEY_BLOCK_LEN` for every block except a frame's remainder
-/// tail). Element `i` of the block is batch element `base + i` — the
-/// index to hand to [`ColMetas::get`] on a match.
-#[derive(Debug, Clone, Copy)]
-pub struct KeyBlock {
-    /// Vertex ids (first key column).
-    pub v: [u64; KEY_BLOCK_LEN],
-    /// Delta-decoded degrees (second key column).
-    pub degree: [u64; KEY_BLOCK_LEN],
-    /// Batch index of block element 0.
-    pub base: usize,
-    /// Valid prefix length (0 only for a never-filled block).
-    pub len: usize,
-}
-
-impl KeyBlock {
-    /// An empty block, ready to pass to [`ColKeys::next_block`].
-    pub const fn new() -> Self {
-        KeyBlock {
-            v: [0; KEY_BLOCK_LEN],
-            degree: [0; KEY_BLOCK_LEN],
-            base: 0,
-            len: 0,
-        }
-    }
-}
-
-impl Default for KeyBlock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ColKeys<'_> {
-    /// Decodes the next up-to-[`KEY_BLOCK_LEN`] key pairs into `block`
-    /// — the bulk mirror of [`ColKeys::next_key`], separating the
-    /// varint-decode loop from the caller's compare loop so the
-    /// compares run over contiguous stack arrays. Returns `None` once
-    /// the walk is exhausted.
-    ///
-    /// Each key column is bulk-decoded by the SWAR varint cracker
-    /// ([`WireReader::take_varints`]: terminator bytes located in one
-    /// packed pass, payload lanes folded by shift-and-mask — no
-    /// byte-at-a-time loop), then the delta prefix-sum runs over the
-    /// decoded degree lanes. Because the columns are independent
-    /// readers, a corrupt frame whose columns *both* truncate may
-    /// surface the vertex column's error where the scalar
-    /// [`ColKeys::next_key`] walk, which interleaves the columns
-    /// element by element, would surface the degree column's — the
-    /// failing frame set and the walk's poisoned end state are
-    /// identical either way.
-    ///
-    /// The contract matches the scalar walk: the block that consumes
-    /// the final element also enforces the key columns' byte budget
-    /// (trailing bytes are corruption, not slack), and any error
-    /// exhausts the walk and leaves `block.len == 0` — a partially
-    /// decoded block is never exposed.
-    pub fn next_block(&mut self, block: &mut KeyBlock) -> Option<Result<(), WireError>> {
-        if self.idx == self.n {
-            return None;
-        }
-        block.base = self.idx;
-        block.len = 0;
-        let take = KEY_BLOCK_LEN.min(self.n - self.idx);
-        let out = (|| {
-            self.v.take_varints(&mut block.v[..take])?;
-            let mut deltas = [0u64; KEY_BLOCK_LEN];
-            self.d.take_varints(&mut deltas[..take])?;
-            let mut prev = self.prev;
-            for (i, &raw) in deltas[..take].iter().enumerate() {
-                prev = if self.idx + i == 0 {
-                    raw
-                } else {
-                    prev.wrapping_add(zigzag_decode(raw) as u64)
-                };
-                block.degree[i] = prev;
-            }
-            self.prev = prev;
-            if self.idx + take == self.n && (!self.v.is_empty() || !self.d.is_empty()) {
-                return Err(WireError::InvalidValue("columnar byte budget mismatch"));
-            }
-            Ok(())
-        })();
-        match out {
-            Ok(()) => {
-                self.idx += take;
-                block.len = take;
             }
             Err(_) => self.idx = self.n,
         }
@@ -1511,11 +1527,13 @@ mod tests {
         assert_eq!(fast.position(), 3);
     }
 
+    /// A whole run of varints, decoded one `take_varint` at a time as a
+    /// key column is walked, must come back value for value.
     #[test]
     fn take_varints_bulk_matches_element_wise() {
-        // A mixed stream: every width class, including 10-byte
-        // encodings that force the scalar fallback mid-run.
-        let values: Vec<u64> = (0..300u64)
+        // A mixed stream: every width class, with 10-byte encodings
+        // forcing the scalar loop mid-run.
+        let stream: Vec<u64> = (0..300u64)
             .map(|i| match i % 5 {
                 0 => i,
                 1 => 128 + i,
@@ -1525,32 +1543,22 @@ mod tests {
             })
             .collect();
         let mut buf = Vec::new();
-        for &v in &values {
+        for &v in &stream {
             put_varint(&mut buf, v);
         }
-        for chunk in [1usize, 2, 31, 32, 33, 300] {
-            let mut r = WireReader::new(&buf);
-            let mut out = vec![0u64; values.len()];
-            for lanes in out.chunks_mut(chunk) {
-                r.take_varints(lanes).expect("bulk decode");
-            }
-            assert_eq!(out, values, "chunk {chunk}");
-            assert!(r.is_empty());
-        }
-        // Truncation inside the run errors exactly like the scalar walk.
+        let mut r = WireReader::new(&buf);
+        let walked: Vec<u64> = stream.iter().map(|_| r.take_varint().unwrap()).collect();
+        assert_eq!(walked, stream);
+        assert!(r.is_empty());
+        // Truncation inside the run errors at the cut.
         let mut r = WireReader::new(&buf[..buf.len() - 1]);
-        let mut out = vec![0u64; values.len()];
-        assert!(matches!(
-            r.take_varints(&mut out),
-            Err(WireError::UnexpectedEof { .. })
-        ));
-        // An 11-byte continuation run overflows, not spins.
+        let last = (0..stream.len()).map(|_| r.take_varint()).last();
+        assert!(matches!(last, Some(Err(WireError::UnexpectedEof { .. }))));
+        // An 11-byte continuation run inside the stream overflows, not
+        // spins.
         let hostile = [0xffu8; 16];
         let mut r = WireReader::new(&hostile);
-        assert_eq!(
-            r.take_varints(&mut [0u64; 2]),
-            Err(WireError::VarintOverflow)
-        );
+        assert_eq!(r.take_varint(), Err(WireError::VarintOverflow));
     }
 
     #[test]
@@ -2028,61 +2036,57 @@ mod tests {
         assert!(cur.keys.next_key().is_none(), "errored walk is exhausted");
     }
 
-    /// The scalar key walk is the oracle for the block walk: every
-    /// frame length — in particular a remainder tail of every length
-    /// `0..KEY_BLOCK_LEN` — must yield the same keys in the same order,
-    /// in runs of `KEY_BLOCK_LEN` plus one tail.
     #[test]
-    fn key_blocks_match_scalar_walk_for_every_tail_length() {
-        for n in 0..=(2 * KEY_BLOCK_LEN + 3) {
-            let batch = ColBatch::<u64>(
-                (0..n as u64)
-                    .map(|i| (hashish(i), 100 + i * 3, i ^ 0x5a))
-                    .collect(),
-            );
-            let bytes = to_bytes(&batch);
-            // Scalar oracle walk.
-            let mut r = WireReader::new(&bytes);
-            let mut cur: ColCursor<'_, u64> = ColCursor::begin(&mut r).unwrap();
-            let scalar: Vec<ColKey> = (&mut cur.keys).map(|k| k.unwrap()).collect();
-            // Block walk.
-            let mut r = WireReader::new(&bytes);
-            let mut cur: ColCursor<'_, u64> = ColCursor::begin(&mut r).unwrap();
-            let mut block = KeyBlock::new();
-            let mut blocked = Vec::new();
-            let mut lens = Vec::new();
-            while let Some(res) = cur.keys.next_block(&mut block) {
-                res.unwrap();
-                lens.push(block.len);
-                assert_eq!(block.base, blocked.len(), "n={n}");
-                for i in 0..block.len {
-                    blocked.push(ColKey {
-                        idx: block.base + i,
-                        v: block.v[i],
-                        degree: block.degree[i],
-                    });
-                }
+    fn key_block_enforces_byte_budget_on_final_block() {
+        // Key columns longer than the element count are corruption the
+        // key walk catches on the step that consumes the final element:
+        // a one-element frame on its only step...
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1); // n = 1
+        put_varint(&mut buf, 2);
+        buf.extend_from_slice(&[1, 1]); // vertex col: TWO varints
+        write_delta_col(&mut buf, [5u64].into_iter());
+        write_meta_col(&mut buf, |s| 3u64.encode(s));
+        let mut r = WireReader::new(&buf);
+        let mut cur: ColCursor<'_, u64> = ColCursor::begin(&mut r).unwrap();
+        assert_eq!(
+            cur.keys.next_key(),
+            Some(Err(WireError::InvalidValue(
+                "columnar byte budget mismatch"
+            )))
+        );
+        assert!(cur.keys.next_key().is_none());
+        // ...and a longer frame on its final element, not before.
+        let n = 40u64;
+        let mut buf = Vec::new();
+        put_varint(&mut buf, n);
+        write_raw_col(&mut buf, 0..=n); // one trailing extra varint
+        write_delta_col(&mut buf, (0..n).map(|i| 50 + i));
+        write_meta_col(&mut buf, |s| {
+            for i in 0..n {
+                i.encode(s);
             }
-            assert_eq!(blocked, scalar, "n={n}");
-            // Full blocks followed by exactly one remainder tail.
-            let full = n / KEY_BLOCK_LEN;
-            let tail = n % KEY_BLOCK_LEN;
-            let mut want = vec![KEY_BLOCK_LEN; full];
-            if tail > 0 {
-                want.push(tail);
-            }
-            assert_eq!(lens, want, "n={n}");
-            assert_eq!(cur.keys.remaining(), 0, "n={n}");
-            assert!(cur.keys.next_block(&mut block).is_none(), "n={n}");
+        });
+        let mut r = WireReader::new(&buf);
+        let mut cur: ColCursor<'_, u64> = ColCursor::begin(&mut r).unwrap();
+        for i in 0..n - 1 {
+            assert_eq!(cur.keys.next_key().unwrap().unwrap().v, i);
         }
+        assert_eq!(
+            cur.keys.next_key(),
+            Some(Err(WireError::InvalidValue(
+                "columnar byte budget mismatch"
+            )))
+        );
+        assert!(cur.keys.next_key().is_none());
     }
 
     #[test]
-    fn truncated_key_block_errors_without_exposing_partial_data() {
+    fn truncated_key_column_errors_and_exhausts_the_walk() {
         // n = 5 but the vertex column's 5 bytes hold only 3 varints
         // (two 2-byte encodings): the capture's byte floor passes, so
-        // the corruption must surface mid-block — with the walk
-        // exhausted and no partially decoded block exposed.
+        // the corruption must surface mid-walk, and the walk must be
+        // exhausted after it.
         let mut buf = Vec::new();
         put_varint(&mut buf, 5); // n
         put_varint(&mut buf, 5); // vertex column: 5 bytes...
@@ -2095,72 +2099,17 @@ mod tests {
         });
         let mut r = WireReader::new(&buf);
         let mut cur: ColCursor<'_, u64> = ColCursor::begin(&mut r).unwrap();
-        let mut block = KeyBlock::new();
+        for _ in 0..3 {
+            assert!(cur.keys.next_key().unwrap().is_ok());
+        }
         assert!(matches!(
-            cur.keys.next_block(&mut block),
+            cur.keys.next_key(),
             Some(Err(WireError::UnexpectedEof { .. }))
         ));
-        assert_eq!(block.len, 0, "partial block must not be exposed");
-        assert!(cur.keys.next_block(&mut block).is_none(), "walk exhausted");
-        assert!(cur.keys.next_key().is_none(), "scalar walk exhausted too");
+        assert!(cur.keys.next_key().is_none(), "walk exhausted");
+        assert_eq!(cur.keys.remaining(), 0);
         // The owned reference decode rejects the same frame.
         assert!(from_bytes::<ColBatch<u64>>(&buf).is_err());
-    }
-
-    #[test]
-    fn key_block_enforces_byte_budget_on_final_block() {
-        // Key columns longer than the element count are corruption the
-        // block walk must catch exactly where the scalar walk does: on
-        // the block that consumes the final element.
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 1); // n = 1
-        put_varint(&mut buf, 2);
-        buf.extend_from_slice(&[1, 1]); // vertex col: TWO varints
-        write_delta_col(&mut buf, [5u64].into_iter());
-        write_meta_col(&mut buf, |s| 3u64.encode(s));
-        let mut r = WireReader::new(&buf);
-        let mut cur: ColCursor<'_, u64> = ColCursor::begin(&mut r).unwrap();
-        let mut block = KeyBlock::new();
-        assert_eq!(
-            cur.keys.next_block(&mut block),
-            Some(Err(WireError::InvalidValue(
-                "columnar byte budget mismatch"
-            )))
-        );
-        assert_eq!(block.len, 0);
-        assert!(cur.keys.next_block(&mut block).is_none());
-        // A multi-block frame reports the smuggled bytes on its final
-        // block, not before.
-        let n = KEY_BLOCK_LEN as u64 + 7;
-        let mut buf = Vec::new();
-        put_varint(&mut buf, n);
-        {
-            // Vertex column with one trailing extra varint.
-            let vals: Vec<u64> = (0..=n).collect();
-            let bytes: usize = vals.iter().map(|&v| varint_len(v)).sum();
-            put_varint(&mut buf, bytes as u64);
-            for v in vals {
-                put_varint(&mut buf, v);
-            }
-        }
-        write_delta_col(&mut buf, (0..n).map(|i| 50 + i));
-        write_meta_col(&mut buf, |s| {
-            for i in 0..n {
-                i.encode(s);
-            }
-        });
-        let mut r = WireReader::new(&buf);
-        let mut cur: ColCursor<'_, u64> = ColCursor::begin(&mut r).unwrap();
-        let mut block = KeyBlock::new();
-        assert_eq!(cur.keys.next_block(&mut block), Some(Ok(())));
-        assert_eq!(block.len, KEY_BLOCK_LEN, "first block is clean");
-        assert_eq!(
-            cur.keys.next_block(&mut block),
-            Some(Err(WireError::InvalidValue(
-                "columnar byte budget mismatch"
-            )))
-        );
-        assert!(cur.keys.next_block(&mut block).is_none());
     }
 
     #[test]
@@ -2191,9 +2140,9 @@ mod tests {
     #[test]
     fn hostile_frame_rejected_before_any_block_is_materialized() {
         // A hostile element count or column byte-length prefix must
-        // fail at capture ([`SeqOverrun`]), before `next_block` can
-        // even be called — no block-sized buffer is ever filled from a
-        // frame that failed validation.
+        // fail at capture ([`SeqOverrun`]), before the key walk can even
+        // start — nothing is decoded from a frame that failed
+        // validation.
         let mut buf = Vec::new();
         put_varint(&mut buf, 1u64 << 60); // n beyond the buffer
         buf.extend_from_slice(&[0, 0, 0]);
@@ -2274,6 +2223,35 @@ mod tests {
         roundtrip(ColBatch(
             (0..100u64).map(|i| (i, i, ())).collect::<Vec<_>>(),
         ));
+    }
+
+    /// Fills `cols` with `items` and checks every suffix frame against
+    /// a fresh [`encode_columns`] of the same elements; the empty
+    /// suffix must be the empty [`ColBatch`].
+    fn check_suffixes<T: Wire>(cols: &mut ColSuffixes, items: &[(u64, u64, T)]) {
+        let meta = |e: &(u64, u64, T), buf: &mut Vec<u8>| e.2.encode(buf);
+        cols.fill(items, |e| e.0, |e| e.1, meta);
+        assert_eq!(cols.len(), items.len());
+        for j in 0..=items.len() {
+            let (mut once, mut fresh) = (Vec::new(), Vec::new());
+            cols.suffix(j).encode_wire(&mut once);
+            encode_columns(&items[j..], |e| e.0, |e| e.1, meta).encode_wire(&mut fresh);
+            assert_eq!(once, fresh, "suffix {j} of {}", items.len());
+        }
+        let mut empty = Vec::new();
+        cols.suffix(items.len()).encode_wire(&mut empty);
+        assert_eq!(empty, to_bytes(&ColBatch::<T>(Vec::new())));
+    }
+
+    #[test]
+    fn col_suffixes_before_any_fill_and_out_of_range() {
+        let cols = ColSuffixes::new();
+        assert!(cols.is_empty());
+        let mut empty = Vec::new();
+        cols.suffix(0).encode_wire(&mut empty);
+        assert_eq!(empty, to_bytes(&ColBatch::<u64>::default()));
+        let caught = std::panic::catch_unwind(|| cols.suffix(1).encode_wire(&mut Vec::new()));
+        assert!(caught.is_err(), "a suffix past the end must panic");
     }
 
     mod prop {
@@ -2411,6 +2389,35 @@ mod tests {
                         let Ok(k) = k else { break };
                         let _ = cur.metas.get(k.idx);
                     }
+                }
+            }
+
+            #[test]
+            fn col_suffixes_identical_to_encode_columns(
+                a in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>(), ".*"), 0..40),
+                b in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>(), ".*"), 0..40)
+            ) {
+                // `<+`-sorted lists (degree, then vertex); one encoder is
+                // refilled long list first, so a stale byte of an earlier
+                // fill would show in a later suffix.
+                let sorted = |mut l: Vec<(u64, u64, u64, String)>| {
+                    l.sort_by_key(|e| (e.1, e.0));
+                    l
+                };
+                let (a, b) = (sorted(a), sorted(b));
+                let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+                let mut cols = ColSuffixes::new();
+                for list in [&long, &short] {
+                    let strings: Vec<_> = list.iter().map(|e| (e.0, e.1, e.3.to_string())).collect();
+                    check_suffixes(&mut cols, &strings);
+                }
+                for list in [&long, &short] {
+                    let words: Vec<_> = list.iter().map(|e| (e.0, e.1, e.2)).collect();
+                    check_suffixes(&mut cols, &words);
+                }
+                for list in [&long, &short] {
+                    let units: Vec<_> = list.iter().map(|e| (e.0, e.1, ())).collect();
+                    check_suffixes(&mut cols, &units);
                 }
             }
 

@@ -113,23 +113,28 @@ fn wedges(list: &EdgeList<String>) -> u64 {
     dplus.values().map(|&d| d * (d - 1) / 2).sum()
 }
 
-/// No pulled candidate is decoded twice: whether a wedge is pushed or
-/// pulled, the production Push-Pull path visits each candidate at most
-/// once, so its kernel candidates never exceed the wedge count.
+/// No pulled candidate is decoded twice, and no pushed one is skipped:
+/// a pushed frame's keys are decoded whole and a pulled list is decoded
+/// once per delivery, so on both engines the production path's kernel
+/// candidates equal the wedge count exactly.
 #[test]
 fn no_pulled_candidate_is_decoded_twice() {
     let rmat = labeled(rmat_edges(&RmatConfig::graph500(8, 42))).canonicalize();
     for (gname, list) in [("rmat", rmat), ("hub", hub_graph())] {
         let wedges = wedges(&list);
-        for nranks in [1, 2, 4] {
-            let runs = run_survey(&list, nranks, EngineMode::PushPull, SurveyConfig::default());
-            let pulled: u64 = runs.iter().map(|o| o.fingerprint.pulled).sum();
-            assert!(pulled > 0, "{gname} n={nranks} must exercise the pull path");
-            let candidates = runs[0].stats.candidates;
-            assert!(
-                candidates <= wedges,
-                "{gname} n={nranks}: {candidates} candidates for {wedges} wedges"
-            );
+        for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
+            for nranks in [1, 2, 4] {
+                let runs = run_survey(&list, nranks, mode, SurveyConfig::default());
+                if mode == EngineMode::PushPull {
+                    let pulled: u64 = runs.iter().map(|o| o.fingerprint.pulled).sum();
+                    assert!(pulled > 0, "{gname} n={nranks} must exercise the pull path");
+                }
+                let candidates = runs[0].stats.candidates;
+                assert_eq!(
+                    candidates, wedges,
+                    "{gname} {mode} n={nranks}: candidates against wedges"
+                );
+            }
         }
     }
 }

@@ -9,19 +9,22 @@
 //! varints raw, one-byte deltas in the columnar degree column).
 //!
 //! After one warm-up pass the steady state allocates nothing: encoding
-//! into a [`SendBuffer`] that restarts from a [`BufferPool`], capturing
-//! each frame with [`ColCursor::begin`], intersecting it under
-//! [`IntersectKernel::Auto`], and decoding the metadata of every match
-//! with `ColMetas::get`. The frame's exact byte count is pinned too.
+//! each apex's candidate columns once into a reused [`ColSuffixes`] and
+//! copying the batch's frame out of it into a [`SendBuffer`] that
+//! restarts from a [`BufferPool`], capturing each frame with
+//! [`ColCursor::begin`], decoding its key columns into a reused buffer,
+//! intersecting them under [`IntersectKernel::Auto`], and decoding the
+//! metadata of every match with `ColMetas::get`. The frame's exact byte
+//! count is pinned too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tripoll::core::{intersect_col, IntersectKernel};
+use tripoll::core::{intersect_slices, IntersectKernel};
 use tripoll::graph::OrderKey;
 use tripoll::ygm::buffer::{BufferPool, SendBuffer};
 use tripoll::ygm::hash::hash64;
-use tripoll::ygm::wire::{encode_columns, ColCursor, Wire, WireEncode, WireReader};
+use tripoll::ygm::wire::{ColCursor, ColSuffixes, Wire, WireEncode, WireReader};
 
 /// Delegates to [`System`], counting allocations on the calling thread.
 struct CountingAlloc;
@@ -96,28 +99,36 @@ fn hub_adjacency() -> Vec<Entry> {
 }
 
 /// Encodes wedge batch `b`, `(p, q, meta_p, meta_pq, candidates)`, as
-/// the production sender does: candidate columns stream straight from
-/// the adjacency slice.
-fn encode_batch(b: usize, adj: &[Entry], out: &mut Vec<u8>) {
-    let candidates = encode_columns(adj, |e| e.v, |e| e.degree, |e, out| e.em.encode(out));
-    (b as u64, b as u64 + 1, &42u64, &7u64, candidates).encode_wire(out);
+/// the production sender does: the apex's candidate columns are encoded
+/// once into `cols`, reused across apexes, and the batch's frame is
+/// copied out of that encoding. Each batch here is its own apex and
+/// ships the whole list.
+fn encode_batch(b: usize, adj: &[Entry], cols: &mut ColSuffixes, out: &mut Vec<u8>) {
+    cols.fill(adj, |e| e.v, |e| e.degree, |e, out| e.em.encode(out));
+    (b as u64, b as u64 + 1, &42u64, &7u64, cols.suffix(0)).encode_wire(out);
 }
 
 /// The payload of one envelope carrying every batch, handler ids excluded.
 fn push_stream(adj: &[Entry]) -> Vec<u8> {
+    let mut cols = ColSuffixes::new();
     let mut out = Vec::new();
     for b in 0..BATCHES {
-        encode_batch(b, adj, &mut out);
+        encode_batch(b, adj, &mut cols, &mut out);
     }
     out
 }
 
 /// Pushes every batch as a record into `buf`, flushing into `pool` at
 /// the threshold; returns the record bytes written.
-fn push_batches(adj: &[Entry], buf: &mut SendBuffer, pool: &mut BufferPool) -> usize {
+fn push_batches(
+    adj: &[Entry],
+    cols: &mut ColSuffixes,
+    buf: &mut SendBuffer,
+    pool: &mut BufferPool,
+) -> usize {
     let mut total = 0;
     for b in 0..BATCHES {
-        total += buf.push_record_with(3, |out| encode_batch(b, adj, out));
+        total += buf.push_record_with(3, |out| encode_batch(b, adj, cols, out));
         if buf.len() > FLUSH_BYTES {
             let (data, _) = buf.drain_pooled(pool);
             pool.put(data);
@@ -144,43 +155,51 @@ fn stored_adjacency() -> Vec<(u64, OrderKey)> {
 enum Stage {
     /// Decode the header and capture the frame with `ColCursor::begin`.
     Capture,
-    /// Also intersect the candidates under `IntersectKernel::Auto`.
+    /// Also decode the key columns and intersect them under
+    /// `IntersectKernel::Auto`.
     Intersect,
     /// Also decode every match's metadata with `ColMetas::get`.
     MetaOnMatch,
 }
 
 /// Walks every batch of `stream` as a receiving rank does, as far as
-/// `stage`; returns a checksum of what it read and the match count.
-fn receive(stream: &[u8], right: &[(u64, OrderKey)], stage: Stage) -> (u64, u64) {
+/// `stage`, decoding key columns into `cands`; returns a checksum of
+/// what it read and the match count.
+fn receive(
+    stream: &[u8],
+    right: &[(u64, OrderKey)],
+    stage: Stage,
+    cands: &mut Vec<(OrderKey, usize)>,
+) -> (u64, u64) {
     let mut r = WireReader::new(stream);
     let (mut acc, mut matches) = (0u64, 0u64);
     while !r.is_empty() {
         for _ in 0..4 {
             acc = acc.wrapping_add(u64::decode(&mut r).expect("header"));
         }
-        let ColCursor {
-            mut keys,
-            mut metas,
-        } = ColCursor::<u64>::begin(&mut r).expect("frame");
+        let ColCursor { keys, mut metas } = ColCursor::<u64>::begin(&mut r).expect("frame");
         if let Stage::Capture = stage {
             continue;
         }
-        intersect_col(
+        cands.clear();
+        for k in keys {
+            let k = k.expect("key columns");
+            cands.push((OrderKey::new(k.v, k.degree), k.idx));
+        }
+        intersect_slices(
             IntersectKernel::Auto,
-            &mut keys,
+            cands,
             right,
+            |&(k, _)| k,
             |e| e.1,
-            |k, e| {
+            |&(_, i), e| {
                 acc = acc.wrapping_add(e.0);
                 matches += 1;
                 if let Stage::MetaOnMatch = stage {
-                    acc = acc.wrapping_add(metas.get(k.idx)?);
+                    acc = acc.wrapping_add(metas.get(i).expect("meta"));
                 }
-                Ok(())
             },
-        )
-        .expect("intersect");
+        );
     }
     (acc, matches)
 }
@@ -193,13 +212,14 @@ fn hub_frame_bytes_are_pinned() {
 #[test]
 fn steady_state_encode_allocates_nothing() {
     let adj = hub_adjacency();
+    let mut cols = ColSuffixes::new();
     let mut buf = SendBuffer::new();
     let mut pool = BufferPool::new(8, FLUSH_BYTES * 4);
     // The warm-up pass grows the buffers the measured pass recycles.
-    push_batches(&adj, &mut buf, &mut pool);
+    push_batches(&adj, &mut cols, &mut buf, &mut pool);
     let (data, _) = buf.drain_pooled(&mut pool);
     pool.put(data);
-    let (allocs, bytes) = allocs_in(|| push_batches(&adj, &mut buf, &mut pool));
+    let (allocs, bytes) = allocs_in(|| push_batches(&adj, &mut cols, &mut buf, &mut pool));
     assert_eq!(allocs, 0, "encoding {BATCHES} batches allocated");
     // One handler-id byte per record on top of the frame stream.
     assert_eq!(bytes, STREAM_BYTES + BATCHES);
@@ -214,8 +234,9 @@ fn receive_path_allocates_nothing() {
         (Stage::Intersect, BATCHES as u64 * 32),
         (Stage::MetaOnMatch, BATCHES as u64 * 32),
     ] {
-        let warm = receive(&stream, &right, stage);
-        let (allocs, got) = allocs_in(|| receive(&stream, &right, stage));
+        let mut cands = Vec::new();
+        let warm = receive(&stream, &right, stage, &mut cands);
+        let (allocs, got) = allocs_in(|| receive(&stream, &right, stage, &mut cands));
         assert_eq!(got, warm, "{stage:?} is deterministic");
         assert_eq!(got.1, matches, "{stage:?} matches");
         assert_eq!(allocs, 0, "{stage:?} allocated over {BATCHES} batches");
