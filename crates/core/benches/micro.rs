@@ -12,6 +12,11 @@
 //! `tests/zero_alloc.rs`, `tests/kernels.rs`, `tests/resident.rs` and
 //! `tests/incremental.rs`.
 //!
+//! Nor does it decide a kernel change: on a 2-vCPU host the
+//! `intersect_kernel` ns per candidate swung 1.8–2× between identical
+//! back-to-back runs. Paired end-to-end runs of the `benchmark/`
+//! harness decide kernel changes; the compares printed here are exact.
+//!
 //! ```text
 //! cargo bench -p tripoll-core --bench micro
 //! ```
@@ -21,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tripoll_core::{
-    intersect_slices, kernel_stats_take, merge_path, IntersectKernel, ResidentGraph, ResidentQuery,
+    intersect_indices, kernel_stats_take, merge_path, IntersectKernel, ResidentGraph, ResidentQuery,
 };
 use tripoll_graph::{EdgeList, OrderKey, Partition};
 use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
@@ -31,14 +36,14 @@ const KERNEL_ITERS: usize = 64;
 
 /// Intersects one columnar frame of `left` against `right` under
 /// `kernel` as production does: the key columns are decoded whole into
-/// `cands`, reused across calls, then intersected as a slice, and
-/// metadata is decoded on match; returns a checksum and the match
-/// count.
+/// the flat key column `cands`, reused across calls, then intersected
+/// in index form, and metadata is decoded on match; returns a checksum
+/// and the match count.
 fn intersect_frame(
     kernel: IntersectKernel,
     frame: &[u8],
     right: &[(u64, OrderKey)],
-    cands: &mut Vec<(OrderKey, usize)>,
+    cands: &mut Vec<OrderKey>,
 ) -> (u64, u64) {
     let mut r = WireReader::new(frame);
     let ColCursor { keys, mut metas }: ColCursor<'_, u64> =
@@ -46,19 +51,19 @@ fn intersect_frame(
     cands.clear();
     for k in keys {
         let k = k.expect("key columns");
-        cands.push((OrderKey::new(k.v, k.degree), k.idx));
+        cands.push(OrderKey::new(k.v, k.degree));
     }
     let (mut acc, mut matches) = (0u64, 0u64);
-    intersect_slices(
+    intersect_indices(
         kernel,
         cands,
         right,
-        |&(k, _)| k,
+        |&k| k,
         |e| e.1,
-        |&(_, i), e| {
+        |i, j| {
             acc = acc
                 .wrapping_add(metas.get(i).expect("meta"))
-                .wrapping_add(e.0);
+                .wrapping_add(right[j].0);
             matches += 1;
         },
     );
@@ -106,7 +111,7 @@ fn compare_intersect_kernels() {
         for (kname, kernel) in [
             ("scalar", IntersectKernel::MergeScalar),
             ("gallop", IntersectKernel::Gallop),
-            ("blocked", IntersectKernel::BlockedMerge),
+            ("merge", IntersectKernel::Merge),
             ("auto", IntersectKernel::Auto),
         ] {
             let (_, warm_matches) = intersect_frame(kernel, &frame, &right, &mut cands);

@@ -40,7 +40,7 @@ use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{EngineMode, PhaseTimer, SurveyConfig, SurveyReport};
 use crate::meta::SurveyCallback;
-use crate::push_common::{encode_candidate_columns, register_push_handler, DynCallback, PushMsg};
+use crate::push_common::{encode_candidate_columns, register_push_handler, PushMsg};
 
 /// Runs a delta survey for one ingested batch: `callback` executes once
 /// per triangle that involves at least one edge of the batch, on the
@@ -73,8 +73,7 @@ where
     F: SurveyCallback<VM, EM>,
 {
     let config = config.into();
-    let cb: DynCallback<VM, EM> = Rc::new(callback);
-    let handler = register_push_handler(comm, graph, cb, config);
+    let handler = register_push_handler(comm, graph, Rc::new(callback), config);
 
     let timer = PhaseTimer::begin(comm, "delta-push");
     push_delta_wedges(comm, graph, plan, &handler);

@@ -14,13 +14,15 @@
 //! are exactly two ways a rank consumes them:
 //!
 //! * **Production** ([`IntersectKernel::Auto`], or an explicit
-//!   [`Gallop`] / [`BlockedMerge`]): the frame is captured in place
+//!   [`Gallop`] / [`Merge`]): the frame is captured in place
 //!   ([`tripoll_ygm::wire::ColCursor`]), its two key columns are decoded
-//!   once, whole, into a rank-owned `(OrderKey, frame index)` slice,
-//!   and [`intersect_slices`] runs against it; the metadata column is
-//!   decoded per element on triangle matches only. A pushed batch is
-//!   the slice's left side against `Adjm+(q)`; a pulled `Adjm+(q)` is
-//!   the right side of every resume suffix it serves.
+//!   once, whole, into a rank-owned flat [`OrderKey`] column, and
+//!   [`intersect_indices`] runs against it; a match arrives as an index
+//!   pair, and the frame index selects the one metadata element to
+//!   decode. A pushed batch is the column's left side against
+//!   `Adjm+(q)`; a pulled `Adjm+(q)` is the right side of every resume
+//!   suffix it serves. The survey callback is a type parameter of the
+//!   handler, so the per-triangle call is direct.
 //! * **Reference** ([`IntersectKernel::MergeScalar`]): the frame is
 //!   materialised as an owned [`tripoll_ygm::wire::ColBatch`] and
 //!   intersected by the element-wise two-pointer merge through
@@ -31,26 +33,28 @@
 //!
 //! # Intersection kernels
 //!
-//! All kernels emit the **identical match sequence** (same pairs, same
-//! callback order); they differ only in compares per candidate:
+//! All kernels run in one body ([`intersect_indices`]) and emit the
+//! **identical match sequence** (same pairs, same callback order); they
+//! differ only in how they step and in compares per candidate:
 //!
 //! * [`IntersectKernel::MergeScalar`] — the classic element-wise
-//!   two-pointer merge ([`merge_path`]): one key compare per pointer
-//!   step.
-//! * [`IntersectKernel::Gallop`] — exponential (galloping) search:
-//!   each key of the smaller side seeks its position in the larger
-//!   side by doubling probes plus a binary search, `O(s·log(L/s))`
-//!   compares instead of `O(L)`. Wins exactly when the sides are
-//!   skewed (`|small|·K < |large|` — a low-degree candidate batch
-//!   against a hub adjacency), loses slightly on balanced sides.
-//! * [`IntersectKernel::BlockedMerge`] — walks the left side in
-//!   blocks of [`KEY_BLOCK_LEN`] keys: one *wide* compare (the block's
-//!   last key against the merge frontier) skips a whole block of
-//!   misses, and keys that do engage the merge are scanned with a tight
-//!   advance loop.
+//!   two-pointer merge ([`merge_path`]) over the derived two-field
+//!   `Ord`: one three-way key compare per pointer step, branching on
+//!   its outcome.
+//! * [`IntersectKernel::Merge`] — the same two-pointer walk, branch
+//!   free: each key is read as one `u128` word ([`OrderKey::word`],
+//!   exactly the derived order), and a step advances `a` by `x <= y`
+//!   and `b` by `y <= x`, so the only branch is the match. It takes the
+//!   reference's steps, so it counts the reference's compares.
+//! * [`IntersectKernel::Gallop`] — exponential (galloping) search over
+//!   the same one-word keys: each key of the smaller side seeks its
+//!   position in the larger side by doubling probes plus a binary
+//!   search, `O(s·log(L/s))` compares instead of `O(L)`. Wins exactly
+//!   when the sides are skewed (`|small|·K < |large|` — a low-degree
+//!   candidate batch against a hub adjacency), loses on balanced sides.
 //! * [`IntersectKernel::Auto`] (production default) — one rule,
 //!   [`IntersectKernel::select`]: gallop when either side is at least
-//!   [`GALLOP_RATIO`]× the other (`min·K < max`), the blocked merge
+//!   [`GALLOP_RATIO`]× the other (`min·K < max`), the branchless merge
 //!   otherwise. Both sides are random-access slices by the time a
 //!   kernel runs (a frame's keys are decoded first, whole), so the
 //!   gallop can seek into whichever side is larger and no streaming
@@ -68,7 +72,7 @@
 //! suite cross-checks match counts against the reference.
 //!
 //! [`Gallop`]: IntersectKernel::Gallop
-//! [`BlockedMerge`]: IntersectKernel::BlockedMerge
+//! [`Merge`]: IntersectKernel::Merge
 
 use std::cell::Cell;
 use std::time::Instant;
@@ -110,8 +114,8 @@ impl std::fmt::Display for EngineMode {
 /// use tripoll_core::{IntersectKernel, GALLOP_RATIO};
 ///
 /// let auto = IntersectKernel::Auto;
-/// // Balanced random-access sides: the blocked merge.
-/// assert_eq!(auto.select(1000, 1000), IntersectKernel::BlockedMerge);
+/// // Balanced random-access sides: the branchless merge.
+/// assert_eq!(auto.select(1000, 1000), IntersectKernel::Merge);
 /// // Heavy skew in either direction: gallop into the larger side.
 /// assert_eq!(auto.select(10, 10 * GALLOP_RATIO + 1), IntersectKernel::Gallop);
 /// assert_eq!(auto.select(10 * GALLOP_RATIO + 1, 10), IntersectKernel::Gallop);
@@ -124,7 +128,7 @@ impl std::fmt::Display for EngineMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntersectKernel {
     /// Per-batch size-ratio heuristic: [`IntersectKernel::Gallop`] at
-    /// heavy skew, else [`IntersectKernel::BlockedMerge`] — see
+    /// heavy skew, else [`IntersectKernel::Merge`] — see
     /// [`IntersectKernel::select`] for the exact contract. The
     /// production default.
     #[default]
@@ -136,9 +140,9 @@ pub enum IntersectKernel {
     MergeScalar,
     /// Exponential-search seek through the larger side.
     Gallop,
-    /// Fixed-size blocks of the left side, skipped with one wide
-    /// compare each when they lie below the merge frontier.
-    BlockedMerge,
+    /// Branch-free two-pointer merge over keys read as one `u128`
+    /// word each.
+    Merge,
 }
 
 /// Skew ratio at which [`IntersectKernel::Auto`] switches to
@@ -146,23 +150,22 @@ pub enum IntersectKernel {
 /// `min(|l|,|r|)·K < max(|l|,|r|)`, symmetric because the gallop seeks
 /// into whichever side is larger.
 ///
-/// At ratio `K` the merge walks `max ≥ K·min` keys while galloping
+/// At ratio `K` the merge walks up to `max + min` keys while galloping
 /// costs about `min·(2·log₂(max/min)+2)` compares; `K = 8` is where
 /// the gallop's per-seek overhead (probe + binary search ≈ 2·log₂ 8 +
-/// 2 = 8 compares) breaks even with the walk it skips.
+/// 2 = 8 compares) breaks even with the walk it skips, counted in
+/// compares. `K` was chosen against an earlier merge arm and is not
+/// re-tuned for the branchless one. A branchless step waits on the
+/// previous step's compare, so where the break-even lies in time need
+/// not match where it lies in compares.
 pub const GALLOP_RATIO: usize = 8;
-
-/// Keys per block of [`IntersectKernel::BlockedMerge`]: the width one
-/// wide compare skips when a whole block of the left side lies below
-/// the merge frontier.
-pub const KEY_BLOCK_LEN: usize = 32;
 
 impl IntersectKernel {
     /// Resolves [`IntersectKernel::Auto`] for one intersection of two
     /// slices; explicit kernels return themselves. **Symmetric** in the side lengths: a skew past
     /// [`GALLOP_RATIO`] in either direction picks the gallop (it can
     /// seek into whichever side is larger); anything milder resolves
-    /// to [`IntersectKernel::BlockedMerge`]. Deterministic, and both
+    /// to [`IntersectKernel::Merge`]. Deterministic, and both
     /// lengths are known up front.
     #[inline]
     pub fn select(self, left_len: usize, right_len: usize) -> IntersectKernel {
@@ -176,7 +179,7 @@ impl IntersectKernel {
                 if small.saturating_mul(GALLOP_RATIO) < large {
                     IntersectKernel::Gallop
                 } else {
-                    IntersectKernel::BlockedMerge
+                    IntersectKernel::Merge
                 }
             }
             k => k,
@@ -190,7 +193,7 @@ impl std::fmt::Display for IntersectKernel {
             IntersectKernel::Auto => write!(f, "Auto"),
             IntersectKernel::MergeScalar => write!(f, "MergeScalar"),
             IntersectKernel::Gallop => write!(f, "Gallop"),
-            IntersectKernel::BlockedMerge => write!(f, "BlockedMerge"),
+            IntersectKernel::Merge => write!(f, "Merge"),
         }
     }
 }
@@ -365,9 +368,9 @@ pub fn merge_path<L, R>(
 /// Deterministic tallies of the kernel layer, accumulated per thread
 /// (one simulated rank = one thread). Counter semantics:
 ///
-/// * `compares` — key comparisons performed (three-way compares,
-///   gallop probes and binary-search steps, block-skip checks and the
-///   equality check after a gallop each count one);
+/// * `compares` — key comparisons performed (a merge step of either
+///   merge, gallop probes and binary-search steps, and the equality
+///   check after a gallop each count one);
 /// * `candidates` — left-side elements, all of them whichever kernel
 ///   runs (a pushed frame's keys are decoded whole, so every wedge
 ///   counts exactly once);
@@ -387,8 +390,8 @@ pub struct KernelStats {
     pub scalar_runs: u64,
     /// Intersections run by the galloping kernel.
     pub gallop_runs: u64,
-    /// Intersections run by the blocked-merge kernel.
-    pub blocked_runs: u64,
+    /// Intersections run by the branchless merge kernel.
+    pub merge_runs: u64,
 }
 
 impl KernelStats {
@@ -398,7 +401,7 @@ impl KernelStats {
         matches: 0,
         scalar_runs: 0,
         gallop_runs: 0,
-        blocked_runs: 0,
+        merge_runs: 0,
     };
 }
 
@@ -412,7 +415,7 @@ impl std::ops::AddAssign for KernelStats {
         self.matches += rhs.matches;
         self.scalar_runs += rhs.scalar_runs;
         self.gallop_runs += rhs.gallop_runs;
-        self.blocked_runs += rhs.blocked_runs;
+        self.merge_runs += rhs.merge_runs;
     }
 }
 
@@ -444,40 +447,41 @@ fn record_kernel(resolved: IntersectKernel, compares: u64, candidates: u64, matc
         match resolved {
             IntersectKernel::MergeScalar => s.scalar_runs += 1,
             IntersectKernel::Gallop => s.gallop_runs += 1,
-            IntersectKernel::BlockedMerge => s.blocked_runs += 1,
+            IntersectKernel::Merge => s.merge_runs += 1,
             IntersectKernel::Auto => unreachable!("Auto resolves before recording"),
         }
         c.set(s);
     });
 }
 
-/// First index in `right[from..]` whose key is `>= target`, found by
-/// exponential probing (1, 2, 4, … steps) and a binary search of the
+/// First index in `right[from..]` whose key word is `>= target`, found
+/// by exponential probing (1, 2, 4, … steps) and a binary search of the
 /// final window — `O(log distance)` compares regardless of how far the
-/// seek lands.
+/// seek lands. Keys are compared as [`OrderKey::word`]s.
 #[inline]
 fn gallop_seek<R>(
     right: &[R],
     key_r: &impl Fn(&R) -> OrderKey,
     from: usize,
-    target: OrderKey,
+    target: u128,
     compares: &mut u64,
 ) -> usize {
     let n = right.len();
     if from >= n {
         return n;
     }
+    let word = |i: usize| key_r(&right[i]).word();
     *compares += 1;
-    if key_r(&right[from]) >= target {
+    if word(from) >= target {
         return from;
     }
-    // Invariant: key(right[lo]) < target; hi is n or has key >= target.
+    // Invariant: word(lo) < target; hi is n or has word >= target.
     let mut lo = from;
     let mut hi = n;
     let mut step = 1usize;
     while lo + step < n {
         *compares += 1;
-        if key_r(&right[lo + step]) < target {
+        if word(lo + step) < target {
             lo += step;
             step <<= 1;
         } else {
@@ -488,7 +492,7 @@ fn gallop_seek<R>(
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
         *compares += 1;
-        if key_r(&right[mid]) < target {
+        if word(mid) < target {
             lo = mid;
         } else {
             hi = mid;
@@ -497,18 +501,20 @@ fn gallop_seek<R>(
     hi
 }
 
-/// Intersects two `<+`-sorted slices with the selected kernel,
-/// invoking `on_match` for every key-equal pair in increasing key
-/// order — the kernel-dispatching generalization of [`merge_path`].
-/// The reference receive path of both engines runs it with
-/// [`IntersectKernel::MergeScalar`] over a materialised batch.
-pub fn intersect_slices<L, R>(
+/// Intersects two `<+`-sorted slices with the selected kernel and
+/// reports every key-equal pair `(left[a], right[b])` as its index pair
+/// `on_match(a, b)`, in increasing key order — the one kernel body.
+/// The production receive handlers call it directly: a decoded frame is
+/// a flat key column, and a match only needs the index into it to
+/// decode that element's metadata. [`intersect_slices`] is the
+/// by-reference adapter over it.
+pub fn intersect_indices<L, R>(
     kernel: IntersectKernel,
     left: &[L],
     right: &[R],
     key_l: impl Fn(&L) -> OrderKey,
     key_r: impl Fn(&R) -> OrderKey,
-    mut on_match: impl FnMut(&L, &R),
+    mut on_match: impl FnMut(usize, usize),
 ) {
     let resolved = kernel.select(left.len(), right.len());
     let (mut compares, mut matches) = (0u64, 0u64);
@@ -521,7 +527,7 @@ pub fn intersect_slices<L, R>(
                     std::cmp::Ordering::Less => a += 1,
                     std::cmp::Ordering::Greater => b += 1,
                     std::cmp::Ordering::Equal => {
-                        on_match(&left[a], &right[b]);
+                        on_match(a, b);
                         matches += 1;
                         a += 1;
                         b += 1;
@@ -532,16 +538,16 @@ pub fn intersect_slices<L, R>(
         IntersectKernel::Gallop => {
             if left.len() <= right.len() {
                 let mut b = 0;
-                for l in left {
+                for (a, l) in left.iter().enumerate() {
                     if b >= right.len() {
                         break;
                     }
-                    let kl = key_l(l);
+                    let kl = key_l(l).word();
                     b = gallop_seek(right, &key_r, b, kl, &mut compares);
                     if b < right.len() {
                         compares += 1;
-                        if key_r(&right[b]) == kl {
-                            on_match(l, &right[b]);
+                        if key_r(&right[b]).word() == kl {
+                            on_match(a, b);
                             matches += 1;
                             b += 1;
                         }
@@ -549,16 +555,16 @@ pub fn intersect_slices<L, R>(
                 }
             } else {
                 let mut a = 0;
-                for r in right {
+                for (b, r) in right.iter().enumerate() {
                     if a >= left.len() {
                         break;
                     }
-                    let kr = key_r(r);
+                    let kr = key_r(r).word();
                     a = gallop_seek(left, &key_l, a, kr, &mut compares);
                     if a < left.len() {
                         compares += 1;
-                        if key_l(&left[a]) == kr {
-                            on_match(&left[a], r);
+                        if key_l(&left[a]).word() == kr {
+                            on_match(a, b);
                             matches += 1;
                             a += 1;
                         }
@@ -566,44 +572,46 @@ pub fn intersect_slices<L, R>(
                 }
             }
         }
-        IntersectKernel::BlockedMerge => {
+        IntersectKernel::Merge => {
+            // Branchless steps over one-word keys: both pointers advance
+            // by a flag, so the only branch taken per step is the match.
             let (mut a, mut b) = (0, 0);
             while a < left.len() && b < right.len() {
-                let end = (a + KEY_BLOCK_LEN).min(left.len());
-                // One wide compare decides whether the whole block is
-                // strictly below the merge frontier.
-                compares += 1;
-                if key_l(&left[end - 1]) < key_r(&right[b]) {
-                    a = end;
-                    continue;
+                let x = key_l(&left[a]).word();
+                let y = key_r(&right[b]).word();
+                if x == y {
+                    on_match(a, b);
+                    matches += 1;
                 }
-                while a < end && b < right.len() {
-                    // Tight advance on a register-resident key, then
-                    // one equality check at the landing spot.
-                    let kl = key_l(&left[a]);
-                    while b < right.len() {
-                        compares += 1;
-                        if key_r(&right[b]) < kl {
-                            b += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    if b < right.len() {
-                        compares += 1;
-                        if key_r(&right[b]) == kl {
-                            on_match(&left[a], &right[b]);
-                            matches += 1;
-                            b += 1;
-                        }
-                    }
-                    a += 1;
-                }
+                a += usize::from(x <= y);
+                b += usize::from(y <= x);
             }
+            // One compare per step: a step advances one pointer, or
+            // both on a match.
+            compares = (a + b) as u64 - matches;
         }
         IntersectKernel::Auto => unreachable!("select never returns Auto"),
     }
     record_kernel(resolved, compares, left.len() as u64, matches);
+}
+
+/// Intersects two `<+`-sorted slices with the selected kernel,
+/// invoking `on_match` for every key-equal pair in increasing key
+/// order — the kernel-dispatching generalization of [`merge_path`], and
+/// a by-reference adapter over [`intersect_indices`]. The reference
+/// receive path of both engines runs it with
+/// [`IntersectKernel::MergeScalar`] over a materialised batch.
+pub fn intersect_slices<L, R>(
+    kernel: IntersectKernel,
+    left: &[L],
+    right: &[R],
+    key_l: impl Fn(&L) -> OrderKey,
+    key_r: impl Fn(&R) -> OrderKey,
+    mut on_match: impl FnMut(&L, &R),
+) {
+    intersect_indices(kernel, left, right, key_l, key_r, |a, b| {
+        on_match(&left[a], &right[b])
+    });
 }
 
 #[cfg(test)]
@@ -705,16 +713,16 @@ mod tests {
         // Only the scalar merge selects the reference path.
         assert!(SurveyConfig::from(IntersectKernel::MergeScalar).is_reference());
         assert!(!SurveyConfig::from(IntersectKernel::Gallop).is_reference());
-        assert!(!SurveyConfig::from(IntersectKernel::BlockedMerge).is_reference());
+        assert!(!SurveyConfig::from(IntersectKernel::Merge).is_reference());
     }
 
     #[test]
     fn auto_kernel_selection_follows_the_skew_ratio() {
         let auto = IntersectKernel::Auto;
-        // Balanced or mildly skewed sides: the blocked merge.
-        assert_eq!(auto.select(100, 100), IntersectKernel::BlockedMerge);
-        assert_eq!(auto.select(100, 799), IntersectKernel::BlockedMerge);
-        assert_eq!(auto.select(799, 100), IntersectKernel::BlockedMerge);
+        // Balanced or mildly skewed sides: the branchless merge.
+        assert_eq!(auto.select(100, 100), IntersectKernel::Merge);
+        assert_eq!(auto.select(100, 799), IntersectKernel::Merge);
+        assert_eq!(auto.select(799, 100), IntersectKernel::Merge);
         // Past GALLOP_RATIO in either direction: gallop.
         assert_eq!(auto.select(100, 801), IntersectKernel::Gallop);
         assert_eq!(auto.select(801, 100), IntersectKernel::Gallop);
@@ -723,7 +731,7 @@ mod tests {
         for k in [
             IntersectKernel::MergeScalar,
             IntersectKernel::Gallop,
-            IntersectKernel::BlockedMerge,
+            IntersectKernel::Merge,
         ] {
             assert_eq!(k.select(1, 1_000_000), k);
             assert_eq!(k.select(5, 5), k);
@@ -746,7 +754,7 @@ mod tests {
             let _ = kernel_stats_take();
             intersect_slices(IntersectKernel::Auto, l, r, |e| e.1, |e| e.1, |_, _| {});
             let s = kernel_stats_take();
-            (s.scalar_runs, s.gallop_runs, s.blocked_runs)
+            (s.scalar_runs, s.gallop_runs, s.merge_runs)
         };
         assert_eq!(runs(&small, &small), (0, 0, 1), "balanced");
         assert_eq!(runs(&small, &big), (0, 1, 0), "right-heavy");
@@ -778,7 +786,7 @@ mod tests {
         for target_v in 0..420u64 {
             let target = OrderKey::new(target_v, target_v);
             for from in [0usize, 3, 150, 199, 200] {
-                let got = gallop_seek(&list, &key, from, target, &mut compares);
+                let got = gallop_seek(&list, &key, from, target.word(), &mut compares);
                 // Reference: first index >= from with key >= target.
                 let mut reference = list.len();
                 for (i, e) in list.iter().enumerate().skip(from) {
@@ -827,7 +835,7 @@ mod tests {
                 IntersectKernel::Auto,
                 IntersectKernel::MergeScalar,
                 IntersectKernel::Gallop,
-                IntersectKernel::BlockedMerge,
+                IntersectKernel::Merge,
             ] {
                 let mut got = Vec::new();
                 intersect_slices(

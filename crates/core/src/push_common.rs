@@ -20,13 +20,15 @@
 //! [`encode_candidate_columns`] over the same suffix.
 //!
 //! The production handler captures the frame in place ([`ColCursor`]),
-//! decodes its two key columns whole into a reused `(OrderKey, frame
-//! index)` buffer ([`decode_frame_keys`], the same decoder the pull
-//! handler uses), and runs [`intersect_slices`] against `Adjm+(q)`;
-//! the metadata column is decoded per element on triangle matches
-//! only. Decoding every key enforces the key columns' byte budget
-//! whatever `Adjm+(q)` holds, and the frame is fully consumed at
-//! capture, so the record framing is intact wherever the merge stops.
+//! decodes its two key columns whole into a reused flat [`OrderKey`]
+//! column ([`decode_frame_keys`], the same decoder the pull handler
+//! uses), and runs [`intersect_indices`] against `Adjm+(q)`; each match
+//! arrives as an index pair, and the frame index picks the one
+//! metadata element to decode. The survey callback is the handler's
+//! type parameter, so every triangle is a direct call. Decoding every
+//! key enforces the key columns' byte budget whatever `Adjm+(q)` holds,
+//! and the frame is fully consumed at capture, so the record framing is
+//! intact wherever the merge stops.
 //!
 //! The reference handler ([`SurveyConfig::is_reference`]) reads the
 //! same bytes as an owned [`ColBatch`] and runs the two-pointer merge
@@ -47,11 +49,8 @@ use tripoll_ygm::wire::{
 };
 use tripoll_ygm::{Comm, Handler};
 
-use crate::engine::{intersect_slices, IntersectKernel, SurveyConfig};
-use crate::meta::TriangleMeta;
-
-/// Type-erased survey callback held by engine handlers.
-pub(crate) type DynCallback<VM, EM> = Rc<dyn Fn(&Comm, &TriangleMeta<'_, VM, EM>)>;
+use crate::engine::{intersect_indices, intersect_slices, IntersectKernel, SurveyConfig};
+use crate::meta::{SurveyCallback, TriangleMeta};
 
 /// A wedge batch: `(p, q, meta(p), meta(p,q), candidates)`, the
 /// candidates `(r, d(r), meta(p, r))` as a [`ColBatch`] (vertex column,
@@ -78,15 +77,16 @@ fn abort_unowned_push<VM, EM>(c: &Comm, g: &DistGraph<VM, EM>, p: u64, q: u64) -
 /// run the callback on every triangle. Collective (handler
 /// registration); `config` only chooses the handler *body* — both
 /// bodies read the same wire type, so ranks may mix them.
-pub(crate) fn register_push_handler<VM, EM>(
+pub(crate) fn register_push_handler<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
-    cb: DynCallback<VM, EM>,
+    cb: Rc<F>,
     config: SurveyConfig,
 ) -> Handler<PushMsg<VM, EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
+    F: SurveyCallback<VM, EM>,
 {
     if config.is_reference() {
         register_push_handler_reference(comm, graph, cb)
@@ -98,21 +98,22 @@ where
 /// The production receive handler: capture the columnar frame, decode
 /// its key columns whole, intersect them with `Adjm+(q)` under the
 /// configured kernel, decode metadata on match only.
-fn register_push_handler_production<VM, EM>(
+fn register_push_handler_production<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
-    cb: DynCallback<VM, EM>,
+    cb: Rc<F>,
     kernel: IntersectKernel,
 ) -> Handler<PushMsg<VM, EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
+    F: SurveyCallback<VM, EM>,
 {
     let g = graph.clone();
     // The decoded key columns of the frame being served, reused across
     // frames. Taken out while in use, so a re-entrant dispatch would
     // decode into a fresh buffer instead of the one being read.
-    let frame_keys: Cell<Vec<(OrderKey, usize)>> = Cell::default();
+    let frame_keys: Cell<Vec<OrderKey>> = Cell::default();
     comm.register_borrowed::<PushMsg<VM, EM>, _>(move |c, r| {
         let p = u64::decode(r)?;
         let q = u64::decode(r)?;
@@ -133,16 +134,17 @@ where
         let mut cands = frame_keys.take();
         let mut out = decode_frame_keys(&mut keys, &mut cands);
         if out.is_ok() {
-            intersect_slices(
+            intersect_indices(
                 kernel,
                 &cands,
                 &lv.adj,
-                |&(k, _)| k,
+                |&k| k,
                 |e| e.key,
-                |&(_, i), e| {
+                |i, j| {
                     if out.is_err() {
                         return;
                     }
+                    let e = &lv.adj[j];
                     match metas.get(i) {
                         Ok(meta_pr) => cb(
                             c,
@@ -171,14 +173,15 @@ where
 /// The reference handler: decode the owned [`ColBatch`], then run the
 /// two-pointer merge over it — what the differential suites compare the
 /// column cursors and the size-selected kernels against.
-fn register_push_handler_reference<VM, EM>(
+fn register_push_handler_reference<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
-    cb: DynCallback<VM, EM>,
+    cb: Rc<F>,
 ) -> Handler<PushMsg<VM, EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
+    F: SurveyCallback<VM, EM>,
 {
     let g = graph.clone();
     comm.register::<PushMsg<VM, EM>, _>(move |c, (p, q, meta_p, meta_pq, batch)| {
@@ -222,21 +225,24 @@ pub(crate) fn encode_candidate_columns<VM, EM: Wire>(
     encode_columns(adj, |s| s.v, |s| s.key.degree, |s, buf| s.em.encode(buf))
 }
 
-/// Decodes a frame's two key columns, whole, into `out` as one
-/// `(OrderKey, frame index)` per element — the one frame decoder of
-/// both receive handlers. `out` is cleared, not reallocated, so a
-/// rank's frames share one buffer. Walking to the last element enforces
-/// the key columns' byte budget: a truncated or over-long key column
-/// fails here, before any key is intersected.
+/// Decodes a frame's two key columns, whole, into `out` as one flat
+/// [`OrderKey`] per element — the one frame decoder of both receive
+/// handlers. An element's frame index is its position in `out`, so a
+/// match's index into `out` is the index of the metadata element to
+/// decode. `out` is cleared, not reallocated, so a rank's frames share
+/// one buffer. Walking to the last element enforces the key columns'
+/// byte budget: a truncated or over-long key column fails here, before
+/// any key is intersected.
 pub(crate) fn decode_frame_keys(
     keys: &mut ColKeys<'_>,
-    out: &mut Vec<(OrderKey, usize)>,
+    out: &mut Vec<OrderKey>,
 ) -> Result<(), WireError> {
     out.clear();
     out.reserve(keys.remaining());
     for k in keys {
         let k = k?;
-        out.push((OrderKey::new(k.v, k.degree), k.idx));
+        debug_assert_eq!(k.idx, out.len(), "frame index is the position");
+        out.push(OrderKey::new(k.v, k.degree));
     }
     Ok(())
 }

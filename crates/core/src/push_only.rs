@@ -14,7 +14,7 @@ use tripoll_ygm::Comm;
 
 use crate::engine::{EngineMode, PhaseTimer, SurveyConfig, SurveyReport};
 use crate::meta::SurveyCallback;
-use crate::push_common::{push_wedge_batches, register_push_handler, DynCallback};
+use crate::push_common::{push_wedge_batches, register_push_handler};
 
 /// Runs a Push-Only triangle survey; `callback` executes once per
 /// triangle on the rank where the metadata is colocated (`Rank(q)`).
@@ -53,8 +53,7 @@ where
     F: SurveyCallback<VM, EM>,
 {
     let config = config.into();
-    let cb: DynCallback<VM, EM> = Rc::new(callback);
-    let handler = register_push_handler(comm, graph, cb, config);
+    let handler = register_push_handler(comm, graph, Rc::new(callback), config);
 
     let timer = PhaseTimer::begin(comm, "push");
     push_wedge_batches(comm, graph, &handler, |_| false);
@@ -73,6 +72,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::TriangleMeta;
     use std::cell::Cell;
     use tripoll_graph::{build_dist_graph, EdgeList, Partition};
     use tripoll_ygm::World;
@@ -165,7 +165,7 @@ mod tests {
         World::new(2).run(|comm| {
             let local = list.stride_for_rank(comm.rank(), comm.nranks());
             let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
-            let cb: crate::push_common::DynCallback<(), ()> = Rc::new(|_c, _tm| {});
+            let cb = Rc::new(|_c: &Comm, _tm: &TriangleMeta<'_, (), ()>| {});
             let h = register_push_handler(comm, &g, cb, config);
             if comm.rank() == 0 {
                 let q = 0u64;
@@ -209,8 +209,9 @@ mod tests {
         World::new(1).run(|comm| {
             let local = list.stride_for_rank(comm.rank(), comm.nranks());
             let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
-            let cb: crate::push_common::DynCallback<(), ()> =
-                Rc::new(|_c, _tm| panic!("callback ran on a corrupt push frame"));
+            let cb = Rc::new(|_c: &Comm, _tm: &TriangleMeta<'_, (), ()>| {
+                panic!("callback ran on a corrupt push frame")
+            });
             let h = register_push_handler(comm, &g, cb, SurveyConfig::default());
             let q = g
                 .shard()
@@ -243,7 +244,7 @@ mod tests {
         for kernel in [
             IntersectKernel::MergeScalar,
             IntersectKernel::Gallop,
-            IntersectKernel::BlockedMerge,
+            IntersectKernel::Merge,
         ] {
             let out = World::new(2).run(|comm| {
                 let local = list.stride_for_rank(comm.rank(), comm.nranks());

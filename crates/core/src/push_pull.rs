@@ -38,12 +38,12 @@ use tripoll_ygm::wire::{ColBatch, ColView, Wire};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{
-    intersect_slices, EngineMode, IntersectKernel, PhaseTimer, SurveyConfig, SurveyReport,
+    intersect_indices, intersect_slices, EngineMode, IntersectKernel, PhaseTimer, SurveyConfig,
+    SurveyReport,
 };
 use crate::meta::{SurveyCallback, TriangleMeta};
 use crate::push_common::{
     decode_frame_keys, encode_candidate_columns, push_wedge_batches, register_push_handler,
-    DynCallback,
 };
 
 /// Dry-run record: `(q, planned candidate count, source rank)`.
@@ -158,8 +158,9 @@ struct PpState {
     /// Pull requests this rank granted.
     grants: u64,
     /// The key columns of the pull delivery being served, decoded once
-    /// and shared by every resume suffix (see [`decode_frame_keys`]).
-    frame_keys: Vec<(OrderKey, usize)>,
+    /// into a flat key column and shared by every resume suffix (see
+    /// [`decode_frame_keys`]).
+    frame_keys: Vec<OrderKey>,
 }
 
 /// Runs a Push-Pull triangle survey; `callback` executes once per
@@ -215,7 +216,7 @@ where
     EM: Wire + Clone + 'static,
     F: SurveyCallback<VM, EM>,
 {
-    let cb: DynCallback<VM, EM> = Rc::new(callback);
+    let cb = Rc::new(callback);
     let st = Rc::new(RefCell::new(PpState::default()));
 
     // Handler registration order is part of the SPMD contract: all four
@@ -375,20 +376,21 @@ where
 /// resume suffix recorded for `q`. The production body captures the
 /// frame's column extents once ([`ColView`], three bounded takes),
 /// decodes its key columns once per delivery ([`decode_frame_keys`])
-/// and runs [`intersect_slices`] with each suffix `Adjm+(p)[idx+1..]`
+/// and runs [`intersect_indices`] with each suffix `Adjm+(p)[idx+1..]`
 /// as the left side, decoding `meta(q,r)` only for triangle matches.
 /// The reference body materializes the projection and runs the
 /// two-pointer merge.
-fn register_pull_handler<VM, EM>(
+fn register_pull_handler<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     st: Rc<RefCell<PpState>>,
-    cb: DynCallback<VM, EM>,
+    cb: Rc<F>,
     config: SurveyConfig,
 ) -> Handler<PullMsg<EM>>
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
+    F: SurveyCallback<VM, EM>,
 {
     let kernel = config.kernel;
     let g = graph.clone();
@@ -446,16 +448,17 @@ where
             c.add_work((suffix.len() + view.len()) as u64);
             let mut metas = view.walk().metas;
             let mut failed = None;
-            intersect_slices(
+            intersect_indices(
                 kernel,
                 suffix,
                 frame_keys,
                 |s_entry| s_entry.key,
-                |&(k, _)| k,
-                |s_entry, &(_, i)| {
+                |&k| k,
+                |a, i| {
                     if failed.is_some() {
                         return;
                     }
+                    let s_entry = &suffix[a];
                     match metas.get(i) {
                         Ok(meta_qr) => cb(
                             c,
@@ -701,7 +704,7 @@ mod tests {
             for kernel in [
                 IntersectKernel::Auto,
                 IntersectKernel::Gallop,
-                IntersectKernel::BlockedMerge,
+                IntersectKernel::Merge,
             ] {
                 assert_eq!(
                     run(kernel, nranks),
@@ -718,7 +721,6 @@ mod tests {
     /// so a kernel that stopped at the suffix's end would never reach
     /// the corruption; the callback panics if the survey emits anything.
     fn hostile_pull(mangle: fn(&mut Vec<u8>, &mut Vec<u8>)) {
-        use crate::push_common::DynCallback;
         use tripoll_ygm::wire::{put_varint, WireEncode};
         struct Raw(Vec<u8>);
         impl WireEncode for Raw {
@@ -737,8 +739,9 @@ mod tests {
             let local = list.stride_for_rank(comm.rank(), comm.nranks());
             let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
             let st = Rc::new(RefCell::new(PpState::default()));
-            let cb: DynCallback<(), ()> =
-                Rc::new(|_c, _tm| panic!("callback ran on a corrupt pull frame"));
+            let cb = Rc::new(|_c: &Comm, _tm: &TriangleMeta<'_, (), ()>| {
+                panic!("callback ran on a corrupt pull frame")
+            });
             let h = register_pull_handler(comm, &g, st.clone(), cb, SurveyConfig::default());
             if comm.rank() == 0 {
                 let (slot, lv) = g

@@ -28,6 +28,17 @@ impl OrderKey {
             tie: hash64(v),
         }
     }
+
+    /// The key as one 128-bit word, degree in the high half and tie in
+    /// the low half. Comparing two words is exactly the derived
+    /// lexicographic order on `(degree, tie)`, and two words are equal
+    /// exactly when the keys are, so a merge may compare words instead
+    /// of keys with one compare per step and no branch on the first
+    /// field.
+    #[inline]
+    pub fn word(self) -> u128 {
+        (self.degree as u128) << 64 | self.tie as u128
+    }
 }
 
 /// `u <+ v` given both degrees.
@@ -84,5 +95,59 @@ mod tests {
         assert_eq!(keys[1].degree, 3);
         assert_eq!(keys[2].degree, 3);
         assert!(keys[1].tie < keys[2].tie);
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn key((degree, tie): (u64, u64)) -> OrderKey {
+            OrderKey { degree, tie }
+        }
+
+        /// Asserts the one-word key orders and equates exactly like the
+        /// derived `Ord` / `Eq` on the two fields.
+        fn assert_word_orders_like_key(a: OrderKey, b: OrderKey) {
+            assert_eq!(a.cmp(&b), a.word().cmp(&b.word()), "{a:?} vs {b:?}");
+            assert_eq!(a == b, a.word() == b.word(), "{a:?} vs {b:?}");
+        }
+
+        #[test]
+        fn word_orders_like_key_at_the_field_boundaries() {
+            let edges = [0, 1, u64::MAX - 1, u64::MAX];
+            for &da in &edges {
+                for &ta in &edges {
+                    for &db in &edges {
+                        for &tb in &edges {
+                            assert_word_orders_like_key(key((da, ta)), key((db, tb)));
+                        }
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+            /// Random `(degree, tie)` pairs, each field drawn with the
+            /// shim's edge bias (0, 1, `u64::MAX - 1` and `u64::MAX`
+            /// one draw in four). `share` copies one field or both from
+            /// the first key, so equal degrees, equal ties and equal
+            /// keys all occur.
+            #[test]
+            fn word_orders_like_key(
+                a in (any::<u64>(), any::<u64>()),
+                b in (any::<u64>(), any::<u64>()),
+                share in 0u8..4,
+            ) {
+                let b = match share {
+                    1 => (a.0, b.1),
+                    2 => (b.0, a.1),
+                    3 => a,
+                    _ => b,
+                };
+                assert_word_orders_like_key(key(a), key(b));
+                assert_word_orders_like_key(key(b), key(a));
+            }
+        }
     }
 }

@@ -126,7 +126,7 @@ pub fn run_survey(
                 matches: comm.all_reduce_sum(ks.matches),
                 scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
                 gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
-                blocked_runs: comm.all_reduce_sum(ks.blocked_runs),
+                merge_runs: comm.all_reduce_sum(ks.merge_runs),
             },
             bytes_encoded: comm.all_reduce_sum(sent.bytes_encoded),
             records: comm.all_reduce_sum(sent.records_total()),

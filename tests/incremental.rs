@@ -154,7 +154,7 @@ where
                 matches: comm.all_reduce_sum(ks.matches),
                 scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
                 gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
-                blocked_runs: comm.all_reduce_sum(ks.blocked_runs),
+                merge_runs: comm.all_reduce_sum(ks.merge_runs),
             },
         }
     });

@@ -1,14 +1,15 @@
 //! Differential tests of the production path against the reference.
 //!
 //! A survey runs one of two receive paths (see `tripoll::core::engine`):
-//! the **production** path — columnar frames decoded in place, the
-//! kernel `Auto` picks from the two side lengths (or an explicit
-//! `Gallop` / `BlockedMerge`) — or the **reference**
-//! ([`IntersectKernel::MergeScalar`]): the same bytes materialised as an
-//! owned batch and intersected by the two-pointer merge. The contract is
-//! strict: every kernel emits the **identical match sequence** — same
-//! pairs, same callback order — as the reference, on every engine and
-//! rank count. Two layers of evidence:
+//! the **production** path — columnar frames decoded in place into a
+//! flat key column, the kernel `Auto` picks from the two side lengths
+//! (or an explicit `Gallop` / `Merge`), matches reported as index
+//! pairs — or the **reference** ([`IntersectKernel::MergeScalar`]): the
+//! same bytes materialised as an owned batch and intersected by the
+//! two-pointer merge. The contract is strict: every kernel emits the
+//! **identical match sequence** — same pairs, same callback order — as
+//! the reference, on every engine and rank count. Three layers of
+//! evidence:
 //!
 //! * **Surveys** — production kernels × engine × {1,2,4,7}-rank
 //!   surveys on string-metadata graphs (random, shared-hub, the Table 4
@@ -19,22 +20,28 @@
 //! * **Kernel fuzz** — the kernels run directly (no engines) over
 //!   random sorted lists and adversarial shapes (empty sides,
 //!   all-equal keys, hub-scale 1000:1 skew, near-miss off-by-one
-//!   keys), on slices and on columnar frames whose keys are decoded
-//!   whole first, as the production handlers do (both through
-//!   [`intersect_slices`]), asserting the exact ordered match set of
+//!   keys), on slices through [`intersect_slices`] and on columnar
+//!   frames whose keys are decoded whole into a flat column first and
+//!   intersected through [`intersect_indices`], as the production
+//!   handlers do, asserting the exact ordered match set of
 //!   [`merge_path`].
+//! * **Same steps** — the branchless [`IntersectKernel::Merge`] reads
+//!   each key as one `u128` word and advances both pointers by flags,
+//!   but it takes the reference merge's steps: on random strictly
+//!   increasing lists it emits the ordered matches of `MergeScalar`
+//!   and `merge_path` with exactly `MergeScalar`'s compare count.
 //!
 //! Besides agreement, `Auto`'s key-compare counts at four fixed degree
-//! skews are pinned to literals: the work the gallop and blocked arms
-//! exist to avoid.
+//! skews are pinned to literals: the work the gallop and merge arms
+//! are chosen to keep small.
 
 mod common;
 
 use common::{hub_graph, labeled, random_graph, run_survey};
 use proptest::prelude::*;
 use tripoll::core::{
-    intersect_slices, kernel_stats, kernel_stats_take, merge_path, EngineMode, IntersectKernel,
-    SurveyConfig,
+    intersect_indices, intersect_slices, kernel_stats, kernel_stats_take, merge_path, EngineMode,
+    IntersectKernel, SurveyConfig, GALLOP_RATIO,
 };
 use tripoll::gen::table4_suite;
 use tripoll::graph::{EdgeList, OrderKey};
@@ -45,13 +52,13 @@ use tripoll::ygm::wire::{to_bytes, ColBatch, ColCursor, ColKeys, WireReader};
 const PRODUCTION: [IntersectKernel; 3] = [
     IntersectKernel::Auto,
     IntersectKernel::Gallop,
-    IntersectKernel::BlockedMerge,
+    IntersectKernel::Merge,
 ];
 
 const KERNELS: [IntersectKernel; 4] = [
     IntersectKernel::MergeScalar,
     IntersectKernel::Gallop,
-    IntersectKernel::BlockedMerge,
+    IntersectKernel::Merge,
     IntersectKernel::Auto,
 ];
 
@@ -90,7 +97,7 @@ fn assert_production_matches_reference(
             // The reference materialises every batch and only ever runs
             // the scalar merge; the production path never does either.
             assert_eq!(r.borrowed, 0, "reference must not decode in place [{ctx}]");
-            assert_eq!(r.stats.gallop_runs + r.stats.blocked_runs, 0, "[{ctx}]");
+            assert_eq!(r.stats.gallop_runs + r.stats.merge_runs, 0, "[{ctx}]");
             assert_eq!(o.stats.scalar_runs, 0, "reference leaked [{ctx}]");
             if o.count > 0 {
                 // A triangle needs a received wedge batch or pull
@@ -176,11 +183,16 @@ fn oracle_matches(left: &[(u64, OrderKey)], right: &[(u64, OrderKey)]) -> Vec<(u
 }
 
 /// Decodes a frame's two key columns whole, as both production
-/// handlers do, into one `(OrderKey, frame index)` per element.
-fn decode_keys(keys: ColKeys<'_>) -> Vec<(OrderKey, usize)> {
-    keys.map(|k| k.map(|k| (OrderKey::new(k.v, k.degree), k.idx)))
-        .collect::<Result<_, _>>()
-        .expect("key columns")
+/// handlers do, into a flat key column: an element's frame index is
+/// its position.
+fn decode_keys(keys: ColKeys<'_>) -> Vec<OrderKey> {
+    keys.enumerate()
+        .map(|(pos, k)| {
+            let k = k.expect("key columns");
+            assert_eq!(k.idx, pos, "frame index is the position");
+            OrderKey::new(k.v, k.degree)
+        })
+        .collect()
 }
 
 /// Asserts every kernel reproduces the oracle's ordered match list on
@@ -214,21 +226,21 @@ fn assert_kernels_match(left_vals: &[u64], right_vals: &[u64], ctx: &str) {
         );
         assert_eq!(got, oracle, "slices, kernel {kernel} [{ctx}]");
 
-        // Columnar frame.
+        // Columnar frame, decoded into a flat key column.
         let mut r = WireReader::new(&frame);
         let ColCursor { keys, mut metas }: ColCursor<'_, u64> =
             ColCursor::begin(&mut r).expect("frame");
         let cands = decode_keys(keys);
         let mut got = Vec::new();
-        intersect_slices(
+        intersect_indices(
             kernel,
             &cands,
             &right,
-            |&(k, _)| k,
+            |&k| k,
             |e| e.1,
-            |&(_, i), e| {
+            |i, j| {
                 assert_eq!(metas.get(i), Ok(i as u64), "meta idx mapping [{ctx}]");
-                got.push((left[i].0, e.0));
+                got.push((left[i].0, right[j].0));
             },
         );
         assert_eq!(got, oracle, "columnar, kernel {kernel} [{ctx}]");
@@ -258,11 +270,12 @@ fn adversarial_shapes_match_the_oracle() {
     let mut nearly = odds.clone();
     nearly[100] = 200;
     assert_kernels_match(&evens, &nearly, "off-by-one single match");
-    // Block-boundary shapes around the blocked merge's KEY_BLOCK_LEN (32).
+    // Length edge cases: one side a third of the other, at lengths
+    // around powers of two.
     for n in [31u64, 32, 33, 63, 64, 65] {
         let l: Vec<u64> = (0..n).collect();
         let r: Vec<u64> = (0..n).filter(|v| v % 3 == 0).collect();
-        assert_kernels_match(&l, &r, &format!("block boundary n={n}"));
+        assert_kernels_match(&l, &r, &format!("length edge n={n}"));
     }
 }
 
@@ -298,7 +311,66 @@ fn gallop_beats_scalar_compares_at_heavy_skew() {
         |_, _| {},
     );
     let s = kernel_stats();
-    assert_eq!((s.gallop_runs, s.scalar_runs, s.blocked_runs), (1, 0, 0));
+    assert_eq!((s.gallop_runs, s.scalar_runs, s.merge_runs), (1, 0, 0));
+}
+
+/// Ordered matches and compare count of one kernel over two entry
+/// lists, through the index form.
+fn run_kernel(
+    kernel: IntersectKernel,
+    left: &[(u64, OrderKey)],
+    right: &[(u64, OrderKey)],
+) -> (Vec<(u64, u64)>, u64) {
+    let mut got = Vec::new();
+    let _ = kernel_stats_take();
+    intersect_indices(
+        kernel,
+        left,
+        right,
+        |l| l.1,
+        |r| r.1,
+        |a, b| got.push((left[a].0, right[b].0)),
+    );
+    (got, kernel_stats_take().compares)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    /// Random strictly increasing lists at side ratios at or below
+    /// `GALLOP_RATIO`, where `Auto` resolves to the branchless merge:
+    /// `Merge` emits the ordered matches of `MergeScalar` and
+    /// `merge_path` and counts the same compares, because both take
+    /// one compare per pointer step and step identically.
+    #[test]
+    fn branchless_merge_steps_like_the_reference(
+        lv in proptest::collection::vec(0u64..600, 1..200),
+        rv in proptest::collection::vec(0u64..600, 1..200),
+    ) {
+        let strict = |mut v: Vec<u64>| {
+            v.sort_unstable();
+            v.dedup();
+            entries(&v)
+        };
+        let (left, right) = (strict(lv), strict(rv));
+        let (small, large) = (left.len().min(right.len()), left.len().max(right.len()));
+        // Trim the longer side into the merge's range of ratios.
+        let keep = large.min(small * GALLOP_RATIO);
+        let (left, right) = if left.len() >= right.len() {
+            (left[..keep].to_vec(), right)
+        } else {
+            (left, right[..keep].to_vec())
+        };
+        assert_eq!(
+            IntersectKernel::Auto.select(left.len(), right.len()),
+            IntersectKernel::Merge
+        );
+        let oracle = oracle_matches(&left, &right);
+        let (scalar, scalar_compares) = run_kernel(IntersectKernel::MergeScalar, &left, &right);
+        let (merge, merge_compares) = run_kernel(IntersectKernel::Merge, &left, &right);
+        prop_assert_eq!(&scalar, &oracle);
+        prop_assert_eq!(&merge, &oracle);
+        prop_assert_eq!(merge_compares, scalar_compares);
+    }
 }
 
 /// The Auto kernel's exact key compares over one columnar frame,
@@ -306,13 +378,13 @@ fn gallop_beats_scalar_compares_at_heavy_skew() {
 /// 10:1, 1000:1 (hub adjacency on the right) and its reverse (a long
 /// frame on the left). The denser side holds every even value; the
 /// sparser side spreads across it, alternating hits and off-by-one
-/// misses. In total 17 617 compares over 68 672 candidates: 0.2565 per
+/// misses. In total 13 394 compares over 68 672 candidates: 0.1950 per
 /// candidate. The one symmetric rule gallops into the larger side, so
 /// the 1:1000 row costs what its mirror 1000:1 row does.
 #[test]
 fn auto_compares_at_four_skews_are_pinned() {
     for (ctx, left_n, right_n, compares, matches) in [
-        ("balanced", 4096u64, 4096u64, 10_366u64, 2048u64),
+        ("balanced", 4096u64, 4096u64, 6_143u64, 2048u64),
         ("10:1", 512, 5120, 4_601, 256),
         ("1000:1", 64, 64_000, 1_325, 32),
         ("1:1000", 64_000, 64, 1_325, 32),
@@ -338,13 +410,13 @@ fn auto_compares_at_four_skews_are_pinned() {
             ColCursor::begin(&mut r).expect("frame");
         let cands = decode_keys(keys);
         let _ = kernel_stats_take();
-        intersect_slices(
+        intersect_indices(
             IntersectKernel::Auto,
             &cands,
             &right,
-            |&(k, _)| k,
+            |&k| k,
             |e| e.1,
-            |&(_, i), _| metas.get(i).map(drop).expect("meta"),
+            |i, _| metas.get(i).map(drop).expect("meta"),
         );
         let s = kernel_stats_take();
         assert_eq!((s.compares, s.matches), (compares, matches), "[{ctx}]");
@@ -353,7 +425,7 @@ fn auto_compares_at_four_skews_are_pinned() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// Random sorted `u64` lists with random skew: gallop and blocked
+    /// Random sorted `u64` lists with random skew: gallop and merge
     /// must emit the exact ordered match set of `merge_path` on every
     /// kernel entry point.
     #[test]

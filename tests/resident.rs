@@ -91,7 +91,7 @@ fn run_direct(
                 matches: comm.all_reduce_sum(ks.matches),
                 scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
                 gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
-                blocked_runs: comm.all_reduce_sum(ks.blocked_runs),
+                merge_runs: comm.all_reduce_sum(ks.merge_runs),
             },
         }
     });
@@ -119,7 +119,7 @@ fn run_resident(resident: &ResidentGraph<String, String>, query: &ResidentQuery)
         stats.matches += o.kernel.matches;
         stats.scalar_runs += o.kernel.scalar_runs;
         stats.gallop_runs += o.kernel.gallop_runs;
-        stats.blocked_runs += o.kernel.blocked_runs;
+        stats.merge_runs += o.kernel.merge_runs;
     }
     let (count, checksum) = *acc.lock().unwrap();
     Outcome {

@@ -12,15 +12,16 @@
 //! each apex's candidate columns once into a reused [`ColSuffixes`] and
 //! copying the batch's frame out of it into a [`SendBuffer`] that
 //! restarts from a [`BufferPool`], capturing each frame with
-//! [`ColCursor::begin`], decoding its key columns into a reused buffer,
-//! intersecting them under [`IntersectKernel::Auto`], and decoding the
-//! metadata of every match with `ColMetas::get`. The frame's exact byte
+//! [`ColCursor::begin`], decoding its key columns into a reused flat
+//! [`OrderKey`] column, intersecting them under [`IntersectKernel::Auto`]
+//! through the index form, and decoding the metadata of every match
+//! with `ColMetas::get`. The frame's exact byte
 //! count is pinned too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tripoll::core::{intersect_slices, IntersectKernel};
+use tripoll::core::{intersect_indices, IntersectKernel};
 use tripoll::graph::OrderKey;
 use tripoll::ygm::buffer::{BufferPool, SendBuffer};
 use tripoll::ygm::hash::hash64;
@@ -163,13 +164,13 @@ enum Stage {
 }
 
 /// Walks every batch of `stream` as a receiving rank does, as far as
-/// `stage`, decoding key columns into `cands`; returns a checksum of
-/// what it read and the match count.
+/// `stage`, decoding key columns into the flat column `cands`; returns
+/// a checksum of what it read and the match count.
 fn receive(
     stream: &[u8],
     right: &[(u64, OrderKey)],
     stage: Stage,
-    cands: &mut Vec<(OrderKey, usize)>,
+    cands: &mut Vec<OrderKey>,
 ) -> (u64, u64) {
     let mut r = WireReader::new(stream);
     let (mut acc, mut matches) = (0u64, 0u64);
@@ -184,16 +185,16 @@ fn receive(
         cands.clear();
         for k in keys {
             let k = k.expect("key columns");
-            cands.push((OrderKey::new(k.v, k.degree), k.idx));
+            cands.push(OrderKey::new(k.v, k.degree));
         }
-        intersect_slices(
+        intersect_indices(
             IntersectKernel::Auto,
             cands,
             right,
-            |&(k, _)| k,
+            |&k| k,
             |e| e.1,
-            |&(_, i), e| {
-                acc = acc.wrapping_add(e.0);
+            |i, j| {
+                acc = acc.wrapping_add(right[j].0);
                 matches += 1;
                 if let Stage::MetaOnMatch = stage {
                     acc = acc.wrapping_add(metas.get(i).expect("meta"));
