@@ -4,6 +4,9 @@
 //! * `intersect_kernel` — ns and key compares per candidate of every
 //!   intersection kernel over a columnar frame at four degree skews
 //!   (where the `Auto` boundary should sit);
+//! * `pull_probe` — one pull delivery's shape: a 100-key pulled list
+//!   serving 35 resume suffixes, merged per suffix under `Auto` against
+//!   indexed once and probed per suffix (what the pull handler runs);
 //! * `incremental_ingest` — a delta survey against a full recount after
 //!   a 1 % and a 10 % batch (whether the delta needs a pull side).
 //!
@@ -26,9 +29,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tripoll_core::{
-    intersect_indices, kernel_stats_take, merge_path, IntersectKernel, ResidentGraph, ResidentQuery,
+    intersect_indices, kernel_stats_take, merge_path, IntersectKernel, KeyIndex, ResidentGraph,
+    ResidentQuery,
 };
 use tripoll_graph::{EdgeList, OrderKey, Partition};
+use tripoll_ygm::hash::hash64;
 use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
 
 /// Passes per (skew, kernel) measurement.
@@ -135,6 +140,80 @@ fn compare_intersect_kernels() {
     }
 }
 
+/// Passes per pull-probe measurement.
+const PULL_ITERS: usize = 4096;
+
+/// One pull delivery as the pull handler sees it: a 100-key decoded
+/// `Adjm+(q)` and 35 resume suffixes of a 60-key `Adjm+(p)`, three in
+/// five of whose keys are pulled keys (the match rate of an R-MAT
+/// survey's pull phase). The merge intersects each suffix against the
+/// pulled column under `Auto`; the probe indexes the column once per
+/// delivery and probes each suffix into it.
+fn compare_pull_probe() {
+    let pulled: Vec<OrderKey> = (0..100u64)
+        .map(|i| OrderKey::new(hash64(i), 64 + 2 * i))
+        .collect();
+    // 60 keys: pulled keys at positions 0, 1, 2 of every 5, near misses
+    // (one degree up) at 3 and 4.
+    let puller: Vec<OrderKey> = (0..60u64)
+        .map(|j| {
+            let k = pulled[j as usize];
+            if j % 5 < 3 {
+                k
+            } else {
+                OrderKey::new(!j, k.degree + 1)
+            }
+        })
+        .collect();
+    let suffixes: Vec<&[OrderKey]> = (0..35).map(|s| &puller[s..]).collect();
+    let candidates: usize = suffixes.iter().map(|s| s.len()).sum();
+    let mut index = KeyIndex::new();
+    for name in ["merge", "probe"] {
+        let serve = |index: &mut KeyIndex| -> u64 {
+            let mut acc = 0u64;
+            if name == "probe" {
+                index.build(&pulled).expect("short frame");
+                for s in &suffixes {
+                    index.probe(s, |&k| k, |a, i| acc += (a ^ i) as u64);
+                }
+            } else {
+                for s in &suffixes {
+                    intersect_indices(
+                        IntersectKernel::Auto,
+                        s,
+                        &pulled,
+                        |&k| k,
+                        |&k| k,
+                        |a, i| acc += (a ^ i) as u64,
+                    );
+                }
+            }
+            acc
+        };
+        let warm = serve(&mut index);
+        let _ = kernel_stats_take();
+        let start = Instant::now();
+        let mut acc = 0u64;
+        for _ in 0..PULL_ITERS {
+            acc = acc.wrapping_add(serve(&mut index));
+        }
+        let ns = start.elapsed().as_nanos() as f64;
+        assert_eq!(
+            acc,
+            warm.wrapping_mul(PULL_ITERS as u64),
+            "{name} is deterministic"
+        );
+        let s = kernel_stats_take();
+        let per = (candidates * PULL_ITERS) as f64;
+        println!(
+            "pull_probe/100x35/{name:<8} {:>8.2} ns/cand  {:>8.2} compares/cand  {:>6} matches",
+            ns / per,
+            s.compares as f64 / per,
+            s.matches / PULL_ITERS as u64
+        );
+    }
+}
+
 /// Streaming appends: after a 1 % / 10 % batch lands on a scale-10
 /// R-MAT graph, surveying only the delta wedges against recounting the
 /// whole graph.
@@ -189,5 +268,6 @@ fn compare_incremental_ingest() {
 
 fn main() {
     compare_intersect_kernels();
+    compare_pull_probe();
     compare_incremental_ingest();
 }

@@ -4,7 +4,9 @@
 //! *intersection* (paper §4.3) of two lists sorted by the degree order
 //! `<+` — the suffix of `Adjm+(p)` past `q` (the candidate `r`
 //! vertices) against `Adjm+(q)`. Because [`OrderKey`] equality implies
-//! vertex equality, the intersection compares keys and never hashes.
+//! vertex equality, the intersection compares keys and never hashes a
+//! vertex: the pull side's [`KeyIndex`] slots a key by its own `tie`,
+//! which is already `hash64(v)`.
 //!
 //! # One production path, one reference
 //!
@@ -16,13 +18,16 @@
 //! * **Production** ([`IntersectKernel::Auto`], or an explicit
 //!   [`Gallop`] / [`Merge`]): the frame is captured in place
 //!   ([`tripoll_ygm::wire::ColCursor`]), its two key columns are decoded
-//!   once, whole, into a rank-owned flat [`OrderKey`] column, and
-//!   [`intersect_indices`] runs against it; a match arrives as an index
-//!   pair, and the frame index selects the one metadata element to
-//!   decode. A pushed batch is the column's left side against
-//!   `Adjm+(q)`; a pulled `Adjm+(q)` is the right side of every resume
-//!   suffix it serves. The survey callback is a type parameter of the
-//!   handler, so the per-triangle call is direct.
+//!   once, whole, into a rank-owned flat [`OrderKey`] column (a frame
+//!   whose keys do not strictly increase is a wire error), and a match
+//!   arrives as an index pair whose frame index selects the one
+//!   metadata element to decode. A pushed batch is the column's left
+//!   side against `Adjm+(q)`, intersected by [`intersect_indices`]
+//!   under the configured kernel. A pulled `Adjm+(q)` serves every
+//!   resume suffix recorded for `q`: its column is indexed once per
+//!   delivery in a [`KeyIndex`] and each suffix is probed into it,
+//!   whatever the kernel. The survey callback is a type parameter of
+//!   the handler, so the per-triangle call is direct.
 //! * **Reference** ([`IntersectKernel::MergeScalar`]): the frame is
 //!   materialised as an owned [`tripoll_ygm::wire::ColBatch`] and
 //!   intersected by the element-wise two-pointer merge through
@@ -33,9 +38,14 @@
 //!
 //! # Intersection kernels
 //!
-//! All kernels run in one body ([`intersect_indices`]) and emit the
-//! **identical match sequence** (same pairs, same callback order); they
-//! differ only in how they step and in compares per candidate:
+//! The kernels of [`IntersectKernel`] run in one body
+//! ([`intersect_indices`]) and emit the **identical match sequence**
+//! (same pairs, same callback order); they differ only in how they step
+//! and in compares per candidate. On the production path they
+//! intersect pushed batches; an explicit kernel selects the push arm
+//! only, because every production pull delivery is probed through a
+//! [`KeyIndex`] instead, which emits the same sequence on strictly
+//! increasing lists:
 //!
 //! * [`IntersectKernel::MergeScalar`] — the classic element-wise
 //!   two-pointer merge ([`merge_path`]) over the derived two-field
@@ -65,11 +75,12 @@
 //!   lengths and not left to a knob. Both lengths are known before any
 //!   key is compared, so selection is free and deterministic.
 //!
-//! Every kernel tallies deterministic counters ([`KernelStats`]:
-//! compares, candidates, matches, per-kernel dispatch counts) into a
-//! thread-local, read via [`kernel_stats`] / [`kernel_stats_take`] —
-//! the tier-1 tests pin compare counts to literals and the differential
-//! suite cross-checks match counts against the reference.
+//! Every kernel and every probe tallies deterministic counters
+//! ([`KernelStats`]: compares, candidates, matches, per-kernel dispatch
+//! counts, probe runs) into a thread-local, read via [`kernel_stats`] /
+//! [`kernel_stats_take`] — the tier-1 tests pin compare counts to
+//! literals and the differential suite cross-checks match counts
+//! against the reference.
 //!
 //! [`Gallop`]: IntersectKernel::Gallop
 //! [`Merge`]: IntersectKernel::Merge
@@ -79,6 +90,7 @@ use std::time::Instant;
 
 use tripoll_graph::OrderKey;
 use tripoll_ygm::stats::CommStats;
+use tripoll_ygm::wire::WireError;
 use tripoll_ygm::Comm;
 
 /// Which TriPoll algorithm to run.
@@ -100,12 +112,14 @@ impl std::fmt::Display for EngineMode {
     }
 }
 
-/// Which intersection kernel compares the two sorted sides of every
-/// wedge check (see the module docs for the full taxonomy). A local
-/// compute choice — it moves no bytes — with one structural meaning: in
-/// a [`SurveyConfig`], [`MergeScalar`] selects the *reference* receive
-/// path (materialised batch, two-pointer merge, inline) and every other
-/// value the production path.
+/// Which intersection kernel compares the two sorted sides of a pushed
+/// wedge batch (see the module docs for the full taxonomy; production
+/// pull deliveries are probed through a [`KeyIndex`] whatever the
+/// kernel). A local compute choice — it moves no bytes — with one
+/// structural meaning: in a [`SurveyConfig`], [`MergeScalar`] selects
+/// the *reference* receive path (materialised batch, two-pointer merge,
+/// inline) for pushes and pulls alike, and every other value the
+/// production path.
 ///
 /// All kernels emit the identical match sequence; [`Auto`] resolves
 /// per intersection from the side lengths alone:
@@ -230,7 +244,7 @@ impl std::fmt::Display for IntersectKernel {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SurveyConfig {
-    /// Intersection kernel for every wedge check;
+    /// Intersection kernel for every pushed wedge batch;
     /// [`IntersectKernel::MergeScalar`] selects the reference path.
     pub kernel: IntersectKernel,
 }
@@ -377,7 +391,12 @@ pub fn merge_path<L, R>(
 /// * `matches` — key-equal pairs emitted, identical across kernels by
 ///   the differential contract;
 /// * `*_runs` — intersections dispatched per resolved kernel (what
-///   [`IntersectKernel::Auto`] actually picked).
+///   [`IntersectKernel::Auto`] actually picked), and `probe_runs` the
+///   left sides probed into a [`KeyIndex`] (every resume suffix of a
+///   production pull delivery).
+///
+/// A [`KeyIndex::probe`] counts one compare per table slot it
+/// inspects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelStats {
     /// Key comparisons performed.
@@ -392,6 +411,8 @@ pub struct KernelStats {
     pub gallop_runs: u64,
     /// Intersections run by the branchless merge kernel.
     pub merge_runs: u64,
+    /// Left sides probed into a [`KeyIndex`].
+    pub probe_runs: u64,
 }
 
 impl KernelStats {
@@ -402,6 +423,7 @@ impl KernelStats {
         scalar_runs: 0,
         gallop_runs: 0,
         merge_runs: 0,
+        probe_runs: 0,
     };
 }
 
@@ -416,6 +438,7 @@ impl std::ops::AddAssign for KernelStats {
         self.scalar_runs += rhs.scalar_runs;
         self.gallop_runs += rhs.gallop_runs;
         self.merge_runs += rhs.merge_runs;
+        self.probe_runs += rhs.probe_runs;
     }
 }
 
@@ -436,20 +459,15 @@ pub fn kernel_stats_take() -> KernelStats {
 
 /// Flushes one intersection's local tallies into the thread counter —
 /// a single `Cell` write per intersection, so the hot loops count into
-/// registers.
+/// registers. `run` bumps the dispatch counter of the arm that ran.
 #[inline]
-fn record_kernel(resolved: IntersectKernel, compares: u64, candidates: u64, matches: u64) {
+fn record_kernel(compares: u64, candidates: u64, matches: u64, run: fn(&mut KernelStats)) {
     KERNEL_STATS.with(|c| {
         let mut s = c.get();
         s.compares += compares;
         s.candidates += candidates;
         s.matches += matches;
-        match resolved {
-            IntersectKernel::MergeScalar => s.scalar_runs += 1,
-            IntersectKernel::Gallop => s.gallop_runs += 1,
-            IntersectKernel::Merge => s.merge_runs += 1,
-            IntersectKernel::Auto => unreachable!("Auto resolves before recording"),
-        }
+        run(&mut s);
         c.set(s);
     });
 }
@@ -504,10 +522,11 @@ fn gallop_seek<R>(
 /// Intersects two `<+`-sorted slices with the selected kernel and
 /// reports every key-equal pair `(left[a], right[b])` as its index pair
 /// `on_match(a, b)`, in increasing key order — the one kernel body.
-/// The production receive handlers call it directly: a decoded frame is
+/// The production push handler calls it directly: a decoded frame is
 /// a flat key column, and a match only needs the index into it to
 /// decode that element's metadata. [`intersect_slices`] is the
-/// by-reference adapter over it.
+/// by-reference adapter over it. (Pull deliveries are probed through a
+/// [`KeyIndex`] instead.)
 pub fn intersect_indices<L, R>(
     kernel: IntersectKernel,
     left: &[L],
@@ -592,7 +611,13 @@ pub fn intersect_indices<L, R>(
         }
         IntersectKernel::Auto => unreachable!("select never returns Auto"),
     }
-    record_kernel(resolved, compares, left.len() as u64, matches);
+    let run: fn(&mut KernelStats) = match resolved {
+        IntersectKernel::MergeScalar => |s| s.scalar_runs += 1,
+        IntersectKernel::Gallop => |s| s.gallop_runs += 1,
+        IntersectKernel::Merge => |s| s.merge_runs += 1,
+        IntersectKernel::Auto => unreachable!("Auto resolves before recording"),
+    };
+    record_kernel(compares, left.len() as u64, matches, run);
 }
 
 /// Intersects two `<+`-sorted slices with the selected kernel,
@@ -612,6 +637,133 @@ pub fn intersect_slices<L, R>(
     intersect_indices(kernel, left, right, key_l, key_r, |a, b| {
         on_match(&left[a], &right[b])
     });
+}
+
+/// Frame index of an empty [`KeyIndex`] slot. No key is stored under
+/// it: [`KeyIndex::build`] rejects a frame that would need it.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// One [`KeyIndex`] slot: a key's [`OrderKey::word`] and its frame
+/// index, or [`EMPTY_SLOT`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    word: u128,
+    idx: u32,
+}
+
+/// An open-addressing hash index over one decoded frame's flat
+/// [`OrderKey`] column: the production pull handler builds it once per
+/// delivery and probes every resume suffix into it, where a merge would
+/// walk the pulled `Adjm+(q)` once per suffix.
+///
+/// The table's size is a power of two, at least twice the key count. A
+/// key's home slot is `tie & mask`: `tie` is already `hash64(v)`, so
+/// there is no second hash. Collisions probe linearly, and each slot
+/// holds the key's word and its frame index. [`KeyIndex::probe`]
+/// reports exactly the index pairs, in exactly the order, of a merge of
+/// two strictly increasing lists. A frame whose ties were chosen to
+/// share their low bits shares one long chain: its build and probes
+/// slow down, but never report a wrong pair.
+///
+/// The slots are cleared, not reallocated, on each
+/// [`KeyIndex::build`], so one index serves every delivery of a rank
+/// and no slot of an earlier frame outlives its rebuild.
+///
+/// ```
+/// use tripoll_core::KeyIndex;
+/// use tripoll_graph::OrderKey;
+///
+/// let frame: Vec<OrderKey> = (1..=6).map(|v| OrderKey::new(v, v)).collect();
+/// let mut index = KeyIndex::new();
+/// index.build(&frame).expect("short frame");
+/// // Vertex 3 with degree 9 is not in the frame.
+/// let suffix = [OrderKey::new(2, 2), OrderKey::new(5, 5), OrderKey::new(3, 9)];
+/// let mut pairs = Vec::new();
+/// index.probe(&suffix, |&k| k, |a, i| pairs.push((a, i)));
+/// assert_eq!(pairs, [(0, 1), (1, 4)]);
+/// ```
+#[derive(Debug, Default)]
+pub struct KeyIndex {
+    slots: Vec<Slot>,
+}
+
+impl KeyIndex {
+    /// An empty index; it matches nothing until built.
+    pub fn new() -> Self {
+        KeyIndex::default()
+    }
+
+    /// Indexes `keys`, a decoded frame's key column whose positions are
+    /// its frame indices, replacing whatever the index held. The keys
+    /// must be distinct, as a strictly increasing frame's are. A frame
+    /// whose indices do not fit a slot's `u32` fails as a wire error.
+    pub fn build(&mut self, keys: &[OrderKey]) -> Result<(), WireError> {
+        if keys.len() >= EMPTY_SLOT as usize {
+            return Err(WireError::InvalidValue("frame too long to index"));
+        }
+        let size = (2 * keys.len()).next_power_of_two();
+        let mask = size - 1;
+        self.slots.clear();
+        self.slots.resize(
+            size,
+            Slot {
+                word: 0,
+                idx: EMPTY_SLOT,
+            },
+        );
+        for (i, k) in keys.iter().enumerate() {
+            let mut s = k.tie as usize & mask;
+            while self.slots[s].idx != EMPTY_SLOT {
+                s = (s + 1) & mask;
+            }
+            self.slots[s] = Slot {
+                word: k.word(),
+                idx: i as u32,
+            };
+        }
+        Ok(())
+    }
+
+    /// Looks up every element of `left` in order and reports each one
+    /// whose key is indexed as `on_match(a, i)`: `a` its position in
+    /// `left`, `i` the matching key's frame index. When `left` and the
+    /// indexed frame both strictly increase, these are the pairs of
+    /// [`merge_path`] in its order, so `i` ascends too. Tallies into
+    /// [`KernelStats`]: every element of `left` is a candidate, and
+    /// every slot inspected is one compare.
+    #[inline]
+    pub fn probe<L>(
+        &self,
+        left: &[L],
+        key_l: impl Fn(&L) -> OrderKey,
+        mut on_match: impl FnMut(usize, usize),
+    ) {
+        let (mut compares, mut matches) = (0u64, 0u64);
+        // An index never built has no slots and matches nothing.
+        if let Some(mask) = self.slots.len().checked_sub(1) {
+            for (a, l) in left.iter().enumerate() {
+                let k = key_l(l);
+                let x = k.word();
+                let mut s = k.tie as usize & mask;
+                loop {
+                    let slot = self.slots[s];
+                    compares += 1;
+                    // A probe stops at the key or at the first empty
+                    // slot; only the first of the two is a match.
+                    let empty = slot.idx == EMPTY_SLOT;
+                    if empty || slot.word == x {
+                        if !empty {
+                            on_match(a, slot.idx as usize);
+                            matches += 1;
+                        }
+                        break;
+                    }
+                    s = (s + 1) & mask;
+                }
+            }
+        }
+        record_kernel(compares, left.len() as u64, matches, |s| s.probe_runs += 1);
+    }
 }
 
 #[cfg(test)]

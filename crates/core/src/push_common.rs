@@ -233,6 +233,11 @@ pub(crate) fn encode_candidate_columns<VM, EM: Wire>(
 /// one buffer. Walking to the last element enforces the key columns'
 /// byte budget: a truncated or over-long key column fails here, before
 /// any key is intersected.
+///
+/// The keys must strictly increase, as every `<+`-sorted list and its
+/// suffixes do; a frame whose keys repeat or fall back fails here as
+/// well. Every frame the production path accepts is thus one on which
+/// the merge and the hash probe report the same pairs.
 pub(crate) fn decode_frame_keys(
     keys: &mut ColKeys<'_>,
     out: &mut Vec<OrderKey>,
@@ -242,7 +247,11 @@ pub(crate) fn decode_frame_keys(
     for k in keys {
         let k = k?;
         debug_assert_eq!(k.idx, out.len(), "frame index is the position");
-        out.push(OrderKey::new(k.v, k.degree));
+        let key = OrderKey::new(k.v, k.degree);
+        if out.last().is_some_and(|prev| prev.word() >= key.word()) {
+            return Err(WireError::InvalidValue("frame keys must strictly increase"));
+        }
+        out.push(key);
     }
     Ok(())
 }

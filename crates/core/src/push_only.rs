@@ -229,6 +229,45 @@ mod tests {
         });
     }
 
+    /// A pushed frame whose keys repeat is refused before any key is
+    /// intersected, even against an empty `Adjm+(q)`.
+    #[test]
+    #[should_panic(expected = "frame keys must strictly increase")]
+    fn push_frame_with_repeated_key_aborts() {
+        use crate::push_common::register_push_handler;
+        use tripoll_ygm::wire::{put_varint, WireEncode};
+        struct Raw(Vec<u8>);
+        impl WireEncode for Raw {
+            fn encode_wire(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.0);
+            }
+        }
+        let edges = [(0u64, 1u64), (1, 2), (2, 0)];
+        let list = EdgeList::from_vec(edges.iter().map(|&(u, v)| (u, v, ())).collect::<Vec<_>>());
+        World::new(1).run(|comm| {
+            let local = list.stride_for_rank(comm.rank(), comm.nranks());
+            let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
+            let cb = Rc::new(|_c: &Comm, _tm: &TriangleMeta<'_, (), ()>| {
+                panic!("callback ran on a corrupt push frame")
+            });
+            let h = register_push_handler(comm, &g, cb, SurveyConfig::default());
+            let q = g
+                .shard()
+                .vertices()
+                .find(|lv| lv.adj.is_empty())
+                .expect("the <+-largest vertex has no out-neighbours")
+                .id;
+            // (p, q, (), (), frame): n = 2, vertex column [5, 5], degree
+            // column [3, +0]: the key (5, 3) twice.
+            let mut frame = Vec::new();
+            for v in [0, q, 2, 2, 5, 5, 2, 3, 0, 0] {
+                put_varint(&mut frame, v);
+            }
+            comm.send_encoded(0, &h, Raw(frame));
+            comm.barrier();
+        });
+    }
+
     #[test]
     fn explicit_kernels_count_like_the_default() {
         use crate::engine::IntersectKernel;

@@ -23,11 +23,15 @@
 //!    values are already resident).
 //!
 //! Like a pushed batch, a pull delivery is a columnar frame. It is
-//! captured once as a [`ColView`] (three bounded takes) and its two key
-//! columns are decoded once, into a rank-owned slice of
-//! `(OrderKey, frame index)`. Every resume suffix is then intersected
-//! against that slice, both sides random-access, so the kernel can
-//! gallop in either direction; `meta(q,r)` is decoded only on matches.
+//! captured once as a [`ColView`] (three bounded takes), its two key
+//! columns are decoded once into a rank-owned flat [`OrderKey`] column
+//! (a key's frame index is its position), and that column is indexed
+//! once in a rank-owned hash table ([`KeyIndex`]). Every resume suffix
+//! is then probed into the index, one lookup per candidate, instead of
+//! merged against the pulled list; `meta(q,r)` is decoded only on
+//! matches. One pulled list serves many short suffixes, the shape a
+//! hash-indexed intersection suits; pushed batches, one per
+//! `(p, q)`, keep the merge kernels.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -38,8 +42,7 @@ use tripoll_ygm::wire::{ColBatch, ColView, Wire};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{
-    intersect_indices, intersect_slices, EngineMode, IntersectKernel, PhaseTimer, SurveyConfig,
-    SurveyReport,
+    intersect_slices, EngineMode, IntersectKernel, KeyIndex, PhaseTimer, SurveyConfig, SurveyReport,
 };
 use crate::meta::{SurveyCallback, TriangleMeta};
 use crate::push_common::{
@@ -158,9 +161,11 @@ struct PpState {
     /// Pull requests this rank granted.
     grants: u64,
     /// The key columns of the pull delivery being served, decoded once
-    /// into a flat key column and shared by every resume suffix (see
-    /// [`decode_frame_keys`]).
+    /// into a flat key column (see [`decode_frame_keys`]).
     frame_keys: Vec<OrderKey>,
+    /// The hash index over `frame_keys`, built once per delivery and
+    /// probed by every resume suffix.
+    frame_index: KeyIndex,
 }
 
 /// Runs a Push-Pull triangle survey; `callback` executes once per
@@ -375,11 +380,13 @@ where
 /// One arriving `Adjm+(q)` projection is intersected against **every**
 /// resume suffix recorded for `q`. The production body captures the
 /// frame's column extents once ([`ColView`], three bounded takes),
-/// decodes its key columns once per delivery ([`decode_frame_keys`])
-/// and runs [`intersect_indices`] with each suffix `Adjm+(p)[idx+1..]`
-/// as the left side, decoding `meta(q,r)` only for triangle matches.
-/// The reference body materializes the projection and runs the
-/// two-pointer merge.
+/// decodes its key columns once per delivery ([`decode_frame_keys`]),
+/// builds one [`KeyIndex`] over them, and probes each suffix
+/// `Adjm+(p)[idx+1..]` into it with [`KeyIndex::probe`], decoding
+/// `meta(q,r)` only for triangle matches. It runs for every `config`
+/// but the reference, whatever its kernel: the kernel selects the push
+/// arm only. The reference body materializes the projection and runs
+/// the two-pointer merge.
 fn register_pull_handler<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -392,7 +399,6 @@ where
     EM: Wire + Clone + 'static,
     F: SurveyCallback<VM, EM>,
 {
-    let kernel = config.kernel;
     let g = graph.clone();
     if config.is_reference() {
         return comm.register::<PullMsg<EM>, _>(move |c, (q, batch)| {
@@ -435,10 +441,13 @@ where
         let mut s = st.borrow_mut();
         s.pulled += 1;
         let PpState {
-            resume, frame_keys, ..
+            resume,
+            frame_keys,
+            frame_index,
+            ..
         } = &mut *s;
         decode_frame_keys(&mut view.walk().keys, frame_keys)?;
-        let frame_keys = &frame_keys[..];
+        frame_index.build(frame_keys)?;
         let shard = g.shard();
         for &(_, slot, idx) in resume.get(q) {
             let lv = shard.vertex(slot as usize);
@@ -448,12 +457,9 @@ where
             c.add_work((suffix.len() + view.len()) as u64);
             let mut metas = view.walk().metas;
             let mut failed = None;
-            intersect_indices(
-                kernel,
+            frame_index.probe(
                 suffix,
-                frame_keys,
                 |s_entry| s_entry.key,
-                |&k| k,
                 |a, i| {
                     if failed.is_some() {
                         return;
@@ -715,12 +721,14 @@ mod tests {
         }
     }
 
-    /// Delivers one pull frame whose key columns `mangle` corrupts to a
-    /// directly registered production pull handler. The frame's first
-    /// key matches the resume suffix and every later key lies past it,
-    /// so a kernel that stopped at the suffix's end would never reach
-    /// the corruption; the callback panics if the survey emits anything.
-    fn hostile_pull(mangle: fn(&mut Vec<u8>, &mut Vec<u8>)) {
+    /// Delivers one pull frame to a directly registered production pull
+    /// handler, its `(v, degree)` keys first reordered by `mangle_keys`
+    /// and its encoded key columns then corrupted by `mangle`. The
+    /// frame's first key matches the resume suffix and every later key
+    /// lies past it, so a kernel that stopped at the suffix's end would
+    /// never reach the corruption; the callback panics if the survey
+    /// emits anything.
+    fn hostile_pull(mangle_keys: fn(&mut Vec<(u64, u64)>), mangle: fn(&mut Vec<u8>, &mut Vec<u8>)) {
         use tripoll_ygm::wire::{put_varint, WireEncode};
         struct Raw(Vec<u8>);
         impl WireEncode for Raw {
@@ -754,12 +762,16 @@ mod tests {
                 st.borrow_mut().resume.push(q.v, slot as u32, 0);
                 let mut keys = vec![(r.v, r.key.degree)];
                 keys.extend((0..63).map(|i| (i, (1 << 40) + i)));
+                mangle_keys(&mut keys);
                 let (mut vcol, mut dcol) = (Vec::new(), Vec::new());
                 let mut prev = 0;
                 for (i, &(v, d)) in keys.iter().enumerate() {
                     put_varint(&mut vcol, v);
-                    // Degrees ascend, so each zigzag delta is 2·delta.
-                    put_varint(&mut dcol, if i == 0 { d } else { 2 * (d - prev) });
+                    // The first degree is raw, every later one a zigzag
+                    // delta.
+                    let delta = d.wrapping_sub(prev) as i64;
+                    let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+                    put_varint(&mut dcol, if i == 0 { d } else { zigzag });
                     prev = d;
                 }
                 mangle(&mut vcol, &mut dcol);
@@ -780,19 +792,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "failed to decode message in place")]
     fn pull_frame_with_trailing_key_bytes_aborts() {
-        hostile_pull(|vcol, _| vcol.push(0));
+        hostile_pull(|_| {}, |vcol, _| vcol.push(0));
     }
 
     #[test]
     #[should_panic(expected = "failed to decode message in place")]
     fn pull_frame_with_truncated_vertex_column_aborts() {
-        hostile_pull(|vcol, _| *vcol.last_mut().unwrap() |= 0x80);
+        hostile_pull(|_| {}, |vcol, _| *vcol.last_mut().unwrap() |= 0x80);
     }
 
     #[test]
     #[should_panic(expected = "failed to decode message in place")]
     fn pull_frame_with_truncated_degree_column_aborts() {
-        hostile_pull(|_, dcol| *dcol.last_mut().unwrap() |= 0x80);
+        hostile_pull(|_| {}, |_, dcol| *dcol.last_mut().unwrap() |= 0x80);
+    }
+
+    /// The matching key moves behind a larger one: a merge would step
+    /// past it and a hash probe would find it, so the frame is refused.
+    #[test]
+    #[should_panic(expected = "failed to decode message in place")]
+    fn pull_frame_with_swapped_keys_aborts() {
+        hostile_pull(|keys| keys.swap(0, 1), |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "failed to decode message in place")]
+    fn pull_frame_with_repeated_key_aborts() {
+        hostile_pull(|keys| keys[1] = keys[0], |_, _| {});
     }
 
     #[test]

@@ -127,6 +127,7 @@ pub fn run_survey(
                 scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
                 gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
                 merge_runs: comm.all_reduce_sum(ks.merge_runs),
+                probe_runs: comm.all_reduce_sum(ks.probe_runs),
             },
             bytes_encoded: comm.all_reduce_sum(sent.bytes_encoded),
             records: comm.all_reduce_sum(sent.records_total()),

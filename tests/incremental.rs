@@ -155,6 +155,7 @@ where
                 scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
                 gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
                 merge_runs: comm.all_reduce_sum(ks.merge_runs),
+                probe_runs: comm.all_reduce_sum(ks.probe_runs),
             },
         }
     });

@@ -30,6 +30,12 @@
 //!   but it takes the reference merge's steps: on random strictly
 //!   increasing lists it emits the ordered matches of `MergeScalar`
 //!   and `merge_path` with exactly `MergeScalar`'s compare count.
+//! * **Same pairs by hash** — [`KeyIndex::probe`], which every
+//!   production pull delivery runs instead of a merge, emits the
+//!   ordered index pairs of `merge_path` with its candidate and match
+//!   counts, at every skew, on empty sides, under forced tie collisions
+//!   (long probe chains) and across the table's wrap-around; a rebuilt
+//!   index never matches a slot of the frame before.
 //!
 //! Besides agreement, `Auto`'s key-compare counts at four fixed degree
 //! skews are pinned to literals: the work the gallop and merge arms
@@ -41,7 +47,7 @@ use common::{hub_graph, labeled, random_graph, run_survey};
 use proptest::prelude::*;
 use tripoll::core::{
     intersect_indices, intersect_slices, kernel_stats, kernel_stats_take, merge_path, EngineMode,
-    IntersectKernel, SurveyConfig, GALLOP_RATIO,
+    IntersectKernel, KernelStats, KeyIndex, SurveyConfig, GALLOP_RATIO,
 };
 use tripoll::gen::table4_suite;
 use tripoll::graph::{EdgeList, OrderKey};
@@ -97,8 +103,16 @@ fn assert_production_matches_reference(
             // The reference materialises every batch and only ever runs
             // the scalar merge; the production path never does either.
             assert_eq!(r.borrowed, 0, "reference must not decode in place [{ctx}]");
-            assert_eq!(r.stats.gallop_runs + r.stats.merge_runs, 0, "[{ctx}]");
+            assert_eq!(
+                r.stats.gallop_runs + r.stats.merge_runs + r.stats.probe_runs,
+                0,
+                "[{ctx}]"
+            );
             assert_eq!(o.stats.scalar_runs, 0, "reference leaked [{ctx}]");
+            // Only pull deliveries probe, and Push-Only pulls nothing.
+            if mode == EngineMode::PushOnly {
+                assert_eq!(o.stats.probe_runs, 0, "Push-Only probed [{ctx}]");
+            }
             if o.count > 0 {
                 // A triangle needs a received wedge batch or pull
                 // delivery, all of which production decodes in place.
@@ -462,5 +476,168 @@ proptest! {
             &[IntersectKernel::Auto],
             "proptest",
         );
+    }
+}
+
+// ------------------------------------------------------------------
+// The pull side's hash probe against the merge
+// ------------------------------------------------------------------
+
+/// How [`probe_keys`] chooses each key's `tie`, the index's home-slot
+/// hash.
+#[derive(Debug, Clone, Copy)]
+enum Ties {
+    /// `hash64(v)`, as every real key's.
+    Hashed,
+    /// Equal low 32 bits on every key: one home slot, one long chain.
+    Colliding,
+    /// Low 32 bits all ones: every key's home is the table's last slot,
+    /// so each chain wraps to slot 0.
+    Wrapping,
+}
+
+/// Strictly increasing keys from strictly increasing values: degree =
+/// value, tie per `ties`. Distinct degrees keep the words strictly
+/// increasing whatever the ties.
+fn probe_keys(vals: &[u64], ties: Ties) -> Vec<OrderKey> {
+    vals.iter()
+        .map(|&v| match ties {
+            Ties::Hashed => OrderKey::new(v, v),
+            Ties::Colliding => OrderKey {
+                degree: v,
+                tie: v << 32 | 0x5a5a,
+            },
+            Ties::Wrapping => OrderKey {
+                degree: v,
+                tie: v << 32 | 0xffff_ffff,
+            },
+        })
+        .collect()
+}
+
+/// Ordered `(left index, frame index)` pairs and the counters of one
+/// probe of `left` into an index built over `frame`.
+fn probe_pairs(
+    index: &mut KeyIndex,
+    left: &[OrderKey],
+    frame: &[OrderKey],
+) -> (Vec<(usize, usize)>, KernelStats) {
+    index.build(frame).expect("short frame");
+    let mut got = Vec::new();
+    let _ = kernel_stats_take();
+    index.probe(left, |&k| k, |a, i| got.push((a, i)));
+    (got, kernel_stats_take())
+}
+
+/// Asserts the probe reports exactly `merge_path`'s ordered index pairs
+/// and counts its candidates and matches.
+fn assert_probe_matches_merge(left: &[OrderKey], frame: &[OrderKey], ctx: &str) {
+    let tagged = |keys: &[OrderKey]| -> Vec<(usize, OrderKey)> {
+        keys.iter().copied().enumerate().collect()
+    };
+    let (l, f) = (tagged(left), tagged(frame));
+    let mut oracle = Vec::new();
+    merge_path(&l, &f, |e| e.1, |e| e.1, |a, i| oracle.push((a.0, i.0)));
+    let (got, s) = probe_pairs(&mut KeyIndex::new(), left, frame);
+    assert_eq!(got, oracle, "ordered pairs [{ctx}]");
+    assert_eq!(s.candidates, left.len() as u64, "candidates [{ctx}]");
+    assert_eq!(s.matches, oracle.len() as u64, "matches [{ctx}]");
+    assert_eq!(
+        (s.probe_runs, s.scalar_runs, s.gallop_runs, s.merge_runs),
+        (1, 0, 0, 0),
+        "dispatch [{ctx}]"
+    );
+    // Every candidate inspects at least its home slot.
+    assert!(s.compares >= left.len() as u64, "compares [{ctx}]");
+}
+
+#[test]
+fn probe_handles_empty_sides_collisions_and_wrap_around() {
+    let evens: Vec<u64> = (0..300u64).map(|i| 2 * i).collect();
+    let thirds: Vec<u64> = (0..200u64).map(|i| 3 * i).collect();
+    for ties in [Ties::Hashed, Ties::Colliding, Ties::Wrapping] {
+        let ctx = format!("{ties:?}");
+        let (e, t) = (probe_keys(&evens, ties), probe_keys(&thirds, ties));
+        assert_probe_matches_merge(&[], &[], &format!("both empty {ctx}"));
+        assert_probe_matches_merge(&e, &[], &format!("empty frame {ctx}"));
+        assert_probe_matches_merge(&[], &e, &format!("empty left {ctx}"));
+        assert_probe_matches_merge(&t, &e, &format!("thirds into evens {ctx}"));
+        assert_probe_matches_merge(&e, &t, &format!("evens into thirds {ctx}"));
+        assert_probe_matches_merge(&e, &e, &format!("identical {ctx}"));
+    }
+    // One home slot for all 300 keys: a miss walks the whole chain, to
+    // the first empty slot past it.
+    let e = probe_keys(&evens, Ties::Colliding);
+    let odd = probe_keys(&[1], Ties::Colliding);
+    let (got, s) = probe_pairs(&mut KeyIndex::new(), &odd, &e);
+    assert!(got.is_empty());
+    assert_eq!(s.compares, 301, "a chain of 300 keys, then the empty slot");
+    // Wrap-around: every key is homed on the last slot, so the last
+    // key sits 299 slots past the table's end and is still found after
+    // inspecting every key before it.
+    let wrap = probe_keys(&evens, Ties::Wrapping);
+    let (got, s) = probe_pairs(&mut KeyIndex::new(), &wrap[299..], &wrap);
+    assert_eq!(got, vec![(0, 299)]);
+    assert_eq!(s.compares, 300);
+}
+
+/// One index serves every delivery of a rank: a rebuild for another
+/// frame — shorter, or of the same table size — must forget every slot
+/// of the frame before.
+#[test]
+fn rebuilt_index_never_matches_a_stale_slot() {
+    let mut index = KeyIndex::new();
+    let long = probe_keys(&(0..64u64).collect::<Vec<_>>(), Ties::Hashed);
+    let (got, _) = probe_pairs(&mut index, &long, &long);
+    assert_eq!(got.len(), 64);
+    // The same table size (64 and 60 keys both take 128 slots) and
+    // disjoint keys: nothing of the frame before survives.
+    let other = probe_keys(&(100..160u64).collect::<Vec<_>>(), Ties::Hashed);
+    let (got, _) = probe_pairs(&mut index, &long, &other);
+    assert!(got.is_empty(), "stale slot matched: {got:?}");
+    // A shorter frame sharing two of the long frame's keys: only those
+    // two match, at their new frame indices.
+    probe_pairs(&mut index, &long, &long);
+    let short = probe_keys(&[5, 40, 1000], Ties::Hashed);
+    let (got, _) = probe_pairs(&mut index, &long, &short);
+    assert_eq!(got, vec![(5, 0), (40, 1)]);
+    // Colliding ties: the rebuilt chain must not extend the old one.
+    let colliding = probe_keys(&(0..64u64).collect::<Vec<_>>(), Ties::Colliding);
+    probe_pairs(&mut index, &colliding, &colliding);
+    let (got, _) = probe_pairs(&mut index, &colliding, &colliding[60..]);
+    assert_eq!(got, vec![(60, 0), (61, 1), (62, 2), (63, 3)]);
+    // An empty frame matches nothing.
+    let (got, s) = probe_pairs(&mut index, &long, &[]);
+    assert!(got.is_empty());
+    assert_eq!(s.compares, 64, "one empty slot per candidate");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    /// Random strictly increasing lists at every skew — either side cut
+    /// to a few keys or left long — under each tie shape: the probe
+    /// emits `merge_path`'s ordered `(a, i)` pairs, with its candidate
+    /// and match counts.
+    #[test]
+    fn probe_emits_the_merge_pairs(
+        lv in proptest::collection::vec(0u64..900, 0..240),
+        fv in proptest::collection::vec(0u64..900, 0..240),
+        skew in 0usize..3,
+        ties in 0usize..3,
+    ) {
+        let strict = |mut v: Vec<u64>| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let (mut lv, mut fv) = (strict(lv), strict(fv));
+        match skew {
+            1 => lv.truncate(3),
+            2 => fv.truncate(3),
+            _ => {}
+        }
+        let ties = [Ties::Hashed, Ties::Colliding, Ties::Wrapping][ties];
+        let (left, frame) = (probe_keys(&lv, ties), probe_keys(&fv, ties));
+        assert_probe_matches_merge(&left, &frame, &format!("skew={skew} {ties:?}"));
     }
 }

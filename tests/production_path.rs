@@ -13,6 +13,12 @@
 //! The `compares` column was re-recorded once more when the blocked
 //! merge arm gave way to the branchless merge, which counts one compare
 //! per pointer step as the reference merge does; no other column moved.
+//! The Push-Pull rows' `compares`, `gallop_runs` and `merge_runs` were
+//! re-recorded, and `probe_runs` added, when the pull handler began
+//! probing every resume suffix into one hash index per delivery
+//! instead of merging it against the pulled list: a probe counts one
+//! compare per slot inspected, and each suffix is one probe run.
+//! Candidates, matches, bytes and records did not move.
 
 mod common;
 
@@ -24,14 +30,23 @@ use tripoll::gen::{rmat_edges, RmatConfig};
 use tripoll::graph::{dodgr_less, EdgeList};
 
 /// One pinned run: `(engine, ranks, compares, candidates, gallop_runs,
-/// merge_runs, bytes_encoded, records)`. Push-Pull's rows differ per
-/// rank count because pull decisions are taken per (source rank,
-/// target vertex).
-type Pin = (EngineMode, usize, u64, u64, u64, u64, u64, u64);
+/// merge_runs, probe_runs, bytes_encoded, records)`. Push-Pull's rows
+/// differ per rank count because pull decisions are taken per (source
+/// rank, target vertex).
+type Pin = (EngineMode, usize, u64, u64, u64, u64, u64, u64, u64);
 
 fn assert_pinned(gname: &str, list: &EdgeList<String>, count: u64, checksum: u64, pins: &[Pin]) {
-    for &(mode, nranks, compares, candidates, gallop_runs, merge_runs, bytes_encoded, records) in
-        pins
+    for &(
+        mode,
+        nranks,
+        compares,
+        candidates,
+        gallop_runs,
+        merge_runs,
+        probe_runs,
+        bytes_encoded,
+        records,
+    ) in pins
     {
         let runs = run_survey(list, nranks, mode, SurveyConfig::default());
         let o = &runs[0];
@@ -48,6 +63,7 @@ fn assert_pinned(gname: &str, list: &EdgeList<String>, count: u64, checksum: u64
                 scalar_runs: 0,
                 gallop_runs,
                 merge_runs,
+                probe_runs,
             },
             "kernel counters [{ctx}]"
         );
@@ -66,12 +82,12 @@ fn rmat_is_pinned() {
         10_976,
         23_202_816_223_048,
         &[
-            (PushOnly, 1, 21_010, 13_123, 24, 1_593, 170_560, 1_617),
-            (PushOnly, 2, 21_010, 13_123, 24, 1_593, 170_560, 1_617),
-            (PushOnly, 4, 21_010, 13_123, 24, 1_593, 170_560, 1_617),
-            (PushPull, 1, 21_010, 13_123, 24, 1_593, 15_104, 201),
-            (PushPull, 2, 21_010, 13_123, 24, 1_593, 17_276, 362),
-            (PushPull, 4, 21_010, 13_123, 24, 1_593, 22_880, 635),
+            (PushOnly, 1, 21_010, 13_123, 24, 1_593, 0, 170_560, 1_617),
+            (PushOnly, 2, 21_010, 13_123, 24, 1_593, 0, 170_560, 1_617),
+            (PushOnly, 4, 21_010, 13_123, 24, 1_593, 0, 170_560, 1_617),
+            (PushPull, 1, 16_468, 13_123, 0, 23, 1_594, 15_104, 201),
+            (PushPull, 2, 16_666, 13_123, 1, 47, 1_569, 17_276, 362),
+            (PushPull, 4, 17_039, 13_123, 5, 88, 1_524, 22_880, 635),
         ],
     );
 }
@@ -85,12 +101,12 @@ fn shared_hub_is_pinned() {
         24,
         55_006_949_705,
         &[
-            (PushOnly, 1, 24, 24, 0, 24, 762, 24),
-            (PushOnly, 2, 24, 24, 0, 24, 762, 24),
-            (PushOnly, 4, 24, 24, 0, 24, 762, 24),
-            (PushPull, 1, 24, 24, 0, 24, 26, 2),
-            (PushPull, 2, 24, 24, 0, 24, 31, 4),
-            (PushPull, 4, 24, 24, 0, 24, 41, 8),
+            (PushOnly, 1, 24, 24, 0, 24, 0, 762, 24),
+            (PushOnly, 2, 24, 24, 0, 24, 0, 762, 24),
+            (PushOnly, 4, 24, 24, 0, 24, 0, 762, 24),
+            (PushPull, 1, 24, 24, 0, 0, 24, 26, 2),
+            (PushPull, 2, 24, 24, 0, 0, 24, 31, 4),
+            (PushPull, 4, 24, 24, 0, 0, 24, 41, 8),
         ],
     );
 }

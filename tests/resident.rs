@@ -92,6 +92,7 @@ fn run_direct(
                 scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
                 gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
                 merge_runs: comm.all_reduce_sum(ks.merge_runs),
+                probe_runs: comm.all_reduce_sum(ks.probe_runs),
             },
         }
     });
@@ -120,6 +121,7 @@ fn run_resident(resident: &ResidentGraph<String, String>, query: &ResidentQuery)
         stats.scalar_runs += o.kernel.scalar_runs;
         stats.gallop_runs += o.kernel.gallop_runs;
         stats.merge_runs += o.kernel.merge_runs;
+        stats.probe_runs += o.kernel.probe_runs;
     }
     let (count, checksum) = *acc.lock().unwrap();
     Outcome {

@@ -17,15 +17,20 @@
 //! through the index form, and decoding the metadata of every match
 //! with `ColMetas::get`. The frame's exact byte
 //! count is pinned too.
+//!
+//! The pull side allocates nothing either: deliveries of assorted
+//! lengths are captured as a [`ColView`], decoded into one reused key
+//! column, indexed by one reused [`KeyIndex`], and probed by every
+//! resume suffix, decoding the metadata of every match.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tripoll::core::{intersect_indices, IntersectKernel};
+use tripoll::core::{intersect_indices, IntersectKernel, KeyIndex};
 use tripoll::graph::OrderKey;
 use tripoll::ygm::buffer::{BufferPool, SendBuffer};
 use tripoll::ygm::hash::hash64;
-use tripoll::ygm::wire::{ColCursor, ColSuffixes, Wire, WireEncode, WireReader};
+use tripoll::ygm::wire::{ColCursor, ColSuffixes, ColView, Wire, WireEncode, WireReader};
 
 /// Delegates to [`System`], counting allocations on the calling thread.
 struct CountingAlloc;
@@ -242,4 +247,102 @@ fn receive_path_allocates_nothing() {
         assert_eq!(got.1, matches, "{stage:?} matches");
         assert_eq!(allocs, 0, "{stage:?} allocated over {BATCHES} batches");
     }
+}
+
+/// Pulled `Adjm+(q)` lengths, one delivery each: short and long, in an
+/// order that shrinks the index table as well as growing it.
+const PULL_LENGTHS: [usize; 6] = [100, 37, 256, 5, 0, 100];
+/// Resume suffixes served by each delivery.
+const SUFFIXES: usize = 35;
+
+/// Delivery `j`'s `Adjm+(q)` as `(v, degree, meta(q, r))`, in `<+`
+/// order.
+fn pulled_list(j: usize) -> Vec<Entry> {
+    (0..PULL_LENGTHS[j] as u64)
+        .map(|i| Entry {
+            v: hash64((j as u64) << 20 | i),
+            degree: 4096 + 3 * i,
+            em: i % 5,
+        })
+        .collect()
+}
+
+/// The puller's `Adjm+(p)` against delivery `j`: every other pulled
+/// key, each pulled key followed by a near miss, in `<+` order. Its
+/// suffixes are the resume suffixes.
+fn puller_adjacency(j: usize) -> Vec<OrderKey> {
+    let mut out = Vec::new();
+    for e in pulled_list(j) {
+        if e.degree % 2 == 0 {
+            out.push(OrderKey::new(e.v, e.degree));
+        }
+        out.push(OrderKey::new(!e.v, e.degree + 1));
+    }
+    out
+}
+
+/// Serves every delivery as the production pull handler does: capture
+/// the frame, decode its key columns into `frame_keys`, index them in
+/// `index`, then probe each resume suffix, decoding `meta(q, r)` of
+/// every match from a fresh metadata walk. Returns a checksum and the
+/// match count.
+fn serve_pulls(
+    frames: &[Vec<u8>],
+    pullers: &[Vec<OrderKey>],
+    frame_keys: &mut Vec<OrderKey>,
+    index: &mut KeyIndex,
+) -> (u64, u64) {
+    let (mut acc, mut matches) = (0u64, 0u64);
+    for (frame, adj) in frames.iter().zip(pullers) {
+        let mut r = WireReader::new(frame);
+        let view: ColView<'_, u64> = ColView::capture(&mut r).expect("frame");
+        frame_keys.clear();
+        for k in view.walk().keys {
+            let k = k.expect("key columns");
+            frame_keys.push(OrderKey::new(k.v, k.degree));
+        }
+        index.build(frame_keys).expect("short frame");
+        for start in 0..SUFFIXES.min(adj.len()) {
+            let mut metas = view.walk().metas;
+            index.probe(
+                &adj[start..],
+                |&k| k,
+                |a, i| {
+                    acc = acc
+                        .wrapping_add(metas.get(i).expect("meta"))
+                        .wrapping_add(a as u64);
+                    matches += 1;
+                },
+            );
+        }
+    }
+    (acc, matches)
+}
+
+#[test]
+fn pull_probe_allocates_nothing() {
+    let mut cols = ColSuffixes::new();
+    let frames: Vec<Vec<u8>> = (0..PULL_LENGTHS.len())
+        .map(|j| {
+            let list = pulled_list(j);
+            cols.fill(&list, |e| e.v, |e| e.degree, |e, out| e.em.encode(out));
+            let mut frame = Vec::new();
+            cols.suffix(0).encode_wire(&mut frame);
+            frame
+        })
+        .collect();
+    let pullers: Vec<Vec<OrderKey>> = (0..PULL_LENGTHS.len()).map(puller_adjacency).collect();
+    let (mut frame_keys, mut index) = (Vec::new(), KeyIndex::new());
+    // The warm-up pass grows the key column and the table to the
+    // longest delivery.
+    let warm = serve_pulls(&frames, &pullers, &mut frame_keys, &mut index);
+    let (allocs, got) = allocs_in(|| serve_pulls(&frames, &pullers, &mut frame_keys, &mut index));
+    assert_eq!(got, warm, "serving is deterministic");
+    assert!(got.1 > 0, "the suffixes match");
+    assert_eq!(
+        allocs,
+        0,
+        "serving {} pull deliveries allocated",
+        frames.len()
+    );
 }
