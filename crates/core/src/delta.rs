@@ -5,25 +5,28 @@
 //! the surveys of the new graph differ from the old ones exactly by the
 //! triangles with ≥ 1 batch edge. [`survey_delta_push`] enumerates
 //! precisely those: for every apex `p` in the batch's
-//! [`BatchDelta`] plan it generates
+//! [`BatchDelta`] plan it runs the one wedge generator of every survey
+//! (`push_common::push_apex_wedges`), which ships
 //!
 //! * the **full suffix** wedge batch for each *new* out-entry of `p`
 //!   (new edge × everything after it — the new×existing cross terms in
-//!   one direction plus new×new within the batch), straight from the
-//!   `Adjm+(p)` storage slice on the encode-once hot path, and
+//!   one direction plus new×new within the batch), as a byte suffix of
+//!   `Adjm+(p)`'s columns encoded once per apex, and
 //! * a **gathered** candidate batch for each *old* out-entry `q`:
 //!   the new entries past `q` (cross terms in the other direction)
 //!   plus the old entries whose targets a batch edge newly joined
 //!   (wedges the batch *closed* at `p` — their triangle's closing edge
 //!   is the new edge itself, stored at `Rank(q)` by the `<+`
-//!   orientation).
+//!   orientation), encoded through index projections into `Adjm+(p)`.
 //!
-//! Each wedge with ≥ 1 new edge is generated exactly once, and every
-//! batch goes through the **same** wire encoding, registered handlers,
-//! and intersection kernels as a full survey — a
-//! delta survey is indistinguishable from a full one on the receiving
-//! side, so callbacks, metadata colocation, and [`KernelStats`]
-//! accounting all behave identically.
+//! Each wedge with ≥ 1 new edge is generated exactly once. A full
+//! survey is the same generator with every entry new, so a delta
+//! survey of a whole graph ingested into an empty one sends exactly
+//! the batches of the cold Push-Only survey; and every batch goes
+//! through the same wire frame, registered handlers, and intersection
+//! kernels — a delta survey is indistinguishable from a full one on the
+//! receiving side, so callbacks, metadata colocation, and
+//! [`KernelStats`] accounting all behave identically.
 //!
 //! Additive merging of the per-triangle results into running totals is
 //! the [`crate::surveys::delta`] seam; the resident tier couples both
@@ -34,13 +37,13 @@
 use std::rc::Rc;
 
 use tripoll_graph::ingest::{ApexDelta, BatchDelta};
-use tripoll_graph::{AdjEntry, DistGraph};
+use tripoll_graph::DistGraph;
 use tripoll_ygm::wire::Wire;
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{EngineMode, PhaseTimer, SurveyConfig, SurveyReport};
 use crate::meta::SurveyCallback;
-use crate::push_common::{encode_candidate_columns, register_push_handler, PushMsg};
+use crate::push_common::{push_apex_wedges, register_push_handler, PushMsg, WedgeScratch};
 
 /// Runs a delta survey for one ingested batch: `callback` executes once
 /// per triangle that involves at least one edge of the batch, on the
@@ -90,12 +93,8 @@ where
 }
 
 /// Generates exactly the wedges of this rank's shard that involve at
-/// least one batch edge, per the apex plan. Full-suffix batches (new
-/// source entry) serialize straight from storage like
-/// `push_wedge_batches`; gathered batches (old source entry) merge the
-/// new-tail and closing candidates — two disjoint ascending index
-/// runs — into a reusable scratch slice so the columnar encoder still
-/// sees one contiguous `<+`-sorted slice.
+/// least one batch edge: [`push_apex_wedges`] over the plan's apexes,
+/// each asked which of its entries are new.
 fn push_delta_wedges<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -105,7 +104,7 @@ fn push_delta_wedges<VM, EM>(
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
-    let mut scratch: Vec<AdjEntry<VM, EM>> = Vec::new();
+    let mut scratch = WedgeScratch::default();
     // Walk the plan, not the shard: set-up proportional to the delta.
     // Ascending ids, so batches leave in the shard's own vertex order.
     let mut apexes: Vec<(u64, &ApexDelta)> = plan.apexes.iter().map(|(&p, ap)| (p, ap)).collect();
@@ -114,78 +113,15 @@ fn push_delta_wedges<VM, EM>(
         let Some(lv) = graph.shard().get(p) else {
             continue; // another rank's apex
         };
-        // `closing` is sorted by (i, j); pairs for source index i form
-        // a contiguous run found by a monotone cursor over i.
-        let mut run = 0usize;
-        for (i, e) in lv.adj.iter().enumerate() {
-            let iu = i as u32;
-            while run < ap.closing.len() && ap.closing[run].0 < iu {
-                run += 1;
-            }
-            if i + 1 >= lv.adj.len() {
-                break; // empty suffix: no wedges from the last entry
-            }
-            let dest = graph.owner(e.v);
-            if ap.new_idx.binary_search(&iu).is_ok() {
-                // New source edge: every wedge through it is new.
-                let suffix = &lv.adj[i + 1..];
-                comm.send_encoded(
-                    dest,
-                    handler,
-                    (
-                        lv.id,
-                        e.v,
-                        &lv.meta,
-                        &e.em,
-                        encode_candidate_columns(suffix),
-                    ),
-                );
-                continue;
-            }
-            // Old source edge: gather the new entries past i and the
-            // closing partners of i. Both runs ascend and are disjoint
-            // (closing partners are old entries), so a linear merge
-            // keeps the scratch slice `<+`-sorted.
-            let news = &ap.new_idx[ap.new_idx.partition_point(|&n| n <= iu)..];
-            let closers = {
-                let end = ap.closing[run..]
-                    .iter()
-                    .take_while(|&&(s, _)| s == iu)
-                    .count();
-                &ap.closing[run..run + end]
-            };
-            if news.is_empty() && closers.is_empty() {
-                continue;
-            }
-            scratch.clear();
-            let (mut a, mut b) = (0usize, 0usize);
-            while a < news.len() || b < closers.len() {
-                let take_new = match (news.get(a), closers.get(b)) {
-                    (Some(&n), Some(&(_, c))) => n < c,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                let idx = if take_new {
-                    a += 1;
-                    news[a - 1]
-                } else {
-                    b += 1;
-                    closers[b - 1].1
-                };
-                scratch.push(lv.adj[idx as usize].clone());
-            }
-            comm.send_encoded(
-                dest,
-                handler,
-                (
-                    lv.id,
-                    e.v,
-                    &lv.meta,
-                    &e.em,
-                    encode_candidate_columns(&scratch),
-                ),
-            );
-        }
+        push_apex_wedges(
+            comm,
+            graph,
+            handler,
+            lv,
+            Some(ap),
+            &mut |_| false,
+            &mut scratch,
+        );
     }
 }
 

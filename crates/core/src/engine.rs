@@ -12,7 +12,7 @@
 //!
 //! A survey is configured by [`SurveyConfig`], which names an
 //! [`IntersectKernel`]. Candidate batches always cross the wire as
-//! columnar frames ([`tripoll_ygm::wire::encode_columns`]), and there
+//! columnar frames ([`tripoll_ygm::wire::ColSuffixes`]), and there
 //! are exactly two ways a rank consumes them:
 //!
 //! * **Production** ([`IntersectKernel::Auto`], or an explicit

@@ -10,14 +10,17 @@
 //! already in `Adjm+(q)`'s entry for `r` (it is deliberately *not*
 //! transmitted).
 //!
-//! # Encode once per apex, decode once per frame
+//! # One generator, encode once per apex, decode once per frame
 //!
-//! Every batch an apex `p` pushes is a suffix of the same `Adjm+(p)`,
-//! so the sender encodes that list's three columns once per apex
-//! ([`ColSuffixes`], filled from the apex's first pushed suffix into
-//! scratch reused across apexes) and emits each batch's frame by
-//! copying byte suffixes. The frame is byte-identical to
-//! [`encode_candidate_columns`] over the same suffix.
+//! Every wedge batch — Push-Only's, Push-Pull's push phase and a delta
+//! survey's — comes from one generator, [`push_apex_wedges`], which
+//! asks of each out-entry of an apex whether it is new. A full survey
+//! is the case where every entry is new: each ships its whole suffix
+//! of `Adjm+(p)`. Those suffixes are nested, so the sender encodes the
+//! list's three columns once per apex ([`ColSuffixes`], filled from the
+//! apex's first pushed suffix into scratch reused across apexes) and
+//! emits each batch's frame by copying byte suffixes; the frame is
+//! byte-identical to the [`ColBatch`] of the same suffix.
 //!
 //! The production handler captures the frame in place ([`ColCursor`]),
 //! decodes its two key columns whole into a reused flat [`OrderKey`]
@@ -43,10 +46,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use tripoll_graph::{AdjEntry, DistGraph, OrderKey};
-use tripoll_ygm::wire::{
-    encode_columns, ColBatch, ColCursor, ColKeys, ColSuffixes, Wire, WireEncode, WireError,
-};
+use tripoll_graph::{AdjEntry, ApexDelta, DistGraph, LocalVertex, OrderKey};
+use tripoll_ygm::wire::{ColBatch, ColCursor, ColKeys, ColSuffixes, Wire, WireError};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{intersect_indices, intersect_slices, IntersectKernel, SurveyConfig};
@@ -213,18 +214,6 @@ where
     })
 }
 
-/// The columnar projection of an adjacency slice: serializes the
-/// candidate batch as three packed columns straight from `Adjm+`
-/// storage, byte-identical to the [`ColBatch`] the receiving handlers
-/// are keyed on. The degree column delta-codes for free here because
-/// the slice is `<+`-sorted, so degrees are monotone non-decreasing.
-#[inline]
-pub(crate) fn encode_candidate_columns<VM, EM: Wire>(
-    adj: &[AdjEntry<VM, EM>],
-) -> impl WireEncode + '_ {
-    encode_columns(adj, |s| s.v, |s| s.key.degree, |s, buf| s.em.encode(buf))
-}
-
 /// Decodes a frame's two key columns, whole, into `out` as one flat
 /// [`OrderKey`] per element — the one frame decoder of both receive
 /// handlers. An element's frame index is its position in `out`, so a
@@ -256,16 +245,117 @@ pub(crate) fn decode_frame_keys(
     Ok(())
 }
 
-/// Iterates this rank's vertices and pushes every wedge batch whose
-/// target is not excluded by `skip` (Push-Only passes `|_| false`;
-/// Push-Pull skips targets that will be pulled instead).
+/// Encodes `adj`'s candidate columns `(r, d(r), meta(p,r))` once into
+/// `cols`: every suffix of it is then the [`ColBatch`] frame of that
+/// suffix of `adj`. The degree column delta-codes for free because an
+/// `Adjm+` slice is `<+`-sorted, so its degrees never decrease.
+pub(crate) fn fill_candidates<VM, EM: Wire>(cols: &mut ColSuffixes, adj: &[AdjEntry<VM, EM>]) {
+    cols.fill(adj, |s| s.v, |s| s.key.degree, |s, buf| s.em.encode(buf));
+}
+
+/// Scratch of [`push_apex_wedges`], reused across apexes so the
+/// generator allocates only while its buffers grow.
+#[derive(Default)]
+pub(crate) struct WedgeScratch {
+    /// `Adjm+(p)`'s columns, filled from the apex's first shipped
+    /// suffix on.
+    suffixes: ColSuffixes,
+    /// One gathered batch's columns.
+    gathered: ColSuffixes,
+    /// One gathered batch's indices into `Adjm+(p)`, ascending.
+    picks: Vec<u32>,
+}
+
+/// The one wedge generator: pushes the wedge batches of apex `lv`
+/// whose target `skip` does not exclude, asking of each out-entry
+/// `q` (all but the last, whose suffix is empty) whether it is new.
+/// A full survey passes `delta: None`, and every entry is new; a delta
+/// survey passes its [`ApexDelta`], and only `new_idx` entries are.
 ///
-/// Encode-once hot path: `Adjm+(p)`'s columns are encoded once per
-/// apex, from its first pushed suffix on, straight from storage into
-/// one [`ColSuffixes`] reused across apexes; each batch's frame is a
-/// copy of byte suffixes of that encoding. `meta(p)` / `meta(p,q)` are
-/// encoded by reference — no candidate materialization and no metadata
-/// clones per batch.
+/// * A **new** entry ships its whole suffix: every wedge through a new
+///   edge is new. `Adjm+(p)`'s columns are encoded once per apex, from
+///   the first shipped suffix on, into `scratch`'s [`ColSuffixes`],
+///   and each batch's frame is a copy of byte suffixes of it.
+/// * An **old** entry ships the new entries past it (cross terms) and
+///   its `closing` partners (wedges a batch edge closed at `p`). The
+///   two index runs are disjoint; sorted together they keep the
+///   gathered list `<+`-sorted, and it is encoded through index
+///   projections into `Adjm+(p)`, with no entry cloned. Under `None`
+///   no entry is old.
+///
+/// `meta(p)` and `meta(p,q)` are encoded by reference.
+pub(crate) fn push_apex_wedges<VM, EM>(
+    comm: &Comm,
+    graph: &DistGraph<VM, EM>,
+    handler: &Handler<PushMsg<VM, EM>>,
+    lv: &LocalVertex<VM, EM>,
+    delta: Option<&ApexDelta>,
+    skip: &mut impl FnMut(u64) -> bool,
+    scratch: &mut WedgeScratch,
+) where
+    VM: Wire + Clone + 'static,
+    EM: Wire + Clone + 'static,
+{
+    let WedgeScratch {
+        suffixes,
+        gathered,
+        picks,
+    } = scratch;
+    let (new_idx, closing) =
+        delta.map_or((&[][..], &[][..]), |ap| (&ap.new_idx[..], &ap.closing[..]));
+    // Monotone cursors: `new_idx[n..]` and `closing[c..]` start at the
+    // first index not below the current entry's.
+    let (mut n, mut c) = (0usize, 0usize);
+    // Index in `Adjm+(p)` of `suffixes`' first element, once filled.
+    let mut filled_from = None;
+    let last = lv.adj.len().saturating_sub(1);
+    for (i, e) in lv.adj[..last].iter().enumerate() {
+        let iu = i as u32;
+        while new_idx.get(n).is_some_and(|&k| k < iu) {
+            n += 1;
+        }
+        while closing.get(c).is_some_and(|&(s, _)| s < iu) {
+            c += 1;
+        }
+        if skip(e.v) {
+            continue;
+        }
+        let dest = graph.owner(e.v);
+        if delta.is_none() || new_idx.get(n) == Some(&iu) {
+            let from = *filled_from.get_or_insert_with(|| {
+                fill_candidates(suffixes, &lv.adj[i + 1..]);
+                i + 1
+            });
+            let frame = suffixes.suffix(i + 1 - from);
+            comm.send_encoded(dest, handler, (lv.id, e.v, &lv.meta, &e.em, frame));
+            continue;
+        }
+        let news = &new_idx[n..];
+        let closers = &closing[c..];
+        let closers = &closers[..closers.partition_point(|&(s, _)| s == iu)];
+        if news.is_empty() && closers.is_empty() {
+            continue;
+        }
+        picks.clear();
+        picks.extend_from_slice(news);
+        picks.extend(closers.iter().map(|&(_, j)| j));
+        picks.sort_unstable();
+        let at = |k: &u32| &lv.adj[*k as usize];
+        gathered.fill(
+            picks,
+            |k| at(k).v,
+            |k| at(k).key.degree,
+            |k, buf| at(k).em.encode(buf),
+        );
+        let frame = gathered.suffix(0);
+        comm.send_encoded(dest, handler, (lv.id, e.v, &lv.meta, &e.em, frame));
+    }
+}
+
+/// Pushes every wedge batch of this rank's shard whose target `skip`
+/// does not exclude (Push-Only passes `|_| false`; Push-Pull skips
+/// targets that will be pulled instead): [`push_apex_wedges`] over
+/// every apex, each entry new.
 pub(crate) fn push_wedge_batches<VM, EM>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -275,28 +365,8 @@ pub(crate) fn push_wedge_batches<VM, EM>(
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
 {
-    let mut cols = ColSuffixes::new();
+    let mut scratch = WedgeScratch::default();
     for lv in graph.shard().vertices() {
-        // Index in `Adjm+(p)` of `cols`' first element, once filled.
-        let mut filled_from = None;
-        for (i, e) in lv.adj.iter().enumerate() {
-            // The last out-neighbor has an empty suffix: no wedges.
-            if i + 1 >= lv.adj.len() {
-                break;
-            }
-            if skip(e.v) {
-                continue;
-            }
-            let from = *filled_from.get_or_insert_with(|| {
-                let suffix = &lv.adj[i + 1..];
-                cols.fill(suffix, |s| s.v, |s| s.key.degree, |s, buf| s.em.encode(buf));
-                i + 1
-            });
-            comm.send_encoded(
-                graph.owner(e.v),
-                handler,
-                (lv.id, e.v, &lv.meta, &e.em, cols.suffix(i + 1 - from)),
-            );
-        }
+        push_apex_wedges(comm, graph, handler, lv, None, &mut skip, &mut scratch);
     }
 }

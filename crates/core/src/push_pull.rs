@@ -22,8 +22,9 @@
 //!    `Rank(p)` (where, by the storage design of §4.2, all six metadata
 //!    values are already resident).
 //!
-//! Like a pushed batch, a pull delivery is a columnar frame. It is
-//! captured once as a [`ColView`] (three bounded takes), its two key
+//! Like a pushed batch, a pull delivery is a columnar frame, encoded
+//! once per granted `q` and fanned out to every granted rank. It is
+//! captured once as a [`ColCursor`] (three bounded takes), its two key
 //! columns are decoded once into a rank-owned flat [`OrderKey`] column
 //! (a key's frame index is its position), and that column is indexed
 //! once in a rank-owned hash table ([`KeyIndex`]). Every resume suffix
@@ -38,7 +39,7 @@ use std::rc::Rc;
 
 use tripoll_graph::{DistGraph, OrderKey};
 use tripoll_ygm::hash::{FastMap, FastSet};
-use tripoll_ygm::wire::{ColBatch, ColView, Wire};
+use tripoll_ygm::wire::{ColBatch, ColCursor, ColSuffixes, Wire};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{
@@ -46,7 +47,7 @@ use crate::engine::{
 };
 use crate::meta::{SurveyCallback, TriangleMeta};
 use crate::push_common::{
-    decode_frame_keys, encode_candidate_columns, push_wedge_batches, register_push_handler,
+    decode_frame_keys, fill_candidates, push_wedge_batches, register_push_handler,
 };
 
 /// Dry-run record: `(q, planned candidate count, source rank)`.
@@ -349,15 +350,17 @@ where
     {
         let s = st.borrow();
         let shard = graph.shard();
+        let mut cols = ColSuffixes::new();
         for (&q, ranks) in &s.pull_list {
             let lv = shard
                 .get(q)
                 .expect("pull-granted vertex must be locally owned");
-            // Encode-once fan-out: the `Adjm+(q)` projection serializes
-            // straight from graph storage exactly once, and the encoded
-            // record is memcpy'd to every granted rank.
+            // Encode-once fan-out: the `Adjm+(q)` projection is encoded
+            // from graph storage exactly once, and the encoded record
+            // is memcpy'd to every granted rank.
+            fill_candidates(&mut cols, &lv.adj);
             let dests = ranks.iter().map(|&src| src as usize);
-            comm.send_to_many(dests, &pull_handler, (q, encode_candidate_columns(&lv.adj)));
+            comm.send_to_many(dests, &pull_handler, (q, cols.suffix(0)));
         }
     }
     comm.barrier();
@@ -379,14 +382,14 @@ where
 ///
 /// One arriving `Adjm+(q)` projection is intersected against **every**
 /// resume suffix recorded for `q`. The production body captures the
-/// frame's column extents once ([`ColView`], three bounded takes),
+/// frame's column extents once ([`ColCursor`], three bounded takes),
 /// decodes its key columns once per delivery ([`decode_frame_keys`]),
 /// builds one [`KeyIndex`] over them, and probes each suffix
 /// `Adjm+(p)[idx+1..]` into it with [`KeyIndex::probe`], decoding
-/// `meta(q,r)` only for triangle matches. It runs for every `config`
-/// but the reference, whatever its kernel: the kernel selects the push
-/// arm only. The reference body materializes the projection and runs
-/// the two-pointer merge.
+/// `meta(q,r)` only for triangle matches, from a clone of the captured
+/// meta column. It runs for every `config` but the reference, whatever
+/// its kernel: the kernel selects the push arm only. The reference body
+/// materializes the projection and runs the two-pointer merge.
 fn register_pull_handler<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -437,7 +440,7 @@ where
     }
     comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
         let q = u64::decode(r)?;
-        let view: ColView<'_, EM> = ColView::capture(r)?;
+        let ColCursor { mut keys, metas } = ColCursor::<'_, EM>::begin(r)?;
         let mut s = st.borrow_mut();
         s.pulled += 1;
         let PpState {
@@ -446,7 +449,7 @@ where
             frame_index,
             ..
         } = &mut *s;
-        decode_frame_keys(&mut view.walk().keys, frame_keys)?;
+        decode_frame_keys(&mut keys, frame_keys)?;
         frame_index.build(frame_keys)?;
         let shard = g.shard();
         for &(_, slot, idx) in resume.get(q) {
@@ -454,8 +457,8 @@ where
             let eq = &lv.adj[idx as usize];
             debug_assert_eq!(eq.v, q);
             let suffix = &lv.adj[idx as usize + 1..];
-            c.add_work((suffix.len() + view.len()) as u64);
-            let mut metas = view.walk().metas;
+            c.add_work((suffix.len() + frame_keys.len()) as u64);
+            let mut metas = metas.clone();
             let mut failed = None;
             frame_index.probe(
                 suffix,

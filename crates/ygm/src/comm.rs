@@ -269,9 +269,9 @@ impl Comm {
     ///
     /// The closure receives the envelope's [`WireReader`] positioned at
     /// the start of one `M`-encoded record and must consume **exactly**
-    /// that record's bytes ([`crate::wire::ColCursor`] /
-    /// [`crate::wire::ColView`] capture a whole columnar frame up
-    /// front, so a walk may stop anywhere; [`Wire::skip`] steps past a
+    /// that record's bytes ([`crate::wire::ColCursor`] captures a whole
+    /// columnar frame up front, so a walk may stop anywhere;
+    /// [`Wire::skip`] steps past a
     /// value that is not needed). Returning an error aborts the rank
     /// like a failed owned decode would.
     ///
@@ -327,7 +327,7 @@ impl Comm {
     /// Sends a record whose payload is appended by a [`WireEncode`]
     /// value — the encode-once path. `enc`'s byte image must match the
     /// handler's message type `M` (see the `wire` module docs); borrowed
-    /// tuples and [`crate::wire::encode_columns`] projections serialize
+    /// tuples and [`crate::wire::ColSuffixes`] projections serialize
     /// straight from application storage with no intermediate `M`.
     pub fn send_encoded<M: Wire, E: WireEncode>(&self, dest: Rank, h: &Handler<M>, enc: E) {
         let bytes = self.buffer_record(dest, |buf| {

@@ -3,24 +3,18 @@
 //!
 //! YGM's fire-and-forget RPC makes it possible to build small, composable
 //! distributed data structures whose update messages interleave freely
-//! with application traffic. TriPoll uses two of them heavily:
+//! with application traffic. TriPoll's surveys use one of them:
+//! [`DistCountingSet`], a counting multiset with a per-rank write-back
+//! cache, used by every survey callback that tallies metadata categories
+//! (Algs. 3 and 4). Cache flushes piggyback on the same runtime as the
+//! triangle-identification messages, "without ever interfering" (§4.1.4).
 //!
-//! * [`DistMap`] — key/value storage at `owner(key) = hash(key) % nranks`;
-//!   the DODGr graph store is built on this pattern (§4.2).
-//! * [`DistCountingSet`] — a counting multiset with a per-rank write-back
-//!   cache, used by every survey callback that tallies metadata categories
-//!   (Algs. 3 and 4). Cache flushes piggyback on the same runtime as the
-//!   triangle-identification messages, "without ever interfering" (§4.1.4).
-//! * [`DistBag`] — an unordered distributed collection for bulk ingest
-//!   (edge lists start here before being shuffled to their owners).
+//! A key lives at [`owner_of`]`(key) = hash(key) % nranks`, the same
+//! pattern by which the DODGr graph store places vertices (§4.2).
 
-mod bag;
 mod counting_set;
-mod map;
 
-pub use bag::DistBag;
 pub use counting_set::DistCountingSet;
-pub use map::DistMap;
 
 use crate::hash::FastBuildHasher;
 use std::hash::{BuildHasher, Hash};

@@ -22,11 +22,11 @@
 //!   borrowed mirrors on both ends — [`wire::WireEncode`] for
 //!   encode-once sends, in-place decoding off the receive buffer via
 //!   [`Comm::register_borrowed`] — and a columnar (SoA) batch frame
-//!   ([`wire::ColBatch`] / [`wire::encode_columns`] /
-//!   [`wire::ColCursor`] / [`wire::ColView`]) whose key columns are
-//!   walked during intersection while metadata decodes on match only.
-//! * [`container`] offers the distributed map / counting set / bag that
-//!   TriPoll's storage and surveys are built from.
+//!   ([`wire::ColBatch`] / [`wire::ColSuffixes`] /
+//!   [`wire::ColCursor`]) whose key columns are walked during
+//!   intersection while metadata decodes on match only.
+//! * [`container`] offers the distributed counting set that TriPoll's
+//!   surveys tally metadata categories with.
 //! * [`stats`] + [`cost`] expose per-rank traffic counters and an α-β-γ
 //!   model that converts them into modeled cluster runtimes.
 //!
@@ -76,10 +76,10 @@ pub use world::{World, WorldOutput};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::comm::{Comm, CommConfig, Handler, Rank};
-    pub use crate::container::{DistBag, DistCountingSet, DistMap};
+    pub use crate::container::DistCountingSet;
     pub use crate::cost::CostModel;
     pub use crate::hash::{hash64, FastMap, FastSet};
     pub use crate::stats::CommStats;
-    pub use crate::wire::{ColBatch, ColCursor, ColView, Wire, WireEncode, WireError, WireReader};
+    pub use crate::wire::{ColBatch, ColCursor, Wire, WireEncode, WireError, WireReader};
     pub use crate::world::{World, WorldOutput};
 }

@@ -32,11 +32,11 @@
 //! * references `&T` to any `T: Wire` encode as `T` does;
 //! * owned primitives encode as themselves (so mixed tuples work);
 //! * tuples of `WireEncode` values encode like tuples of the owned types;
-//! * [`encode_columns`] encodes a *projection* of a slice byte-identically
-//!   to a [`ColBatch`] without materializing any element — each column
-//!   streams through a closure (see the columnar section below), and
-//!   [`ColSuffixes::suffix`] does the same for any suffix of a list
-//!   encoded once.
+//! * [`ColSuffixes`] encodes a *projection* of a slice once, without
+//!   materializing any element — each column streams through a closure
+//!   (see the columnar section below) — and [`ColSuffixes::suffix`]
+//!   emits any suffix of it byte-identically to that suffix's
+//!   [`ColBatch`].
 //!
 //! A handler registered for `M: Wire` can therefore be fed by
 //! `Comm::send_encoded` / `Comm::send_to_many` with a `WireEncode` value
@@ -104,21 +104,18 @@
 //!
 //! * [`ColBatch`] — the owned message type (`Vec<(u64, u64, T)>` with
 //!   the columnar wire image); the reference decode path.
-//! * [`encode_columns`] / [`ColumnSeq`] — the borrowed encoder: three
-//!   projection closures stream the columns straight from application
-//!   storage, byte-identical to [`ColBatch`], with the meta column
-//!   staged through a capacity-capped thread-local scratch (zero
-//!   steady-state allocation).
-//! * [`ColSuffixes`] — one list's columns encoded once, with per-element
-//!   offsets, so the frame of any suffix is a copy of byte suffixes
-//!   (a wedge apex ships many nested suffixes of one list),
-//!   byte-identical to [`encode_columns`] over that suffix.
+//! * [`ColSuffixes`] — the borrowed encoder: three projection closures
+//!   stream one list's columns straight from application storage, once,
+//!   with per-element offsets, so the frame of any suffix is a copy of
+//!   byte suffixes (a wedge apex ships many nested suffixes of one
+//!   list), byte-identical to that suffix's [`ColBatch`]. Its buffers
+//!   are reused across fills (zero steady-state allocation).
 //! * [`ColCursor`] — single-pass decode: [`ColKeys`] walks the two key
 //!   columns in lockstep while [`ColMetas`] advances the meta column
-//!   lazily, only as far as the indices actually requested.
-//! * [`ColView`] — a captured frame that can be walked any number of
-//!   times (a pull delivery decodes its keys once, then walks its meta
-//!   column once per resume suffix).
+//!   lazily, only as far as the indices actually requested. A cursor
+//!   is a few borrowed slices, so cloning it (or either half) walks
+//!   the captured frame again: a pull delivery decodes its keys once,
+//!   then walks a clone of its meta column once per resume suffix.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -172,6 +169,7 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Checked cursor over a received byte buffer.
+#[derive(Clone)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -706,7 +704,7 @@ impl_wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 /// [`Wire::encode`] output of some owned message type; the receiving
 /// handler decodes with that owned type's [`Wire::decode`]. The codec
 /// itself guarantees the identity for the impls in this module; adapter
-/// closures passed to [`encode_columns`] must uphold it for their
+/// closures passed to [`ColSuffixes::fill`] must uphold it for their
 /// element projection (encode exactly the fields the owned element type
 /// encodes).
 pub trait WireEncode {
@@ -905,7 +903,7 @@ fn capture_cols<'a, T: Wire>(r: &mut WireReader<'a>) -> Result<ColExtents<'a>, W
 /// the SoA counterpart of `Vec<(u64, u64, T)>` (which encodes tuple
 /// by tuple). This is the message type the wedge-batch handlers are
 /// keyed on and the reference decode path for differential testing; the
-/// hot send path never materializes one (see [`encode_columns`]).
+/// hot send path never materializes one (see [`ColSuffixes`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ColBatch<T>(pub Vec<(u64, u64, T)>);
 
@@ -954,77 +952,6 @@ impl<T: Wire> Wire for ColBatch<T> {
     }
 }
 
-/// Borrowed columnar encoder: serializes a projection of `&[S]` as
-/// three packed columns, **byte-identical** to the [`ColBatch`] of the
-/// projected tuples, without materializing any of them. Built by
-/// [`encode_columns`].
-pub struct ColumnSeq<'a, S, FV, FD, FM> {
-    items: &'a [S],
-    v: FV,
-    d: FD,
-    m: FM,
-}
-
-/// Builds a [`ColumnSeq`] over `items`: `v` and `d` project the two key
-/// columns, `m` appends one element's metadata encoding (exactly the
-/// bytes the owned element type would encode — the [`WireEncode`]
-/// adapter contract).
-///
-/// The encoding is byte-identical to the [`ColBatch`] of the projected
-/// tuples, so the receiving handler can stay keyed on the owned type
-/// while the sender streams straight from storage:
-///
-/// ```
-/// use tripoll_ygm::wire::{encode_columns, to_bytes, ColBatch, Wire, WireEncode};
-///
-/// // Application storage: (vertex, degree, metadata) scattered in a struct.
-/// struct Entry { v: u64, degree: u64, meta: u32 }
-/// let adj = [
-///     Entry { v: 7, degree: 3, meta: 40 },
-///     Entry { v: 19, degree: 3, meta: 41 },
-///     Entry { v: 4, degree: 5, meta: 42 },
-/// ];
-///
-/// let mut borrowed = Vec::new();
-/// encode_columns(&adj, |e| e.v, |e| e.degree, |e, buf| e.meta.encode(buf))
-///     .encode_wire(&mut borrowed);
-///
-/// // Byte-identical to materializing the owned columnar batch.
-/// let owned = ColBatch::<u32>(adj.iter().map(|e| (e.v, e.degree, e.meta)).collect());
-/// assert_eq!(borrowed, to_bytes(&owned));
-/// ```
-pub fn encode_columns<S, FV, FD, FM>(
-    items: &[S],
-    v: FV,
-    d: FD,
-    m: FM,
-) -> ColumnSeq<'_, S, FV, FD, FM>
-where
-    FV: Fn(&S) -> u64,
-    FD: Fn(&S) -> u64,
-    FM: Fn(&S, &mut Vec<u8>),
-{
-    ColumnSeq { items, v, d, m }
-}
-
-impl<S, FV, FD, FM> WireEncode for ColumnSeq<'_, S, FV, FD, FM>
-where
-    FV: Fn(&S) -> u64,
-    FD: Fn(&S) -> u64,
-    FM: Fn(&S, &mut Vec<u8>),
-{
-    fn encode_wire(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.items.len() as u64);
-        write_raw_col(buf, self.items.iter().map(&self.v));
-        write_delta_col(buf, self.items.iter().map(&self.d));
-        write_meta_col(buf, |s| {
-            for item in self.items {
-                (self.m)(item, s);
-            }
-        });
-    }
-}
-
 /// Where one element of a [`ColSuffixes`] encoding starts in each
 /// column, and its raw degree (the degree column's head whenever a
 /// suffix starts at this element).
@@ -1047,21 +974,27 @@ struct SuffixMark {
 /// stored deltas of elements `j + 1..`. [`ColSuffixes::fill`] keeps each
 /// element's column offsets and raw degree, so [`ColSuffixes::suffix`]
 /// costs three length prefixes, one raw degree and three copies.
-/// Every suffix is byte-identical to [`encode_columns`] over the same
-/// elements, hence to their [`ColBatch`]:
+/// Every suffix is byte-identical to the [`ColBatch`] of the same
+/// elements, so the receiving handler can stay keyed on the owned type
+/// while the sender streams straight from storage:
 ///
 /// ```
-/// use tripoll_ygm::wire::{encode_columns, ColSuffixes, WireEncode};
+/// use tripoll_ygm::wire::{to_bytes, ColBatch, ColSuffixes, Wire, WireEncode};
 ///
-/// let adj = [(7u64, 3u64, 40u32), (19, 3, 41), (4, 5, 42)];
+/// // Application storage: (vertex, degree, metadata) scattered in a struct.
+/// struct Entry { v: u64, degree: u64, meta: u32 }
+/// let adj = [
+///     Entry { v: 7, degree: 3, meta: 40 },
+///     Entry { v: 19, degree: 3, meta: 41 },
+///     Entry { v: 4, degree: 5, meta: 42 },
+/// ];
 /// let mut cols = ColSuffixes::new();
-/// cols.fill(&adj, |e| e.0, |e| e.1, |e, buf| buf.push(e.2 as u8));
+/// cols.fill(&adj, |e| e.v, |e| e.degree, |e, buf| e.meta.encode(buf));
 /// for j in 0..=adj.len() {
-///     let (mut once, mut fresh) = (Vec::new(), Vec::new());
+///     let mut once = Vec::new();
 ///     cols.suffix(j).encode_wire(&mut once);
-///     encode_columns(&adj[j..], |e| e.0, |e| e.1, |e, buf| buf.push(e.2 as u8))
-///         .encode_wire(&mut fresh);
-///     assert_eq!(once, fresh);
+///     let owned = ColBatch::<u32>(adj[j..].iter().map(|e| (e.v, e.degree, e.meta)).collect());
+///     assert_eq!(once, to_bytes(&owned));
 /// }
 /// ```
 ///
@@ -1084,7 +1017,9 @@ impl ColSuffixes {
     }
 
     /// Encodes the three columns of `items` once, replacing the last
-    /// fill. `v`, `d` and `m` are [`encode_columns`]'s projections.
+    /// fill. `v` and `d` project the two key columns; `m` appends one
+    /// element's metadata encoding, exactly the bytes the owned element
+    /// type would encode (the [`WireEncode`] adapter contract).
     pub fn fill<S>(
         &mut self,
         items: &[S],
@@ -1201,6 +1136,7 @@ pub struct ColKey {
 /// Lockstep walk of the two key columns — the only bytes the merge-path
 /// intersection touches. A decode error exhausts the walk (the column
 /// readers are stranded mid-element).
+#[derive(Clone)]
 pub struct ColKeys<'a> {
     v: WireReader<'a>,
     d: WireReader<'a>,
@@ -1273,6 +1209,7 @@ impl Iterator for ColKeys<'_> {
 /// there goes unreported. The owned [`ColBatch`] decode, which
 /// materializes everything, is the strict reference: it rejects any
 /// column not consumed byte-budget exactly.
+#[derive(Clone)]
 pub struct ColMetas<'a, T> {
     r: WireReader<'a>,
     pos: usize,
@@ -1335,7 +1272,8 @@ impl<T: Wire> ColMetas<'_, T> {
 ///
 /// The two halves are independent fields so the key walk and the lazy
 /// meta reads can be borrowed by different closures of one merge-path
-/// call.
+/// call. A clone is an independent walk of the same captured frame.
+#[derive(Clone)]
 pub struct ColCursor<'a, T> {
     /// The key columns, walked during intersection.
     pub keys: ColKeys<'a>,
@@ -1348,11 +1286,7 @@ impl<'a, T: Wire> ColCursor<'a, T> {
     /// the first element.
     pub fn begin(r: &mut WireReader<'a>) -> Result<Self, WireError> {
         let (n, vcol, dcol, mcol) = capture_cols::<T>(r)?;
-        Ok(Self::from_cols(n, vcol, dcol, mcol))
-    }
-
-    fn from_cols(n: usize, vcol: &'a [u8], dcol: &'a [u8], mcol: &'a [u8]) -> Self {
-        ColCursor {
+        Ok(ColCursor {
             keys: ColKeys {
                 v: WireReader::new(vcol),
                 d: WireReader::new(dcol),
@@ -1367,7 +1301,7 @@ impl<'a, T: Wire> ColCursor<'a, T> {
                 poisoned: false,
                 _marker: std::marker::PhantomData,
             },
-        }
+        })
     }
 
     /// Total elements in the frame.
@@ -1380,50 +1314,6 @@ impl<'a, T: Wire> ColCursor<'a, T> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.keys.n == 0
-    }
-}
-
-/// A captured columnar frame that can be walked any number of times,
-/// captured with three bounded takes (no element walk).
-pub struct ColView<'a, T> {
-    n: usize,
-    vcol: &'a [u8],
-    dcol: &'a [u8],
-    mcol: &'a [u8],
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<'a, T: Wire> ColView<'a, T> {
-    /// Captures one frame off `r`, validating its structure and leaving
-    /// `r` at the end of the frame.
-    #[inline]
-    pub fn capture(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let (n, vcol, dcol, mcol) = capture_cols::<T>(r)?;
-        Ok(ColView {
-            n,
-            vcol,
-            dcol,
-            mcol,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Number of elements in the frame.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the frame holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// A fresh single-pass walk over the captured columns.
-    #[inline]
-    pub fn walk(&self) -> ColCursor<'a, T> {
-        ColCursor::from_cols(self.n, self.vcol, self.dcol, self.mcol)
     }
 }
 
@@ -1677,14 +1567,6 @@ mod tests {
         assert!(from_bytes::<bool>(&[2]).is_err());
     }
 
-    /// A stand-in for graph storage: the borrowed encoders must be able
-    /// to serialize a projection of this without materializing tuples.
-    struct FakeAdjEntry {
-        v: u64,
-        degree: u64,
-        em: u64,
-    }
-
     /// Deterministic id spreader for synthetic batches.
     fn hashish(i: u64) -> u64 {
         crate::hash::hash64(i)
@@ -1792,34 +1674,6 @@ mod tests {
         check(&m);
     }
 
-    /// The candidate projection used by columnar tests: byte-identity
-    /// between the borrowed encoder and the owned `ColBatch`.
-    fn encode_cols_of(adj: &[FakeAdjEntry], buf: &mut Vec<u8>) {
-        encode_columns(adj, |e| e.v, |e| e.degree, |e, b| e.em.encode(b)).encode_wire(buf);
-    }
-
-    #[test]
-    fn column_seq_matches_col_batch_encoding() {
-        let adj: Vec<FakeAdjEntry> = (0..40)
-            .map(|i| FakeAdjEntry {
-                v: hashish(i),
-                degree: 100 + i * 3, // monotone, as a sorted batch's degrees are
-                em: i ^ 0xff,
-            })
-            .collect();
-        let owned = ColBatch(
-            adj.iter()
-                .map(|e| (e.v, e.degree, e.em))
-                .collect::<Vec<_>>(),
-        );
-        let mut via_owned = Vec::new();
-        owned.encode(&mut via_owned);
-        let mut via_cols = Vec::new();
-        encode_cols_of(&adj, &mut via_cols);
-        assert_eq!(via_owned, via_cols);
-        assert_eq!(from_bytes::<ColBatch<u64>>(&via_cols).unwrap(), owned);
-    }
-
     #[test]
     fn columnar_beats_interleaved_on_sorted_batches() {
         // The communication claim itself: same candidates, fewer bytes,
@@ -1925,18 +1779,18 @@ mod tests {
     }
 
     #[test]
-    fn col_view_is_reiterable() {
+    fn col_cursor_clones_are_independent_walks() {
         let owned = ColBatch((0..20u64).map(|i| (i * 3, i + 1, i)).collect::<Vec<_>>());
         let mut buf = to_bytes(&(9u64, owned.clone()));
         buf.push(0x55);
         let mut r = WireReader::new(&buf[..buf.len() - 1]);
         let q = u64::decode(&mut r).unwrap();
-        let view: ColView<'_, u64> = ColView::capture(&mut r).unwrap();
+        let captured: ColCursor<'_, u64> = ColCursor::begin(&mut r).unwrap();
         assert_eq!(q, 9);
         assert!(r.is_empty());
-        assert_eq!(view.len(), 20);
+        assert_eq!(captured.len(), 20);
         for _pass in 0..3 {
-            let mut cur = view.walk();
+            let mut cur = captured.clone();
             let mut walked = Vec::new();
             while let Some(k) = cur.keys.next_key() {
                 let k = k.unwrap();
@@ -1944,12 +1798,15 @@ mod tests {
             }
             assert_eq!(walked, owned.0);
         }
-        // Partial walks leave the view intact.
+        // Partial walks of a clone leave the captured cursor intact.
         {
-            let mut cur = view.walk();
+            let mut cur = captured.clone();
             cur.keys.next_key();
+            cur.metas.get(3).unwrap();
         }
-        assert_eq!(view.walk().keys.count(), 20);
+        let mut metas = captured.metas.clone();
+        assert_eq!(metas.get(0), Ok(0));
+        assert_eq!(captured.keys.count(), 20);
     }
 
     #[test]
@@ -2190,7 +2047,7 @@ mod tests {
         buf.push(7);
         assert!(from_bytes::<ColBatch<u64>>(&buf).is_err());
         let mut r = WireReader::new(&buf);
-        assert!(ColView::<u64>::capture(&mut r).is_err());
+        assert!(ColCursor::<u64>::begin(&mut r).is_err());
     }
 
     #[test]
@@ -2226,21 +2083,17 @@ mod tests {
     }
 
     /// Fills `cols` with `items` and checks every suffix frame against
-    /// a fresh [`encode_columns`] of the same elements; the empty
-    /// suffix must be the empty [`ColBatch`].
-    fn check_suffixes<T: Wire>(cols: &mut ColSuffixes, items: &[(u64, u64, T)]) {
-        let meta = |e: &(u64, u64, T), buf: &mut Vec<u8>| e.2.encode(buf);
-        cols.fill(items, |e| e.0, |e| e.1, meta);
+    /// the owned [`ColBatch`] of the same elements, the empty suffix
+    /// included.
+    fn check_suffixes<T: Wire + Clone>(cols: &mut ColSuffixes, items: &[(u64, u64, T)]) {
+        cols.fill(items, |e| e.0, |e| e.1, |e, buf| e.2.encode(buf));
         assert_eq!(cols.len(), items.len());
         for j in 0..=items.len() {
-            let (mut once, mut fresh) = (Vec::new(), Vec::new());
+            let mut once = Vec::new();
             cols.suffix(j).encode_wire(&mut once);
-            encode_columns(&items[j..], |e| e.0, |e| e.1, meta).encode_wire(&mut fresh);
-            assert_eq!(once, fresh, "suffix {j} of {}", items.len());
+            let owned = to_bytes(&ColBatch(items[j..].to_vec()));
+            assert_eq!(once, owned, "suffix {j} of {}", items.len());
         }
-        let mut empty = Vec::new();
-        cols.suffix(items.len()).encode_wire(&mut empty);
-        assert_eq!(empty, to_bytes(&ColBatch::<T>(Vec::new())));
     }
 
     #[test]
@@ -2331,22 +2184,6 @@ mod tests {
             }
 
             #[test]
-            fn column_seq_identical_to_col_batch(
-                v in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..64)
-            ) {
-                let adj: Vec<FakeAdjEntry> = v
-                    .iter()
-                    .map(|&(v, degree, em)| FakeAdjEntry { v, degree, em })
-                    .collect();
-                let mut via_owned = Vec::new();
-                ColBatch(v.clone()).encode(&mut via_owned);
-                let mut via_cols = Vec::new();
-                encode_cols_of(&adj, &mut via_cols);
-                prop_assert_eq!(&via_owned, &via_cols);
-                prop_assert_eq!(from_bytes::<ColBatch<u64>>(&via_cols).unwrap().0, v);
-            }
-
-            #[test]
             fn col_cursor_agrees_with_owned_and_is_budget_exact(
                 v in proptest::collection::vec((any::<u64>(), any::<u64>(), ".*"), 0..48)
             ) {
@@ -2393,7 +2230,7 @@ mod tests {
             }
 
             #[test]
-            fn col_suffixes_identical_to_encode_columns(
+            fn col_suffixes_identical_to_col_batch(
                 a in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>(), ".*"), 0..40),
                 b in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>(), ".*"), 0..40)
             ) {
@@ -2432,14 +2269,10 @@ mod tests {
                 let owned = (p, q, meta.clone(), ColBatch(cands.clone()));
                 let mut via_owned = Vec::new();
                 owned.encode(&mut via_owned);
+                let mut cols = ColSuffixes::new();
+                cols.fill(&cands, |c| c.0, |c| c.1, |c, buf| c.2.encode(buf));
                 let mut via_borrowed = Vec::new();
-                (
-                    p,
-                    q,
-                    &meta,
-                    encode_columns(&cands, |c| c.0, |c| c.1, |c, buf| c.2.encode(buf)),
-                )
-                    .encode_wire(&mut via_borrowed);
+                (p, q, &meta, cols.suffix(0)).encode_wire(&mut via_borrowed);
                 prop_assert_eq!(via_owned, via_borrowed);
             }
         }

@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use tripoll_ygm::container::{DistBag, DistCountingSet, DistMap};
+use tripoll_ygm::container::{owner_of, DistCountingSet};
 use tripoll_ygm::{Comm, CommConfig, Handler, World};
 
 #[test]
@@ -57,27 +57,40 @@ fn deep_handler_chains_across_barrier() {
 
 #[test]
 fn container_storm() {
-    // Map, bag and counting set all active at once with a tiny flush
-    // threshold, interleaving three handler types in shared buffers.
+    // A counting set and two raw handlers, one carrying `String`
+    // payloads, all active at once with a tiny flush threshold,
+    // interleaving three handler types in shared buffers.
     let config = CommConfig {
         flush_threshold: Some(48),
     };
     let out = World::new(5).with_config(config).run_with_stats(|comm| {
-        let map = DistMap::<u64, u64>::new_with_merge(comm, |a, b| *a += b);
-        let bag = DistBag::<(u64, String)>::new(comm);
+        let sums = Rc::new(Cell::new(0u64));
+        let sums2 = sums.clone();
+        let sum = comm.register::<u64, _>(move |_c, v| sums2.set(sums2.get() + v));
+        let items = Rc::new(Cell::new(0u64));
+        let items2 = items.clone();
+        let item = comm.register::<(u64, String), _>(move |_c, (i, s)| {
+            assert_eq!(s, format!("item-{i}"));
+            items2.set(items2.get() + 1);
+        });
         let set = DistCountingSet::<String>::with_cache_capacity(comm, 4);
+        let nranks = comm.nranks() as u64;
         for i in 0..200u64 {
-            map.async_merge(comm, i % 37, 1);
-            bag.async_add(comm, (i, format!("item-{i}")));
+            comm.send(owner_of(&(i % 37), comm.nranks()), &sum, &1);
+            comm.send(
+                ((i + comm.rank() as u64) % nranks) as usize,
+                &item,
+                &(i, format!("item-{i}")),
+            );
             set.increment(comm, format!("key-{}", i % 11));
         }
         comm.barrier();
         set.finalize(comm);
 
-        let map_total = comm.all_reduce_sum(map.local().values().sum::<u64>());
-        let bag_total = bag.global_len(comm);
+        let sum_total = comm.all_reduce_sum(sums.get());
+        let item_total = comm.all_reduce_sum(items.get());
         let set_total = comm.all_reduce_sum(set.local_counts().values().sum::<u64>());
-        (map_total, bag_total, set_total)
+        (sum_total, item_total, set_total)
     });
     for &(m, b, s) in &out.results {
         assert_eq!(m, 5 * 200);

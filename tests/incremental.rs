@@ -14,7 +14,10 @@
 //!    local counts, degree triples, and closure times.
 //!
 //! The delta survey's wire bytes and kernel candidates for a 1 % batch
-//! on a fixed R-MAT graph are pinned to literals.
+//! on a fixed R-MAT graph are pinned to literals, with unit and with
+//! `String` metadata, and a whole graph ingested as one batch surveys
+//! as its cold Push-Only survey: the identity that lets full and delta
+//! surveys share one wedge generator.
 //!
 //! The full 8-combination setting matrix is too slow to cross with
 //! every (graph, split, batch) triple, so each batch checks a rotating
@@ -40,8 +43,8 @@ use std::sync::{Arc, Barrier, Mutex};
 use proptest::prelude::*;
 use tripoll::core::{
     kernel_stats_take, survey_push_only_with, survey_push_pull_with, EngineMode, KernelStats,
-    ResidentGraph, ResidentQuery, SurveyConfig, SurveyDelta, SurveyDeltaSink, TriangleMeta,
-    TriangleSample,
+    QueryOutcome, ResidentGraph, ResidentQuery, SurveyConfig, SurveyDelta, SurveyDeltaSink,
+    TriangleMeta, TriangleSample,
 };
 use tripoll::gen::{edge_batches, rmat_edges, RmatConfig};
 use tripoll::graph::{build_dist_graph, EdgeList, GraphError, Partition};
@@ -352,26 +355,28 @@ fn merged_deltas_match_full_survey_accumulators() {
 }
 
 /// The delta survey of a 1 % batch — the last 96 edges of a scale-10
-/// Graph500 R-MAT graph (seed 42, unit metadata) landing on the rest —
-/// sends exactly 13 994 bytes for 2 350 kernel candidates (5.955 per
-/// candidate) and completes the recount: growth means delta wedge
-/// batches got fatter than the wedges they replace.
-#[test]
-fn one_percent_delta_traffic_is_pinned() {
+/// Graph500 R-MAT graph (seed 42) landing on the rest — at 4 ranks:
+/// `(bytes, kernel candidates, triangles)`, after checking that it
+/// completes the recount.
+fn one_percent_delta<VM, EM>(em: impl Fn(u64, u64) -> EM, vm: fn(u64) -> VM) -> (u64, u64, u64)
+where
+    VM: Wire + Clone + Send + Sync + 'static,
+    EM: Wire + Clone + Send + Sync + 'static,
+{
     let edges = rmat_edges(&RmatConfig::graph500(10, 42));
-    let list =
-        EdgeList::from_vec(edges.into_iter().map(|(u, v)| (u, v, ())).collect()).canonicalize();
+    let list = EdgeList::from_vec(edges.into_iter().map(|(u, v)| (u, v, em(u, v))).collect())
+        .canonicalize();
     let all = list.as_slice();
     let cut = all.len() - all.len() / 100;
     assert_eq!(all.len() - cut, 96);
-    let resident: ResidentGraph<(), ()> = ResidentGraph::build(
+    let resident = ResidentGraph::build(
         &EdgeList::from_vec(all[..cut].to_vec()),
-        |_| (),
+        vm,
         Partition::Hashed,
     );
     let q = ResidentQuery::new(4);
     let before = resident.triangle_count(&q);
-    let delta = resident.ingest_batch_with(&all[cut..], |_| ()).unwrap();
+    let delta = resident.ingest_batch_with(&all[cut..], vm).unwrap();
     let count = Arc::new(Mutex::new(0u64));
     let c2 = count.clone();
     let outcomes = resident
@@ -384,8 +389,73 @@ fn one_percent_delta_traffic_is_pinned() {
         .sum();
     let candidates: u64 = outcomes.iter().map(|o| o.kernel.candidates).sum();
     let triangles = *count.lock().unwrap();
-    assert_eq!((bytes, candidates, triangles), (13_994, 2_350, 1_523));
     assert_eq!(before + triangles, resident.triangle_count(&q));
+    (bytes, candidates, triangles)
+}
+
+/// With unit metadata the 1 % delta sends exactly 13 994 bytes for
+/// 2 350 kernel candidates (5.955 per candidate): growth means delta
+/// wedge batches got fatter than the wedges they replace.
+#[test]
+fn one_percent_delta_traffic_is_pinned() {
+    let got = one_percent_delta(|_, _| (), |_| ());
+    assert_eq!(got, (13_994, 2_350, 1_523));
+}
+
+/// With `String` metadata (`v{v}` per vertex, `{min}-{max}` per edge)
+/// the same delta sends 42 970 bytes: gathered batches carry their
+/// metadata column too.
+#[test]
+fn one_percent_delta_with_metadata_is_pinned() {
+    let got = one_percent_delta(
+        |u, v| format!("{}-{}", u.min(v), u.max(v)),
+        |v| format!("v{v}"),
+    );
+    assert_eq!(got, (42_970, 2_350, 1_523));
+}
+
+/// Encoded bytes and records, then kernel candidates, compares and
+/// matches, summed over a query's ranks.
+fn work_of(outcomes: &[QueryOutcome]) -> [u64; 5] {
+    let mut out = [0; 5];
+    for o in outcomes {
+        for p in &o.report.phases {
+            out[0] += p.stats.bytes_encoded;
+            out[1] += p.stats.records_encoded;
+        }
+        out[2] += o.kernel.candidates;
+        out[3] += o.kernel.compares;
+        out[4] += o.kernel.matches;
+    }
+    out
+}
+
+/// A one-part delta is the cold survey: a whole graph ingested as one
+/// batch into an empty resident graph makes every out-entry new, so
+/// its delta survey sends exactly the wedge batches of a cold Push-Only
+/// survey of that graph — the same encoded bytes and records, the same
+/// kernel candidates, compares and matches — at 1, 2 and 4 ranks.
+#[test]
+fn one_part_delta_is_the_cold_survey() {
+    let edges = rmat_edges(&RmatConfig::graph500(9, 7));
+    let list = EdgeList::from_vec(labeled(edges)).canonicalize();
+    let cold = ResidentGraph::build(&list, vm_of, Partition::Hashed);
+    let resident: ResidentGraph<String, String> =
+        ResidentGraph::from_vertices(Vec::new(), Partition::Hashed);
+    let delta = resident.ingest_batch_with(list.as_slice(), vm_of).unwrap();
+    for nranks in [1, 2, 4] {
+        let q = query(nranks, EngineMode::PushOnly);
+        let full = work_of(&cold.survey(&q, |_c, _tm| {}));
+        let part = resident
+            .survey_delta(&delta, &q, |_c, _tm| {})
+            .expect("the only delta is current");
+        assert_eq!(work_of(&part), full, "{nranks} ranks");
+        assert_eq!(
+            [full[0], full[1], full[2]],
+            [564_024, 4_012, 42_656],
+            "{nranks} ranks"
+        );
+    }
 }
 
 /// Hostile: an empty first batch (and empty batches between real ones)

@@ -19,9 +19,10 @@
 //! count is pinned too.
 //!
 //! The pull side allocates nothing either: deliveries of assorted
-//! lengths are captured as a [`ColView`], decoded into one reused key
-//! column, indexed by one reused [`KeyIndex`], and probed by every
-//! resume suffix, decoding the metadata of every match.
+//! lengths are captured once with [`ColCursor::begin`], decoded into one
+//! reused key column, indexed by one reused [`KeyIndex`], and probed by
+//! every resume suffix, decoding the metadata of every match from a
+//! clone of the captured meta column.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,7 +31,7 @@ use tripoll::core::{intersect_indices, IntersectKernel, KeyIndex};
 use tripoll::graph::OrderKey;
 use tripoll::ygm::buffer::{BufferPool, SendBuffer};
 use tripoll::ygm::hash::hash64;
-use tripoll::ygm::wire::{ColCursor, ColSuffixes, ColView, Wire, WireEncode, WireReader};
+use tripoll::ygm::wire::{ColCursor, ColSuffixes, Wire, WireEncode, WireReader};
 
 /// Delegates to [`System`], counting allocations on the calling thread.
 struct CountingAlloc;
@@ -284,8 +285,8 @@ fn puller_adjacency(j: usize) -> Vec<OrderKey> {
 /// Serves every delivery as the production pull handler does: capture
 /// the frame, decode its key columns into `frame_keys`, index them in
 /// `index`, then probe each resume suffix, decoding `meta(q, r)` of
-/// every match from a fresh metadata walk. Returns a checksum and the
-/// match count.
+/// every match from a clone of the captured metadata walk. Returns a
+/// checksum and the match count.
 fn serve_pulls(
     frames: &[Vec<u8>],
     pullers: &[Vec<OrderKey>],
@@ -295,15 +296,15 @@ fn serve_pulls(
     let (mut acc, mut matches) = (0u64, 0u64);
     for (frame, adj) in frames.iter().zip(pullers) {
         let mut r = WireReader::new(frame);
-        let view: ColView<'_, u64> = ColView::capture(&mut r).expect("frame");
+        let ColCursor { keys, metas } = ColCursor::<'_, u64>::begin(&mut r).expect("frame");
         frame_keys.clear();
-        for k in view.walk().keys {
+        for k in keys {
             let k = k.expect("key columns");
             frame_keys.push(OrderKey::new(k.v, k.degree));
         }
         index.build(frame_keys).expect("short frame");
         for start in 0..SUFFIXES.min(adj.len()) {
-            let mut metas = view.walk().metas;
+            let mut metas = metas.clone();
             index.probe(
                 &adj[start..],
                 |&k| k,
