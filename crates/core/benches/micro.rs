@@ -1,4 +1,4 @@
-//! Wall-clock context for two open design questions, printed to
+//! Wall-clock context for the design choices below, printed to
 //! stdout:
 //!
 //! * `intersect_kernel` — ns and key compares per candidate of every
@@ -7,6 +7,9 @@
 //! * `pull_probe` — one pull delivery's shape: a 100-key pulled list
 //!   serving 35 resume suffixes, merged per suffix under `Auto` against
 //!   indexed once and probed per suffix (what the pull handler runs);
+//! * `push_decode` — one apex's nested wedge-batch frames, every key
+//!   decoded fresh against served through a [`FrameDecoder`] (what
+//!   both receive handlers run);
 //! * `incremental_ingest` — a delta survey against a full recount after
 //!   a 1 % and a 10 % batch (whether the delta needs a pull side).
 //!
@@ -29,12 +32,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tripoll_core::{
-    intersect_indices, kernel_stats_take, merge_path, IntersectKernel, KeyIndex, ResidentGraph,
-    ResidentQuery,
+    intersect_indices, kernel_stats_take, merge_path, FrameDecoder, IntersectKernel, KeyIndex,
+    ResidentGraph, ResidentQuery,
 };
 use tripoll_graph::{EdgeList, OrderKey, Partition};
 use tripoll_ygm::hash::hash64;
-use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
+use tripoll_ygm::wire::{
+    to_bytes, ColBatch, ColCursor, ColKeys, ColSuffixes, WireEncode, WireReader,
+};
 
 /// Passes per (skew, kernel) measurement.
 const KERNEL_ITERS: usize = 64;
@@ -214,6 +219,72 @@ fn compare_pull_probe() {
     }
 }
 
+/// Passes per push-decode measurement.
+const DECODE_ITERS: usize = 512;
+
+/// Decodes every key of `keys` into `out` and checks that the keys
+/// strictly increase: the decode each frame paid before a
+/// [`FrameDecoder`] served nested frames from the one before.
+fn decode_fresh(keys: ColKeys<'_>, out: &mut Vec<OrderKey>) {
+    out.clear();
+    for k in keys {
+        let k = k.expect("key columns");
+        let key = OrderKey::new(k.v, k.degree);
+        assert!(out.last().is_none_or(|prev| prev.word() < key.word()));
+        out.push(key);
+    }
+}
+
+/// One apex's pushes as its target ranks receive them: the 64 nested
+/// suffixes of a 64-key `Adjm+(p)` (hashed ids, degrees in the
+/// thousands), in the order the apex ships them. `fresh` decodes every
+/// key of every frame; `decoder` decodes the first frame and serves the
+/// other 63 from its key column.
+fn compare_push_decode() {
+    let list: Vec<(u64, u64)> = (0..64u64).map(|i| (hash64(i), 4096 + 3 * i)).collect();
+    let mut cols = ColSuffixes::new();
+    cols.fill(&list, |e| e.0, |e| e.1, |e, buf| e.0.encode_wire(buf));
+    let frames: Vec<Vec<u8>> = (0..list.len())
+        .map(|j| {
+            let mut frame = Vec::new();
+            cols.suffix(j).encode_wire(&mut frame);
+            frame
+        })
+        .collect();
+    let keys: usize = (1..=list.len()).sum();
+    let (mut decoder, mut out) = (FrameDecoder::new(), Vec::new());
+    for name in ["fresh", "decoder"] {
+        let mut serve = || -> u64 {
+            let mut acc = 0u64;
+            for frame in &frames {
+                let cursor = ColCursor::<u64>::begin(&mut WireReader::new(frame)).expect("frame");
+                let cands = if name == "fresh" {
+                    decode_fresh(cursor.keys, &mut out);
+                    &out[..]
+                } else {
+                    decoder.decode(cursor.keys).expect("key columns")
+                };
+                acc = acc.wrapping_add(cands[0].tie);
+            }
+            acc
+        };
+        let warm = serve();
+        let start = Instant::now();
+        let mut acc = 0u64;
+        for _ in 0..DECODE_ITERS {
+            acc = acc.wrapping_add(serve());
+        }
+        let ns = start.elapsed().as_nanos() as f64;
+        assert_eq!(acc, warm.wrapping_mul(DECODE_ITERS as u64), "{name}");
+        println!(
+            "push_decode/nested/{name:<8} {:>8.2} ns/key   {:>6} keys in {} frames",
+            ns / (keys * DECODE_ITERS) as f64,
+            keys,
+            frames.len()
+        );
+    }
+}
+
 /// Streaming appends: after a 1 % / 10 % batch lands on a scale-10
 /// R-MAT graph, surveying only the delta wedges against recounting the
 /// whole graph.
@@ -269,5 +340,6 @@ fn compare_incremental_ingest() {
 fn main() {
     compare_intersect_kernels();
     compare_pull_probe();
+    compare_push_decode();
     compare_incremental_ingest();
 }

@@ -17,11 +17,13 @@
 //!
 //! * **Production** ([`IntersectKernel::Auto`], or an explicit
 //!   [`Gallop`] / [`Merge`]): the frame is captured in place
-//!   ([`tripoll_ygm::wire::ColCursor`]), its two key columns are decoded
-//!   once, whole, into a rank-owned flat [`OrderKey`] column (a frame
-//!   whose keys do not strictly increase is a wire error), and a match
-//!   arrives as an index pair whose frame index selects the one
-//!   metadata element to decode. A pushed batch is the column's left
+//!   ([`tripoll_ygm::wire::ColCursor`]), a rank-owned [`FrameDecoder`]
+//!   turns its two key columns into a flat [`OrderKey`] column — served
+//!   from the last frame it decoded when the frame's key bytes are a
+//!   suffix of that frame's, decoded whole otherwise (a frame whose keys
+//!   do not strictly increase is a wire error) — and a match arrives as
+//!   an index pair whose frame index selects the one metadata element
+//!   to decode. A pushed batch is the column's left
 //!   side against `Adjm+(q)`, intersected by [`intersect_indices`]
 //!   under the configured kernel. A pulled `Adjm+(q)` serves every
 //!   resume suffix recorded for `q`: its column is indexed once per
@@ -90,7 +92,7 @@ use std::time::Instant;
 
 use tripoll_graph::OrderKey;
 use tripoll_ygm::stats::CommStats;
-use tripoll_ygm::wire::WireError;
+use tripoll_ygm::wire::{ColKeys, WireError, WireReader};
 use tripoll_ygm::Comm;
 
 /// Which TriPoll algorithm to run.
@@ -763,6 +765,151 @@ impl KeyIndex {
             }
         }
         record_kernel(compares, left.len() as u64, matches, |s| s.probe_runs += 1);
+    }
+}
+
+/// Where one element of a decoded frame starts in its vertex and
+/// degree columns.
+#[derive(Debug, Clone, Copy)]
+struct KeyOffsets {
+    v: usize,
+    d: usize,
+}
+
+/// The one frame decoder of both receive handlers: it decodes a
+/// frame's two key columns, whole, into a flat [`OrderKey`] column
+/// whose positions are the frame indices, and serves a frame that is a
+/// nested suffix of the last frame it decoded without decoding it.
+///
+/// A push apex ships, for every out-neighbour, the suffix of one list
+/// past it, so a rank receives runs of frames that are suffixes of the
+/// one before. The decoder keeps the last decoded frame's key column,
+/// its raw vertex and degree column bytes and each element's byte
+/// offset in both. A frame of `n'` elements can only be the suffix
+/// from element `j = n − n'` of a stored frame of `n`, and it is served
+/// as `&keys[j..]` when
+///
+/// 1. its vertex column equals the stored one from element `j`'s
+///    offset,
+/// 2. its first raw degree equals stored key `j`'s degree, and
+/// 3. its remaining degree bytes equal the stored ones from element
+///    `j + 1`'s offset.
+///
+/// Identical bytes decode to identical keys, so a served frame is
+/// exactly what a fresh decode would return. Any other frame is decoded
+/// fresh and replaces the stored one. Walking to the last element
+/// enforces the key columns' byte budget, and the keys must strictly
+/// increase, as every `<+`-sorted list and its suffixes do: a frame
+/// whose keys repeat or fall back fails, so every frame the decoder
+/// accepts is one on which the merge and the hash probe report the
+/// same pairs. A failed decode forgets the stored frame.
+///
+/// Buffers are cleared, not reallocated, so one decoder serves every
+/// frame of a rank and allocates only while they grow.
+///
+/// ```
+/// use tripoll_core::FrameDecoder;
+/// use tripoll_graph::OrderKey;
+/// use tripoll_ygm::wire::{ColCursor, ColSuffixes, WireEncode, WireReader};
+///
+/// let list: Vec<(u64, u64)> = (1..=5).map(|v| (v, 10 * v)).collect();
+/// let mut cols = ColSuffixes::new();
+/// cols.fill(&list, |e| e.0, |e| e.1, |_, _| {});
+/// let mut decoder = FrameDecoder::new();
+/// for j in 0..list.len() {
+///     let mut frame = Vec::new();
+///     cols.suffix(j).encode_wire(&mut frame);
+///     let cursor = ColCursor::<()>::begin(&mut WireReader::new(&frame)).unwrap();
+///     // Frames 1.. are served from frame 0's column.
+///     let keys = decoder.decode(cursor.keys).unwrap();
+///     let fresh: Vec<OrderKey> = list[j..].iter().map(|&(v, d)| OrderKey::new(v, d)).collect();
+///     assert_eq!(keys, &fresh[..]);
+/// }
+/// ```
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    /// The last decoded frame's keys.
+    keys: Vec<OrderKey>,
+    /// Its vertex column bytes.
+    vcol: Vec<u8>,
+    /// Its degree column bytes.
+    dcol: Vec<u8>,
+    /// One entry per element, then one at the two column ends.
+    offsets: Vec<KeyOffsets>,
+}
+
+impl FrameDecoder {
+    /// A decoder with no stored frame.
+    pub fn new() -> Self {
+        FrameDecoder::default()
+    }
+
+    /// Decodes `keys`, a walk that has not started, into the frame's
+    /// flat key column: served from the stored frame when the frame is
+    /// one of its suffixes, decoded fresh otherwise (see the type
+    /// docs). Fails, and forgets the stored frame, exactly where a
+    /// fresh decode fails.
+    pub fn decode(&mut self, keys: ColKeys<'_>) -> Result<&[OrderKey], WireError> {
+        debug_assert_eq!(keys.positions(), (0, 0), "the walk has not started");
+        match self.suffix_start(&keys) {
+            Some(j) => Ok(&self.keys[j..]),
+            None => {
+                if let Err(e) = self.decode_fresh(keys) {
+                    self.keys.clear();
+                    self.offsets.clear();
+                    return Err(e);
+                }
+                Ok(&self.keys)
+            }
+        }
+    }
+
+    /// The stored element the frame of `keys` is the suffix from, if it
+    /// is one: its byte columns match the stored ones from there.
+    #[inline]
+    fn suffix_start(&self, keys: &ColKeys<'_>) -> Option<usize> {
+        let n = keys.remaining();
+        let j = self.keys.len().checked_sub(n)?;
+        if n == 0 {
+            return None;
+        }
+        let (vcol, dcol) = keys.column_bytes();
+        if vcol != &self.vcol[self.offsets[j].v..] {
+            return None;
+        }
+        let mut d = WireReader::new(dcol);
+        if d.take_varint().ok()? != self.keys[j].degree {
+            return None;
+        }
+        (dcol[d.position()..] == self.dcol[self.offsets[j + 1].d..]).then_some(j)
+    }
+
+    /// Decodes every key of `keys` and stores the frame's column bytes
+    /// and element offsets.
+    fn decode_fresh(&mut self, mut keys: ColKeys<'_>) -> Result<(), WireError> {
+        let (vcol, dcol) = keys.column_bytes();
+        self.keys.clear();
+        self.keys.reserve(keys.remaining());
+        self.offsets.clear();
+        self.offsets.reserve(keys.remaining() + 1);
+        loop {
+            let (v, d) = keys.positions();
+            self.offsets.push(KeyOffsets { v, d });
+            let Some(k) = keys.next_key() else { break };
+            let k = k?;
+            debug_assert_eq!(k.idx, self.keys.len(), "frame index is the position");
+            let key = OrderKey::new(k.v, k.degree);
+            let last = self.keys.last();
+            if last.is_some_and(|prev| prev.word() >= key.word()) {
+                return Err(WireError::InvalidValue("frame keys must strictly increase"));
+            }
+            self.keys.push(key);
+        }
+        self.vcol.clear();
+        self.vcol.extend_from_slice(vcol);
+        self.dcol.clear();
+        self.dcol.extend_from_slice(dcol);
+        Ok(())
     }
 }
 

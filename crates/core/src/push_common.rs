@@ -10,7 +10,7 @@
 //! already in `Adjm+(q)`'s entry for `r` (it is deliberately *not*
 //! transmitted).
 //!
-//! # One generator, encode once per apex, decode once per frame
+//! # One generator, encode once per apex, decode once per apex
 //!
 //! Every wedge batch — Push-Only's, Push-Pull's push phase and a delta
 //! survey's — comes from one generator, [`push_apex_wedges`], which
@@ -22,16 +22,21 @@
 //! emits each batch's frame by copying byte suffixes; the frame is
 //! byte-identical to the [`ColBatch`] of the same suffix.
 //!
-//! The production handler captures the frame in place ([`ColCursor`]),
-//! decodes its two key columns whole into a reused flat [`OrderKey`]
-//! column ([`decode_frame_keys`], the same decoder the pull handler
-//! uses), and runs [`intersect_indices`] against `Adjm+(q)`; each match
+//! The production handler captures the frame in place ([`ColCursor`])
+//! and takes its two key columns as one flat [`OrderKey`] column from a
+//! rank-owned [`FrameDecoder`] (the decoder the pull handler uses). The
+//! nested frames of an apex that reach one rank arrive one after
+//! another, so the decoder decodes the first and serves each later one
+//! as a sub-slice of its column when the frame's key bytes are the
+//! matching suffix of the first's; any other frame is decoded whole. It
+//! then runs [`intersect_indices`] against `Adjm+(q)`; each match
 //! arrives as an index pair, and the frame index picks the one
 //! metadata element to decode. The survey callback is the handler's
-//! type parameter, so every triangle is a direct call. Decoding every
-//! key enforces the key columns' byte budget whatever `Adjm+(q)` holds,
-//! and the frame is fully consumed at capture, so the record framing is
-//! intact wherever the merge stops.
+//! type parameter, so every triangle is a direct call. A decoded frame
+//! is walked to its last key and a served one is byte-identical to a
+//! suffix of one that was, so the key columns' byte budget holds
+//! whatever `Adjm+(q)` holds; the frame is fully consumed at capture,
+//! so the record framing is intact wherever the merge stops.
 //!
 //! The reference handler ([`SurveyConfig::is_reference`]) reads the
 //! same bytes as an owned [`ColBatch`] and runs the two-pointer merge
@@ -47,10 +52,12 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use tripoll_graph::{AdjEntry, ApexDelta, DistGraph, LocalVertex, OrderKey};
-use tripoll_ygm::wire::{ColBatch, ColCursor, ColKeys, ColSuffixes, Wire, WireError};
+use tripoll_ygm::wire::{ColBatch, ColCursor, ColSuffixes, Wire};
 use tripoll_ygm::{Comm, Handler};
 
-use crate::engine::{intersect_indices, intersect_slices, IntersectKernel, SurveyConfig};
+use crate::engine::{
+    intersect_indices, intersect_slices, FrameDecoder, IntersectKernel, SurveyConfig,
+};
 use crate::meta::{SurveyCallback, TriangleMeta};
 
 /// A wedge batch: `(p, q, meta(p), meta(p,q), candidates)`, the
@@ -96,9 +103,10 @@ where
     }
 }
 
-/// The production receive handler: capture the columnar frame, decode
-/// its key columns whole, intersect them with `Adjm+(q)` under the
-/// configured kernel, decode metadata on match only.
+/// The production receive handler: capture the columnar frame, take
+/// its key column from the rank's [`FrameDecoder`], intersect it with
+/// `Adjm+(q)` under the configured kernel, decode metadata on match
+/// only.
 fn register_push_handler_production<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -111,10 +119,12 @@ where
     F: SurveyCallback<VM, EM>,
 {
     let g = graph.clone();
-    // The decoded key columns of the frame being served, reused across
-    // frames. Taken out while in use, so a re-entrant dispatch would
-    // decode into a fresh buffer instead of the one being read.
-    let frame_keys: Cell<Vec<OrderKey>> = Cell::default();
+    // The frame decoder, reused across frames: a frame nested in the
+    // one before is served from its key column. Taken out while in
+    // use, so a re-entrant dispatch would decode into a fresh decoder
+    // instead of the one being read. Boxed, so taking it out and
+    // putting it back moves one pointer per record, not the decoder.
+    let decoder: Cell<Option<Box<FrameDecoder>>> = Cell::default();
     comm.register_borrowed::<PushMsg<VM, EM>, _>(move |c, r| {
         let p = u64::decode(r)?;
         let q = u64::decode(r)?;
@@ -122,22 +132,19 @@ where
         let meta_pq = EM::decode(r)?;
         // The frame is fully consumed here (bounded column takes), so
         // record framing is intact no matter where the merge stops.
-        let ColCursor {
-            mut keys,
-            mut metas,
-        } = ColCursor::<'_, EM>::begin(r)?;
+        let ColCursor { keys, mut metas } = ColCursor::<'_, EM>::begin(r)?;
         let Some(lv) = g.shard().get(q) else {
             abort_unowned_push(c, &g, p, q);
         };
         // The intersection visits both lists once: that is the
         // wedge-check work (kernel-independent by design).
         c.add_work((keys.remaining() + lv.adj.len()) as u64);
-        let mut cands = frame_keys.take();
-        let mut out = decode_frame_keys(&mut keys, &mut cands);
-        if out.is_ok() {
-            intersect_indices(
+        let mut dec = decoder.take().unwrap_or_default();
+        let mut out = Ok(());
+        match dec.decode(keys) {
+            Ok(cands) => intersect_indices(
                 kernel,
-                &cands,
+                cands,
                 &lv.adj,
                 |&k| k,
                 |e| e.key,
@@ -164,9 +171,10 @@ where
                         Err(err) => out = Err(err),
                     }
                 },
-            );
+            ),
+            Err(err) => out = Err(err),
         }
-        frame_keys.set(cands);
+        decoder.set(Some(dec));
         out
     })
 }
@@ -212,37 +220,6 @@ where
             },
         );
     })
-}
-
-/// Decodes a frame's two key columns, whole, into `out` as one flat
-/// [`OrderKey`] per element — the one frame decoder of both receive
-/// handlers. An element's frame index is its position in `out`, so a
-/// match's index into `out` is the index of the metadata element to
-/// decode. `out` is cleared, not reallocated, so a rank's frames share
-/// one buffer. Walking to the last element enforces the key columns'
-/// byte budget: a truncated or over-long key column fails here, before
-/// any key is intersected.
-///
-/// The keys must strictly increase, as every `<+`-sorted list and its
-/// suffixes do; a frame whose keys repeat or fall back fails here as
-/// well. Every frame the production path accepts is thus one on which
-/// the merge and the hash probe report the same pairs.
-pub(crate) fn decode_frame_keys(
-    keys: &mut ColKeys<'_>,
-    out: &mut Vec<OrderKey>,
-) -> Result<(), WireError> {
-    out.clear();
-    out.reserve(keys.remaining());
-    for k in keys {
-        let k = k?;
-        debug_assert_eq!(k.idx, out.len(), "frame index is the position");
-        let key = OrderKey::new(k.v, k.degree);
-        if out.last().is_some_and(|prev| prev.word() >= key.word()) {
-            return Err(WireError::InvalidValue("frame keys must strictly increase"));
-        }
-        out.push(key);
-    }
-    Ok(())
 }
 
 /// Encodes `adj`'s candidate columns `(r, d(r), meta(p,r))` once into

@@ -268,6 +268,114 @@ mod tests {
         });
     }
 
+    /// Key columns of `keys`: the vertex column, and the degree column
+    /// (the first degree raw, every later one a zigzag delta).
+    fn key_columns(keys: &[(u64, u64)]) -> (Vec<u8>, Vec<u8>) {
+        use tripoll_ygm::wire::put_varint;
+        let (mut vcol, mut dcol) = (Vec::new(), Vec::new());
+        let mut prev = 0u64;
+        for (i, &(v, d)) in keys.iter().enumerate() {
+            put_varint(&mut vcol, v);
+            let delta = d.wrapping_sub(prev) as i64;
+            let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+            put_varint(&mut dcol, if i == 0 { d } else { zigzag });
+            prev = d;
+        }
+        (vcol, dcol)
+    }
+
+    /// Pushes the frame of `whole` to a `q` whose `Adjm+(q)` is empty,
+    /// then a frame of the suffix of `whole` from element 1, its vertex
+    /// and degree columns passed through `corrupt` first: the second
+    /// frame is served from the first frame's key column only if its
+    /// bytes are that suffix's.
+    fn nested_push(whole: &[(u64, u64); 3], corrupt: fn(&mut Vec<u8>, &mut Vec<u8>)) {
+        use crate::push_common::register_push_handler;
+        use tripoll_ygm::wire::{put_varint, WireEncode};
+        struct Raw(Vec<u8>);
+        impl WireEncode for Raw {
+            fn encode_wire(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.0);
+            }
+        }
+        let edges = [(0u64, 1u64), (1, 2), (2, 0)];
+        let list = EdgeList::from_vec(edges.iter().map(|&(u, v)| (u, v, ())).collect::<Vec<_>>());
+        World::new(1).run(|comm| {
+            let local = list.stride_for_rank(comm.rank(), comm.nranks());
+            let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
+            let cb = Rc::new(|_c: &Comm, _tm: &TriangleMeta<'_, (), ()>| {
+                panic!("callback ran against an empty Adjm+(q)")
+            });
+            let h = register_push_handler(comm, &g, cb, SurveyConfig::default());
+            let q = g
+                .shard()
+                .vertices()
+                .find(|lv| lv.adj.is_empty())
+                .expect("the <+-largest vertex has no out-neighbours")
+                .id;
+            let (whole_v, whole_d) = key_columns(whole);
+            let (mut suffix_v, mut suffix_d) = key_columns(&whole[1..]);
+            corrupt(&mut suffix_v, &mut suffix_d);
+            for (n, vcol, dcol) in [(3, whole_v, whole_d), (2, suffix_v, suffix_d)] {
+                // (p, q, (), (), frame) with the unit meta column.
+                let mut frame = Vec::new();
+                for v in [0, q, n] {
+                    put_varint(&mut frame, v);
+                }
+                for col in [&vcol, &dcol] {
+                    put_varint(&mut frame, col.len() as u64);
+                    frame.extend_from_slice(col);
+                }
+                put_varint(&mut frame, 0);
+                comm.send_encoded(0, &h, Raw(frame));
+            }
+            comm.barrier();
+        });
+    }
+
+    /// Three keys whose suffix from element 1 is served by
+    /// [`nested_push`] unless corrupted.
+    const NESTED: [(u64, u64); 3] = [(5, 3), (7, 4), (9, 5)];
+
+    /// The uncorrupted pair is accepted, so each test below aborts on
+    /// its corruption alone.
+    #[test]
+    fn nested_push_suffix_is_served() {
+        nested_push(&NESTED, |_, _| {});
+    }
+
+    /// The first raw degree one too high: every later degree moves up
+    /// with it, and the last wraps past `u64::MAX` to 0, so the keys
+    /// fall back. The other bytes are the stored suffix's.
+    #[test]
+    #[should_panic(expected = "failed to decode message in place")]
+    fn nested_push_with_first_degree_off_by_one_aborts() {
+        let whole = [(5, 3), (7, u64::MAX - 1), (9, u64::MAX)];
+        nested_push(&whole, |_, dcol| {
+            // Head `MAX`, then the stored delta +1.
+            *dcol = key_columns(&[(7, u64::MAX), (9, 0)]).1;
+        });
+    }
+
+    /// The vertex column carries a trailing byte past the stored
+    /// suffix's: a byte-budget error, whatever the degree column says.
+    #[test]
+    #[should_panic(expected = "failed to decode message in place")]
+    fn nested_push_with_trailing_vertex_byte_aborts() {
+        nested_push(&NESTED, |vcol, _| vcol.push(0));
+    }
+
+    /// The suffix repeats its first key, `(7, 4)`: its vertex column
+    /// and first degree are the stored suffix's (element 2 of the
+    /// first frame has vertex 7 too), and only the delta differs.
+    #[test]
+    #[should_panic(expected = "failed to decode message in place")]
+    fn nested_push_with_repeated_key_aborts() {
+        nested_push(&[(5, 3), (7, 4), (7, 5)], |_, dcol| {
+            *dcol = key_columns(&[(7, 4), (7, 4)]).1;
+        });
+    }
+
     #[test]
     fn explicit_kernels_count_like_the_default() {
         use crate::engine::IntersectKernel;

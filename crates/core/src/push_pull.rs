@@ -43,12 +43,11 @@ use tripoll_ygm::wire::{ColBatch, ColCursor, ColSuffixes, Wire};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{
-    intersect_slices, EngineMode, IntersectKernel, KeyIndex, PhaseTimer, SurveyConfig, SurveyReport,
+    intersect_slices, EngineMode, FrameDecoder, IntersectKernel, KeyIndex, PhaseTimer,
+    SurveyConfig, SurveyReport,
 };
 use crate::meta::{SurveyCallback, TriangleMeta};
-use crate::push_common::{
-    decode_frame_keys, fill_candidates, push_wedge_batches, register_push_handler,
-};
+use crate::push_common::{fill_candidates, push_wedge_batches, register_push_handler};
 
 /// Dry-run record: `(q, planned candidate count, source rank)`.
 type DryRunMsg = (u64, u64, u32);
@@ -161,11 +160,11 @@ struct PpState {
     pulled: u64,
     /// Pull requests this rank granted.
     grants: u64,
-    /// The key columns of the pull delivery being served, decoded once
-    /// into a flat key column (see [`decode_frame_keys`]).
-    frame_keys: Vec<OrderKey>,
-    /// The hash index over `frame_keys`, built once per delivery and
-    /// probed by every resume suffix.
+    /// Decodes the key columns of the pull delivery being served once,
+    /// into a flat key column (the push handler's [`FrameDecoder`]).
+    frame_decoder: FrameDecoder,
+    /// The hash index over that key column, built once per delivery
+    /// and probed by every resume suffix.
     frame_index: KeyIndex,
 }
 
@@ -383,7 +382,7 @@ where
 /// One arriving `Adjm+(q)` projection is intersected against **every**
 /// resume suffix recorded for `q`. The production body captures the
 /// frame's column extents once ([`ColCursor`], three bounded takes),
-/// decodes its key columns once per delivery ([`decode_frame_keys`]),
+/// decodes its key columns once per delivery ([`FrameDecoder`]),
 /// builds one [`KeyIndex`] over them, and probes each suffix
 /// `Adjm+(p)[idx+1..]` into it with [`KeyIndex::probe`], decoding
 /// `meta(q,r)` only for triangle matches, from a clone of the captured
@@ -440,16 +439,16 @@ where
     }
     comm.register_borrowed::<PullMsg<EM>, _>(move |c, r| {
         let q = u64::decode(r)?;
-        let ColCursor { mut keys, metas } = ColCursor::<'_, EM>::begin(r)?;
+        let ColCursor { keys, metas } = ColCursor::<'_, EM>::begin(r)?;
         let mut s = st.borrow_mut();
         s.pulled += 1;
         let PpState {
             resume,
-            frame_keys,
+            frame_decoder,
             frame_index,
             ..
         } = &mut *s;
-        decode_frame_keys(&mut keys, frame_keys)?;
+        let frame_keys = frame_decoder.decode(keys)?;
         frame_index.build(frame_keys)?;
         let shard = g.shard();
         for &(_, slot, idx) in resume.get(q) {

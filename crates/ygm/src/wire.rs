@@ -1145,11 +1145,27 @@ pub struct ColKeys<'a> {
     n: usize,
 }
 
-impl ColKeys<'_> {
+impl<'a> ColKeys<'a> {
     /// Elements not yet walked.
     #[inline]
     pub fn remaining(&self) -> usize {
         self.n - self.idx
+    }
+
+    /// The captured vertex and degree columns, whole, however far the
+    /// walk has gone: a receiver that kept the bytes of an earlier
+    /// frame can tell by comparing them that this frame decodes to the
+    /// same keys.
+    #[inline]
+    pub fn column_bytes(&self) -> (&'a [u8], &'a [u8]) {
+        (self.v.buf, self.d.buf)
+    }
+
+    /// Byte offsets of the walk in the vertex and degree columns: where
+    /// the next element's two varints start.
+    #[inline]
+    pub fn positions(&self) -> (usize, usize) {
+        (self.v.pos, self.d.pos)
     }
 
     /// Decodes the next key pair, `None` once exhausted. The final

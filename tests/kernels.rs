@@ -8,7 +8,7 @@
 //! same bytes materialised as an owned batch and intersected by the
 //! two-pointer merge. The contract is strict: every kernel emits the
 //! **identical match sequence** — same pairs, same callback order — as
-//! the reference, on every engine and rank count. Three layers of
+//! the reference, on every engine and rank count. Five layers of
 //! evidence:
 //!
 //! * **Surveys** — production kernels × engine × {1,2,4,7}-rank
@@ -36,6 +36,10 @@
 //!   counts, at every skew, on empty sides, under forced tie collisions
 //!   (long probe chains) and across the table's wrap-around; a rebuilt
 //!   index never matches a slot of the frame before.
+//! * **Served equals decoded** — a [`FrameDecoder`] fed interleaved
+//!   suffix frames of two lists, some with a key column mutated,
+//!   returns on every frame what a fresh decoder and the plain key
+//!   walk return: the same key column or the same error.
 //!
 //! Besides agreement, `Auto`'s key-compare counts at four fixed degree
 //! skews are pinned to literals: the work the gallop and merge arms
@@ -47,11 +51,14 @@ use common::{hub_graph, labeled, random_graph, run_survey};
 use proptest::prelude::*;
 use tripoll::core::{
     intersect_indices, intersect_slices, kernel_stats, kernel_stats_take, merge_path, EngineMode,
-    IntersectKernel, KernelStats, KeyIndex, SurveyConfig, GALLOP_RATIO,
+    FrameDecoder, IntersectKernel, KernelStats, KeyIndex, SurveyConfig, GALLOP_RATIO,
 };
 use tripoll::gen::table4_suite;
 use tripoll::graph::{EdgeList, OrderKey};
-use tripoll::ygm::wire::{to_bytes, ColBatch, ColCursor, ColKeys, WireReader};
+use tripoll::ygm::wire::{
+    put_varint, to_bytes, ColBatch, ColCursor, ColKeys, ColSuffixes, Wire, WireEncode, WireError,
+    WireReader,
+};
 
 /// The kernels of the production path: what `Auto` resolves to, plus
 /// `Auto` itself.
@@ -639,5 +646,125 @@ proptest! {
         let ties = [Ties::Hashed, Ties::Colliding, Ties::Wrapping][ties];
         let (left, frame) = (probe_keys(&lv, ties), probe_keys(&fv, ties));
         assert_probe_matches_merge(&left, &frame, &format!("skew={skew} {ties:?}"));
+    }
+}
+
+// ------------------------------------------------------------------
+// Frame decoder: nested suffixes served from the last decoded frame
+// ------------------------------------------------------------------
+
+/// A `<+`-sorted list of distinct `(v, d)` keys from raw pairs.
+fn sorted_list(raw: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    let mut list = raw;
+    list.sort_by_key(|&(v, d)| OrderKey::new(v, d));
+    list.dedup_by_key(|&mut (v, d)| OrderKey::new(v, d));
+    list
+}
+
+/// A frame's element count and its three columns.
+fn split_frame(frame: &[u8]) -> (u64, [Vec<u8>; 3]) {
+    let mut r = WireReader::new(frame);
+    let n = r.take_varint().expect("count");
+    let mut col = || {
+        let len = r.take_varint().expect("column length") as usize;
+        r.take(len).expect("column").to_vec()
+    };
+    let cols = [col(), col(), col()];
+    (n, cols)
+}
+
+/// The frame of an element count and three columns.
+fn join_frame(n: u64, cols: &[Vec<u8>; 3]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    put_varint(&mut frame, n);
+    for col in cols {
+        put_varint(&mut frame, col.len() as u64);
+        frame.extend_from_slice(col);
+    }
+    frame
+}
+
+/// Applies mutation `kind` to one key column of `frame`, chosen and
+/// placed by `bits`: 0–3 none, 4 a flipped bit, 5 the first raw degree
+/// one up or down, 6 an appended byte, 7 a truncated byte.
+fn mutate_frame(frame: Vec<u8>, kind: usize, bits: u64) -> Vec<u8> {
+    let (n, mut cols) = split_frame(&frame);
+    let c = (bits >> 32) as usize & 1;
+    match kind {
+        4 if !cols[c].is_empty() => {
+            let at = (bits >> 3) as usize % cols[c].len();
+            cols[c][at] ^= 1 << (bits & 7);
+        }
+        5 if !cols[1].is_empty() => {
+            let mut r = WireReader::new(&cols[1]);
+            let head = r.take_varint().expect("first raw degree");
+            let rest = cols[1][r.position()..].to_vec();
+            let head = if bits & 1 == 0 {
+                head.wrapping_add(1)
+            } else {
+                head.wrapping_sub(1)
+            };
+            cols[1].clear();
+            put_varint(&mut cols[1], head);
+            cols[1].extend_from_slice(&rest);
+        }
+        6 => cols[c].push(bits as u8),
+        7 => {
+            cols[c].pop();
+        }
+        _ => {}
+    }
+    join_frame(n, &cols)
+}
+
+/// A frame's keys decoded one by one off its key walk, or the first
+/// error: the decode the [`FrameDecoder`] must reproduce.
+fn walk_keys(keys: ColKeys<'_>) -> Result<Vec<OrderKey>, WireError> {
+    let mut out: Vec<OrderKey> = Vec::new();
+    for k in keys {
+        let k = k?;
+        let key = OrderKey::new(k.v, k.degree);
+        if out.last().is_some_and(|prev| prev.word() >= key.word()) {
+            return Err(WireError::InvalidValue("frame keys must strictly increase"));
+        }
+        out.push(key);
+    }
+    Ok(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    /// A stream of suffix frames of two random `<+`-sorted lists,
+    /// interleaved, half of them intact and the rest with one key
+    /// column mutated: one [`FrameDecoder`] across the whole stream
+    /// returns, frame by frame, exactly what a fresh decoder and the
+    /// key walk return — the same key column or the same error.
+    #[test]
+    fn frame_decoder_serves_what_a_fresh_decode_returns(
+        a in proptest::collection::vec((0u64..1 << 40, 0u64..5000), 1..40),
+        b in proptest::collection::vec((0u64..1 << 40, 0u64..5000), 1..40),
+        stream in proptest::collection::vec((0usize..2, 0usize..41, 0usize..8, any::<u64>()), 1..120),
+    ) {
+        let cols = [sorted_list(a), sorted_list(b)].map(|list| {
+            let mut cols = ColSuffixes::new();
+            cols.fill(&list, |e| e.0, |e| e.1, |e, buf| e.0.encode(buf));
+            cols
+        });
+        let mut decoder = FrameDecoder::new();
+        for (which, j, kind, bits) in stream {
+            let cols = &cols[which];
+            let mut frame = Vec::new();
+            cols.suffix(j % (cols.len() + 1)).encode_wire(&mut frame);
+            let frame = mutate_frame(frame, kind, bits);
+            // A frame whose columns fail capture never reaches a decoder.
+            let Ok(cursor) = ColCursor::<u64>::begin(&mut WireReader::new(&frame)) else {
+                continue;
+            };
+            let walked = walk_keys(cursor.keys.clone());
+            let fresh = FrameDecoder::new().decode(cursor.keys.clone()).map(<[OrderKey]>::to_vec);
+            let got = decoder.decode(cursor.keys).map(<[OrderKey]>::to_vec);
+            prop_assert_eq!(&fresh, &walked);
+            prop_assert_eq!(&got, &fresh);
+        }
     }
 }

@@ -18,6 +18,12 @@
 //! with `ColMetas::get`. The frame's exact byte
 //! count is pinned too.
 //!
+//! Receiving through a [`FrameDecoder`] allocates nothing either: each
+//! apex ships the nested suffixes of the hub list, interleaved with
+//! frames of another list, and the decoder serves a nested suffix from
+//! the last frame it decoded, under `Auto`, with the metadata of every
+//! match decoded.
+//!
 //! The pull side allocates nothing either: deliveries of assorted
 //! lengths are captured once with [`ColCursor::begin`], decoded into one
 //! reused key column, indexed by one reused [`KeyIndex`], and probed by
@@ -27,7 +33,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tripoll::core::{intersect_indices, IntersectKernel, KeyIndex};
+use tripoll::core::{intersect_indices, FrameDecoder, IntersectKernel, KeyIndex};
 use tripoll::graph::OrderKey;
 use tripoll::ygm::buffer::{BufferPool, SendBuffer};
 use tripoll::ygm::hash::hash64;
@@ -248,6 +254,91 @@ fn receive_path_allocates_nothing() {
         assert_eq!(got.1, matches, "{stage:?} matches");
         assert_eq!(allocs, 0, "{stage:?} allocated over {BATCHES} batches");
     }
+}
+
+/// Apexes of the nested stream.
+const APEXES: usize = 64;
+/// Every this many suffixes, the nested stream interleaves a frame
+/// that is not a suffix of the hub list.
+const INTERLEAVE: usize = 8;
+
+/// Every apex's pushes as the production sender ships them: the hub
+/// list's columns are encoded once per apex, and each suffix past its
+/// first element is a batch, with a whole frame of a list of other
+/// vertices after every [`INTERLEAVE`] of them.
+fn nested_stream(adj: &[Entry]) -> Vec<u8> {
+    let other: Vec<Entry> = adj
+        .iter()
+        .map(|e| Entry {
+            v: !e.v,
+            degree: e.degree,
+            em: e.em,
+        })
+        .collect();
+    let (mut cols, mut others) = (ColSuffixes::new(), ColSuffixes::new());
+    others.fill(&other, |e| e.v, |e| e.degree, |e, out| e.em.encode(out));
+    let mut out = Vec::new();
+    for b in 0..APEXES as u64 {
+        cols.fill(adj, |e| e.v, |e| e.degree, |e, out| e.em.encode(out));
+        for j in 1..adj.len() {
+            (b, j as u64, &42u64, &7u64, cols.suffix(j)).encode_wire(&mut out);
+            if j % INTERLEAVE == 0 {
+                (b, 0u64, &42u64, &7u64, others.suffix(0)).encode_wire(&mut out);
+            }
+        }
+    }
+    out
+}
+
+/// Walks every batch of `stream` as the production receive handler
+/// does: capture the frame, take its key column from `decoder`,
+/// intersect under `IntersectKernel::Auto`, decode every match's
+/// metadata. Returns [`receive`]'s checksum and match count.
+fn receive_nested(
+    stream: &[u8],
+    right: &[(u64, OrderKey)],
+    decoder: &mut FrameDecoder,
+) -> (u64, u64) {
+    let mut r = WireReader::new(stream);
+    let (mut acc, mut matches) = (0u64, 0u64);
+    while !r.is_empty() {
+        for _ in 0..4 {
+            acc = acc.wrapping_add(u64::decode(&mut r).expect("header"));
+        }
+        let ColCursor { keys, mut metas } = ColCursor::<u64>::begin(&mut r).expect("frame");
+        let cands = decoder.decode(keys).expect("key columns");
+        intersect_indices(
+            IntersectKernel::Auto,
+            cands,
+            right,
+            |&k| k,
+            |e| e.1,
+            |i, j| {
+                acc = acc
+                    .wrapping_add(right[j].0)
+                    .wrapping_add(metas.get(i).expect("meta"));
+                matches += 1;
+            },
+        );
+    }
+    (acc, matches)
+}
+
+#[test]
+fn nested_receive_allocates_nothing() {
+    let stream = nested_stream(&hub_adjacency());
+    let right = stored_adjacency();
+    let fresh = receive(&stream, &right, Stage::MetaOnMatch, &mut Vec::new());
+    let mut decoder = FrameDecoder::new();
+    let warm = receive_nested(&stream, &right, &mut decoder);
+    assert_eq!(warm, fresh, "served frames decode as fresh ones do");
+    let (allocs, got) = allocs_in(|| receive_nested(&stream, &right, &mut decoder));
+    assert_eq!(got, warm, "receiving is deterministic");
+    assert!(got.1 > 0, "the suffixes match");
+    assert_eq!(
+        allocs, 0,
+        "receiving {APEXES} apexes' nested frames allocated"
+    );
 }
 
 /// Pulled `Adjm+(q)` lengths, one delivery each: short and long, in an
