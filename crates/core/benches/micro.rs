@@ -10,6 +10,9 @@
 //! * `push_decode` — one apex's nested wedge-batch frames, every key
 //!   decoded fresh against served through a [`FrameDecoder`] (what
 //!   both receive handlers run);
+//! * `plan` — the Push-Pull dry run's [`ResumePlan`] on a
+//!   `wdc_fqdn`-shaped stream: sealing it (ns per pointer) and finding
+//!   one pull delivery's pointers (ns per lookup);
 //! * `incremental_ingest` — a delta survey against a full recount after
 //!   a 1 % and a 10 % batch (whether the delta needs a pull side).
 //!
@@ -33,7 +36,7 @@ use std::time::Instant;
 
 use tripoll_core::{
     intersect_indices, kernel_stats_take, merge_path, FrameDecoder, IntersectKernel, KeyIndex,
-    ResidentGraph, ResidentQuery,
+    ResidentGraph, ResidentQuery, ResumePlan,
 };
 use tripoll_graph::{EdgeList, OrderKey, Partition};
 use tripoll_ygm::hash::hash64;
@@ -285,6 +288,60 @@ fn compare_push_decode() {
     }
 }
 
+/// Passes per resume-plan measurement.
+const PLAN_ITERS: usize = 32;
+
+/// One rank's dry run on `wdc_fqdn`'s scale: about 77 k resume
+/// pointers over about 20 k targets, pushed vertex-major (one to six
+/// per vertex slot, targets uniform over 20 000 page ids below 2^18).
+/// `seal` groups a freshly staged stream; `get` looks up every planned
+/// target once, in a scattered order, as pull deliveries arrive.
+fn compare_resume_plan() {
+    const POINTERS: usize = 77_000;
+    let ids: Vec<u64> = (0..20_000u64).map(|t| t * 13).collect();
+    let mut stream = Vec::with_capacity(POINTERS);
+    for slot in 0u32.. {
+        for i in 0..1 + hash64(slot as u64) % 6 {
+            let t = hash64((slot as u64) << 8 | i) % ids.len() as u64;
+            stream.push((ids[t as usize], slot, i as u32));
+        }
+        if stream.len() >= POINTERS {
+            break;
+        }
+    }
+    let mut plan = ResumePlan::new();
+    let mut seal_ns = 0.0;
+    for _ in 0..PLAN_ITERS {
+        for &(q, slot, idx) in &stream {
+            plan.push(q, slot, idx);
+        }
+        let start = Instant::now();
+        plan.seal();
+        seal_ns += start.elapsed().as_nanos() as f64;
+    }
+    let mut order: Vec<u64> = plan.runs().map(|(q, _)| q).collect();
+    order.sort_unstable_by_key(|&q| hash64(q));
+    let start = Instant::now();
+    let mut found = 0usize;
+    for _ in 0..PLAN_ITERS {
+        for &q in &order {
+            found += std::hint::black_box(plan.get(q)).len();
+        }
+    }
+    let get_ns = start.elapsed().as_nanos() as f64;
+    assert_eq!(found, stream.len() * PLAN_ITERS, "every pointer is found");
+    println!(
+        "plan/seal {:>8.2} ns/pointer  {:>6} pointers",
+        seal_ns / (stream.len() * PLAN_ITERS) as f64,
+        stream.len()
+    );
+    println!(
+        "plan/get  {:>8.2} ns/lookup   {:>6} targets",
+        get_ns / (order.len() * PLAN_ITERS) as f64,
+        order.len()
+    );
+}
+
 /// Streaming appends: after a 1 % / 10 % batch lands on a scale-10
 /// R-MAT graph, surveying only the delta wedges against recounting the
 /// whole graph.
@@ -341,5 +398,6 @@ fn main() {
     compare_intersect_kernels();
     compare_pull_probe();
     compare_push_decode();
+    compare_resume_plan();
     compare_incremental_ingest();
 }

@@ -768,14 +768,6 @@ impl KeyIndex {
     }
 }
 
-/// Where one element of a decoded frame starts in its vertex and
-/// degree columns.
-#[derive(Debug, Clone, Copy)]
-struct KeyOffsets {
-    v: usize,
-    d: usize,
-}
-
 /// The one frame decoder of both receive handlers: it decodes a
 /// frame's two key columns, whole, into a flat [`OrderKey`] column
 /// whose positions are the frame indices, and serves a frame that is a
@@ -784,10 +776,10 @@ struct KeyOffsets {
 /// A push apex ships, for every out-neighbour, the suffix of one list
 /// past it, so a rank receives runs of frames that are suffixes of the
 /// one before. The decoder keeps the last decoded frame's key column,
-/// its raw vertex and degree column bytes and each element's byte
-/// offset in both. A frame of `n'` elements can only be the suffix
-/// from element `j = n − n'` of a stored frame of `n`, and it is served
-/// as `&keys[j..]` when
+/// its raw vertex and degree column bytes in one buffer, and each
+/// element's `u32` byte offset in both columns. A frame of `n'`
+/// elements can only be the suffix from element `j = n − n'` of a
+/// stored frame of `n`, and it is served as `&keys[j..]` when
 ///
 /// 1. its vertex column equals the stored one from element `j`'s
 ///    offset,
@@ -802,7 +794,8 @@ struct KeyOffsets {
 /// increase, as every `<+`-sorted list and its suffixes do: a frame
 /// whose keys repeat or fall back fails, so every frame the decoder
 /// accepts is one on which the merge and the hash probe report the
-/// same pairs. A failed decode forgets the stored frame.
+/// same pairs. A failed decode forgets the stored frame, and a frame
+/// whose key columns outgrow `u32` offsets is decoded but not stored.
 ///
 /// Buffers are cleared, not reallocated, so one decoder serves every
 /// frame of a rank and allocates only while they grow.
@@ -830,12 +823,11 @@ struct KeyOffsets {
 pub struct FrameDecoder {
     /// The last decoded frame's keys.
     keys: Vec<OrderKey>,
-    /// Its vertex column bytes.
-    vcol: Vec<u8>,
-    /// Its degree column bytes.
-    dcol: Vec<u8>,
-    /// One entry per element, then one at the two column ends.
-    offsets: Vec<KeyOffsets>,
+    /// Its vertex column bytes, then its degree column bytes.
+    cols: Vec<u8>,
+    /// `(vertex, degree)` column offsets: one entry per element, then
+    /// one at the two column ends. Empty when no frame is stored.
+    offsets: Vec<(u32, u32)>,
 }
 
 impl FrameDecoder {
@@ -869,32 +861,39 @@ impl FrameDecoder {
     #[inline]
     fn suffix_start(&self, keys: &ColKeys<'_>) -> Option<usize> {
         let n = keys.remaining();
-        let j = self.keys.len().checked_sub(n)?;
+        let j = self.offsets.len().checked_sub(n + 1)?;
         if n == 0 {
             return None;
         }
         let (vcol, dcol) = keys.column_bytes();
-        if vcol != &self.vcol[self.offsets[j].v..] {
+        let vlen = self.offsets[self.keys.len()].0 as usize;
+        let (stored_v, stored_d) = self.cols.split_at(vlen);
+        if vcol != &stored_v[self.offsets[j].0 as usize..] {
             return None;
         }
         let mut d = WireReader::new(dcol);
         if d.take_varint().ok()? != self.keys[j].degree {
             return None;
         }
-        (dcol[d.position()..] == self.dcol[self.offsets[j + 1].d..]).then_some(j)
+        (dcol[d.position()..] == stored_d[self.offsets[j + 1].1 as usize..]).then_some(j)
     }
 
     /// Decodes every key of `keys` and stores the frame's column bytes
-    /// and element offsets.
+    /// and element offsets, if they fit `u32`.
     fn decode_fresh(&mut self, mut keys: ColKeys<'_>) -> Result<(), WireError> {
         let (vcol, dcol) = keys.column_bytes();
+        let store = vcol.len() + dcol.len() <= u32::MAX as usize;
         self.keys.clear();
         self.keys.reserve(keys.remaining());
         self.offsets.clear();
-        self.offsets.reserve(keys.remaining() + 1);
+        if store {
+            self.offsets.reserve(keys.remaining() + 1);
+        }
         loop {
-            let (v, d) = keys.positions();
-            self.offsets.push(KeyOffsets { v, d });
+            if store {
+                let (v, d) = keys.positions();
+                self.offsets.push((v as u32, d as u32));
+            }
             let Some(k) = keys.next_key() else { break };
             let k = k?;
             debug_assert_eq!(k.idx, self.keys.len(), "frame index is the position");
@@ -905,10 +904,11 @@ impl FrameDecoder {
             }
             self.keys.push(key);
         }
-        self.vcol.clear();
-        self.vcol.extend_from_slice(vcol);
-        self.dcol.clear();
-        self.dcol.extend_from_slice(dcol);
+        self.cols.clear();
+        if store {
+            self.cols.extend_from_slice(vcol);
+            self.cols.extend_from_slice(dcol);
+        }
         Ok(())
     }
 }

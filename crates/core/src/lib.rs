@@ -57,7 +57,7 @@ pub use engine::{
 };
 pub use meta::{SurveyCallback, TriangleMeta};
 pub use push_only::{survey_push_only, survey_push_only_with};
-pub use push_pull::{survey_push_pull, survey_push_pull_with};
+pub use push_pull::{survey_push_pull, survey_push_pull_with, ResumePlan};
 pub use service::{IngestDelta, QueryOutcome, ResidentGraph, ResidentQuery, StaleDeltaError};
 pub use surveys::delta::{SurveyDelta, SurveyDeltaSink, TriangleSample};
 pub use surveys::survey;

@@ -7,15 +7,16 @@
 //!
 //! 1. **Dry-run** — a communication-free pass records, per target vertex
 //!    `q`, resume pointers `(p, index of q in Adjm+(p))` for the pull
-//!    case (`ResumePlan`: one sorted vector with run-length grouping,
-//!    not a hash map per target). One `(q, count)` record per target —
-//!    the count of candidate edges this rank would push, derived from
-//!    the grouped pointers — goes to `Rank(q)`, which grants a pull when
+//!    case ([`ResumePlan`]: the pointers grouped by a radix sort on `q`
+//!    into one table keyed by target, found with one hash probe). One
+//!    `(q, count)` record per target, in increasing `q` — the count of
+//!    candidate edges this rank would push, derived from the grouped
+//!    pointers — goes to `Rank(q)`, which grants a pull when
 //!    `|Adjm+(q)| < count` — i.e. shipping `q`'s adjacency once is
 //!    cheaper than receiving `count` candidates — and otherwise replies
-//!    with a push veto.
-//! 2. **Push phase** — wedge batches for vetoed targets are pushed
-//!    exactly as in Push-Only.
+//!    with a push veto, which removes `q` from the plan.
+//! 2. **Push phase** — wedge batches for vetoed targets, the ones the
+//!    plan no longer holds, are pushed exactly as in Push-Only.
 //! 3. **Pull phase** — each owner ships `Adjm+(q)` once to every granted
 //!    rank (coalesced across that rank's sources); the puller resumes its
 //!    recorded pointers and intersects locally, running callbacks on
@@ -36,9 +37,10 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use tripoll_graph::{DistGraph, OrderKey};
-use tripoll_ygm::hash::{FastMap, FastSet};
+use tripoll_ygm::hash::FastMap;
 use tripoll_ygm::wire::{ColBatch, ColCursor, ColSuffixes, Wire};
 use tripoll_ygm::{Comm, Handler};
 
@@ -55,54 +57,162 @@ type DryRunMsg = (u64, u64, u32);
 /// the projection as three packed columns.
 type PullMsg<EM> = (u64, ColBatch<EM>);
 
-/// Dry-run resume pointers, grouped by wedge target.
+/// Dry-run resume pointers, keyed by wedge target.
 ///
 /// The paper's "pointers to efficiently iterate over source vertices
-/// stored locally" (§4.4). Stored as **one** `(q, slot, index)` vector
-/// sorted by `q` — runs of equal `q` are contiguous — rather than a map
-/// per target: building it is a push per wedge target plus one sort
-/// with no per-target allocation, the planned candidate count is
-/// derived from a run when the dry-run record is sent (so no second
-/// map), a target's pointers are found by binary search, and the
-/// post-dry-run veto filtering is an in-place `retain`.
-#[derive(Default)]
-struct ResumePlan {
-    /// `(q, vertex slot, adjacency index)`, sorted by `q` after
-    /// [`ResumePlan::seal`].
-    entries: Vec<(u64, u32, u32)>,
+/// stored locally" (§4.4). The dry run stages one `(q, slot, index)`
+/// pointer per wedge target, vertex-major, and [`ResumePlan::seal`]
+/// groups them by `q` without a comparison sort: a stable LSD radix
+/// sort on `q`, 8-bit digits, that skips every digit all staged targets
+/// share. One pass then splits the sorted pointers into a target table
+/// — `(q, start, end)` in increasing `q` — and the `(slot, index)`
+/// pointers themselves, 8 bytes each, every run in vertex-major order.
+/// One hash entry per target (never one per pointer) maps `q` to its
+/// row, so a pull delivery finds its run with one probe.
+///
+/// The planned candidate count is derived from a run when the dry-run
+/// record is sent, so there is no second map. A vetoed target is
+/// [removed](ResumePlan::remove): after the dry run the plan holds
+/// exactly the granted pulls, and the push phase skips a target exactly
+/// when the plan [contains](ResumePlan::contains) it.
+///
+/// ```
+/// use tripoll_core::ResumePlan;
+///
+/// let mut plan = ResumePlan::new();
+/// // (target, vertex slot, adjacency index), vertex-major.
+/// plan.push(9, 0, 0);
+/// plan.push(2, 0, 1);
+/// plan.push(9, 1, 0);
+/// plan.seal();
+/// assert_eq!(plan.get(9), &[(0, 0), (1, 0)]);
+/// plan.remove(9);
+/// assert!(!plan.contains(9));
+/// let runs: Vec<u64> = plan.runs().map(|(q, _)| q).collect();
+/// assert_eq!(runs, [2]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ResumePlan {
+    /// `(q, vertex slot, adjacency index)` as pushed, until sealed.
+    staged: Vec<(u64, u32, u32)>,
+    /// One `(q, start, end)` per target, in increasing `q`: its run is
+    /// `ptrs[start..end]`, empty once the target is removed.
+    targets: Vec<(u64, u32, u32)>,
+    /// `(vertex slot, adjacency index)`, grouped by target.
+    ptrs: Vec<(u32, u32)>,
+    /// `q` → its row in `targets`, for every target still planned.
+    rows: FastMap<u64, u32>,
 }
 
 impl ResumePlan {
-    /// Records one resume pointer (pre-seal, vertex-major order).
+    /// An empty plan.
+    pub fn new() -> Self {
+        ResumePlan::default()
+    }
+
+    /// Stages one resume pointer: `q`'s index `idx` in the adjacency
+    /// of the vertex in shard slot `slot`. Pointers are pushed
+    /// vertex-major, and a run keeps their order.
     #[inline]
-    fn push(&mut self, q: u64, slot: u32, idx: u32) {
-        self.entries.push((q, slot, idx));
+    pub fn push(&mut self, q: u64, slot: u32, idx: u32) {
+        self.staged.push((q, slot, idx));
     }
 
-    /// Sorts the pointers by target so equal-`q` runs are contiguous.
-    fn seal(&mut self) {
-        self.entries.sort_unstable();
+    /// Groups the staged pointers by target and indexes the targets,
+    /// replacing whatever the plan held.
+    ///
+    /// # Panics
+    ///
+    /// If more than `u32::MAX` pointers are staged.
+    pub fn seal(&mut self) {
+        let mut staged = std::mem::take(&mut self.staged);
+        assert!(
+            u32::try_from(staged.len()).is_ok(),
+            "a resume plan holds at most u32::MAX pointers"
+        );
+        radix_sort_by_target(&mut staged);
+        self.targets.clear();
+        self.ptrs.clear();
+        self.ptrs.reserve_exact(staged.len());
+        for &(q, slot, idx) in &staged {
+            let at = self.ptrs.len() as u32;
+            match self.targets.last_mut() {
+                Some(t) if t.0 == q => t.2 = at + 1,
+                _ => self.targets.push((q, at, at + 1)),
+            }
+            self.ptrs.push((slot, idx));
+        }
+        self.rows.clear();
+        self.rows.reserve(self.targets.len());
+        for (row, &(q, _, _)) in self.targets.iter().enumerate() {
+            self.rows.insert(q, row as u32);
+        }
     }
 
-    /// The contiguous runs, one per distinct target (requires a sealed
+    /// One run per planned target, in increasing `q` (requires a sealed
     /// plan).
-    fn runs(&self) -> impl Iterator<Item = (u64, &[(u64, u32, u32)])> {
-        self.entries
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|run| (run[0].0, run))
+    pub fn runs(&self) -> impl Iterator<Item = (u64, &[(u32, u32)])> {
+        self.targets
+            .iter()
+            .filter(|&&(_, start, end)| start < end)
+            .map(|&(q, start, end)| (q, &self.ptrs[start as usize..end as usize]))
     }
 
-    /// The resume pointers recorded for `q` (empty if none). Binary
-    /// search over the sealed vector.
-    fn get(&self, q: u64) -> &[(u64, u32, u32)] {
-        let start = self.entries.partition_point(|e| e.0 < q);
-        let end = start + self.entries[start..].partition_point(|e| e.0 == q);
-        &self.entries[start..end]
+    /// The resume pointers planned for `q` (empty if none): one probe.
+    #[inline]
+    pub fn get(&self, q: u64) -> &[(u32, u32)] {
+        match self.rows.get(&q) {
+            Some(&row) => {
+                let (_, start, end) = self.targets[row as usize];
+                &self.ptrs[start as usize..end as usize]
+            }
+            None => &[],
+        }
     }
 
-    /// Drops every pointer whose target fails `keep`, in place.
-    fn retain_targets(&mut self, mut keep: impl FnMut(u64) -> bool) {
-        self.entries.retain(|&(q, _, _)| keep(q));
+    /// Whether the plan still holds pointers for `q`.
+    #[inline]
+    pub fn contains(&self, q: u64) -> bool {
+        self.rows.contains_key(&q)
+    }
+
+    /// Drops `q` and its pointers from the plan; a target it does not
+    /// hold is ignored.
+    pub fn remove(&mut self, q: u64) {
+        if let Some(row) = self.rows.remove(&q) {
+            let t = &mut self.targets[row as usize];
+            t.2 = t.1;
+        }
+    }
+}
+
+/// Stable LSD radix sort of `v` on the target, one 8-bit digit per
+/// pass from the lowest. A digit every target shares moves nothing, so
+/// its pass is skipped; an empty or one-target `v` is never scattered.
+fn radix_sort_by_target(v: &mut Vec<(u64, u32, u32)>) {
+    let n = v.len();
+    let mut counts = [[0u32; 256]; 8];
+    for &(q, _, _) in v.iter() {
+        for (d, c) in counts.iter_mut().enumerate() {
+            c[(q >> (8 * d)) as usize & 0xff] += 1;
+        }
+    }
+    let mut out = Vec::new();
+    for (d, c) in counts.iter_mut().enumerate() {
+        if c.iter().any(|&k| k as usize == n) {
+            continue;
+        }
+        let mut at = 0;
+        for k in c.iter_mut() {
+            (*k, at) = (at, at + *k);
+        }
+        out.resize(n, (0, 0, 0));
+        for &e in v.iter() {
+            let b = (e.0 >> (8 * d)) as usize & 0xff;
+            out[c[b] as usize] = e;
+            c[b] += 1;
+        }
+        std::mem::swap(v, &mut out);
     }
 }
 
@@ -113,8 +223,9 @@ impl ResumePlan {
 /// resident graph therefore captures the plan on the first Push-Pull
 /// query at a given rank count and replays it (zero dry-run traffic)
 /// for every later query at that count, with bit-identical results: the
-/// replay prefills exactly the veto set, pull list, and post-veto
-/// resume pointers the fresh dry-run would have produced.
+/// replay prefills exactly the pull list and post-veto resume plan the
+/// fresh dry-run would have produced. The plan is shared behind an
+/// [`Arc`], so a replay copies no pointer.
 ///
 /// Plans are per-rank: rank `r`'s plan is only valid on rank `r` of a
 /// world with the same rank count over the same shards.
@@ -127,10 +238,8 @@ impl ResumePlan {
 /// fresh dry-run and re-captures.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DryRunPlan {
-    /// Post-veto resume pointers (sealed order).
-    entries: Vec<(u64, u32, u32)>,
-    /// Targets whose owner vetoed the pull, sorted.
-    veto: Vec<u64>,
+    /// The post-veto resume plan: exactly the granted pulls.
+    resume: Arc<ResumePlan>,
     /// Locally-owned vertices `q` → sorted ranks granted a pull.
     pull_list: Vec<(u64, Vec<u32>)>,
     /// Pull requests this rank granted.
@@ -150,10 +259,10 @@ pub(crate) enum PlanMode<'a> {
 #[derive(Default)]
 struct PpState {
     /// Resume pointers per wedge target (also yields the dry-run
-    /// planned counts; see [`ResumePlan`]).
-    resume: ResumePlan,
-    /// Targets whose owner vetoed the pull (push instead).
-    veto: FastSet<u64>,
+    /// planned counts; see [`ResumePlan`]). Vetoes remove their
+    /// targets, so after the dry run it holds exactly the granted
+    /// pulls.
+    resume: Arc<ResumePlan>,
     /// Local vertices q → ranks that will pull `Adjm+(q)`.
     pull_list: FastMap<u64, Vec<u32>>,
     /// Adjacency lists this rank pulled (received).
@@ -230,7 +339,7 @@ where
 
     let st_veto = st.clone();
     let veto_handler = comm.register::<u64, _>(move |_c, q| {
-        st_veto.borrow_mut().veto.insert(q);
+        Arc::make_mut(&mut st_veto.borrow_mut().resume).remove(q);
     });
 
     let st_dry = st.clone();
@@ -261,26 +370,24 @@ where
         // zero traffic. The phase barrier below still runs, keeping
         // the collective structure identical across modes.
         let mut s = st.borrow_mut();
-        s.resume.entries = plan.entries.clone();
-        s.veto = plan.veto.iter().copied().collect();
+        s.resume = plan.resume.clone();
         for (q, ranks) in &plan.pull_list {
             s.pull_list.insert(*q, ranks.clone());
         }
         s.grants = plan.grants;
     } else {
-        {
-            let mut s = st.borrow_mut();
-            for (slot, lv) in graph.shard().vertices().enumerate() {
-                for (i, e) in lv.adj.iter().enumerate() {
-                    let suffix_len = lv.adj.len() - i - 1;
-                    if suffix_len == 0 {
-                        break;
-                    }
-                    s.resume.push(e.v, slot as u32, i as u32);
+        let mut plan = ResumePlan::new();
+        for (slot, lv) in graph.shard().vertices().enumerate() {
+            for (i, e) in lv.adj.iter().enumerate() {
+                let suffix_len = lv.adj.len() - i - 1;
+                if suffix_len == 0 {
+                    break;
                 }
+                plan.push(e.v, slot as u32, i as u32);
             }
-            s.resume.seal();
         }
+        plan.seal();
+        st.borrow_mut().resume = Arc::new(plan);
         // One dry-run record per run; the planned candidate count is
         // the sum of the suffix lengths its pointers name.
         let s = st.borrow();
@@ -289,9 +396,7 @@ where
         for (q, run) in s.resume.runs() {
             let count: u64 = run
                 .iter()
-                .map(|&(_, slot, i)| {
-                    (shard.vertex(slot as usize).adj.len() - i as usize - 1) as u64
-                })
+                .map(|&(slot, i)| (shard.vertex(slot as usize).adj.len() - i as usize - 1) as u64)
                 .sum();
             comm.send(graph.owner(q), &dry_handler, &(q, count, my_rank));
         }
@@ -299,24 +404,13 @@ where
     comm.barrier();
     let dry_phase = timer.end();
 
-    // The dry-run's bookkeeping is O(wedge targets); release what the
-    // remaining phases will never read so the push phase doesn't carry
-    // it at peak: resume pointers of vetoed targets will be satisfied
-    // by pushes, not pulls (the veto set is final once the dry-run
-    // barrier completes). A replayed plan arrives already filtered.
-    if !matches!(mode, PlanMode::Replay(_)) {
-        let mut s = st.borrow_mut();
-        let veto = std::mem::take(&mut s.veto);
-        s.resume.retain_targets(|q| !veto.contains(&q));
-        s.veto = veto;
-    }
+    // Every veto has arrived once the dry-run barrier completes, so the
+    // plan now holds exactly the granted pulls.
     if let PlanMode::Capture(out) = mode {
         // Snapshot the post-veto dry-run outcome. Rank vectors and the
         // pull list arrive in message order, which is scheduling
         // dependent; sort them so a captured plan is deterministic.
         let s = st.borrow();
-        let mut veto: Vec<u64> = s.veto.iter().copied().collect();
-        veto.sort_unstable();
         let mut pull_list: Vec<(u64, Vec<u32>)> = s
             .pull_list
             .iter()
@@ -328,8 +422,7 @@ where
             .collect();
         pull_list.sort_unstable_by_key(|&(q, _)| q);
         *out = Some(DryRunPlan {
-            entries: s.resume.entries.clone(),
-            veto,
+            resume: s.resume.clone(),
             pull_list,
             grants: s.grants,
         });
@@ -339,7 +432,7 @@ where
     let timer = PhaseTimer::begin(comm, "push");
     {
         let s = st.borrow();
-        push_wedge_batches(comm, graph, &push_handler, |q| !s.veto.contains(&q));
+        push_wedge_batches(comm, graph, &push_handler, |q| s.resume.contains(q));
     }
     comm.barrier();
     let push_phase = timer.end();
@@ -407,7 +500,7 @@ where
             st.borrow_mut().pulled += 1;
             let s = st.borrow();
             let shard = g.shard();
-            for &(_, slot, idx) in s.resume.get(q) {
+            for &(slot, idx) in s.resume.get(q) {
                 let lv = shard.vertex(slot as usize);
                 let eq = &lv.adj[idx as usize];
                 debug_assert_eq!(eq.v, q);
@@ -451,7 +544,7 @@ where
         let frame_keys = frame_decoder.decode(keys)?;
         frame_index.build(frame_keys)?;
         let shard = g.shard();
-        for &(_, slot, idx) in resume.get(q) {
+        for &(slot, idx) in resume.get(q) {
             let lv = shard.vertex(slot as usize);
             let eq = &lv.adj[idx as usize];
             debug_assert_eq!(eq.v, q);
@@ -498,6 +591,7 @@ where
 mod tests {
     use super::*;
     use std::cell::Cell;
+    use std::collections::BTreeMap;
     use tripoll_graph::{build_dist_graph, EdgeList, Partition};
     use tripoll_ygm::World;
 
@@ -513,14 +607,78 @@ mod tests {
         plan.seal();
         let runs: Vec<(u64, usize)> = plan.runs().map(|(q, run)| (q, run.len())).collect();
         assert_eq!(runs, vec![(2, 2), (5, 1), (9, 2)]);
-        assert_eq!(plan.get(9), &[(9, 0, 0), (9, 1, 0)]);
-        assert_eq!(plan.get(5), &[(5, 1, 1)]);
+        assert_eq!(plan.get(9), &[(0, 0), (1, 0)]);
+        assert_eq!(plan.get(5), &[(1, 1)]);
         assert!(plan.get(7).is_empty());
-        plan.retain_targets(|q| q != 9);
+        assert!(plan.contains(9) && !plan.contains(7));
+        plan.remove(9);
+        plan.remove(7);
         assert!(plan.get(9).is_empty());
-        assert_eq!(plan.get(2), &[(2, 0, 1), (2, 2, 0)]);
+        assert!(!plan.contains(9));
+        assert_eq!(plan.get(2), &[(0, 1), (2, 0)]);
         let runs: Vec<u64> = plan.runs().map(|(q, _)| q).collect();
         assert_eq!(runs, vec![2, 5]);
+    }
+
+    /// Targets that exercise every radix digit: small ids, ids that
+    /// differ only in the top byte, and ids spread over all 64 bits.
+    fn plan_target(rng_word: u64, pick: u64) -> u64 {
+        match pick % 4 {
+            0 => rng_word % 8,
+            1 => (rng_word % 4) << 56 | 0x00ab_cdef,
+            2 => u64::MAX - rng_word % 3,
+            _ => rng_word,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+        /// A sealed plan, vetoes removed, answers `runs`, `get` (present
+        /// and absent targets) and the push-skip question exactly as a
+        /// `BTreeMap` from target to its pointers in push order does.
+        #[test]
+        fn resume_plan_matches_a_btreemap_oracle(
+            words in proptest::collection::vec((0u64..u64::MAX, 0u64..4), 0..160),
+            one_target in 0u64..4,
+            vetoes in proptest::collection::vec(0usize..200, 0..12),
+        ) {
+            let targets: Vec<u64> = if one_target == 0 {
+                // Every digit is shared: no radix pass runs.
+                vec![words.first().map_or(7, |&(w, _)| w); words.len()]
+            } else {
+                words.iter().map(|&(w, p)| plan_target(w, p)).collect()
+            };
+            let mut plan = ResumePlan::new();
+            let mut oracle: BTreeMap<u64, Vec<(u32, u32)>> = BTreeMap::new();
+            // Vertex-major: slots ascend, indices ascend within a slot.
+            for (i, &q) in targets.iter().enumerate() {
+                let (slot, idx) = ((i / 3) as u32, (i % 3) as u32);
+                plan.push(q, slot, idx);
+                oracle.entry(q).or_default().push((slot, idx));
+            }
+            plan.seal();
+            let keys: Vec<u64> = oracle.keys().copied().collect();
+            for &v in &vetoes {
+                // Half the vetoes name a planned target, half likely not.
+                let q = if v % 2 == 0 && !keys.is_empty() {
+                    keys[v % keys.len()]
+                } else {
+                    v as u64 * 0x9e37_79b9
+                };
+                plan.remove(q);
+                oracle.remove(&q);
+            }
+            let runs: Vec<(u64, Vec<(u32, u32)>)> =
+                plan.runs().map(|(q, run)| (q, run.to_vec())).collect();
+            let expected: Vec<(u64, Vec<(u32, u32)>)> =
+                oracle.iter().map(|(&q, run)| (q, run.clone())).collect();
+            proptest::prop_assert_eq!(runs, expected);
+            for q in keys.iter().copied().chain([3, 1 << 56, u64::MAX - 7]) {
+                let want = oracle.get(&q).map_or(&[][..], |run| &run[..]);
+                proptest::prop_assert_eq!(plan.get(q), want);
+                proptest::prop_assert_eq!(plan.contains(q), oracle.contains_key(&q));
+            }
+        }
     }
 
     fn run_count(edges: &[(u64, u64)], nranks: usize) -> (u64, Vec<SurveyReport>) {
@@ -761,7 +919,10 @@ mod tests {
                     .find(|(_, lv)| lv.adj.len() >= 2)
                     .expect("K8 has a vertex with two out-neighbours");
                 let (q, r) = (&lv.adj[0], &lv.adj[1]);
-                st.borrow_mut().resume.push(q.v, slot as u32, 0);
+                let mut plan = ResumePlan::new();
+                plan.push(q.v, slot as u32, 0);
+                plan.seal();
+                st.borrow_mut().resume = Arc::new(plan);
                 let mut keys = vec![(r.v, r.key.degree)];
                 keys.extend((0..63).map(|i| (i, (1 << 40) + i)));
                 mangle_keys(&mut keys);
