@@ -52,11 +52,6 @@ impl Histogram {
         self.counts[idx] += count;
     }
 
-    /// Records a single observation of a raw value via [`ceil_log2`].
-    pub fn observe_log2(&mut self, value: u64) {
-        self.add(ceil_log2(value), 1);
-    }
-
     /// Count in `bucket`.
     pub fn count(&self, bucket: u32) -> u64 {
         self.counts.get(bucket as usize).copied().unwrap_or(0)
@@ -65,11 +60,6 @@ impl Histogram {
     /// Total observations.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Largest non-empty bucket index, if any.
-    pub fn max_bucket(&self) -> Option<u32> {
-        self.counts.iter().rposition(|&c| c > 0).map(|i| i as u32)
     }
 
     /// Iterates `(bucket, count)` over non-empty buckets.
@@ -226,14 +216,13 @@ mod tests {
     #[test]
     fn histogram_basics() {
         let mut h = Histogram::new();
-        h.observe_log2(1); // bucket 0
-        h.observe_log2(7); // bucket 3
-        h.observe_log2(8); // bucket 3
+        for value in [1, 7, 8] {
+            h.add(ceil_log2(value), 1); // buckets 0, 3, 3
+        }
         assert_eq!(h.count(0), 1);
         assert_eq!(h.count(3), 2);
         assert_eq!(h.count(9), 0);
         assert_eq!(h.total(), 3);
-        assert_eq!(h.max_bucket(), Some(3));
         assert_eq!(h.iter().collect::<Vec<_>>(), vec![(0, 1), (3, 2)]);
     }
 

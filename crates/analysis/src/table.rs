@@ -23,8 +23,8 @@ impl Table {
         }
     }
 
-    /// Appends a row; must match the header arity.
-    pub fn add_row(&mut self, cells: &[String]) {
+    /// Appends a row of displayable values; must match the header arity.
+    pub fn row<D: std::fmt::Display>(&mut self, cells: &[D]) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -32,13 +32,8 @@ impl Table {
             cells.len(),
             self.headers.len()
         );
-        self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience: appends a row of displayable values.
-    pub fn row<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.add_row(&strings);
+        self.rows
+            .push(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Number of data rows.

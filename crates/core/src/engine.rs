@@ -311,15 +311,6 @@ impl SurveyReport {
     pub fn local_stats(&self) -> CommStats {
         CommStats::sum(self.phases.iter().map(|p| &p.stats))
     }
-
-    /// Seconds spent in the named phase (0 if absent).
-    pub fn phase_seconds(&self, name: &str) -> f64 {
-        self.phases
-            .iter()
-            .filter(|p| p.name == name)
-            .map(|p| p.seconds)
-            .sum()
-    }
 }
 
 /// Tracks a phase: wraps timing and counter deltas around a closure.
@@ -987,8 +978,6 @@ mod tests {
             pull_grants: 2,
         };
         assert_eq!(report.local_stats().bytes_remote, 140);
-        assert!((report.phase_seconds("push") - 2.0).abs() < 1e-12);
-        assert_eq!(report.phase_seconds("nope"), 0.0);
     }
 
     #[test]

@@ -230,12 +230,14 @@ fn radix_sort_by_target(v: &mut Vec<(u64, u32, u32)>) {
 /// Plans are per-rank: rank `r`'s plan is only valid on rank `r` of a
 /// world with the same rank count over the same shards.
 ///
-/// "Same shards" is enforced by lifetime, not by checksum: captured
-/// plans live inside the resident tier's per-world-size cache, and
-/// `ResidentGraph::ingest_batch` drops that cache wholesale when a
-/// batch changes the storage — degrees, `d+`, and pull decisions may
-/// all shift, so the first Push-Pull query after an ingest runs a
-/// fresh dry-run and re-captures.
+/// "Same shards" holds by construction, not by checksum: captured
+/// plans live inside the resident tier's per-world-size state next to
+/// the shards they were captured from, and a query replays a plan only
+/// in a world built from that same state.
+/// `ResidentGraph::ingest_batch` drops the cache of those states
+/// wholesale when a batch changes the storage — degrees, `d+`, and pull
+/// decisions may all shift, so the first Push-Pull query after an
+/// ingest runs a fresh dry-run and re-captures.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DryRunPlan {
     /// The post-veto resume plan: exactly the granted pulls.

@@ -71,7 +71,7 @@ use tripoll_graph::ingest::{BatchDelta, ReverseIndex, StagedBatch};
 use tripoll_graph::snapshot::{decode_snapshot, encode_snapshot, load_snapshot, SnapshotError};
 use tripoll_graph::{DistGraph, EdgeList, GraphError, LocalShard, LocalVertex, Partition};
 use tripoll_ygm::wire::Wire;
-use tripoll_ygm::{Comm, World, WorldOutput};
+use tripoll_ygm::{Comm, World};
 
 use crate::delta::survey_delta_push;
 use crate::engine::{kernel_stats_take, EngineMode, KernelStats, SurveyConfig, SurveyReport};
@@ -450,22 +450,6 @@ where
         self.run_in_world(&ws, query, f)
     }
 
-    /// [`ResidentGraph::run`] that also returns each rank's final
-    /// communication counters (bytes, records, flushes) — the
-    /// per-query world's [`WorldOutput`].
-    pub fn run_with_stats<R, F>(&self, query: &ResidentQuery, f: F) -> WorldOutput<R>
-    where
-        R: Send,
-        F: Fn(&Comm, &DistGraph<VM, EM>) -> R + Sync,
-    {
-        let ws = self.world_state(query.nranks);
-        World::new(query.nranks).run_with_stats(|comm| {
-            let g =
-                DistGraph::from_parts(ws.shards[comm.rank()].clone(), self.partition, query.nranks);
-            f(comm, &g)
-        })
-    }
-
     /// Runs `f` against an already-fetched world state (a storage
     /// snapshot): later ingests cannot affect this world.
     fn run_in_world<R, F>(&self, ws: &WorldState<VM, EM>, query: &ResidentQuery, f: F) -> Vec<R>
@@ -480,6 +464,33 @@ where
         })
     }
 
+    /// Runs one survey per rank of a fresh world over `ws`, taking the
+    /// rank's kernel counters around it. `survey` returns the rank's
+    /// report plus whatever else the caller keeps (a captured plan);
+    /// both come back in rank order.
+    fn survey_in_world<T, S>(
+        &self,
+        ws: &WorldState<VM, EM>,
+        query: &ResidentQuery,
+        survey: S,
+    ) -> (Vec<QueryOutcome>, Vec<T>)
+    where
+        T: Send,
+        S: Fn(&Comm, &DistGraph<VM, EM>) -> (SurveyReport, T) + Sync,
+    {
+        self.run_in_world(ws, query, |comm, g| {
+            let _ = kernel_stats_take();
+            let (report, kept) = survey(comm, g);
+            let outcome = QueryOutcome {
+                report,
+                kernel: kernel_stats_take(),
+            };
+            (outcome, kept)
+        })
+        .into_iter()
+        .unzip()
+    }
+
     /// Runs a triangle survey in a fresh per-query world against the
     /// resident storage. The callback executes once per triangle with
     /// all six metadata values, exactly as in the from-scratch
@@ -489,65 +500,46 @@ where
     /// For [`EngineMode::PushPull`], the first query at a given world
     /// size captures the dry-run plan; later queries at that size
     /// replay it (any [`SurveyConfig`] — the plan does not depend on
-    /// the engine configuration).
+    /// the engine configuration). The query runs on the one world state
+    /// it fetched, so a plan is only ever replayed over the shards it
+    /// was captured from, whatever an ingest does meanwhile.
     pub fn survey<F>(&self, query: &ResidentQuery, callback: F) -> Vec<QueryOutcome>
     where
         F: Fn(&Comm, &TriangleMeta<'_, VM, EM>) + Send + Sync + 'static,
     {
         let ws = self.world_state(query.nranks);
         let cb = Arc::new(callback);
-        match query.mode {
-            EngineMode::PushOnly => self.run(query, |comm, g| {
-                let cb = cb.clone();
-                let _ = kernel_stats_take();
-                let report =
-                    survey_push_only_with(comm, g, query.config, move |c: &Comm, tm| cb(c, tm));
-                QueryOutcome {
-                    report,
-                    kernel: kernel_stats_take(),
-                }
-            }),
-            EngineMode::PushPull => {
-                if let Some(plans) = ws.plans.get().cloned() {
-                    self.run(query, |comm, g| {
-                        let cb = cb.clone();
-                        let _ = kernel_stats_take();
-                        let report = survey_push_pull_planned(
-                            comm,
-                            g,
-                            query.config,
-                            PlanMode::Replay(&plans[comm.rank()]),
-                            move |c: &Comm, tm| cb(c, tm),
-                        );
-                        QueryOutcome {
-                            report,
-                            kernel: kernel_stats_take(),
-                        }
-                    })
-                } else {
-                    let results = self.run(query, |comm, g| {
-                        let cb = cb.clone();
-                        let _ = kernel_stats_take();
-                        let mut plan = None;
-                        let report = survey_push_pull_planned(
-                            comm,
-                            g,
-                            query.config,
-                            PlanMode::Capture(&mut plan),
-                            move |c: &Comm, tm| cb(c, tm),
-                        );
-                        let outcome = QueryOutcome {
-                            report,
-                            kernel: kernel_stats_take(),
-                        };
-                        (outcome, plan.expect("capture mode fills the plan"))
-                    });
-                    let (outcomes, plans): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-                    // Two queries can race to be first; the loser's
-                    // identical plan is simply discarded.
-                    let _ = ws.plans.set(Arc::new(plans));
-                    outcomes
-                }
+        match (query.mode, ws.plans.get()) {
+            (EngineMode::PushOnly, _) => {
+                self.survey_in_world(&ws, query, |comm, g| {
+                    let report = survey_push_only_with(comm, g, query.config, rank_callback(&cb));
+                    (report, ())
+                })
+                .0
+            }
+            (EngineMode::PushPull, Some(plans)) => {
+                self.survey_in_world(&ws, query, |comm, g| {
+                    let mode = PlanMode::Replay(&plans[comm.rank()]);
+                    let cb = rank_callback(&cb);
+                    (
+                        survey_push_pull_planned(comm, g, query.config, mode, cb),
+                        (),
+                    )
+                })
+                .0
+            }
+            (EngineMode::PushPull, None) => {
+                let (outcomes, plans) = self.survey_in_world(&ws, query, |comm, g| {
+                    let mut plan = None;
+                    let mode = PlanMode::Capture(&mut plan);
+                    let cb = rank_callback(&cb);
+                    let report = survey_push_pull_planned(comm, g, query.config, mode, cb);
+                    (report, plan.expect("capture mode fills the plan"))
+                });
+                // Two queries can race to be first; the loser's
+                // identical plan is simply discarded.
+                let _ = ws.plans.set(Arc::new(plans));
+                outcomes
             }
         }
     }
@@ -596,16 +588,11 @@ where
         };
         let cb = Arc::new(callback);
         let plan = delta.plan.clone();
-        Ok(self.run_in_world(&ws, query, |comm, g| {
-            let cb = cb.clone();
-            let _ = kernel_stats_take();
-            let report =
-                survey_delta_push(comm, g, &plan, query.config, move |c: &Comm, tm| cb(c, tm));
-            QueryOutcome {
-                report,
-                kernel: kernel_stats_take(),
-            }
-        }))
+        let (outcomes, _) = self.survey_in_world(&ws, query, |comm, g| {
+            let report = survey_delta_push(comm, g, &plan, query.config, rank_callback(&cb));
+            (report, ())
+        });
+        Ok(outcomes)
     }
 
     /// Convenience: the global triangle count of one query.
@@ -617,6 +604,15 @@ where
         });
         total.load(Ordering::Relaxed)
     }
+}
+
+/// One rank's handle on a query's shared callback.
+fn rank_callback<VM, EM, F>(cb: &Arc<F>) -> impl Fn(&Comm, &TriangleMeta<'_, VM, EM>) + 'static
+where
+    F: Fn(&Comm, &TriangleMeta<'_, VM, EM>) + 'static,
+{
+    let cb = cb.clone();
+    move |c: &Comm, tm: &TriangleMeta<'_, VM, EM>| cb(c, tm)
 }
 
 #[cfg(test)]

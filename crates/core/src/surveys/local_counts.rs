@@ -13,8 +13,6 @@
 //!   support values a k-truss decomposition filters on),
 //! * [`clustering_coefficients`] — per-vertex `2·T(v) / (d(v)·(d(v)−1))`.
 
-use std::hash::Hash;
-
 use tripoll_graph::DistGraph;
 use tripoll_ygm::container::DistCountingSet;
 use tripoll_ygm::wire::Wire;
@@ -109,16 +107,16 @@ where
     (out, report)
 }
 
-/// Hash-map view of a gathered count list (test/analysis convenience).
-pub fn as_map<K: Eq + Hash, V>(pairs: Vec<(K, V)>) -> std::collections::HashMap<K, V> {
-    pairs.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tripoll_graph::{build_dist_graph, EdgeList, Partition};
     use tripoll_ygm::World;
+
+    /// Hash-map view of a gathered count list.
+    fn as_map<K: Eq + std::hash::Hash, V>(pairs: Vec<(K, V)>) -> std::collections::HashMap<K, V> {
+        pairs.into_iter().collect()
+    }
 
     fn bowtie() -> EdgeList<()> {
         // Two triangles sharing vertex 2: {0,1,2} and {2,3,4}.

@@ -55,7 +55,7 @@ impl RmatConfig {
     }
 
     /// Number of generated edge records.
-    pub fn edge_records(&self) -> u64 {
+    fn edge_records(&self) -> u64 {
         u64::from(self.edge_factor) << self.scale
     }
 }

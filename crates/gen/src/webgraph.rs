@@ -68,8 +68,6 @@ struct WebMeta {
     domain_of_page: Vec<u32>,
     /// FQDN of each domain.
     domain_names: Vec<String>,
-    /// First page (the "index page") of each domain.
-    index_page: Vec<u64>,
 }
 
 /// A generated web graph: topology plus the page→FQDN mapping.
@@ -101,15 +99,6 @@ impl WebGraph {
     pub fn fqdn_fn(&self) -> impl Fn(u64) -> String + Clone + Send + Sync + 'static {
         let meta = Arc::clone(&self.meta);
         move |v: u64| meta.domain_names[meta.domain_of_page[v as usize] as usize].clone()
-    }
-
-    /// The index page of a named domain, if the domain exists.
-    pub fn index_page_of(&self, fqdn: &str) -> Option<u64> {
-        self.meta
-            .domain_names
-            .iter()
-            .position(|d| d == fqdn)
-            .map(|d| self.meta.index_page[d])
     }
 }
 
@@ -248,7 +237,6 @@ pub fn web_graph(cfg: &WebGraphConfig) -> WebGraph {
         meta: Arc::new(WebMeta {
             domain_of_page,
             domain_names,
-            index_page,
         }),
     }
 }
@@ -257,6 +245,18 @@ pub fn web_graph(cfg: &WebGraphConfig) -> WebGraph {
 mod tests {
     use super::*;
     use tripoll_graph::Csr;
+
+    /// The index page (first page) of a named domain, if the domain
+    /// exists.
+    fn index_page_of(g: &WebGraph, fqdn: &str) -> Option<u64> {
+        let d = g.meta.domain_names.iter().position(|d| d == fqdn)?;
+        let page = g
+            .meta
+            .domain_of_page
+            .iter()
+            .position(|&p| p as usize == d)?;
+        Some(page as u64)
+    }
 
     fn small() -> WebGraphConfig {
         WebGraphConfig {
@@ -321,14 +321,14 @@ mod tests {
     #[test]
     fn planted_domains_are_wired() {
         let g = web_graph(&small());
-        let amazon = g.index_page_of("amazon.example").unwrap();
-        let abebooks = g.index_page_of("abebooks.example").unwrap();
+        let amazon = index_page_of(&g, "amazon.example").unwrap();
+        let abebooks = index_page_of(&g, "abebooks.example").unwrap();
         assert!(g
             .edges
             .iter()
             .any(|&(u, v)| (u, v) == (amazon, abebooks) || (v, u) == (amazon, abebooks)));
-        assert!(g.index_page_of("lib0.edu.example").is_some());
-        assert!(g.index_page_of("nonexistent.example").is_none());
+        assert!(index_page_of(&g, "lib0.edu.example").is_some());
+        assert!(index_page_of(&g, "nonexistent.example").is_none());
     }
 
     #[test]
@@ -339,7 +339,7 @@ mod tests {
             "abebooks.example",
             "university.edu.example",
         ] {
-            let p = g.index_page_of(name).unwrap();
+            let p = index_page_of(&g, name).unwrap();
             assert_eq!(g.fqdn(p), name);
         }
     }

@@ -166,7 +166,7 @@ impl<VM, EM> LocalShard<VM, EM> {
 
     /// Slot of the locally-owned vertex `id`.
     #[inline]
-    pub fn slot_of(&self, id: u64) -> Option<usize> {
+    fn slot_of(&self, id: u64) -> Option<usize> {
         self.index.get(&id).map(|&slot| slot as usize)
     }
 

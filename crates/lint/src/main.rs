@@ -22,15 +22,20 @@
 //!    every setting of a survey or a generator is an explicit argument,
 //!    never an environment knob.
 //!
+//! After the findings, `--workspace` prints the **unused-pub report**:
+//! each top-level `pub` item under `crates/*/src` whose name no other
+//! `.rs` file (see `READER_ROOTS`) names in code, so it is dead or
+//! wider than it needs to be. It never changes the exit status.
+//!
 //! The scanner is token-level, not a parser: it splits each line into
 //! code and comment text, neutralizing string/char literals and
 //! handling nested block comments and raw strings, which is exactly
-//! enough precision for the four checks above.
+//! enough precision for the four checks and the report.
 //!
 //! Usage: `cargo run -p tripoll-lint -- --workspace` from the
 //! repository root. Exits nonzero if any finding is reported.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -82,16 +87,9 @@ fn main() {
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut seen_ordering_files: Vec<String> = Vec::new();
+    let mut scanned: Vec<(String, Vec<Line>)> = Vec::new();
     for path in &files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("tripoll-lint: cannot read {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        };
-        let rel = path.to_string_lossy().replace('\\', "/");
-        let lines = scan(&text);
+        let (rel, lines) = read_scanned(path);
         check_unsafe(&rel, &lines, &mut findings);
         let counts = ordering_counts(&lines);
         if !counts.is_empty() {
@@ -102,6 +100,7 @@ fn main() {
         if workspace && warn_only_crate_root(path).is_some() {
             check_missing_docs(&rel, &lines, &mut findings);
         }
+        scanned.push((rel, lines));
     }
     // Allowlist entries whose file vanished (or no longer has atomics)
     // are stale and must be pruned.
@@ -123,8 +122,39 @@ fn main() {
         println!("tripoll-lint: {} files clean", files.len());
     } else {
         println!("tripoll-lint: {} finding(s)", findings.len());
+    }
+    if workspace {
+        let mut readers = Vec::new();
+        for root in READER_ROOTS {
+            collect_rs_files(Path::new(root), &mut readers);
+        }
+        readers.sort();
+        scanned.extend(readers.iter().map(|p| read_scanned(p)));
+        let report = unused_pub(&scanned);
+        println!(
+            "tripoll-lint: unused-pub report (not a gate): {} top-level pub item(s) \
+             that no other file names",
+            report.len()
+        );
+        for r in &report {
+            println!("{r}");
+        }
+    }
+    if !findings.is_empty() {
         std::process::exit(1);
     }
+}
+
+/// Reads and scans one file; exits with status 2 if it cannot be read.
+fn read_scanned(path: &Path) -> (String, Vec<Line>) {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("tripoll-lint: cannot read {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    };
+    (path.to_string_lossy().replace('\\', "/"), scan(&text))
 }
 
 /// One reported violation.
@@ -660,6 +690,81 @@ fn check_env_free(file: &str, lines: &[Line], findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
+// Report: unused pub (printed, never a finding)
+// ---------------------------------------------------------------------
+
+/// Trees, besides `crates/`, whose `.rs` files count as readers of a
+/// public item in the unused-pub report.
+const READER_ROOTS: [&str; 5] = [
+    "src",
+    "tests",
+    "examples",
+    "benchmark/src",
+    "benchmark/tests",
+];
+
+/// Item keywords whose next identifier is the declared name.
+const ITEM_KEYWORDS: [&str; 8] = [
+    "fn", "struct", "enum", "trait", "const", "static", "type", "union",
+];
+
+/// The name a top-level `pub` item line declares, if it declares one
+/// (`pub mod` and `pub use` do not count: a module is named by its
+/// path, a re-export by its source item).
+fn pub_item_name(code: &str) -> Option<&str> {
+    let words: Vec<&str> = identifiers(code.strip_prefix("pub ")?).collect();
+    let at = words.iter().position(|w| ITEM_KEYWORDS.contains(w))?;
+    // `pub const fn name` and `pub static mut NAME` put one more word
+    // before the name.
+    let skip = matches!(words.get(at + 1), Some(&"fn" | &"mut"));
+    words.get(at + 1 + usize::from(skip)).copied()
+}
+
+/// The identifier tokens of a code half (literal contents are already
+/// blanked by [`scan`]).
+fn identifiers(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// Whether `file` is a library source under `crates/<name>/src/`.
+fn in_crate_src(file: &str) -> bool {
+    let mut parts = file.trim_start_matches("./").split('/');
+    parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src")
+}
+
+/// Every top-level `pub` item declared under `crates/*/src` whose name
+/// appears in the code of no file of `files` other than its own.
+/// Names match whole identifiers, so a name that is only a prefix of a
+/// used name is still reported.
+fn unused_pub(files: &[(String, Vec<Line>)]) -> Vec<Finding> {
+    let mut naming_files: HashMap<&str, usize> = HashMap::new();
+    for (_, lines) in files {
+        let names: HashSet<&str> = lines.iter().flat_map(|l| identifiers(&l.code)).collect();
+        for name in names {
+            *naming_files.entry(name).or_default() += 1;
+        }
+    }
+    let mut report = Vec::new();
+    for (file, lines) in files.iter().filter(|(f, _)| in_crate_src(f)) {
+        for (idx, line) in lines.iter().enumerate() {
+            let Some(name) = pub_item_name(&line.code) else {
+                continue;
+            };
+            if naming_files.get(name).copied().unwrap_or(0) <= 1 {
+                report.push(Finding {
+                    file: file.clone(),
+                    line: idx + 1,
+                    rule: "unused-pub",
+                    msg: format!("`{name}` is named by no other file"),
+                });
+            }
+        }
+    }
+    report
+}
+
+// ---------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
@@ -818,6 +923,49 @@ mod tests {
         // Prose, literals and other `env` items do not count.
         let benign = "// std::env::var is banned here\nlet s = \"env::var\";\nlet d = std::env::temp_dir();\n";
         assert_eq!(env_findings("crates/core/src/a.rs", benign), 0);
+    }
+
+    fn unused_names(files: &[(&str, &str)]) -> Vec<String> {
+        let scanned: Vec<(String, Vec<Line>)> = files
+            .iter()
+            .map(|(path, src)| (path.to_string(), scan(src)))
+            .collect();
+        unused_pub(&scanned)
+            .iter()
+            .map(|f| f.msg.split('`').nth(1).unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn unused_pub_reports_only_names_no_other_file_uses() {
+        let lib = "/// Used.\npub fn used() {}\n/// Unused.\npub struct Unused;\n\
+                   pub const fn also_unused() {}\npub static mut COUNTER: u32 = 0;\n\
+                   pub mod sub;\npub use other::Thing;\n    pub fn method() {}\n";
+        let user = "fn main() { used(); } // Unused, COUNTER\nlet s = \"also_unused\";\n";
+        let got = unused_names(&[("crates/a/src/lib.rs", lib), ("tests/t.rs", user)]);
+        assert_eq!(got, ["Unused", "also_unused", "COUNTER"]);
+    }
+
+    #[test]
+    fn unused_pub_matches_whole_names_only() {
+        // `foo` is a prefix of the used `foo_bar`: still unused.
+        let lib = "pub fn foo() {}\npub fn foo_bar() {}\n";
+        let user = "fn main() { foo_bar(); }\n";
+        let got = unused_names(&[("crates/a/src/lib.rs", lib), ("examples/e.rs", user)]);
+        assert_eq!(got, ["foo"]);
+    }
+
+    #[test]
+    fn unused_pub_covers_crate_sources_only() {
+        // An item declared outside `crates/*/src` is never reported, and
+        // a use in the declaring file itself does not count.
+        let lib = "pub fn solo() {}\nfn f() { solo(); }\n";
+        let got = unused_names(&[
+            ("crates/a/src/lib.rs", lib),
+            ("tests/t.rs", "pub fn helper() {}\n"),
+            ("crates/shims/x/src/lib.rs", "pub fn shim() {}\n"),
+        ]);
+        assert_eq!(got, ["solo"]);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! hundreds of records.
 //!
 //! [`SendBuffer`] is that accumulation buffer. It stores the concatenated
-//! `(handler_id, payload)` records plus the record count, and reports when
-//! the flush policy says it should be shipped.
+//! `(handler_id, payload)` records and reports when the flush policy says
+//! it should be shipped.
 
-use crate::wire::{put_varint, Wire};
+use crate::wire::put_varint;
 
 /// Recycles drained send-buffer allocations.
 ///
@@ -75,11 +75,6 @@ impl BufferPool {
         }
     }
 
-    /// Vectors currently pooled.
-    pub fn available(&self) -> usize {
-        self.free.len()
-    }
-
     /// Times [`BufferPool::take`] was served from the pool.
     pub fn reuses(&self) -> u64 {
         self.reuses
@@ -90,7 +85,6 @@ impl BufferPool {
 #[derive(Debug, Default)]
 pub struct SendBuffer {
     data: Vec<u8>,
-    records: u64,
 }
 
 impl SendBuffer {
@@ -99,17 +93,9 @@ impl SendBuffer {
         SendBuffer::default()
     }
 
-    /// Appends one `(handler_id, payload)` record.
-    ///
-    /// Returns the number of bytes the record occupies on the wire.
-    #[inline]
-    pub fn push_record<M: Wire>(&mut self, handler_id: u32, msg: &M) -> usize {
-        self.push_record_with(handler_id, |buf| msg.encode(buf))
-    }
-
-    /// Appends one record whose payload is written directly into the
-    /// buffer by `write` — the encode-once path: no intermediate owned
-    /// message, no scratch allocation.
+    /// Appends one `(handler_id, payload)` record whose payload is
+    /// written directly into the buffer by `write` — the encode-once
+    /// path: no intermediate owned message, no scratch allocation.
     ///
     /// Returns the number of bytes the record occupies on the wire.
     #[inline]
@@ -117,7 +103,6 @@ impl SendBuffer {
         let before = self.data.len();
         put_varint(&mut self.data, u64::from(handler_id));
         write(&mut self.data);
-        self.records += 1;
         self.data.len() - before
     }
 
@@ -129,7 +114,6 @@ impl SendBuffer {
     #[inline]
     pub fn push_raw(&mut self, bytes: &[u8]) -> usize {
         self.data.extend_from_slice(bytes);
-        self.records += 1;
         bytes.len()
     }
 
@@ -145,58 +129,45 @@ impl SendBuffer {
         self.data.is_empty()
     }
 
-    /// Records currently buffered.
-    #[inline]
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
     /// True when the buffer has reached the flush threshold.
     #[inline]
     pub fn should_flush(&self, threshold: usize) -> bool {
         self.data.len() >= threshold
     }
 
-    /// Removes and returns the buffered payload and record count, leaving
-    /// the buffer empty (its allocation is surrendered with the payload —
-    /// the receiving rank frees it, mirroring an MPI send buffer handoff).
+    /// Removes and returns the buffered payload (its allocation is
+    /// surrendered with it — the receiving rank frees or recycles it,
+    /// mirroring an MPI send buffer handoff) and restarts the buffer from
+    /// a recycled allocation out of `pool`, so subsequent records append
+    /// into already-grown storage.
     #[inline]
-    pub fn drain(&mut self) -> (Vec<u8>, u64) {
-        let records = self.records;
-        self.records = 0;
-        (std::mem::take(&mut self.data), records)
-    }
-
-    /// Like [`SendBuffer::drain`], but restarts the buffer from a
-    /// recycled allocation out of `pool` instead of an empty `Vec`, so
-    /// subsequent records append into already-grown storage.
-    #[inline]
-    pub fn drain_pooled(&mut self, pool: &mut BufferPool) -> (Vec<u8>, u64) {
-        let records = self.records;
-        self.records = 0;
-        (std::mem::replace(&mut self.data, pool.take()), records)
+    pub fn drain_pooled(&mut self, pool: &mut BufferPool) -> Vec<u8> {
+        std::mem::replace(&mut self.data, pool.take())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{WireError, WireReader};
+    use crate::wire::{Wire, WireEncode, WireError, WireReader};
+
+    /// A pool that retains nothing: draining through it hands out the
+    /// payload and restarts the buffer from an empty `Vec`.
+    fn no_pool() -> BufferPool {
+        BufferPool::new(0, 0)
+    }
 
     #[test]
     fn push_and_drain() {
         let mut b = SendBuffer::new();
         assert!(b.is_empty());
-        let n1 = b.push_record(3, &(7u64, 9u64));
-        let n2 = b.push_record(4, &"hi".to_string());
-        assert_eq!(b.records(), 2);
+        let n1 = b.push_record_with(3, |buf| (7u64, 9u64).encode(buf));
+        let n2 = b.push_record_with(4, |buf| "hi".to_string().encode(buf));
         assert_eq!(b.len(), n1 + n2);
 
-        let (data, records) = b.drain();
-        assert_eq!(records, 2);
+        let data = b.drain_pooled(&mut no_pool());
         assert_eq!(data.len(), n1 + n2);
         assert!(b.is_empty());
-        assert_eq!(b.records(), 0);
 
         // The drained bytes decode back into the records we pushed.
         let mut r = WireReader::new(&data);
@@ -213,12 +184,12 @@ mod tests {
         let mut b = SendBuffer::new();
         assert!(!b.should_flush(16));
         // Zero threshold flushes on any content.
-        b.push_record(0, &1u8);
+        b.push_record_with(0, |buf| 1u8.encode(buf));
         assert!(b.should_flush(0));
         assert!(b.should_flush(1));
         assert!(!b.should_flush(1024));
         while b.len() < 1024 {
-            b.push_record(0, &0xffff_ffff_ffffu64);
+            b.push_record_with(0, |buf| 0xffff_ffff_ffffu64.encode(buf));
         }
         assert!(b.should_flush(1024));
     }
@@ -228,36 +199,34 @@ mod tests {
         // A (u32 vertex, u32 vertex) record with a one-byte handler id must
         // cost single-digit bytes — this is the communication-volume story.
         let mut b = SendBuffer::new();
-        let n = b.push_record(2, &(17u32, 103u32));
+        let n = b.push_record_with(2, |buf| (17u32, 103u32).encode(buf));
         assert!(n <= 3 + 1, "record cost {n} bytes");
     }
 
     #[test]
-    fn push_record_with_matches_push_record() {
+    fn borrowed_encoding_frames_the_owned_record() {
         let mut a = SendBuffer::new();
         let mut b = SendBuffer::new();
         let msg = (17u64, "meta".to_string());
-        let na = a.push_record(5, &msg);
-        let nb = b.push_record_with(5, |buf| {
-            use crate::wire::WireEncode;
-            (17u64, &msg.1).encode_wire(buf);
-        });
+        let na = a.push_record_with(5, |buf| msg.encode(buf));
+        let nb = b.push_record_with(5, |buf| (17u64, &msg.1).encode_wire(buf));
         assert_eq!(na, nb);
-        assert_eq!(a.drain().0, b.drain().0);
+        assert_eq!(
+            a.drain_pooled(&mut no_pool()),
+            b.drain_pooled(&mut no_pool())
+        );
     }
 
     #[test]
     fn push_raw_replays_an_encoded_record() {
         let mut origin = SendBuffer::new();
-        origin.push_record(9, &(1u64, 2u64));
-        let (bytes, _) = origin.drain();
+        origin.push_record_with(9, |buf| (1u64, 2u64).encode(buf));
+        let bytes = origin.drain_pooled(&mut no_pool());
 
         let mut fanout = SendBuffer::new();
         assert_eq!(fanout.push_raw(&bytes), bytes.len());
         assert_eq!(fanout.push_raw(&bytes), bytes.len());
-        assert_eq!(fanout.records(), 2);
-        let (data, records) = fanout.drain();
-        assert_eq!(records, 2);
+        let data = fanout.drain_pooled(&mut no_pool());
         let mut r = WireReader::new(&data);
         for _ in 0..2 {
             assert_eq!(r.take_varint().unwrap(), 9);
@@ -271,23 +240,23 @@ mod tests {
         let mut pool = BufferPool::new(2, 1 << 20);
         let mut b = SendBuffer::new();
         for i in 0..100u64 {
-            b.push_record(0, &i);
+            b.push_record_with(0, |buf| i.encode(buf));
         }
-        let (data, _) = b.drain_pooled(&mut pool);
+        let data = b.drain_pooled(&mut pool);
         let grown = data.capacity();
         assert!(grown > 0);
         pool.put(data);
-        assert_eq!(pool.available(), 1);
+        assert_eq!(pool.free.len(), 1);
 
         // Next drain restarts the send buffer from the recycled vector.
-        b.push_record(0, &1u64);
+        b.push_record_with(0, |buf| 1u64.encode(buf));
         let before_reuses = pool.reuses();
         let _ = b.drain_pooled(&mut pool);
         assert_eq!(pool.reuses(), before_reuses + 1);
-        b.push_record(0, &2u64);
+        b.push_record_with(0, |buf| 2u64.encode(buf));
         // The recycled capacity is now backing the live buffer: pushing
         // did not need to grow from zero.
-        let (data2, _) = b.drain();
+        let data2 = b.drain_pooled(&mut pool);
         assert!(data2.capacity() >= grown.min(64));
     }
 
@@ -296,11 +265,11 @@ mod tests {
         let mut pool = BufferPool::new(1, 1 << 20);
         pool.put(Vec::with_capacity(10));
         pool.put(Vec::with_capacity(10));
-        assert_eq!(pool.available(), 1, "over-count vectors are dropped");
+        assert_eq!(pool.free.len(), 1, "over-count vectors are dropped");
         // Zero-capacity vectors are not worth pooling.
         let mut pool = BufferPool::new(4, 1 << 20);
         pool.put(Vec::new());
-        assert_eq!(pool.available(), 0);
+        assert_eq!(pool.free.len(), 0);
     }
 
     #[test]
@@ -310,9 +279,9 @@ mod tests {
         // the largest envelope ever received instead of the cap.
         let mut pool = BufferPool::new(4, 1024);
         pool.put(Vec::with_capacity(64 * 1024));
-        assert_eq!(pool.available(), 0, "oversized vector dropped");
+        assert_eq!(pool.free.len(), 0, "oversized vector dropped");
         pool.put(Vec::with_capacity(512));
-        assert_eq!(pool.available(), 1, "regular vector pooled");
+        assert_eq!(pool.free.len(), 1, "regular vector pooled");
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Comm {
         self.all_reduce(value, std::cmp::max)
     }
 
-    /// Min-reduction shorthand.
-    pub fn all_reduce_min(&self, value: u64) -> u64 {
-        self.all_reduce(value, std::cmp::min)
-    }
-
     /// Broadcasts `value` from `root` to every rank. Non-root ranks pass
     /// their (ignored) local value to keep the call shape SPMD-uniform.
     pub fn broadcast<T: Wire>(&self, value: &T, root: usize) -> T {
@@ -98,7 +93,7 @@ mod tests {
     fn all_reduce_min_max() {
         let out = World::new(3).run(|comm| {
             let v = (comm.rank() as u64 + 7) * 11;
-            (comm.all_reduce_min(v), comm.all_reduce_max(v))
+            (comm.all_reduce(v, std::cmp::min), comm.all_reduce_max(v))
         });
         assert_eq!(out, vec![(77, 99); 3]);
     }

@@ -71,7 +71,7 @@ impl CommConfig {
     /// The flush threshold a world of `nranks` ranks will run with: the
     /// explicit override if set, otherwise the cost model's adaptive
     /// default.
-    pub fn effective_flush_threshold(&self, nranks: usize) -> usize {
+    fn effective_flush_threshold(&self, nranks: usize) -> usize {
         self.flush_threshold
             .unwrap_or_else(|| crate::cost::CostModel::default().adaptive_flush_threshold(nranks))
     }
@@ -400,7 +400,7 @@ impl Comm {
                 .then(|| self.drain_pooled(buf));
             (bytes, ship)
         };
-        if let Some((data, _records)) = ship {
+        if let Some(data) = ship {
             self.ship(dest, data);
         }
         bytes
@@ -408,7 +408,7 @@ impl Comm {
 
     /// Drains `buf`, restarting it from the recycled-allocation pool.
     #[inline]
-    fn drain_pooled(&self, buf: &mut SendBuffer) -> (Vec<u8>, u64) {
+    fn drain_pooled(&self, buf: &mut SendBuffer) -> Vec<u8> {
         let mut pool = self.pool.borrow_mut();
         let before = pool.reuses();
         let out = buf.drain_pooled(&mut pool);
@@ -437,13 +437,13 @@ impl Comm {
     }
 
     /// Flushes every non-empty destination buffer to the transport.
-    pub fn flush_all(&self) {
+    fn flush_all(&self) {
         for dest in 0..self.nranks() {
             let drained = {
                 let mut bufs = self.outbufs.borrow_mut();
                 (!bufs[dest].is_empty()).then(|| self.drain_pooled(&mut bufs[dest]))
             };
-            if let Some((data, _records)) = drained {
+            if let Some(data) = drained {
                 self.ship(dest, data);
             }
         }
@@ -462,7 +462,7 @@ impl Comm {
     /// bytes stay counted in the pending-record total (so no barrier can
     /// release past them) and are retried on the next poll, by which time
     /// this rank's own registrations have caught up.
-    pub fn poll(&self) -> bool {
+    fn poll(&self) -> bool {
         let mut worked = false;
         // Retry deferred tails first: registrations may have caught up.
         let deferred: Vec<Vec<u8>> = self.deferred.borrow_mut().drain(..).collect();

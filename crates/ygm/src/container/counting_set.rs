@@ -22,7 +22,7 @@ use crate::hash::FastMap;
 use crate::wire::Wire;
 
 /// Default number of distinct cached keys before a flush.
-pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// A distributed multiset of counters keyed by `K`.
 pub struct DistCountingSet<K>
@@ -127,17 +127,6 @@ where
     /// This rank's authoritative shard (valid after [`Self::finalize`]).
     pub fn local_counts(&self) -> std::cell::Ref<'_, FastMap<K, u64>> {
         self.counts.borrow()
-    }
-
-    /// Number of distinct keys owned by this rank.
-    pub fn local_len(&self) -> usize {
-        self.counts.borrow().len()
-    }
-
-    /// Total distinct keys across all ranks. Collective; finalizes first.
-    pub fn global_len(&self, comm: &Comm) -> u64 {
-        self.finalize(comm);
-        comm.all_reduce_sum(self.local_len() as u64)
     }
 
     /// Gathers the complete distribution onto every rank, sorted by key
@@ -252,7 +241,11 @@ mod tests {
             for key in 0..5u64 {
                 set.increment(comm, key);
             }
-            set.global_len(comm)
+            // Each key has one owner shard, so the shards' sizes sum
+            // to the number of distinct keys.
+            set.finalize(comm);
+            let owned = set.local_counts().len() as u64;
+            comm.all_reduce_sum(owned)
         });
         assert_eq!(out, vec![5; 4]);
     }

@@ -61,7 +61,7 @@ impl CostModel {
     /// at which per-message overhead and wire time break even. Buffers
     /// below this waste `α`; the flush threshold should sit at or above
     /// it.
-    pub fn latency_bandwidth_product(&self) -> usize {
+    fn latency_bandwidth_product(&self) -> usize {
         (self.latency_per_message * self.bandwidth_bytes_per_sec) as usize
     }
 
@@ -84,7 +84,7 @@ impl CostModel {
     }
 
     /// Modeled time for one rank's traffic.
-    pub fn rank_time(&self, stats: &CommStats) -> f64 {
+    fn rank_time(&self, stats: &CommStats) -> f64 {
         let msgs = stats.envelopes_remote as f64;
         let bytes = stats.bytes_remote as f64;
         // Local records still execute handlers; local bytes skip the wire.
@@ -101,16 +101,6 @@ impl CostModel {
         per_rank
             .iter()
             .map(|s| self.rank_time(s))
-            .fold(0.0, f64::max)
-    }
-
-    /// Modeled time for a phase given per-rank deltas of two snapshots.
-    pub fn phase_time_delta(&self, before: &[CommStats], after: &[CommStats]) -> f64 {
-        assert_eq!(before.len(), after.len());
-        after
-            .iter()
-            .zip(before.iter())
-            .map(|(a, b)| self.rank_time(&a.delta(b)))
             .fold(0.0, f64::max)
     }
 }
@@ -180,18 +170,5 @@ mod tests {
         assert_eq!(t4, m.latency_bandwidth_product() * 4);
         // ...and caps at the 1 MiB buffer bound.
         assert_eq!(m.adaptive_flush_threshold(1 << 20), 1 << 20);
-    }
-
-    #[test]
-    fn delta_phase_time() {
-        let m = CostModel {
-            latency_per_message: 0.0,
-            bandwidth_bytes_per_sec: 1.0,
-            per_record_cost: 0.0,
-            per_work_unit: 0.0,
-        };
-        let before = vec![stats(0, 100, 0), stats(0, 100, 0)];
-        let after = vec![stats(0, 160, 0), stats(0, 130, 0)];
-        assert!((m.phase_time_delta(&before, &after) - 60.0).abs() < 1e-12);
     }
 }

@@ -28,12 +28,6 @@ pub fn hash64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Combines two hashes into one (order-sensitive).
-#[inline]
-pub fn hash_combine(a: u64, b: u64) -> u64 {
-    hash64(a ^ b.rotate_left(32))
-}
-
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// FxHash-style multiply-rotate hasher for rank-local tables.
@@ -156,10 +150,5 @@ mod tests {
         assert_ne!(h("amazon.example"), h("amazon.example2"));
         assert_ne!(h("ab"), h("ba"));
         assert_ne!(h(""), h("\0"));
-    }
-
-    #[test]
-    fn hash_combine_order_sensitive() {
-        assert_ne!(hash_combine(1, 2), hash_combine(2, 1));
     }
 }

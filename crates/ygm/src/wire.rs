@@ -229,7 +229,7 @@ impl<'a> WireReader<'a> {
 
     /// Advances past one LEB128 varint without assembling its value.
     #[inline]
-    pub fn skip_varint(&mut self) -> Result<(), WireError> {
+    pub(crate) fn skip_varint(&mut self) -> Result<(), WireError> {
         // 10 bytes is the widest encoding take_varint accepts.
         for _ in 0..10 {
             if self.take_u8()? & 0x80 == 0 {
@@ -341,7 +341,7 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 
 /// Number of bytes [`put_varint`] will emit for `v`.
 #[inline]
-pub fn varint_len(v: u64) -> usize {
+pub(crate) fn varint_len(v: u64) -> usize {
     // 1 + floor(bits/7); bits==0 for v==0 still needs one byte.
     let bits = 64 - v.leading_zeros() as usize;
     std::cmp::max(1, bits.div_ceil(7))

@@ -646,7 +646,9 @@ fn query_in_flight_across_an_ingest_keeps_its_graph() {
 
 /// Hostile: queries racing an ingest must observe some complete graph
 /// state — the count of one of the ingested prefixes — never a torn
-/// intermediate.
+/// intermediate. Under Push-Pull the racing queries also capture and
+/// replay dry-run plans, so a replay must never meet the shards of an
+/// epoch other than the one its plan was captured from.
 #[test]
 fn concurrent_queries_racing_ingest_see_whole_graphs() {
     let edges = labeled(random_edges());
@@ -655,45 +657,51 @@ fn concurrent_queries_racing_ingest_see_whole_graphs() {
 
     // Valid observable counts: every prefix of whole batches.
     let mut valid = vec![0u64]; // before the first batch lands
-    let q = query(2, EngineMode::PushOnly);
     for j in 1..=batches.len() {
         let plist = EdgeList::from_vec(edges[..(j * chunk).min(edges.len())].to_vec());
-        valid.push(run_direct(&plist, 2, EngineMode::PushOnly, q.config, vm_of).count);
+        let direct = run_direct(&plist, 2, EngineMode::PushOnly, SurveyConfig::new(), vm_of);
+        valid.push(direct.count);
     }
 
-    let resident: Arc<ResidentGraph<String, String>> =
-        Arc::new(ResidentGraph::from_vertices(Vec::new(), Partition::Hashed));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut joins = Vec::new();
-    for t in 0..2 {
-        let (r, stop2, valid2, q2) = (resident.clone(), stop.clone(), valid.clone(), q.clone());
-        joins.push(std::thread::spawn(move || {
-            let mut observed = Vec::new();
-            while !stop2.load(Ordering::Relaxed) {
-                let c = r.triangle_count(&q2);
-                assert!(
-                    valid2.contains(&c),
-                    "thread {t} observed torn count {c}, valid: {valid2:?}"
-                );
-                observed.push(c);
-            }
-            observed
-        }));
+    for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
+        let q = query(2, mode);
+        let resident: Arc<ResidentGraph<String, String>> =
+            Arc::new(ResidentGraph::from_vertices(Vec::new(), Partition::Hashed));
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut joins = Vec::new();
+        for t in 0..2 {
+            let (r, stop2, valid2, q2) = (resident.clone(), stop.clone(), valid.clone(), q.clone());
+            joins.push(std::thread::spawn(move || {
+                let mut observed = Vec::new();
+                while !stop2.load(Ordering::Relaxed) {
+                    let c = r.triangle_count(&q2);
+                    assert!(
+                        valid2.contains(&c),
+                        "{mode}: thread {t} observed torn count {c}, valid: {valid2:?}"
+                    );
+                    observed.push(c);
+                }
+                observed
+            }));
+        }
+        for batch in &batches {
+            resident
+                .ingest_batch_with(batch, vm_of)
+                .expect("racing ingest succeeds");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        stop.store(true, Ordering::Relaxed);
+        let mut all_observed = Vec::new();
+        for j in joins {
+            all_observed.extend(j.join().expect("query thread panicked"));
+        }
+        assert!(
+            !all_observed.is_empty(),
+            "{mode}: raced queries actually ran"
+        );
+        // After the dust settles the final graph is complete.
+        assert_eq!(resident.triangle_count(&q), *valid.last().unwrap());
     }
-    for batch in &batches {
-        resident
-            .ingest_batch_with(batch, vm_of)
-            .expect("racing ingest succeeds");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    stop.store(true, Ordering::Relaxed);
-    let mut all_observed = Vec::new();
-    for j in joins {
-        all_observed.extend(j.join().expect("query thread panicked"));
-    }
-    assert!(!all_observed.is_empty(), "raced queries actually ran");
-    // After the dust settles the final graph is complete.
-    assert_eq!(resident.triangle_count(&q), *valid.last().unwrap());
 }
 
 proptest! {

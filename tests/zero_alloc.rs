@@ -143,7 +143,7 @@ fn push_batches(
     for b in 0..BATCHES {
         total += buf.push_record_with(3, |out| encode_batch(b, adj, cols, out));
         if buf.len() > FLUSH_BYTES {
-            let (data, _) = buf.drain_pooled(pool);
+            let data = buf.drain_pooled(pool);
             pool.put(data);
         }
     }
@@ -230,7 +230,7 @@ fn steady_state_encode_allocates_nothing() {
     let mut pool = BufferPool::new(8, FLUSH_BYTES * 4);
     // The warm-up pass grows the buffers the measured pass recycles.
     push_batches(&adj, &mut cols, &mut buf, &mut pool);
-    let (data, _) = buf.drain_pooled(&mut pool);
+    let data = buf.drain_pooled(&mut pool);
     pool.put(data);
     let (allocs, bytes) = allocs_in(|| push_batches(&adj, &mut cols, &mut buf, &mut pool));
     assert_eq!(allocs, 0, "encoding {BATCHES} batches allocated");
