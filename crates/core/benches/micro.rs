@@ -11,8 +11,8 @@
 //!   decoded fresh against served through a [`FrameDecoder`] (what
 //!   both receive handlers run);
 //! * `plan` — the Push-Pull dry run's [`ResumePlan`] on a
-//!   `wdc_fqdn`-shaped stream: sealing it (ns per pointer) and finding
-//!   one pull delivery's pointers (ns per lookup);
+//!   `wdc_fqdn`-shaped stream: building it from the pointers (ns per
+//!   pointer) and finding one pull delivery's pointers (ns per lookup);
 //! * `incremental_ingest` — a delta survey against a full recount after
 //!   a 1 % and a 10 % batch (whether the delta needs a pull side).
 //!
@@ -294,8 +294,9 @@ const PLAN_ITERS: usize = 32;
 /// One rank's dry run on `wdc_fqdn`'s scale: about 77 k resume
 /// pointers over about 20 k targets, pushed vertex-major (one to six
 /// per vertex slot, targets uniform over 20 000 page ids below 2^18).
-/// `seal` groups a freshly staged stream; `get` looks up every planned
-/// target once, in a scattered order, as pull deliveries arrive.
+/// `build` groups a fresh copy of the stream; `get` looks up every
+/// planned target once, in a scattered order, as pull deliveries
+/// arrive.
 fn compare_resume_plan() {
     const POINTERS: usize = 77_000;
     let ids: Vec<u64> = (0..20_000u64).map(|t| t * 13).collect();
@@ -309,15 +310,14 @@ fn compare_resume_plan() {
             break;
         }
     }
-    let mut plan = ResumePlan::new();
-    let mut seal_ns = 0.0;
+    let mut plan = ResumePlan::default();
+    let mut build_ns = 0.0;
     for _ in 0..PLAN_ITERS {
-        for &(q, slot, idx) in &stream {
-            plan.push(q, slot, idx);
-        }
+        let staged = stream.clone();
         let start = Instant::now();
-        plan.seal();
-        seal_ns += start.elapsed().as_nanos() as f64;
+        let built = ResumePlan::from_pointers(staged);
+        build_ns += start.elapsed().as_nanos() as f64;
+        plan = built;
     }
     let mut order: Vec<u64> = plan.runs().map(|(q, _)| q).collect();
     order.sort_unstable_by_key(|&q| hash64(q));
@@ -331,8 +331,8 @@ fn compare_resume_plan() {
     let get_ns = start.elapsed().as_nanos() as f64;
     assert_eq!(found, stream.len() * PLAN_ITERS, "every pointer is found");
     println!(
-        "plan/seal {:>8.2} ns/pointer  {:>6} pointers",
-        seal_ns / (stream.len() * PLAN_ITERS) as f64,
+        "plan/build {:>7.2} ns/pointer  {:>6} pointers",
+        build_ns / (stream.len() * PLAN_ITERS) as f64,
         stream.len()
     );
     println!(

@@ -18,10 +18,18 @@
 //! 2. **Push phase** — wedge batches for vetoed targets, the ones the
 //!    plan no longer holds, are pushed exactly as in Push-Only.
 //! 3. **Pull phase** — each owner ships `Adjm+(q)` once to every granted
-//!    rank (coalesced across that rank's sources); the puller resumes its
-//!    recorded pointers and intersects locally, running callbacks on
-//!    `Rank(p)` (where, by the storage design of §4.2, all six metadata
-//!    values are already resident).
+//!    rank (coalesced across that rank's sources), in increasing `q`;
+//!    the puller resumes its recorded pointers and intersects locally,
+//!    running callbacks on `Rank(p)` (where, by the storage design of
+//!    §4.2, all six metadata values are already resident).
+//!
+//! The dry run is a function of the graph, the partition and the rank
+//! count, so its outcome is a value: `dry_run` returns one rank's
+//! `DryRunPlan` (the post-veto resume plan and the pulls this rank
+//! grants), and every survey runs its push and pull phases from a plan
+//! behind an [`Arc`]. A cold survey makes the plan and drops it; a
+//! resident query makes it once per world size and hands it to every
+//! later query at that size, which then skips the dry run's traffic.
 //!
 //! Like a pushed batch, a pull delivery is a columnar frame, encoded
 //! once per granted `q` and fanned out to every granted rank. It is
@@ -60,15 +68,15 @@ type PullMsg<EM> = (u64, ColBatch<EM>);
 /// Dry-run resume pointers, keyed by wedge target.
 ///
 /// The paper's "pointers to efficiently iterate over source vertices
-/// stored locally" (§4.4). The dry run stages one `(q, slot, index)`
-/// pointer per wedge target, vertex-major, and [`ResumePlan::seal`]
-/// groups them by `q` without a comparison sort: a stable LSD radix
-/// sort on `q`, 8-bit digits, that skips every digit all staged targets
-/// share. One pass then splits the sorted pointers into a target table
-/// — `(q, start, end)` in increasing `q` — and the `(slot, index)`
-/// pointers themselves, 8 bytes each, every run in vertex-major order.
-/// One hash entry per target (never one per pointer) maps `q` to its
-/// row, so a pull delivery finds its run with one probe.
+/// stored locally" (§4.4). The dry run collects one `(q, slot, index)`
+/// pointer per wedge target, vertex-major, and
+/// [`ResumePlan::from_pointers`] groups them by `q` without a comparison
+/// sort: a stable LSD radix sort on `q`, 8-bit digits, that skips every
+/// digit all the targets share. One pass then splits the sorted pointers
+/// into a target table — `(q, start, end)` in increasing `q` — and the
+/// `(slot, index)` pointers themselves, 8 bytes each, every run in
+/// vertex-major order. One hash entry per target (never one per pointer)
+/// maps `q` to its row, so a pull delivery finds its run with one probe.
 ///
 /// The planned candidate count is derived from a run when the dry-run
 /// record is sent, so there is no second map. A vetoed target is
@@ -79,22 +87,16 @@ type PullMsg<EM> = (u64, ColBatch<EM>);
 /// ```
 /// use tripoll_core::ResumePlan;
 ///
-/// let mut plan = ResumePlan::new();
 /// // (target, vertex slot, adjacency index), vertex-major.
-/// plan.push(9, 0, 0);
-/// plan.push(2, 0, 1);
-/// plan.push(9, 1, 0);
-/// plan.seal();
+/// let mut plan = ResumePlan::from_pointers(vec![(9, 0, 0), (2, 0, 1), (9, 1, 0)]);
 /// assert_eq!(plan.get(9), &[(0, 0), (1, 0)]);
 /// plan.remove(9);
 /// assert!(!plan.contains(9));
 /// let runs: Vec<u64> = plan.runs().map(|(q, _)| q).collect();
 /// assert_eq!(runs, [2]);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ResumePlan {
-    /// `(q, vertex slot, adjacency index)` as pushed, until sealed.
-    staged: Vec<(u64, u32, u32)>,
     /// One `(q, start, end)` per target, in increasing `q`: its run is
     /// `ptrs[start..end]`, empty once the target is removed.
     targets: Vec<(u64, u32, u32)>,
@@ -105,52 +107,39 @@ pub struct ResumePlan {
 }
 
 impl ResumePlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        ResumePlan::default()
-    }
-
-    /// Stages one resume pointer: `q`'s index `idx` in the adjacency
-    /// of the vertex in shard slot `slot`. Pointers are pushed
+    /// Groups `(q, vertex slot, adjacency index)` resume pointers by
+    /// target and indexes the targets. Each pointer names `q`'s index in
+    /// the adjacency of the vertex in shard slot `slot`; pointers come
     /// vertex-major, and a run keeps their order.
-    #[inline]
-    pub fn push(&mut self, q: u64, slot: u32, idx: u32) {
-        self.staged.push((q, slot, idx));
-    }
-
-    /// Groups the staged pointers by target and indexes the targets,
-    /// replacing whatever the plan held.
     ///
     /// # Panics
     ///
-    /// If more than `u32::MAX` pointers are staged.
-    pub fn seal(&mut self) {
-        let mut staged = std::mem::take(&mut self.staged);
+    /// If there are more than `u32::MAX` pointers.
+    pub fn from_pointers(mut staged: Vec<(u64, u32, u32)>) -> Self {
         assert!(
             u32::try_from(staged.len()).is_ok(),
             "a resume plan holds at most u32::MAX pointers"
         );
         radix_sort_by_target(&mut staged);
-        self.targets.clear();
-        self.ptrs.clear();
-        self.ptrs.reserve_exact(staged.len());
+        let mut targets: Vec<(u64, u32, u32)> = Vec::new();
+        let mut ptrs = Vec::with_capacity(staged.len());
         for &(q, slot, idx) in &staged {
-            let at = self.ptrs.len() as u32;
-            match self.targets.last_mut() {
+            let at = ptrs.len() as u32;
+            match targets.last_mut() {
                 Some(t) if t.0 == q => t.2 = at + 1,
-                _ => self.targets.push((q, at, at + 1)),
+                _ => targets.push((q, at, at + 1)),
             }
-            self.ptrs.push((slot, idx));
+            ptrs.push((slot, idx));
         }
-        self.rows.clear();
-        self.rows.reserve(self.targets.len());
-        for (row, &(q, _, _)) in self.targets.iter().enumerate() {
-            self.rows.insert(q, row as u32);
+        let rows = (0u32..).zip(&targets).map(|(row, t)| (t.0, row)).collect();
+        ResumePlan {
+            targets,
+            ptrs,
+            rows,
         }
     }
 
-    /// One run per planned target, in increasing `q` (requires a sealed
-    /// plan).
+    /// One run per planned target, in increasing `q`.
     pub fn runs(&self) -> impl Iterator<Item = (u64, &[(u32, u32)])> {
         self.targets
             .iter()
@@ -216,61 +205,122 @@ fn radix_sort_by_target(v: &mut Vec<(u64, u32, u32)>) {
     }
 }
 
-/// A captured dry-run outcome, reusable across queries.
+/// One rank's Push-Pull dry-run outcome: what [`dry_run`] returns and
+/// what every survey's push and pull phases read.
 ///
-/// The dry-run is a pure function of the graph content, the partition,
-/// and the rank count — it does not depend on the [`SurveyConfig`]. A
-/// resident graph therefore captures the plan on the first Push-Pull
-/// query at a given rank count and replays it (zero dry-run traffic)
-/// for every later query at that count, with bit-identical results: the
-/// replay prefills exactly the pull list and post-veto resume plan the
-/// fresh dry-run would have produced. The plan is shared behind an
-/// [`Arc`], so a replay copies no pointer.
+/// The dry run is a function of the graph content, the partition and
+/// the rank count — not of the [`SurveyConfig`] — so one plan serves
+/// every later survey of the same shards at the same rank count with
+/// results identical to a fresh dry run. A resident graph makes it on
+/// the first Push-Pull query at a world size, keeps each rank's plan
+/// behind an [`Arc`], and hands it back to every later query at that
+/// size, which moves no dry-run record and copies nothing.
 ///
 /// Plans are per-rank: rank `r`'s plan is only valid on rank `r` of a
 /// world with the same rank count over the same shards.
 ///
-/// "Same shards" holds by construction, not by checksum: captured
-/// plans live inside the resident tier's per-world-size state next to
-/// the shards they were captured from, and a query replays a plan only
-/// in a world built from that same state.
-/// `ResidentGraph::ingest_batch` drops the cache of those states
-/// wholesale when a batch changes the storage — degrees, `d+`, and pull
-/// decisions may all shift, so the first Push-Pull query after an
-/// ingest runs a fresh dry-run and re-captures.
-#[derive(Debug, Clone, Default)]
+/// "Same shards" holds by construction, not by checksum: the resident
+/// tier keeps plans inside its per-world-size state next to the shards
+/// they were made from, and a query reuses a plan only in a world built
+/// from that same state. `ResidentGraph::ingest_batch` drops those
+/// states wholesale when a batch changes the storage — degrees, `d+`,
+/// and pull decisions may all shift, so the first Push-Pull query after
+/// an ingest runs a fresh dry run.
 pub(crate) struct DryRunPlan {
     /// The post-veto resume plan: exactly the granted pulls.
-    resume: Arc<ResumePlan>,
-    /// Locally-owned vertices `q` → sorted ranks granted a pull.
-    pull_list: Vec<(u64, Vec<u32>)>,
+    pub(crate) resume: ResumePlan,
+    /// Locally owned vertices `q`, in increasing `q`, each with the
+    /// ranks granted a pull of `Adjm+(q)`, in increasing rank.
+    pub(crate) pull_list: Vec<(u64, Vec<u32>)>,
+}
+
+impl DryRunPlan {
     /// Pull requests this rank granted.
-    grants: u64,
+    fn grants(&self) -> u64 {
+        self.pull_list
+            .iter()
+            .map(|(_, ranks)| ranks.len() as u64)
+            .sum()
+    }
 }
 
-/// How [`survey_push_pull_planned`] treats the dry-run phase.
-pub(crate) enum PlanMode<'a> {
-    /// Run the dry-run and discard its plan (the classic path).
-    Fresh,
-    /// Run the dry-run and store the captured plan for later replay.
-    Capture(&'a mut Option<DryRunPlan>),
-    /// Skip the dry-run traffic; prefill its outcome from the plan.
-    Replay(&'a DryRunPlan),
+/// Runs the Push-Pull dry run on this rank and returns its outcome.
+/// Collective: registers the veto and dry-run handlers, sends one
+/// dry-run record per planned target, and returns after the barrier
+/// that has delivered every veto.
+pub(crate) fn dry_run<VM, EM>(comm: &Comm, graph: &DistGraph<VM, EM>) -> DryRunPlan
+where
+    VM: Wire + Clone + 'static,
+    EM: Wire + Clone + 'static,
+{
+    let mut staged = Vec::new();
+    for (slot, lv) in graph.shard().vertices().enumerate() {
+        // The last entry has an empty suffix: no wedge, no pointer.
+        let wedged = lv.adj.len().saturating_sub(1);
+        for (i, e) in lv.adj[..wedged].iter().enumerate() {
+            staged.push((e.v, slot as u32, i as u32));
+        }
+    }
+    let resume = Rc::new(RefCell::new(ResumePlan::from_pointers(staged)));
+    // `(q, granted rank)` in arrival order, grouped after the barrier.
+    let granted: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
+
+    let resume_veto = resume.clone();
+    let veto_handler = comm.register::<u64, _>(move |_c, q| {
+        resume_veto.borrow_mut().remove(q);
+    });
+    let granted_dry = granted.clone();
+    let g_dry = graph.clone();
+    let dry_handler = comm.register::<DryRunMsg, _>(move |c, (q, count, src)| {
+        let Some(lv) = g_dry.shard().get(q) else {
+            c.abort(format_args!(
+                "dry-run record for vertex {q} from rank {src} arrived on a rank that does not \
+                 own {q} — vertex ownership disagrees across ranks; aborting survey"
+            ));
+        };
+        if lv.dplus() < count {
+            granted_dry.borrow_mut().push((q, src));
+        } else {
+            c.send(src as usize, &veto_handler, &q);
+        }
+    });
+
+    // One dry-run record per run; the planned candidate count is the
+    // sum of the suffix lengths its pointers name.
+    {
+        let resume = resume.borrow();
+        let shard = graph.shard();
+        let my_rank = comm.rank() as u32;
+        for (q, run) in resume.runs() {
+            let count: u64 = run
+                .iter()
+                .map(|&(slot, i)| (shard.vertex(slot as usize).adj.len() - i as usize - 1) as u64)
+                .sum();
+            comm.send(graph.owner(q), &dry_handler, &(q, count, my_rank));
+        }
+    }
+    comm.barrier();
+
+    // Every veto has arrived, so the resume plan holds exactly the
+    // granted pulls. Grants arrive in message order, which depends on
+    // scheduling; sorting makes the plan a function of its inputs.
+    let mut granted = granted.take();
+    granted.sort_unstable();
+    let pull_list = granted
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, run.iter().map(|&(_, src)| src).collect()))
+        .collect();
+    DryRunPlan {
+        resume: resume.take(),
+        pull_list,
+    }
 }
 
+/// The state the pull handler changes.
 #[derive(Default)]
 struct PpState {
-    /// Resume pointers per wedge target (also yields the dry-run
-    /// planned counts; see [`ResumePlan`]). Vetoes remove their
-    /// targets, so after the dry run it holds exactly the granted
-    /// pulls.
-    resume: Arc<ResumePlan>,
-    /// Local vertices q → ranks that will pull `Adjm+(q)`.
-    pull_list: FastMap<u64, Vec<u32>>,
     /// Adjacency lists this rank pulled (received).
     pulled: u64,
-    /// Pull requests this rank granted.
-    grants: u64,
     /// Decodes the key columns of the pull delivery being served once,
     /// into a flat key column (the push handler's [`FrameDecoder`]).
     frame_decoder: FrameDecoder,
@@ -312,165 +362,84 @@ where
     EM: Wire + Clone + 'static,
     F: SurveyCallback<VM, EM>,
 {
-    survey_push_pull_planned(comm, graph, config.into(), PlanMode::Fresh, callback)
+    survey_push_pull_planned(comm, graph, config.into(), None, callback).0
 }
 
-/// [`survey_push_pull_with`] with explicit dry-run plan handling — the
-/// resident-graph entry point (see [`crate::service::ResidentGraph`]).
-/// Collective; all four handlers are registered in every [`PlanMode`],
-/// so handler ids and registration order are identical whether the
-/// dry-run runs fresh, is captured, or is replayed.
+/// [`survey_push_pull_with`] from a given dry-run plan, or from a fresh
+/// [`dry_run`] when `plan` is `None`; returns the report and the plan
+/// the survey ran from. The resident-graph entry point (see
+/// [`crate::service::ResidentGraph`]).
+///
+/// Collective. A given plan skips the dry run's traffic but not its
+/// barrier, so the report still has three phases. Every rank of a world
+/// must pass a plan or every rank `None`: the dry run registers two
+/// handlers that a planned survey does not, and handler ids follow
+/// registration order.
 pub(crate) fn survey_push_pull_planned<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
     config: SurveyConfig,
-    mode: PlanMode<'_>,
+    plan: Option<Arc<DryRunPlan>>,
     callback: F,
-) -> SurveyReport
+) -> (SurveyReport, Arc<DryRunPlan>)
 where
     VM: Wire + Clone + 'static,
     EM: Wire + Clone + 'static,
     F: SurveyCallback<VM, EM>,
 {
     let cb = Rc::new(callback);
-    let st = Rc::new(RefCell::new(PpState::default()));
-
-    // Handler registration order is part of the SPMD contract: all four
-    // registrations below happen on every rank in this exact order.
     let push_handler = register_push_handler(comm, graph, cb.clone(), config);
-
-    let st_veto = st.clone();
-    let veto_handler = comm.register::<u64, _>(move |_c, q| {
-        Arc::make_mut(&mut st_veto.borrow_mut().resume).remove(q);
-    });
-
-    let st_dry = st.clone();
-    let g_dry = graph.clone();
-    let dry_handler = comm.register::<DryRunMsg, _>(move |c, (q, count, src)| {
-        let Some(lv) = g_dry.shard().get(q) else {
-            c.abort(format_args!(
-                "dry-run record for vertex {q} from rank {src} arrived on a rank that does not \
-                 own {q} — vertex ownership disagrees across ranks; aborting survey"
-            ));
-        };
-        if lv.dplus() < count {
-            let mut s = st_dry.borrow_mut();
-            s.pull_list.entry(q).or_default().push(src);
-            s.grants += 1;
-        } else {
-            c.send(src as usize, &veto_handler, &q);
-        }
-    });
-
-    let pull_handler = register_pull_handler(comm, graph, st.clone(), cb, config);
 
     // --- Phase 1: Push vs Pull Dry-Run -------------------------------
     let timer = PhaseTimer::begin(comm, "dry-run");
-    if let PlanMode::Replay(plan) = &mode {
-        // The dry-run is a pure function of (graph, partition, rank
-        // count); a replayed plan prefills its entire outcome with
-        // zero traffic. The phase barrier below still runs, keeping
-        // the collective structure identical across modes.
-        let mut s = st.borrow_mut();
-        s.resume = plan.resume.clone();
-        for (q, ranks) in &plan.pull_list {
-            s.pull_list.insert(*q, ranks.clone());
+    let plan = match plan {
+        Some(plan) => {
+            comm.barrier();
+            plan
         }
-        s.grants = plan.grants;
-    } else {
-        let mut plan = ResumePlan::new();
-        for (slot, lv) in graph.shard().vertices().enumerate() {
-            for (i, e) in lv.adj.iter().enumerate() {
-                let suffix_len = lv.adj.len() - i - 1;
-                if suffix_len == 0 {
-                    break;
-                }
-                plan.push(e.v, slot as u32, i as u32);
-            }
-        }
-        plan.seal();
-        st.borrow_mut().resume = Arc::new(plan);
-        // One dry-run record per run; the planned candidate count is
-        // the sum of the suffix lengths its pointers name.
-        let s = st.borrow();
-        let shard = graph.shard();
-        let my_rank = comm.rank() as u32;
-        for (q, run) in s.resume.runs() {
-            let count: u64 = run
-                .iter()
-                .map(|&(slot, i)| (shard.vertex(slot as usize).adj.len() - i as usize - 1) as u64)
-                .sum();
-            comm.send(graph.owner(q), &dry_handler, &(q, count, my_rank));
-        }
-    }
-    comm.barrier();
+        None => Arc::new(dry_run(comm, graph)),
+    };
     let dry_phase = timer.end();
 
-    // Every veto has arrived once the dry-run barrier completes, so the
-    // plan now holds exactly the granted pulls.
-    if let PlanMode::Capture(out) = mode {
-        // Snapshot the post-veto dry-run outcome. Rank vectors and the
-        // pull list arrive in message order, which is scheduling
-        // dependent; sort them so a captured plan is deterministic.
-        let s = st.borrow();
-        let mut pull_list: Vec<(u64, Vec<u32>)> = s
-            .pull_list
-            .iter()
-            .map(|(&q, ranks)| {
-                let mut r = ranks.clone();
-                r.sort_unstable();
-                (q, r)
-            })
-            .collect();
-        pull_list.sort_unstable_by_key(|&(q, _)| q);
-        *out = Some(DryRunPlan {
-            resume: s.resume.clone(),
-            pull_list,
-            grants: s.grants,
-        });
-    }
+    let st = Rc::new(RefCell::new(PpState::default()));
+    let pull_handler = register_pull_handler(comm, graph, plan.clone(), st.clone(), cb, config);
 
     // --- Phase 2: Push ------------------------------------------------
     let timer = PhaseTimer::begin(comm, "push");
-    {
-        let s = st.borrow();
-        push_wedge_batches(comm, graph, &push_handler, |q| s.resume.contains(q));
-    }
+    push_wedge_batches(comm, graph, &push_handler, |q| plan.resume.contains(q));
     comm.barrier();
     let push_phase = timer.end();
 
     // --- Phase 3: Pull --------------------------------------------------
     let timer = PhaseTimer::begin(comm, "pull");
-    {
-        let s = st.borrow();
-        let shard = graph.shard();
-        let mut cols = ColSuffixes::new();
-        for (&q, ranks) in &s.pull_list {
-            let lv = shard
-                .get(q)
-                .expect("pull-granted vertex must be locally owned");
-            // Encode-once fan-out: the `Adjm+(q)` projection is encoded
-            // from graph storage exactly once, and the encoded record
-            // is memcpy'd to every granted rank.
-            fill_candidates(&mut cols, &lv.adj);
-            let dests = ranks.iter().map(|&src| src as usize);
-            comm.send_to_many(dests, &pull_handler, (q, cols.suffix(0)));
-        }
+    let shard = graph.shard();
+    let mut cols = ColSuffixes::new();
+    for (q, ranks) in &plan.pull_list {
+        let lv = shard
+            .get(*q)
+            .expect("pull-granted vertex must be locally owned");
+        // Encode-once fan-out: the `Adjm+(q)` projection is encoded
+        // from graph storage exactly once, and the encoded record is
+        // memcpy'd to every granted rank.
+        fill_candidates(&mut cols, &lv.adj);
+        let dests = ranks.iter().map(|&src| src as usize);
+        comm.send_to_many(dests, &pull_handler, (*q, cols.suffix(0)));
     }
     comm.barrier();
     let pull_phase = timer.end();
 
-    let s = st.borrow();
-    SurveyReport {
+    let report = SurveyReport {
         mode: EngineMode::PushPull,
         total_seconds: dry_phase.seconds + push_phase.seconds + pull_phase.seconds,
         phases: vec![dry_phase, push_phase, pull_phase],
-        pulled_vertices: s.pulled,
-        pull_grants: s.grants,
-    }
+        pulled_vertices: st.borrow().pulled,
+        pull_grants: plan.grants(),
+    };
+    (report, plan)
 }
 
-/// Registers the pull-delivery handler. Collective (handler
+/// Registers the pull-delivery handler, which reads its resume pointers
+/// from `plan` and counts deliveries in `st`. Collective (handler
 /// registration); `config` only chooses the handler body — both bodies
 /// read the same wire type.
 ///
@@ -487,6 +456,7 @@ where
 fn register_pull_handler<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
+    plan: Arc<DryRunPlan>,
     st: Rc<RefCell<PpState>>,
     cb: Rc<F>,
     config: SurveyConfig,
@@ -500,9 +470,8 @@ where
     if config.is_reference() {
         return comm.register::<PullMsg<EM>, _>(move |c, (q, batch)| {
             st.borrow_mut().pulled += 1;
-            let s = st.borrow();
             let shard = g.shard();
-            for &(slot, idx) in s.resume.get(q) {
+            for &(slot, idx) in plan.resume.get(q) {
                 let lv = shard.vertex(slot as usize);
                 let eq = &lv.adj[idx as usize];
                 debug_assert_eq!(eq.v, q);
@@ -538,7 +507,6 @@ where
         let mut s = st.borrow_mut();
         s.pulled += 1;
         let PpState {
-            resume,
             frame_decoder,
             frame_index,
             ..
@@ -546,7 +514,7 @@ where
         let frame_keys = frame_decoder.decode(keys)?;
         frame_index.build(frame_keys)?;
         let shard = g.shard();
-        for &(slot, idx) in resume.get(q) {
+        for &(slot, idx) in plan.resume.get(q) {
             let lv = shard.vertex(slot as usize);
             let eq = &lv.adj[idx as usize];
             debug_assert_eq!(eq.v, q);
@@ -599,14 +567,9 @@ mod tests {
 
     #[test]
     fn resume_plan_groups_sorts_and_retains() {
-        let mut plan = ResumePlan::default();
-        // Vertex-major insertion order, targets deliberately shuffled.
-        plan.push(9, 0, 0);
-        plan.push(2, 0, 1);
-        plan.push(9, 1, 0);
-        plan.push(5, 1, 1);
-        plan.push(2, 2, 0);
-        plan.seal();
+        // Vertex-major pointer order, targets deliberately shuffled.
+        let mut plan =
+            ResumePlan::from_pointers(vec![(9, 0, 0), (2, 0, 1), (9, 1, 0), (5, 1, 1), (2, 2, 0)]);
         let runs: Vec<(u64, usize)> = plan.runs().map(|(q, run)| (q, run.len())).collect();
         assert_eq!(runs, vec![(2, 2), (5, 1), (9, 2)]);
         assert_eq!(plan.get(9), &[(0, 0), (1, 0)]);
@@ -650,15 +613,15 @@ mod tests {
             } else {
                 words.iter().map(|&(w, p)| plan_target(w, p)).collect()
             };
-            let mut plan = ResumePlan::new();
+            let mut pointers = Vec::new();
             let mut oracle: BTreeMap<u64, Vec<(u32, u32)>> = BTreeMap::new();
             // Vertex-major: slots ascend, indices ascend within a slot.
             for (i, &q) in targets.iter().enumerate() {
                 let (slot, idx) = ((i / 3) as u32, (i % 3) as u32);
-                plan.push(q, slot, idx);
+                pointers.push((q, slot, idx));
                 oracle.entry(q).or_default().push((slot, idx));
             }
-            plan.seal();
+            let mut plan = ResumePlan::from_pointers(pointers);
             let keys: Vec<u64> = oracle.keys().copied().collect();
             for &v in &vetoes {
                 // Half the vetoes name a planned target, half likely not.
@@ -908,23 +871,31 @@ mod tests {
         World::new(2).run(|comm| {
             let local = list.stride_for_rank(comm.rank(), comm.nranks());
             let g = build_dist_graph(comm, local, |_| (), Partition::Hashed);
-            let st = Rc::new(RefCell::new(PpState::default()));
             let cb = Rc::new(|_c: &Comm, _tm: &TriangleMeta<'_, (), ()>| {
                 panic!("callback ran on a corrupt pull frame")
             });
-            let h = register_pull_handler(comm, &g, st.clone(), cb, SurveyConfig::default());
-            if comm.rank() == 0 {
-                let (slot, lv) = g
-                    .shard()
-                    .vertices()
-                    .enumerate()
-                    .find(|(_, lv)| lv.adj.len() >= 2)
-                    .expect("K8 has a vertex with two out-neighbours");
+            // Rank 0 plans one resume suffix of its first vertex with
+            // two out-neighbours; rank 1 plans nothing.
+            let target = g
+                .shard()
+                .vertices()
+                .enumerate()
+                .find(|(_, lv)| lv.adj.len() >= 2)
+                .filter(|_| comm.rank() == 0);
+            let plan = DryRunPlan {
+                resume: ResumePlan::from_pointers(
+                    target
+                        .iter()
+                        .map(|&(slot, lv)| (lv.adj[0].v, slot as u32, 0))
+                        .collect(),
+                ),
+                pull_list: Vec::new(),
+            };
+            let st = Rc::new(RefCell::new(PpState::default()));
+            let h =
+                register_pull_handler(comm, &g, Arc::new(plan), st, cb, SurveyConfig::default());
+            if let Some((_, lv)) = target {
                 let (q, r) = (&lv.adj[0], &lv.adj[1]);
-                let mut plan = ResumePlan::new();
-                plan.push(q.v, slot as u32, 0);
-                plan.seal();
-                st.borrow_mut().resume = Arc::new(plan);
                 let mut keys = vec![(r.v, r.key.degree)];
                 keys.extend((0..63).map(|i| (i, (1 << 40) + i)));
                 mangle_keys(&mut keys);

@@ -23,10 +23,10 @@
 //!   one list, which every shard of every world size shares — sharding
 //!   copies no vertex. Views are cached per rank count.
 //! * **Dry-run plan caching** — the Push-Pull dry-run is a pure
-//!   function of (graph, partition, rank count); the first Push-Pull
-//!   query at a given world size captures its plan and every later one
-//!   replays it with zero dry-run traffic
-//!   (see [`crate::push_pull`]'s `DryRunPlan`).
+//!   function of (graph, partition, rank count) and returns each rank's
+//!   plan as a value; the first Push-Pull query at a given world size
+//!   keeps those plans and every later one runs from them with zero
+//!   dry-run traffic (see [`crate::push_pull`]'s `DryRunPlan`).
 //! * **Snapshots** — [`ResidentGraph::save_snapshot`] /
 //!   [`ResidentGraph::load_snapshot`] persist the storage in the
 //!   versioned binary format of [`tripoll_graph::snapshot`], so a
@@ -42,7 +42,7 @@
 //! panics, leaves the graph exactly as it was, and a no-op batch
 //! (duplicates and self-loops only) is recognised before anything is
 //! invalidated. A real batch then drops the cached world state —
-//! per-rank shard views *and* captured Push-Pull dry-run plans — and
+//! per-rank shard views *and* cached Push-Pull dry-run plans — and
 //! only *then* takes the vertex list mutably: with the views gone the
 //! list is normally unshared and is patched in place. Every ingest
 //! bumps the graph **epoch**; the returned [`IngestDelta`] carries that
@@ -77,7 +77,7 @@ use crate::delta::survey_delta_push;
 use crate::engine::{kernel_stats_take, EngineMode, KernelStats, SurveyConfig, SurveyReport};
 use crate::meta::TriangleMeta;
 use crate::push_only::survey_push_only_with;
-use crate::push_pull::{survey_push_pull_planned, DryRunPlan, PlanMode};
+use crate::push_pull::{survey_push_pull_planned, DryRunPlan};
 
 /// One query against a [`ResidentGraph`]: the world size plus fully
 /// explicit engine settings, so a query's behavior is a function of its
@@ -130,13 +130,14 @@ pub struct QueryOutcome {
 }
 
 /// Cached per-world-size state: the shard views and, for Push-Pull,
-/// the captured dry-run plans.
+/// the dry-run plans.
 struct WorldState<VM, EM> {
     /// `shards[r]` is rank `r`'s view of the vertex list at this world
     /// size.
     shards: Vec<Arc<LocalShard<VM, EM>>>,
-    /// Per-rank dry-run plans, captured by the first Push-Pull query.
-    plans: OnceLock<Arc<Vec<DryRunPlan>>>,
+    /// `plans[r]` is rank `r`'s dry-run plan, kept from the first
+    /// Push-Pull query: set for every rank at once or for none.
+    plans: OnceLock<Vec<Arc<DryRunPlan>>>,
 }
 
 /// The mutable resident state: storage plus everything derived from
@@ -380,7 +381,7 @@ where
     /// [`ResidentGraph::ingest_batch_with`] to admit new vertices.
     ///
     /// On success the storage is bit-identical to a from-scratch build
-    /// of the concatenated input; cached shards and captured Push-Pull
+    /// of the concatenated input; cached shards and Push-Pull
     /// dry-run plans are invalidated (queries in flight finish on the
     /// snapshot they started with), and the returned [`IngestDelta`]
     /// drives [`ResidentGraph::survey_delta`].
@@ -466,7 +467,7 @@ where
 
     /// Runs one survey per rank of a fresh world over `ws`, taking the
     /// rank's kernel counters around it. `survey` returns the rank's
-    /// report plus whatever else the caller keeps (a captured plan);
+    /// report plus whatever else the caller keeps (a dry-run plan);
     /// both come back in rank order.
     fn survey_in_world<T, S>(
         &self,
@@ -498,47 +499,37 @@ where
     /// to them. Returns each rank's [`QueryOutcome`].
     ///
     /// For [`EngineMode::PushPull`], the first query at a given world
-    /// size captures the dry-run plan; later queries at that size
-    /// replay it (any [`SurveyConfig`] — the plan does not depend on
-    /// the engine configuration). The query runs on the one world state
-    /// it fetched, so a plan is only ever replayed over the shards it
-    /// was captured from, whatever an ingest does meanwhile.
+    /// size keeps the dry-run plans its ranks made; later queries at
+    /// that size run from them and skip the dry run's traffic (any
+    /// [`SurveyConfig`] — the plan does not depend on the engine
+    /// configuration). The query runs on the one world state it
+    /// fetched, so a plan only ever serves the shards it was made
+    /// from, whatever an ingest does meanwhile.
     pub fn survey<F>(&self, query: &ResidentQuery, callback: F) -> Vec<QueryOutcome>
     where
         F: Fn(&Comm, &TriangleMeta<'_, VM, EM>) + Send + Sync + 'static,
     {
         let ws = self.world_state(query.nranks);
         let cb = Arc::new(callback);
-        match (query.mode, ws.plans.get()) {
-            (EngineMode::PushOnly, _) => {
+        match query.mode {
+            EngineMode::PushOnly => {
                 self.survey_in_world(&ws, query, |comm, g| {
                     let report = survey_push_only_with(comm, g, query.config, rank_callback(&cb));
                     (report, ())
                 })
                 .0
             }
-            (EngineMode::PushPull, Some(plans)) => {
-                self.survey_in_world(&ws, query, |comm, g| {
-                    let mode = PlanMode::Replay(&plans[comm.rank()]);
-                    let cb = rank_callback(&cb);
-                    (
-                        survey_push_pull_planned(comm, g, query.config, mode, cb),
-                        (),
-                    )
-                })
-                .0
-            }
-            (EngineMode::PushPull, None) => {
+            EngineMode::PushPull => {
+                // Read once, so every rank takes the same branch.
+                let cached = ws.plans.get();
                 let (outcomes, plans) = self.survey_in_world(&ws, query, |comm, g| {
-                    let mut plan = None;
-                    let mode = PlanMode::Capture(&mut plan);
-                    let cb = rank_callback(&cb);
-                    let report = survey_push_pull_planned(comm, g, query.config, mode, cb);
-                    (report, plan.expect("capture mode fills the plan"))
+                    let plan = cached.map(|plans| plans[comm.rank()].clone());
+                    survey_push_pull_planned(comm, g, query.config, plan, rank_callback(&cb))
                 });
-                // Two queries can race to be first; the loser's
-                // identical plan is simply discarded.
-                let _ = ws.plans.set(Arc::new(plans));
+                // The first query to finish keeps its plans. Setting
+                // again is a no-op: a racing first query's plans are
+                // identical, and a later query's are the cached ones.
+                let _ = ws.plans.set(plans);
                 outcomes
             }
         }
@@ -661,6 +652,99 @@ mod tests {
             assert_eq!(b.report.phases[0].stats.records_total(), 0);
         }
         assert_eq!(resident.triangle_count(&q), 2);
+    }
+
+    /// Three hubs closing triangles with 40 low-degree sources, plus a
+    /// ring through the sources. Every rank aims many single-candidate
+    /// wedges at each hub, so the hubs are pulled.
+    fn hub_list() -> EdgeList<u32> {
+        let hubs = [1000u64, 1001, 1002];
+        let mut edges = vec![(hubs[0], hubs[1], 1), (hubs[1], hubs[2], 2)];
+        for v in 0..40u64 {
+            let (a, b) = (hubs[v as usize % 3], hubs[(v as usize + 1) % 3]);
+            edges.push((v, a, v as u32));
+            edges.push((v, b, v as u32 + 100));
+            edges.push((v, (v + 1) % 40, v as u32 + 200));
+        }
+        EdgeList::from_vec(edges)
+    }
+
+    /// Each rank's `(p, q, r)` triangles, sorted, with its pull counts.
+    type RankSurvey = (Vec<(u64, u64, u64)>, u64, u64);
+
+    /// One rank's planned runs and pull list.
+    type PlanView = (Vec<(u64, Vec<(u32, u32)>)>, Vec<(u64, Vec<u32>)>);
+
+    /// Each rank's plan, as the world state at `nranks` keeps it.
+    fn cached_plans(resident: &ResidentGraph<u64, u32>, nranks: usize) -> Vec<PlanView> {
+        let ws = resident.world_state(nranks);
+        let plans = ws.plans.get().expect("a Push-Pull query keeps its plans");
+        assert_eq!(plans.len(), nranks);
+        plans
+            .iter()
+            .map(|plan| {
+                let runs = plan.resume.runs().map(|(q, run)| (q, run.to_vec()));
+                (runs.collect(), plan.pull_list.clone())
+            })
+            .collect()
+    }
+
+    /// A cold survey, the resident query that keeps its plans, and one
+    /// that runs from them see the same triangles on the same ranks and
+    /// the same pulls; two independent dry runs make the same plans.
+    /// Callback order depends on scheduling, so triangles are compared
+    /// as sorted lists.
+    #[test]
+    fn cold_capturing_and_replaying_surveys_agree() {
+        use crate::push_pull::survey_push_pull;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        let list = hub_list();
+        let vm = |v: u64| v * 7;
+        for nranks in [2, 3, 4] {
+            let resident = ResidentGraph::build(&list, vm, Partition::Hashed);
+            let q = ResidentQuery::new(nranks);
+            let cold: Vec<RankSurvey> = resident.run(&q, |comm, g| {
+                let seen = Rc::new(RefCell::new(Vec::new()));
+                let sink = seen.clone();
+                let report = survey_push_pull(comm, g, move |_c, tm| {
+                    sink.borrow_mut().push((tm.p, tm.q, tm.r));
+                });
+                let mut seen = seen.take();
+                seen.sort_unstable();
+                (seen, report.pulled_vertices, report.pull_grants)
+            });
+            assert!(
+                cold.iter().any(|&(_, _, grants)| grants > 0),
+                "the hubs are pulled at {nranks} ranks"
+            );
+            let resident_survey = |resident: &ResidentGraph<u64, u32>| -> Vec<RankSurvey> {
+                let seen = Arc::new(Mutex::new(vec![Vec::new(); nranks]));
+                let sink = seen.clone();
+                let outcomes = resident.survey(&q, move |c, tm| {
+                    sink.lock().unwrap()[c.rank()].push((tm.p, tm.q, tm.r));
+                });
+                let mut seen = Arc::into_inner(seen).unwrap().into_inner().unwrap();
+                seen.iter_mut().for_each(|s| s.sort_unstable());
+                seen.into_iter()
+                    .zip(&outcomes)
+                    .map(|(s, o)| (s, o.report.pulled_vertices, o.report.pull_grants))
+                    .collect()
+            };
+            let capturing = resident_survey(&resident);
+            let replaying = resident_survey(&resident);
+            assert_eq!(capturing, cold, "capturing vs cold at {nranks} ranks");
+            assert_eq!(replaying, cold, "replaying vs cold at {nranks} ranks");
+
+            let other = ResidentGraph::build(&list, vm, Partition::Hashed);
+            assert_eq!(resident_survey(&other), cold);
+            assert_eq!(
+                cached_plans(&resident, nranks),
+                cached_plans(&other, nranks),
+                "independent dry runs make the same plans at {nranks} ranks"
+            );
+        }
     }
 
     #[test]

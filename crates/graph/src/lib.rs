@@ -45,7 +45,7 @@ pub use dodgr::{build_dist_graph, AdjEntry, DistGraph, GraphStats, LocalShard, L
 pub use edge_list::EdgeList;
 pub use error::GraphError;
 pub use ingest::{apply_edge_batch, apply_edge_batch_with, ApexDelta, BatchDelta, ReverseIndex};
-pub use order::{dodgr_less, OrderKey};
+pub use order::OrderKey;
 pub use partition::Partition;
 pub use snapshot::{
     decode_snapshot, encode_snapshot, load_snapshot, save_snapshot, SnapshotError, SNAPSHOT_MAGIC,

@@ -41,34 +41,28 @@ impl OrderKey {
     }
 }
 
-/// `u <+ v` given both degrees.
-#[inline]
-pub fn dodgr_less(u: u64, deg_u: u64, v: u64, deg_v: u64) -> bool {
-    OrderKey::new(u, deg_u) < OrderKey::new(v, deg_v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn degree_dominates() {
-        assert!(dodgr_less(100, 1, 5, 2));
-        assert!(!dodgr_less(5, 2, 100, 1));
+        assert!(OrderKey::new(100, 1) < OrderKey::new(5, 2));
+        assert!(OrderKey::new(5, 2) >= OrderKey::new(100, 1));
     }
 
     #[test]
     fn hash_breaks_ties_deterministically() {
-        let a = dodgr_less(1, 5, 2, 5);
-        let b = dodgr_less(2, 5, 1, 5);
+        let a = OrderKey::new(1, 5) < OrderKey::new(2, 5);
+        let b = OrderKey::new(2, 5) < OrderKey::new(1, 5);
         assert_ne!(a, b, "exactly one direction holds");
         // Stable across calls.
-        assert_eq!(a, dodgr_less(1, 5, 2, 5));
+        assert_eq!(a, OrderKey::new(1, 5) < OrderKey::new(2, 5));
     }
 
     #[test]
     fn total_order_no_self_less() {
-        assert!(!dodgr_less(7, 3, 7, 3));
+        assert!(OrderKey::new(7, 3) >= OrderKey::new(7, 3));
     }
 
     #[test]

@@ -33,14 +33,23 @@
 //! Order keys are *not* stored: `OrderKey::new(v, degree)` is a pure
 //! function of `(id, degree)`, so they are rebuilt on load and then
 //! *validated* — each adjacency must be strictly increasing in `<+` and
-//! strictly above its source vertex. Decoding is fully hostile-input
-//! hardened: truncation, oversized section claims, unknown versions,
-//! duplicate vertices and order violations all surface as structured
-//! [`SnapshotError`]s; no input can panic the loader.
+//! strictly above its source vertex. A target's degree is stored twice,
+//! in its own record and in every entry that points at it, so the
+//! loader also checks that every entry's target has a record, that the
+//! entry's key equals the record's, and that every record's degree is
+//! its out-degree plus the entries that point at it — one hash probe
+//! per entry. An entry's target metadata is the one copy the loader
+//! cannot check against the record: `VM` has no equality bound.
+//!
+//! Every other defect is structural: truncation, oversized section
+//! claims, unknown versions, duplicate vertices, order violations and
+//! the cross-record checks above all surface as structured
+//! [`SnapshotError`]s, and no input can panic the loader.
 
 use std::fmt;
 use std::path::Path;
 
+use tripoll_ygm::hash::FastMap;
 use tripoll_ygm::wire::{put_varint, Wire, WireError, WireReader};
 
 use crate::dodgr::{AdjEntry, LocalVertex};
@@ -93,6 +102,31 @@ pub enum SnapshotError {
         /// The vertex whose adjacency is malformed.
         vertex: u64,
     },
+    /// An adjacency entry names a vertex with no record.
+    DanglingTarget {
+        /// The vertex whose adjacency holds the entry.
+        vertex: u64,
+        /// The entry's target.
+        target: u64,
+    },
+    /// An adjacency entry stores a degree for its target that differs
+    /// from the target's own record.
+    TargetKeyMismatch {
+        /// The vertex whose adjacency holds the entry.
+        vertex: u64,
+        /// The entry's target.
+        target: u64,
+    },
+    /// A record's degree is not its out-degree plus the entries that
+    /// point at it.
+    DegreeMismatch {
+        /// The vertex whose record is wrong.
+        vertex: u64,
+        /// The degree its record stores.
+        stored: u64,
+        /// Its out-degree plus the entries that point at it.
+        counted: u64,
+    },
     /// Underlying file I/O failure (save/load wrappers only).
     Io(std::io::Error),
 }
@@ -121,6 +155,23 @@ impl fmt::Display for SnapshotError {
             SnapshotError::AdjacencyOrder { vertex } => {
                 write!(f, "adjacency of vertex {vertex} violates the <+ order")
             }
+            SnapshotError::DanglingTarget { vertex, target } => write!(
+                f,
+                "adjacency of vertex {vertex} names vertex {target}, which has no record"
+            ),
+            SnapshotError::TargetKeyMismatch { vertex, target } => write!(
+                f,
+                "adjacency of vertex {vertex} stores a degree for vertex {target} that its record \
+                 does not"
+            ),
+            SnapshotError::DegreeMismatch {
+                vertex,
+                stored,
+                counted,
+            } => write!(
+                f,
+                "vertex {vertex} stores degree {stored} but has {counted} incident entries"
+            ),
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
         }
     }
@@ -267,7 +318,44 @@ pub fn decode_snapshot<VM: Wire, EM: Wire>(
     if let Some(w) = vertices.windows(2).find(|w| w[0].id == w[1].id) {
         return Err(SnapshotError::DuplicateVertex { vertex: w[0].id });
     }
+    check_entries(&vertices)?;
     Ok((vertices, partition))
+}
+
+/// Checks the duplicate-free `vertices` against themselves: every
+/// entry's target has a record whose key is the entry's, and every
+/// record's degree is its out-degree plus the entries that point at
+/// it. One hash probe per entry.
+fn check_entries<VM, EM>(vertices: &[LocalVertex<VM, EM>]) -> Result<(), SnapshotError> {
+    // id → (stored degree, the part of it no entry has accounted for
+    // yet). The arithmetic wraps: `left` is `stored - counted` modulo
+    // 2^64, and `counted`, at most the number of entries, fits.
+    let mut open: FastMap<u64, (u64, u64)> = vertices
+        .iter()
+        .map(|lv| (lv.id, (lv.degree(), lv.degree().wrapping_sub(lv.dplus()))))
+        .collect();
+    for lv in vertices {
+        for e in &lv.adj {
+            let (vertex, target) = (lv.id, e.v);
+            let Some((stored, left)) = open.get_mut(&target) else {
+                return Err(SnapshotError::DanglingTarget { vertex, target });
+            };
+            // Both keys are `OrderKey::new(target, _)`: they are equal
+            // exactly when the degrees are.
+            if e.key.degree != *stored {
+                return Err(SnapshotError::TargetKeyMismatch { vertex, target });
+            }
+            *left = left.wrapping_sub(1);
+        }
+    }
+    match open.iter().find(|(_, &(_, left))| left != 0) {
+        Some((&vertex, &(stored, left))) => Err(SnapshotError::DegreeMismatch {
+            vertex,
+            stored,
+            counted: stored.wrapping_sub(left),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Writes a snapshot to a file.
@@ -408,6 +496,88 @@ mod tests {
             decode_snapshot::<u64, u32>(&bytes),
             Err(SnapshotError::TrailingBytes)
         ));
+    }
+
+    /// The triangle `{0, 1, 2}`: every degree is 2, the `<+`-least
+    /// vertex holds both other vertices, the middle one holds the top.
+    fn triangle_vertices() -> Vec<LocalVertex<u64, u32>> {
+        let list = EdgeList::from_vec(vec![(0u64, 1u64, 1u32), (1, 2, 2), (2, 0, 3)]);
+        let mut out = World::new(1).run(move |comm| {
+            let g = build_dist_graph(comm, list.as_slice().to_vec(), |v| v, Partition::Hashed);
+            Arc::into_inner(g.into_shard()).unwrap().into_vertices()
+        });
+        let verts = out.pop().unwrap();
+        let dplus: Vec<usize> = verts.iter().map(|lv| lv.adj.len()).collect();
+        assert_eq!(dplus.iter().sum::<usize>(), 3);
+        assert!(dplus.contains(&2) && dplus.contains(&0));
+        verts
+    }
+
+    /// Encodes `verts` after `tamper` and decodes the bytes.
+    fn decode_tampered(
+        tamper: impl FnOnce(&mut Vec<LocalVertex<u64, u32>>),
+    ) -> Result<(Vec<LocalVertex<u64, u32>>, Partition), SnapshotError> {
+        let mut verts = triangle_vertices();
+        tamper(&mut verts);
+        decode_snapshot::<u64, u32>(&encode_snapshot(&verts, Partition::Hashed, 2))
+    }
+
+    /// The apex's last entry, the top vertex, claims degree 3 where the
+    /// top vertex's record says 2. The adjacency stays ordered.
+    #[test]
+    fn entry_degree_disagreeing_with_its_target_is_refused() {
+        let mut top = 0;
+        let got = decode_tampered(|verts| {
+            let apex = verts.iter_mut().find(|lv| lv.adj.len() == 2).unwrap();
+            let last = apex.adj.last_mut().unwrap();
+            top = last.v;
+            last.key = OrderKey::new(last.v, 3);
+        });
+        match got {
+            Err(SnapshotError::TargetKeyMismatch { target, .. }) => assert_eq!(target, top),
+            other => panic!("expected TargetKeyMismatch, got {other:?}"),
+        }
+    }
+
+    /// The apex's last entry names a vertex no record holds.
+    #[test]
+    fn entry_without_a_target_record_is_refused() {
+        let got = decode_tampered(|verts| {
+            let apex = verts.iter_mut().find(|lv| lv.adj.len() == 2).unwrap();
+            let last = apex.adj.last_mut().unwrap();
+            last.v = 99;
+            last.key = OrderKey::new(99, 3);
+        });
+        match got {
+            Err(SnapshotError::DanglingTarget { target: 99, .. }) => {}
+            other => panic!("expected DanglingTarget, got {other:?}"),
+        }
+    }
+
+    /// The top vertex's degree reads 3 in its record and in both
+    /// entries that point at it, so every key agrees and the adjacency
+    /// stays ordered, but only two entries are incident to it.
+    #[test]
+    fn record_degree_off_by_one_is_refused() {
+        let mut top = 0;
+        let got = decode_tampered(|verts| {
+            let t = verts.iter_mut().find(|lv| lv.adj.is_empty()).unwrap();
+            top = t.id;
+            t.key = OrderKey::new(top, 3);
+            for e in verts.iter_mut().flat_map(|lv| &mut lv.adj) {
+                if e.v == top {
+                    e.key = OrderKey::new(top, 3);
+                }
+            }
+        });
+        match got {
+            Err(SnapshotError::DegreeMismatch {
+                vertex,
+                stored: 3,
+                counted: 2,
+            }) => assert_eq!(vertex, top),
+            other => panic!("expected DegreeMismatch, got {other:?}"),
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use common::{hub_graph, labeled, run_survey};
 use tripoll::core::{EngineMode, KernelStats, SurveyConfig};
 use tripoll::gen::{rmat_edges, RmatConfig};
-use tripoll::graph::{dodgr_less, EdgeList};
+use tripoll::graph::{EdgeList, OrderKey};
 
 /// One pinned run: `(engine, ranks, compares, candidates, gallop_runs,
 /// merge_runs, probe_runs, bytes_encoded, records)`. Push-Pull's rows
@@ -122,7 +122,7 @@ fn wedges(list: &EdgeList<String>) -> u64 {
     }
     let mut dplus: HashMap<u64, u64> = HashMap::new();
     for &(u, v, _) in list.as_slice() {
-        let p = if dodgr_less(u, degree[&u], v, degree[&v]) {
+        let p = if OrderKey::new(u, degree[&u]) < OrderKey::new(v, degree[&v]) {
             u
         } else {
             v
