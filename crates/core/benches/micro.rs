@@ -7,9 +7,17 @@
 //! * `pull_probe` — one pull delivery's shape: a 100-key pulled list
 //!   serving 35 resume suffixes, merged per suffix under `Auto` against
 //!   indexed once and probed per suffix (what the pull handler runs);
+//!   then the pull shapes of `reddit_stream` and `rmat_pull`, hits at
+//!   random positions, indexed and probed. The `100x35` row reads low
+//!   against them (about 2–3 ns per candidate, the shapes 6–9): its
+//!   one delivery repeats, and its hits follow a fixed three-in-five
+//!   pattern, so the branch predictor learns the probe loop's exits.
+//!   The shape rows, over 512 distinct deliveries, are the ones that
+//!   chose the table's sparseness;
 //! * `push_decode` — one apex's nested wedge-batch frames, every key
-//!   decoded fresh against served through a [`FrameDecoder`] (what
-//!   both receive handlers run);
+//!   decoded fresh (what the pull handler runs on each delivery)
+//!   against served through a [`FrameDecoder`] (what the push handler
+//!   runs);
 //! * `plan` — the Push-Pull dry run's [`ResumePlan`] on a
 //!   `wdc_fqdn`-shaped stream: building it from the pointers (ns per
 //!   pointer) and finding one pull delivery's pointers (ns per lookup);
@@ -35,14 +43,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tripoll_core::{
-    intersect_indices, kernel_stats_take, merge_path, FrameDecoder, IntersectKernel, KeyIndex,
-    ResidentGraph, ResidentQuery, ResumePlan,
+    decode_key_column, intersect_indices, kernel_stats_take, merge_path, FrameDecoder,
+    IntersectKernel, KeyIndex, ResidentGraph, ResidentQuery, ResumePlan,
 };
 use tripoll_graph::{EdgeList, OrderKey, Partition};
 use tripoll_ygm::hash::hash64;
-use tripoll_ygm::wire::{
-    to_bytes, ColBatch, ColCursor, ColKeys, ColSuffixes, WireEncode, WireReader,
-};
+use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, ColSuffixes, WireEncode, WireReader};
 
 /// Passes per (skew, kernel) measurement.
 const KERNEL_ITERS: usize = 64;
@@ -222,27 +228,107 @@ fn compare_pull_probe() {
     }
 }
 
+/// Distinct deliveries per pull-shape measurement: enough that no hit
+/// pattern repeats within a pass.
+const SHAPE_DELIVERIES: usize = 512;
+
+/// Candidates probed per pull-shape measurement, over repeated passes.
+const SHAPE_CANDIDATES: usize = 4 << 20;
+
+/// One workload's pull shape, as the pull handler serves it: each of
+/// [`SHAPE_DELIVERIES`] deliveries is a pulled list of `keys / 2` to
+/// `3 * keys / 2` keys, indexed once, and `suffixes` resume suffixes
+/// probed into it. A suffix holds `cands / 2` to `3 * cands / 2`
+/// candidates, in `<+` order, each a pulled key with probability
+/// `hit_pct` % and a near miss (one degree up) otherwise, so hits fall
+/// at random positions. Times the build and the probes together, per
+/// candidate.
+fn pull_shape(name: &str, keys: usize, suffixes: usize, cands: usize, hit_pct: u64) {
+    let mut word = 0u64;
+    let mut rand = |below: usize| -> usize {
+        word += 1;
+        (hash64(word) % below as u64) as usize
+    };
+    let deliveries: Vec<(Vec<OrderKey>, Vec<Vec<OrderKey>>)> = (0..SHAPE_DELIVERIES)
+        .map(|d| {
+            let n = keys / 2 + rand(keys + 1);
+            let pulled: Vec<OrderKey> = (0..n as u64)
+                .map(|i| OrderKey::new(hash64((d as u64) << 32 | i), 64 + 2 * i))
+                .collect();
+            let suffixes = (0..suffixes)
+                .map(|_| {
+                    let mut suffix: Vec<OrderKey> = (0..cands / 2 + rand(cands + 1))
+                        .map(|j| {
+                            let k = pulled[rand(n)];
+                            if (rand(100) as u64) < hit_pct {
+                                k
+                            } else {
+                                OrderKey::new(!(j as u64), k.degree + 1)
+                            }
+                        })
+                        .collect();
+                    suffix.sort_unstable();
+                    suffix.dedup();
+                    suffix
+                })
+                .collect();
+            (pulled, suffixes)
+        })
+        .collect();
+    let candidates: usize = deliveries.iter().flat_map(|(_, s)| s).map(Vec::len).sum();
+    let passes = SHAPE_CANDIDATES.div_ceil(candidates);
+    let mut index = KeyIndex::new();
+    let mut serve = || -> u64 {
+        let mut acc = 0u64;
+        for (pulled, suffixes) in &deliveries {
+            index.build(pulled).expect("short frame");
+            for s in suffixes {
+                index.probe(s, |&k| k, |a, i| acc += (a ^ i) as u64);
+            }
+        }
+        acc
+    };
+    let warm = serve();
+    let _ = kernel_stats_take();
+    let start = Instant::now();
+    let mut acc = 0u64;
+    for _ in 0..passes {
+        acc = acc.wrapping_add(serve());
+    }
+    let ns = start.elapsed().as_nanos() as f64;
+    assert_eq!(
+        acc,
+        warm.wrapping_mul(passes as u64),
+        "{name} is deterministic"
+    );
+    let s = kernel_stats_take();
+    let per = (candidates * passes) as f64;
+    println!(
+        "pull_probe/{name:<15} {:>8.2} ns/cand  {:>8.2} compares/cand  {:>5.1} % hits  ({keys}-key lists, {suffixes} suffixes of {cands})",
+        ns / per,
+        s.compares as f64 / per,
+        100.0 * s.matches as f64 / per,
+    );
+}
+
+/// The pull shapes of the two Push-Pull workloads whose pull phase is
+/// most of their survey, per rank at seed 42: `reddit_stream`'s short
+/// lists and rare hits, `rmat_pull`'s longer lists and frequent hits.
+fn compare_pull_shapes() {
+    pull_shape("reddit_stream", 11, 8, 6, 10);
+    pull_shape("rmat_pull", 53, 36, 25, 60);
+}
+
 /// Passes per push-decode measurement.
 const DECODE_ITERS: usize = 512;
-
-/// Decodes every key of `keys` into `out` and checks that the keys
-/// strictly increase: the decode each frame paid before a
-/// [`FrameDecoder`] served nested frames from the one before.
-fn decode_fresh(keys: ColKeys<'_>, out: &mut Vec<OrderKey>) {
-    out.clear();
-    for k in keys {
-        let k = k.expect("key columns");
-        let key = OrderKey::new(k.v, k.degree);
-        assert!(out.last().is_none_or(|prev| prev.word() < key.word()));
-        out.push(key);
-    }
-}
 
 /// One apex's pushes as its target ranks receive them: the 64 nested
 /// suffixes of a 64-key `Adjm+(p)` (hashed ids, degrees in the
 /// thousands), in the order the apex ships them. `fresh` decodes every
-/// key of every frame; `decoder` decodes the first frame and serves the
-/// other 63 from its key column.
+/// key of every frame with [`decode_key_column`] (what each frame paid
+/// before a [`FrameDecoder`] served nested frames from the one before,
+/// and what each pull delivery pays); `decoder` decodes the first frame
+/// and serves the other 63 from its key column.
 fn compare_push_decode() {
     let list: Vec<(u64, u64)> = (0..64u64).map(|i| (hash64(i), 4096 + 3 * i)).collect();
     let mut cols = ColSuffixes::new();
@@ -262,7 +348,7 @@ fn compare_push_decode() {
             for frame in &frames {
                 let cursor = ColCursor::<u64>::begin(&mut WireReader::new(frame)).expect("frame");
                 let cands = if name == "fresh" {
-                    decode_fresh(cursor.keys, &mut out);
+                    decode_key_column(cursor.keys, &mut out).expect("key columns");
                     &out[..]
                 } else {
                     decoder.decode(cursor.keys).expect("key columns")
@@ -397,6 +483,7 @@ fn compare_incremental_ingest() {
 fn main() {
     compare_intersect_kernels();
     compare_pull_probe();
+    compare_pull_shapes();
     compare_push_decode();
     compare_resume_plan();
     compare_incremental_ingest();

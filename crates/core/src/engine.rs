@@ -17,15 +17,16 @@
 //!
 //! * **Production** ([`IntersectKernel::Auto`], or an explicit
 //!   [`Gallop`] / [`Merge`]): the frame is captured in place
-//!   ([`tripoll_ygm::wire::ColCursor`]), a rank-owned [`FrameDecoder`]
-//!   turns its two key columns into a flat [`OrderKey`] column — served
-//!   from the last frame it decoded when the frame's key bytes are a
-//!   suffix of that frame's, decoded whole otherwise (a frame whose keys
-//!   do not strictly increase is a wire error) — and a match arrives as
-//!   an index pair whose frame index selects the one metadata element
-//!   to decode. A pushed batch is the column's left
-//!   side against `Adjm+(q)`, intersected by [`intersect_indices`]
-//!   under the configured kernel. A pulled `Adjm+(q)` serves every
+//!   ([`tripoll_ygm::wire::ColCursor`]), its two key columns become a
+//!   flat [`OrderKey`] column (a frame whose keys do not strictly
+//!   increase is a wire error), and a match arrives as an index pair
+//!   whose frame index selects the one metadata element to decode. A
+//!   pushed batch goes through a rank-owned [`FrameDecoder`], which
+//!   serves it from the last frame it decoded when the frame's key
+//!   bytes are a suffix of that frame's; its column is the left side
+//!   against `Adjm+(q)`, intersected by [`intersect_indices`] under the
+//!   configured kernel. A pulled `Adjm+(q)` is decoded whole by
+//!   [`decode_key_column`], which keeps nothing, and serves every
 //!   resume suffix recorded for `q`: its column is indexed once per
 //!   delivery in a [`KeyIndex`] and each suffix is probed into it,
 //!   whatever the kernel. The survey callback is a type parameter of
@@ -636,29 +637,32 @@ pub fn intersect_slices<L, R>(
 /// it: [`KeyIndex::build`] rejects a frame that would need it.
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// One [`KeyIndex`] slot: a key's [`OrderKey::word`] and its frame
-/// index, or [`EMPTY_SLOT`].
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    word: u128,
-    idx: u32,
-}
+/// Least [`KeyIndex`] slots per indexed key. A probe's loop exits at
+/// its first slot unless that slot holds a key, so the sparser the
+/// table, the more often the exit comes at once and the more
+/// predictable the branch: at this ratio at most one home slot in
+/// eight is taken. The `micro` bench's `pull_probe` rows at the
+/// workloads' pull shapes chose it.
+const SLOTS_PER_KEY: usize = 8;
 
 /// An open-addressing hash index over one decoded frame's flat
 /// [`OrderKey`] column: the production pull handler builds it once per
 /// delivery and probes every resume suffix into it, where a merge would
 /// walk the pulled `Adjm+(q)` once per suffix.
 ///
-/// The table's size is a power of two, at least twice the key count. A
-/// key's home slot is `tie & mask`: `tie` is already `hash64(v)`, so
-/// there is no second hash. Collisions probe linearly, and each slot
-/// holds the key's word and its frame index. [`KeyIndex::probe`]
-/// reports exactly the index pairs, in exactly the order, of a merge of
-/// two strictly increasing lists. A frame whose ties were chosen to
+/// The table's size is a power of two, at least eight times the key
+/// count, and each slot is a key's `u32` frame index; the keys'
+/// [`OrderKey::word`]s sit in a dense column beside it, in frame order.
+/// That is 48 to 80 bytes per key, and a probe that misses reads one
+/// 4-byte slot, almost always an empty one. A key's home slot is
+/// `tie & mask`: `tie` is already `hash64(v)`, so there is no second
+/// hash. Collisions probe linearly. [`KeyIndex::probe`] reports exactly
+/// the index pairs, in exactly the order, of a merge of two strictly
+/// increasing lists. A frame whose ties were chosen to
 /// share their low bits shares one long chain: its build and probes
 /// slow down, but never report a wrong pair.
 ///
-/// The slots are cleared, not reallocated, on each
+/// The slots and words are cleared, not reallocated, on each
 /// [`KeyIndex::build`], so one index serves every delivery of a rank
 /// and no slot of an earlier frame outlives its rebuild.
 ///
@@ -677,7 +681,10 @@ struct Slot {
 /// ```
 #[derive(Debug, Default)]
 pub struct KeyIndex {
-    slots: Vec<Slot>,
+    /// Frame indices, or [`EMPTY_SLOT`].
+    slots: Vec<u32>,
+    /// The indexed keys' words, by frame index.
+    words: Vec<u128>,
 }
 
 impl KeyIndex {
@@ -694,25 +701,18 @@ impl KeyIndex {
         if keys.len() >= EMPTY_SLOT as usize {
             return Err(WireError::InvalidValue("frame too long to index"));
         }
-        let size = (2 * keys.len()).next_power_of_two();
+        let size = (SLOTS_PER_KEY * keys.len()).next_power_of_two();
         let mask = size - 1;
         self.slots.clear();
-        self.slots.resize(
-            size,
-            Slot {
-                word: 0,
-                idx: EMPTY_SLOT,
-            },
-        );
+        self.slots.resize(size, EMPTY_SLOT);
+        self.words.clear();
+        self.words.extend(keys.iter().map(|k| k.word()));
         for (i, k) in keys.iter().enumerate() {
             let mut s = k.tie as usize & mask;
-            while self.slots[s].idx != EMPTY_SLOT {
+            while self.slots[s] != EMPTY_SLOT {
                 s = (s + 1) & mask;
             }
-            self.slots[s] = Slot {
-                word: k.word(),
-                idx: i as u32,
-            };
+            self.slots[s] = i as u32;
         }
         Ok(())
     }
@@ -738,17 +738,17 @@ impl KeyIndex {
                 let k = key_l(l);
                 let x = k.word();
                 let mut s = k.tie as usize & mask;
+                // A probe stops at the first empty slot or at the key;
+                // only the second is a match.
                 loop {
-                    let slot = self.slots[s];
+                    let i = self.slots[s];
                     compares += 1;
-                    // A probe stops at the key or at the first empty
-                    // slot; only the first of the two is a match.
-                    let empty = slot.idx == EMPTY_SLOT;
-                    if empty || slot.word == x {
-                        if !empty {
-                            on_match(a, slot.idx as usize);
-                            matches += 1;
-                        }
+                    if i == EMPTY_SLOT {
+                        break;
+                    }
+                    if self.words[i as usize] == x {
+                        on_match(a, i as usize);
+                        matches += 1;
                         break;
                     }
                     s = (s + 1) & mask;
@@ -759,10 +759,52 @@ impl KeyIndex {
     }
 }
 
-/// The one frame decoder of both receive handlers: it decodes a
-/// frame's two key columns, whole, into a flat [`OrderKey`] column
-/// whose positions are the frame indices, and serves a frame that is a
-/// nested suffix of the last frame it decoded without decoding it.
+/// Decodes every key of `keys`, a walk that has not started, into
+/// `out` (cleared first): the frame's flat key column, whose positions
+/// are its frame indices. Walking to the last element enforces the key
+/// columns' byte budget, and the keys must strictly increase, as every
+/// `<+`-sorted list and its suffixes do: a frame whose keys repeat or
+/// fall back fails, so every frame decoded here is one on which the
+/// merge and the hash probe report the same pairs.
+///
+/// It keeps nothing of the frame. The pull handler decodes every
+/// delivery with it: a pulled list is almost never a suffix of the one
+/// before, so a [`FrameDecoder`]'s copy of its bytes would never be
+/// served.
+pub fn decode_key_column(keys: ColKeys<'_>, out: &mut Vec<OrderKey>) -> Result<(), WireError> {
+    decode_keys_with(keys, out, |_| {})
+}
+
+/// [`decode_key_column`], passing `at` the walk's column positions
+/// before each element and once at the end.
+#[inline]
+fn decode_keys_with(
+    mut keys: ColKeys<'_>,
+    out: &mut Vec<OrderKey>,
+    mut at: impl FnMut((usize, usize)),
+) -> Result<(), WireError> {
+    debug_assert_eq!(keys.positions(), (0, 0), "the walk has not started");
+    out.clear();
+    out.reserve(keys.remaining());
+    loop {
+        at(keys.positions());
+        let Some(k) = keys.next_key() else {
+            return Ok(());
+        };
+        let k = k?;
+        debug_assert_eq!(k.idx, out.len(), "frame index is the position");
+        let key = OrderKey::new(k.v, k.degree);
+        if out.last().is_some_and(|prev| prev.word() >= key.word()) {
+            return Err(WireError::InvalidValue("frame keys must strictly increase"));
+        }
+        out.push(key);
+    }
+}
+
+/// The push handler's frame decoder: it decodes a frame's two key
+/// columns, whole, into a flat [`OrderKey`] column whose positions are
+/// the frame indices, and serves a frame that is a nested suffix of the
+/// last frame it decoded without decoding it.
 ///
 /// A push apex ships, for every out-neighbour, the suffix of one list
 /// past it, so a rank receives runs of frames that are suffixes of the
@@ -780,13 +822,10 @@ impl KeyIndex {
 ///
 /// Identical bytes decode to identical keys, so a served frame is
 /// exactly what a fresh decode would return. Any other frame is decoded
-/// fresh and replaces the stored one. Walking to the last element
-/// enforces the key columns' byte budget, and the keys must strictly
-/// increase, as every `<+`-sorted list and its suffixes do: a frame
-/// whose keys repeat or fall back fails, so every frame the decoder
-/// accepts is one on which the merge and the hash probe report the
-/// same pairs. A failed decode forgets the stored frame, and a frame
-/// whose key columns outgrow `u32` offsets is decoded but not stored.
+/// fresh, as [`decode_key_column`] decodes it (the same errors, the
+/// same strict-increase check), and replaces the stored one. A failed
+/// decode forgets the stored frame, and a frame whose key columns
+/// outgrow `u32` offsets is decoded but not stored.
 ///
 /// Buffers are cleared, not reallocated, so one decoder serves every
 /// frame of a rank and allocates only while they grow.
@@ -871,30 +910,19 @@ impl FrameDecoder {
 
     /// Decodes every key of `keys` and stores the frame's column bytes
     /// and element offsets, if they fit `u32`.
-    fn decode_fresh(&mut self, mut keys: ColKeys<'_>) -> Result<(), WireError> {
+    fn decode_fresh(&mut self, keys: ColKeys<'_>) -> Result<(), WireError> {
         let (vcol, dcol) = keys.column_bytes();
         let store = vcol.len() + dcol.len() <= u32::MAX as usize;
-        self.keys.clear();
-        self.keys.reserve(keys.remaining());
-        self.offsets.clear();
+        let offsets = &mut self.offsets;
+        offsets.clear();
         if store {
-            self.offsets.reserve(keys.remaining() + 1);
+            offsets.reserve(keys.remaining() + 1);
         }
-        loop {
+        decode_keys_with(keys, &mut self.keys, |(v, d)| {
             if store {
-                let (v, d) = keys.positions();
-                self.offsets.push((v as u32, d as u32));
+                offsets.push((v as u32, d as u32));
             }
-            let Some(k) = keys.next_key() else { break };
-            let k = k?;
-            debug_assert_eq!(k.idx, self.keys.len(), "frame index is the position");
-            let key = OrderKey::new(k.v, k.degree);
-            let last = self.keys.last();
-            if last.is_some_and(|prev| prev.word() >= key.word()) {
-                return Err(WireError::InvalidValue("frame keys must strictly increase"));
-            }
-            self.keys.push(key);
-        }
+        })?;
         self.cols.clear();
         if store {
             self.cols.extend_from_slice(vcol);
@@ -1136,6 +1164,36 @@ mod tests {
                 );
                 assert_eq!(got, oracle, "kernel {kernel} on {lv:?} x {rv:?}");
             }
+        }
+    }
+
+    /// A built index is a power of two at least [`SLOTS_PER_KEY`] slots
+    /// per key, holds each frame index in exactly one slot, and keeps
+    /// the keys' words in frame order; a rebuild for a shorter frame
+    /// leaves none of the longer frame's slots or words.
+    #[test]
+    fn key_index_holds_each_key_once_in_a_sparse_table() {
+        let mut index = KeyIndex::new();
+        for n in [200u64, 0, 1, 2, 7, 8, 9, 64, 65] {
+            let keys: Vec<OrderKey> = (0..n).map(|v| OrderKey::new(v, v)).collect();
+            index.build(&keys).expect("short frame");
+            let size = index.slots.len();
+            assert!(size.is_power_of_two(), "{n} keys: {size} slots");
+            assert!(size >= SLOTS_PER_KEY * keys.len(), "{n} keys: {size} slots");
+            assert!(
+                n == 0 || size < 2 * SLOTS_PER_KEY * keys.len(),
+                "{n} keys: {size} slots"
+            );
+            let mut held: Vec<u32> = index
+                .slots
+                .iter()
+                .copied()
+                .filter(|&i| i != EMPTY_SLOT)
+                .collect();
+            held.sort_unstable();
+            assert_eq!(held, (0..n as u32).collect::<Vec<_>>(), "{n} keys");
+            let words: Vec<u128> = keys.iter().map(|k| k.word()).collect();
+            assert_eq!(index.words, words, "{n} keys");
         }
     }
 

@@ -51,9 +51,9 @@ pub mod surveys;
 
 pub use delta::survey_delta_push;
 pub use engine::{
-    intersect_indices, intersect_slices, kernel_stats, kernel_stats_take, merge_path, EngineMode,
-    FrameDecoder, IntersectKernel, KernelStats, KeyIndex, PhaseReport, SurveyConfig, SurveyReport,
-    GALLOP_RATIO,
+    decode_key_column, intersect_indices, intersect_slices, kernel_stats, kernel_stats_take,
+    merge_path, EngineMode, FrameDecoder, IntersectKernel, KernelStats, KeyIndex, PhaseReport,
+    SurveyConfig, SurveyReport, GALLOP_RATIO,
 };
 pub use meta::{SurveyCallback, TriangleMeta};
 pub use push_only::{survey_push_only, survey_push_only_with};

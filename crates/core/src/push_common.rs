@@ -24,7 +24,7 @@
 //!
 //! The production handler captures the frame in place ([`ColCursor`])
 //! and takes its two key columns as one flat [`OrderKey`] column from a
-//! rank-owned [`FrameDecoder`] (the decoder the pull handler uses). The
+//! rank-owned [`FrameDecoder`]. The
 //! nested frames of an apex that reach one rank arrive one after
 //! another, so the decoder decodes the first and serves each later one
 //! as a sub-slice of its column when the frame's key bytes are the

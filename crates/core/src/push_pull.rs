@@ -35,13 +35,18 @@
 //! once per granted `q` and fanned out to every granted rank. It is
 //! captured once as a [`ColCursor`] (three bounded takes), its two key
 //! columns are decoded once into a rank-owned flat [`OrderKey`] column
-//! (a key's frame index is its position), and that column is indexed
-//! once in a rank-owned hash table ([`KeyIndex`]). Every resume suffix
-//! is then probed into the index, one lookup per candidate, instead of
-//! merged against the pulled list; `meta(q,r)` is decoded only on
-//! matches. One pulled list serves many short suffixes, the shape a
-//! hash-indexed intersection suits; pushed batches, one per
-//! `(p, q)`, keep the merge kernels.
+//! (a key's frame index is its position), its meta column is walked
+//! once into rank-owned element offsets, and the key column is indexed
+//! once in a rank-owned hash table ([`KeyIndex`]). Nothing of the frame
+//! is kept for the next delivery: unlike a pushed batch, a pulled list
+//! is almost never a suffix of the one before, so the push handler's
+//! [`FrameDecoder`](crate::engine::FrameDecoder) memo would not be
+//! served. Every resume suffix is then probed into the index, one
+//! lookup per candidate, instead of merged against the pulled list;
+//! `meta(q,r)` is decoded only on matches, at its offset. One pulled
+//! list serves many short suffixes, the shape a hash-indexed
+//! intersection suits; pushed batches, one per `(p, q)`, keep the
+//! merge kernels.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -53,7 +58,7 @@ use tripoll_ygm::wire::{ColBatch, ColCursor, ColSuffixes, Wire};
 use tripoll_ygm::{Comm, Handler};
 
 use crate::engine::{
-    intersect_slices, EngineMode, FrameDecoder, IntersectKernel, KeyIndex, PhaseTimer,
+    decode_key_column, intersect_slices, EngineMode, IntersectKernel, KeyIndex, PhaseTimer,
     SurveyConfig, SurveyReport,
 };
 use crate::meta::{SurveyCallback, TriangleMeta};
@@ -321,12 +326,14 @@ where
 struct PpState {
     /// Adjacency lists this rank pulled (received).
     pulled: u64,
-    /// Decodes the key columns of the pull delivery being served once,
-    /// into a flat key column (the push handler's [`FrameDecoder`]).
-    frame_decoder: FrameDecoder,
+    /// The key column of the pull delivery being served, decoded once.
+    frame_keys: Vec<OrderKey>,
     /// The hash index over that key column, built once per delivery
     /// and probed by every resume suffix.
     frame_index: KeyIndex,
+    /// Where each element of the delivery's meta column starts, from
+    /// one walk of the column.
+    meta_offsets: Vec<u32>,
 }
 
 /// Runs a Push-Pull triangle survey; `callback` executes once per
@@ -444,15 +451,21 @@ where
 /// read the same wire type.
 ///
 /// One arriving `Adjm+(q)` projection is intersected against **every**
-/// resume suffix recorded for `q`. The production body captures the
-/// frame's column extents once ([`ColCursor`], three bounded takes),
-/// decodes its key columns once per delivery ([`FrameDecoder`]),
-/// builds one [`KeyIndex`] over them, and probes each suffix
-/// `Adjm+(p)[idx+1..]` into it with [`KeyIndex::probe`], decoding
-/// `meta(q,r)` only for triangle matches, from a clone of the captured
-/// meta column. It runs for every `config` but the reference, whatever
-/// its kernel: the kernel selects the push arm only. The reference body
-/// materializes the projection and runs the two-pointer merge.
+/// resume suffix recorded for `q`. The production body serves a
+/// delivery in one pass over its bytes: it captures the frame's column
+/// extents ([`ColCursor`], three bounded takes), decodes its key
+/// columns into a reused column ([`decode_key_column`], which keeps no
+/// copy of the frame), walks its meta column once into reused element
+/// offsets ([`ColMetas::offsets`], which enforces the column's byte
+/// budget), and builds one [`KeyIndex`] over the keys. It then probes
+/// each suffix `Adjm+(p)[idx+1..]` into the index with
+/// [`KeyIndex::probe`], decoding `meta(q,r)` only for triangle matches,
+/// at its stored offset. It runs for every `config` but the reference,
+/// whatever its kernel: the kernel selects the push arm only. The
+/// reference body materializes the projection and runs the two-pointer
+/// merge.
+///
+/// [`ColMetas::offsets`]: tripoll_ygm::wire::ColMetas::offsets
 fn register_pull_handler<VM, EM, F>(
     comm: &Comm,
     graph: &DistGraph<VM, EM>,
@@ -507,11 +520,13 @@ where
         let mut s = st.borrow_mut();
         s.pulled += 1;
         let PpState {
-            frame_decoder,
+            frame_keys,
             frame_index,
+            meta_offsets,
             ..
         } = &mut *s;
-        let frame_keys = frame_decoder.decode(keys)?;
+        decode_key_column(keys, frame_keys)?;
+        metas.offsets(meta_offsets)?;
         frame_index.build(frame_keys)?;
         let shard = g.shard();
         for &(slot, idx) in plan.resume.get(q) {
@@ -520,7 +535,6 @@ where
             debug_assert_eq!(eq.v, q);
             let suffix = &lv.adj[idx as usize + 1..];
             c.add_work((suffix.len() + frame_keys.len()) as u64);
-            let mut metas = metas.clone();
             let mut failed = None;
             frame_index.probe(
                 suffix,
@@ -530,7 +544,7 @@ where
                         return;
                     }
                     let s_entry = &suffix[a];
-                    match metas.get(i) {
+                    match metas.decode_at(meta_offsets[i]) {
                         Ok(meta_qr) => cb(
                             c,
                             &TriangleMeta {
@@ -848,12 +862,12 @@ mod tests {
 
     /// Delivers one pull frame to a directly registered production pull
     /// handler, its `(v, degree)` keys first reordered by `mangle_keys`
-    /// and its encoded key columns then corrupted by `mangle`. The
-    /// frame's first key matches the resume suffix and every later key
-    /// lies past it, so a kernel that stopped at the suffix's end would
-    /// never reach the corruption; the callback panics if the survey
-    /// emits anything.
-    fn hostile_pull(mangle_keys: fn(&mut Vec<(u64, u64)>), mangle: fn(&mut Vec<u8>, &mut Vec<u8>)) {
+    /// and its encoded vertex, degree and (unit, so empty) meta columns
+    /// then corrupted by `mangle`. The frame's first key matches the
+    /// resume suffix and every later key lies past it, so a kernel that
+    /// stopped at the suffix's end would never reach the corruption;
+    /// the callback panics if the survey emits anything.
+    fn hostile_pull(mangle_keys: fn(&mut Vec<(u64, u64)>), mangle: fn(&mut [Vec<u8>; 3])) {
         use tripoll_ygm::wire::{put_varint, WireEncode};
         struct Raw(Vec<u8>);
         impl WireEncode for Raw {
@@ -910,15 +924,15 @@ mod tests {
                     put_varint(&mut dcol, if i == 0 { d } else { zigzag });
                     prev = d;
                 }
-                mangle(&mut vcol, &mut dcol);
+                let mut cols = [vcol, dcol, Vec::new()];
+                mangle(&mut cols);
                 let mut frame = Vec::new();
                 put_varint(&mut frame, q.v);
                 put_varint(&mut frame, keys.len() as u64);
-                for col in [&vcol, &dcol] {
+                for col in &cols {
                     put_varint(&mut frame, col.len() as u64);
                     frame.extend_from_slice(col);
                 }
-                put_varint(&mut frame, 0); // the unit meta column
                 comm.send_encoded(0, &h, Raw(frame));
             }
             comm.barrier();
@@ -928,19 +942,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "failed to decode message in place")]
     fn pull_frame_with_trailing_key_bytes_aborts() {
-        hostile_pull(|_| {}, |vcol, _| vcol.push(0));
+        hostile_pull(|_| {}, |[vcol, ..]| vcol.push(0));
     }
 
     #[test]
     #[should_panic(expected = "failed to decode message in place")]
     fn pull_frame_with_truncated_vertex_column_aborts() {
-        hostile_pull(|_| {}, |vcol, _| *vcol.last_mut().unwrap() |= 0x80);
+        hostile_pull(|_| {}, |[vcol, ..]| *vcol.last_mut().unwrap() |= 0x80);
     }
 
     #[test]
     #[should_panic(expected = "failed to decode message in place")]
     fn pull_frame_with_truncated_degree_column_aborts() {
-        hostile_pull(|_| {}, |_, dcol| *dcol.last_mut().unwrap() |= 0x80);
+        hostile_pull(|_| {}, |[_, dcol, _]| *dcol.last_mut().unwrap() |= 0x80);
     }
 
     /// The matching key moves behind a larger one: a merge would step
@@ -948,13 +962,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "failed to decode message in place")]
     fn pull_frame_with_swapped_keys_aborts() {
-        hostile_pull(|keys| keys.swap(0, 1), |_, _| {});
+        hostile_pull(|keys| keys.swap(0, 1), |_| {});
     }
 
     #[test]
     #[should_panic(expected = "failed to decode message in place")]
     fn pull_frame_with_repeated_key_aborts() {
-        hostile_pull(|keys| keys[1] = keys[0], |_, _| {});
+        hostile_pull(|keys| keys[1] = keys[0], |_| {});
+    }
+
+    /// A byte past the last element of the unit meta column. The one
+    /// match is the first element, so a lazy walk that decoded only as
+    /// far as the matches would never reach the end of the column; the
+    /// one walk of the whole column does, and refuses the frame.
+    #[test]
+    #[should_panic(expected = "failed to decode message in place")]
+    fn pull_frame_with_trailing_meta_bytes_aborts() {
+        hostile_pull(|_| {}, |[.., mcol]| mcol.push(0));
     }
 
     #[test]

@@ -38,8 +38,10 @@
 //! loader also checks that every entry's target has a record, that the
 //! entry's key equals the record's, and that every record's degree is
 //! its out-degree plus the entries that point at it — one hash probe
-//! per entry. An entry's target metadata is the one copy the loader
-//! cannot check against the record: `VM` has no equality bound.
+//! per entry. A target's metadata is stored twice as well, and the
+//! loader checks that each entry's copy encodes to the bytes its
+//! target's record encodes to: `VM` has no equality bound, but equal
+//! values encode alike.
 //!
 //! Every other defect is structural: truncation, oversized section
 //! claims, unknown versions, duplicate vertices, order violations and
@@ -117,6 +119,14 @@ pub enum SnapshotError {
         /// The entry's target.
         target: u64,
     },
+    /// An adjacency entry stores metadata for its target that encodes
+    /// differently from the target's own record.
+    TargetMetaMismatch {
+        /// The vertex whose adjacency holds the entry.
+        vertex: u64,
+        /// The entry's target.
+        target: u64,
+    },
     /// A record's degree is not its out-degree plus the entries that
     /// point at it.
     DegreeMismatch {
@@ -162,6 +172,11 @@ impl fmt::Display for SnapshotError {
             SnapshotError::TargetKeyMismatch { vertex, target } => write!(
                 f,
                 "adjacency of vertex {vertex} stores a degree for vertex {target} that its record \
+                 does not"
+            ),
+            SnapshotError::TargetMetaMismatch { vertex, target } => write!(
+                f,
+                "adjacency of vertex {vertex} stores metadata for vertex {target} that its record \
                  does not"
             ),
             SnapshotError::DegreeMismatch {
@@ -323,21 +338,31 @@ pub fn decode_snapshot<VM: Wire, EM: Wire>(
 }
 
 /// Checks the duplicate-free `vertices` against themselves: every
-/// entry's target has a record whose key is the entry's, and every
-/// record's degree is its out-degree plus the entries that point at
-/// it. One hash probe per entry.
-fn check_entries<VM, EM>(vertices: &[LocalVertex<VM, EM>]) -> Result<(), SnapshotError> {
+/// entry's target has a record whose key is the entry's and whose
+/// metadata encodes to the entry's bytes, and every record's degree is
+/// its out-degree plus the entries that point at it. One hash probe and
+/// one metadata encode per entry.
+fn check_entries<VM: Wire, EM>(vertices: &[LocalVertex<VM, EM>]) -> Result<(), SnapshotError> {
+    // Every record's metadata, encoded once, end to end.
+    let mut metas = Vec::new();
     // id → (stored degree, the part of it no entry has accounted for
-    // yet). The arithmetic wraps: `left` is `stored - counted` modulo
-    // 2^64, and `counted`, at most the number of entries, fits.
-    let mut open: FastMap<u64, (u64, u64)> = vertices
+    // yet, the record's metadata bytes in `metas`). The arithmetic
+    // wraps: `left` is `stored - counted` modulo 2^64, and `counted`,
+    // at most the number of entries, fits.
+    let mut open: FastMap<u64, (u64, u64, std::ops::Range<usize>)> = vertices
         .iter()
-        .map(|lv| (lv.id, (lv.degree(), lv.degree().wrapping_sub(lv.dplus()))))
+        .map(|lv| {
+            let start = metas.len();
+            lv.meta.encode(&mut metas);
+            let left = lv.degree().wrapping_sub(lv.dplus());
+            (lv.id, (lv.degree(), left, start..metas.len()))
+        })
         .collect();
+    let mut vm = Vec::new();
     for lv in vertices {
         for e in &lv.adj {
             let (vertex, target) = (lv.id, e.v);
-            let Some((stored, left)) = open.get_mut(&target) else {
+            let Some((stored, left, meta)) = open.get_mut(&target) else {
                 return Err(SnapshotError::DanglingTarget { vertex, target });
             };
             // Both keys are `OrderKey::new(target, _)`: they are equal
@@ -345,11 +370,16 @@ fn check_entries<VM, EM>(vertices: &[LocalVertex<VM, EM>]) -> Result<(), Snapsho
             if e.key.degree != *stored {
                 return Err(SnapshotError::TargetKeyMismatch { vertex, target });
             }
+            vm.clear();
+            e.vm.encode(&mut vm);
+            if vm != metas[meta.clone()] {
+                return Err(SnapshotError::TargetMetaMismatch { vertex, target });
+            }
             *left = left.wrapping_sub(1);
         }
     }
-    match open.iter().find(|(_, &(_, left))| left != 0) {
-        Some((&vertex, &(stored, left))) => Err(SnapshotError::DegreeMismatch {
+    match open.iter().find(|(_, (_, left, _))| *left != 0) {
+        Some((&vertex, &(stored, left, _))) => Err(SnapshotError::DegreeMismatch {
             vertex,
             stored,
             counted: stored.wrapping_sub(left),
@@ -536,6 +566,23 @@ mod tests {
         match got {
             Err(SnapshotError::TargetKeyMismatch { target, .. }) => assert_eq!(target, top),
             other => panic!("expected TargetKeyMismatch, got {other:?}"),
+        }
+    }
+
+    /// The apex's last entry stores vertex metadata 1000 for the top
+    /// vertex, whose record stores its id. Key and degrees agree.
+    #[test]
+    fn entry_metadata_disagreeing_with_its_target_is_refused() {
+        let mut top = 0;
+        let got = decode_tampered(|verts| {
+            let apex = verts.iter_mut().find(|lv| lv.adj.len() == 2).unwrap();
+            let last = apex.adj.last_mut().unwrap();
+            top = last.v;
+            last.vm += 1000;
+        });
+        match got {
+            Err(SnapshotError::TargetMetaMismatch { target, .. }) => assert_eq!(target, top),
+            other => panic!("expected TargetMetaMismatch, got {other:?}"),
         }
     }
 

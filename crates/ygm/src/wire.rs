@@ -97,8 +97,9 @@
 //! bytes inside a column are an error, not slack — enforced wherever a
 //! column is actually walked to its end: always by the owned
 //! [`ColBatch`] decode, by [`ColKeys`] when the key walk completes,
-//! and by [`ColMetas`] when the final metadata element is decoded
-//! (bytes behind an early exit are never walked; see [`ColMetas`]).
+//! by [`ColMetas::get`] when the final metadata element is decoded
+//! (bytes behind an early exit are never walked; see [`ColMetas`]), and
+//! by [`ColMetas::offsets`], which walks the whole meta column.
 //!
 //! The shapes:
 //!
@@ -112,10 +113,12 @@
 //!   are reused across fills (zero steady-state allocation).
 //! * [`ColCursor`] — single-pass decode: [`ColKeys`] walks the two key
 //!   columns in lockstep while [`ColMetas`] advances the meta column
-//!   lazily, only as far as the indices actually requested. A cursor
-//!   is a few borrowed slices, so cloning it (or either half) walks
-//!   the captured frame again: a pull delivery decodes its keys once,
-//!   then walks a clone of its meta column once per resume suffix.
+//!   lazily, only as far as the indices actually requested, or indexes
+//!   it in one walk ([`ColMetas::offsets`]) for decodes in any order. A
+//!   cursor is a few borrowed slices, so cloning it (or either half)
+//!   walks the captured frame again: a pushed batch reads its metadata
+//!   through the lazy walk; a pull delivery decodes its keys once and
+//!   indexes its meta column once for all of its resume suffixes.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -1212,19 +1215,29 @@ impl Iterator for ColKeys<'_> {
     }
 }
 
-/// Lazy forward reader over the meta column: [`ColMetas::get`] skips to
-/// the requested index (bounds-only walks) and decodes exactly one
-/// element. Indices must be requested in increasing order — which a
-/// merge-path intersection produces by construction — so misses cost a
-/// skip, not a decode, and unmatched tails cost nothing at all.
+/// Reader over the meta column, in one of two ways.
 ///
-/// The laziness is a deliberate trade against validation depth: the
-/// column's *byte extent* was bounds-checked at capture (it can never
-/// be over-read), but elements behind the last index actually requested
-/// are not even structurally walked, so value-level corruption hiding
-/// there goes unreported. The owned [`ColBatch`] decode, which
-/// materializes everything, is the strict reference: it rejects any
-/// column not consumed byte-budget exactly.
+/// * **Lazy, forward** — [`ColMetas::get`] skips to the requested index
+///   (bounds-only walks) and decodes exactly one element. Indices must
+///   be requested in increasing order — which a merge-path intersection
+///   produces by construction — so misses cost a skip, not a decode,
+///   and unmatched tails cost nothing at all. The push handler reads a
+///   wedge batch's metadata this way: one batch, one walk.
+/// * **Indexed** — [`ColMetas::offsets`] walks the whole column once,
+///   enforcing its byte budget, and stores every element's offset;
+///   [`ColMetas::decode_at`] then decodes any element, in any order,
+///   without a skip. The pull handler reads a delivery's metadata this
+///   way: many resume suffixes probe one pulled list, each restarting
+///   at its own matches, and one walk serves them all.
+///
+/// The lazy walk's laziness is a deliberate trade against validation
+/// depth: the column's *byte extent* was bounds-checked at capture (it
+/// can never be over-read), but elements behind the last index actually
+/// requested are not even structurally walked, so value-level
+/// corruption hiding there goes unreported. The owned [`ColBatch`]
+/// decode, which materializes everything, is the strict reference: it
+/// rejects any column not consumed byte-budget exactly, and so does
+/// [`ColMetas::offsets`].
 #[derive(Clone)]
 pub struct ColMetas<'a, T> {
     r: WireReader<'a>,
@@ -1278,6 +1291,39 @@ impl<T: Wire> ColMetas<'_, T> {
             self.poisoned = true;
         }
         out
+    }
+
+    /// Walks the whole column once, from its first element whatever
+    /// [`ColMetas::get`] has read, and stores each element's byte offset
+    /// in `out`, which is cleared first: `out[i]` is where element `i`
+    /// starts, for [`ColMetas::decode_at`]. Fails where a decode of every
+    /// element would fail structurally: a truncated or overlong element,
+    /// or bytes past the last one (the byte budget). A column longer
+    /// than `u32` offsets reach fails too.
+    pub fn offsets(&self, out: &mut Vec<u32>) -> Result<(), WireError> {
+        let mut r = WireReader::new(self.r.buf);
+        if r.remaining() > u32::MAX as usize {
+            return Err(WireError::InvalidValue("meta column too long to index"));
+        }
+        out.clear();
+        out.reserve(self.n);
+        for _ in 0..self.n {
+            out.push(r.position() as u32);
+            T::skip(&mut r)?;
+        }
+        if !r.is_empty() {
+            return Err(WireError::InvalidValue("columnar byte budget mismatch"));
+        }
+        Ok(())
+    }
+
+    /// Decodes the element that starts at `offset`, one of the offsets
+    /// [`ColMetas::offsets`] stored. Value-level errors (a `String` that
+    /// is not UTF-8, say) surface here, as they do in [`ColMetas::get`].
+    #[inline]
+    pub fn decode_at(&self, offset: u32) -> Result<T, WireError> {
+        let bytes = self.r.buf.get(offset as usize..).unwrap_or_default();
+        T::decode(&mut WireReader::new(bytes))
     }
 }
 
@@ -2127,6 +2173,57 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// The frame of `items` with its meta column's bytes passed
+        /// through `mangle`.
+        fn frame_with_metas<T: Wire>(
+            items: &[(u64, u64, T)],
+            mangle: impl FnOnce(&mut Vec<u8>),
+        ) -> Vec<u8> {
+            let mut mcol = Vec::new();
+            for c in items {
+                c.2.encode(&mut mcol);
+            }
+            mangle(&mut mcol);
+            let mut buf = Vec::new();
+            put_varint(&mut buf, items.len() as u64);
+            write_raw_col(&mut buf, items.iter().map(|c| c.0));
+            write_delta_col(&mut buf, items.iter().map(|c| c.1));
+            write_meta_col(&mut buf, |s| s.extend_from_slice(&mcol));
+            buf
+        }
+
+        /// `offsets` plus `decode_at` return at every index what `get`
+        /// returns, however far a walk has read; the offsets walk
+        /// refuses the column with a byte past its end, and with its
+        /// last byte cut (the last element truncated).
+        fn check_indexed_metas<T: Wire + Clone + PartialEq + fmt::Debug>(items: &[(u64, u64, T)]) {
+            let frame = frame_with_metas(items, |_| {});
+            let mut cur = ColCursor::<T>::begin(&mut WireReader::new(&frame)).unwrap();
+            // Stale contents are cleared.
+            let mut offsets = vec![u32::MAX];
+            cur.metas.offsets(&mut offsets).unwrap();
+            prop_assert_eq!(offsets.len(), items.len());
+            for (i, &at) in offsets.iter().enumerate() {
+                prop_assert_eq!(cur.metas.decode_at(at), cur.metas.clone().get(i));
+            }
+            if let Some(last) = items.len().checked_sub(1) {
+                cur.metas.get(last).unwrap();
+                let mut again = Vec::new();
+                cur.metas.offsets(&mut again).unwrap();
+                prop_assert_eq!(again, offsets);
+            }
+            let refused = |mangle: fn(&mut Vec<u8>)| {
+                let frame = frame_with_metas(items, mangle);
+                ColCursor::<T>::begin(&mut WireReader::new(&frame))
+                    .and_then(|c| c.metas.offsets(&mut Vec::new()))
+                    .is_err()
+            };
+            prop_assert!(refused(|m| m.push(0)), "a byte past the last element");
+            if T::MIN_ENCODED_BYTES > 0 && !items.is_empty() {
+                prop_assert!(refused(|m| _ = m.pop()), "a truncated last element");
+            }
+        }
+
         proptest! {
             #[test]
             fn u64_roundtrip(v in any::<u64>()) {
@@ -2226,6 +2323,18 @@ mod tests {
                     walked.push((k.v, k.degree, cur.metas.get(k.idx).unwrap()));
                 }
                 prop_assert_eq!(walked, owned.0);
+            }
+
+            #[test]
+            fn indexed_metas_decode_what_get_returns(
+                v in proptest::collection::vec((any::<u64>(), any::<u64>(), ".*"), 0..40)
+            ) {
+                let words: Vec<_> = v.iter().map(|e| (e.0, e.1, e.1)).collect();
+                check_indexed_metas(&words);
+                let strings: Vec<_> = v.iter().map(|e| (e.0, e.1, e.2.to_string())).collect();
+                check_indexed_metas(&strings);
+                let units: Vec<_> = v.iter().map(|e| (e.0, e.1, ())).collect();
+                check_indexed_metas(&units);
             }
 
             #[test]

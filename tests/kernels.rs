@@ -35,11 +35,15 @@
 //!   ordered index pairs of `merge_path` with its candidate and match
 //!   counts, at every skew, on empty sides, under forced tie collisions
 //!   (long probe chains) and across the table's wrap-around; a rebuilt
-//!   index never matches a slot of the frame before.
+//!   index never matches a slot of the frame before; and misses into
+//!   hashed frames of the workloads' pull lengths inspect a pinned
+//!   number of slots, which holds the table's sparseness.
 //! * **Served equals decoded** — a [`FrameDecoder`] fed interleaved
 //!   suffix frames of two lists, some with a key column mutated,
 //!   returns on every frame what a fresh decoder and the plain key
-//!   walk return: the same key column or the same error.
+//!   walk return: the same key column or the same error. So does
+//!   [`decode_key_column`], the pull handler's decode, which keeps
+//!   nothing of a frame.
 //!
 //! Besides agreement, `Auto`'s key-compare counts at four fixed degree
 //! skews are pinned to literals: the work the gallop and merge arms
@@ -50,8 +54,9 @@ mod common;
 use common::{hub_graph, labeled, random_graph, run_survey};
 use proptest::prelude::*;
 use tripoll::core::{
-    intersect_indices, intersect_slices, kernel_stats, kernel_stats_take, merge_path, EngineMode,
-    FrameDecoder, IntersectKernel, KernelStats, KeyIndex, SurveyConfig, GALLOP_RATIO,
+    decode_key_column, intersect_indices, intersect_slices, kernel_stats, kernel_stats_take,
+    merge_path, EngineMode, FrameDecoder, IntersectKernel, KernelStats, KeyIndex, SurveyConfig,
+    GALLOP_RATIO,
 };
 use tripoll::gen::table4_suite;
 use tripoll::graph::{EdgeList, OrderKey};
@@ -588,6 +593,23 @@ fn probe_handles_empty_sides_collisions_and_wrap_around() {
     assert_eq!(s.compares, 300);
 }
 
+/// The table's sparseness, pinned: 1 000 misses, hashed like every
+/// real key, probed into hashed frames of the workloads' pull lengths
+/// (11 keys on `reddit_stream`, 53 on `rmat_pull`). A miss inspects
+/// its home slot and, only where a key sits there, the chain past it,
+/// so its compares exceed one only by the collisions. A table of at
+/// least eight slots per key makes them rare.
+#[test]
+fn misses_into_a_sparse_table_mostly_end_at_home() {
+    let misses: Vec<OrderKey> = (1_000..2_000u64).map(|v| OrderKey::new(v, v)).collect();
+    for (n, pinned) in [(11u64, 1_079), (53, 1_103)] {
+        let frame = probe_keys(&(0..n).collect::<Vec<_>>(), Ties::Hashed);
+        let (got, s) = probe_pairs(&mut KeyIndex::new(), &misses, &frame);
+        assert!(got.is_empty(), "{n} keys: a miss matched");
+        assert_eq!(s.compares, pinned, "{n} keys: compares of 1 000 misses");
+    }
+}
+
 /// One index serves every delivery of a rank: a rebuild for another
 /// frame — shorter, or of the same table size — must forget every slot
 /// of the frame before.
@@ -597,7 +619,7 @@ fn rebuilt_index_never_matches_a_stale_slot() {
     let long = probe_keys(&(0..64u64).collect::<Vec<_>>(), Ties::Hashed);
     let (got, _) = probe_pairs(&mut index, &long, &long);
     assert_eq!(got.len(), 64);
-    // The same table size (64 and 60 keys both take 128 slots) and
+    // The same table size (64 and 60 keys both take 512 slots) and
     // disjoint keys: nothing of the frame before survives.
     let other = probe_keys(&(100..160u64).collect::<Vec<_>>(), Ties::Hashed);
     let (got, _) = probe_pairs(&mut index, &long, &other);
@@ -738,7 +760,9 @@ proptest! {
     /// interleaved, half of them intact and the rest with one key
     /// column mutated: one [`FrameDecoder`] across the whole stream
     /// returns, frame by frame, exactly what a fresh decoder and the
-    /// key walk return — the same key column or the same error.
+    /// key walk return — the same key column or the same error — and
+    /// so does [`decode_key_column`], the pull handler's decode, into
+    /// one column reused across the stream.
     #[test]
     fn frame_decoder_serves_what_a_fresh_decode_returns(
         a in proptest::collection::vec((0u64..1 << 40, 0u64..5000), 1..40),
@@ -751,6 +775,7 @@ proptest! {
             cols
         });
         let mut decoder = FrameDecoder::new();
+        let mut column = Vec::new();
         for (which, j, kind, bits) in stream {
             let cols = &cols[which];
             let mut frame = Vec::new();
@@ -762,8 +787,10 @@ proptest! {
             };
             let walked = walk_keys(cursor.keys.clone());
             let fresh = FrameDecoder::new().decode(cursor.keys.clone()).map(<[OrderKey]>::to_vec);
+            let unstored = decode_key_column(cursor.keys.clone(), &mut column).map(|()| column.clone());
             let got = decoder.decode(cursor.keys).map(<[OrderKey]>::to_vec);
             prop_assert_eq!(&fresh, &walked);
+            prop_assert_eq!(&unstored, &walked);
             prop_assert_eq!(&got, &fresh);
         }
     }

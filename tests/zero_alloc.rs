@@ -25,15 +25,18 @@
 //! match decoded.
 //!
 //! The pull side allocates nothing either: deliveries of assorted
-//! lengths are captured once with [`ColCursor::begin`], decoded into one
-//! reused key column, indexed by one reused [`KeyIndex`], and probed by
-//! every resume suffix, decoding the metadata of every match from a
-//! clone of the captured meta column.
+//! lengths are captured once with [`ColCursor::begin`], decoded by
+//! [`decode_key_column`] into one reused key column, their meta columns
+//! walked once into one reused offset column, indexed by one reused
+//! [`KeyIndex`], and probed by every resume suffix, decoding the
+//! metadata of every match at its offset.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tripoll::core::{intersect_indices, FrameDecoder, IntersectKernel, KeyIndex};
+use tripoll::core::{
+    decode_key_column, intersect_indices, FrameDecoder, IntersectKernel, KeyIndex,
+};
 use tripoll::graph::OrderKey;
 use tripoll::ygm::buffer::{BufferPool, SendBuffer};
 use tripoll::ygm::hash::hash64;
@@ -373,35 +376,44 @@ fn puller_adjacency(j: usize) -> Vec<OrderKey> {
     out
 }
 
+/// The pull handler's reused buffers: the decoded key column, the meta
+/// column's element offsets and the hash index.
+#[derive(Default)]
+struct PullBuffers {
+    frame_keys: Vec<OrderKey>,
+    meta_offsets: Vec<u32>,
+    index: KeyIndex,
+}
+
 /// Serves every delivery as the production pull handler does: capture
-/// the frame, decode its key columns into `frame_keys`, index them in
-/// `index`, then probe each resume suffix, decoding `meta(q, r)` of
-/// every match from a clone of the captured metadata walk. Returns a
-/// checksum and the match count.
+/// the frame, decode its key columns into `frame_keys`, walk its meta
+/// column once into `meta_offsets`, index the keys, then probe each
+/// resume suffix, decoding `meta(q, r)` of every match at its offset.
+/// Returns a checksum and the match count.
 fn serve_pulls(
     frames: &[Vec<u8>],
     pullers: &[Vec<OrderKey>],
-    frame_keys: &mut Vec<OrderKey>,
-    index: &mut KeyIndex,
+    bufs: &mut PullBuffers,
 ) -> (u64, u64) {
+    let PullBuffers {
+        frame_keys,
+        meta_offsets,
+        index,
+    } = bufs;
     let (mut acc, mut matches) = (0u64, 0u64);
     for (frame, adj) in frames.iter().zip(pullers) {
         let mut r = WireReader::new(frame);
         let ColCursor { keys, metas } = ColCursor::<'_, u64>::begin(&mut r).expect("frame");
-        frame_keys.clear();
-        for k in keys {
-            let k = k.expect("key columns");
-            frame_keys.push(OrderKey::new(k.v, k.degree));
-        }
+        decode_key_column(keys, frame_keys).expect("key columns");
+        metas.offsets(meta_offsets).expect("meta column");
         index.build(frame_keys).expect("short frame");
         for start in 0..SUFFIXES.min(adj.len()) {
-            let mut metas = metas.clone();
             index.probe(
                 &adj[start..],
                 |&k| k,
                 |a, i| {
                     acc = acc
-                        .wrapping_add(metas.get(i).expect("meta"))
+                        .wrapping_add(metas.decode_at(meta_offsets[i]).expect("meta"))
                         .wrapping_add(a as u64);
                     matches += 1;
                 },
@@ -424,11 +436,11 @@ fn pull_probe_allocates_nothing() {
         })
         .collect();
     let pullers: Vec<Vec<OrderKey>> = (0..PULL_LENGTHS.len()).map(puller_adjacency).collect();
-    let (mut frame_keys, mut index) = (Vec::new(), KeyIndex::new());
-    // The warm-up pass grows the key column and the table to the
-    // longest delivery.
-    let warm = serve_pulls(&frames, &pullers, &mut frame_keys, &mut index);
-    let (allocs, got) = allocs_in(|| serve_pulls(&frames, &pullers, &mut frame_keys, &mut index));
+    let mut bufs = PullBuffers::default();
+    // The warm-up pass grows the key and offset columns and the table
+    // to the longest delivery.
+    let warm = serve_pulls(&frames, &pullers, &mut bufs);
+    let (allocs, got) = allocs_in(|| serve_pulls(&frames, &pullers, &mut bufs));
     assert_eq!(got, warm, "serving is deterministic");
     assert!(got.1 > 0, "the suffixes match");
     assert_eq!(
