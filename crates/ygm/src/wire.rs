@@ -1238,7 +1238,6 @@ impl Iterator for ColKeys<'_> {
 /// decode, which materializes everything, is the strict reference: it
 /// rejects any column not consumed byte-budget exactly, and so does
 /// [`ColMetas::offsets`].
-#[derive(Clone)]
 pub struct ColMetas<'a, T> {
     r: WireReader<'a>,
     pos: usize,
@@ -1247,6 +1246,21 @@ pub struct ColMetas<'a, T> {
     /// mid-element, so no later index can be located reliably.
     poisoned: bool,
     _marker: std::marker::PhantomData<fn() -> T>,
+}
+
+/// A clone is an independent walk of the same borrowed column. Written
+/// out: a derive would require `T: Clone`, though the walk holds only
+/// borrowed bytes, never a `T`.
+impl<T> Clone for ColMetas<'_, T> {
+    fn clone(&self) -> Self {
+        ColMetas {
+            r: self.r.clone(),
+            pos: self.pos,
+            n: self.n,
+            poisoned: self.poisoned,
+            _marker: std::marker::PhantomData,
+        }
+    }
 }
 
 impl<T: Wire> ColMetas<'_, T> {
@@ -1335,12 +1349,21 @@ impl<T: Wire> ColMetas<'_, T> {
 /// The two halves are independent fields so the key walk and the lazy
 /// meta reads can be borrowed by different closures of one merge-path
 /// call. A clone is an independent walk of the same captured frame.
-#[derive(Clone)]
 pub struct ColCursor<'a, T> {
     /// The key columns, walked during intersection.
     pub keys: ColKeys<'a>,
     /// The meta column, decoded on match only.
     pub metas: ColMetas<'a, T>,
+}
+
+/// Written out, as for [`ColMetas`], so cloning needs no `T: Clone`.
+impl<T> Clone for ColCursor<'_, T> {
+    fn clone(&self) -> Self {
+        ColCursor {
+            keys: self.keys.clone(),
+            metas: self.metas.clone(),
+        }
+    }
 }
 
 impl<'a, T: Wire> ColCursor<'a, T> {
@@ -2196,7 +2219,7 @@ mod tests {
         /// returns, however far a walk has read; the offsets walk
         /// refuses the column with a byte past its end, and with its
         /// last byte cut (the last element truncated).
-        fn check_indexed_metas<T: Wire + Clone + PartialEq + fmt::Debug>(items: &[(u64, u64, T)]) {
+        fn check_indexed_metas<T: Wire + PartialEq + fmt::Debug>(items: &[(u64, u64, T)]) {
             let frame = frame_with_metas(items, |_| {});
             let mut cur = ColCursor::<T>::begin(&mut WireReader::new(&frame)).unwrap();
             // Stale contents are cleared.
