@@ -21,8 +21,13 @@
 //! * `plan` — the Push-Pull dry run's [`ResumePlan`] on a
 //!   `wdc_fqdn`-shaped stream: building it from the pointers (ns per
 //!   pointer) and finding one pull delivery's pointers (ns per lookup);
+//! * `gen` — the load layer: ns per raw comment of the `reddit_stream`
+//!   generator and ns per edge record of the `rmat_pull` one, at the
+//!   benchmark's shapes and seed 42;
 //! * `incremental_ingest` — a delta survey against a full recount after
-//!   a 1 % and a 10 % batch (whether the delta needs a pull side);
+//!   a 1 % and a 10 % batch on scale-15 R-MAT and 2 ranks, each timed
+//!   as the first query after its ingest (whether the delta needs a
+//!   pull side);
 //! * `sink/record` — a [`SurveyDeltaSink`] fed the `reddit_stream`
 //!   resident query's triangle samples, ns per triangle from one thread
 //!   and from two threads recording one rank's triangles each (what
@@ -433,31 +438,36 @@ fn compare_resume_plan() {
     );
 }
 
-/// Streaming appends: after a 1 % / 10 % batch lands on a scale-10
+/// Streaming appends: after a 1 % / 10 % batch lands on a scale-15
 /// R-MAT graph, surveying only the delta wedges against recounting the
-/// whole graph.
+/// whole graph, each on 2 ranks over its own freshly ingested copy: no
+/// query has sharded the new storage or cached a Push-Pull plan for
+/// it, as for the first query after an ingest.
 fn compare_incremental_ingest() {
-    let edges = tripoll_gen::rmat_edges(&tripoll_gen::RmatConfig::graph500(10, 42));
+    let edges = tripoll_gen::rmat_edges(&tripoll_gen::RmatConfig::graph500(15, 42));
     let list =
         EdgeList::from_vec(edges.into_iter().map(|(u, v)| (u, v, ())).collect()).canonicalize();
     let all = list.as_slice();
+    let q = ResidentQuery::new(2);
 
     for pct in [1usize, 10] {
         let cut = all.len() - all.len() * pct / 100;
-        let resident: ResidentGraph<(), ()> = ResidentGraph::build(
-            &EdgeList::from_vec(all[..cut].to_vec()),
-            |_| (),
-            Partition::Hashed,
-        );
-        let q = ResidentQuery::new(4);
-        let before = resident.triangle_count(&q);
-        let delta = resident
-            .ingest_batch_with(&all[cut..], |_| ())
-            .expect("append of canonical edges succeeds");
-        // Warm the post-ingest shard cache so both timings below
-        // measure the survey, not the per-world-size rebuild.
-        let after = resident.triangle_count(&q);
+        let ingest = |resident: &ResidentGraph<(), ()>| {
+            resident
+                .ingest_batch_with(&all[cut..], |_| ())
+                .expect("append of canonical edges succeeds")
+        };
+        let build = || {
+            ResidentGraph::build(
+                &EdgeList::from_vec(all[..cut].to_vec()),
+                |_| (),
+                Partition::Hashed,
+            )
+        };
 
+        let resident = build();
+        let before = resident.triangle_count(&q);
+        let delta = ingest(&resident);
         let count = Arc::new(AtomicU64::new(0));
         let c2 = count.clone();
         let start = Instant::now();
@@ -468,21 +478,63 @@ fn compare_incremental_ingest() {
             .expect("freshest delta is never stale");
         let delta_ns = start.elapsed().as_nanos() as f64;
         let delta_triangles = count.load(Ordering::Relaxed);
-        assert_eq!(
-            before + delta_triangles,
-            after,
-            "delta must complete the recount"
-        );
+        drop(resident);
 
+        let resident = build();
+        ingest(&resident);
         let start = Instant::now();
         let full = resident.triangle_count(&q);
         let full_ns = start.elapsed().as_nanos() as f64;
-        assert_eq!(full, after, "warmed recount is stable");
+        assert_eq!(
+            before + delta_triangles,
+            full,
+            "delta must complete the recount"
+        );
         println!(
             "incremental_ingest/batch{pct:02}pct            {delta_ns:>12.1} ns  (full recount {full_ns:>12.1} ns, {:.2}x, {delta_triangles:>7} delta triangles)",
             full_ns / delta_ns
         );
     }
+}
+
+/// The `reddit_stream` workload's comment stream at seed 42.
+fn reddit_stream_config() -> tripoll_gen::RedditConfig {
+    tripoll_gen::RedditConfig {
+        users: 20_000,
+        comments: 240_000,
+        seed: 42,
+        ..tripoll_gen::RedditConfig::default()
+    }
+}
+
+/// Passes per `gen/*` row.
+const GEN_ITERS: usize = 5;
+
+/// The load layer at the benchmark's shapes: `reddit_stream`'s raw
+/// comment stream and `rmat_pull`'s edge records, both at seed 42.
+fn compare_generators() {
+    let reddit = reddit_stream_config();
+    let rmat = tripoll_gen::RmatConfig::graph500(13, hash64(42));
+    let (mut reddit_ns, mut reddit_records) = (0.0, 0);
+    let (mut rmat_ns, mut rmat_records) = (0.0, 0);
+    for _ in 0..GEN_ITERS {
+        let start = Instant::now();
+        reddit_records += std::hint::black_box(tripoll_gen::reddit_comments(&reddit)).len();
+        reddit_ns += start.elapsed().as_nanos() as f64;
+        let start = Instant::now();
+        rmat_records += std::hint::black_box(tripoll_gen::rmat_edges(&rmat)).len();
+        rmat_ns += start.elapsed().as_nanos() as f64;
+    }
+    println!(
+        "gen/reddit {:>8.2} ns/comment  {:>7} comments",
+        reddit_ns / reddit_records as f64,
+        reddit_records / GEN_ITERS
+    );
+    println!(
+        "gen/rmat   {:>8.2} ns/edge     {:>7} edge records",
+        rmat_ns / rmat_records as f64,
+        rmat_records / GEN_ITERS
+    );
 }
 
 /// Passes per `sink/record` row.
@@ -492,12 +544,7 @@ const SINK_ITERS: usize = 16;
 /// query, per rank of a 2-rank world, as its callback builds them:
 /// per-author weights for degrees, first-comment timestamps on edges.
 fn reddit_samples() -> Vec<Vec<TriangleSample>> {
-    let raw = tripoll_gen::reddit_comments(&tripoll_gen::RedditConfig {
-        users: 20_000,
-        comments: 240_000,
-        seed: 42,
-        ..tripoll_gen::RedditConfig::default()
-    });
+    let raw = tripoll_gen::reddit_comments(&reddit_stream_config());
     let list = EdgeList::from_vec(raw).canonicalize_by(|&t| t);
     let resident: ResidentGraph<u64, u64> =
         ResidentGraph::build(&list, |v| hash64(v) % 1000 + 1, Partition::Hashed);
@@ -562,6 +609,7 @@ fn main() {
     compare_pull_shapes();
     compare_push_decode();
     compare_resume_plan();
+    compare_generators();
     compare_incremental_ingest();
     compare_sink_record();
 }

@@ -100,16 +100,20 @@ pub fn reddit_comments(cfg: &RedditConfig) -> Vec<(u64, u64, u64)> {
 
     // Mild per-user popularity (karma): most users are picked rarely
     // and meet each partner once; a small head stays active for years
-    // and becomes the graph's hubs.
-    let popularity = |u: u64| -> f64 {
-        let rank = (hash64(u.wrapping_add(cfg.seed)) % n) + 1;
-        (rank as f64).powf(-0.35)
-    };
-    // Rejection sampler for popularity-weighted users.
+    // and becomes the graph's hubs. Computed once per user: the sampler
+    // below accepts about one draw in twenty.
+    let popularity: Vec<f64> = (0..n)
+        .map(|u| {
+            let rank = (hash64(u.wrapping_add(cfg.seed)) % n) + 1;
+            (rank as f64).powf(-0.35)
+        })
+        .collect();
+    // Rejection sampler for popularity-weighted users: two draws per
+    // try, so the table changes the cost of a try and not the stream.
     let pick_user = |rng: &mut StdRng| -> u64 {
         loop {
             let u = rng.random_range(0..n);
-            if rng.random::<f64>() < popularity(u) {
+            if rng.random::<f64>() < popularity[u as usize] {
                 return u;
             }
         }
@@ -190,14 +194,35 @@ pub fn reddit_comments(cfg: &RedditConfig) -> Vec<(u64, u64, u64)> {
 mod tests {
     use super::*;
 
+    /// A `hash64` fold over every record, in stream order.
+    fn fingerprint(comments: &[(u64, u64, u64)]) -> u64 {
+        comments
+            .iter()
+            .fold(0, |h, &(a, b, t)| hash64(hash64(hash64(h ^ a) ^ b) ^ t))
+    }
+
+    #[test]
+    fn reddit_benchmark_shape_is_pinned() {
+        // The `reddit_stream` workload's stream at seed 42.
+        let comments = reddit_comments(&RedditConfig {
+            users: 20_000,
+            comments: 240_000,
+            seed: 42,
+            ..Default::default()
+        });
+        assert_eq!(comments.len(), 240_003);
+        assert_eq!(fingerprint(&comments), 1_720_148_712_521_661_842);
+    }
+
     #[test]
     fn deterministic() {
-        let cfg = RedditConfig {
+        let comments = reddit_comments(&RedditConfig {
             users: 500,
             comments: 5_000,
             ..Default::default()
-        };
-        assert_eq!(reddit_comments(&cfg), reddit_comments(&cfg));
+        });
+        assert_eq!(comments.len(), 5_006);
+        assert_eq!(fingerprint(&comments), 14_451_589_859_728_609_199);
     }
 
     #[test]

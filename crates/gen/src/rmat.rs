@@ -78,24 +78,21 @@ pub fn rmat_edges(cfg: &RmatConfig) -> Vec<(u64, u64)> {
         .flat_map_iter(|chunk| {
             let mut rng = StdRng::seed_from_u64(hash64(cfg.seed ^ (chunk as u64)));
             let count = CHUNK.min(n_edges - chunk * CHUNK);
-            let cfg = cfg.clone();
+            let (scale, scramble) = (cfg.scale, cfg.scramble);
+            // The quadrant thresholds ascend (`b, c >= 0`), so three
+            // comparisons pick the quadrant the `x < t` chain would: one
+            // draw per level, the same stream.
+            let (a, ab, abc) = (cfg.a, cfg.a + cfg.b, cfg.a + cfg.b + cfg.c);
             (0..count).map(move |_| {
                 let (mut u, mut v) = (0u64, 0u64);
-                for _level in 0..cfg.scale {
+                for _level in 0..scale {
                     let x: f64 = rng.random();
-                    let (du, dv) = if x < cfg.a {
-                        (0, 0)
-                    } else if x < cfg.a + cfg.b {
-                        (0, 1)
-                    } else if x < cfg.a + cfg.b + cfg.c {
-                        (1, 0)
-                    } else {
-                        (1, 1)
-                    };
-                    u = (u << 1) | du;
-                    v = (v << 1) | dv;
+                    let du = x >= ab;
+                    let dv = ((x >= a) & (x < ab)) | (x >= abc);
+                    u = (u << 1) | u64::from(du);
+                    v = (v << 1) | u64::from(dv);
                 }
-                if cfg.scramble {
+                if scramble {
                     (hash64(u) & mask, hash64(v) & mask)
                 } else {
                     (u, v)
@@ -109,12 +106,27 @@ pub fn rmat_edges(cfg: &RmatConfig) -> Vec<(u64, u64)> {
 mod tests {
     use super::*;
 
+    /// A `hash64` fold over every record, in output order.
+    fn fingerprint(edges: &[(u64, u64)]) -> u64 {
+        edges.iter().fold(0, |h, &(u, v)| hash64(hash64(h ^ u) ^ v))
+    }
+
+    #[test]
+    fn rmat_benchmark_shape_is_pinned() {
+        // The `rmat_pull` workload's graph at seed 42.
+        let edges = rmat_edges(&RmatConfig::graph500(13, hash64(42)));
+        assert_eq!(edges.len(), 131_072);
+        assert_eq!(fingerprint(&edges), 8_777_433_862_960_774_269);
+    }
+
     #[test]
     fn deterministic_in_seed() {
         let cfg = RmatConfig::graph500(8, 42);
-        assert_eq!(rmat_edges(&cfg), rmat_edges(&cfg));
+        let edges = rmat_edges(&cfg);
+        assert_eq!(edges.len(), 4_096);
+        assert_eq!(fingerprint(&edges), 15_793_815_058_076_185_951);
         let other = RmatConfig::graph500(8, 43);
-        assert_ne!(rmat_edges(&cfg), rmat_edges(&other));
+        assert_ne!(edges, rmat_edges(&other));
     }
 
     #[test]

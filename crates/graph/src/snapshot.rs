@@ -300,7 +300,10 @@ pub fn decode_snapshot<VM: Wire, EM: Wire>(
             let meta = VM::decode(&mut s)?;
             let key = OrderKey::new(id, degree);
             let dplus = s.take_varint()?;
-            let mut adj: Vec<AdjEntry<VM, EM>> = Vec::new();
+            // An entry is at least two varints, so a `d+` the section's
+            // bytes cannot hold reserves no more than they could.
+            let cap = dplus.min(s.remaining() as u64 / 2) as usize;
+            let mut adj: Vec<AdjEntry<VM, EM>> = Vec::with_capacity(cap);
             let mut prev = key;
             for _ in 0..dplus {
                 let v = s.take_varint()?;
@@ -514,6 +517,32 @@ mod tests {
         match decode_snapshot::<u64, u32>(&evil) {
             Err(SnapshotError::SectionOverrun { .. }) => {}
             other => panic!("expected SectionOverrun, got {other:?}"),
+        }
+    }
+
+    /// One record whose `d+` claims `u64::MAX / 4` entries, followed by
+    /// the first two varints of one entry: decode runs out of bytes
+    /// and reports it, with no reservation sized by the claim.
+    #[test]
+    fn huge_out_degree_claim_is_structured() {
+        let mut body = Vec::new();
+        put_varint(&mut body, 1); // nverts
+        put_varint(&mut body, 0); // id
+        put_varint(&mut body, 1); // degree
+        7u64.encode(&mut body); // meta
+        put_varint(&mut body, u64::MAX / 4); // d+
+        put_varint(&mut body, 1); // target
+        put_varint(&mut body, 1); // target degree
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        put_varint(&mut bytes, SNAPSHOT_VERSION);
+        bytes.push(partition_tag(Partition::Hashed));
+        put_varint(&mut bytes, 1); // nsections
+        put_varint(&mut bytes, 1); // total
+        put_varint(&mut bytes, body.len() as u64);
+        bytes.extend_from_slice(&body);
+        match decode_snapshot::<u64, u32>(&bytes) {
+            Err(SnapshotError::Wire(_)) => {}
+            other => panic!("expected a wire error, got {other:?}"),
         }
     }
 
