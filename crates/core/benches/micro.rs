@@ -24,6 +24,11 @@
 //! * `gen` — the load layer: ns per raw comment of the `reddit_stream`
 //!   generator and ns per edge record of the `rmat_pull` one, at the
 //!   benchmark's shapes and seed 42;
+//! * `build` — the DODGr build's local grouping (one radix sort per
+//!   arrival bucket): ns per input record of a 1-rank build of the
+//!   `web_push` and `reddit_stream` canonical edges at seed 42, and
+//!   `canonicalize/reddit_stream`, ns per raw comment of the first-
+//!   comment-wins canonicalization that precedes it;
 //! * `incremental_ingest` — a delta survey against a full recount after
 //!   a 1 % and a 10 % batch on scale-15 R-MAT and 2 ranks, each timed
 //!   as the first query after its ingest (whether the delta needs a
@@ -56,9 +61,10 @@ use tripoll_core::{
     IntersectKernel, KeyIndex, ResidentGraph, ResidentQuery, ResumePlan, SurveyDeltaSink,
     TriangleSample,
 };
-use tripoll_graph::{EdgeList, OrderKey, Partition};
+use tripoll_graph::{build_dist_graph, EdgeList, OrderKey, Partition};
 use tripoll_ygm::hash::hash64;
-use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, ColSuffixes, WireEncode, WireReader};
+use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, ColSuffixes, Wire, WireEncode, WireReader};
+use tripoll_ygm::World;
 
 /// Passes per (skew, kernel) measurement.
 const KERNEL_ITERS: usize = 64;
@@ -537,6 +543,80 @@ fn compare_generators() {
     );
 }
 
+/// Passes per `build/*` and `canonicalize/*` row.
+const BUILD_ITERS: usize = 5;
+
+/// The `web_push` workload's raw edge records at seed 42.
+fn web_push_raw() -> Vec<(u64, u64, ())> {
+    let v = 24_000;
+    let web = tripoll_gen::web_graph(&tripoll_gen::WebGraphConfig {
+        domains: v / 4,
+        pages_per_domain_mean: 2,
+        edges: 25 * v / 2,
+        intra_fraction: 0.4,
+        popularity_power: 1.6,
+        seed: 42,
+    });
+    web.edges.iter().map(|&(u, v)| (u, v, ())).collect()
+}
+
+/// ns per input record of a 1-rank `build_dist_graph` over `edges`.
+fn time_build<VM, EM>(name: &str, edges: &[(u64, u64, EM)], vm: impl Fn(u64) -> VM + Sync)
+where
+    VM: Clone + 'static,
+    EM: Wire + Clone + Send + Sync + 'static,
+{
+    let mut ns = 0.0;
+    for _ in 0..BUILD_ITERS {
+        ns += World::new(1).run(|comm| {
+            let local = edges.to_vec();
+            let start = Instant::now();
+            let g = build_dist_graph(comm, local, &vm, Partition::Hashed);
+            let ns = start.elapsed().as_nanos() as f64;
+            std::hint::black_box(g.shard().len());
+            ns
+        })[0];
+    }
+    println!(
+        "build/{name:<14} {:>7.2} ns/record  {:>7} input records",
+        ns / (edges.len() * BUILD_ITERS) as f64,
+        edges.len()
+    );
+}
+
+/// The DODGr build's local grouping at the benchmark shapes: a 1-rank
+/// build of `web_push`'s and of `reddit_stream`'s canonical edges, in
+/// the arrival order the benchmark feeds them, and the canonicalization
+/// of `reddit_stream`'s raw comments (first comment per edge kept).
+fn compare_build() {
+    let mut web = EdgeList::from_vec(web_push_raw()).canonicalize().into_vec();
+    web.sort_by_key(|e| {
+        (
+            hash64(e.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ e.1),
+            e.0,
+            e.1,
+        )
+    });
+    time_build("web_push", &web, |_| false);
+
+    let raw = tripoll_gen::reddit_comments(&reddit_stream_config());
+    let mut canon_ns = 0.0;
+    let mut reddit = Vec::new();
+    for _ in 0..BUILD_ITERS {
+        let list = EdgeList::from_vec(raw.clone());
+        let start = Instant::now();
+        reddit = list.canonicalize_by(|&t| t).into_vec();
+        canon_ns += start.elapsed().as_nanos() as f64;
+    }
+    reddit.sort_by_key(|e| (e.2, e.0, e.1));
+    time_build("reddit_stream", &reddit, |v| hash64(v) % 1000 + 1);
+    println!(
+        "canonicalize/reddit_stream {:>7.2} ns/record  {:>7} raw records",
+        canon_ns / (raw.len() * BUILD_ITERS) as f64,
+        raw.len()
+    );
+}
+
 /// Passes per `sink/record` row.
 const SINK_ITERS: usize = 16;
 
@@ -610,6 +690,7 @@ fn main() {
     compare_push_decode();
     compare_resume_plan();
     compare_generators();
+    compare_build();
     compare_incremental_ingest();
     compare_sink_record();
 }

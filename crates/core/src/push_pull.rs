@@ -52,7 +52,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use tripoll_graph::{DistGraph, OrderKey};
+use tripoll_graph::{radix_sort_by_key, DistGraph, OrderKey};
 use tripoll_ygm::hash::FastMap;
 use tripoll_ygm::wire::{ColBatch, ColCursor, ColSuffixes, Wire};
 use tripoll_ygm::{Comm, Handler};
@@ -76,7 +76,7 @@ type PullMsg<EM> = (u64, ColBatch<EM>);
 /// stored locally" (§4.4). The dry run collects one `(q, slot, index)`
 /// pointer per wedge target, vertex-major, and
 /// [`ResumePlan::from_pointers`] groups them by `q` without a comparison
-/// sort: a stable LSD radix sort on `q`, 8-bit digits, that skips every
+/// sort: [`radix_sort_by_key`] on `q`, 8-bit digits, which skips every
 /// digit all the targets share. One pass then splits the sorted pointers
 /// into a target table — `(q, start, end)` in increasing `q` — and the
 /// `(slot, index)` pointers themselves, 8 bytes each, every run in
@@ -125,7 +125,7 @@ impl ResumePlan {
             u32::try_from(staged.len()).is_ok(),
             "a resume plan holds at most u32::MAX pointers"
         );
-        radix_sort_by_target(&mut staged);
+        radix_sort_by_key(&mut staged, &mut Vec::new(), |&(q, _, _)| u128::from(q));
         let mut targets: Vec<(u64, u32, u32)> = Vec::new();
         let mut ptrs = Vec::with_capacity(staged.len());
         for &(q, slot, idx) in &staged {
@@ -177,36 +177,6 @@ impl ResumePlan {
             let t = &mut self.targets[row as usize];
             t.2 = t.1;
         }
-    }
-}
-
-/// Stable LSD radix sort of `v` on the target, one 8-bit digit per
-/// pass from the lowest. A digit every target shares moves nothing, so
-/// its pass is skipped; an empty or one-target `v` is never scattered.
-fn radix_sort_by_target(v: &mut Vec<(u64, u32, u32)>) {
-    let n = v.len();
-    let mut counts = [[0u32; 256]; 8];
-    for &(q, _, _) in v.iter() {
-        for (d, c) in counts.iter_mut().enumerate() {
-            c[(q >> (8 * d)) as usize & 0xff] += 1;
-        }
-    }
-    let mut out = Vec::new();
-    for (d, c) in counts.iter_mut().enumerate() {
-        if c.iter().any(|&k| k as usize == n) {
-            continue;
-        }
-        let mut at = 0;
-        for k in c.iter_mut() {
-            (*k, at) = (at, at + *k);
-        }
-        out.resize(n, (0, 0, 0));
-        for &e in v.iter() {
-            let b = (e.0 >> (8 * d)) as usize & 0xff;
-            out[c[b] as usize] = e;
-            c[b] += 1;
-        }
-        std::mem::swap(v, &mut out);
     }
 }
 

@@ -28,15 +28,19 @@
 //!
 //! 1. **Scatter** — every input edge `(u,v)` is sent to `Rank(u)` as
 //!    `(u,v)` and to `Rank(v)` as `(v,u)` (symmetrization); the owner
-//!    appends arriving chunks to one flat buffer. A single in-place
-//!    sort by `(u,v)`, then arrival order, with first-arrival-wins
-//!    deduplication turns the buffer into CSR rows, which yields the
-//!    undirected degree `d(u)`.
+//!    appends each arriving record to one of 256 buckets, picked by the
+//!    top bits of `hash64(u)`. Each bucket is then sorted by `(u,v)`
+//!    with a stable radix sort ([`crate::radix`]), so that of several
+//!    records for one edge the first to arrive survives deduplication.
+//!    A bucket's runs of equal `u` are the rows, and a row's length is
+//!    the undirected degree `d(u)`. This grouping is linear in the
+//!    records, and its scratch buffer is one bucket long.
 //! 2. **Degree exchange** — walking the rows, each owner tells the owner
 //!    of every neighbor the degree of its local vertices. The rows are
-//!    then drained in id order into the shard's vertices. Each record's
-//!    neighbor key in `<+` is resolved once: a larger neighbor becomes an
-//!    out-entry, and a smaller one is skipped.
+//!    then drained, bucket by bucket, into the shard's vertices, which a
+//!    last radix sort by id puts in id order. Each record's neighbor key
+//!    in `<+` is resolved once: a larger neighbor becomes an out-entry,
+//!    and a smaller one is skipped.
 //!
 //! Vertex metadata is produced by a deterministic function of the vertex
 //! id supplied by the caller (generators and file loaders close over
@@ -48,12 +52,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use tripoll_ygm::hash::FastMap;
+use tripoll_ygm::hash::{hash64, FastMap};
 use tripoll_ygm::wire::Wire;
 use tripoll_ygm::{Comm, Handler};
 
 use crate::order::OrderKey;
 use crate::partition::Partition;
+use crate::radix::{pair_key, radix_sort_by_key};
 
 /// One out-edge of the DODGr, with everything a survey needs colocated.
 #[derive(Debug, Clone)]
@@ -364,59 +369,72 @@ impl<'a, T: Wire> Chunked<'a, T> {
     }
 }
 
+/// The scatter handler spreads this rank's records over `1 << BUCKET_BITS`
+/// buckets by the top bits of `hash64(u)`. The low bits pick the rank
+/// under [`Partition::Hashed`]: they would fill a few buckets and leave
+/// the rest empty. At 256 buckets one bucket of a build of a few hundred
+/// thousand records is a few thousand records, which sort within the L2
+/// cache.
+const BUCKET_BITS: u32 = 8;
+
+/// The bucket that vertex `u`'s records arrive in.
+#[inline]
+fn bucket_of(u: u64) -> usize {
+    (hash64(u) >> (u64::BITS - BUCKET_BITS)) as usize
+}
+
 /// One scattered record at its owner: `v` is a neighbour of the local
-/// vertex `u`, and `seq` counts the records that arrived before it.
+/// vertex `u`.
 struct Arrival<EM> {
     u: u64,
     v: u64,
-    seq: usize,
     em: EM,
 }
 
+impl<EM> Arrival<EM> {
+    #[inline]
+    fn key(&self) -> u128 {
+        pair_key(self.u, self.v)
+    }
+}
+
 /// The symmetrized, deduplicated undirected adjacency of this rank's
-/// vertices as one flat CSR: row `i` is vertex `ids[i]` (ascending) and
-/// its records are `recs[offsets[i]..offsets[i + 1]]`, ascending by
-/// neighbour.
+/// vertices: bucket `bucket_of(u)` holds vertex `u`'s records, each
+/// bucket ascending by `(u, v)`. A bucket's runs of equal `u` are its
+/// rows, `len` of them in all.
 struct Rows<EM> {
-    ids: Vec<u64>,
-    offsets: Vec<usize>,
-    recs: Vec<Arrival<EM>>,
+    buckets: Vec<Vec<Arrival<EM>>>,
+    len: usize,
 }
 
 impl<EM> Rows<EM> {
-    /// Groups scattered records. Of several records for one `(u, v)` the
-    /// first to arrive survives — on one rank that is input order, the
-    /// rule `ingest` relies on. Arrival order is part of the sort key
-    /// rather than left to a stable sort, whose scratch buffer would be
-    /// as large as the records themselves.
-    fn group(mut recs: Vec<Arrival<EM>>) -> Self {
-        recs.sort_unstable_by_key(|r| (r.u, r.v, r.seq));
-        recs.dedup_by(|later, first| (later.u, later.v) == (first.u, first.v));
-        let mut ids = Vec::new();
-        let mut offsets = Vec::new();
-        for (at, r) in recs.iter().enumerate() {
-            if ids.last() != Some(&r.u) {
-                ids.push(r.u);
-                offsets.push(at);
-            }
+    /// Groups the scattered records, each bucket in arrival order. Of
+    /// several records for one `(u, v)` the first to arrive survives —
+    /// on one rank that is input order, the rule `ingest` relies on.
+    /// The sort is stable, so arrival order needs no key of its own,
+    /// and its scratch buffer, shared by the buckets, is as long as
+    /// the largest of them.
+    fn group(mut buckets: Vec<Vec<Arrival<EM>>>) -> Self {
+        let mut scratch = Vec::new();
+        let mut len = 0;
+        for bucket in &mut buckets {
+            radix_sort_by_key(bucket, &mut scratch, Arrival::key);
+            bucket.dedup_by(|later, first| (later.u, later.v) == (first.u, first.v));
+            len += bucket.chunk_by(|a, b| a.u == b.u).count();
         }
-        offsets.push(recs.len());
-        Rows { ids, offsets, recs }
+        Rows { buckets, len }
     }
 
-    #[inline]
-    fn row(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i]..self.offsets[i + 1]
+    /// Every row's records, bucket after bucket; a row's length is the
+    /// undirected degree of its vertex.
+    fn rows(&self) -> impl Iterator<Item = &[Arrival<EM>]> {
+        self.buckets
+            .iter()
+            .flat_map(|bucket| bucket.chunk_by(|a, b| a.u == b.u))
     }
 
-    /// Undirected degree `d(ids[i])`.
-    #[inline]
-    fn degree(&self, i: usize) -> u64 {
-        self.row(i).len() as u64
-    }
-
-    /// Round 2: sends `(ids[i], d(ids[i]))` to the owner of every
-    /// neighbour of row `i`, once per destination rank.
+    /// Round 2: sends `(u, d(u))` to the owner of every neighbour of
+    /// row `u`, once per destination rank.
     fn announce_degrees(
         &self,
         comm: &Comm,
@@ -427,13 +445,14 @@ impl<EM> Rows<EM> {
         let mut out = Chunked::new(comm, handler);
         // `told[dst] == i` once row `i` has been announced to `dst`.
         let mut told = vec![usize::MAX; nranks];
-        for (i, &u) in self.ids.iter().enumerate() {
+        for (i, row) in self.rows().enumerate() {
+            let (u, degree) = (row[0].u, row.len() as u64);
             let mut untold = nranks;
-            for r in &self.recs[self.row(i)] {
+            for r in row {
                 let dst = partition.owner(r.v, nranks);
                 if told[dst] != i {
                     told[dst] = i;
-                    out.push(dst, (u, self.degree(i)));
+                    out.push(dst, (u, degree));
                     untold -= 1;
                     if untold == 0 {
                         break;
@@ -466,26 +485,19 @@ where
 {
     let nranks = comm.nranks();
 
-    // What each round's handler fills: the flat arrival buffer of
-    // round 1, and `d(v)` of every neighbour of a local vertex.
-    let arrivals: Rc<RefCell<Vec<Arrival<EM>>>> = Rc::default();
+    // What each round's handler fills: the arrival buckets of round 1,
+    // and `d(v)` of every neighbour of a local vertex.
+    let buckets: Rc<RefCell<Vec<Vec<Arrival<EM>>>>> = Rc::new(RefCell::new(
+        (0..1 << BUCKET_BITS).map(|_| Vec::new()).collect(),
+    ));
     let deg: Rc<RefCell<FastMap<u64, u64>>> = Rc::default();
 
-    let into = arrivals.clone();
+    let into = buckets.clone();
     let h_edge = comm.register::<Vec<(u64, u64, EM)>, _>(move |_c, chunk| {
         let mut into = into.borrow_mut();
-        let arrived = into.len();
-        into.extend(
-            chunk
-                .into_iter()
-                .enumerate()
-                .map(|(k, (u, v, em))| Arrival {
-                    u,
-                    v,
-                    seq: arrived + k,
-                    em,
-                }),
-        );
+        for (u, v, em) in chunk {
+            into[bucket_of(u)].push(Arrival { u, v, em });
+        }
     });
     let into = deg.clone();
     let h_deg = comm.register::<Vec<(u64, u64)>, _>(move |_c, pairs| {
@@ -505,9 +517,9 @@ where
     out.finish();
     comm.barrier();
 
-    // Local: one sort groups the arrivals by vertex and collapses
-    // parallel edges. Degrees are now final.
-    let rows = Rows::group(arrivals.take());
+    // Local: one radix sort per bucket groups the arrivals by vertex
+    // and collapses parallel edges. Degrees are now final.
+    let rows = Rows::group(buckets.take());
 
     // Round 2: each owner announces d(u) of its local vertices to the
     // owner of every neighbor.
@@ -515,39 +527,50 @@ where
     comm.barrier();
     let deg = deg.take();
 
-    // Local: drain the rows, in id order, into the shard's vertices.
-    // Every record's neighbour key is resolved here, once. A larger
-    // neighbour becomes an out-entry, augmented with edge + target
-    // metadata; a smaller one stores `u` as its own target and is
-    // skipped.
-    let Rows { ids, offsets, recs } = rows;
-    let mut vertices: Vec<LocalVertex<VM, EM>> = Vec::with_capacity(ids.len());
-    let mut recs = recs.into_iter();
-    for (i, &u) in ids.iter().enumerate() {
-        let degree = (offsets[i + 1] - offsets[i]) as u64;
-        let key = OrderKey::new(u, degree);
-        let mut adj = Vec::with_capacity(degree as usize);
-        for Arrival { v, em, .. } in recs.by_ref().take(degree as usize) {
-            let kv = OrderKey::new(v, deg[&v]);
-            if key < kv {
-                adj.push(AdjEntry {
-                    v,
-                    key: kv,
-                    em,
-                    vm: vm_fn(v),
-                });
+    // Local: drain the rows, bucket by bucket, into the shard's
+    // vertices. Every record's neighbour key is resolved here, once. A
+    // larger neighbour becomes an out-entry, augmented with edge +
+    // target metadata; a smaller one stores `u` as its own target and
+    // is skipped.
+    let mut vertices: Vec<LocalVertex<VM, EM>> = Vec::with_capacity(rows.len);
+    let mut row_lens: Vec<(u64, usize)> = Vec::new();
+    for bucket in rows.buckets {
+        row_lens.clear();
+        row_lens.extend(
+            bucket
+                .chunk_by(|a, b| a.u == b.u)
+                .map(|row| (row[0].u, row.len())),
+        );
+        let mut recs = bucket.into_iter();
+        for &(u, degree) in &row_lens {
+            let key = OrderKey::new(u, degree as u64);
+            let mut adj = Vec::with_capacity(degree);
+            for Arrival { v, em, .. } in recs.by_ref().take(degree) {
+                let kv = OrderKey::new(v, deg[&v]);
+                if key < kv {
+                    adj.push(AdjEntry {
+                        v,
+                        key: kv,
+                        em,
+                        vm: vm_fn(v),
+                    });
+                }
             }
+            adj.shrink_to_fit();
+            // Keys are distinct within a row, so unstable is exact.
+            adj.sort_unstable_by_key(|e| e.key);
+            vertices.push(LocalVertex {
+                id: u,
+                key,
+                meta: vm_fn(u),
+                adj,
+            });
         }
-        adj.shrink_to_fit();
-        // Keys are distinct within a row, so unstable is exact.
-        adj.sort_unstable_by_key(|e| e.key);
-        vertices.push(LocalVertex {
-            id: u,
-            key,
-            meta: vm_fn(u),
-            adj,
-        });
     }
+    // Each bucket drained in id order, but the buckets interleave: one
+    // more radix sort, over the vertices rather than the records,
+    // restores id order.
+    radix_sort_by_key(&mut vertices, &mut Vec::new(), |lv| u128::from(lv.id));
 
     DistGraph {
         shard: Arc::new(LocalShard::from_vertices(vertices)),
@@ -565,7 +588,7 @@ mod tests {
     type Edge = (u64, u64, u32);
 
     fn vm(v: u64) -> u64 {
-        v * 7
+        v.wrapping_mul(7)
     }
 
     /// Direction-independent edge metadata, so that duplicate records of
@@ -614,13 +637,27 @@ mod tests {
 
     /// Builds on `nranks` ranks, rank `r` contributing `share(r)`, and
     /// compares every stored field and the entry order with the serial
-    /// reference over the concatenated shares.
+    /// reference over the concatenated shares. An edge's metadata must
+    /// come from the first of its records in some rank's share: records
+    /// from one sender reach an owner in order, but the senders
+    /// interleave. With one rank, or metadata that duplicates agree on,
+    /// that is exactly the reference's.
     fn check_shares(
         share: impl Fn(usize) -> Vec<Edge> + Sync,
         nranks: usize,
         partition: Partition,
     ) {
-        let all: Vec<Edge> = (0..nranks).flat_map(&share).collect();
+        let shares: Vec<Vec<Edge>> = (0..nranks).map(&share).collect();
+        let mut keepable: FastMap<(u64, u64), Vec<u32>> = FastMap::default();
+        for share in &shares {
+            let mut seen = std::collections::HashSet::new();
+            for &(u, v, m) in share {
+                if seen.insert((u.min(v), u.max(v))) {
+                    keepable.entry((u.min(v), u.max(v))).or_default().push(m);
+                }
+            }
+        }
+        let all: Vec<Edge> = shares.concat();
         let shards = World::new(nranks).run(|comm| {
             let g = build_dist_graph(comm, share(comm.rank()), vm, partition);
             g.shard().vertices().map(record).collect::<Vec<_>>()
@@ -640,7 +677,14 @@ mod tests {
         let want = serial_dodgr(&all);
         assert_eq!(got.len(), want.len(), "vertex count");
         for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g, w, "{nranks} ranks, {partition:?}");
+            // Metadata the build may keep reads as the reference's.
+            let mut g = g.clone();
+            for (e, f) in g.3.iter_mut().zip(&w.3) {
+                if keepable[&(g.0.min(e.0), g.0.max(e.0))].contains(&e.2) {
+                    e.2 = f.2;
+                }
+            }
+            assert_eq!(&g, w, "{nranks} ranks, {partition:?}");
         }
     }
 
@@ -875,6 +919,56 @@ mod tests {
     mod prop {
         use super::*;
         use proptest::prelude::*;
+
+        /// Ids that differ only in the top byte and arrive in one
+        /// bucket, so that a bucket's sort must order rows by that
+        /// byte.
+        fn top_byte_ids() -> Vec<u64> {
+            let mut by_bucket: std::collections::BTreeMap<usize, Vec<u64>> = Default::default();
+            for k in 0..=255u64 {
+                let id = k << 56 | 0x00ab_cdef;
+                by_bucket.entry(bucket_of(id)).or_default().push(id);
+            }
+            let ids = by_bucket.into_values().max_by_key(Vec::len).unwrap();
+            assert!(ids.len() >= 3, "{ids:?}");
+            ids
+        }
+
+        /// Vertex ids that reach every radix digit of a `(u, v)` key and
+        /// both ends of the id space: small ids, ids at and above
+        /// `2^32`, [`top_byte_ids`], and `u64::MAX`.
+        fn wide_id(pick: u8, top: &[u64]) -> u64 {
+            match pick % 12 {
+                p @ 0..=3 => u64::from(p),
+                p @ 4..=6 => (1 << 32) + u64::from(p),
+                p @ 7..=9 => top[usize::from(p - 7)],
+                10 => u64::MAX - 1,
+                _ => u64::MAX,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+            /// Wide ids at every rank count and partition, with
+            /// duplicates whose metadata differs: within a rank's one
+            /// chunk the first record must win (exactly so on one
+            /// rank), and across ranks one rank's first.
+            #[test]
+            fn wide_ids_and_first_arrivals_match_serial(
+                edges in proptest::collection::vec((0u8..12, 0u8..12, 0u32..1000), 1..80),
+            ) {
+                let top = top_byte_ids();
+                let edges: Vec<Edge> = edges
+                    .iter()
+                    .map(|&(u, v, m)| (wide_id(u, &top), wide_id(v, &top), m))
+                    .collect();
+                for nranks in 1..=4 {
+                    for partition in [Partition::Hashed, Partition::Cyclic] {
+                        check_against_serial(&edges, nranks, partition);
+                    }
+                }
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]

@@ -10,7 +10,7 @@
 //!   tie-break.
 //! * [`partition`] — cyclic and hashed (`random`) vertex-to-rank maps.
 //! * [`dodgr`] — the distributed degree-ordered directed graph with the
-//!   metadata-augmented adjacency `Adjm+`, built in three asynchronous
+//!   metadata-augmented adjacency `Adjm+`, built in two asynchronous
 //!   communication rounds.
 //! * [`csr`] — the serial CSR view used for reference computations and
 //!   post-processing.
@@ -21,6 +21,8 @@
 //!   existing DODGr storage bit-identically to a from-scratch build,
 //!   and derive the delta-wedge plan for incremental surveys.
 //! * [`io`] — SNAP-style edge-list file readers/writers.
+//! * [`radix`] — the stable LSD radix sort that groups records by id in
+//!   the build, in canonicalization and in the Push-Pull resume plan.
 //! * [`snapshot`] — versioned binary snapshots of DODGr storage for
 //!   O(read) restart of a resident graph.
 //! * [`error`] — structured errors for graph construction from
@@ -37,6 +39,7 @@ pub mod ingest;
 pub mod io;
 pub mod order;
 pub mod partition;
+pub mod radix;
 pub mod snapshot;
 
 pub use csr::Csr;
@@ -47,6 +50,7 @@ pub use error::GraphError;
 pub use ingest::{apply_edge_batch, apply_edge_batch_with, ApexDelta, BatchDelta, ReverseIndex};
 pub use order::OrderKey;
 pub use partition::Partition;
+pub use radix::radix_sort_by_key;
 pub use snapshot::{
     decode_snapshot, encode_snapshot, load_snapshot, save_snapshot, SnapshotError, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
