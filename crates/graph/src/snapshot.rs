@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! magic[8] = "TPLSNAP\0"
-//! varint   schema version          (currently 2)
+//! varint   schema version          (currently 3)
 //! u8       partition tag           (0 = Cyclic, 1 = Hashed)
 //! varint   section count
 //! varint   total vertex count      (cross-checked after decode)
@@ -22,31 +22,30 @@
 //!       varint  out-degree d+(u)
 //!       repeated adjacency entry:
 //!         varint  target id v
-//!         varint  target degree d(v)       (rebuilds the target key)
 //!         EM      edge metadata
-//!         VM      target vertex metadata
 //! ```
 //!
-//! Version 1 also stored each target's out-degree `d+(v)`, which no
-//! reader used; it is refused as [`SnapshotError::UnsupportedVersion`].
+//! Each fact is stored once. In memory every adjacency entry also
+//! carries its target's `<+` key and metadata (the paper's O(|E|)
+//! metadata colocation); the loader rebuilds both from the target's own
+//! record. Version 1 also stored each target's out-degree, and version
+//! 2 each target's degree and metadata in every entry that points at
+//! it; both are refused as [`SnapshotError::UnsupportedVersion`].
 //!
-//! Order keys are *not* stored: `OrderKey::new(v, degree)` is a pure
-//! function of `(id, degree)`, so they are rebuilt on load and then
-//! *validated* — each adjacency must be strictly increasing in `<+` and
-//! strictly above its source vertex. A target's degree is stored twice,
-//! in its own record and in every entry that points at it, so the
-//! loader also checks that every entry's target has a record, that the
-//! entry's key equals the record's, and that every record's degree is
-//! its out-degree plus the entries that point at it — one hash probe
-//! per entry. A target's metadata is stored twice as well, and the
-//! loader checks that each entry's copy encodes to the bytes its
-//! target's record encodes to: `VM` has no equality bound, but equal
-//! values encode alike.
+//! A section's entries name records in other sections, so decode takes
+//! two passes. The first reads every record, and the target and edge
+//! metadata of every entry into one list, then indexes the records by
+//! id, refusing a second record for an id. The second builds each
+//! adjacency from that list, one hash probe per entry: every entry's
+//! target must have a record, each adjacency must be strictly
+//! increasing in `<+` and strictly above its source vertex, and every
+//! record's degree must be its out-degree plus the entries that point
+//! at it.
 //!
 //! Every other defect is structural: truncation, oversized section
-//! claims, unknown versions, duplicate vertices, order violations and
-//! the cross-record checks above all surface as structured
-//! [`SnapshotError`]s, and no input can panic the loader.
+//! claims, unknown versions or partition tags, a vertex count the
+//! header does not declare and trailing bytes surface as structured
+//! [`SnapshotError`]s too, and no input can panic the loader.
 
 use std::fmt;
 use std::path::Path;
@@ -62,7 +61,7 @@ use crate::partition::Partition;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TPLSNAP\0";
 
 /// Schema version written by this build.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// A structural defect in snapshot bytes.
 #[derive(Debug)]
@@ -111,22 +110,6 @@ pub enum SnapshotError {
         /// The entry's target.
         target: u64,
     },
-    /// An adjacency entry stores a degree for its target that differs
-    /// from the target's own record.
-    TargetKeyMismatch {
-        /// The vertex whose adjacency holds the entry.
-        vertex: u64,
-        /// The entry's target.
-        target: u64,
-    },
-    /// An adjacency entry stores metadata for its target that encodes
-    /// differently from the target's own record.
-    TargetMetaMismatch {
-        /// The vertex whose adjacency holds the entry.
-        vertex: u64,
-        /// The entry's target.
-        target: u64,
-    },
     /// A record's degree is not its out-degree plus the entries that
     /// point at it.
     DegreeMismatch {
@@ -160,7 +143,7 @@ impl fmt::Display for SnapshotError {
                 "header declares {expected} vertices but sections hold {actual}"
             ),
             SnapshotError::DuplicateVertex { vertex } => {
-                write!(f, "vertex {vertex} appears in more than one section")
+                write!(f, "vertex {vertex} has more than one record")
             }
             SnapshotError::AdjacencyOrder { vertex } => {
                 write!(f, "adjacency of vertex {vertex} violates the <+ order")
@@ -168,16 +151,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::DanglingTarget { vertex, target } => write!(
                 f,
                 "adjacency of vertex {vertex} names vertex {target}, which has no record"
-            ),
-            SnapshotError::TargetKeyMismatch { vertex, target } => write!(
-                f,
-                "adjacency of vertex {vertex} stores a degree for vertex {target} that its record \
-                 does not"
-            ),
-            SnapshotError::TargetMetaMismatch { vertex, target } => write!(
-                f,
-                "adjacency of vertex {vertex} stores metadata for vertex {target} that its record \
-                 does not"
             ),
             SnapshotError::DegreeMismatch {
                 vertex,
@@ -222,9 +195,9 @@ fn partition_from_tag(t: u8) -> Result<Partition, SnapshotError> {
 }
 
 /// Encodes DODGr storage into snapshot bytes. Vertices are grouped into
-/// `nsections` sections by `partition.owner(id, nsections)`, so a
-/// loader that keeps the same rank count can stream exactly the
-/// sections it owns; any other rank count re-shards after decode.
+/// `nsections` sections by `partition.owner(id, nsections)`. An entry
+/// names its target by id alone, so a section's entries need the
+/// records of other sections: a loader reads the whole snapshot.
 pub fn encode_snapshot<VM: Wire, EM: Wire>(
     vertices: &[LocalVertex<VM, EM>],
     partition: Partition,
@@ -252,9 +225,7 @@ pub fn encode_snapshot<VM: Wire, EM: Wire>(
             put_varint(&mut body, lv.adj.len() as u64);
             for e in &lv.adj {
                 put_varint(&mut body, e.v);
-                put_varint(&mut body, e.key.degree);
                 e.em.encode(&mut body);
-                e.vm.encode(&mut body);
             }
         }
         put_varint(&mut out, body.len() as u64);
@@ -264,9 +235,10 @@ pub fn encode_snapshot<VM: Wire, EM: Wire>(
 }
 
 /// Decodes snapshot bytes back into the global vertex list (sorted by
-/// id) and the partition it was built with. Every defect a hostile or
+/// id) and the partition it was built with. Each entry's key and
+/// metadata are its target record's. Every defect a hostile or
 /// truncated input can exhibit returns a structured error.
-pub fn decode_snapshot<VM: Wire, EM: Wire>(
+pub fn decode_snapshot<VM: Wire + Clone, EM: Wire>(
     bytes: &[u8],
 ) -> Result<(Vec<LocalVertex<VM, EM>>, Partition), SnapshotError> {
     let mut r = WireReader::new(bytes);
@@ -282,7 +254,11 @@ pub fn decode_snapshot<VM: Wire, EM: Wire>(
     let nsections = r.take_varint()?;
     let total = r.take_varint()?;
 
+    // Pass 1: every record with an empty adjacency, its out-degree, and
+    // the target and edge metadata of every entry, end to end.
     let mut vertices: Vec<LocalVertex<VM, EM>> = Vec::new();
+    let mut dplus: Vec<u64> = Vec::new();
+    let mut entries: Vec<(u64, EM)> = Vec::new();
     for _ in 0..nsections {
         let claimed = r.take_varint()?;
         if claimed as usize > r.remaining() {
@@ -296,28 +272,20 @@ pub fn decode_snapshot<VM: Wire, EM: Wire>(
         let nverts = s.take_varint()?;
         for _ in 0..nverts {
             let id = s.take_varint()?;
-            let degree = s.take_varint()?;
+            let key = OrderKey::new(id, s.take_varint()?);
             let meta = VM::decode(&mut s)?;
-            let key = OrderKey::new(id, degree);
-            let dplus = s.take_varint()?;
-            // An entry is at least two varints, so a `d+` the section's
-            // bytes cannot hold reserves no more than they could.
-            let cap = dplus.min(s.remaining() as u64 / 2) as usize;
-            let mut adj: Vec<AdjEntry<VM, EM>> = Vec::with_capacity(cap);
-            let mut prev = key;
-            for _ in 0..dplus {
-                let v = s.take_varint()?;
-                let deg_v = s.take_varint()?;
-                let em = EM::decode(&mut s)?;
-                let vm = VM::decode(&mut s)?;
-                let kv = OrderKey::new(v, deg_v);
-                if kv <= prev {
-                    return Err(SnapshotError::AdjacencyOrder { vertex: id });
-                }
-                prev = kv;
-                adj.push(AdjEntry { v, key: kv, em, vm });
+            let d = s.take_varint()?;
+            for _ in 0..d {
+                let target = s.take_varint()?;
+                entries.push((target, EM::decode(&mut s)?));
             }
-            vertices.push(LocalVertex { id, key, meta, adj });
+            dplus.push(d);
+            vertices.push(LocalVertex {
+                id,
+                key,
+                meta,
+                adj: Vec::new(),
+            });
         }
         if !s.is_empty() {
             return Err(SnapshotError::TrailingBytes);
@@ -332,63 +300,55 @@ pub fn decode_snapshot<VM: Wire, EM: Wire>(
             actual: vertices.len() as u64,
         });
     }
-    vertices.sort_by_key(|v| v.id);
-    if let Some(w) = vertices.windows(2).find(|w| w[0].id == w[1].id) {
-        return Err(SnapshotError::DuplicateVertex { vertex: w[0].id });
-    }
-    check_entries(&vertices)?;
-    Ok((vertices, partition))
-}
-
-/// Checks the duplicate-free `vertices` against themselves: every
-/// entry's target has a record whose key is the entry's and whose
-/// metadata encodes to the entry's bytes, and every record's degree is
-/// its out-degree plus the entries that point at it. One hash probe and
-/// one metadata encode per entry.
-fn check_entries<VM: Wire, EM>(vertices: &[LocalVertex<VM, EM>]) -> Result<(), SnapshotError> {
-    // Every record's metadata, encoded once, end to end.
-    let mut metas = Vec::new();
-    // id → (stored degree, the part of it no entry has accounted for
-    // yet, the record's metadata bytes in `metas`). The arithmetic
-    // wraps: `left` is `stored - counted` modulo 2^64, and `counted`,
-    // at most the number of entries, fits.
-    let mut open: FastMap<u64, (u64, u64, std::ops::Range<usize>)> = vertices
-        .iter()
-        .map(|lv| {
-            let start = metas.len();
-            lv.meta.encode(&mut metas);
-            let left = lv.degree().wrapping_sub(lv.dplus());
-            (lv.id, (lv.degree(), left, start..metas.len()))
-        })
-        .collect();
-    let mut vm = Vec::new();
-    for lv in vertices {
-        for e in &lv.adj {
-            let (vertex, target) = (lv.id, e.v);
-            let Some((stored, left, meta)) = open.get_mut(&target) else {
-                return Err(SnapshotError::DanglingTarget { vertex, target });
-            };
-            // Both keys are `OrderKey::new(target, _)`: they are equal
-            // exactly when the degrees are.
-            if e.key.degree != *stored {
-                return Err(SnapshotError::TargetKeyMismatch { vertex, target });
-            }
-            vm.clear();
-            e.vm.encode(&mut vm);
-            if vm != metas[meta.clone()] {
-                return Err(SnapshotError::TargetMetaMismatch { vertex, target });
-            }
-            *left = left.wrapping_sub(1);
+    // id → (record index, the part of its degree no entry has accounted
+    // for yet). The arithmetic wraps: `left` is `stored - counted`
+    // modulo 2^64, and `counted`, at most the number of entries, fits.
+    let mut index: FastMap<u64, (usize, u64)> =
+        FastMap::with_capacity_and_hasher(vertices.len(), Default::default());
+    for (i, (lv, &d)) in vertices.iter().zip(&dplus).enumerate() {
+        let left = lv.degree().wrapping_sub(d);
+        if index.insert(lv.id, (i, left)).is_some() {
+            return Err(SnapshotError::DuplicateVertex { vertex: lv.id });
         }
     }
-    match open.iter().find(|(_, (_, left, _))| *left != 0) {
-        Some((&vertex, &(stored, left, _))) => Err(SnapshotError::DegreeMismatch {
+
+    // Pass 2: each adjacency from its entries, one probe per entry.
+    let mut entries = entries.into_iter();
+    for (i, &d) in dplus.iter().enumerate() {
+        let (vertex, mut prev) = (vertices[i].id, vertices[i].key);
+        // Pass 1 decoded these `d` entries, so the input bounds `d`.
+        let mut adj = Vec::with_capacity(d as usize);
+        for (target, em) in entries.by_ref().take(d as usize) {
+            let Some((t, left)) = index.get_mut(&target) else {
+                return Err(SnapshotError::DanglingTarget { vertex, target });
+            };
+            let rec = &vertices[*t];
+            if rec.key <= prev {
+                return Err(SnapshotError::AdjacencyOrder { vertex });
+            }
+            prev = rec.key;
+            *left = left.wrapping_sub(1);
+            adj.push(AdjEntry {
+                v: target,
+                key: rec.key,
+                em,
+                vm: rec.meta.clone(),
+            });
+        }
+        vertices[i].adj = adj;
+    }
+    if let Some((&vertex, &(t, left))) = index.iter().find(|(_, (_, left))| *left != 0) {
+        let stored = vertices[t].degree();
+        return Err(SnapshotError::DegreeMismatch {
             vertex,
             stored,
             counted: stored.wrapping_sub(left),
-        }),
-        None => Ok(()),
+        });
     }
+    // Id-sorted storage encodes each section in id order, and a stable
+    // sort merges such runs.
+    vertices.sort_by_key(|v| v.id);
+    Ok((vertices, partition))
 }
 
 /// Writes a snapshot to a file.
@@ -403,7 +363,7 @@ pub fn save_snapshot<VM: Wire, EM: Wire, P: AsRef<Path>>(
 }
 
 /// Reads a snapshot from a file.
-pub fn load_snapshot<VM: Wire, EM: Wire, P: AsRef<Path>>(
+pub fn load_snapshot<VM: Wire + Clone, EM: Wire, P: AsRef<Path>>(
     path: P,
 ) -> Result<(Vec<LocalVertex<VM, EM>>, Partition), SnapshotError> {
     decode_snapshot(&std::fs::read(path)?)
@@ -489,8 +449,8 @@ mod tests {
             Err(SnapshotError::BadMagic)
         ));
         // The version byte follows the 8-byte magic: a future version
-        // and the retired version 1 are both refused.
-        for version in [9, 1] {
+        // and the retired versions 1 and 2 are all refused.
+        for version in [9, 2, 1] {
             bytes[8] = version;
             assert!(matches!(
                 decode_snapshot::<u64, u32>(&bytes),
@@ -521,8 +481,9 @@ mod tests {
     }
 
     /// One record whose `d+` claims `u64::MAX / 4` entries, followed by
-    /// the first two varints of one entry: decode runs out of bytes
-    /// and reports it, with no reservation sized by the claim.
+    /// the target id of one entry: decode runs out of bytes and reports
+    /// it, with no reservation sized by the claim. With `()` edge
+    /// metadata an entry is its target id alone.
     #[test]
     fn huge_out_degree_claim_is_structured() {
         let mut body = Vec::new();
@@ -532,7 +493,6 @@ mod tests {
         7u64.encode(&mut body); // meta
         put_varint(&mut body, u64::MAX / 4); // d+
         put_varint(&mut body, 1); // target
-        put_varint(&mut body, 1); // target degree
         let mut bytes = SNAPSHOT_MAGIC.to_vec();
         put_varint(&mut bytes, SNAPSHOT_VERSION);
         bytes.push(partition_tag(Partition::Hashed));
@@ -543,6 +503,10 @@ mod tests {
         match decode_snapshot::<u64, u32>(&bytes) {
             Err(SnapshotError::Wire(_)) => {}
             other => panic!("expected a wire error, got {other:?}"),
+        }
+        match decode_snapshot::<u64, ()>(&bytes) {
+            Err(SnapshotError::Wire(_)) => {}
+            other => panic!("expected a wire error with () edges, got {other:?}"),
         }
     }
 
@@ -581,37 +545,45 @@ mod tests {
         decode_snapshot::<u64, u32>(&encode_snapshot(&verts, Partition::Hashed, 2))
     }
 
-    /// The apex's last entry, the top vertex, claims degree 3 where the
-    /// top vertex's record says 2. The adjacency stays ordered.
+    /// The apex's record claims degree 3, so its entries, the two other
+    /// vertices at degree 2, no longer sort above it.
     #[test]
-    fn entry_degree_disagreeing_with_its_target_is_refused() {
-        let mut top = 0;
+    fn record_degree_breaking_its_adjacency_order_is_refused() {
+        let mut apex = 0;
         let got = decode_tampered(|verts| {
-            let apex = verts.iter_mut().find(|lv| lv.adj.len() == 2).unwrap();
-            let last = apex.adj.last_mut().unwrap();
-            top = last.v;
-            last.key = OrderKey::new(last.v, 3);
+            let a = verts.iter_mut().find(|lv| lv.adj.len() == 2).unwrap();
+            apex = a.id;
+            a.key = OrderKey::new(apex, 3);
         });
         match got {
-            Err(SnapshotError::TargetKeyMismatch { target, .. }) => assert_eq!(target, top),
-            other => panic!("expected TargetKeyMismatch, got {other:?}"),
+            Err(SnapshotError::AdjacencyOrder { vertex }) => assert_eq!(vertex, apex),
+            other => panic!("expected AdjacencyOrder, got {other:?}"),
         }
     }
 
-    /// The apex's last entry stores vertex metadata 1000 for the top
-    /// vertex, whose record stores its id. Key and degrees agree.
+    /// An entry's copy of its target's metadata is not stored, so
+    /// changing it changes no byte; a second record for the top vertex,
+    /// with other metadata, is refused.
     #[test]
-    fn entry_metadata_disagreeing_with_its_target_is_refused() {
+    fn second_record_with_other_metadata_is_refused() {
+        let verts = triangle_vertices();
+        let mut copy = verts.clone();
+        let apex = copy.iter_mut().find(|lv| lv.adj.len() == 2).unwrap();
+        apex.adj.last_mut().unwrap().vm += 1000;
+        assert_eq!(
+            encode_snapshot(&copy, Partition::Hashed, 2),
+            encode_snapshot(&verts, Partition::Hashed, 2)
+        );
         let mut top = 0;
         let got = decode_tampered(|verts| {
-            let apex = verts.iter_mut().find(|lv| lv.adj.len() == 2).unwrap();
-            let last = apex.adj.last_mut().unwrap();
-            top = last.v;
-            last.vm += 1000;
+            let mut twin = verts.iter().find(|lv| lv.adj.is_empty()).unwrap().clone();
+            top = twin.id;
+            twin.meta += 1000;
+            verts.push(twin);
         });
         match got {
-            Err(SnapshotError::TargetMetaMismatch { target, .. }) => assert_eq!(target, top),
-            other => panic!("expected TargetMetaMismatch, got {other:?}"),
+            Err(SnapshotError::DuplicateVertex { vertex }) => assert_eq!(vertex, top),
+            other => panic!("expected DuplicateVertex, got {other:?}"),
         }
     }
 

@@ -1,18 +1,22 @@
 //! Shared support of the differential suites (`kernels`,
-//! `production_path`): the string-metadata graphs they survey and one
-//! survey runner that harvests everything any of them compares. Each suite uses a subset, hence the `dead_code` allow.
+//! `production_path`, `incremental`): the string-metadata graphs they
+//! survey, one survey runner that harvests everything any of them
+//! compares, and a field-by-field comparison of resident storage. Each
+//! suite uses a subset, hence the `dead_code` allow.
 
 #![allow(dead_code)]
 
 use std::cell::Cell;
+use std::fmt::Debug;
 use std::rc::Rc;
 
 use tripoll::core::{
     kernel_stats_take, survey_push_only_with, survey_push_pull_with, EngineMode, KernelStats,
-    SurveyConfig, SurveyReport, TriangleMeta,
+    ResidentGraph, ResidentQuery, SurveyConfig, SurveyReport, TriangleMeta,
 };
-use tripoll::graph::{build_dist_graph, EdgeList, Partition};
+use tripoll::graph::{build_dist_graph, EdgeList, LocalVertex, Partition};
 use tripoll::ygm::hash::hash64;
+use tripoll::ygm::wire::Wire;
 use tripoll::ygm::{Comm, World};
 
 /// The deterministic send-side fingerprint of one rank's survey run.
@@ -174,4 +178,64 @@ pub fn hub_graph() -> EdgeList<String> {
         edges.push((sv, h2));
     }
     labeled(edges)
+}
+
+/// Every vertex a resident graph stores, by id, read through a one-rank
+/// query, whose single shard owns them all.
+fn storage<VM, EM>(g: &ResidentGraph<VM, EM>) -> Vec<LocalVertex<VM, EM>>
+where
+    VM: Wire + Clone + Send + Sync + 'static,
+    EM: Wire + Clone + Send + Sync + 'static,
+{
+    let mut all = g
+        .run(&ResidentQuery::new(1), |_, g| {
+            g.shard().vertices().cloned().collect::<Vec<_>>()
+        })
+        .pop()
+        .expect("a one-rank query");
+    all.sort_by_key(|lv| lv.id);
+    all
+}
+
+/// The first difference between the storage of `a` and `b`, or `None`:
+/// id, key and metadata of each record, and target, key, edge metadata
+/// and target metadata of each entry. Unlike snapshot bytes, it sees
+/// the keys and target metadata every entry carries in memory.
+pub fn storage_diff<VM, EM>(a: &ResidentGraph<VM, EM>, b: &ResidentGraph<VM, EM>) -> Option<String>
+where
+    VM: Wire + Clone + Send + Sync + 'static + PartialEq + Debug,
+    EM: Wire + Clone + Send + Sync + 'static + PartialEq + Debug,
+{
+    let (a, b) = (storage(a), storage(b));
+    if a.len() != b.len() {
+        return Some(format!("{} records != {}", a.len(), b.len()));
+    }
+    for (x, y) in a.iter().zip(&b) {
+        if (x.id, x.key, &x.meta) != (y.id, y.key, &y.meta) {
+            return Some(format!(
+                "record {:?} != {:?}",
+                (x.id, x.key, &x.meta),
+                (y.id, y.key, &y.meta)
+            ));
+        }
+        if x.adj.len() != y.adj.len() {
+            return Some(format!(
+                "vertex {}: {} entries != {}",
+                x.id,
+                x.adj.len(),
+                y.adj.len()
+            ));
+        }
+        for (p, q) in x.adj.iter().zip(&y.adj) {
+            if (p.v, p.key, &p.em, &p.vm) != (q.v, q.key, &q.em, &q.vm) {
+                return Some(format!(
+                    "vertex {}: entry {:?} != {:?}",
+                    x.id,
+                    (p.v, p.key, &p.em, &p.vm),
+                    (q.v, q.key, &q.em, &q.vm)
+                ));
+            }
+        }
+    }
+    None
 }

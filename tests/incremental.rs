@@ -5,7 +5,9 @@
 //! 1. **Storage**: after `ResidentGraph::ingest_batch` the resident
 //!    DODGr storage — and therefore every full survey of it — is
 //!    bit-identical to a from-scratch build + survey of the
-//!    concatenated prefix: the same snapshot bytes, and same counts,
+//!    concatenated prefix: the same stored fields, record by record and
+//!    entry by entry (`common::storage_diff`; one named test also pins
+//!    the snapshot bytes), and same counts,
 //!    same metadata seen by every callback (checksummed), same merged
 //!    [`KernelStats`] counters, across engine × ranks {1,2,4,7}.
 //! 2. **Surveys**: the delta survey of each batch, merged additively
@@ -51,6 +53,10 @@ use tripoll::graph::{build_dist_graph, EdgeList, GraphError, Partition};
 use tripoll::ygm::hash::hash64;
 use tripoll::ygm::wire::Wire;
 use tripoll::ygm::{Comm, World};
+
+mod common;
+
+use common::storage_diff;
 
 /// One run's observable outcome: global triangle count, global
 /// metadata checksum, and the globally summed kernel counters.
@@ -266,8 +272,9 @@ fn batch_split_differential_oracle() {
                 prefix.extend(batch.iter().cloned());
                 let plist = EdgeList::from_vec(prefix.clone());
                 let oneshot = ResidentGraph::build(&plist, vm_of, Partition::Hashed);
-                assert!(
-                    resident.snapshot_bytes(3) == oneshot.snapshot_bytes(3),
+                assert_eq!(
+                    storage_diff(&resident, &oneshot),
+                    None,
                     "storage != from-scratch storage [{gname} k={k} batch={bi}]"
                 );
                 // Rotating slice of the matrix per batch; a full sweep
@@ -293,6 +300,32 @@ fn batch_split_differential_oracle() {
                 }
             }
             assert_eq!(resident.epoch(), nbatches as u64);
+        }
+    }
+}
+
+/// Snapshot bytes: after every batch of a five-way split, the ingested
+/// graph's snapshot is byte-identical to a from-scratch build's. The
+/// other storage oracles compare field by field, which also sees the
+/// keys and target metadata that entries carry in memory and a
+/// snapshot does not store.
+#[test]
+fn ingested_snapshot_bytes_equal_from_scratch_bytes() {
+    for (gname, edges) in [
+        ("random", labeled(random_edges())),
+        ("hub", labeled(hub_edges())),
+    ] {
+        let resident: ResidentGraph<String, String> =
+            ResidentGraph::from_vertices(Vec::new(), Partition::Hashed);
+        let chunk = edges.len().div_ceil(5);
+        for (bi, batch) in edges.chunks(chunk).enumerate() {
+            resident.ingest_batch_with(batch, vm_of).unwrap();
+            let plist = EdgeList::from_vec(edges[..(bi * chunk + batch.len())].to_vec());
+            let oneshot = ResidentGraph::build(&plist, vm_of, Partition::Hashed);
+            assert!(
+                resident.snapshot_bytes(3) == oneshot.snapshot_bytes(3),
+                "snapshot bytes != from-scratch bytes [{gname} batch={bi}]"
+            );
         }
     }
 }
@@ -533,8 +566,9 @@ fn ingest_after_snapshot_load_is_exact() {
         ResidentGraph::<String, String>::from_snapshot_bytes(&restored.snapshot_bytes(2)).unwrap();
     let plist = EdgeList::from_vec(edges);
     let oneshot = ResidentGraph::build(&plist, vm_of, Partition::Hashed);
-    assert!(
-        again.snapshot_bytes(3) == oneshot.snapshot_bytes(3),
+    assert_eq!(
+        storage_diff(&again, &oneshot),
+        None,
         "snapshot+ingest+snapshot storage != from-scratch storage"
     );
     for (nranks, mode) in [(2, EngineMode::PushOnly), (4, EngineMode::PushPull)] {
@@ -558,7 +592,9 @@ fn panicking_vm_fn_leaves_the_graph_untouched() {
     let edges = labeled(random_edges());
     let resident =
         ResidentGraph::build(&EdgeList::from_vec(edges.clone()), vm_of, Partition::Hashed);
-    let before = resident.snapshot_bytes(2);
+    // A twin build: every failed ingest must leave `resident` equal to it.
+    let untouched =
+        ResidentGraph::build(&EdgeList::from_vec(edges.clone()), vm_of, Partition::Hashed);
     let batch = labeled(vec![
         (0, 100),
         (100, 101),
@@ -576,8 +612,9 @@ fn panicking_vm_fn_leaves_the_graph_untouched() {
         }));
         assert!(attempt.is_err(), "the injected panic reaches the caller");
         assert_eq!(resident.epoch(), 0, "failed ingest leaves the epoch");
-        assert!(
-            resident.snapshot_bytes(2) == before,
+        assert_eq!(
+            storage_diff(&resident, &untouched),
+            None,
             "failed ingest leaves the storage [vm_fn panics on {bad}]"
         );
     }
@@ -641,7 +678,7 @@ fn query_in_flight_across_an_ingest_keeps_its_graph() {
     assert_eq!(in_flight, vec![before; q.nranks], "in-flight query");
     let oneshot = ResidentGraph::build(&EdgeList::from_vec(edges), vm_of, Partition::Hashed);
     assert_eq!(after, oneshot.triangle_count(&q), "query after the ingest");
-    assert!(resident.snapshot_bytes(2) == oneshot.snapshot_bytes(2));
+    assert_eq!(storage_diff(&resident, &oneshot), None);
 }
 
 /// Hostile: queries racing an ingest must observe some complete graph
@@ -738,8 +775,9 @@ proptest! {
         let oneshot =
             ResidentGraph::build(&EdgeList::from_vec(all), vm_num, Partition::Hashed);
         prop_assert_eq!(resident.num_vertices(), oneshot.num_vertices());
-        prop_assert!(
-            resident.snapshot_bytes(2) == oneshot.snapshot_bytes(2),
+        prop_assert_eq!(
+            storage_diff(&resident, &oneshot),
+            None,
             "storage != one-shot storage"
         );
         for (nranks, mode) in [(2usize, EngineMode::PushOnly), (3, EngineMode::PushPull)] {

@@ -9,8 +9,9 @@
 //! [`KernelStats`] — across engine × ranks {1,2,4,7},
 //! whether the resident graph came from ingest or from a
 //! saved-then-loaded snapshot. Hostile snapshot bytes must always
-//! surface as structured errors, never panics, and the snapshot size of
-//! a fixed R-MAT graph is pinned to the byte.
+//! surface as structured errors, never panics, and the snapshot sizes
+//! of a fixed R-MAT graph and of the `String`-metadata hub graph are
+//! pinned to the byte.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -259,15 +260,19 @@ fn concurrent_queries_with_different_configs_do_not_interfere() {
 }
 
 /// The snapshot of a scale-10 Graph500 R-MAT graph (seed 42, unit
-/// metadata) in four sections is exactly 34 700 bytes: growth means the
-/// binary format got fatter.
+/// metadata) in four sections, and of the hub graph with `String`
+/// metadata in two, are pinned to the byte: growth means the binary
+/// format got fatter, and the hub graph pins what entries store of
+/// their targets' metadata.
 #[test]
 fn rmat_snapshot_size_is_pinned() {
     let edges = rmat_edges(&RmatConfig::graph500(10, 42));
     let list =
         EdgeList::from_vec(edges.into_iter().map(|(u, v)| (u, v, ())).collect()).canonicalize();
     let resident: ResidentGraph<(), ()> = ResidentGraph::build(&list, |_| (), Partition::Hashed);
-    assert_eq!(resident.snapshot_bytes(4).len(), 34_700);
+    assert_eq!(resident.snapshot_bytes(4).len(), 20_251);
+    let hub = ResidentGraph::build(&hub_graph(), vm_of, Partition::Hashed);
+    assert_eq!(hub.snapshot_bytes(2).len(), 717);
 }
 
 /// Hostile-snapshot fuzz sweep: every strict prefix of a valid
@@ -298,13 +303,16 @@ fn snapshot_differential_hostile_bytes_never_panic() {
         Err(SnapshotError::BadMagic)
     ));
 
-    // Future schema version (version varint follows the magic).
-    let mut future = bytes.clone();
-    future[SNAPSHOT_MAGIC.len()] = 0x7F;
-    assert!(matches!(
-        ResidentGraph::<String, String>::from_snapshot_bytes(&future),
-        Err(SnapshotError::UnsupportedVersion(0x7F))
-    ));
+    // A future and the retired schema versions (the version varint
+    // follows the magic).
+    for version in [0x7F, 2, 1] {
+        let mut other = bytes.clone();
+        other[SNAPSHOT_MAGIC.len()] = version;
+        assert!(matches!(
+            ResidentGraph::<String, String>::from_snapshot_bytes(&other),
+            Err(SnapshotError::UnsupportedVersion(v)) if v == u64::from(version)
+        ));
+    }
 
     // Per-section length overrun: regenerate with a single empty
     // section (header | byte_len varint | body), strip the trailing
