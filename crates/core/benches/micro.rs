@@ -1,11 +1,11 @@
 //! Wall-clock context for the design choices below, printed to
 //! stdout:
 //!
-//! * `intersect_kernel` — ns and key compares per candidate of every
-//!   intersection kernel over a columnar frame at four degree skews
-//!   (where the `Auto` boundary should sit);
+//! * `intersect_kernel` — ns and key compares per candidate of the two
+//!   intersection kernels, the `scalar` reference and the branchless
+//!   `merge`, over a columnar frame at four degree skews;
 //! * `pull_probe` — one pull delivery's shape: a 100-key pulled list
-//!   serving 35 resume suffixes, merged per suffix under `Auto` against
+//!   serving 35 resume suffixes, merged per suffix under `Merge` against
 //!   indexed once and probed per suffix (what the pull handler runs);
 //!   then the pull shapes of `reddit_stream` and `rmat_pull`, hits at
 //!   random positions, indexed and probed. The `100x35` row reads low
@@ -105,11 +105,10 @@ fn intersect_frame(
     (acc, matches)
 }
 
-/// Every kernel over a columnar frame (keys decoded off the wire, right
+/// Both kernels over a columnar frame (keys decoded off the wire, right
 /// side in storage) at four degree skews: balanced, 10:1, 1000:1 and
 /// its reverse, a long frame against a short adjacency. Both receive
-/// handlers decode a frame's keys before intersecting, so `Auto`
-/// resolves every shape by the one symmetric rule.
+/// handlers decode a frame's keys before intersecting.
 fn compare_intersect_kernels() {
     let mut cands = Vec::new();
     for (name, left_n, right_n) in [
@@ -145,9 +144,7 @@ fn compare_intersect_kernels() {
 
         for (kname, kernel) in [
             ("scalar", IntersectKernel::MergeScalar),
-            ("gallop", IntersectKernel::Gallop),
             ("merge", IntersectKernel::Merge),
-            ("auto", IntersectKernel::Auto),
         ] {
             let (_, warm_matches) = intersect_frame(kernel, &frame, &right, &mut cands);
             assert_eq!(warm_matches, expected, "kernel {kname} disagrees at {name}");
@@ -177,7 +174,7 @@ const PULL_ITERS: usize = 4096;
 /// `Adjm+(q)` and 35 resume suffixes of a 60-key `Adjm+(p)`, three in
 /// five of whose keys are pulled keys (the match rate of an R-MAT
 /// survey's pull phase). The merge intersects each suffix against the
-/// pulled column under `Auto`; the probe indexes the column once per
+/// pulled column under `Merge`; the probe indexes the column once per
 /// delivery and probes each suffix into it.
 fn compare_pull_probe() {
     let pulled: Vec<OrderKey> = (0..100u64)
@@ -209,7 +206,7 @@ fn compare_pull_probe() {
             } else {
                 for s in &suffixes {
                     intersect_indices(
-                        IntersectKernel::Auto,
+                        IntersectKernel::Merge,
                         s,
                         &pulled,
                         |&k| k,

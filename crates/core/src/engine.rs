@@ -15,8 +15,8 @@
 //! columnar frames ([`tripoll_ygm::wire::ColSuffixes`]), and there
 //! are exactly two ways a rank consumes them:
 //!
-//! * **Production** ([`IntersectKernel::Auto`], or an explicit
-//!   [`Gallop`] / [`Merge`]): the frame is captured in place
+//! * **Production** ([`IntersectKernel::Merge`], the default): the
+//!   frame is captured in place
 //!   ([`tripoll_ygm::wire::ColCursor`]), its two key columns become a
 //!   flat [`OrderKey`] column (a frame whose keys do not strictly
 //!   increase is a wire error), and a match arrives as an index pair
@@ -24,13 +24,13 @@
 //!   pushed batch goes through a rank-owned [`FrameDecoder`], which
 //!   serves it from the last frame it decoded when the frame's key
 //!   bytes are a suffix of that frame's; its column is the left side
-//!   against `Adjm+(q)`, intersected by [`intersect_indices`] under the
-//!   configured kernel. A pulled `Adjm+(q)` is decoded whole by
+//!   against `Adjm+(q)`, intersected by [`intersect_indices`] with the
+//!   branchless merge. A pulled `Adjm+(q)` is decoded whole by
 //!   [`decode_key_column`], which keeps nothing, and serves every
 //!   resume suffix recorded for `q`: its column is indexed once per
-//!   delivery in a [`KeyIndex`] and each suffix is probed into it,
-//!   whatever the kernel. The survey callback is a type parameter of
-//!   the handler, so the per-triangle call is direct.
+//!   delivery in a [`KeyIndex`] and each suffix is probed into it. The
+//!   survey callback is a type parameter of the handler, so the
+//!   per-triangle call is direct.
 //! * **Reference** ([`IntersectKernel::MergeScalar`]): the frame is
 //!   materialised as an owned [`tripoll_ygm::wire::ColBatch`] and
 //!   intersected by the element-wise two-pointer merge through
@@ -41,52 +41,33 @@
 //!
 //! # Intersection kernels
 //!
-//! The kernels of [`IntersectKernel`] run in one body
+//! The two kernels of [`IntersectKernel`] run in one body
 //! ([`intersect_indices`]) and emit the **identical match sequence**
-//! (same pairs, same callback order); they differ only in how they step
-//! and in compares per candidate. On the production path they
-//! intersect pushed batches; an explicit kernel selects the push arm
-//! only, because every production pull delivery is probed through a
-//! [`KeyIndex`] instead, which emits the same sequence on strictly
-//! increasing lists:
+//! (same pairs, same callback order), in the same steps, so they count
+//! the same compares; they differ only in how a step is taken. On the
+//! production path the kernel intersects pushed batches only, because
+//! every production pull delivery is probed through a [`KeyIndex`]
+//! instead, which emits the same sequence on strictly increasing
+//! lists:
 //!
 //! * [`IntersectKernel::MergeScalar`] — the classic element-wise
 //!   two-pointer merge ([`merge_path`]) over the derived two-field
 //!   `Ord`: one three-way key compare per pointer step, branching on
 //!   its outcome.
-//! * [`IntersectKernel::Merge`] — the same two-pointer walk, branch
-//!   free: each key is read as one `u128` word ([`OrderKey::word`],
-//!   exactly the derived order), and a step advances `a` by `x <= y`
-//!   and `b` by `y <= x`, so the only branch is the match. It takes the
-//!   reference's steps, so it counts the reference's compares.
-//! * [`IntersectKernel::Gallop`] — exponential (galloping) search over
-//!   the same one-word keys: each key of the smaller side seeks its
-//!   position in the larger side by doubling probes plus a binary
-//!   search, `O(s·log(L/s))` compares instead of `O(L)`. Wins exactly
-//!   when the sides are skewed (`|small|·K < |large|` — a low-degree
-//!   candidate batch against a hub adjacency), loses on balanced sides.
-//! * [`IntersectKernel::Auto`] (production default) — one rule,
-//!   [`IntersectKernel::select`]: gallop when either side is at least
-//!   [`GALLOP_RATIO`]× the other (`min·K < max`), the branchless merge
-//!   otherwise. Both sides are random-access slices by the time a
-//!   kernel runs (a frame's keys are decoded first, whole), so the
-//!   gallop can seek into whichever side is larger and no streaming
-//!   left side remains. Each arm wins somewhere — the gallop does 48×
-//!   fewer compares at 1000:1 hub skew (the `micro` bench's
-//!   `intersect_kernel` section; `Auto`'s compare counts are pinned in
-//!   `tests/kernels.rs`) — which is why the choice is made from the two
-//!   lengths and not left to a knob. Both lengths are known before any
-//!   key is compared, so selection is free and deterministic.
+//! * [`IntersectKernel::Merge`] (production default) — the same
+//!   two-pointer walk, branch free: each key is read as one `u128` word
+//!   ([`OrderKey::word`], exactly the derived order), and a step
+//!   advances `a` by `x <= y` and `b` by `y <= x`, so the only branch
+//!   is the match. Under the `<+` orientation an out-list is short
+//!   (the largest `d+` of the benchmark workloads is 18–103), so the
+//!   hub skew a galloping search would pay off at does not arise.
 //!
 //! Every kernel and every probe tallies deterministic counters
-//! ([`KernelStats`]: compares, candidates, matches, per-kernel dispatch
+//! ([`KernelStats`]: compares, candidates, matches, per-kernel run
 //! counts, probe runs) into a thread-local, read via [`kernel_stats`] /
 //! [`kernel_stats_take`] — the tier-1 tests pin compare counts to
 //! literals and the differential suite cross-checks match counts
 //! against the reference.
-//!
-//! [`Gallop`]: IntersectKernel::Gallop
-//! [`Merge`]: IntersectKernel::Merge
 
 use std::cell::Cell;
 use std::time::Instant;
@@ -116,101 +97,50 @@ impl std::fmt::Display for EngineMode {
 }
 
 /// Which intersection kernel compares the two sorted sides of a pushed
-/// wedge batch (see the module docs for the full taxonomy; production
-/// pull deliveries are probed through a [`KeyIndex`] whatever the
-/// kernel). A local compute choice — it moves no bytes — with one
-/// structural meaning: in a [`SurveyConfig`], [`MergeScalar`] selects
-/// the *reference* receive path (materialised batch, two-pointer merge,
-/// inline) for pushes and pulls alike, and every other value the
-/// production path.
-///
-/// All kernels emit the identical match sequence; [`Auto`] resolves
-/// per intersection from the side lengths alone:
+/// wedge batch (see the module docs; production pull deliveries are
+/// probed through a [`KeyIndex`] whatever the kernel). Both kernels
+/// emit the identical match sequence in the same steps and count the
+/// same compares. The choice has one structural meaning: in a
+/// [`SurveyConfig`], [`MergeScalar`] selects the *reference* receive
+/// path (materialised batch, two-pointer merge, inline) for pushes and
+/// pulls alike, and [`Merge`] the production path.
 ///
 /// ```
-/// use tripoll_core::{IntersectKernel, GALLOP_RATIO};
+/// use tripoll_core::{intersect_slices, kernel_stats_take, IntersectKernel};
+/// use tripoll_graph::OrderKey;
 ///
-/// let auto = IntersectKernel::Auto;
-/// // Balanced random-access sides: the branchless merge.
-/// assert_eq!(auto.select(1000, 1000), IntersectKernel::Merge);
-/// // Heavy skew in either direction: gallop into the larger side.
-/// assert_eq!(auto.select(10, 10 * GALLOP_RATIO + 1), IntersectKernel::Gallop);
-/// assert_eq!(auto.select(10 * GALLOP_RATIO + 1, 10), IntersectKernel::Gallop);
-/// // Explicit kernels always resolve to themselves.
-/// assert_eq!(IntersectKernel::Gallop.select(5, 5), IntersectKernel::Gallop);
+/// let keys = |vs: &[u64]| -> Vec<OrderKey> { vs.iter().map(|&v| OrderKey::new(v, v)).collect() };
+/// let (left, right) = (keys(&[1, 3, 5, 7]), keys(&[2, 3, 4, 5, 6, 7, 8, 9]));
+/// let run = |kernel| {
+///     let mut pairs = Vec::new();
+///     intersect_slices(kernel, &left, &right, |&k| k, |&k| k, |l, _| pairs.push(l.tie));
+///     (pairs, kernel_stats_take().compares)
+/// };
+/// assert_eq!(IntersectKernel::default(), IntersectKernel::Merge);
+/// // The same matches, in the same order, for the same compares.
+/// assert_eq!(run(IntersectKernel::Merge), run(IntersectKernel::MergeScalar));
 /// ```
 ///
-/// [`Auto`]: IntersectKernel::Auto
+/// [`Merge`]: IntersectKernel::Merge
 /// [`MergeScalar`]: IntersectKernel::MergeScalar
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntersectKernel {
-    /// Per-batch size-ratio heuristic: [`IntersectKernel::Gallop`] at
-    /// heavy skew, else [`IntersectKernel::Merge`] — see
-    /// [`IntersectKernel::select`] for the exact contract. The
-    /// production default.
+    /// Branch-free two-pointer merge over keys read as one `u128`
+    /// word each. The production default.
     #[default]
-    Auto,
+    Merge,
     /// Element-wise two-pointer merge — the reference kernel. A survey
     /// configured with it runs the reference receive path (see the
     /// module docs), which the differential suites compare the
     /// production path against.
     MergeScalar,
-    /// Exponential-search seek through the larger side.
-    Gallop,
-    /// Branch-free two-pointer merge over keys read as one `u128`
-    /// word each.
-    Merge,
-}
-
-/// Skew ratio at which [`IntersectKernel::Auto`] switches to
-/// galloping: [`IntersectKernel::select`] gallops when
-/// `min(|l|,|r|)·K < max(|l|,|r|)`, symmetric because the gallop seeks
-/// into whichever side is larger.
-///
-/// At ratio `K` the merge walks up to `max + min` keys while galloping
-/// costs about `min·(2·log₂(max/min)+2)` compares; `K = 8` is where
-/// the gallop's per-seek overhead (probe + binary search ≈ 2·log₂ 8 +
-/// 2 = 8 compares) breaks even with the walk it skips, counted in
-/// compares. `K` was chosen against an earlier merge arm and is not
-/// re-tuned for the branchless one. A branchless step waits on the
-/// previous step's compare, so where the break-even lies in time need
-/// not match where it lies in compares.
-pub const GALLOP_RATIO: usize = 8;
-
-impl IntersectKernel {
-    /// Resolves [`IntersectKernel::Auto`] for one intersection of two
-    /// slices; explicit kernels return themselves. **Symmetric** in the side lengths: a skew past
-    /// [`GALLOP_RATIO`] in either direction picks the gallop (it can
-    /// seek into whichever side is larger); anything milder resolves
-    /// to [`IntersectKernel::Merge`]. Deterministic, and both
-    /// lengths are known up front.
-    #[inline]
-    pub fn select(self, left_len: usize, right_len: usize) -> IntersectKernel {
-        match self {
-            IntersectKernel::Auto => {
-                let (small, large) = if left_len <= right_len {
-                    (left_len, right_len)
-                } else {
-                    (right_len, left_len)
-                };
-                if small.saturating_mul(GALLOP_RATIO) < large {
-                    IntersectKernel::Gallop
-                } else {
-                    IntersectKernel::Merge
-                }
-            }
-            k => k,
-        }
-    }
 }
 
 impl std::fmt::Display for IntersectKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IntersectKernel::Auto => write!(f, "Auto"),
-            IntersectKernel::MergeScalar => write!(f, "MergeScalar"),
-            IntersectKernel::Gallop => write!(f, "Gallop"),
             IntersectKernel::Merge => write!(f, "Merge"),
+            IntersectKernel::MergeScalar => write!(f, "MergeScalar"),
         }
     }
 }
@@ -218,7 +148,7 @@ impl std::fmt::Display for IntersectKernel {
 /// Per-survey engine configuration: the intersection kernel. It moves
 /// no byte on the wire (candidate batches are always columnar frames),
 /// so it is a local compute choice, named here so a survey carries one
-/// reproducible configuration. The default, [`IntersectKernel::Auto`],
+/// reproducible configuration. The default, [`IntersectKernel::Merge`],
 /// is the production path; [`IntersectKernel::MergeScalar`] selects
 /// the reference path the differential suites compare it against (see
 /// the module docs).
@@ -235,15 +165,11 @@ impl std::fmt::Display for IntersectKernel {
 ///
 /// // The production configuration.
 /// let prod = SurveyConfig::new();
-/// assert_eq!(prod.kernel, IntersectKernel::Auto);
-///
-/// // An explicit kernel.
-/// let gallop_only = SurveyConfig::new().with_kernel(IntersectKernel::Gallop);
-/// assert_eq!(gallop_only, SurveyConfig::from(IntersectKernel::Gallop));
+/// assert_eq!(prod.kernel, IntersectKernel::Merge);
 ///
 /// // The reference the differential suites compare against.
-/// let reference = SurveyConfig::from(IntersectKernel::MergeScalar);
-/// assert_eq!(reference.kernel, IntersectKernel::MergeScalar);
+/// let reference = SurveyConfig::new().with_kernel(IntersectKernel::MergeScalar);
+/// assert_eq!(reference, SurveyConfig::from(IntersectKernel::MergeScalar));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SurveyConfig {
@@ -253,7 +179,7 @@ pub struct SurveyConfig {
 }
 
 impl SurveyConfig {
-    /// The production configuration (auto-selected kernel).
+    /// The production configuration (the branchless merge).
     pub fn new() -> Self {
         SurveyConfig::default()
     }
@@ -376,16 +302,14 @@ pub fn merge_path<L, R>(
 /// Deterministic tallies of the kernel layer, accumulated per thread
 /// (one simulated rank = one thread). Counter semantics:
 ///
-/// * `compares` — key comparisons performed (a merge step of either
-///   merge, gallop probes and binary-search steps, and the equality
-///   check after a gallop each count one);
+/// * `compares` — key comparisons performed (one per step of either
+///   merge);
 /// * `candidates` — left-side elements, all of them whichever kernel
 ///   runs (a pushed frame's keys are decoded whole, so every wedge
 ///   counts exactly once);
 /// * `matches` — key-equal pairs emitted, identical across kernels by
 ///   the differential contract;
-/// * `*_runs` — intersections dispatched per resolved kernel (what
-///   [`IntersectKernel::Auto`] actually picked), and `probe_runs` the
+/// * `*_runs` — intersections run per kernel, and `probe_runs` the
 ///   left sides probed into a [`KeyIndex`] (every resume suffix of a
 ///   production pull delivery).
 ///
@@ -401,8 +325,6 @@ pub struct KernelStats {
     pub matches: u64,
     /// Intersections run by the scalar merge kernel.
     pub scalar_runs: u64,
-    /// Intersections run by the galloping kernel.
-    pub gallop_runs: u64,
     /// Intersections run by the branchless merge kernel.
     pub merge_runs: u64,
     /// Left sides probed into a [`KeyIndex`].
@@ -415,7 +337,6 @@ impl KernelStats {
         candidates: 0,
         matches: 0,
         scalar_runs: 0,
-        gallop_runs: 0,
         merge_runs: 0,
         probe_runs: 0,
     };
@@ -430,7 +351,6 @@ impl std::ops::AddAssign for KernelStats {
         self.candidates += rhs.candidates;
         self.matches += rhs.matches;
         self.scalar_runs += rhs.scalar_runs;
-        self.gallop_runs += rhs.gallop_runs;
         self.merge_runs += rhs.merge_runs;
         self.probe_runs += rhs.probe_runs;
     }
@@ -453,7 +373,7 @@ pub fn kernel_stats_take() -> KernelStats {
 
 /// Flushes one intersection's local tallies into the thread counter —
 /// a single `Cell` write per intersection, so the hot loops count into
-/// registers. `run` bumps the dispatch counter of the arm that ran.
+/// registers. `run` bumps the run counter of the kernel that ran.
 #[inline]
 fn record_kernel(compares: u64, candidates: u64, matches: u64, run: fn(&mut KernelStats)) {
     KERNEL_STATS.with(|c| {
@@ -464,53 +384,6 @@ fn record_kernel(compares: u64, candidates: u64, matches: u64, run: fn(&mut Kern
         run(&mut s);
         c.set(s);
     });
-}
-
-/// First index in `right[from..]` whose key word is `>= target`, found
-/// by exponential probing (1, 2, 4, … steps) and a binary search of the
-/// final window — `O(log distance)` compares regardless of how far the
-/// seek lands. Keys are compared as [`OrderKey::word`]s.
-#[inline]
-fn gallop_seek<R>(
-    right: &[R],
-    key_r: &impl Fn(&R) -> OrderKey,
-    from: usize,
-    target: u128,
-    compares: &mut u64,
-) -> usize {
-    let n = right.len();
-    if from >= n {
-        return n;
-    }
-    let word = |i: usize| key_r(&right[i]).word();
-    *compares += 1;
-    if word(from) >= target {
-        return from;
-    }
-    // Invariant: word(lo) < target; hi is n or has word >= target.
-    let mut lo = from;
-    let mut hi = n;
-    let mut step = 1usize;
-    while lo + step < n {
-        *compares += 1;
-        if word(lo + step) < target {
-            lo += step;
-            step <<= 1;
-        } else {
-            hi = lo + step;
-            break;
-        }
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        *compares += 1;
-        if word(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    hi
 }
 
 /// Intersects two `<+`-sorted slices with the selected kernel and
@@ -529,9 +402,8 @@ pub fn intersect_indices<L, R>(
     key_r: impl Fn(&R) -> OrderKey,
     mut on_match: impl FnMut(usize, usize),
 ) {
-    let resolved = kernel.select(left.len(), right.len());
     let (mut compares, mut matches) = (0u64, 0u64);
-    match resolved {
+    let run: fn(&mut KernelStats) = match kernel {
         IntersectKernel::MergeScalar => {
             let (mut a, mut b) = (0, 0);
             while a < left.len() && b < right.len() {
@@ -547,43 +419,7 @@ pub fn intersect_indices<L, R>(
                     }
                 }
             }
-        }
-        IntersectKernel::Gallop => {
-            if left.len() <= right.len() {
-                let mut b = 0;
-                for (a, l) in left.iter().enumerate() {
-                    if b >= right.len() {
-                        break;
-                    }
-                    let kl = key_l(l).word();
-                    b = gallop_seek(right, &key_r, b, kl, &mut compares);
-                    if b < right.len() {
-                        compares += 1;
-                        if key_r(&right[b]).word() == kl {
-                            on_match(a, b);
-                            matches += 1;
-                            b += 1;
-                        }
-                    }
-                }
-            } else {
-                let mut a = 0;
-                for (b, r) in right.iter().enumerate() {
-                    if a >= left.len() {
-                        break;
-                    }
-                    let kr = key_r(r).word();
-                    a = gallop_seek(left, &key_l, a, kr, &mut compares);
-                    if a < left.len() {
-                        compares += 1;
-                        if key_l(&left[a]).word() == kr {
-                            on_match(a, b);
-                            matches += 1;
-                            a += 1;
-                        }
-                    }
-                }
-            }
+            |s| s.scalar_runs += 1
         }
         IntersectKernel::Merge => {
             // Branchless steps over one-word keys: both pointers advance
@@ -602,14 +438,8 @@ pub fn intersect_indices<L, R>(
             // One compare per step: a step advances one pointer, or
             // both on a match.
             compares = (a + b) as u64 - matches;
+            |s| s.merge_runs += 1
         }
-        IntersectKernel::Auto => unreachable!("select never returns Auto"),
-    }
-    let run: fn(&mut KernelStats) = match resolved {
-        IntersectKernel::MergeScalar => |s| s.scalar_runs += 1,
-        IntersectKernel::Gallop => |s| s.gallop_runs += 1,
-        IntersectKernel::Merge => |s| s.merge_runs += 1,
-        IntersectKernel::Auto => unreachable!("Auto resolves before recording"),
     };
     record_kernel(compares, left.len() as u64, matches, run);
 }
@@ -1016,105 +846,19 @@ mod tests {
 
     #[test]
     fn survey_config_defaults_and_conversions() {
-        // Production default: the auto-selected kernel.
+        // Production default: the branchless merge.
         let d = SurveyConfig::default();
-        assert_eq!(d.kernel, IntersectKernel::Auto);
+        assert_eq!(d.kernel, IntersectKernel::Merge);
         assert_eq!(SurveyConfig::new(), d);
         assert!(!d.is_reference());
         // A bare kernel converts to the config that names it.
         assert_eq!(
-            SurveyConfig::from(IntersectKernel::Gallop),
-            d.with_kernel(IntersectKernel::Gallop)
+            SurveyConfig::from(IntersectKernel::MergeScalar),
+            d.with_kernel(IntersectKernel::MergeScalar)
         );
         // Only the scalar merge selects the reference path.
         assert!(SurveyConfig::from(IntersectKernel::MergeScalar).is_reference());
-        assert!(!SurveyConfig::from(IntersectKernel::Gallop).is_reference());
         assert!(!SurveyConfig::from(IntersectKernel::Merge).is_reference());
-    }
-
-    #[test]
-    fn auto_kernel_selection_follows_the_skew_ratio() {
-        let auto = IntersectKernel::Auto;
-        // Balanced or mildly skewed sides: the branchless merge.
-        assert_eq!(auto.select(100, 100), IntersectKernel::Merge);
-        assert_eq!(auto.select(100, 799), IntersectKernel::Merge);
-        assert_eq!(auto.select(799, 100), IntersectKernel::Merge);
-        // Past GALLOP_RATIO in either direction: gallop.
-        assert_eq!(auto.select(100, 801), IntersectKernel::Gallop);
-        assert_eq!(auto.select(801, 100), IntersectKernel::Gallop);
-        assert_eq!(auto.select(0, 1), IntersectKernel::Gallop);
-        // Explicit kernels resolve to themselves at any skew.
-        for k in [
-            IntersectKernel::MergeScalar,
-            IntersectKernel::Gallop,
-            IntersectKernel::Merge,
-        ] {
-            assert_eq!(k.select(1, 1_000_000), k);
-            assert_eq!(k.select(5, 5), k);
-        }
-    }
-
-    /// Pins the dispatch-count counters of the one [`GALLOP_RATIO`]
-    /// rule, symmetric in the side lengths, so the docs and the code
-    /// cannot drift apart. A frame's keys are decoded before they are
-    /// intersected, so a frame on either side resolves like a slice.
-    #[test]
-    fn auto_dispatch_counters_pin_the_shape_contract() {
-        use tripoll_ygm::wire::{to_bytes, ColBatch, ColCursor, WireReader};
-        let mk = |n: usize| -> Vec<(u64, OrderKey)> {
-            (0..n as u64).map(|v| (v, OrderKey::new(v, v))).collect()
-        };
-        let big = mk(900);
-        let small = mk(100);
-        let runs = |l: &[(u64, OrderKey)], r: &[(u64, OrderKey)]| {
-            let _ = kernel_stats_take();
-            intersect_slices(IntersectKernel::Auto, l, r, |e| e.1, |e| e.1, |_, _| {});
-            let s = kernel_stats_take();
-            (s.scalar_runs, s.gallop_runs, s.merge_runs)
-        };
-        assert_eq!(runs(&small, &small), (0, 0, 1), "balanced");
-        assert_eq!(runs(&small, &big), (0, 1, 0), "right-heavy");
-        assert_eq!(runs(&big, &small), (0, 1, 0), "left-heavy");
-        // The same sides as decoded frames: the same dispatch.
-        let decoded = |l: &[(u64, OrderKey)]| -> Vec<(u64, OrderKey)> {
-            let frame = to_bytes(&ColBatch::<()>(
-                l.iter().map(|e| (e.0, e.1.degree, ())).collect(),
-            ));
-            let mut reader = WireReader::new(&frame);
-            let cur: ColCursor<'_, ()> = ColCursor::begin(&mut reader).expect("frame");
-            cur.keys
-                .map(|k| k.map(|k| (k.v, OrderKey::new(k.v, k.degree))))
-                .collect::<Result<_, _>>()
-                .expect("keys")
-        };
-        assert_eq!(runs(&decoded(&small), &small), (0, 0, 1), "frame balanced");
-        assert_eq!(runs(&decoded(&small), &big), (0, 1, 0), "frame right-heavy");
-        assert_eq!(runs(&decoded(&big), &small), (0, 1, 0), "frame left-heavy");
-    }
-
-    #[test]
-    fn gallop_seek_finds_the_lower_bound() {
-        let list: Vec<(u64, OrderKey)> = (0..200u64)
-            .map(|i| (i * 2, OrderKey::new(i * 2, i * 2)))
-            .collect();
-        let key = |e: &(u64, OrderKey)| e.1;
-        let mut compares = 0u64;
-        for target_v in 0..420u64 {
-            let target = OrderKey::new(target_v, target_v);
-            for from in [0usize, 3, 150, 199, 200] {
-                let got = gallop_seek(&list, &key, from, target.word(), &mut compares);
-                // Reference: first index >= from with key >= target.
-                let mut reference = list.len();
-                for (i, e) in list.iter().enumerate().skip(from) {
-                    if key(e) >= target {
-                        reference = i;
-                        break;
-                    }
-                }
-                assert_eq!(got, reference, "target {target_v} from {from}");
-            }
-        }
-        assert!(compares > 0);
     }
 
     /// Every kernel must emit exactly the match sequence of
@@ -1147,12 +891,7 @@ mod tests {
                 |r| r.1,
                 |l, r| oracle.push((l.0, r.0)),
             );
-            for kernel in [
-                IntersectKernel::Auto,
-                IntersectKernel::MergeScalar,
-                IntersectKernel::Gallop,
-                IntersectKernel::Merge,
-            ] {
+            for kernel in [IntersectKernel::MergeScalar, IntersectKernel::Merge] {
                 let mut got = Vec::new();
                 intersect_slices(
                     kernel,
@@ -1214,17 +953,17 @@ mod tests {
         assert_eq!(s.candidates, 64);
         assert_eq!(s.scalar_runs, 1);
         assert!(s.compares >= 64);
-        // Auto at heavy skew dispatches the gallop kernel.
+        // A second intersection accumulates into the same counters.
         let small = &left[..4];
         intersect_slices(
-            IntersectKernel::Auto,
+            IntersectKernel::Merge,
             small,
             &left,
             |l| l.1,
             |r| r.1,
             |_, _| {},
         );
-        assert_eq!(kernel_stats().gallop_runs, 1);
+        assert_eq!(kernel_stats().merge_runs, 1);
         let taken = kernel_stats_take();
         assert_eq!(taken.matches, 68);
         assert_eq!(kernel_stats(), KernelStats::default());

@@ -53,7 +53,7 @@ pub use delta::survey_delta_push;
 pub use engine::{
     decode_key_column, intersect_indices, intersect_slices, kernel_stats, kernel_stats_take,
     merge_path, EngineMode, FrameDecoder, IntersectKernel, KernelStats, KeyIndex, PhaseReport,
-    SurveyConfig, SurveyReport, GALLOP_RATIO,
+    SurveyConfig, SurveyReport,
 };
 pub use meta::{SurveyCallback, TriangleMeta};
 pub use push_only::{survey_push_only, survey_push_only_with};

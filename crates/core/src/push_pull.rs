@@ -816,17 +816,11 @@ mod tests {
                 nranks as u64 + 4,
                 "every rank pulls q (n={nranks})"
             );
-            for kernel in [
-                IntersectKernel::Auto,
-                IntersectKernel::Gallop,
-                IntersectKernel::Merge,
-            ] {
-                assert_eq!(
-                    run(kernel, nranks),
-                    reference,
-                    "kernel {kernel}, n={nranks}"
-                );
-            }
+            assert_eq!(
+                run(IntersectKernel::Merge, nranks),
+                reference,
+                "production, n={nranks}"
+            );
         }
     }
 

@@ -78,7 +78,6 @@ use crate::engine::{kernel_stats_take, EngineMode, KernelStats, SurveyConfig, Su
 use crate::meta::TriangleMeta;
 use crate::push_only::survey_push_only_with;
 use crate::push_pull::{survey_push_pull_planned, DryRunPlan};
-use crate::surveys::delta::CachePadded;
 
 /// One query against a [`ResidentGraph`]: the world size plus fully
 /// explicit engine settings, so a query's behavior is a function of its
@@ -587,17 +586,14 @@ where
         Ok(outcomes)
     }
 
-    /// Convenience: the global triangle count of one query. Each rank
-    /// counts into a cache-padded counter of its own, and the counters
-    /// are summed after the query's world joins.
+    /// Convenience: the global triangle count of one query, the sum of
+    /// every rank's [`KernelStats::matches`]: each match the kernels
+    /// report is one triangle.
     pub fn triangle_count(&self, query: &ResidentQuery) -> u64 {
-        let counts: Arc<Vec<CachePadded<AtomicU64>>> =
-            Arc::new((0..query.nranks).map(|_| CachePadded::default()).collect());
-        let c = counts.clone();
-        self.survey(query, move |comm, _tm| {
-            c[comm.rank()].0.fetch_add(1, Ordering::Relaxed);
-        });
-        counts.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+        self.survey(query, |_, _| {})
+            .iter()
+            .map(|o| o.kernel.matches)
+            .sum()
     }
 }
 
@@ -758,9 +754,9 @@ mod tests {
         assert_eq!(q.config, SurveyConfig::new());
         assert_eq!(q.mode, EngineMode::PushPull);
         let q = q
-            .with_config(SurveyConfig::new().with_kernel(IntersectKernel::Gallop))
+            .with_config(SurveyConfig::new().with_kernel(IntersectKernel::MergeScalar))
             .with_mode(EngineMode::PushOnly);
-        assert_eq!(q.config.kernel, IntersectKernel::Gallop);
+        assert_eq!(q.config.kernel, IntersectKernel::MergeScalar);
         assert_eq!(q.mode, EngineMode::PushOnly);
     }
 

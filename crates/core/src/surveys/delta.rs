@@ -184,11 +184,11 @@ impl SurveyDelta {
 const STRIPES: usize = 16;
 
 /// A value on cache lines of its own (two, for adjacent-line
-/// prefetch): per-rank accumulators in one array, one per rank thread,
-/// never share a line.
+/// prefetch): the stripes of one array, one per rank thread, never
+/// share a line.
 #[derive(Debug, Default)]
 #[repr(align(128))]
-pub(crate) struct CachePadded<T>(pub(crate) T);
+struct CachePadded<T>(T);
 
 /// This thread's stripe. Threads draw stripes round-robin at their
 /// first record, so up to [`STRIPES`] threads that start recording

@@ -1,8 +1,9 @@
 //! Shared support of the differential suites (`kernels`,
-//! `production_path`, `incremental`): the string-metadata graphs they
-//! survey, one survey runner that harvests everything any of them
-//! compares, and a field-by-field comparison of resident storage. Each
-//! suite uses a subset, hence the `dead_code` allow.
+//! `production_path`, `incremental`, `resident`): the string-metadata
+//! graphs they survey, one survey runner that harvests everything any
+//! of them compares, the world-wide sum of a rank's kernel counters,
+//! and a field-by-field comparison of resident storage. Each suite uses
+//! a subset, hence the `dead_code` allow.
 
 #![allow(dead_code)]
 
@@ -119,26 +120,32 @@ pub fn run_survey(
             EngineMode::PushOnly => survey_push_only_with(comm, &g, config, cb),
             EngineMode::PushPull => survey_push_pull_with(comm, &g, config, cb),
         };
-        let ks = kernel_stats_take();
+        let stats = all_reduce_kernel_stats(comm, kernel_stats_take());
         let sent = report.local_stats();
         Outcome {
             count: comm.all_reduce_sum(count.get()),
             checksum: comm.all_reduce_sum(sum.get()),
-            stats: KernelStats {
-                compares: comm.all_reduce_sum(ks.compares),
-                candidates: comm.all_reduce_sum(ks.candidates),
-                matches: comm.all_reduce_sum(ks.matches),
-                scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
-                gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
-                merge_runs: comm.all_reduce_sum(ks.merge_runs),
-                probe_runs: comm.all_reduce_sum(ks.probe_runs),
-            },
+            stats,
             bytes_encoded: comm.all_reduce_sum(sent.bytes_encoded),
             records: comm.all_reduce_sum(sent.records_total()),
             borrowed: comm.all_reduce_sum(sent.records_borrowed),
             fingerprint: Fingerprint::of(&report),
         }
     })
+}
+
+/// Every field of this rank's kernel counters `ks`, summed over the
+/// world, so it reads the same on every rank. A collective: every rank
+/// calls it.
+pub fn all_reduce_kernel_stats(comm: &Comm, ks: KernelStats) -> KernelStats {
+    KernelStats {
+        compares: comm.all_reduce_sum(ks.compares),
+        candidates: comm.all_reduce_sum(ks.candidates),
+        matches: comm.all_reduce_sum(ks.matches),
+        scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
+        merge_runs: comm.all_reduce_sum(ks.merge_runs),
+        probe_runs: comm.all_reduce_sum(ks.probe_runs),
+    }
 }
 
 /// An edge list whose edge metadata names the edge, over `v{id}` vertex
@@ -167,8 +174,7 @@ pub fn random_graph() -> EdgeList<String> {
 
 /// The shared-hub construction that forces the Push-Pull pull phase to
 /// carry the triangles (the pulled key columns, decoded once per
-/// delivery and intersected against every resume suffix) and yields
-/// skewed intersections for the size-ratio heuristic. One triangle per
+/// delivery and probed by every resume suffix). One triangle per
 /// source vertex.
 pub fn hub_graph() -> EdgeList<String> {
     let (h1, h2) = (1000, 1001);

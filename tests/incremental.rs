@@ -56,7 +56,7 @@ use tripoll::ygm::{Comm, World};
 
 mod common;
 
-use common::storage_diff;
+use common::{all_reduce_kernel_stats, storage_diff};
 
 /// One run's observable outcome: global triangle count, global
 /// metadata checksum, and the globally summed kernel counters.
@@ -153,19 +153,11 @@ where
             EngineMode::PushOnly => survey_push_only_with(comm, &g, config, cb),
             EngineMode::PushPull => survey_push_pull_with(comm, &g, config, cb),
         };
-        let ks = kernel_stats_take();
+        let stats = all_reduce_kernel_stats(comm, kernel_stats_take());
         Outcome {
             count: comm.all_reduce_sum(count.get()),
             checksum: comm.all_reduce_sum(sum.get()),
-            stats: KernelStats {
-                compares: comm.all_reduce_sum(ks.compares),
-                candidates: comm.all_reduce_sum(ks.candidates),
-                matches: comm.all_reduce_sum(ks.matches),
-                scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
-                gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
-                merge_runs: comm.all_reduce_sum(ks.merge_runs),
-                probe_runs: comm.all_reduce_sum(ks.probe_runs),
-            },
+            stats,
         }
     });
     for o in &out {

@@ -2,16 +2,15 @@
 //!
 //! A survey runs one of two receive paths (see `tripoll::core::engine`):
 //! the **production** path — columnar frames decoded in place into a
-//! flat key column, the kernel `Auto` picks from the two side lengths
-//! (or an explicit `Gallop` / `Merge`), matches reported as index
-//! pairs — or the **reference** ([`IntersectKernel::MergeScalar`]): the
+//! flat key column, intersected by the branchless `Merge`, matches
+//! reported as index pairs — or the **reference** ([`IntersectKernel::MergeScalar`]): the
 //! same bytes materialised as an owned batch and intersected by the
 //! two-pointer merge. The contract is strict: every kernel emits the
 //! **identical match sequence** — same pairs, same callback order — as
 //! the reference, on every engine and rank count. Five layers of
 //! evidence:
 //!
-//! * **Surveys** — production kernels × engine × {1,2,4,7}-rank
+//! * **Surveys** — the production kernel × engine × {1,2,4,7}-rank
 //!   surveys on string-metadata graphs (random, shared-hub, the Table 4
 //!   topologies, proptest-generated): triangle counts, six-value
 //!   metadata checksums, the kernels' deterministic match counters and
@@ -28,8 +27,9 @@
 //! * **Same steps** — the branchless [`IntersectKernel::Merge`] reads
 //!   each key as one `u128` word and advances both pointers by flags,
 //!   but it takes the reference merge's steps: on random strictly
-//!   increasing lists it emits the ordered matches of `MergeScalar`
-//!   and `merge_path` with exactly `MergeScalar`'s compare count.
+//!   increasing lists, at every skew, it emits the ordered matches of
+//!   `MergeScalar` and `merge_path` with exactly `MergeScalar`'s compare
+//!   count.
 //! * **Same pairs by hash** — [`KeyIndex::probe`], which every
 //!   production pull delivery runs instead of a merge, emits the
 //!   ordered index pairs of `merge_path` with its candidate and match
@@ -45,18 +45,16 @@
 //!   [`decode_key_column`], the pull handler's decode, which keeps
 //!   nothing of a frame.
 //!
-//! Besides agreement, `Auto`'s key-compare counts at four fixed degree
-//! skews are pinned to literals: the work the gallop and merge arms
-//! are chosen to keep small.
+//! Besides agreement, `Merge`'s key-compare counts at four fixed degree
+//! skews are pinned to literals: the work of the production kernel.
 
 mod common;
 
 use common::{hub_graph, labeled, random_graph, run_survey};
 use proptest::prelude::*;
 use tripoll::core::{
-    decode_key_column, intersect_indices, intersect_slices, kernel_stats, kernel_stats_take,
-    merge_path, EngineMode, FrameDecoder, IntersectKernel, KernelStats, KeyIndex, SurveyConfig,
-    GALLOP_RATIO,
+    decode_key_column, intersect_indices, intersect_slices, kernel_stats_take, merge_path,
+    EngineMode, FrameDecoder, IntersectKernel, KernelStats, KeyIndex, SurveyConfig,
 };
 use tripoll::gen::table4_suite;
 use tripoll::graph::{EdgeList, OrderKey};
@@ -65,20 +63,10 @@ use tripoll::ygm::wire::{
     WireReader,
 };
 
-/// The kernels of the production path: what `Auto` resolves to, plus
-/// `Auto` itself.
-const PRODUCTION: [IntersectKernel; 3] = [
-    IntersectKernel::Auto,
-    IntersectKernel::Gallop,
-    IntersectKernel::Merge,
-];
+/// The kernel of the production path.
+const PRODUCTION: [IntersectKernel; 1] = [IntersectKernel::Merge];
 
-const KERNELS: [IntersectKernel; 4] = [
-    IntersectKernel::MergeScalar,
-    IntersectKernel::Gallop,
-    IntersectKernel::Merge,
-    IntersectKernel::Auto,
-];
+const KERNELS: [IntersectKernel; 2] = [IntersectKernel::MergeScalar, IntersectKernel::Merge];
 
 const ENGINES: [EngineMode; 2] = [EngineMode::PushOnly, EngineMode::PushPull];
 
@@ -115,11 +103,7 @@ fn assert_production_matches_reference(
             // The reference materialises every batch and only ever runs
             // the scalar merge; the production path never does either.
             assert_eq!(r.borrowed, 0, "reference must not decode in place [{ctx}]");
-            assert_eq!(
-                r.stats.gallop_runs + r.stats.merge_runs + r.stats.probe_runs,
-                0,
-                "[{ctx}]"
-            );
+            assert_eq!(r.stats.merge_runs + r.stats.probe_runs, 0, "[{ctx}]");
             assert_eq!(o.stats.scalar_runs, 0, "reference leaked [{ctx}]");
             // Only pull deliveries probe, and Push-Only pulls nothing.
             if mode == EngineMode::PushOnly {
@@ -135,7 +119,7 @@ fn assert_production_matches_reference(
     reference[0].count
 }
 
-/// Production kernels × engine × {1,2,4,7} ranks against the reference,
+/// The production kernel × engine × {1,2,4,7} ranks against the reference,
 /// on the general random graph and on the shared-hub graph whose
 /// triangles all ride the pull phase.
 #[test]
@@ -159,13 +143,7 @@ fn tab4_topologies_production_matches_reference() {
         let list = labeled(ds.edges.clone());
         for nranks in [1usize, 2, 4, 7] {
             for mode in ENGINES {
-                assert_production_matches_reference(
-                    &list,
-                    nranks,
-                    mode,
-                    &[IntersectKernel::Auto],
-                    ds.name,
-                );
+                assert_production_matches_reference(&list, nranks, mode, &PRODUCTION, ds.name);
             }
         }
     }
@@ -222,7 +200,8 @@ fn decode_keys(keys: ColKeys<'_>) -> Vec<OrderKey> {
 }
 
 /// Asserts every kernel reproduces the oracle's ordered match list on
-/// slices and on a columnar frame decoded first, then intersected.
+/// slices and on a columnar frame decoded first, then intersected, and
+/// that every kernel counts the reference's compares.
 fn assert_kernels_match(left_vals: &[u64], right_vals: &[u64], ctx: &str) {
     let left = entries(left_vals);
     let right = entries(right_vals);
@@ -237,9 +216,11 @@ fn assert_kernels_match(left_vals: &[u64], right_vals: &[u64], ctx: &str) {
             .collect(),
     ));
 
+    let mut reference_compares = None;
     for kernel in KERNELS {
         // Slices.
         let mut got = Vec::new();
+        let _ = kernel_stats_take();
         intersect_slices(
             kernel,
             &left,
@@ -251,6 +232,12 @@ fn assert_kernels_match(left_vals: &[u64], right_vals: &[u64], ctx: &str) {
             },
         );
         assert_eq!(got, oracle, "slices, kernel {kernel} [{ctx}]");
+        let compares = kernel_stats_take().compares;
+        assert_eq!(
+            *reference_compares.get_or_insert(compares),
+            compares,
+            "compares, kernel {kernel} [{ctx}]"
+        );
 
         // Columnar frame, decoded into a flat key column.
         let mut r = WireReader::new(&frame);
@@ -305,41 +292,6 @@ fn adversarial_shapes_match_the_oracle() {
     }
 }
 
-/// At hub-scale skew the gallop kernel must do strictly fewer compares
-/// than the scalar merge — the deterministic inequality the Auto
-/// heuristic banks on (and `auto_compares_at_four_skews_are_pinned`
-/// pins).
-#[test]
-fn gallop_beats_scalar_compares_at_heavy_skew() {
-    let small = entries(&(0..16u64).map(|i| i * 1000 + 1).collect::<Vec<_>>());
-    let big = entries(&(0..16_000u64).collect::<Vec<_>>());
-    let tally = |kernel| {
-        let _ = kernel_stats_take();
-        intersect_slices(kernel, &small, &big, |l| l.1, |r| r.1, |_, _| {});
-        kernel_stats_take().compares
-    };
-    let scalar = tally(IntersectKernel::MergeScalar);
-    let gallop = tally(IntersectKernel::Gallop);
-    let auto = tally(IntersectKernel::Auto);
-    assert!(
-        gallop * 10 < scalar,
-        "gallop ({gallop}) must be far under scalar ({scalar}) at 1000:1"
-    );
-    assert_eq!(auto, gallop, "Auto resolves to Gallop at this skew");
-    // And the dispatch counters say so.
-    let _ = kernel_stats_take();
-    intersect_slices(
-        IntersectKernel::Auto,
-        &small,
-        &big,
-        |l| l.1,
-        |r| r.1,
-        |_, _| {},
-    );
-    let s = kernel_stats();
-    assert_eq!((s.gallop_runs, s.scalar_runs, s.merge_runs), (1, 0, 0));
-}
-
 /// Ordered matches and compare count of one kernel over two entry
 /// lists, through the index form.
 fn run_kernel(
@@ -362,11 +314,10 @@ fn run_kernel(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-    /// Random strictly increasing lists at side ratios at or below
-    /// `GALLOP_RATIO`, where `Auto` resolves to the branchless merge:
-    /// `Merge` emits the ordered matches of `MergeScalar` and
-    /// `merge_path` and counts the same compares, because both take
-    /// one compare per pointer step and step identically.
+    /// Random strictly increasing lists at every side ratio: `Merge`
+    /// emits the ordered matches of `MergeScalar` and `merge_path` and
+    /// counts the same compares, because both take one compare per
+    /// pointer step and step identically.
     #[test]
     fn branchless_merge_steps_like_the_reference(
         lv in proptest::collection::vec(0u64..600, 1..200),
@@ -378,18 +329,6 @@ proptest! {
             entries(&v)
         };
         let (left, right) = (strict(lv), strict(rv));
-        let (small, large) = (left.len().min(right.len()), left.len().max(right.len()));
-        // Trim the longer side into the merge's range of ratios.
-        let keep = large.min(small * GALLOP_RATIO);
-        let (left, right) = if left.len() >= right.len() {
-            (left[..keep].to_vec(), right)
-        } else {
-            (left, right[..keep].to_vec())
-        };
-        assert_eq!(
-            IntersectKernel::Auto.select(left.len(), right.len()),
-            IntersectKernel::Merge
-        );
         let oracle = oracle_matches(&left, &right);
         let (scalar, scalar_compares) = run_kernel(IntersectKernel::MergeScalar, &left, &right);
         let (merge, merge_compares) = run_kernel(IntersectKernel::Merge, &left, &right);
@@ -399,21 +338,22 @@ proptest! {
     }
 }
 
-/// The Auto kernel's exact key compares over one columnar frame,
+/// The production kernel's exact key compares over one columnar frame,
 /// decoded whole and then intersected, at four degree skews: balanced,
 /// 10:1, 1000:1 (hub adjacency on the right) and its reverse (a long
 /// frame on the left). The denser side holds every even value; the
 /// sparser side spreads across it, alternating hits and off-by-one
-/// misses. In total 13 394 compares over 68 672 candidates: 0.1950 per
-/// candidate. The one symmetric rule gallops into the larger side, so
-/// the 1:1000 row costs what its mirror 1000:1 row does.
+/// misses. In total 137 576 compares over 68 672 candidates: 2.0034 per
+/// candidate. The merge walks the dense side up to the sparse side's
+/// last key, so each hub row costs about its dense side's length, and
+/// the 1:1000 row what its mirror 1000:1 row does.
 #[test]
-fn auto_compares_at_four_skews_are_pinned() {
+fn merge_compares_at_four_skews_are_pinned() {
     for (ctx, left_n, right_n, compares, matches) in [
         ("balanced", 4096u64, 4096u64, 6_143u64, 2048u64),
-        ("10:1", 512, 5120, 4_601, 256),
-        ("1000:1", 64, 64_000, 1_325, 32),
-        ("1:1000", 64_000, 64, 1_325, 32),
+        ("10:1", 512, 5120, 5_367, 256),
+        ("1000:1", 64, 64_000, 63_033, 32),
+        ("1:1000", 64_000, 64, 63_033, 32),
     ] {
         let (dense_n, sparse_n) = (left_n.max(right_n), left_n.min(right_n));
         let dense: Vec<u64> = (0..dense_n).map(|i| 2 * i).collect();
@@ -437,7 +377,7 @@ fn auto_compares_at_four_skews_are_pinned() {
         let cands = decode_keys(keys);
         let _ = kernel_stats_take();
         intersect_indices(
-            IntersectKernel::Auto,
+            IntersectKernel::Merge,
             &cands,
             &right,
             |&k| k,
@@ -451,8 +391,8 @@ fn auto_compares_at_four_skews_are_pinned() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// Random sorted `u64` lists with random skew: gallop and merge
-    /// must emit the exact ordered match set of `merge_path` on every
+    /// Random sorted `u64` lists with random skew: both kernels must
+    /// emit the exact ordered match set of `merge_path` on every
     /// kernel entry point.
     #[test]
     fn kernels_emit_identical_matches_on_random_lists(
@@ -460,7 +400,7 @@ proptest! {
         rv in proptest::collection::vec(0u64..800, 0..160),
         skew in 0usize..3,
     ) {
-        // Skew 1/2 shrink one side hard so the Auto heuristic flips.
+        // Skew 1/2 shrink one side hard.
         let (lv, rv): (Vec<u64>, Vec<u64>) = match skew {
             1 => (lv.into_iter().take(3).collect(), rv),
             2 => (lv, rv.into_iter().take(3).collect()),
@@ -485,7 +425,7 @@ proptest! {
             &labeled(edges),
             nranks,
             mode,
-            &[IntersectKernel::Auto],
+            &PRODUCTION,
             "proptest",
         );
     }
@@ -555,8 +495,8 @@ fn assert_probe_matches_merge(left: &[OrderKey], frame: &[OrderKey], ctx: &str) 
     assert_eq!(s.candidates, left.len() as u64, "candidates [{ctx}]");
     assert_eq!(s.matches, oracle.len() as u64, "matches [{ctx}]");
     assert_eq!(
-        (s.probe_runs, s.scalar_runs, s.gallop_runs, s.merge_runs),
-        (1, 0, 0, 0),
+        (s.probe_runs, s.scalar_runs, s.merge_runs),
+        (1, 0, 0),
         "dispatch [{ctx}]"
     );
     // Every candidate inspects at least its home slot.

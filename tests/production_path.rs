@@ -1,7 +1,7 @@
 //! Pins the production path byte for byte and compare for compare.
 //!
 //! A change that moves a byte on the wire, a record, a key compare or
-//! the kernel `Auto` resolves to fails here first.
+//! a kernel run fails here first.
 //!
 //! The Push-Only rows, and every `bytes_encoded` and `records` value,
 //! were recorded at the commit *before* the configuration matrix was
@@ -23,7 +23,11 @@
 //! index grew from at least two to at least eight slots per key: a
 //! sparser table ends more probes at their home slot, so fewer slots
 //! are inspected. No other column moved, and the hub rows, one slot per
-//! candidate already, did not move at all.
+//! candidate already, did not move at all. The `gallop_runs` column was
+//! dropped when the galloping kernel was deleted and every pushed batch
+//! took the branchless merge: only the rows that had galloped moved,
+//! their gallop runs joining `merge_runs` and their `compares`
+//! re-recorded.
 
 mod common;
 
@@ -34,24 +38,15 @@ use tripoll::core::{EngineMode, KernelStats, SurveyConfig};
 use tripoll::gen::{rmat_edges, RmatConfig};
 use tripoll::graph::{EdgeList, OrderKey};
 
-/// One pinned run: `(engine, ranks, compares, candidates, gallop_runs,
-/// merge_runs, probe_runs, bytes_encoded, records)`. Push-Pull's rows
+/// One pinned run: `(engine, ranks, compares, candidates, merge_runs,
+/// probe_runs, bytes_encoded, records)`. Push-Pull's rows
 /// differ per rank count because pull decisions are taken per (source
 /// rank, target vertex).
-type Pin = (EngineMode, usize, u64, u64, u64, u64, u64, u64, u64);
+type Pin = (EngineMode, usize, u64, u64, u64, u64, u64, u64);
 
 fn assert_pinned(gname: &str, list: &EdgeList<String>, count: u64, checksum: u64, pins: &[Pin]) {
-    for &(
-        mode,
-        nranks,
-        compares,
-        candidates,
-        gallop_runs,
-        merge_runs,
-        probe_runs,
-        bytes_encoded,
-        records,
-    ) in pins
+    for &(mode, nranks, compares, candidates, merge_runs, probe_runs, bytes_encoded, records) in
+        pins
     {
         let runs = run_survey(list, nranks, mode, SurveyConfig::default());
         let o = &runs[0];
@@ -66,7 +61,6 @@ fn assert_pinned(gname: &str, list: &EdgeList<String>, count: u64, checksum: u64
                 matches: count,
                 // The reference kernel never runs on the production path.
                 scalar_runs: 0,
-                gallop_runs,
                 merge_runs,
                 probe_runs,
             },
@@ -87,12 +81,12 @@ fn rmat_is_pinned() {
         10_976,
         23_202_816_223_048,
         &[
-            (PushOnly, 1, 21_010, 13_123, 24, 1_593, 0, 170_560, 1_617),
-            (PushOnly, 2, 21_010, 13_123, 24, 1_593, 0, 170_560, 1_617),
-            (PushOnly, 4, 21_010, 13_123, 24, 1_593, 0, 170_560, 1_617),
-            (PushPull, 1, 13_631, 13_123, 0, 23, 1_594, 15_104, 201),
-            (PushPull, 2, 13_902, 13_123, 1, 47, 1_569, 17_276, 362),
-            (PushPull, 4, 14_410, 13_123, 5, 88, 1_524, 22_880, 635),
+            (PushOnly, 1, 21_085, 13_123, 1_617, 0, 170_560, 1_617),
+            (PushOnly, 2, 21_085, 13_123, 1_617, 0, 170_560, 1_617),
+            (PushOnly, 4, 21_085, 13_123, 1_617, 0, 170_560, 1_617),
+            (PushPull, 1, 13_631, 13_123, 23, 1_594, 15_104, 201),
+            (PushPull, 2, 13_902, 13_123, 48, 1_569, 17_276, 362),
+            (PushPull, 4, 14_421, 13_123, 93, 1_524, 22_880, 635),
         ],
     );
 }
@@ -106,12 +100,12 @@ fn shared_hub_is_pinned() {
         24,
         55_006_949_705,
         &[
-            (PushOnly, 1, 24, 24, 0, 24, 0, 762, 24),
-            (PushOnly, 2, 24, 24, 0, 24, 0, 762, 24),
-            (PushOnly, 4, 24, 24, 0, 24, 0, 762, 24),
-            (PushPull, 1, 24, 24, 0, 0, 24, 26, 2),
-            (PushPull, 2, 24, 24, 0, 0, 24, 31, 4),
-            (PushPull, 4, 24, 24, 0, 0, 24, 41, 8),
+            (PushOnly, 1, 24, 24, 24, 0, 762, 24),
+            (PushOnly, 2, 24, 24, 24, 0, 762, 24),
+            (PushOnly, 4, 24, 24, 24, 0, 762, 24),
+            (PushPull, 1, 24, 24, 0, 24, 26, 2),
+            (PushPull, 2, 24, 24, 0, 24, 31, 4),
+            (PushPull, 4, 24, 24, 0, 24, 41, 8),
         ],
     );
 }

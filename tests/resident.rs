@@ -13,11 +13,14 @@
 //! of a fixed R-MAT graph and of the `String`-metadata hub graph are
 //! pinned to the byte.
 
+mod common;
+
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use common::{all_reduce_kernel_stats, hub_graph, random_graph};
 use tripoll::core::{
     kernel_stats_take, survey_push_only_with, survey_push_pull_with, EngineMode, IntersectKernel,
     KernelStats, ResidentGraph, ResidentQuery, SurveyConfig,
@@ -82,19 +85,11 @@ fn run_direct(
             EngineMode::PushOnly => survey_push_only_with(comm, &g, config, cb),
             EngineMode::PushPull => survey_push_pull_with(comm, &g, config, cb),
         };
-        let ks = kernel_stats_take();
+        let stats = all_reduce_kernel_stats(comm, kernel_stats_take());
         Outcome {
             count: comm.all_reduce_sum(count.get()),
             checksum: comm.all_reduce_sum(sum.get()),
-            stats: KernelStats {
-                compares: comm.all_reduce_sum(ks.compares),
-                candidates: comm.all_reduce_sum(ks.candidates),
-                matches: comm.all_reduce_sum(ks.matches),
-                scalar_runs: comm.all_reduce_sum(ks.scalar_runs),
-                gallop_runs: comm.all_reduce_sum(ks.gallop_runs),
-                merge_runs: comm.all_reduce_sum(ks.merge_runs),
-                probe_runs: comm.all_reduce_sum(ks.probe_runs),
-            },
+            stats,
         }
     });
     for o in &out {
@@ -116,13 +111,7 @@ fn run_resident(resident: &ResidentGraph<String, String>, query: &ResidentQuery)
     });
     let mut stats = KernelStats::default();
     for o in &outcomes {
-        stats.compares += o.kernel.compares;
-        stats.candidates += o.kernel.candidates;
-        stats.matches += o.kernel.matches;
-        stats.scalar_runs += o.kernel.scalar_runs;
-        stats.gallop_runs += o.kernel.gallop_runs;
-        stats.merge_runs += o.kernel.merge_runs;
-        stats.probe_runs += o.kernel.probe_runs;
+        stats += o.kernel;
     }
     let (count, checksum) = *acc.lock().unwrap();
     Outcome {
@@ -130,41 +119,6 @@ fn run_resident(resident: &ResidentGraph<String, String>, query: &ResidentQuery)
         checksum,
         stats,
     }
-}
-
-fn labeled(edges: Vec<(u64, u64)>) -> EdgeList<String> {
-    EdgeList::from_vec(
-        edges
-            .into_iter()
-            .map(|(u, v)| (u, v, format!("e{}-{}", u.min(v), u.max(v))))
-            .collect(),
-    )
-}
-
-/// A deterministic dense-ish random graph (the general case).
-fn random_graph() -> EdgeList<String> {
-    let mut edges = Vec::new();
-    for u in 0..32u64 {
-        for v in (u + 1)..32 {
-            if (u * 7919 + v * 104_729) % 4 == 0 {
-                edges.push((u, v));
-            }
-        }
-    }
-    labeled(edges)
-}
-
-/// The shared-hub construction that forces Push-Pull's pull phase to
-/// carry triangles.
-fn hub_graph() -> EdgeList<String> {
-    let k = 24u64;
-    let (h1, h2) = (1000, 1001);
-    let mut edges = vec![(h1, h2)];
-    for sv in 0..k {
-        edges.push((sv, h1));
-        edges.push((sv, h2));
-    }
-    labeled(edges)
 }
 
 fn query(nranks: usize, mode: EngineMode) -> ResidentQuery {
@@ -214,10 +168,10 @@ fn snapshot_differential_plan_replay_is_bit_identical() {
     // engine configuration (the plan is config-independent).
     let again = run_resident(&resident, &q);
     assert_eq!(first, again, "replayed query diverged");
-    let gallop =
-        query(4, EngineMode::PushPull).with_config(SurveyConfig::from(IntersectKernel::Gallop));
-    let reference = run_direct(&list, 4, EngineMode::PushPull, gallop.config);
-    assert_eq!(run_resident(&resident, &gallop), reference);
+    let scalar = query(4, EngineMode::PushPull)
+        .with_config(SurveyConfig::from(IntersectKernel::MergeScalar));
+    let reference = run_direct(&list, 4, EngineMode::PushPull, scalar.config);
+    assert_eq!(run_resident(&resident, &scalar), reference);
     let replay_outcomes = resident.survey(&q, |_c, _tm| {});
     for o in &replay_outcomes {
         assert_eq!(o.report.phases[0].name, "dry-run");
@@ -226,6 +180,31 @@ fn snapshot_differential_plan_replay_is_bit_identical() {
             0,
             "replayed dry-run must move zero records"
         );
+    }
+}
+
+/// `triangle_count` sums the ranks' kernel match counters instead of
+/// counting callbacks: on both engines, at 1, 2 and 4 ranks, under the
+/// production kernel and the reference, it must equal the triangles a
+/// callback counts.
+#[test]
+fn triangle_count_equals_a_callback_count() {
+    for (gname, list) in [("random", random_graph()), ("hub", hub_graph())] {
+        let resident = ResidentGraph::build(&list, vm_of, Partition::Hashed);
+        for nranks in [1usize, 2, 4] {
+            for mode in [EngineMode::PushOnly, EngineMode::PushPull] {
+                for kernel in [IntersectKernel::Merge, IntersectKernel::MergeScalar] {
+                    let q = query(nranks, mode).with_config(kernel.into());
+                    let counted = run_resident(&resident, &q).count;
+                    assert!(counted > 0, "{gname} must contain triangles");
+                    assert_eq!(
+                        resident.triangle_count(&q),
+                        counted,
+                        "{gname} {mode} n={nranks} {kernel}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //! copying the batch's frame out of it into a [`SendBuffer`] that
 //! restarts from a [`BufferPool`], capturing each frame with
 //! [`ColCursor::begin`], decoding its key columns into a reused flat
-//! [`OrderKey`] column, intersecting them under [`IntersectKernel::Auto`]
+//! [`OrderKey`] column, intersecting them under [`IntersectKernel::Merge`]
 //! through the index form, and decoding the metadata of every match
 //! with `ColMetas::get`. The frame's exact byte
 //! count is pinned too.
@@ -21,7 +21,7 @@
 //! Receiving through a [`FrameDecoder`] allocates nothing either: each
 //! apex ships the nested suffixes of the hub list, interleaved with
 //! frames of another list, and the decoder serves a nested suffix from
-//! the last frame it decoded, under `Auto`, with the metadata of every
+//! the last frame it decoded, under `Merge`, with the metadata of every
 //! match decoded.
 //!
 //! The pull side allocates nothing either: deliveries of assorted
@@ -172,7 +172,7 @@ enum Stage {
     /// Decode the header and capture the frame with `ColCursor::begin`.
     Capture,
     /// Also decode the key columns and intersect them under
-    /// `IntersectKernel::Auto`.
+    /// `IntersectKernel::Merge`.
     Intersect,
     /// Also decode every match's metadata with `ColMetas::get`.
     MetaOnMatch,
@@ -203,7 +203,7 @@ fn receive(
             cands.push(OrderKey::new(k.v, k.degree));
         }
         intersect_indices(
-            IntersectKernel::Auto,
+            IntersectKernel::Merge,
             cands,
             right,
             |&k| k,
@@ -295,7 +295,7 @@ fn nested_stream(adj: &[Entry]) -> Vec<u8> {
 
 /// Walks every batch of `stream` as the production receive handler
 /// does: capture the frame, take its key column from `decoder`,
-/// intersect under `IntersectKernel::Auto`, decode every match's
+/// intersect under `IntersectKernel::Merge`, decode every match's
 /// metadata. Returns [`receive`]'s checksum and match count.
 fn receive_nested(
     stream: &[u8],
@@ -311,7 +311,7 @@ fn receive_nested(
         let ColCursor { keys, mut metas } = ColCursor::<u64>::begin(&mut r).expect("frame");
         let cands = decoder.decode(keys).expect("key columns");
         intersect_indices(
-            IntersectKernel::Auto,
+            IntersectKernel::Merge,
             cands,
             right,
             |&k| k,
